@@ -723,7 +723,10 @@ def bench_parallel(quick: bool, jobs: int | str | None) -> dict:
         f"jobs={workers}: {parallel_seconds:.2f}s  "
         f"{speedup:.2f}x  identical={identical}  pool-identical=True"
     )
-    if multi_cpu:
+    if quick:
+        assertion = "skipped (grid too short to amortise pool start-up)"
+        print(f"  speedup>1 assertion {assertion}")
+    elif multi_cpu:
         if speedup <= 1.0:
             raise AssertionError(
                 f"pooled sweep slower than serial on a {cpus}-CPU host: "

@@ -60,11 +60,9 @@ class O1TurnLite(RoutingAlgorithm):
         view = ctx.outputs[direction]
         half = ctx.num_vcs // 2
         use_low_half = self._order_is_xy(ctx)
-        return [
-            VcRequest(direction, v, Priority.LOW)
-            for v in view.idle_vcs()
-            if (v < half) == use_low_half
-        ]
+        vcs = [v for v in view.idle_vcs() if (v < half) == use_low_half]
+        # One record per priority class; an empty class emits none.
+        return VcRequest.group(direction, vcs, Priority.LOW)
 
     def allowed_directions(
         self, mesh: Mesh2D, current: int, destination: int, source: int

@@ -60,36 +60,53 @@ def allocate_vcs(
     -------
     Grants; the caller applies them to input VCs and output ports.
     """
-    # Stage 1: each input VC selects its single best grantable request.
-    # Single pass per input VC: track the best priority seen so far and
-    # the requests tied at it, in request order — identical selections
-    # and identical rng consumption to the filter-then-max formulation.
-    selections: dict[tuple[Direction, int], list[tuple[Priority, InputVc]]] = {}
+    # Stage 1: each input VC selects its single best grantable VC.
+    # Single pass per input VC: a request record is filtered for
+    # grantability only if it can still tie or beat the best priority
+    # seen so far, and the records tied at the best priority are kept in
+    # request order — the same candidates in the same order (hence the
+    # same rng consumption) as filtering every requested VC up front.
+    selections: dict[
+        tuple[Direction, int], list[tuple[Priority, InputVc]]
+    ] = {}
     for input_vc, reqs in requests:
-        best_priority: Priority | None = None
-        best: list[VcRequest] = []
-        for r in reqs:
-            if not outputs[r.direction].grantable(r.vc):
+        best_priority = -1
+        best: list[tuple[Direction, list[int]]] = []
+        for direction, vcs, priority in reqs:
+            if priority < best_priority:
                 continue
-            if best_priority is None or r.priority > best_priority:
-                best_priority = r.priority
-                best = [r]
-            elif r.priority == best_priority:
-                best.append(r)
-        if best_priority is None:
+            live = outputs[direction].grantable_among(vcs)
+            if not live:
+                continue
+            if priority > best_priority:
+                best_priority = priority
+                best = [(direction, live)]
+            else:
+                best.append((direction, live))
+        if not best:
             continue
-        choice = best[0] if len(best) == 1 else best[rng.randrange(len(best))]
-        selections.setdefault((choice.direction, choice.vc), []).append(
-            (choice.priority, input_vc)
+        if len(best) == 1:
+            direction, live = best[0]
+            vc = live[0] if len(live) == 1 else live[rng.randrange(len(live))]
+        else:
+            # Equal-priority records (on any ports) pool their VCs.
+            pooled = [(d, v) for d, live in best for v in live]
+            direction, vc = pooled[rng.randrange(len(pooled))]
+        selections.setdefault((direction, vc), []).append(
+            (best_priority, input_vc)
         )
 
     # Stage 2: each downstream VC grants its best selecting input.
     grants: list[VaGrant] = []
     for (direction, vc), contenders in selections.items():
-        top: Priority | None = None
+        if len(contenders) == 1:
+            top, winner = contenders[0]
+            grants.append(VaGrant(winner, direction, vc, top))
+            continue
+        top = -1
         finalists: list[InputVc] = []
         for p, ivc in contenders:
-            if top is None or p > top:
+            if p > top:
                 top = p
                 finalists = [ivc]
             elif p == top:

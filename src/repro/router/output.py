@@ -28,10 +28,27 @@ the simulator.
 from __future__ import annotations
 
 from collections import deque
+from typing import Sequence
 
 from repro.exceptions import AllocationError, FlowControlError
 from repro.router.flit import Flit
 from repro.topology.ports import Direction
+
+
+class RouterVcEvents:
+    """What changed at a router's output ports, shared by all of them so
+    the router reacts to events instead of polling every port."""
+
+    __slots__ = ("version", "fresh_ports")
+
+    def __init__(self) -> None:
+        #: Bumped whenever VC grantability or ownership changes; routing
+        #: decisions are cached against it (credits do not affect which
+        #: VCs are grantable, so credit flow leaves it unchanged).
+        self.version = 0
+        #: Ports that released a VC since the last allocation round (a
+        #: port may appear twice; clearing is idempotent).
+        self.fresh_ports: list[OutputPort] = []
 
 
 class OutputPort:
@@ -51,6 +68,7 @@ class OutputPort:
         escape_vc: int | None,
         atomic_realloc: bool,
         escape_vc2: int | None = None,
+        events: RouterVcEvents | None = None,
     ) -> None:
         self.direction = direction
         self.num_vcs = num_vcs
@@ -76,13 +94,12 @@ class OutputPort:
         ]
         # Incrementally maintained views.
         self._idle_cache: list[int] | None = list(self._adaptive)
-        self._busy_count = 0
+        #: ``len(busy_vcs())``, maintained incrementally.
+        self.busy_count = 0
         self._fp_index: dict[int, list[int]] = {}
         self._adaptive_credits = downstream_depth * len(self._adaptive)
-        #: Bumped whenever VC grantability or ownership changes; routing
-        #: decisions are cached against it (credits do not affect which
-        #: VCs are grantable, so credit flow leaves it unchanged).
-        self.version = 0
+        #: Shared with the router's other ports (private if stand-alone).
+        self.events = events if events is not None else RouterVcEvents()
         #: VCs released since the last VC-allocation round.  A freed VC
         #: keeps its last owner, and during the allocation round right
         #: after its release a same-destination packet may reclaim it at
@@ -113,14 +130,7 @@ class OutputPort:
         """Adaptive VCs currently free for allocation (do not mutate)."""
         cache = self._idle_cache
         if cache is None:
-            allocated = self.allocated
-            draining = self._draining
-            cache = [
-                v
-                for v in self._adaptive
-                if not allocated[v] and not draining[v]
-            ]
-            self._idle_cache = cache
+            cache = self._idle_cache = self.grantable_among(self._adaptive)
         return cache
 
     def footprint_vcs(self, dst: int) -> list[int]:
@@ -146,30 +156,25 @@ class OutputPort:
         they free (its held HIGH-priority request beats the LOW requests
         other packets held on the then-busy VC).
         """
-        if not self.fresh_released:
+        return self._fresh_vcs(dst, True)
+
+    def fresh_other_vcs(self, dst: int) -> list[int]:
+        """Freshly freed adaptive VCs last owned by other destinations."""
+        return self._fresh_vcs(dst, False)
+
+    def _fresh_vcs(self, dst: int, mine: bool) -> list[int]:
+        fresh = self.fresh_released
+        if not fresh:
             return _EMPTY
         owner = self.owner_dst
         # Ascending VC order, independent of set-iteration internals:
         # request order feeds the allocator's tie-break draws, so it must
         # be deterministic and engine-representation-agnostic (the vector
         # engine reconstructs request lists in ascending-VC order).
-        fresh = self.fresh_released
         return [
             v
-            for v in self._adaptive
-            if v in fresh and owner[v] == dst and self.grantable(v)
-        ]
-
-    def fresh_other_vcs(self, dst: int) -> list[int]:
-        """Freshly freed adaptive VCs last owned by other destinations."""
-        if not self.fresh_released:
-            return _EMPTY
-        owner = self.owner_dst
-        fresh = self.fresh_released
-        return [
-            v
-            for v in self._adaptive
-            if v in fresh and owner[v] != dst and self.grantable(v)
+            for v in self.idle_vcs()
+            if v in fresh and (owner[v] == dst) is mine
         ]
 
     def clear_fresh(self) -> None:
@@ -177,7 +182,7 @@ class OutputPort:
         if self.fresh_released:
             self.fresh_released.clear()
             # Requests computed against the fresh set are now stale.
-            self.version += 1
+            self.events.version += 1
 
     def busy_vcs(self) -> list[int]:
         """All busy adaptive VCs regardless of owner."""
@@ -198,6 +203,13 @@ class OutputPort:
         """Whether downstream VC ``vc`` may be allocated to a new packet."""
         return not self.allocated[vc] and not self._draining[vc]
 
+    def grantable_among(self, vcs: Sequence[int]) -> list[int]:
+        """The grantable members of ``vcs``, in order (one allocator
+        request record's candidates)."""
+        allocated = self.allocated
+        draining = self._draining
+        return [v for v in vcs if not (allocated[v] or draining[v])]
+
     def allocate(self, vc: int, dst: int) -> None:
         """Bind downstream VC ``vc`` to a packet destined to ``dst``."""
         if not self.grantable(vc):
@@ -206,24 +218,27 @@ class OutputPort:
             )
         self.allocated[vc] = True
         self.owner_dst[vc] = dst
-        self.version += 1
+        self.events.version += 1
         self.fresh_released.discard(vc)
         if vc != self.escape_vc and vc != self.escape_vc2:
             self._idle_cache = None
-            self._busy_count += 1
+            self.busy_count += 1
             self._fp_index.setdefault(dst, []).append(vc)
 
     def _release(self, vc: int) -> None:
         dst = self.owner_dst[vc]
         self.allocated[vc] = False
         self._draining[vc] = False
-        self.version += 1
+        events = self.events
+        events.version += 1
         # The owner is deliberately left stale until the next allocation
         # and the VC is marked freshly released; see fresh_footprint_vcs().
+        if not self.fresh_released:
+            events.fresh_ports.append(self)
         self.fresh_released.add(vc)
         if vc != self.escape_vc and vc != self.escape_vc2:
             self._idle_cache = None
-            self._busy_count -= 1
+            self.busy_count -= 1
             owners = self._fp_index.get(dst)
             if owners is not None:
                 owners.remove(vc)
@@ -241,7 +256,11 @@ class OutputPort:
 
     def can_send(self, vc: int) -> bool:
         """Whether a flit on ``vc`` can traverse the switch right now."""
-        return self.credits[vc] > 0 and self.accept_capacity() > 0
+        return (
+            self.credits[vc] > 0
+            and self._accepted_this_cycle < self.speedup
+            and len(self.fifo) < self.fifo_depth
+        )
 
     def send(self, flit: Flit, vc: int) -> None:
         """Commit a flit to the staging FIFO, consuming a downstream credit."""
@@ -249,7 +268,10 @@ class OutputPort:
             raise FlowControlError(
                 f"credit underflow on {self.direction.name} VC {vc}"
             )
-        if self.accept_capacity() <= 0:
+        if (
+            self._accepted_this_cycle >= self.speedup
+            or len(self.fifo) >= self.fifo_depth
+        ):
             raise FlowControlError(
                 f"output FIFO overflow on {self.direction.name}"
             )
@@ -325,14 +347,19 @@ class OutputPort:
                 return f"allocated VC {vc} has no owner destination"
         if len(self.fifo) > self.fifo_depth:
             return "staging FIFO above its depth"
+        if self._accepted_this_cycle:
+            return (
+                f"switch accept counter {self._accepted_this_cycle} not "
+                f"reset between cycles"
+            )
         busy = [
             v
             for v in self._adaptive
             if self.allocated[v] or self._draining[v]
         ]
-        if self._busy_count != len(busy):
+        if self.busy_count != len(busy):
             return (
-                f"busy count {self._busy_count} != recounted "
+                f"busy count {self.busy_count} != recounted "
                 f"{len(busy)} busy adaptive VCs"
             )
         adaptive_credits = sum(self.credits[v] for v in self._adaptive)

@@ -32,7 +32,7 @@ import random
 from repro.router.allocator import allocate_vcs, verify_grants
 from repro.router.arbiter import RoundRobinArbiter
 from repro.router.flit import Flit
-from repro.router.output import OutputPort
+from repro.router.output import OutputPort, RouterVcEvents
 from repro.router.vcstate import InputVc, VcState
 from repro.routing.base import RouteContext, RoutingAlgorithm
 from repro.routing.requests import VcRequest
@@ -93,6 +93,7 @@ class Router:
             1 if routing.uses_escape and mesh.num_vc_classes > 1 else None
         )
         ports = mesh.router_ports(node)
+        self._events = RouterVcEvents()
         self.input_vcs: dict[Direction, list[InputVc]] = {
             d: [
                 InputVc(d, v, config.vc_buffer_depth)
@@ -115,13 +116,11 @@ class Router:
                 escape_vc2=(
                     escape_vc2 if d is not Direction.LOCAL else None
                 ),
+                events=self._events,
             )
             for d in ports
         }
         self._port_order = list(ports)
-        # Output ports as a plain list: route_and_allocate touches every
-        # port every cycle and list iteration beats dict-view iteration.
-        self._ports_list = list(self.output_ports.values())
         self._sa_port_offset = node % max(1, len(ports))
         self._vc_arbiters: dict[Direction, RoundRobinArbiter] = {
             d: RoundRobinArbiter(config.num_vcs) for d in ports
@@ -177,11 +176,8 @@ class Router:
         self.validator = None
         # Fault awareness: bitmask of output directions whose link (or
         # downstream router) is currently dead, mirrored into the route
-        # context so algorithms can steer around it.  The epoch counter
-        # folds into the per-cycle state version so cached VC requests
-        # are invalidated whenever the mask changes.
+        # context so algorithms can steer around it.
         self.fault_blocked = 0
-        self._fault_epoch = 0
 
     # ------------------------------------------------------------------
     # Engine-facing state changes
@@ -221,7 +217,8 @@ class Router:
         if mask == self.fault_blocked:
             return
         self.fault_blocked = mask
-        self._fault_epoch += 1
+        # Cached VC requests were filtered against the old mask.
+        self._events.version += 1
         self._ctx.dead_ports = mask
         if mask:
             for ivc in self._pending.values():
@@ -257,22 +254,14 @@ class Router:
 
     def route_and_allocate(self) -> None:
         """Recompute routes for waiting packets and run VC allocation."""
-        # Router-wide state version: any change in VC grantability or
-        # ownership at any output port invalidates cached VC requests.
-        # Computed before the early-outs so freshly-freed-VC information
-        # is always consumed by exactly one allocation round.
-        ports_list = self._ports_list
-        # Seeding with the fault epoch (also monotone) invalidates cached
-        # requests whenever the dead-port mask changes.
-        state_version = self._fault_epoch
-        for port in ports_list:
-            port.new_cycle()
-            state_version += port.version
-
         if self.inflight == 0 or not self._pending:
-            for port in ports_list:
-                port.clear_fresh()
+            self._clear_fresh()
             return
+
+        # Router-wide state version: any change in VC grantability or
+        # ownership at any output port (or in the dead-port mask)
+        # invalidates cached VC requests.
+        state_version = self._events.version
 
         requests: list[tuple[InputVc, list[VcRequest]]] = []
         for ivc in self._pending.values():
@@ -331,20 +320,23 @@ class Router:
 
         # This allocation round has consumed the freshly-freed-VC
         # information; freed VCs become plain idle from the next round on.
-        for port in ports_list:
-            port.clear_fresh()
+        self._clear_fresh()
 
     def clear_fresh_only(self) -> None:
-        """End-of-round cleanup for a credit-woken router with no flits.
+        """End-of-round cleanup for a credit-woken router with no flits:
+        the empty-router early-out of :meth:`route_and_allocate`."""
+        self._clear_fresh()
 
-        Equivalent to the empty-router early-out of
-        :meth:`route_and_allocate` minus the per-port cycle reset, which
-        only matters ahead of a switch-traversal round (and any such
-        round is preceded by a full :meth:`route_and_allocate` in the
-        same cycle).
-        """
-        for port in self._ports_list:
-            port.clear_fresh()
+    def _clear_fresh(self) -> None:
+        """Forget the releases this allocation round has consumed, so
+        every fresh set is seen by exactly one round.  (Not folded into
+        :meth:`clear_fresh_only`: instrumentation wrapping that public
+        name must count the engine's calls only.)"""
+        fresh_ports = self._events.fresh_ports
+        if fresh_ports:
+            for port in fresh_ports:
+                port.clear_fresh()
+            fresh_ports.clear()
 
     def _context(self, ivc: InputVc, head: Flit) -> RouteContext:
         ctx = self._ctx
@@ -369,7 +361,7 @@ class Router:
                 continue
             port = self.output_ports[ivc.committed_dir]
             blocking.blocking_events += 1
-            blocking.busy_vc_samples += len(port.busy_vcs())
+            blocking.busy_vc_samples += port.busy_count
             blocking.footprint_vc_samples += len(
                 port.footprint_vcs(head.dst)
             )
@@ -394,6 +386,7 @@ class Router:
         occupied_masks = self._occupied_masks
         probe = self.probe
         tracing = probe is not None and probe.tracing
+        sent_to: list[OutputPort] = []
         for i in range(n_ports):
             direction = self._port_order[(self._sa_port_offset + i) % n_ports]
             if not occupied_masks[direction]:
@@ -409,6 +402,7 @@ class Router:
             if not ivc.fifo:
                 occupied_masks[direction] &= ~(1 << ivc.index)
             out_port.send(flit, out_vc)
+            sent_to.append(out_port)
             self.staged_flits += 1
             if tracing:
                 probe.switch(
@@ -419,6 +413,9 @@ class Router:
                 # queued behind it.
                 self._pending[(direction, ivc.index)] = ivc
             credits.append((direction, ivc.index))
+        # The speedup limit is per cycle.
+        for out_port in sent_to:
+            out_port.new_cycle()
         return credits
 
     def _pick_sa_winner(self, direction: Direction) -> InputVc | None:

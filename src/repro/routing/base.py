@@ -13,7 +13,7 @@ The interface mirrors a BookSim-style router pipeline:
   generation — re-evaluated **every cycle** until the packet wins a VC,
   because the VC states it prioritizes (idle/footprint/busy) change as the
   network moves.  It returns :class:`VcRequest` records, the paper's
-  ``ADD(P, v, pri)`` calls.
+  ``ADD(P, v, pri)`` calls grouped by ``(P, pri)``.
 
 The context exposes per-output-port state through
 :class:`OutputPortView`: which downstream VCs are idle, which are
@@ -329,10 +329,17 @@ class RoutingAlgorithm(abc.ABC):
         is behaviourally identical and much cheaper (see
         :mod:`repro.routing.requests`).
         """
-        view = ctx.outputs[Direction.LOCAL]
-        return [
-            VcRequest(Direction.LOCAL, v, Priority.LOW) for v in view.idle_vcs()
-        ]
+        return self.idle_requests(ctx, Direction.LOCAL)
+
+    @staticmethod
+    def idle_requests(
+        ctx: RouteContext, direction: Direction
+    ) -> list[VcRequest]:
+        """Every idle (adaptive) VC at ``direction`` at flat LOW priority
+        — the oblivious VC selection of DOR, Odd-Even and DBAR."""
+        return VcRequest.group(
+            direction, ctx.outputs[direction].idle_vcs(), Priority.LOW
+        )
 
     def escape_request(self, ctx: RouteContext) -> list[VcRequest]:
         """The always-present lowest-priority escape request (line 45).
@@ -361,7 +368,7 @@ class RoutingAlgorithm(abc.ABC):
             vc = view.escape_vc
         if vc is None or not view.grantable(vc):
             return []
-        return [VcRequest(escape_dir, vc, Priority.LOWEST)]
+        return [VcRequest(escape_dir, (vc,), Priority.LOWEST)]
 
     def vc_class(self, num_vcs: int, vc: int) -> int | None:
         """Dateline class ``vc`` belongs to on a multi-class topology.

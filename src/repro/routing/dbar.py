@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from repro.routing.base import RouteContext
 from repro.routing.duato import DuatoAdaptiveRouting
-from repro.routing.requests import Priority, VcRequest
+from repro.routing.requests import VcRequest
 from repro.topology.ports import Direction
 
 
@@ -53,11 +53,8 @@ class DbarRouting(DuatoAdaptiveRouting):
     def vc_requests(
         self, ctx: RouteContext, direction: Direction
     ) -> list[VcRequest]:
-        view = ctx.outputs[direction]
         # Oblivious VC selection: any free adaptive VC, flat priority.
-        return [
-            VcRequest(direction, v, Priority.LOW) for v in view.idle_vcs()
-        ]
+        return self.idle_requests(ctx, direction)
 
 
 class DbarFineRouting(DbarRouting):

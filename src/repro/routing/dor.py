@@ -38,8 +38,8 @@ class DorRouting(RoutingAlgorithm):
     ) -> list[VcRequest]:
         if direction is Direction.LOCAL:
             return self.eject_requests(ctx)
-        view = ctx.outputs[direction]
         if ctx.mesh.num_vc_classes > 1:
+            view = ctx.outputs[direction]
             # Torus dateline: only the VCs of this hop's wrap class are
             # requestable, keeping each ring's dependency graph acyclic.
             cls = ctx.mesh.wrap_vc_class(
@@ -47,16 +47,11 @@ class DorRouting(RoutingAlgorithm):
             )
             half = ctx.num_vcs // 2
             lo, hi = (0, half) if cls == 0 else (half, ctx.num_vcs)
-            return [
-                VcRequest(direction, v, Priority.LOW)
-                for v in view.idle_vcs()
-                if lo <= v < hi
-            ]
+            idle = [v for v in view.idle_vcs() if lo <= v < hi]
+            return VcRequest.group(direction, idle, Priority.LOW)
         # Any free VC at equal priority; busy VCs are re-requested (i.e.
         # become requestable) on the cycle they free.
-        return [
-            VcRequest(direction, v, Priority.LOW) for v in view.idle_vcs()
-        ]
+        return self.idle_requests(ctx, direction)
 
     def vc_class(self, num_vcs: int, vc: int) -> int | None:
         """The dateline half ``vc`` belongs to (0 = pre-wrap, 1 = post)."""

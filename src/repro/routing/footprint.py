@@ -91,6 +91,19 @@ def _fp_pri_table():
     return _FP_PRI_TABLE
 
 
+def _most(candidates, count):
+    """``(best, tied)``: the largest ``count(d)`` and the candidates that
+    reach it, in order."""
+    best, tied = -1, []
+    for d in candidates:
+        n = count(d)
+        if n > best:
+            best, tied = n, [d]
+        elif n == best:
+            tied.append(d)
+    return best, tied
+
+
 class FootprintRouting(DuatoAdaptiveRouting):
     """The Footprint routing algorithm (Algorithm 1 of the paper)."""
 
@@ -207,10 +220,10 @@ class FootprintRouting(DuatoAdaptiveRouting):
     def select_port(
         self, ctx: RouteContext, candidates: list[Direction]
     ) -> Direction:
-        views = {d: ctx.outputs[d] for d in candidates}
-        idle = {d: len(views[d].idle_vcs()) for d in candidates}
-        best_idle = max(idle.values())
-        tied = [d for d in candidates if idle[d] == best_idle]
+        outputs = ctx.outputs
+        best_idle, tied = _most(
+            candidates, lambda d: len(outputs[d].idle_vcs())
+        )
         if len(tied) > 1 and best_idle < ctx.congestion_threshold:
             # Tie on idle VCs under congestion: prefer the port with more
             # footprint VCs (lines 14-17).  Per §3.2, "the footprint
@@ -220,11 +233,8 @@ class FootprintRouting(DuatoAdaptiveRouting):
             # on the congestion threshold; without the gate, deterministic
             # flows funnel onto a single port at low load and forfeit port
             # adaptiveness.
-            fp = {
-                d: len(views[d].footprint_vcs(ctx.destination)) for d in tied
-            }
-            best_fp = max(fp.values())
-            tied = [d for d in tied if fp[d] == best_fp]
+            dst = ctx.destination
+            _, tied = _most(tied, lambda d: len(outputs[d].footprint_vcs(dst)))
         if len(tied) == 1:
             return tied[0]
         return tied[ctx.rng.randrange(len(tied))]
@@ -246,19 +256,15 @@ class FootprintRouting(DuatoAdaptiveRouting):
             # §4.2.5 extension: the destination already owns its VC quota
             # at this port — only re-claim freed footprint VCs, never new
             # ones.
-            return [
-                VcRequest(direction, v, Priority.HIGH) for v in fresh_mine
-            ]
+            return VcRequest.group(direction, fresh_mine, Priority.HIGH)
 
         if len(established) >= ctx.congestion_threshold:
             # No congestion: use all adaptive VCs at flat priority;
             # waiting on footprint channels here would only add latency
             # (Algorithm 1 line 31).
-            return [
-                VcRequest(direction, v, Priority.LOW)
-                for v in view.idle_vcs()
-            ]
+            return self.idle_requests(ctx, direction)
 
+        reclaim = VcRequest.group(direction, fresh_mine, Priority.HIGH)
         if not established:
             # Saturated regime (line 32: size(VC_idle) == 0 when the held
             # requests were computed).
@@ -266,10 +272,7 @@ class FootprintRouting(DuatoAdaptiveRouting):
                 # The packet's footprint VC just freed: re-claim it at
                 # HIGH (line 34's held request winning the instant the VC
                 # frees).
-                return [
-                    VcRequest(direction, v, Priority.HIGH)
-                    for v in fresh_mine
-                ]
+                return reclaim
             if view.footprint_vcs(dst):
                 # A footprint exists and is still busy: wait on it and do
                 # NOT grab other flows' freed VCs — this is the regulation
@@ -277,23 +280,18 @@ class FootprintRouting(DuatoAdaptiveRouting):
                 return []
             # No footprint anywhere: full adaptivity (line 37) — freed
             # VCs of other flows are fair game at LOW.
-            return [
-                VcRequest(direction, v, Priority.LOW)
-                for v in view.fresh_other_vcs(dst)
-            ]
+            return VcRequest.group(
+                direction, view.fresh_other_vcs(dst), Priority.LOW
+            )
 
         # Intermediate regime (lines 40-42): established idle VCs at
         # HIGHEST, the packet's freshly freed footprint VCs at HIGH, and
         # other flows' freshly freed VCs at LOW (the held busy-VC
         # requests).
-        requests = [
-            VcRequest(direction, v, Priority.HIGHEST) for v in established
-        ]
-        requests.extend(
-            VcRequest(direction, v, Priority.HIGH) for v in fresh_mine
+        return (
+            [VcRequest(direction, established, Priority.HIGHEST)]
+            + reclaim
+            + VcRequest.group(
+                direction, view.fresh_other_vcs(dst), Priority.LOW
+            )
         )
-        requests.extend(
-            VcRequest(direction, v, Priority.LOW)
-            for v in view.fresh_other_vcs(dst)
-        )
-        return requests

@@ -27,7 +27,7 @@ parity when ``k`` is even).  The algorithm therefore declares
 from __future__ import annotations
 
 from repro.routing.base import RouteContext, RoutingAlgorithm
-from repro.routing.requests import Priority, VcRequest
+from repro.routing.requests import VcRequest
 from repro.topology.base import Topology
 from repro.topology.ports import Direction
 
@@ -55,10 +55,7 @@ class OddEvenRouting(RoutingAlgorithm):
     ) -> list[VcRequest]:
         if direction is Direction.LOCAL:
             return self.eject_requests(ctx)
-        view = ctx.outputs[direction]
-        return [
-            VcRequest(direction, v, Priority.LOW) for v in view.idle_vcs()
-        ]
+        return self.idle_requests(ctx, direction)
 
     def _select_port(
         self, ctx: RouteContext, candidates: list[Direction]

@@ -2,17 +2,18 @@
 
 Algorithm 1 of the paper expresses routing decisions as
 ``ADD(P, v, priority)`` calls: the packet requests VC ``v`` at output port
-``P`` with a given priority.  The VC allocator then grants free VCs to the
-highest-priority requesters.  Requests targeting busy VCs are legal — they
-express willingness to *wait* on that VC (the essence of Footprint's
-"wait on footprint channels") and take effect on the cycle the VC frees,
-because requests are recomputed every cycle.
+``P`` with a given priority (one :class:`VcRequest` record carries all
+of a packet's calls for one port at one priority).  The VC allocator then
+grants free VCs to the highest-priority requesters.  Requests targeting
+busy VCs are legal — they express willingness to *wait* on that VC (the
+essence of Footprint's "wait on footprint channels") and take effect on
+the cycle the VC frees, because requests are recomputed every cycle.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from repro.topology.ports import Direction
 
@@ -36,15 +37,29 @@ class Priority(enum.IntEnum):
 
 
 class VcRequest(NamedTuple):
-    """A request for one downstream VC at one output port.
+    """A request for any one of ``vcs`` at one output port, all at one
+    priority — the input-first allocator needs one candidate *set* per
+    priority class, not one record per VC.
 
-    A NamedTuple rather than a dataclass: millions are constructed per
-    run, on the simulator's hottest path.
+    ``vcs`` is never empty (an empty class emits no record, so "no
+    requests" stays ``not requests``) and usually *is* a list the output
+    port caches (``idle_vcs()`` ...): read-only.
     """
 
     direction: Direction
-    vc: int
+    vcs: Sequence[int]
     priority: Priority
 
+    @classmethod
+    def group(
+        cls, direction: Direction, vcs: Sequence[int], priority: Priority
+    ) -> list["VcRequest"]:
+        """The request list of one priority class: one record, or none
+        when ``vcs`` is empty."""
+        return [cls(direction, vcs, priority)] if vcs else []
+
     def __repr__(self) -> str:
-        return f"VcRequest({self.direction.name}, vc={self.vc}, {self.priority.name})"
+        return (
+            f"VcRequest({self.direction.name}, vcs={list(self.vcs)}, "
+            f"{self.priority.name})"
+        )

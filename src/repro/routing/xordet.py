@@ -90,7 +90,7 @@ class XordetOverlay(RoutingAlgorithm):
         # is busy the packet waits for it (that is the scheme's
         # HoL-avoidance contract), re-requesting the cycle it frees.
         if view.grantable(vc):
-            requests.append(VcRequest(direction, vc, Priority.LOW))
+            requests.append(VcRequest(direction, (vc,), Priority.LOW))
         if self.uses_escape:
             requests.extend(self.escape_request(ctx))
         return requests

@@ -304,7 +304,7 @@ class TelemetryHub:
             hol_pending += len(router._pending)
             for mask in router._occupied_masks:
                 occupied += mask.bit_count()
-            for port in router._ports_list:
+            for port in router.output_ports.values():
                 allocated = port.allocated
                 draining = port._draining
                 for v in range(port.num_vcs):

@@ -149,3 +149,12 @@ def make_context(
         rng=random.Random(seed),
     )
 
+
+
+def per_vc(requests):
+    """Expand group-form VC requests into ``(direction, vc, priority)``
+    triples, in allocator candidate order — the paper's individual
+    ``ADD(P, v, pri)`` calls."""
+    for r in requests:
+        assert len(r.vcs) > 0, "empty request groups must not be emitted"
+    return [(r.direction, v, r.priority) for r in requests for v in r.vcs]

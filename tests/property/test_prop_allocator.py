@@ -4,11 +4,17 @@ For any set of requests over any port state, one allocation round must be
 a *matching*: at most one grant per input VC, at most one grant per
 (port, VC), only grantable VCs granted, and the output-stage winner never
 has lower priority than a losing contender for the same VC.
+
+The grouped request form (one record per priority class) must also be a
+pure re-encoding of Algorithm 1's individual ``ADD(P, v, pri)`` calls: a
+per-VC reference allocator kept in this file, fed the expanded records,
+has to produce the same grants in the same order and leave the tie-break
+stream in the same state.
 """
 
 import random
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.router.allocator import allocate_vcs
 from repro.router.flit import Packet
@@ -48,15 +54,22 @@ def allocation_round(draw):
                    creation_time=0).flits()[0]
         )
         ivc.refresh_state()
+        # Groups may contain busy VCs (so a top-priority group can be
+        # empty after filtering) and may share a priority across ports.
         reqs = draw(
             st.lists(
                 st.builds(
                     VcRequest,
                     direction=st.sampled_from(DIRECTIONS),
-                    vc=st.integers(0, NUM_VCS - 1),
+                    vcs=st.lists(
+                        st.integers(0, NUM_VCS - 1),
+                        min_size=1,
+                        max_size=NUM_VCS,
+                        unique=True,
+                    ),
                     priority=st.sampled_from(list(Priority)),
                 ),
-                max_size=6,
+                max_size=4,
             )
         )
         requests.append((ivc, reqs))
@@ -88,7 +101,7 @@ def test_allocation_is_a_valid_matching(round_):
     by_input = {id(ivc): reqs for ivc, reqs in requests}
     for g in grants:
         assert any(
-            r.direction is g.direction and r.vc == g.out_vc
+            r.direction is g.direction and g.out_vc in r.vcs
             for r in by_input[id(g.input_vc)]
         )
 
@@ -99,9 +112,10 @@ def test_work_conserving(round_):
     (the allocator never wastes a cycle entirely)."""
     outputs, requests, seed = round_
     any_grantable = any(
-        outputs[r.direction].grantable(r.vc)
+        outputs[r.direction].grantable(vc)
         for _, reqs in requests
         for r in reqs
+        for vc in r.vcs
     )
     grants = allocate_vcs(requests, outputs, random.Random(seed))
     assert bool(grants) == any_grantable
@@ -119,3 +133,57 @@ def test_allocation_deterministic_for_seed(round_):
         ]
 
     assert run() == run()
+
+
+def _reference_allocate(requests, outputs, rng):
+    """The per-VC allocator the grouped one replaced, verbatim in
+    behaviour: ``requests`` pairs each input VC with individual
+    ``(direction, vc, priority)`` requests."""
+    selections = {}
+    for input_vc, reqs in requests:
+        grantable = [
+            r for r in reqs if outputs[r[0]].grantable(r[1])
+        ]
+        if not grantable:
+            continue
+        top = max(priority for _, _, priority in grantable)
+        best = [r for r in grantable if r[2] == top]
+        direction, vc, priority = (
+            best[0] if len(best) == 1 else best[rng.randrange(len(best))]
+        )
+        selections.setdefault((direction, vc), []).append(
+            (priority, input_vc)
+        )
+    grants = []
+    for (direction, vc), contenders in selections.items():
+        top = max(priority for priority, _ in contenders)
+        finalists = [ivc for priority, ivc in contenders if priority == top]
+        winner = (
+            finalists[0]
+            if len(finalists) == 1
+            else finalists[rng.randrange(len(finalists))]
+        )
+        grants.append((id(winner), direction, vc, top))
+    return grants
+
+
+@given(allocation_round())
+@settings(max_examples=300)
+def test_grouped_requests_match_per_vc_reference(round_):
+    outputs, requests, seed = round_
+    per_vc = [
+        (
+            ivc,
+            [(r.direction, vc, r.priority) for r in reqs for vc in r.vcs],
+        )
+        for ivc, reqs in requests
+    ]
+    reference_rng = random.Random(seed)
+    expected = _reference_allocate(per_vc, outputs, reference_rng)
+
+    rng = random.Random(seed)
+    grants = allocate_vcs(requests, outputs, rng)
+    assert [
+        (id(g.input_vc), g.direction, g.out_vc, g.priority) for g in grants
+    ] == expected
+    assert rng.getstate() == reference_rng.getstate()

@@ -124,8 +124,9 @@ def test_candidate_mask_matches_scalar_requests(case):
     )
     direction = algo.select_output(ctx)
     scalar = [
-        (int(r.direction), r.vc, int(r.priority))
+        (int(r.direction), vc, int(r.priority))
         for r in algo.vc_requests_at(ctx, direction)
+        for vc in r.vcs
     ]
 
     state = VcStateArrays.capture(

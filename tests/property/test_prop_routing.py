@@ -96,15 +96,23 @@ def test_requests_are_well_formed(case):
     escape_dir = mesh.dor_direction(cur, dst)
     for r in requests:
         assert r.direction in outputs
-        assert 0 <= r.vc < num_vcs
         assert isinstance(r.priority, Priority)
+        # Empty priority classes emit no record, so "nothing to request"
+        # is exactly ``not requests``.
+        assert len(r.vcs) > 0
+        assert len(set(r.vcs)) == len(r.vcs)
         view = outputs[r.direction]
-        assert view.grantable(r.vc)
+        for vc in r.vcs:
+            assert 0 <= vc < num_vcs
+            assert view.grantable(vc)
         # Non-escape requests stay on the committed port; the only other
         # port a request may name is the DOR escape port.
         if r.direction is not direction:
             assert r.direction is escape_dir
-            assert r.vc == view.escape_vc
+            assert tuple(r.vcs) == (view.escape_vc,)
+    # One record per (port, priority) class.
+    classes = [(r.direction, r.priority) for r in requests]
+    assert len(set(classes)) == len(classes)
 
 
 @given(

@@ -33,8 +33,11 @@ def make_input(direction=Direction.WEST, index=0, dst=9):
     return ivc
 
 
-def req(vc, pri=Priority.LOW, direction=Direction.EAST):
-    return VcRequest(direction, vc, pri)
+def req(vcs, pri=Priority.LOW, direction=Direction.EAST):
+    """One request record; a bare int requests that single VC."""
+    if isinstance(vcs, int):
+        vcs = (vcs,)
+    return VcRequest(direction, vcs, pri)
 
 
 def test_single_request_granted():
@@ -85,11 +88,73 @@ def test_one_grant_per_input_vc():
     outputs = make_outputs()
     ivc = make_input()
     grants = allocate_vcs(
-        [(ivc, [req(v, Priority.LOW) for v in range(4)])],
+        [(ivc, [req(range(4), Priority.LOW)])],
         outputs,
         random.Random(1),
     )
     assert len(grants) == 1
+
+
+def test_busy_vcs_inside_a_group_are_skipped():
+    outputs = make_outputs()
+    for v in (0, 1, 3):
+        outputs[Direction.EAST].allocate(v, dst=5)
+    ivc = make_input()
+    for seed in range(10):
+        grants = allocate_vcs(
+            [(ivc, [req([0, 1, 2, 3])])], outputs, random.Random(seed)
+        )
+        assert [g.out_vc for g in grants] == [2]
+
+
+def test_falls_through_a_top_group_with_nothing_grantable():
+    outputs = make_outputs()
+    outputs[Direction.EAST].allocate(3, dst=5)
+    ivc = make_input()
+    grants = allocate_vcs(
+        [(ivc, [req([3], Priority.HIGHEST), req([1], Priority.LOW)])],
+        outputs,
+        random.Random(1),
+    )
+    assert [(g.out_vc, g.priority) for g in grants] == [(1, Priority.LOW)]
+
+
+def test_lower_group_ignored_while_a_higher_one_is_grantable():
+    outputs = make_outputs()
+    ivc = make_input()
+    for seed in range(10):
+        grants = allocate_vcs(
+            [(ivc, [req([0, 1], Priority.LOW), req([2], Priority.HIGH)])],
+            outputs,
+            random.Random(seed),
+        )
+        assert [g.out_vc for g in grants] == [2]
+
+
+def test_equal_priority_groups_pool_their_vcs_across_ports():
+    picked = set()
+    for seed in range(40):
+        outputs = make_outputs()
+        ivc = make_input()
+        (grant,) = allocate_vcs(
+            [
+                (
+                    ivc,
+                    [
+                        req([0, 1], direction=Direction.EAST),
+                        req([2], direction=Direction.SOUTH),
+                    ],
+                )
+            ],
+            outputs,
+            random.Random(seed),
+        )
+        picked.add((grant.direction, grant.out_vc))
+    assert picked == {
+        (Direction.EAST, 0),
+        (Direction.EAST, 1),
+        (Direction.SOUTH, 2),
+    }
 
 
 def test_distinct_vcs_allow_parallel_grants():
@@ -134,7 +199,7 @@ def test_deterministic_given_seed():
         outputs = make_outputs()
         inputs = [make_input(index=i) for i in range(3)]
         grants = allocate_vcs(
-            [(ivc, [req(v) for v in range(4)]) for ivc in inputs],
+            [(ivc, [req(range(4))]) for ivc in inputs],
             outputs,
             random.Random(seed),
         )

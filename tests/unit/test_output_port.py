@@ -124,11 +124,11 @@ class TestFreshRelease:
         port.allocate(1, dst=7)
         port.send(flit(), 1)
         port.credit_return(1)
-        version = port.version
+        version = port.events.version
         port.clear_fresh()
         assert port.fresh_footprint_vcs(7) == []
         assert port.established_idle_vcs() == [1, 2, 3]
-        assert port.version > version
+        assert port.events.version > version
 
     def test_reallocation_clears_fresh(self):
         port = make_port(atomic=True)
@@ -141,9 +141,9 @@ class TestFreshRelease:
 
     def test_version_bumps_on_state_changes(self):
         port = make_port()
-        v0 = port.version
+        v0 = port.events.version
         port.allocate(1, dst=7)
-        assert port.version > v0
+        assert port.events.version > v0
 
 
 class TestSwitchTraversal:
@@ -157,6 +157,14 @@ class TestSwitchTraversal:
         assert not port.can_send(1)
         port.new_cycle()
         assert port.accept_capacity() == 2
+
+    def test_accept_counter_left_set_is_a_consistency_violation(self):
+        port = make_port(speedup=2)
+        port.allocate(1, dst=7)
+        port.send(flit(size=3, idx=0), 1)
+        assert "accept counter" in port.consistency_violation()
+        port.new_cycle()
+        assert port.consistency_violation() is None
 
     def test_fifo_capacity_limits_acceptance(self):
         port = make_port(speedup=2, fifo=2, depth=8)

@@ -156,3 +156,114 @@ class TestBlockingStats:
         router.receive_flit(Direction.WEST, 1, head_flit(src=4, dst=6))
         router.route_and_allocate()
         assert router.blocking.blocking_events == 0
+
+
+class TestAllocationBookkeeping:
+    """A freshly-released set is consumed by exactly one allocation round,
+    however the release arose, and the router learns about it from the
+    ports' shared event record instead of polling them."""
+
+    @staticmethod
+    def _fresh_ports(router):
+        return [p.direction for p in router._events.fresh_ports]
+
+    def test_credit_woken_empty_router_clears_via_clear_fresh_only(self):
+        router = make_router(node=5, routing="footprint")
+        router.receive_flit(Direction.WEST, 1, head_flit(src=4, dst=6))
+        router.route_and_allocate()
+        out_vc = router.input_vcs[Direction.WEST][1].out_vc
+        router.switch_traversal()
+        router.link_traversal()
+        assert router.inflight == 0
+        east = router.output_ports[Direction.EAST]
+        # Atomic reallocation: the VC drains until its credit is back.
+        assert not east.grantable(out_vc)
+        assert not router.credit_pending
+
+        router.receive_credit(Direction.EAST, out_vc)
+        assert router.credit_pending
+        assert east.fresh_footprint_vcs(6) == [out_vc]
+        assert self._fresh_ports(router) == [Direction.EAST]
+        version = router._events.version
+
+        router.clear_fresh_only()
+        assert east.fresh_released == set()
+        assert self._fresh_ports(router) == []
+        assert out_vc in east.established_idle_vcs()
+        assert router._events.version > version
+        # Nothing left to consume: a second round changes nothing.
+        version = router._events.version
+        router.clear_fresh_only()
+        assert router._events.version == version
+
+    def test_non_atomic_release_in_switch_traversal_lasts_one_round(self):
+        router = make_router(node=5, routing="dor")
+        router.receive_flit(Direction.WEST, 0, head_flit(src=4, dst=6))
+        router.route_and_allocate()
+        out_vc = router.input_vcs[Direction.WEST][0].out_vc
+        router.switch_traversal()
+        east = router.output_ports[Direction.EAST]
+        # The tail left: DOR frees the VC at once, owner kept for a round.
+        assert east.fresh_released == {out_vc}
+        assert self._fresh_ports(router) == [Direction.EAST]
+        assert router.inflight == 1  # staged, so a round runs next cycle
+
+        version = router._events.version
+        router.route_and_allocate()
+        assert east.fresh_released == set()
+        assert self._fresh_ports(router) == []
+        assert router._events.version > version
+
+    def test_atomic_drain_reclaimed_in_the_round_after_the_credit(self):
+        router = make_router(node=5, routing="footprint")
+        east = router.output_ports[Direction.EAST]
+        for v in (1, 2, 3):
+            east.allocate(v, dst=6)
+        east.send(head_flit(src=4, dst=6), 1)  # tail sent: VC 1 drains
+        east.new_cycle()
+        router.receive_flit(Direction.WEST, 2, head_flit(src=4, dst=6))
+        ivc = router.input_vcs[Direction.WEST][2]
+
+        # Saturated with a live footprint: the packet waits on it.
+        router.route_and_allocate()
+        assert ivc.state is VcState.ROUTING
+        assert ivc.route_cache == []
+
+        router.receive_credit(Direction.EAST, 1)
+        assert east.fresh_footprint_vcs(6) == [1]
+        router.route_and_allocate()
+        assert ivc.state is VcState.ACTIVE
+        assert (ivc.out_direction, ivc.out_vc) == (Direction.EAST, 1)
+        assert east.fresh_released == set()
+        assert self._fresh_ports(router) == []
+
+    def test_fault_mask_change_invalidates_cached_requests(self):
+        router = make_router(node=5, routing="dor")
+        router.set_fault_mask(1 << Direction.EAST)
+        router.receive_flit(Direction.WEST, 0, head_flit(src=4, dst=6))
+        ivc = router.input_vcs[Direction.WEST][0]
+        router.route_and_allocate()
+        # Committed to the dead port; its requests are filtered to none.
+        assert ivc.state is VcState.ROUTING
+        assert ivc.route_cache == []
+        router.route_and_allocate()
+        assert ivc.state is VcState.ROUTING
+
+        # The heal changes no VC state — only the mask — and must still
+        # force the requests to be recomputed.
+        router.set_fault_mask(0)
+        router.route_and_allocate()
+        assert ivc.state is VcState.ACTIVE
+
+    def test_accept_counters_are_zero_after_switch_traversal(self):
+        router = make_router(node=5, routing="dor")
+        router.receive_flit(Direction.WEST, 0, head_flit(src=4, dst=6))
+        router.receive_flit(Direction.NORTH, 0, head_flit(src=1, dst=6))
+        router.route_and_allocate()
+        router.route_and_allocate()
+        assert len(router.switch_traversal()) == 2
+        for port in router.output_ports.values():
+            assert port.accept_capacity() == min(
+                port.speedup, port.fifo_depth - len(port.fifo)
+            )
+            assert port.consistency_violation() is None

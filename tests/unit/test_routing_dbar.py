@@ -69,9 +69,10 @@ def test_oblivious_vc_selection_flat_priority(mesh):
         for r in algo.vc_requests_at(ctx, Direction.EAST)
         if r.priority is not Priority.LOWEST
     ]
-    # No footprint awareness: just the free VCs, all LOW.
-    assert {r.vc for r in reqs} == {1, 3}
-    assert all(r.priority is Priority.LOW for r in reqs)
+    # No footprint awareness: just the free VCs, all LOW — one record.
+    (req,) = reqs
+    assert list(req.vcs) == [1, 3]
+    assert req.priority is Priority.LOW
 
 
 def test_escape_request_present(mesh):
@@ -83,7 +84,7 @@ def test_escape_request_present(mesh):
     assert len(escape) == 1
     # Escape uses the DOR direction (EAST from 0 to 10) and VC0.
     assert escape[0].direction is Direction.EAST
-    assert escape[0].vc == 0
+    assert tuple(escape[0].vcs) == (0,)
 
 
 def test_fine_variant_uses_credit_totals(mesh):

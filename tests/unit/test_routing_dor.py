@@ -40,18 +40,26 @@ def test_y_after_x_resolved(algo, mesh):
 def test_requests_every_free_vc_flat(algo, mesh):
     outputs = {d: FakeOutputView(escape_vc=None) for d in mesh.router_ports(0)}
     ctx = make_context(mesh, 0, 10, outputs)
-    reqs = algo.vc_requests_at(ctx, Direction.EAST)
-    assert {r.vc for r in reqs} == {0, 1, 2, 3}
-    assert all(r.priority is Priority.LOW for r in reqs)
-    assert all(r.direction is Direction.EAST for r in reqs)
+    # One record carries the whole flat-priority class.
+    (req,) = algo.vc_requests_at(ctx, Direction.EAST)
+    assert set(req.vcs) == {0, 1, 2, 3}
+    assert req.priority is Priority.LOW
+    assert req.direction is Direction.EAST
 
 
 def test_busy_vcs_not_requested(algo, mesh):
     outputs = {d: FakeOutputView(escape_vc=None) for d in mesh.router_ports(0)}
     outputs[Direction.EAST] = FakeOutputView(escape_vc=None, idle=[2])
     ctx = make_context(mesh, 0, 10, outputs)
-    reqs = algo.vc_requests_at(ctx, Direction.EAST)
-    assert [r.vc for r in reqs] == [2]
+    (req,) = algo.vc_requests_at(ctx, Direction.EAST)
+    assert list(req.vcs) == [2]
+
+
+def test_no_record_when_every_vc_is_busy(algo, mesh):
+    outputs = {d: FakeOutputView(escape_vc=None) for d in mesh.router_ports(0)}
+    outputs[Direction.EAST] = FakeOutputView(escape_vc=None, idle=[])
+    ctx = make_context(mesh, 0, 10, outputs)
+    assert algo.vc_requests_at(ctx, Direction.EAST) == []
 
 
 def test_allowed_directions_single(algo, mesh):

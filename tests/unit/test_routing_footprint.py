@@ -7,7 +7,7 @@ from repro.routing.requests import Priority
 from repro.topology.mesh import Mesh2D
 from repro.topology.ports import Direction
 
-from tests.conftest import FakeOutputView, make_context
+from tests.conftest import FakeOutputView, make_context, per_vc
 
 
 @pytest.fixture
@@ -97,16 +97,16 @@ class TestVcRequestRegimes:
         outputs = outputs_for(mesh, 0, FakeOutputView)
         outputs[Direction.EAST] = FakeOutputView(idle=[1, 2, 3])
         ctx = make_context(mesh, 0, DST, outputs, congestion_threshold=2)
-        reqs = algo.vc_requests(ctx, Direction.EAST)
-        assert {r.vc for r in reqs} == {1, 2, 3}
-        assert all(r.priority is Priority.LOW for r in reqs)
+        (req,) = algo.vc_requests(ctx, Direction.EAST)
+        assert list(req.vcs) == [1, 2, 3]
+        assert req.priority is Priority.LOW
 
     def test_intermediate_established_highest(self, algo, mesh):
         outputs = outputs_for(mesh, 0, FakeOutputView)
         outputs[Direction.EAST] = FakeOutputView(idle=[2], established=[2])
         ctx = make_context(mesh, 0, DST, outputs, congestion_threshold=2)
         reqs = algo.vc_requests(ctx, Direction.EAST)
-        assert [(r.vc, r.priority) for r in reqs] == [(2, Priority.HIGHEST)]
+        assert per_vc(reqs) == [(Direction.EAST, 2, Priority.HIGHEST)]
 
     def test_intermediate_fresh_footprint_at_high(self, algo, mesh):
         # VC 3 freed this cycle and last carried traffic to DST.
@@ -115,9 +115,13 @@ class TestVcRequestRegimes:
             idle=[2, 3], established=[2], owners={3: DST}, fresh={3}
         )
         ctx = make_context(mesh, 0, DST, outputs, congestion_threshold=2)
-        reqs = {r.vc: r.priority for r in algo.vc_requests(ctx, Direction.EAST)}
-        assert reqs[2] is Priority.HIGHEST
-        assert reqs[3] is Priority.HIGH
+        reqs = algo.vc_requests(ctx, Direction.EAST)
+        # One record per priority class, most urgent first.
+        assert per_vc(reqs) == [
+            (Direction.EAST, 2, Priority.HIGHEST),
+            (Direction.EAST, 3, Priority.HIGH),
+        ]
+        assert len(reqs) == 2
 
     def test_intermediate_fresh_other_at_low(self, algo, mesh):
         outputs = outputs_for(mesh, 0, FakeOutputView)
@@ -125,8 +129,11 @@ class TestVcRequestRegimes:
             idle=[2, 3], established=[2], owners={3: 99}, fresh={3}
         )
         ctx = make_context(mesh, 0, DST, outputs, congestion_threshold=2)
-        reqs = {r.vc: r.priority for r in algo.vc_requests(ctx, Direction.EAST)}
-        assert reqs[3] is Priority.LOW
+        reqs = algo.vc_requests(ctx, Direction.EAST)
+        assert per_vc(reqs) == [
+            (Direction.EAST, 2, Priority.HIGHEST),
+            (Direction.EAST, 3, Priority.LOW),
+        ]
 
     def test_saturated_with_busy_footprint_waits(self, algo, mesh):
         # No idle VCs, footprint busy elsewhere: wait — no requests at all.
@@ -144,7 +151,7 @@ class TestVcRequestRegimes:
         )
         ctx = make_context(mesh, 0, DST, outputs)
         reqs = algo.vc_requests(ctx, Direction.EAST)
-        assert [(r.vc, r.priority) for r in reqs] == [(1, Priority.HIGH)]
+        assert per_vc(reqs) == [(Direction.EAST, 1, Priority.HIGH)]
 
     def test_saturated_does_not_take_other_flows_freed_vcs(self, algo, mesh):
         # A footprint exists (busy); VC 2 freed but belonged to another
@@ -163,7 +170,7 @@ class TestVcRequestRegimes:
         )
         ctx = make_context(mesh, 0, DST, outputs)
         reqs = algo.vc_requests(ctx, Direction.EAST)
-        assert [(r.vc, r.priority) for r in reqs] == [(2, Priority.LOW)]
+        assert per_vc(reqs) == [(Direction.EAST, 2, Priority.LOW)]
 
 
 class TestEscapeHandling:
@@ -173,7 +180,7 @@ class TestEscapeHandling:
         reqs = algo.vc_requests_at(ctx, Direction.EAST)
         escape = [r for r in reqs if r.priority is Priority.LOWEST]
         assert len(escape) == 1
-        assert escape[0].vc == 0
+        assert tuple(escape[0].vcs) == (0,)
         # Escape rides the DOR port (EAST for 0 -> 10).
         assert escape[0].direction is Direction.EAST
 

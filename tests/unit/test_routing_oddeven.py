@@ -114,5 +114,5 @@ def test_all_vcs_usable(algo):
     mesh = Mesh2D(4)
     outputs = {d: FakeOutputView(escape_vc=None) for d in mesh.router_ports(0)}
     ctx = make_context(mesh, 0, 3, outputs)
-    reqs = algo.vc_requests_at(ctx, Direction.EAST)
-    assert {r.vc for r in reqs} == {0, 1, 2, 3}
+    (req,) = algo.vc_requests_at(ctx, Direction.EAST)
+    assert set(req.vcs) == {0, 1, 2, 3}

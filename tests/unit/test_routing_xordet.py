@@ -60,7 +60,7 @@ class TestOverlay:
         direction = overlay.select_output(ctx)
         reqs = overlay.vc_requests_at(ctx, direction)
         assert len(reqs) == 1
-        assert reqs[0].vc == xordet_vc(mesh, 9, 4)
+        assert tuple(reqs[0].vcs) == (xordet_vc(mesh, 9, 4),)
 
     def test_waits_when_mapped_vc_busy(self, mesh):
         overlay = XordetOverlay(DorRouting())
@@ -83,6 +83,7 @@ class TestOverlay:
         assert Priority.LOWEST in priorities  # escape survives the overlay
         non_escape = [r for r in reqs if r.priority is not Priority.LOWEST]
         assert len(non_escape) == 1
+        assert len(non_escape[0].vcs) == 1
 
     def test_port_selection_delegates(self, mesh):
         overlay = XordetOverlay(OddEvenRouting())
