@@ -4,12 +4,11 @@
 Eight measurements, written to ``BENCH_<timestamp>.json``:
 
 * **engine** — single-simulation cycles/sec for a fixed config matrix,
-  comparing four engine modes: ``vector`` (the structure-of-arrays
+  comparing three engine modes: ``vector`` (the structure-of-arrays
   batch core), ``skip`` (idle-cycle skipping on top of the active-set
-  scheduler, the default), ``fast`` (active-set scheduler only), and
-  ``legacy`` (the original every-router loop, kept in-tree for exactly
-  this before/after comparison).  All four modes produce bit-identical
-  results; the harness asserts it on every run.  The matrix emphasizes
+  scheduler, the default), and ``legacy`` (the original every-router
+  loop, kept in-tree for exactly this before/after comparison).  All
+  three modes produce bit-identical results; the harness asserts it on every run.  The matrix emphasizes
   low offered loads because that is where saturation studies spend most
   of their runs (the whole sub-saturation ladder plus the zero-load
   reference) and where quiescence-based skipping pays off; entries at
@@ -271,11 +270,10 @@ def bench_engine(quick: bool, reps: int, stage_times: bool = False) -> dict:
         config = _bench_config(width, routing, rate, quick)
         vector_cps, vector_sig = _time_mode(config, "vector", reps)
         skip_cps, skip_sig = _time_mode(config, "skip", reps)
-        fast_cps, fast_sig = _time_mode(config, "fast", reps)
         legacy_cps, legacy_sig = _time_mode(config, "legacy", reps)
-        if not (vector_sig == skip_sig == fast_sig == legacy_sig):
+        if not (vector_sig == skip_sig == legacy_sig):
             raise AssertionError(
-                f"vector/skip/fast/legacy results diverge for "
+                f"vector/skip/legacy results diverge for "
                 f"{width}x{width} {routing} @ {rate}"
             )
         speedup = skip_cps / legacy_cps
@@ -286,10 +284,8 @@ def bench_engine(quick: bool, reps: int, stage_times: bool = False) -> dict:
             "injection_rate": rate,
             "vector_cycles_per_sec": round(vector_cps, 1),
             "skip_cycles_per_sec": round(skip_cps, 1),
-            "fast_cycles_per_sec": round(fast_cps, 1),
             "legacy_cycles_per_sec": round(legacy_cps, 1),
             "speedup": round(speedup, 3),
-            "fast_speedup": round(fast_cps / legacy_cps, 3),
             "vector_speedup": round(vector_speedup, 3),
             "results_identical": True,
             # For the baseline cross-check (signature = cycles_run,
@@ -303,7 +299,7 @@ def bench_engine(quick: bool, reps: int, stage_times: bool = False) -> dict:
         print(
             f"  {width}x{width} {routing:10s} rate={rate:<7} "
             f"vector={vector_cps:8.0f} skip={skip_cps:8.0f} "
-            f"fast={fast_cps:8.0f} legacy={legacy_cps:8.0f} c/s  "
+            f"legacy={legacy_cps:8.0f} c/s  "
             f"skip/legacy {speedup:.2f}x  vector/skip "
             f"{vector_speedup:.2f}x"
         )
@@ -356,11 +352,7 @@ def bench_auto(quick: bool, reps: int) -> dict:
     ``vector_speedup`` at saturation — the "never loses" contract,
     modulo timing noise.
     """
-    from repro.sim.engine import (
-        AUTO_ACTIVITY_THRESHOLD,
-        AUTO_THRESHOLD_ENV,
-        resolve_auto_mode,
-    )
+    from repro.sim.engine import AUTO_ACTIVITY_THRESHOLD, resolve_auto_mode
 
     anchors = (
         (8, "footprint", ZERO_LOAD_RATE, "zero_load"),
@@ -405,7 +397,6 @@ def bench_auto(quick: bool, reps: int) -> dict:
     return {
         "reps": reps,
         "activity_threshold": AUTO_ACTIVITY_THRESHOLD,
-        "threshold_env": AUTO_THRESHOLD_ENV,
         "matrix": entries,
         "summary": {
             e["anchor"] + "_auto_speedup": e["auto_speedup"]
@@ -417,7 +408,7 @@ def bench_auto(quick: bool, reps: int) -> dict:
 def bench_torus(quick: bool, reps: int) -> dict:
     """Cross-engine identity and drain on the 2D torus.
 
-    The scalar engines (skip/fast/legacy) must stay bit-identical on
+    The scalar engines (skip/legacy) must stay bit-identical on
     wrap links and dateline escape VCs exactly as they do on the mesh,
     every run must drain (the dateline argument is the deadlock-freedom
     story — a hung drain here is a routing bug, not noise), and the
@@ -437,11 +428,10 @@ def bench_torus(quick: bool, reps: int) -> dict:
                 f"{reason!r}); it must name config.topology"
             )
         skip_cps, skip_sig = _time_mode(config, "skip", reps)
-        fast_cps, fast_sig = _time_mode(config, "fast", reps)
         legacy_cps, legacy_sig = _time_mode(config, "legacy", reps)
-        if not (skip_sig == fast_sig == legacy_sig):
+        if skip_sig != legacy_sig:
             raise AssertionError(
-                f"skip/fast/legacy results diverge on torus for "
+                f"skip/legacy results diverge on torus for "
                 f"{width}x{width} {routing} @ {rate}"
             )
         result = Simulator(config, engine_mode="skip").run()
@@ -458,7 +448,6 @@ def bench_torus(quick: bool, reps: int) -> dict:
                 "injection_rate": rate,
                 "topology": "torus",
                 "skip_cycles_per_sec": round(skip_cps, 1),
-                "fast_cycles_per_sec": round(fast_cps, 1),
                 "legacy_cycles_per_sec": round(legacy_cps, 1),
                 "speedup": round(skip_cps / legacy_cps, 3),
                 "vector_fallback": reason,
@@ -470,7 +459,7 @@ def bench_torus(quick: bool, reps: int) -> dict:
         )
         print(
             f"  {width}x{width} torus {routing:10s} rate={rate:<7} "
-            f"skip={skip_cps:8.0f} fast={fast_cps:8.0f} "
+            f"skip={skip_cps:8.0f} "
             f"legacy={legacy_cps:8.0f} c/s  skip/legacy "
             f"{skip_cps / legacy_cps:.2f}x  drained=True"
         )
@@ -1229,7 +1218,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--reps must be >= 1, got {args.reps}")
     reps = args.reps if args.reps is not None else (1 if args.quick else 3)
 
-    print(f"engine: vector vs skip vs fast vs legacy "
+    print(f"engine: vector vs skip vs legacy "
           f"({'quick' if args.quick else 'full'} matrix, best of {reps})")
     engine = bench_engine(args.quick, reps, stage_times=args.stage_times)
     print("auto: per-config engine arbitration at the two anchors")
@@ -1257,7 +1246,7 @@ def main(argv: list[str] | None = None) -> int:
     tuner = bench_tuner(args.quick)
 
     payload = {
-        "schema": "footprint-noc-bench/9",
+        "schema": "footprint-noc-bench/10",
         "timestamp": time.strftime("%Y%m%dT%H%M%S"),
         "quick": args.quick,
         "python": sys.version.split()[0],

@@ -38,6 +38,7 @@ from repro.harness import reporting
 from repro.harness.runner import run_simulation
 from repro.routing.registry import available_algorithms
 from repro.sim.config import SimulationConfig
+from repro.sim.engine import USER_ENGINE_MODES, user_engine_mode
 from repro.traffic.patterns import PATTERNS
 
 
@@ -50,6 +51,23 @@ def _jobs_arg(text: str) -> str:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return text
+
+
+def _add_engine_mode_arg(
+    parser: argparse.ArgumentParser, default: str | None, help_text: str
+) -> None:
+    """``--engine-mode``: one definition for every subcommand.
+
+    The value is checked in :func:`main` against the same tuple
+    ``$REPRO_ENGINE_MODE`` is, so a bad one is a one-line ``error:``
+    like every other validation failure, not an argparse usage dump.
+    """
+    parser.add_argument(
+        "--engine-mode",
+        metavar="{" + ",".join(USER_ENGINE_MODES) + "}",
+        default=default,
+        help=help_text,
+    )
 
 
 def _fault_counts_arg(text: str) -> tuple[int, ...]:
@@ -110,18 +128,15 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--background-rate", type=float, default=0.3)
     run.add_argument("--footprint-vc-limit", type=int, default=None)
     run.add_argument("--seed", type=int, default=1)
-    run.add_argument(
-        "--engine-mode",
-        choices=["auto", "vector", "skip", "fast", "legacy"],
-        default=None,
-        help=(
-            "execution engine (default: $REPRO_ENGINE_MODE, else "
-            "'skip'); all modes are bit-identical — 'vector' runs the "
-            "structure-of-arrays batch core and falls back to 'skip' "
-            "for configs needing per-object hooks (faults, telemetry); "
-            "'auto' picks vector or skip per config from the offered "
-            "load (threshold: $REPRO_ENGINE_AUTO_THRESHOLD)"
-        ),
+    _add_engine_mode_arg(
+        run,
+        None,
+        "execution engine (default: $REPRO_ENGINE_MODE, else 'skip'); "
+        "all modes are bit-identical — 'vector' runs the "
+        "structure-of-arrays batch core and falls back to 'skip', with "
+        "a warning, for configs needing per-object hooks (torus, "
+        "faults, telemetry); 'auto' picks vector or skip per config "
+        "from the offered load",
     )
     run.add_argument(
         "--faults",
@@ -383,14 +398,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "<state-dir>/cache)"
         ),
     )
-    serve.add_argument(
-        "--engine-mode",
-        choices=["auto", "vector", "skip", "fast", "legacy"],
-        default="auto",
-        help=(
-            "engine for simulated misses (default 'auto': re-resolved "
-            "per task from its offered load)"
-        ),
+    _add_engine_mode_arg(
+        serve,
+        "auto",
+        "engine for simulated misses (default 'auto': re-resolved per "
+        "task from its offered load)",
     )
 
     submit = sub.add_parser(
@@ -634,11 +646,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "./.repro-cache)"
         ),
     )
-    tune.add_argument(
-        "--engine-mode",
-        choices=["auto", "vector", "skip", "fast", "legacy"],
-        default=None,
-        help="execution engine (default: $REPRO_ENGINE_MODE)",
+    _add_engine_mode_arg(
+        tune, None, "execution engine (default: $REPRO_ENGINE_MODE)"
     )
     tune.add_argument(
         "--out-dir",
@@ -1284,6 +1293,8 @@ def main(argv: list[str] | None = None) -> int:
         "list": _cmd_list,
     }
     try:
+        if getattr(args, "engine_mode", None) is not None:
+            user_engine_mode(args.engine_mode, "--engine-mode")
         return handlers[args.command](args)
     except ReproError as exc:
         # Validation problems (unknown algorithm/pattern, malformed fault

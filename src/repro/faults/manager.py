@@ -16,7 +16,7 @@ simulation engine can afford in its hot loop:
 State changes are precomputed as a sorted transition list (activation
 and heal cycles), consumed monotonically by :meth:`advance_to`.  Heals
 release held credits back to the engine in arrival order, preserving
-bit-identical behavior across ``legacy``/``fast``/``skip`` engine modes;
+bit-identical behavior across the ``legacy`` and ``skip`` engine modes;
 :meth:`next_transition_cycle` lets the idle-skip lookahead clamp its
 jump target so no transition cycle is skipped over.
 """

@@ -8,7 +8,7 @@ cache key is a SHA-256 over the canonical JSON form of the config plus
 the engine's :data:`~repro.sim.engine.ENGINE_VERSION` stamp, so any
 change to either yields a different key and stale entries simply stop
 being addressed — no explicit invalidation pass is needed.  The engine
-*mode* (vector/skip/fast/legacy) is deliberately not part of the key:
+*mode* (vector/skip/legacy) is deliberately not part of the key:
 all modes are bit-identical (``repro validate`` proves it per sweep), so
 a result cached under one mode is equally valid for every other.
 

@@ -94,7 +94,8 @@ class OutputPort:
         ]
         # Incrementally maintained views.
         self._idle_cache: list[int] | None = list(self._adaptive)
-        #: ``len(busy_vcs())``, maintained incrementally.
+        #: Busy (allocated or draining) adaptive VCs, maintained
+        #: incrementally; recounted by :meth:`consistency_violation`.
         self.busy_count = 0
         self._fp_index: dict[int, list[int]] = {}
         self._adaptive_credits = downstream_depth * len(self._adaptive)
@@ -183,14 +184,6 @@ class OutputPort:
             self.fresh_released.clear()
             # Requests computed against the fresh set are now stale.
             self.events.version += 1
-
-    def busy_vcs(self) -> list[int]:
-        """All busy adaptive VCs regardless of owner."""
-        allocated = self.allocated
-        draining = self._draining
-        return [
-            v for v in self._adaptive if allocated[v] or draining[v]
-        ]
 
     def free_credit_total(self) -> int:
         """Total free downstream slots across adaptive VCs (DBAR signal)."""

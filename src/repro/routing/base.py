@@ -73,9 +73,6 @@ class OutputPortView(Protocol):
     def fresh_other_vcs(self, dst: int) -> Sequence[int]:
         """Freshly freed VCs last owned by other destinations."""
 
-    def busy_vcs(self) -> Sequence[int]:
-        """All busy (allocated) adaptive VCs, regardless of owner."""
-
     def adaptive_vcs(self) -> Sequence[int]:
         """All VCs a non-escape request may target."""
 

@@ -1,9 +1,11 @@
-"""The cycle-level simulation engine.
+"""The cycle-level simulation engine: one loop, two scalar step
+functions, one array stepper.
 
 The engine owns the mesh of routers, the per-node sources and sinks, and
 the links between them.  Links and credit returns have one cycle of
 latency; within a cycle the stages run in this order:
 
+0. apply due fault transitions;
 1. deliver flits and credits that completed their link traversal;
 2. sinks drain at the ejection bandwidth (packets complete here);
 3. link traversal — every output port puts at most one flit on its link;
@@ -12,48 +14,44 @@ latency; within a cycle the stages run in this order:
    staging FIFOs, producing upstream credit returns;
 6. traffic generation and source injection.
 
-The run is split into warm-up, measurement, and drain phases.  Packets
-created during the measurement window are *measured*; the run ends early
-once all of them have been delivered, or at the configured cycle limit
-(in which case the result reports ``drained == False`` — the usual
-signature of a saturated network).
+**One loop.**  :meth:`Simulator.run` is the only statement of the run's
+phases for every engine: warm-up, measurement, drain.  Packets created
+during the measurement window are *measured*; the run ends early once
+all of them have been delivered, or at the configured cycle limit (in
+which case the result reports ``drained == False`` — the usual signature
+of a saturated network).  The loop also owns idle-cycle skipping
+(:meth:`Simulator._skip_idle_cycles`: when nothing is buffered, queued
+or on a link, the clock jumps to the traffic generator's next event,
+clamped to phase boundaries and fault transitions, bit-identically to
+stepping), the progress watchdog (:meth:`Simulator._watchdog` raises
+:class:`~repro.exceptions.SimulationError` when no flit moves for
+:data:`DEADLOCK_WINDOW` cycles with packets in flight — the
+deadlock-freedom tests rely on it), the ejection accounting and the
+result assembly.  An engine only supplies ``step()``.
 
-A progress watchdog raises :class:`~repro.exceptions.SimulationError` if
-no flit moves for a long stretch while packets are still in flight, which
-would indicate a routing deadlock — the deadlock-freedom tests rely on it.
+**Two scalar step functions.**  Stages 0-2 and stage 6 plus the cycle
+epilogue live once, in :meth:`Simulator._begin_cycle` and
+:meth:`Simulator._end_cycle`; the step functions differ in stages 3-5.
+:meth:`Simulator._step_fast` (``engine_mode="skip"``, the default) only
+visits routers that can make progress this cycle — those with buffered
+flits, plus those that just received a credit (a returning credit can
+release an output VC under atomic reallocation, and the allocation round
+must observe and then clear the freshly-released set that cycle) — and
+reads link endpoints from a table precomputed per router.
+:meth:`Simulator._step_legacy` (``engine_mode="legacy"``) visits every
+router, asks the topology for each neighbour, and is never skipped over:
+it is the reference the other engines are compared against (``repro
+validate``, the differential tests, the bench's baseline column) and is
+deliberately not selectable from the CLI or the environment.
 
-Scheduling: the ``"fast"`` engine mode only visits routers that can make
-progress this cycle — those with buffered flits, plus those that just
-received a credit (a returning credit can release an output VC under
-atomic reallocation, and the allocation round must observe and then clear
-the freshly-released set that cycle).  Inter-router link endpoints are
-precomputed per router so the per-flit hot path performs no topology
-queries.  ``engine_mode="legacy"`` keeps the original visit-every-router
-loop; both modes produce bit-identical results (the benchmark suite and
-``tests/unit/test_engine.py`` check this), so the legacy mode serves as
-the baseline for ``benchmarks/run_bench.py``.
-
-Idle-cycle skipping: the default ``"skip"`` mode layers a
-cycle-driven→event-driven hybrid on top of ``"fast"``.  When the network
-is completely quiescent — no flit buffered anywhere (``_flits_in_network``
-counts router, link, and sink occupancy), no source backlog, and no
-flit/credit/sink delivery in the one-cycle link pipelines — nothing can
-happen until the traffic generator's next injection, so :meth:`run`
-advances ``self.cycle`` directly to
-:meth:`~repro.traffic.patterns.TrafficGenerator.next_event_cycle` instead
-of stepping through empty cycles.  The jump is clamped to the
-warm-up/measurement boundaries so phase transitions still happen on the
-exact cycle, and the lookahead machinery in
-:class:`~repro.traffic.patterns.LookaheadTraffic` consumes the RNG
-exactly as per-cycle generation would — results stay bit-identical to
-both other modes.
-
-Engine selection: ``engine_mode="auto"`` resolves to ``"vector"`` or
-``"skip"`` per config before construction, from the offered load
-against a calibrated activity threshold (see :func:`resolve_auto_mode`)
-— the vector core wins on loaded runs, idle-skipping wins on quiescent
-ones, and since both are bit-identical the pick can never change a
-result, only its wall-clock.
+**One array stepper.**  ``engine_mode="vector"`` hands ``step()`` to
+:class:`~repro.sim.vector.engine.VectorEngine`, which replays the same
+stages over flat arrays but keeps no clock, counters or statistics of
+its own.  Configurations it does not cover run on ``skip`` (see
+:func:`~repro.sim.vector.vector_unsupported_reason`), and
+``engine_mode="auto"`` picks between the two per config
+(:func:`resolve_auto_mode`).  All engines produce bit-identical results,
+so the pick can never change a result, only its wall-clock.
 
 Fault injection: when the configuration carries a non-empty
 :class:`~repro.faults.schedule.FaultSchedule`, the engine consults a
@@ -64,13 +62,12 @@ a dead endpoint are discarded at generation time (but still counted as
 offered/created, so ``delivered_fraction`` reflects the loss), and a
 dead link stops launching flits while credits crossing its severed
 reverse wire are *held* by the manager and re-delivered on heal —
-flow-control state is never corrupted.  Fault transition cycles clamp
-the idle-skip jump target, and the watchdog downgrades a no-progress
-stall into a graceful ``stalled`` stop (rather than a deadlock error)
-once no scheduled heal can revive progress, so unreachable destinations
-report a delivered fraction instead of aborting the run.  All three
-engine modes apply identical gating and remain bit-identical under
-faults.
+flow-control state is never corrupted.  The watchdog downgrades a
+no-progress stall into a graceful ``stalled`` stop (rather than a
+deadlock error) once no scheduled heal can revive progress, so
+unreachable destinations report a delivered fraction instead of
+aborting the run.  Both scalar step functions apply identical gating
+and remain bit-identical under faults.
 """
 
 from __future__ import annotations
@@ -90,6 +87,7 @@ from repro.sim.config import SimulationConfig
 from repro.sim.endpoints import Sink, Source
 from repro.sim.results import SimulationResult
 from repro.sim.rng import RngStreams
+from repro.sim.vector import vector_unsupported_reason
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.hub import TelemetryHub
 from repro.topology.ports import OPPOSITE, Direction
@@ -111,20 +109,22 @@ DEADLOCK_WINDOW = 5000
 #: stale on-disk entries invalidate themselves on upgrade.
 ENGINE_VERSION = 4
 
-#: Recognized values for ``Simulator(engine_mode=...)``.  The four
+#: Recognized values for ``Simulator(engine_mode=...)``.  The three
 #: concrete modes are bit-identical on the configs they support;
-#: ``vector`` additionally falls back to ``skip`` (with a logged notice)
-#: on configs that need per-object observability hooks, and ``auto``
-#: resolves to ``vector`` or ``skip`` per config before construction
-#: (see :func:`resolve_auto_mode`), so it inherits both guarantees.
-ENGINE_MODES = ("auto", "vector", "skip", "fast", "legacy")
+#: ``vector`` additionally falls back to ``skip`` (with a logged
+#: warning) on configs that need per-object observability hooks, and
+#: ``auto`` resolves to ``vector`` or ``skip`` per config before
+#: construction (see :func:`resolve_auto_mode`).
+ENGINE_MODES = ("auto", "vector", "skip", "legacy")
+
+#: The modes a user can name — ``--engine-mode`` and
+#: ``$REPRO_ENGINE_MODE``.  ``legacy`` is the test oracle and is only
+#: reachable as ``Simulator(engine_mode="legacy")``.
+USER_ENGINE_MODES = ("auto", "vector", "skip")
 
 #: Environment variable consulted for the default engine mode by the CLI
 #: and harness entry points (see :func:`engine_mode_from_env`).
 ENGINE_MODE_ENV = "REPRO_ENGINE_MODE"
-
-#: Environment variable overriding the ``auto`` activity threshold.
-AUTO_THRESHOLD_ENV = "REPRO_ENGINE_AUTO_THRESHOLD"
 
 #: Offered load — expected injected flits per cycle across the whole
 #: network (``injection_rate * num_nodes``) — at or above which ``auto``
@@ -140,47 +140,49 @@ AUTO_THRESHOLD_ENV = "REPRO_ENGINE_AUTO_THRESHOLD"
 AUTO_ACTIVITY_THRESHOLD = 3.0
 
 
-def resolve_auto_mode(config: SimulationConfig) -> str:
+def resolve_auto_mode(
+    config: SimulationConfig,
+    validation: "ValidationConfig | None" = None,
+) -> str:
     """Resolve ``engine_mode="auto"`` to ``"vector"`` or ``"skip"``.
 
-    The decision is a pure function of the config's offered load:
-    ``injection_rate * num_nodes`` (expected injected flits per cycle)
-    against :data:`AUTO_ACTIVITY_THRESHOLD`, overridable via
-    ``$REPRO_ENGINE_AUTO_THRESHOLD``.  Both candidate engines are
+    ``vector`` when the config's offered load, ``injection_rate *
+    num_nodes`` (expected injected flits per cycle), reaches
+    :data:`AUTO_ACTIVITY_THRESHOLD` *and* the vector core covers the
+    config; ``skip`` otherwise.  Both candidate engines are
     bit-identical, so the pick affects wall-clock only — never results.
-    Raises :class:`ConfigurationError` on a malformed override so typos
-    fail loudly.
     """
-    raw = os.environ.get(AUTO_THRESHOLD_ENV, "").strip()
-    if raw:
-        try:
-            threshold = float(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"${AUTO_THRESHOLD_ENV}={raw!r} is not a number"
-            ) from None
-    else:
-        threshold = AUTO_ACTIVITY_THRESHOLD
-    activity = config.injection_rate * config.num_nodes
-    return "vector" if activity >= threshold else "skip"
+    if config.injection_rate * config.num_nodes < AUTO_ACTIVITY_THRESHOLD:
+        return "skip"
+    if vector_unsupported_reason(config, validation) is not None:
+        return "skip"
+    return "vector"
+
+
+def user_engine_mode(value: str, source: str) -> str:
+    """``value`` if a user may select it, else :class:`ConfigurationError`.
+
+    ``source`` names where the value came from (``--engine-mode``,
+    ``$REPRO_ENGINE_MODE``) so typos fail loudly, with the valid
+    choices, instead of silently running a different engine.
+    """
+    if value not in USER_ENGINE_MODES:
+        raise ConfigurationError(
+            f"{source}={value!r} is not a valid engine mode; "
+            f"expected one of {', '.join(USER_ENGINE_MODES)}"
+        )
+    return value
 
 
 def engine_mode_from_env(default: str = "skip") -> str:
     """The engine mode requested via ``$REPRO_ENGINE_MODE``, validated.
 
-    Returns ``default`` when the variable is unset or empty.  Raises
-    :class:`ConfigurationError` on an unrecognized value so typos fail
-    loudly instead of silently running a different engine.
+    Returns ``default`` when the variable is unset or empty.
     """
     value = os.environ.get(ENGINE_MODE_ENV, "").strip()
     if not value:
         return default
-    if value not in ENGINE_MODES:
-        raise ConfigurationError(
-            f"${ENGINE_MODE_ENV}={value!r} is not a valid engine mode; "
-            f"expected one of {', '.join(ENGINE_MODES)}"
-        )
-    return value
+    return user_engine_mode(value, f"${ENGINE_MODE_ENV}")
 
 
 class Simulator:
@@ -201,33 +203,26 @@ class Simulator:
         #: What ``auto`` resolved to for this config (``None`` when the
         #: caller named a concrete mode).
         self.auto_resolved: str | None = None
-        if engine_mode == "auto":
-            engine_mode = resolve_auto_mode(config)
-            self.auto_resolved = engine_mode
-        #: Why a requested ``vector`` run degraded to ``skip`` (``None``
-        #: when it did not).  Surfaced by the differential harness and
-        #: the CLI so fallbacks are explicit, never silent.
+        #: Why an explicitly requested ``vector`` run degraded to
+        #: ``skip`` (``None`` when it did not).  Logged as a warning and
+        #: surfaced by the differential harness, so the fallback is
+        #: explicit, never silent.  ``auto`` never records one: it
+        #: checks coverage before it picks.
         self.vector_fallback: str | None = None
-        self._vector_engine_cls = None
-        if engine_mode == "vector":
-            from repro.sim.vector import vector_unsupported_reason
-
+        if engine_mode == "auto":
+            engine_mode = self.auto_resolved = resolve_auto_mode(
+                config, validation
+            )
+        elif engine_mode == "vector":
             reason = vector_unsupported_reason(config, validation)
             if reason is not None:
                 self.vector_fallback = reason
-                _log.info(
+                _log.warning(
                     "engine: vector mode unsupported (%s); "
                     "falling back to skip",
                     reason,
                 )
                 engine_mode = "skip"
-            else:
-                # Imported here, not in run(): the module (and numpy
-                # machinery it pulls in) loads once per process, and
-                # timing harnesses measure run(), not construction.
-                from repro.sim.vector.engine import VectorEngine
-
-                self._vector_engine_cls = VectorEngine
         self.engine_mode = engine_mode
         self.config = config
         self.mesh = config.make_topology()
@@ -286,10 +281,11 @@ class Simulator:
         #: Flits enqueued at sources but not yet injected (aggregate of
         #: ``Source.pending_flits``); part of the quiescence check.
         self._source_backlog = 0
-        self._skip_idle = engine_mode == "skip"
-        self._step_impl = (
-            self._step_legacy if engine_mode == "legacy" else self._step_fast
-        )
+        #: Whether routers are sampling blocked packets (on for exactly
+        #: the measurement window; the vector stepper reads it).
+        self._sampling = False
+        self._measure_start = config.warmup_cycles
+        self._measure_end = config.warmup_cycles + config.measure_cycles
 
         # Per-router link-endpoint tables, indexed [node][direction]:
         # (neighbor node, input direction at the neighbor), or None at a
@@ -354,17 +350,23 @@ class Simulator:
         self.window_accepted_flits = 0
         self.window_offered_flits = 0
 
+        # Who steps a cycle.
+        #: The array stepper of a ``vector`` run (built last: it reads
+        #: the topology, routing, traffic and RNG streams set up above).
+        self._vector = None
+        if engine_mode == "vector":
+            from repro.sim.vector.engine import VectorEngine
+
+            self._vector = VectorEngine(self)
+            self._step_impl = self._vector.step
+        elif engine_mode == "legacy":
+            self._step_impl = self._step_legacy
+        else:
+            self._step_impl = self._step_fast
+
     # ------------------------------------------------------------------
     # Measurement window helpers
     # ------------------------------------------------------------------
-    @property
-    def _measure_start(self) -> int:
-        return self.config.warmup_cycles
-
-    @property
-    def _measure_end(self) -> int:
-        return self.config.warmup_cycles + self.config.measure_cycles
-
     def _in_window(self, cycle: int) -> bool:
         return self._measure_start <= cycle < self._measure_end
 
@@ -394,11 +396,13 @@ class Simulator:
     def step(self) -> None:
         self._step_impl()
 
-    def _step_fast(self) -> None:
-        """One cycle, visiting only routers that can make progress."""
-        cycle = self.cycle
+    def _begin_cycle(self, cycle: int) -> bool:
+        """Stages 0-2, shared by both scalar step functions.
+
+        Returns whether a sink drained a flit (progress, for the
+        watchdog).
+        """
         routers = self.routers
-        link_dest = self._link_dest
 
         # 0. Apply due fault transitions.  Happens before the pipeline
         # swap so credits released by a heal are delivered this cycle —
@@ -435,18 +439,9 @@ class Simulator:
         for node, vc, flit in sink_now:
             self.sinks[node].receive(vc, flit)
 
-        # Active set for this cycle.  All state changes that can wake a
-        # router happen in stage 1 (arrivals/credits) or last cycle's
-        # stages (buffered flits), so the set is complete once arrivals
-        # are delivered; node order is preserved so results are
-        # bit-identical to the legacy every-router loop.
-        active = [r for r in routers if r.inflight or r.credit_pending]
-
         # 2. Sink drain (ejection bandwidth), returning credits upstream.
         progressed = False
         credits_next = self._credits_next
-        flits_next = self._flits_next
-        sink_next = self._sink_next
         for sink in self.sinks:
             if sink.occupancy == 0:
                 continue
@@ -456,6 +451,71 @@ class Simulator:
                 credits_next.append((sink.node, Direction.LOCAL, vc))
                 progressed = True
                 self._flits_in_network -= 1
+        return progressed
+
+    def _end_cycle(self, cycle: int, progressed: bool) -> None:
+        """Stage 6 and the cycle epilogue, shared by both step functions."""
+        fm = self.faults
+        router_dead = fm.router_dead if fm is not None else None
+        tel = self.telemetry
+        val = self.validator
+
+        # 6. Traffic generation and injection.  Packets generated at a
+        # dead endpoint are dropped (still counted as offered/created so
+        # delivered_fraction sees them); dead sources do not inject.
+        in_window = self._in_window(cycle)
+        for packet in self.traffic.generate(cycle, in_window):
+            if packet.measured:
+                self.measured_created += 1
+            if in_window:
+                self.window_offered_flits += packet.size
+            if tel is not None:
+                tel.packet_created(cycle, packet)
+            if router_dead is not None and router_dead[packet.src]:
+                if val is not None:
+                    val.packet_generated(packet, True)
+                continue
+            if val is not None:
+                val.packet_generated(packet, False)
+            self.sources[packet.src].enqueue(packet)
+            self._source_backlog += packet.size
+        for source in self.sources:
+            if not source.pending_flits:
+                continue
+            if router_dead is not None and router_dead[source.node]:
+                continue
+            flit = source.inject(cycle)
+            if flit is not None:
+                self._flits_in_network += 1
+                self._source_backlog -= 1
+                progressed = True
+                if tel is not None:
+                    tel.inject(cycle, source.node, flit)
+
+        self._watchdog(progressed, cycle)
+        if tel is not None:
+            tel.end_cycle(self, cycle)
+        if val is not None:
+            val.end_cycle(self, cycle)
+        self.cycle = cycle + 1
+
+    def _step_fast(self) -> None:
+        """One cycle, visiting only routers that can make progress."""
+        cycle = self.cycle
+        progressed = self._begin_cycle(cycle)
+        fm = self.faults
+        router_dead = fm.router_dead if fm is not None else None
+        link_dest = self._link_dest
+        credits_next = self._credits_next
+        flits_next = self._flits_next
+        sink_next = self._sink_next
+
+        # Active set for this cycle.  All state changes that can wake a
+        # router happen in stage 1 (arrivals/credits) or last cycle's
+        # stages (buffered flits), so the set is complete once arrivals
+        # are delivered; node order is preserved so results are
+        # bit-identical to the legacy every-router loop.
+        active = [r for r in self.routers if r.inflight or r.credit_pending]
 
         # 3. Link traversal.  Dead routers launch nothing; live routers
         # skip blocked output links (the flit stays staged).
@@ -510,92 +570,22 @@ class Simulator:
                 upstream, up_dir = row[in_direction]
                 credits_next.append((upstream, up_dir, vc))
 
-        # 6. Traffic generation and injection.  Packets generated at a
-        # dead endpoint are dropped (still counted as offered/created so
-        # delivered_fraction sees them); dead sources do not inject.
-        val = self.validator
-        in_window = self._in_window(cycle)
-        for packet in self.traffic.generate(cycle, in_window):
-            if packet.measured:
-                self.measured_created += 1
-            if in_window:
-                self.window_offered_flits += packet.size
-            if tel is not None:
-                tel.packet_created(cycle, packet)
-            if router_dead is not None and router_dead[packet.src]:
-                if val is not None:
-                    val.packet_generated(packet, True)
-                continue
-            if val is not None:
-                val.packet_generated(packet, False)
-            self.sources[packet.src].enqueue(packet)
-            self._source_backlog += packet.size
-        for source in self.sources:
-            if not source.pending_flits:
-                continue
-            if router_dead is not None and router_dead[source.node]:
-                continue
-            flit = source.inject(cycle)
-            if flit is not None:
-                self._flits_in_network += 1
-                self._source_backlog -= 1
-                progressed = True
-                if tel is not None:
-                    tel.inject(cycle, source.node, flit)
-
-        self._watchdog(progressed, cycle)
-        if tel is not None:
-            tel.end_cycle(self, cycle)
-        if val is not None:
-            val.end_cycle(self, cycle)
-        self.cycle += 1
+        self._end_cycle(cycle, progressed)
 
     def _step_legacy(self) -> None:
-        """One cycle visiting every router — the pre-optimization loop.
+        """One cycle visiting every router — the reference loop.
 
-        Kept as the measured baseline for the engine benchmarks; results
-        are bit-identical to :meth:`_step_fast`.
+        Stages 3-5 are stated independently of :meth:`_step_fast` on
+        purpose: no active set, no ``staged_flits``/``inflight``
+        shortcuts, and link endpoints asked of the topology per flit
+        rather than read from the precomputed table.  Results are
+        bit-identical to :meth:`_step_fast`; that is what the oracle
+        exists to check.
         """
         cycle = self.cycle
-
-        # 0. Apply due fault transitions (same ordering as fast mode).
+        progressed = self._begin_cycle(cycle)
         fm = self.faults
-        router_dead = None
-        if fm is not None:
-            if fm.pending_at(cycle):
-                changed, released = fm.advance_to(cycle)
-                for node in changed:
-                    self.routers[node].set_fault_mask(fm.blocked_out[node])
-                if released:
-                    self._credits_next.extend(released)
-            router_dead = fm.router_dead
-
-        # 1. Arrivals from the previous cycle's link traversals.
-        flits_now, self._flits_next = self._flits_next, []
-        credits_now, self._credits_next = self._credits_next, []
-        sink_now, self._sink_next = self._sink_next, []
-        for node, direction, vc in credits_now:
-            if fm is not None and fm.credit_blocked(node, direction):
-                fm.hold_credit(node, direction, vc)
-            else:
-                self.routers[node].receive_credit(direction, vc)
-        for node, direction, vc, flit in flits_now:
-            flit.hops += 1
-            self.routers[node].receive_flit(direction, vc, flit)
-        for node, vc, flit in sink_now:
-            self.sinks[node].receive(vc, flit)
-
-        # 2. Sink drain (ejection bandwidth), returning credits upstream.
-        progressed = False
-        for sink in self.sinks:
-            if sink.occupancy == 0:
-                continue
-            if router_dead is not None and router_dead[sink.node]:
-                continue
-            for vc in sink.drain(cycle):
-                self._credits_next.append((sink.node, Direction.LOCAL, vc))
-                progressed = True
-                self._flits_in_network -= 1
+        router_dead = fm.router_dead if fm is not None else None
 
         # 3. Link traversal.
         tel = self.telemetry
@@ -639,45 +629,7 @@ class Simulator:
                     (upstream, OPPOSITE[in_direction], vc)
                 )
 
-        # 6. Traffic generation and injection.
-        val = self.validator
-        in_window = self._in_window(cycle)
-        for packet in self.traffic.generate(cycle, in_window):
-            if packet.measured:
-                self.measured_created += 1
-            if in_window:
-                self.window_offered_flits += packet.size
-            if tel is not None:
-                tel.packet_created(cycle, packet)
-            if router_dead is not None and router_dead[packet.src]:
-                if val is not None:
-                    val.packet_generated(packet, True)
-                continue
-            if val is not None:
-                val.packet_generated(packet, False)
-            self.sources[packet.src].enqueue(packet)
-            self._source_backlog += packet.size
-        for source in self.sources:
-            # Same pending_flits guard as fast mode: the bit-identical
-            # baseline shouldn't pay for provably-empty injection calls.
-            if not source.pending_flits:
-                continue
-            if router_dead is not None and router_dead[source.node]:
-                continue
-            flit = source.inject(cycle)
-            if flit is not None:
-                self._flits_in_network += 1
-                self._source_backlog -= 1
-                progressed = True
-                if tel is not None:
-                    tel.inject(cycle, source.node, flit)
-
-        self._watchdog(progressed, cycle)
-        if tel is not None:
-            tel.end_cycle(self, cycle)
-        if val is not None:
-            val.end_cycle(self, cycle)
-        self.cycle += 1
+        self._end_cycle(cycle, progressed)
 
     def _watchdog(self, progressed: bool, cycle: int) -> None:
         if progressed:
@@ -725,6 +677,10 @@ class Simulator:
             or self._sink_next
         ):
             return 0
+        vector = self._vector
+        if vector is not None and vector.links_busy():
+            # The array stepper keeps its own link pipelines.
+            return 0
         cycle = self.cycle
         if cycle < self._measure_start:
             boundary = self._measure_start
@@ -759,18 +715,21 @@ class Simulator:
         return skipped
 
     # ------------------------------------------------------------------
+    def _set_sampling(self, enabled: bool) -> None:
+        """Blocked-packet sampling is on for exactly the measurement window."""
+        self._sampling = enabled
+        for router in self.routers:
+            router.enable_blocking_sampling(enabled)
+
     def run(self) -> SimulationResult:
         """Run warm-up, measurement, and drain; return the result."""
-        if self.engine_mode == "vector":
-            engine = self._vector_engine_cls(self)
-            if self.collect_stage_times:
-                self.stage_times = engine.enable_stage_times()
-            return engine.run()
+        if self.collect_stage_times and self._vector is not None:
+            self.stage_times = self._vector.enable_stage_times()
         limit = self.config.max_cycles
         measure_start = self._measure_start
         measure_end = self._measure_end
-        skip_idle = self._skip_idle
-        sampling = False
+        # The oracle steps every cycle; everything else skips idle ones.
+        skip_idle = self.engine_mode != "legacy"
         while self.cycle < limit:
             cycle = self.cycle
             # Phase transitions happen *before* the step so that cycle
@@ -778,26 +737,26 @@ class Simulator:
             # including when ``warmup_cycles == 0`` (enabling only after
             # step() used to miss the whole window in that case).
             if cycle >= measure_end:
-                if sampling:
-                    for router in self.routers:
-                        router.enable_blocking_sampling(False)
-                    sampling = False
+                if self._sampling:
+                    self._set_sampling(False)
                 if self.measured_ejected == self.measured_created:
                     break
-            elif cycle >= measure_start and not sampling:
-                for router in self.routers:
-                    router.enable_blocking_sampling(True)
-                sampling = True
+            elif cycle >= measure_start and not self._sampling:
+                self._set_sampling(True)
             if skip_idle and self._skip_idle_cycles(limit):
                 # Re-run the boundary checks at the new cycle.
                 continue
             self.step()
             if self.stalled:
                 break
-        if sampling:
-            for router in self.routers:
-                router.enable_blocking_sampling(False)
-        return self._result()
+        if self._sampling:
+            self._set_sampling(False)
+        result = self._result()
+        if self._vector is not None:
+            # The stepper points back at this Simulator: unlink it so its
+            # arrays are freed now, not whenever the cycle collector runs.
+            self._vector = self._step_impl = None
+        return result
 
     def _result(self) -> SimulationResult:
         if self.validator is not None:

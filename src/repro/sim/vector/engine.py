@@ -43,9 +43,14 @@ is unobservable.  Clean grants are applied in scalar visit order
 (rotation rank within each node) so same-port FIFO appends and credit
 returns stay sequence-identical.
 
-Everything else — sink drain, idle-cycle skipping, the deadlock
-watchdog, and the phase boundaries of :meth:`run` — is a direct
-transliteration of the scalar ``skip`` engine over the flat state.
+The engine is a *stepper*, not a loop: :meth:`Simulator.run
+<repro.sim.engine.Simulator.run>` owns the phases, idle-cycle skipping,
+the watchdog, the clock and every statistic.  :meth:`VectorEngine.step`
+advances ``sim.cycle`` by one, :meth:`VectorEngine.links_busy` is its
+share of the quiescence check, blocked-packet sampling follows
+``sim._sampling``, and ejections, counters and blocking samples are
+written straight into the :class:`Simulator` so
+:meth:`Simulator._result` assembles the result for every engine.
 """
 
 from __future__ import annotations
@@ -56,9 +61,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.exceptions import SimulationError
-from repro.metrics.stats import LatencyStats
-from repro.router.router import BlockingStats
 from repro.routing.batch import VcStateArrays, switch_grants
 from repro.routing.dbar import DbarFineRouting, DbarRouting
 from repro.routing.dor import DorRouting
@@ -66,7 +68,6 @@ from repro.routing.footprint import FootprintRouting
 from repro.routing.oddeven import OddEvenRouting
 from repro.routing.requests import Priority
 from repro.routing.xordet import XordetOverlay
-from repro.sim.results import SimulationResult
 from repro.topology.ports import NUM_PORTS, Direction
 
 if TYPE_CHECKING:
@@ -363,20 +364,6 @@ class VectorEngine:
         self._credit_chunks: list = []
         self._credits_next: list = []
         self._sink_next: list = []
-        self.cycle = 0
-        self._last_progress_cycle = 0
-        self._flits_in_network = 0
-        self._source_backlog = 0
-        self._sampling = False
-
-        # --- statistics -----------------------------------------------
-        self.latency = LatencyStats()
-        self.latency_by_flow: dict[str, LatencyStats] = {}
-        self.measured_created = 0
-        self.measured_ejected = 0
-        self.window_accepted_flits = 0
-        self.window_offered_flits = 0
-        self.blocking = BlockingStats()
 
     # ------------------------------------------------------------------
     # Output-port state transitions
@@ -771,6 +758,7 @@ class VectorEngine:
         sink_active = self._sink_active
         if not sink_active:
             return False
+        sim = self.sim
         progressed = False
         num_vcs = self._num_vcs
         credits_next = self._credits_next
@@ -798,13 +786,13 @@ class VectorEngine:
                     mask &= ~(1 << vc)
                 credits_next.append((credit_g, vc))
                 progressed = True
-                self._flits_in_network -= 1
+                sim._flits_in_network -= 1
                 self._sink_occupancy[node] -= 1
                 budget -= 1.0
                 if token & 1:
                     packet = self._packets[token >> 2]
                     packet.ejection_time = cycle
-                    self._packet_ejected(packet, cycle)
+                    sim._on_packet_ejected(packet, cycle)
             self._sink_mask[node] = mask
             self._sink_budget[node] = budget
             if self._sink_occupancy[node] == 0:
@@ -981,7 +969,7 @@ class VectorEngine:
         busy_count = self._busy_count
         fp_counts = self._fp_counts
         randbelows = self._randbelow
-        sampling = self._sampling
+        sampling = self.sim._sampling
         vc_shift = self._vc_shift
         vc_low_mask = num_vcs - 1
         for node in alloc_nodes:
@@ -1078,7 +1066,7 @@ class VectorEngine:
                 version_sum[g // NUM_PORTS] += 1
 
     def _sample_blocked(self, node: int, pend: dict) -> None:
-        blocking = self.blocking
+        blocking = self.sim.routers[node].blocking
         base = node * NUM_PORTS
         for i in pend:
             d = self._committed[i]
@@ -1488,38 +1476,28 @@ class VectorEngine:
         return True
 
     def _stage_traffic(self, cycle: int) -> bool:
-        in_window = self._measure_start <= cycle < self._measure_end
+        sim = self.sim
+        in_window = sim._in_window(cycle)
         src_queue = self._src_queue
         src_pending = self._src_pending
         for packet in self.traffic.generate(cycle, in_window):
             if packet.measured:
-                self.measured_created += 1
+                sim.measured_created += 1
             if in_window:
-                self.window_offered_flits += packet.size
+                sim.window_offered_flits += packet.size
             src_queue[packet.src].append(packet)
             src_pending[packet.src] += packet.size
-            self._source_backlog += packet.size
+            sim._source_backlog += packet.size
         progressed = False
-        if self._source_backlog:
+        if sim._source_backlog:
             # Source scan as an array compare: only nodes with queued
             # flits are visited, in the scalar ascending-node order.
             for node in np.flatnonzero(self._src_pending_v).tolist():
                 if self._inject(node, cycle):
-                    self._flits_in_network += 1
-                    self._source_backlog -= 1
+                    sim._flits_in_network += 1
+                    sim._source_backlog -= 1
                     progressed = True
         return progressed
-
-    def _packet_ejected(self, packet, cycle: int) -> None:
-        if self._measure_start <= cycle < self._measure_end:
-            self.window_accepted_flits += packet.size
-        if packet.measured:
-            self.measured_ejected += 1
-            self.latency.add(packet.latency)
-            flow_stats = self.latency_by_flow.setdefault(
-                packet.flow, LatencyStats()
-            )
-            flow_stats.add(packet.latency)
 
     # ------------------------------------------------------------------
     # One simulated cycle
@@ -1561,7 +1539,8 @@ class VectorEngine:
         return times
 
     def step(self) -> None:
-        cycle = self.cycle
+        sim = self.sim
+        cycle = sim.cycle
 
         # 1. Arrivals from the previous cycle's link traversals.
         self._stage_arrivals()
@@ -1589,86 +1568,16 @@ class VectorEngine:
         if self._stage_traffic(cycle):
             progressed = True
 
-        # Progress watchdog (identical contract to the scalar engine).
-        if progressed:
-            self._last_progress_cycle = cycle
-        elif (
-            self._flits_in_network > 0
-            and cycle - self._last_progress_cycle > self._deadlock_window
-        ):
-            raise SimulationError(
-                f"no flit movement for {self._deadlock_window} cycles at "
-                f"cycle {cycle} with {self._flits_in_network} flits in "
-                f"flight — routing deadlock with '{self.config.routing}'"
-            )
-        self.cycle += 1
+        sim._watchdog(progressed, cycle)
+        sim.cycle = cycle + 1
 
-    # ------------------------------------------------------------------
-    # Idle-cycle skipping and the run loop
-    # ------------------------------------------------------------------
-    @property
-    def _measure_start(self) -> int:
-        return self.config.warmup_cycles
-
-    @property
-    def _measure_end(self) -> int:
-        return self.config.warmup_cycles + self.config.measure_cycles
-
-    def _skip_idle_cycles(self, limit: int) -> int:
-        if (
-            self._flits_in_network
-            or self._source_backlog
-            or self._flits_arr is not None
+    def links_busy(self) -> bool:
+        """Whether a flit, credit or sink delivery is still in the
+        one-cycle link pipelines (the stepper's part of the idle-skip
+        quiescence check)."""
+        return bool(
+            self._flits_arr is not None
             or self._credit_chunks
             or self._credits_next
             or self._sink_next
-        ):
-            return 0
-        cycle = self.cycle
-        if cycle < self._measure_start:
-            boundary = self._measure_start
-        elif cycle < self._measure_end:
-            boundary = self._measure_end
-        else:
-            boundary = limit
-        if boundary > limit:
-            boundary = limit
-        event = self.traffic.next_event_cycle(cycle, boundary)
-        target = boundary if event is None else min(event, boundary)
-        skipped = target - cycle
-        if skipped <= 0:
-            return 0
-        self.cycle = target
-        return skipped
-
-    def run(self) -> SimulationResult:
-        from repro.sim.engine import DEADLOCK_WINDOW
-
-        self._deadlock_window = DEADLOCK_WINDOW
-        limit = self.config.max_cycles
-        measure_start = self._measure_start
-        measure_end = self._measure_end
-        while self.cycle < limit:
-            cycle = self.cycle
-            if cycle >= measure_end:
-                self._sampling = False
-                if self.measured_ejected == self.measured_created:
-                    break
-            elif cycle >= measure_start:
-                self._sampling = True
-            if self._skip_idle_cycles(limit):
-                continue
-            self.step()
-        self.sim.cycle = self.cycle
-        return SimulationResult(
-            config=self.config,
-            cycles_run=self.cycle,
-            latency=self.latency,
-            latency_by_flow=self.latency_by_flow,
-            accepted_flits=self.window_accepted_flits,
-            offered_flits=self.window_offered_flits,
-            measured_created=self.measured_created,
-            measured_ejected=self.measured_ejected,
-            blocking=self.blocking,
-            telemetry=None,
         )

@@ -15,7 +15,7 @@ rules, in priority order:
    mode jumps over provably-quiescent cycles, :meth:`on_skip`
    synthesizes the samples that fall inside the jump with their known
    quiescent values, so the collected series are identical across the
-   ``skip``/``fast``/``legacy`` engine modes.
+   ``skip``/``legacy`` engine modes.
 
 Probe sites (who calls what):
 
@@ -259,8 +259,8 @@ class TelemetryHub:
         in flight, so every skipped sample's values are known without
         stepping: occupancy, stalls, and congestion trees are zero and
         the cumulative counters are unchanged.  Emitting them here keeps
-        the series bit-identical to the ``fast``/``legacy`` modes, which
-        step (and sample) through the same cycles.
+        the series bit-identical to the ``legacy`` mode, which
+        steps (and samples) through the same cycles.
         """
         self.utilization.cycles += target - from_cycle
         if self._sample_every:

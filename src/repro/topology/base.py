@@ -15,6 +15,10 @@ Two concrete topologies implement the protocol:
 * :class:`~repro.topology.torus.Torus2D` — a k-ary 2-torus whose wrap
   links are made safe by a dateline VC scheme (``num_vc_classes == 2``).
 
+Both are rectangular grids and share :class:`Grid2D`: dimension
+validation, the row-major coordinate system, channel enumeration and
+value semantics.  A subclass states only what the wrap links change.
+
 Instances are pure geometry — no simulation state — so one instance can
 be shared freely between the engine, routers, and validators.
 """
@@ -24,7 +28,7 @@ from __future__ import annotations
 from typing import Protocol, runtime_checkable
 
 from repro.exceptions import TopologyError
-from repro.topology.ports import Direction
+from repro.topology.ports import COMPASS, Direction
 
 #: Topology names accepted by :func:`create_topology` and
 #: ``SimulationConfig.topology``, in presentation order.
@@ -35,9 +39,10 @@ TOPOLOGIES: tuple[str, ...] = ("mesh", "torus")
 class Topology(Protocol):
     """Geometry queries every network topology must answer.
 
-    The protocol is structural: ``Mesh2D`` and ``Torus2D`` satisfy it
-    without inheriting from anything.  All methods are pure functions of
-    node ids (plus internal caches); none mutate observable state.
+    The protocol is structural: anything with these members satisfies
+    it (``Mesh2D`` and ``Torus2D`` do so through :class:`Grid2D`).  All
+    methods are pure functions of node ids (plus internal caches); none
+    mutate observable state.
     """
 
     #: Registry name (``"mesh"`` / ``"torus"``).
@@ -103,6 +108,101 @@ class Topology(Protocol):
         ...
 
 
+class Grid2D:
+    """What every ``width x height`` grid topology shares.
+
+    Node numbering is row-major: node ``n`` sits at ``(x, y) = (n %
+    width, n // width)`` with ``x`` growing eastward and ``y`` growing
+    southward.  Subclasses set ``name`` / ``num_vc_classes`` and supply
+    ``neighbor``, ``router_ports``, ``hop_distance``,
+    ``minimal_directions``, ``num_minimal_paths`` and ``wrap_vc_class``.
+    """
+
+    name: str
+    num_vc_classes: int
+
+    def __init__(self, width: int, height: int | None = None) -> None:
+        if height is None:
+            height = width
+        if width < 2 or height < 2:
+            raise TopologyError(
+                f"{self.name} dimensions must be at least 2x2, "
+                f"got {width}x{height}"
+            )
+        self.width = width
+        self.height = height
+        self.num_nodes = width * height
+        # Geometry caches: routing queries sit on the simulator's hottest
+        # path and are pure functions of (node, node).
+        self._coords = [(n % width, n // width) for n in range(self.num_nodes)]
+        self._min_dirs: dict[tuple[int, int], list[Direction]] = {}
+        self._dor: dict[tuple[int, int], Direction] = {}
+
+    def coords(self, node: int) -> tuple[int, int]:
+        """Return ``(x, y)`` coordinates of ``node``."""
+        self._check_node(node)
+        return self._coords[node]
+
+    def node_at(self, x: int, y: int) -> int:
+        """Return the node id at coordinates ``(x, y)``."""
+        if not (0 <= x < self.width and 0 <= y < self.height):
+            raise TopologyError(f"coordinates ({x}, {y}) outside {self}")
+        return y * self.width + x
+
+    def _check_node(self, node: int) -> None:
+        if not (0 <= node < self.num_nodes):
+            raise TopologyError(f"node {node} outside {self}")
+
+    def channels(self) -> list[tuple[int, Direction, int]]:
+        """Enumerate all inter-router channels as ``(src, direction, dst)``.
+
+        Each unidirectional link appears once; a bidirectional link
+        contributes two entries.
+        """
+        out: list[tuple[int, Direction, int]] = []
+        for node in range(self.num_nodes):
+            for d in COMPASS:
+                nbr = self.neighbor(node, d)
+                if nbr is not None:
+                    out.append((node, d, nbr))
+        return out
+
+    def dor_direction(self, cur: int, dst: int) -> Direction:
+        """Dimension-order (XY) next direction from ``cur`` to ``dst``.
+
+        X is fully resolved before Y, along the subclass's
+        ``minimal_directions``; ``LOCAL`` is returned at the destination.
+        """
+        key = (cur, dst)
+        cached = self._dor.get(key)
+        if cached is not None:
+            return cached
+        dirs = self.minimal_directions(cur, dst)
+        if not dirs:
+            result = Direction.LOCAL
+        else:
+            result = dirs[0]
+            for d in dirs:
+                if d in (Direction.EAST, Direction.WEST):
+                    result = d
+                    break
+        self._dor[key] = result
+        return result
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.width}x{self.height})"
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is type(self)
+            and self.width == other.width
+            and self.height == other.height
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.width, self.height))
+
+
 def create_topology(
     name: str, width: int, height: int | None = None
 ) -> Topology:
@@ -111,9 +211,7 @@ def create_topology(
     Raises :class:`TopologyError` on an unknown name so config typos
     fail loudly with the list of valid choices.
     """
-    # Imported here to keep the protocol module free of concrete
-    # topology imports (mesh.py imports nothing from this module, but
-    # torus.py shares grid helpers with mesh.py).
+    # Imported here: mesh.py and torus.py import Grid2D from this module.
     from repro.topology.mesh import Mesh2D
     from repro.topology.torus import Torus2D
 

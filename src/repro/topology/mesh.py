@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 
 from repro.exceptions import TopologyError
+from repro.topology.base import Grid2D
 from repro.topology.ports import COMPASS, Direction
 
 
-class Mesh2D:
+class Mesh2D(Grid2D):
     """A ``width x height`` 2D mesh.
 
     The mesh provides pure geometry queries: coordinates, neighbours,
@@ -40,42 +41,8 @@ class Mesh2D:
     #: :meth:`~repro.topology.base.Topology.wrap_vc_class`).
     num_vc_classes = 1
 
-    def __init__(self, width: int, height: int | None = None) -> None:
-        if height is None:
-            height = width
-        if width < 2 or height < 2:
-            raise TopologyError(
-                f"mesh dimensions must be at least 2x2, got {width}x{height}"
-            )
-        self.width = width
-        self.height = height
-        self.num_nodes = width * height
-        # Geometry caches: routing queries sit on the simulator's hottest
-        # path and are pure functions of (node, node).
-        self._coords = [(n % width, n // width) for n in range(self.num_nodes)]
-        self._min_dirs: dict[tuple[int, int], list[Direction]] = {}
-        self._dor: dict[tuple[int, int], Direction] = {}
-
     # ------------------------------------------------------------------
-    # Coordinates
-    # ------------------------------------------------------------------
-    def coords(self, node: int) -> tuple[int, int]:
-        """Return ``(x, y)`` coordinates of ``node``."""
-        self._check_node(node)
-        return self._coords[node]
-
-    def node_at(self, x: int, y: int) -> int:
-        """Return the node id at coordinates ``(x, y)``."""
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            raise TopologyError(f"coordinates ({x}, {y}) outside {self}")
-        return y * self.width + x
-
-    def _check_node(self, node: int) -> None:
-        if not (0 <= node < self.num_nodes):
-            raise TopologyError(f"node {node} outside {self}")
-
-    # ------------------------------------------------------------------
-    # Neighbours and channels
+    # Neighbours
     # ------------------------------------------------------------------
     def neighbor(self, node: int, direction: Direction) -> int | None:
         """Return the neighbour of ``node`` through ``direction``.
@@ -99,20 +66,6 @@ class Mesh2D:
         ports = [d for d in COMPASS if self.neighbor(node, d) is not None]
         ports.append(Direction.LOCAL)
         return ports
-
-    def channels(self) -> list[tuple[int, Direction, int]]:
-        """Enumerate all inter-router channels as ``(src, direction, dst)``.
-
-        Each unidirectional link appears once; a bidirectional mesh link
-        contributes two entries.
-        """
-        out: list[tuple[int, Direction, int]] = []
-        for node in range(self.num_nodes):
-            for d in COMPASS:
-                nbr = self.neighbor(node, d)
-                if nbr is not None:
-                    out.append((node, d, nbr))
-        return out
 
     # ------------------------------------------------------------------
     # Minimal routing geometry
@@ -148,28 +101,6 @@ class Mesh2D:
         self._min_dirs[key] = dirs
         return dirs
 
-    def dor_direction(self, cur: int, dst: int) -> Direction:
-        """Dimension-order (XY) next direction from ``cur`` to ``dst``.
-
-        X is fully resolved before Y; ``LOCAL`` is returned at the
-        destination.
-        """
-        key = (cur, dst)
-        cached = self._dor.get(key)
-        if cached is not None:
-            return cached
-        dirs = self.minimal_directions(cur, dst)
-        if not dirs:
-            result = Direction.LOCAL
-        else:
-            result = dirs[0]
-            for d in dirs:
-                if d in (Direction.EAST, Direction.WEST):
-                    result = d
-                    break
-        self._dor[key] = result
-        return result
-
     def num_minimal_paths(self, src: int, dst: int) -> int:
         """Number of distinct minimal paths between ``src`` and ``dst``.
 
@@ -184,16 +115,3 @@ class Mesh2D:
     def wrap_vc_class(self, cur: int, dst: int, direction: Direction) -> int:
         """Dateline VC class of a hop — always 0 on a mesh (no wrap links)."""
         return 0
-
-    def __repr__(self) -> str:
-        return f"Mesh2D({self.width}x{self.height})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Mesh2D)
-            and self.width == other.width
-            and self.height == other.height
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.width, self.height))

@@ -20,13 +20,14 @@ from __future__ import annotations
 import math
 
 from repro.exceptions import TopologyError
+from repro.topology.base import Grid2D
 from repro.topology.ports import COMPASS, Direction
 
 #: Ring directions in which the coordinate increases (mod the radix).
 _POSITIVE = (Direction.EAST, Direction.SOUTH)
 
 
-class Torus2D:
+class Torus2D(Grid2D):
     """A ``width x height`` 2D torus.
 
     Pure geometry, no simulation state — the same contract as
@@ -46,40 +47,8 @@ class Torus2D:
     #: Wrap links need a dateline split: two VC classes per ring.
     num_vc_classes = 2
 
-    def __init__(self, width: int, height: int | None = None) -> None:
-        if height is None:
-            height = width
-        if width < 2 or height < 2:
-            raise TopologyError(
-                f"torus dimensions must be at least 2x2, got {width}x{height}"
-            )
-        self.width = width
-        self.height = height
-        self.num_nodes = width * height
-        self._coords = [(n % width, n // width) for n in range(self.num_nodes)]
-        self._min_dirs: dict[tuple[int, int], list[Direction]] = {}
-        self._dor: dict[tuple[int, int], Direction] = {}
-
     # ------------------------------------------------------------------
-    # Coordinates
-    # ------------------------------------------------------------------
-    def coords(self, node: int) -> tuple[int, int]:
-        """Return ``(x, y)`` coordinates of ``node``."""
-        self._check_node(node)
-        return self._coords[node]
-
-    def node_at(self, x: int, y: int) -> int:
-        """Return the node id at coordinates ``(x, y)``."""
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            raise TopologyError(f"coordinates ({x}, {y}) outside {self}")
-        return y * self.width + x
-
-    def _check_node(self, node: int) -> None:
-        if not (0 <= node < self.num_nodes):
-            raise TopologyError(f"node {node} outside {self}")
-
-    # ------------------------------------------------------------------
-    # Neighbours and channels
+    # Neighbours
     # ------------------------------------------------------------------
     def neighbor(self, node: int, direction: Direction) -> int | None:
         """Return the neighbour of ``node`` through ``direction``.
@@ -107,20 +76,6 @@ class Torus2D:
         """
         self._check_node(node)
         return [*COMPASS, Direction.LOCAL]
-
-    def channels(self) -> list[tuple[int, Direction, int]]:
-        """Enumerate all inter-router channels as ``(src, direction, dst)``.
-
-        Each unidirectional channel appears once; a torus has exactly
-        ``4 * num_nodes`` of them (wrap links included).
-        """
-        out: list[tuple[int, Direction, int]] = []
-        for node in range(self.num_nodes):
-            for d in COMPASS:
-                nbr = self.neighbor(node, d)
-                assert nbr is not None
-                out.append((node, d, nbr))
-        return out
 
     # ------------------------------------------------------------------
     # Minimal routing geometry
@@ -179,28 +134,6 @@ class Torus2D:
         self._min_dirs[key] = dirs
         return dirs
 
-    def dor_direction(self, cur: int, dst: int) -> Direction:
-        """Dimension-order (XY) next direction from ``cur`` to ``dst``.
-
-        The X ring is fully resolved before Y, each by its shorter way;
-        ``LOCAL`` is returned at the destination.
-        """
-        key = (cur, dst)
-        cached = self._dor.get(key)
-        if cached is not None:
-            return cached
-        dirs = self.minimal_directions(cur, dst)
-        if not dirs:
-            result = Direction.LOCAL
-        else:
-            result = dirs[0]
-            for d in dirs:
-                if d in (Direction.EAST, Direction.WEST):
-                    result = d
-                    break
-        self._dor[key] = result
-        return result
-
     def num_minimal_paths(self, src: int, dst: int) -> int:
         """Number of distinct minimal paths between ``src`` and ``dst``.
 
@@ -254,16 +187,3 @@ class Torus2D:
             return 0 if d < downstream else 1
         downstream = (c - 1) % k
         return 0 if d > downstream else 1
-
-    def __repr__(self) -> str:
-        return f"Torus2D({self.width}x{self.height})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Torus2D)
-            and self.width == other.width
-            and self.height == other.height
-        )
-
-    def __hash__(self) -> int:
-        return hash(("torus", self.width, self.height))

@@ -1,7 +1,7 @@
 """Differential validation harness (``repro validate``).
 
 Cross-checks the parts of the stack the per-cycle checkers cannot see
-from inside one run: that the three engine modes (skip/fast/legacy) stay
+from inside one run: that the three engines (skip/legacy/vector) stay
 bit-identical, that a warm result-cache replay reproduces a live run
 exactly, and that a validated run produces the same result as the
 unvalidated runs the cache and pool execute.  Configurations are drawn
@@ -29,6 +29,7 @@ from repro.harness.parallel import SimTask, resolve_jobs, run_tasks
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
 from repro.sim.results import SimulationResult
+from repro.sim.vector import vector_unsupported_reason
 from repro.validate.config import MUTATION_CHECKERS, ValidationConfig
 
 #: Engine modes every differential run is executed under.  ``skip`` is
@@ -36,9 +37,9 @@ from repro.validate.config import MUTATION_CHECKERS, ValidationConfig
 #: ``vector`` run executes without invariant checkers (the vector core
 #: has no per-object hooks for them to observe — with checkers active it
 #: would just fall back to ``skip`` and self-compare); configs it cannot
-#: cover (e.g. fault schedules) still fall back, and the entry records
-#: the reason so fallbacks are visible in the report.
-ENGINE_MODES = ("skip", "fast", "legacy", "vector")
+#: cover (e.g. fault schedules) are not run under it, and the entry
+#: records the reason so fallbacks are visible in the report.
+ENGINE_MODES = ("skip", "legacy", "vector")
 
 _ALGORITHMS = (
     "dor",
@@ -96,8 +97,7 @@ def random_configs(
         )
         # Every fourth config or so runs on a torus: the wrap links and
         # dateline escape VCs must stay bit-identical across engine
-        # modes too (the vector run degrades to skip and records the
-        # topology fallback reason).
+        # modes too (the entry records why the vector core sat it out).
         topology = "torus" if rng.random() < 0.25 else "mesh"
         if topology == "torus":
             routing = rng.choice(_TORUS_ALGORITHMS)
@@ -150,8 +150,8 @@ class DifferentialEntry:
     warm_misses: int = -1
     checks_run: int = 0
     error: str | None = None
-    #: Why the ``vector`` run degraded to ``skip`` (``None`` when the
-    #: vector core actually executed the config).
+    #: Why the vector core could not run the config (``None`` when it
+    #: did), in which case the entry has no ``vector`` signature.
     vector_fallback: str | None = None
 
     @property
@@ -202,8 +202,9 @@ def run_differential(
 ) -> DifferentialReport:
     """Run every config through all engine modes plus warm-cache replay.
 
-    Each config runs with every invariant checker enabled under skip,
-    fast, and legacy engine modes (signatures must match), then twice
+    Each config runs with every invariant checker enabled under the skip
+    and legacy engine modes and unchecked under vector (signatures must
+    match), then twice
     through a fresh :class:`ResultCache` (the second pass must be all
     hits and reproduce the live signature — also proving validated and
     unvalidated runs are bit-identical, since cached runs are
@@ -217,6 +218,12 @@ def run_differential(
         entries.append(entry)
         try:
             for mode in ENGINE_MODES:
+                if mode == "vector":
+                    entry.vector_fallback = vector_unsupported_reason(config)
+                    if entry.vector_fallback is not None:
+                        # Would run (and warn about running) ``skip``
+                        # against itself.
+                        continue
                 sim = Simulator(
                     config,
                     engine_mode=mode,
@@ -225,8 +232,6 @@ def run_differential(
                 entry.signatures[mode] = result_signature(sim.run())
                 if sim.validator is not None:
                     entry.checks_run += sim.validator.checks_run
-                if mode == "vector":
-                    entry.vector_fallback = sim.vector_fallback
         except InvariantViolation as exc:
             entry.error = f"invariant violation: {exc}"
             continue
@@ -235,7 +240,7 @@ def run_differential(
             continue
         reference = entry.signatures[ENGINE_MODES[0]]
         entry.modes_identical = all(
-            entry.signatures[mode] == reference for mode in ENGINE_MODES
+            signature == reference for signature in entry.signatures.values()
         )
         with tempfile.TemporaryDirectory() as tmp:
             cold_cache = ResultCache(tmp)

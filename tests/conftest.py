@@ -99,11 +99,6 @@ class FakeOutputView:
             and v != self.escape_vc
         ]
 
-    def busy_vcs(self):
-        return [
-            v for v in self._adaptive if v not in self._idle
-        ]
-
     def grantable(self, vc):
         return vc in self._idle or (
             vc == self.escape_vc and self._escape_grantable()

@@ -28,7 +28,7 @@ def test_quick_bench_writes_report(run_bench, tmp_path):
     assert len(reports) == 1
     payload = json.loads(reports[0].read_text())
 
-    assert payload["schema"] == "footprint-noc-bench/9"
+    assert payload["schema"] == "footprint-noc-bench/10"
     assert payload["quick"] is True
 
     engine = payload["engine"]
@@ -36,7 +36,6 @@ def test_quick_bench_writes_report(run_bench, tmp_path):
     for entry in engine["matrix"]:
         assert entry["results_identical"] is True
         assert entry["skip_cycles_per_sec"] > 0
-        assert entry["fast_cycles_per_sec"] > 0
         assert entry["legacy_cycles_per_sec"] > 0
         assert entry["vector_cycles_per_sec"] > 0
         assert entry["vector_speedup"] > 0
@@ -65,7 +64,6 @@ def test_quick_bench_writes_report(run_bench, tmp_path):
         assert entry["drained"] is True
         assert "config.topology" in entry["vector_fallback"]
         assert entry["skip_cycles_per_sec"] > 0
-        assert entry["fast_cycles_per_sec"] > 0
         assert entry["legacy_cycles_per_sec"] > 0
     assert torus["summary"]["all_drained"] is True
     assert torus["summary"]["results_identical"] is True

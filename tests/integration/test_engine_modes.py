@@ -57,7 +57,7 @@ def _run(mode, **overrides):
          "hotspot", "multiflit"],
 )
 def test_fast_matches_legacy(overrides):
-    assert _signature(_run("fast", **overrides)) == _signature(
+    assert _signature(_run("skip", **overrides)) == _signature(
         _run("legacy", **overrides)
     )
 
@@ -65,6 +65,12 @@ def test_fast_matches_legacy(overrides):
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         Simulator(SimulationConfig(width=4, num_vcs=2), engine_mode="turbo")
+
+
+def test_removed_fast_mode_rejected():
+    """``fast`` was ``skip`` without the idle skip; it is gone."""
+    with pytest.raises(ValueError):
+        Simulator(SimulationConfig(width=4, num_vcs=2), engine_mode="fast")
 
 
 def test_default_mode_is_fast():

@@ -16,7 +16,7 @@ from repro.topology.ports import Direction
 from repro.traffic.trace import TraceEvent
 
 
-def _run(routing, trace, faults, *, drain=400, mode="fast"):
+def _run(routing, trace, faults, *, drain=400, mode="skip"):
     config = SimulationConfig(
         width=4,
         num_vcs=4,

@@ -15,7 +15,7 @@ from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
 from repro.telemetry import TelemetryConfig
 
-MODES = ("skip", "fast", "legacy")
+MODES = ("skip", "legacy")
 
 
 def _signature(result):
@@ -86,7 +86,7 @@ class TestCrossModeDeterminism:
             config = _base_config(telemetry=FULL_TELEMETRY, **overrides)
             result = Simulator(config, engine_mode=mode).run()
             dicts.append(result.telemetry.to_dict())
-        assert dicts[0] == dicts[1] == dicts[2]
+        assert dicts[0] == dicts[1]
         # The series really sampled something.
         assert dicts[0]["sample_cycles"]
         assert dicts[0]["events"]

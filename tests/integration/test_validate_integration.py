@@ -25,7 +25,7 @@ from repro.validate.differential import (
     self_test,
 )
 
-MODES = ("skip", "fast", "legacy")
+MODES = ("skip", "legacy")
 
 
 def _base_config(**overrides):

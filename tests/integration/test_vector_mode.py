@@ -8,6 +8,10 @@ generator, and that unsupported configurations fall back to ``skip``
 loudly (recorded reason) rather than erroring or silently diverging.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main as cli_main
@@ -17,7 +21,6 @@ from repro.harness.parallel import SimTask, run_tasks
 from repro.harness.runner import run_simulation
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import (
-    AUTO_THRESHOLD_ENV,
     ENGINE_MODE_ENV,
     Simulator,
     engine_mode_from_env,
@@ -181,26 +184,30 @@ class TestAutoMode:
                 "skip", injection_rate=rate
             )
 
-    def test_auto_inherits_vector_fallback(self):
+    def test_auto_checks_vector_coverage_before_picking(self):
+        """A loaded config the vector core cannot run resolves straight
+        to ``skip``: nothing fell back, so nothing is recorded."""
         sim = Simulator(
             _config(injection_rate=0.25, track_utilization=True),
             engine_mode="auto",
         )
-        assert sim.auto_resolved == "vector"
+        assert sim.auto_resolved == "skip"
         assert sim.engine_mode == "skip"
-        assert sim.vector_fallback is not None
+        assert sim.vector_fallback is None
+        validated = Simulator(
+            _config(injection_rate=0.25),
+            engine_mode="auto",
+            validation=ValidationConfig(),
+        )
+        assert validated.auto_resolved == "skip"
 
-    def test_threshold_env_override(self, monkeypatch):
+    def test_threshold_env_is_ignored(self, monkeypatch):
+        """``$REPRO_ENGINE_AUTO_THRESHOLD`` is gone: the threshold is a
+        constant, and a leftover value — garbage included — is inert."""
         config = _config(injection_rate=0.25)
-        monkeypatch.setenv(AUTO_THRESHOLD_ENV, "100")
-        assert resolve_auto_mode(config) == "skip"
-        monkeypatch.setenv(AUTO_THRESHOLD_ENV, "0")
-        assert resolve_auto_mode(config) == "vector"
-
-    def test_garbage_threshold_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv(AUTO_THRESHOLD_ENV, "fast-please")
-        with pytest.raises(ConfigurationError):
-            resolve_auto_mode(_config())
+        for leftover in ("100", "fast-please"):
+            monkeypatch.setenv("REPRO_ENGINE_AUTO_THRESHOLD", leftover)
+            assert resolve_auto_mode(config) == "vector"
 
     def test_concrete_modes_record_no_auto_choice(self):
         assert Simulator(_config(), engine_mode="skip").auto_resolved is None
@@ -214,7 +221,7 @@ class TestEngineModeEnv:
     def test_unset_returns_default(self, monkeypatch):
         monkeypatch.delenv(ENGINE_MODE_ENV, raising=False)
         assert engine_mode_from_env() == "skip"
-        assert engine_mode_from_env(default="fast") == "fast"
+        assert engine_mode_from_env(default="auto") == "auto"
 
     def test_env_selects_mode(self, monkeypatch):
         monkeypatch.setenv(ENGINE_MODE_ENV, "vector")
@@ -223,6 +230,11 @@ class TestEngineModeEnv:
     def test_garbage_fails_loudly(self, monkeypatch):
         monkeypatch.setenv(ENGINE_MODE_ENV, "turbo")
         with pytest.raises(ConfigurationError):
+            engine_mode_from_env()
+
+    def test_legacy_is_not_selectable_from_the_environment(self, monkeypatch):
+        monkeypatch.setenv(ENGINE_MODE_ENV, "legacy")
+        with pytest.raises(ConfigurationError, match="auto, vector, skip"):
             engine_mode_from_env()
 
     def test_runner_honors_env(self, monkeypatch):
@@ -280,3 +292,51 @@ def test_cli_run_engine_mode_vector(capsys):
     )
     assert code == 0
     assert "accepted" in capsys.readouterr().out.lower()
+
+
+@pytest.mark.parametrize("mode", ["fast", "legacy"])
+def test_cli_rejects_non_user_engine_modes(capsys, mode):
+    """``fast`` is gone and ``legacy`` is the test oracle: neither is a
+    CLI choice, and the refusal is the usual one-line error."""
+    code = cli_main(["run", "--width", "4", "--engine-mode", mode])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: --engine-mode=")
+    assert "auto, vector, skip" in line
+
+
+_TORUS_RUN = [
+    "run", "--width", "4", "--vcs", "4", "--topology", "torus",
+    "--routing", "dor", "--injection-rate", "0.3",
+    "--warmup", "20", "--measure", "40", "--drain", "300",
+]
+
+
+@pytest.mark.parametrize(
+    "engine_args, warned",
+    [(["--engine-mode", "vector"], True), (["--engine-mode", "auto"], False),
+     ([], False)],
+    ids=["vector", "auto", "default"],
+)
+def test_only_an_explicit_vector_request_warns_about_falling_back(
+    engine_args, warned
+):
+    """In a real process (no logging configured, as for every CLI run and
+    pool worker) the fallback notice must reach stderr — once, naming the
+    config field — and only when the user asked for ``vector`` by name."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *_TORUS_RUN, *engine_args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "drained       : yes" in done.stdout
+    lines = done.stderr.splitlines()
+    if warned:
+        (line,) = lines
+        assert "config.topology" in line and "skip" in line
+    else:
+        assert lines == []

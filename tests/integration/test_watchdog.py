@@ -16,6 +16,7 @@ from repro.exceptions import SimulationError
 from repro.faults import FaultEvent, FaultSchedule
 from repro.routing import registry
 from repro.routing.base import RoutingAlgorithm
+from repro.sim import engine
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import DEADLOCK_WINDOW, Simulator
 from repro.topology.ports import Direction
@@ -63,7 +64,7 @@ def _deadlock_config(**overrides):
     return SimulationConfig(**base)
 
 
-@pytest.mark.parametrize("mode", ["legacy", "fast", "skip"])
+@pytest.mark.parametrize("mode", ["legacy", "skip"])
 def test_forced_deadlock_raises_in_every_mode(stuck_routing, mode):
     with pytest.raises(SimulationError) as excinfo:
         Simulator(_deadlock_config(), engine_mode=mode).run()
@@ -75,14 +76,43 @@ def test_forced_deadlock_fires_identically_across_modes(stuck_routing):
     """The abort message embeds the firing cycle and in-flight count, so
     string equality pins the watchdog to the same cycle in all modes."""
     messages = set()
-    for mode in ("legacy", "fast", "skip"):
+    for mode in ("legacy", "skip"):
         with pytest.raises(SimulationError) as excinfo:
             Simulator(_deadlock_config(), engine_mode=mode).run()
         messages.add(str(excinfo.value))
     assert len(messages) == 1
 
 
-@pytest.mark.parametrize("mode", ["legacy", "fast", "skip"])
+def test_shrunk_window_fires_identically_in_the_vector_engine(monkeypatch):
+    """The vector stepper has no watchdog of its own: it reports progress
+    to the shared one, which reads ``DEADLOCK_WINDOW`` when it fires.
+    With the window shrunk to 3 cycles, a flit waiting its turn at a
+    one-in-ten ejection port is 'no movement with flits in flight', at
+    the same cycle in every engine."""
+    monkeypatch.setattr(engine, "DEADLOCK_WINDOW", 3)
+    config = SimulationConfig(
+        width=4,
+        num_vcs=2,
+        routing="dor",
+        traffic="trace",
+        trace=[TraceEvent(1, 0, 5), TraceEvent(1, 1, 5), TraceEvent(1, 4, 5)],
+        injection_rate=0.0,
+        ejection_rate=0.1,
+        warmup_cycles=0,
+        measure_cycles=50,
+        drain_cycles=200,
+        seed=1,
+    )
+    messages = set()
+    for mode in ("legacy", "skip", "vector"):
+        with pytest.raises(SimulationError) as excinfo:
+            Simulator(config, engine_mode=mode).run()
+        messages.add(str(excinfo.value))
+    assert len(messages) == 1
+    assert "for 3 cycles" in messages.pop()
+
+
+@pytest.mark.parametrize("mode", ["legacy", "skip"])
 def test_unreachable_destination_stalls_gracefully(mode):
     """A packet routed toward a permanently dead router freezes in the
     network.  That is not a deadlock: the run stops with ``stalled`` set

@@ -83,16 +83,26 @@ class OutputPortMachine(RuleBasedStateMachine):
         for v in range(NUM_VCS):
             assert 0 <= self.port.credits[v] <= DEPTH
 
+    def _busy_vcs(self):
+        """Recounted from the ground-truth arrays, not the caches."""
+        port = self.port
+        return [
+            v
+            for v in port.adaptive_vcs()
+            if port.allocated[v] or port._draining[v]
+        ]
+
     @invariant()
     def idle_busy_partition(self):
         idle = set(self.port.idle_vcs())
-        busy = set(self.port.busy_vcs())
+        busy = set(self._busy_vcs())
         assert not (idle & busy)
         assert idle | busy == set(self.port.adaptive_vcs())
+        assert self.port.busy_count == len(busy)
 
     @invariant()
     def footprint_index_matches_owner_table(self):
-        for v in self.port.busy_vcs():
+        for v in self._busy_vcs():
             dst = self.port.owner_dst[v]
             assert dst is not None
             assert v in self.port.footprint_vcs(dst)

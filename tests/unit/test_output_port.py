@@ -32,14 +32,15 @@ class TestViews:
     def test_initially_all_idle(self):
         port = make_port()
         assert port.idle_vcs() == [1, 2, 3]
-        assert port.busy_vcs() == []
+        assert port.busy_count == 0
         assert port.footprint_vcs(7) == []
 
     def test_allocation_updates_views(self):
         port = make_port()
         port.allocate(2, dst=7)
         assert 2 not in port.idle_vcs()
-        assert port.busy_vcs() == [2]
+        assert port.busy_count == 1
+        assert port.consistency_violation() is None
         assert port.footprint_vcs(7) == [2]
         assert port.footprint_vcs(9) == []
 
