@@ -8,7 +8,7 @@ figure within a few minutes while preserving the qualitative shape.
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/test_*.py
 """
 
 from __future__ import annotations
@@ -42,12 +42,3 @@ def report(request):
 
     return _report
 
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run an experiment driver exactly once under pytest-benchmark.
-
-    Experiment drivers simulate millions of router-cycles; repeating them
-    for statistical timing would multiply hours, so each figure runs a
-    single round and the benchmark time records the figure's cost.
-    """
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)

@@ -12,7 +12,6 @@ on a load where it happens to drain.
 
 import pytest
 
-from benchmarks.conftest import run_once
 from repro.routing.dbar import DbarRouting
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
@@ -52,13 +51,9 @@ def run_algo(scale, routing, rate=0.35):
         return exc
 
 
-def test_ablation_atomic_vc_reallocation(
-    benchmark, report, scale, register_variant
-):
+def test_ablation_atomic_vc_reallocation(report, scale, register_variant):
     algos = ("oddeven", "dbar", "dbar-nonatomic")
-    results = run_once(
-        benchmark, lambda: {a: run_algo(scale, a) for a in algos}
-    )
+    results = {a: run_algo(scale, a) for a in algos}
     lines = ["Ablation — atomic VC reallocation (uniform 0.35, 3-flit)"]
     for algo, result in results.items():
         if isinstance(result, Exception):

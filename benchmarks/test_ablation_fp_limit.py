@@ -7,7 +7,6 @@ This ablation runs the Fig. 9 hotspot workload with no limit and with
 caps of 1 and 2 footprint VCs.
 """
 
-from benchmarks.conftest import run_once
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
 
@@ -31,10 +30,8 @@ def run_limit(scale, limit):
     return Simulator(config).run()
 
 
-def test_ablation_footprint_vc_limit(benchmark, report, scale):
-    results = run_once(
-        benchmark, lambda: {limit: run_limit(scale, limit) for limit in LIMITS}
-    )
+def test_ablation_footprint_vc_limit(report, scale):
+    results = {limit: run_limit(scale, limit) for limit in LIMITS}
     lines = ["Ablation — footprint VC limit (hotspot 0.6, background 0.3)"]
     for limit, result in results.items():
         lines.append(

@@ -12,7 +12,6 @@ Expected shape on the hotspot workload: footprint protects background
 latency best; dbar-fine improves on dbar but cannot contain HoL blocking.
 """
 
-from benchmarks.conftest import run_once
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
 
@@ -35,10 +34,8 @@ def run_algo(scale, routing):
     return Simulator(config).run()
 
 
-def test_ablation_priorities(benchmark, report, scale):
-    results = run_once(
-        benchmark, lambda: {a: run_algo(scale, a) for a in ALGOS}
-    )
+def test_ablation_priorities(report, scale):
+    results = {a: run_algo(scale, a) for a in ALGOS}
     lines = ["Ablation — prioritization (hotspot 0.55, background 0.3)"]
     for algo, result in results.items():
         lines.append(

@@ -8,7 +8,6 @@ should match or beat the extremes (0 = regulation almost never engages;
 1 = the algorithm prioritizes even at zero load).
 """
 
-from benchmarks.conftest import run_once
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
 
@@ -32,11 +31,8 @@ def run_threshold(scale, fraction):
     return Simulator(config).run()
 
 
-def test_ablation_congestion_threshold(benchmark, report, scale):
-    results = run_once(
-        benchmark,
-        lambda: {f: run_threshold(scale, f) for f in FRACTIONS},
-    )
+def test_ablation_congestion_threshold(report, scale):
+    results = {f: run_threshold(scale, f) for f in FRACTIONS}
     lines = ["Ablation — congestion threshold (hotspot 0.5, background 0.3)"]
     for fraction, result in results.items():
         lines.append(

@@ -6,13 +6,12 @@ port.  Expected numbers: 132 bits/port for the 8x8 mesh with 16 VCs —
 roughly one extra 128-bit flit-buffer entry, as the paper argues.
 """
 
-from benchmarks.conftest import run_once
 from repro.harness.experiments import cost_table
 from repro.harness.reporting import report_cost
 
 
-def test_cost_model(benchmark, report):
-    models = run_once(benchmark, cost_table)
+def test_cost_model(report):
+    models = cost_table()
     report(report_cost(models))
 
     headline = next(

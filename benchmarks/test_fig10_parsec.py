@@ -9,7 +9,6 @@ purity is higher than DBAR's (it concentrates blocking onto footprint
 VCs); the heavy, skewed fluidanimate pairs show the larger gains.
 """
 
-from benchmarks.conftest import run_once
 from repro.harness.experiments import fig10_parsec
 from repro.harness.reporting import report_fig10
 
@@ -21,8 +20,8 @@ PAIRS = (
 )
 
 
-def test_fig10_parsec(benchmark, report, scale):
-    entries = run_once(benchmark, fig10_parsec, scale, pairs=PAIRS, seed=1)
+def test_fig10_parsec(report, scale):
+    entries = fig10_parsec(scale, pairs=PAIRS, seed=1)
     report(report_fig10(entries))
 
     # Footprint raises the purity of blocking on average (Fig. 10b).

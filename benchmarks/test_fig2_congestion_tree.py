@@ -8,18 +8,14 @@ the DOR shape but 1-VC-thin branches; Footprint approaches the ideal —
 adaptive paths with branches thinner than fully-adaptive routing.
 """
 
-from benchmarks.conftest import run_once
 from repro.harness.experiments import fig2_congestion_tree
 from repro.harness.reporting import report_fig2
 
 ALGOS = ("dor", "dbar", "dor+xordet", "footprint")
 
 
-def test_fig2_congestion_tree(benchmark, report):
-    results = run_once(
-        benchmark,
-        lambda: [fig2_congestion_tree(r) for r in ALGOS],
-    )
+def test_fig2_congestion_tree(report):
+    results = [fig2_congestion_tree(r) for r in ALGOS]
     report(report_fig2(results))
 
     by_name = {r.routing: r for r in results}

@@ -8,7 +8,6 @@ adaptive algorithm; XORDET helps DOR little and hurts the adaptive
 algorithms on the non-uniform patterns.
 """
 
-from benchmarks.conftest import run_once
 from repro.harness.experiments import (
     FIG5_ALGORITHMS,
     fig5_latency_throughput,
@@ -21,10 +20,8 @@ def _saturation(curves, label, zero_load):
     return curve.saturation_rate(zero_load)
 
 
-def test_fig5_single_flit(benchmark, report, scale):
-    results = run_once(
-        benchmark, fig5_latency_throughput, scale, seed=1
-    )
+def test_fig5_single_flit(report, scale):
+    results = fig5_latency_throughput(scale, seed=1)
     report(report_fig5(results, "Fig. 5 — single-flit packets"))
 
     for pattern, curves in results.items():

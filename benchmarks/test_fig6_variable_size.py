@@ -7,21 +7,14 @@ best on uniform random with Footprint close; Footprint leads the adaptive
 algorithms on transpose/shuffle; XORDET degrades the adaptive algorithms.
 """
 
-from benchmarks.conftest import run_once
 from repro.harness.experiments import fig6_variable_packet_size
 from repro.harness.reporting import report_fig5
 
 ALGOS = ("dor", "dbar", "footprint", "dbar+xordet")
 
 
-def test_fig6_variable_packet_size(benchmark, report, scale):
-    results = run_once(
-        benchmark,
-        fig6_variable_packet_size,
-        scale,
-        algorithms=ALGOS,
-        seed=1,
-    )
+def test_fig6_variable_packet_size(report, scale):
+    results = fig6_variable_packet_size(scale, algorithms=ALGOS, seed=1)
     report(report_fig5(results, "Fig. 6 — {1..6}-flit packets"))
 
     for pattern, curves in results.items():

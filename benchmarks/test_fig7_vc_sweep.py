@@ -5,20 +5,13 @@ Sweeps the VC count per physical channel with the paper's values
 algorithms; Footprint matches or beats DBAR at every VC count.
 """
 
-from benchmarks.conftest import run_once
 from repro.harness.experiments import fig7_vc_sweep
 from repro.harness.reporting import report_fig7
 
 
-def test_fig7_vc_sweep(benchmark, report, scale):
-    def driver():
-        return {
-            pattern: fig7_vc_sweep(scale, pattern, seed=1)
-            for pattern in ("uniform", "transpose")
-        }
-
-    results = run_once(benchmark, driver)
-    for pattern, sweep in results.items():
+def test_fig7_vc_sweep(report, scale):
+    for pattern in ("uniform", "transpose"):
+        sweep = fig7_vc_sweep(scale, pattern, seed=1)
         report(report_fig7(sweep, pattern))
 
         saturations = {}

@@ -9,20 +9,17 @@ shuffle.
 
 from dataclasses import replace
 
-from benchmarks.conftest import run_once
 from repro.harness.experiments import fig8_network_size
 from repro.harness.reporting import report_fig8
 
 
-def test_fig8_network_size(benchmark, report, scale):
+def test_fig8_network_size(report, scale):
     # A 16x16 mesh simulates 4x the routers of the default; use a reduced
     # sweep to keep the figure within the bench budget.
     fig8_scale = replace(
         scale, rates=tuple(scale.rates[:3]), measure=max(150, scale.measure // 2)
     )
-    results = run_once(
-        benchmark,
-        fig8_network_size,
+    results = fig8_network_size(
         fig8_scale,
         widths=(4, 8, 16),
         patterns=("uniform", "shuffle"),

@@ -7,13 +7,12 @@ much lower hotspot rate than Footprint's — the paper measures saturation
 at ~0.39 vs ~0.56, over 40% more sustainable hotspot load.
 """
 
-from benchmarks.conftest import run_once
 from repro.harness.experiments import fig9_hotspot
 from repro.harness.reporting import report_fig9
 
 
-def test_fig9_hotspot(benchmark, report, scale):
-    results = run_once(benchmark, fig9_hotspot, scale, seed=1)
+def test_fig9_hotspot(report, scale):
+    results = fig9_hotspot(scale, seed=1)
     report(report_fig9(results))
 
     dbar = dict((r, lat) for r, lat, _ in results["dbar"])

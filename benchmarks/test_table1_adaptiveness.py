@@ -7,13 +7,12 @@ port adaptiveness, Odd-Even in between, DBAR/Footprint fully adaptive;
 only Duato-based algorithms score nonzero VC adaptiveness.
 """
 
-from benchmarks.conftest import run_once
 from repro.harness.experiments import table1_adaptiveness
 from repro.harness.reporting import report_table1
 
 
-def test_table1_adaptiveness(benchmark, report):
-    table = run_once(benchmark, table1_adaptiveness, width=8, num_vcs=10)
+def test_table1_adaptiveness(report):
+    table = table1_adaptiveness(width=8, num_vcs=10)
     report(report_table1(table))
 
     assert table["footprint"]["P_adapt"] == 1.0

@@ -16,7 +16,6 @@ simulation or a whole paper experiment::
     footprint-noc serve --port 7455
     footprint-noc submit --routing footprint,dor --rates 0.02,0.05 --wait
     footprint-noc jobs
-    footprint-noc leaderboard --ingest-bench benchmarks
     footprint-noc tune --traffic hotspot --budget 40000000
     footprint-noc tune report TUNE_hotspot-8x8_20260808-120000.json
     footprint-noc leaderboard --ingest-tune TUNE_hotspot-8x8_*.json
@@ -482,9 +481,9 @@ def _build_parser() -> argparse.ArgumentParser:
     leaderboard = sub.add_parser(
         "leaderboard",
         help=(
-            "render the persistent per-scenario standings and bench "
-            "trajectory (reads the state dir directly; --address asks a "
-            "running service instead)"
+            "render the persistent per-scenario standings (reads the "
+            "state dir directly; --address asks a running service "
+            "instead)"
         ),
     )
     leaderboard.add_argument(
@@ -501,15 +500,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="HOST:PORT",
         help="query a running service instead of reading the state dir",
-    )
-    leaderboard.add_argument(
-        "--ingest-bench",
-        default=None,
-        metavar="DIR",
-        help=(
-            "fold the BENCH_*.json trajectory under DIR into the store "
-            "before rendering (idempotent)"
-        ),
     )
     leaderboard.add_argument(
         "--ingest-tune",
@@ -1171,22 +1161,16 @@ def _cmd_leaderboard(args: argparse.Namespace) -> int:
     from repro.service.leaderboard import LeaderboardStore
 
     if args.address is not None:
-        if args.ingest_bench is not None or args.ingest_tune is not None:
+        if args.ingest_tune is not None:
             raise ServiceError(
-                "--ingest-bench/--ingest-tune work on the local state "
-                "dir; drop --address (the server ingests its own jobs)"
+                "--ingest-tune works on the local state dir; drop "
+                "--address (the server ingests its own jobs)"
             )
         from repro.service.client import ServiceClient
 
         print(ServiceClient.from_address(args.address).leaderboard()["text"])
         return 0
     store = LeaderboardStore(args.state_dir)
-    if args.ingest_bench is not None:
-        added = store.ingest_bench_dir(args.ingest_bench)
-        print(
-            f"ingested {added} bench records from {args.ingest_bench} "
-            f"into {store.path}"
-        )
     if args.ingest_tune is not None:
         added = store.ingest_tune(args.ingest_tune)
         print(

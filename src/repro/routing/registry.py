@@ -25,11 +25,6 @@ _BASE_FACTORIES: dict[str, Callable[[], RoutingAlgorithm]] = {
     "dbar": DbarRouting,
     "dbar-fine": DbarFineRouting,
     "footprint": FootprintRouting,
-    # Hidden alias: "duato" names plain Duato minimal fully-adaptive
-    # routing, which DBAR realizes with its congestion-aware port pick.
-    # Deliberately absent from available_algorithms() so experiment
-    # rosters ("all nine algorithms") are unchanged.
-    "duato": DbarRouting,
 }
 
 

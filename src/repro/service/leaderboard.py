@@ -2,19 +2,14 @@
 
 The store is one append-only JSONL file, ``leaderboard.jsonl``, under
 the service state directory (``$REPRO_SERVICE_DIR``, default
-``.repro-service/``).  Two record kinds share the file:
-
-* ``result`` — one simulated outcome: a *scenario* key (everything
-  about the run except the routing algorithm), the routing algorithm as
-  the contender, and its latency/throughput metrics.  Completed service
-  jobs are ingested automatically; each record's ``source`` carries the
-  job name and grid hash, and sources are ingested at most once, so
-  resubmitted (deduped) jobs do not double-count.
-
-* ``bench`` — one point of the committed ``BENCH_*.json`` trajectory:
-  the engine benchmark's per-config cycles/sec and vector/skip speedup,
-  keyed by the bench timestamp.  ``repro leaderboard --ingest-bench``
-  folds the benchmarks directory in; re-ingesting is idempotent.
+``.repro-service/``).  Every record is one simulated outcome (``kind``
+``result``): a *scenario* key (everything about the run except the
+routing algorithm), the routing algorithm as the contender, and its
+latency/throughput metrics.  Completed service jobs are ingested
+automatically and ``repro leaderboard --ingest-tune`` folds a tuner
+artifact's Pareto frontier in; each record's ``source`` names the job
+and grid hash (or the artifact), and sources are ingested at most once,
+so resubmitted (deduped) jobs do not double-count.
 
 Rendering ranks routing algorithms per scenario by best average latency
 (ties broken by accepted throughput) and annotates each contender with
@@ -163,52 +158,6 @@ class LeaderboardStore:
             result_record(result, source) for result in results
         )
 
-    def ingest_bench_dir(self, directory: str | Path) -> int:
-        """Fold every ``BENCH_*.json`` under ``directory`` into the store.
-
-        Each bench file contributes one record per engine-matrix entry,
-        keyed by the file name — already-ingested files are skipped, so
-        repeated ingests of a growing benchmarks directory only append
-        the new trajectory points.
-        """
-        seen = self.sources()
-        added = 0
-        for path in sorted(Path(directory).glob("BENCH_*.json")):
-            source = f"bench:{path.name}"
-            if source in seen:
-                continue
-            try:
-                payload = json.loads(path.read_text())
-                entries = payload["engine"]["matrix"]
-                timestamp = payload.get("timestamp", path.stem)
-            except (OSError, ValueError, KeyError, TypeError):
-                continue
-            records = []
-            for entry in entries:
-                try:
-                    records.append(
-                        {
-                            "kind": "bench",
-                            "point": (
-                                f"{entry['width']}x{entry['width']} "
-                                f"{entry['routing']} "
-                                f"@ {entry['injection_rate']:g}"
-                            ),
-                            "timestamp": timestamp,
-                            "skip_cps": entry["skip_cycles_per_sec"],
-                            "vector_cps": entry.get(
-                                "vector_cycles_per_sec"
-                            ),
-                            "vector_speedup": entry.get("vector_speedup"),
-                            "source": source,
-                            "recorded": round(time.time(), 3),
-                        }
-                    )
-                except (KeyError, TypeError):
-                    continue
-            added += self.append(records)
-        return added
-
     def ingest_tune_file(self, path: str | Path) -> int:
         """Fold one ``TUNE_*.json`` artifact's frontier into the store.
 
@@ -336,46 +285,14 @@ class LeaderboardStore:
             )
         return tables
 
-    def bench_trajectory(self) -> dict[str, list[dict[str, Any]]]:
-        """Per-bench-point history rows, oldest first, with deltas."""
-        by_point: dict[str, list[dict[str, Any]]] = {}
-        for record in self.records():
-            if record.get("kind") != "bench":
-                continue
-            by_point.setdefault(record["point"], []).append(record)
-        out: dict[str, list[dict[str, Any]]] = {}
-        for point, history in by_point.items():
-            history.sort(key=lambda r: str(r.get("timestamp", "")))
-            rows = []
-            previous = None
-            for record in history:
-                speedup = record.get("vector_speedup")
-                delta = (
-                    round(speedup - previous, 3)
-                    if speedup is not None and previous is not None
-                    else None
-                )
-                rows.append(
-                    {
-                        "timestamp": record.get("timestamp"),
-                        "skip_cps": record.get("skip_cps"),
-                        "vector_speedup": speedup,
-                        "delta": delta,
-                    }
-                )
-                if speedup is not None:
-                    previous = speedup
-            out[point] = rows
-        return out
-
     def render(self) -> str:
-        """Human-readable standings + bench trajectory."""
+        """Human-readable per-scenario standings."""
         lines: list[str] = []
         tables = self.standings()
-        if not tables and not self.bench_trajectory():
+        if not tables:
             return (
                 f"leaderboard {self.path}: empty "
-                f"(submit jobs or --ingest-bench to populate)"
+                f"(submit jobs or --ingest-tune to populate)"
             )
         for scenario in sorted(tables):
             lines.append(f"scenario: {scenario}")
@@ -404,23 +321,4 @@ class LeaderboardStore:
                     f"{rate} {row['runs']:>4d} {delta}"
                 )
             lines.append("")
-        trajectory = self.bench_trajectory()
-        if trajectory:
-            lines.append("bench trajectory (vector/skip at each point):")
-            for point in sorted(trajectory):
-                lines.append(f"  {point}")
-                for row in trajectory[point]:
-                    speedup = (
-                        f"{row['vector_speedup']:.3f}x"
-                        if row["vector_speedup"] is not None
-                        else "n/a"
-                    )
-                    delta = (
-                        f" ({row['delta']:+.3f})"
-                        if row["delta"] is not None
-                        else ""
-                    )
-                    lines.append(
-                        f"    {row['timestamp']}: {speedup}{delta}"
-                    )
         return "\n".join(lines).rstrip()

@@ -243,7 +243,6 @@ class ExperimentServer:
             "ok": True,
             "text": self.store.render(),
             "standings": self.store.standings(),
-            "bench": self.store.bench_trajectory(),
         }
 
     def _verb_shutdown(self, request: dict[str, Any]) -> dict[str, Any]:

@@ -29,9 +29,7 @@ class SimulationConfig:
     topology:
         Network topology name (``"mesh"`` or ``"torus"``, see
         :data:`repro.topology.base.TOPOLOGIES`).  The default mesh is
-        what the paper evaluates; serialization omits the field when it
-        holds the default, so mesh configs (and their result-cache keys)
-        are byte-identical to pre-topology versions.
+        what the paper evaluates.
     num_vcs:
         Virtual channels per physical channel (paper default 10).
     vc_buffer_depth:
@@ -226,7 +224,7 @@ class SimulationConfig:
     def routing_needs_escape(self) -> bool:
         """Whether the routing algorithm reserves escape VCs (Duato)."""
         base = self.routing.split("+")[0].strip().lower()
-        return base in ("dbar", "duato", "footprint")
+        return base in ("dbar", "footprint")
 
     def make_topology(self):
         """Instantiate this config's :class:`~repro.topology.base.Topology`."""
@@ -255,16 +253,10 @@ class SimulationConfig:
 
         Trace events (dataclasses) become plain dicts and the packet-size
         range becomes a list, so the output survives a JSON round trip.
-        The ``topology`` key is omitted at its ``"mesh"`` default
-        (:meth:`from_dict` restores it), keeping mesh payloads — and the
-        result-cache keys hashed from them — byte-identical to configs
-        serialized before the field existed.
         """
         data = asdict(self)
         if data["packet_size_range"] is not None:
             data["packet_size_range"] = list(data["packet_size_range"])
-        if data["topology"] == "mesh":
-            del data["topology"]
         return data
 
     @classmethod

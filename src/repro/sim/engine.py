@@ -41,8 +41,8 @@ reads link endpoints from a table precomputed per router.
 :meth:`Simulator._step_legacy` (``engine_mode="legacy"``) visits every
 router, asks the topology for each neighbour, and is never skipped over:
 it is the reference the other engines are compared against (``repro
-validate``, the differential tests, the bench's baseline column) and is
-deliberately not selectable from the CLI or the environment.
+validate``, the differential tests) and is deliberately not selectable
+from the CLI or the environment.
 
 **One array stepper.**  ``engine_mode="vector"`` hands ``step()`` to
 :class:`~repro.sim.vector.engine.VectorEngine`, which replays the same
@@ -128,16 +128,19 @@ ENGINE_MODE_ENV = "REPRO_ENGINE_MODE"
 
 #: Offered load — expected injected flits per cycle across the whole
 #: network (``injection_rate * num_nodes``) — at or above which ``auto``
-#: picks the vector engine.  Calibrated from the benchmark engine
-#: matrix: the vector core amortizes numpy batch overhead over the
-#: number of concurrently-routing packets, so it loses to idle-skipping
-#: on (near-)quiescent runs and wins on loaded ones; the measured
-#: crossover sits right around 3 flits/cycle (8x8 @ 0.05 times at
-#: parity, 0.02 below favors ``skip``, 16x16 @ 0.05 = 12.8 flits/cycle
-#: favors ``vector`` by ~1.6x).  Placing the threshold *at* the
-#: break-even point means a wrong pick near the boundary costs ~nothing,
-#: while both asymptotes get their winning engine.
-AUTO_ACTIVITY_THRESHOLD = 3.0
+#: picks the vector engine.  The vector core amortizes numpy batch
+#: overhead over the packets routing concurrently, so it loses to
+#: idle-skipping on (near-)quiescent runs and wins on loaded ones.  The
+#: constant sits at the crossover measured on an 8x8 footprint/uniform
+#: mesh, ten alternating vector/skip pairs per point, construction
+#: included (median vector speed-up; pairs vector won):
+#: 3.2 flits/cycle 0.79x 0/10, 4.0 0.89x 0/10, 4.8 0.97x 4/10,
+#: 5.6 1.13x 9/10, 6.4 1.32x 10/10, 12.8 1.73x 10/10.  At the
+#: break-even point a wrong pick near the boundary costs ~nothing, while
+#: both asymptotes get their winning engine.  ``repro serve`` is the one
+#: entry point that defaults to ``auto`` (the rest default to ``skip``),
+#: so this constant decides the engine of every service task.
+AUTO_ACTIVITY_THRESHOLD = 5.0
 
 
 def resolve_auto_mode(
@@ -269,9 +272,9 @@ class Simulator:
         self.stalled = False
 
         #: When set before :meth:`run`, the vector engine accumulates
-        #: per-stage wall time into :attr:`stage_times` (benchmark
-        #: harness ``--stage-times``; scalar engines have no per-stage
-        #: hook points and leave it ``None``).
+        #: per-stage wall time into :attr:`stage_times` (read by
+        #: ``benchmarks/perf``; scalar engines have no per-stage hook
+        #: points and leave it ``None``).
         self.collect_stage_times = False
         self.stage_times: "dict[str, float] | None" = None
 

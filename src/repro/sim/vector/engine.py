@@ -300,7 +300,7 @@ class VectorEngine:
         # --- the candidate_mask view ---------------------------------
         # busy/fresh/owner share buffers with the scalar transition
         # paths: bytearray-backed bool views and an array('q')-backed
-        # owner so _allocate_vc/_release_vc write single elements at
+        # owner so VC allocation and release write single elements at
         # Python speed while candidate_mask reads dense arrays.
         self._busy_b = bytearray(total_vcs)
         self._fresh_b = bytearray(total_vcs)
@@ -364,40 +364,6 @@ class VectorEngine:
         self._credit_chunks: list = []
         self._credits_next: list = []
         self._sink_next: list = []
-
-    # ------------------------------------------------------------------
-    # Output-port state transitions
-    # ------------------------------------------------------------------
-    def _allocate_vc(self, g: int, vc: int, dst: int) -> None:
-        i = g * self._num_vcs + vc
-        self._owner_b[i] = dst
-        self._version_sum[g // NUM_PORTS] += 1
-        if self._fresh[g] & (1 << vc):
-            self._fresh[g] &= ~(1 << vc)
-            self._fresh_b[i] = 0
-        self._busy_b[i] = 1
-        if vc != self._esc_g[g]:
-            self._busy_count[g] += 1
-            fp = self._fp_counts[g]
-            fp[dst] = fp.get(dst, 0) + 1
-
-    def _release_vc(self, g: int, vc: int) -> None:
-        i = g * self._num_vcs + vc
-        self._drain[i] = 0
-        self._fresh[g] |= 1 << vc
-        self._fresh_b[i] = 1
-        self._busy_b[i] = 0
-        # Owner deliberately left stale (fresh-footprint reclaim).
-        self._version_sum[g // NUM_PORTS] += 1
-        if vc != self._esc_g[g]:
-            self._busy_count[g] -= 1
-            fp = self._fp_counts[g]
-            dst = self._owner_b[i]
-            left = fp[dst] - 1
-            if left:
-                fp[dst] = left
-            else:
-                del fp[dst]
 
     # ------------------------------------------------------------------
     # Route computation replicas (same per-stream RNG draws as scalar)
@@ -672,7 +638,8 @@ class VectorEngine:
                         seen.add(i)
                         g, vc = divmod(i, num_vcs)
                         node = g // NUM_PORTS
-                        # Inlined _release_vc.
+                        # Release the output VC (owner left stale
+                        # for the fresh-footprint reclaim).
                         drain[i] = 0
                         fresh[g] |= 1 << vc
                         fresh_b[i] = 1
@@ -1026,7 +993,7 @@ class VectorEngine:
                     d, v = divmod(key, num_vcs)
                 g = base + d
                 iflat = g * num_vcs + v
-                # Inlined _allocate_vc (node known: no g // NUM_PORTS).
+                # Allocate the output VC to the winner.
                 dst = ivc_dst[winner]
                 owner_b[iflat] = dst
                 version_sum[node] += 1
@@ -1092,7 +1059,7 @@ class VectorEngine:
             # drain can never complete here.
             self._drain[out] = 1
         else:
-            # Inlined _release_vc (node known: no g // NUM_PORTS).
+            # Release the output VC.
             self._drain[out] = 0
             self._fresh[out_g] |= 1 << out_vc
             self._fresh_b[out] = 1
@@ -1518,8 +1485,8 @@ class VectorEngine:
 
         Returns the live ``{stage: seconds}`` dict (updated in place as
         the simulation runs).  Adds two timer calls per stage per cycle,
-        so it is off by default and only enabled by the benchmark
-        harness's ``--stage-times``.
+        so it is off by default and only enabled through
+        ``Simulator.collect_stage_times``.
         """
         from time import perf_counter
 

@@ -5,8 +5,8 @@ telemetry hub: the engine owns at most one (``Simulator.validator``,
 ``None`` when validation is off) and calls a handful of hooks per cycle.
 Every hook site is guarded by a single hoisted ``is not None`` check, so
 a run without validation pays one attribute read per site — the same
-null-object pattern (and the same <2% disabled-overhead budget, asserted
-by ``benchmarks/run_bench.py``) as telemetry.
+null-object pattern as telemetry (``benchmarks/perf`` measures the cost
+of switching the checkers on: ``validate.*.slowdown``).
 
 The checkers observe; they never mutate simulator state and never touch
 an RNG stream, so a validated run is bit-identical to an unvalidated

@@ -64,15 +64,15 @@ _POW2_PATTERNS = ("bitcomp", "bitrev", "shuffle")
 #: Algorithms whose deadlock-freedom argument survives wrap-around links
 #: (Odd-Even and the XORDET overlays are mesh-structural; see
 #: :func:`repro.routing.registry.check_topology_support`).
-_TORUS_ALGORITHMS = ("dor", "dbar", "dbar-fine", "footprint", "duato")
+_TORUS_ALGORITHMS = ("dor", "dbar", "dbar-fine", "footprint")
 
 
 def result_signature(result: SimulationResult) -> tuple:
     """A comparable fingerprint of everything a run measured.
 
     Two runs with equal signatures made identical routing, allocation,
-    and delivery decisions for every measured packet.  Also used by the
-    benchmark harness to assert validation does not perturb results.
+    and delivery decisions for every measured packet.  ``benchmarks/perf``
+    compares replayed, pooled and served results by it too.
     """
     return (
         result.cycles_run,

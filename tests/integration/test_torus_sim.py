@@ -47,7 +47,7 @@ def _torus_config(routing, **overrides):
 
 class TestCrossEngineIdentity:
     @pytest.mark.parametrize(
-        "routing", ["dor", "duato", "dbar", "dbar-fine", "footprint"]
+        "routing", ["dor", "dbar", "dbar-fine", "footprint"]
     )
     def test_scalar_modes_bit_identical(self, routing):
         signatures = {
@@ -96,7 +96,7 @@ class TestCrossEngineIdentity:
 
 
 class TestSaturationDrain:
-    @pytest.mark.parametrize("routing", ["dor", "duato", "footprint"])
+    @pytest.mark.parametrize("routing", ["dor", "dbar", "footprint"])
     def test_saturated_torus_drains(self, routing):
         # Saturation load on an 8x8 torus: with wrap links in play, a
         # deadlock would show up as an undrained network here.
@@ -107,7 +107,7 @@ class TestSaturationDrain:
             injection_rate=0.55,
             warmup_cycles=80,
             measure_cycles=150,
-            # Saturated backlogs take ~10k cycles to clear (duato's
+            # Saturated backlogs take ~10k cycles to clear (dbar's
             # escape-first draining is the slowest); a deadlock would
             # still be pinned because the run is deterministic and
             # ``drained`` checks the network is actually empty.

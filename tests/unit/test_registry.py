@@ -57,17 +57,11 @@ def test_fresh_instances():
     assert create_routing("footprint") is not create_routing("footprint")
 
 
-def test_duato_alias_is_dbar():
-    # Hidden alias for plain Duato minimal fully-adaptive routing.
-    assert isinstance(create_routing("duato"), DbarRouting)
-    assert "duato" not in available_algorithms()
-
-
 class TestTopologySupport:
     def test_torus_capable_algorithms_pass(self):
         from repro.routing.registry import check_topology_support
 
-        for name in ("dor", "duato", "dbar", "dbar-fine", "footprint"):
+        for name in ("dor", "dbar", "dbar-fine", "footprint"):
             check_topology_support(name, "torus")
             check_topology_support(name, "mesh")
 

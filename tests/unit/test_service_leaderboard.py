@@ -1,7 +1,5 @@
 """Unit tests for the persistent leaderboard store."""
 
-import json
-
 import pytest
 
 from repro.service.leaderboard import (
@@ -92,42 +90,6 @@ class TestIngest:
         assert store.records() == []
         assert store.sources() == set()
         assert "empty" in store.render()
-
-    def test_ingest_bench_dir(self, tmp_path):
-        bench_dir = tmp_path / "benchmarks"
-        bench_dir.mkdir()
-        for stamp, speedup in (("20260101T000000", 1.5), ("20260102T000000", 1.8)):
-            payload = {
-                "timestamp": stamp,
-                "engine": {
-                    "matrix": [
-                        {
-                            "width": 8,
-                            "routing": "footprint",
-                            "injection_rate": 0.05,
-                            "skip_cycles_per_sec": 1000.0,
-                            "vector_cycles_per_sec": 1000.0 * speedup,
-                            "vector_speedup": speedup,
-                        }
-                    ]
-                },
-            }
-            (bench_dir / f"BENCH_{stamp}.json").write_text(
-                json.dumps(payload)
-            )
-        (bench_dir / "BENCH_garbage.json").write_text("{")
-
-        store = LeaderboardStore(tmp_path / "state")
-        assert store.ingest_bench_dir(bench_dir) == 2
-        # Re-ingesting a directory that has not grown adds nothing.
-        assert store.ingest_bench_dir(bench_dir) == 0
-
-        trajectory = store.bench_trajectory()
-        (point,) = trajectory
-        rows = trajectory[point]
-        assert [row["vector_speedup"] for row in rows] == [1.5, 1.8]
-        assert rows[0]["delta"] is None
-        assert rows[1]["delta"] == pytest.approx(0.3)
 
 
 class TestStandings:
