@@ -927,6 +927,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from repro.validate.config import VALIDATE_ENV, validation_from_env
     from repro.validate.differential import (
         ENGINE_MODES,
         random_configs,
@@ -999,6 +1000,22 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         )
     else:
         print("vector fallbacks: none")
+    timed = [e for e in report.entries if e.unchecked_s]
+    if timed:
+        checked = sum(e.checked_s for e in timed)
+        unchecked = sum(e.unchecked_s for e in timed)
+        # The cold cache pass is the sweep's plain ``skip`` run, unless
+        # the environment turns the checkers on for it as well.
+        how = (
+            "unchecked (the cold cache pass)"
+            if validation_from_env() is None
+            else f"in the cold cache pass (checked too: ${VALIDATE_ENV})"
+        )
+        print(
+            f"checkers: {sum(e.checks_run for e in report.entries)} sweeps; "
+            f"skip runs {checked:.2f} s checked vs {unchecked:.2f} s {how}, "
+            f"{checked / unchecked:.2f}x"
+        )
     print(
         f"validate: {len(report.entries) - failures}/{len(report.entries)} "
         f"configurations clean (modes {'/'.join(ENGINE_MODES)} + "

@@ -121,14 +121,16 @@ def allocate_vcs(
 
 
 def verify_grants(
-    grants: list[VaGrant], outputs: dict[Direction, OutputPort]
+    grants: list[VaGrant],
+    outputs: dict[Direction, OutputPort],
+    node: int | None = None,
 ) -> None:
     """Check one allocation round's grants before they are applied.
 
-    Called by the router when :mod:`repro.validate` is active: every
-    grant must target a distinct, currently grantable downstream VC and
-    go to an input VC still in the ROUTING state (the ROUTING -> VA ->
-    ACTIVE ordering).  Raises
+    Called by the router (``node``) when :mod:`repro.validate` runs the
+    ``vc_states`` checker: every grant must target a distinct, currently
+    grantable downstream VC and go to an input VC still in the ROUTING
+    state (the ROUTING -> VA -> ACTIVE ordering).  Raises
     :class:`~repro.exceptions.InvariantViolation` otherwise.
     """
     granted: set[tuple[Direction, int]] = set()
@@ -138,6 +140,7 @@ def verify_grants(
             raise InvariantViolation(
                 "vc_allocation",
                 "downstream VC granted to two input VCs in one round",
+                node=node,
                 direction=grant.direction,
                 vc=grant.out_vc,
             )
@@ -147,6 +150,7 @@ def verify_grants(
                 "vc_allocation",
                 f"grant to an input VC in the "
                 f"{grant.input_vc.state.value} state, expected routing",
+                node=node,
                 direction=grant.direction,
                 vc=grant.out_vc,
             )
@@ -154,6 +158,7 @@ def verify_grants(
             raise InvariantViolation(
                 "vc_allocation",
                 "grant targets a busy downstream VC",
+                node=node,
                 direction=grant.direction,
                 vc=grant.out_vc,
             )

@@ -328,16 +328,37 @@ class OutputPort:
         the caches may legitimately lag the arrays.
         """
         depth = self.downstream_depth
-        for vc in range(self.num_vcs):
-            credit = self.credits[vc]
+        if (
+            self.credits.count(depth) == self.num_vcs
+            and not any(self.allocated)
+            and not any(self._draining)
+            and not self.fifo
+            and not self._accepted_this_cycle
+            and not self._fp_index
+            and not self.busy_count
+            and self._adaptive_credits == depth * len(self._adaptive)
+            and (
+                self._idle_cache is None
+                or self._idle_cache == self._adaptive
+            )
+        ):
+            # The reset state: every recount below would reproduce
+            # exactly these values.
+            return None
+        credits = self.credits
+        allocated = self.allocated
+        draining = self._draining
+        adaptive = self._adaptive
+        for vc, credit in enumerate(credits):
             if not 0 <= credit <= depth:
                 return f"VC {vc} credit count {credit} outside [0, {depth}]"
-            if self.allocated[vc] and self._draining[vc]:
-                return f"VC {vc} both allocated and draining"
-            if self._draining[vc] and not self.atomic_realloc:
+            if allocated[vc]:
+                if draining[vc]:
+                    return f"VC {vc} both allocated and draining"
+                if self.owner_dst[vc] is None:
+                    return f"allocated VC {vc} has no owner destination"
+            elif draining[vc] and not self.atomic_realloc:
                 return f"VC {vc} draining without atomic reallocation"
-            if self.allocated[vc] and self.owner_dst[vc] is None:
-                return f"allocated VC {vc} has no owner destination"
         if len(self.fifo) > self.fifo_depth:
             return "staging FIFO above its depth"
         if self._accepted_this_cycle:
@@ -345,28 +366,20 @@ class OutputPort:
                 f"switch accept counter {self._accepted_this_cycle} not "
                 f"reset between cycles"
             )
-        busy = [
-            v
-            for v in self._adaptive
-            if self.allocated[v] or self._draining[v]
-        ]
+        busy = [v for v in adaptive if allocated[v] or draining[v]]
         if self.busy_count != len(busy):
             return (
                 f"busy count {self.busy_count} != recounted "
                 f"{len(busy)} busy adaptive VCs"
             )
-        adaptive_credits = sum(self.credits[v] for v in self._adaptive)
+        adaptive_credits = sum(credits[v] for v in adaptive)
         if self._adaptive_credits != adaptive_credits:
             return (
                 f"adaptive credit total {self._adaptive_credits} != "
                 f"recounted {adaptive_credits}"
             )
         if self._idle_cache is not None:
-            idle = [
-                v
-                for v in self._adaptive
-                if not self.allocated[v] and not self._draining[v]
-            ]
+            idle = [v for v in adaptive if v not in busy]
             if self._idle_cache != idle:
                 return f"idle-VC cache {self._idle_cache} != recounted {idle}"
         indexed = set()

@@ -171,8 +171,9 @@ class Router:
         # guarded by one hoisted is-not-None check so a run without
         # telemetry pays nothing beyond the attribute read.
         self.probe = None
-        # Validation hook (an InvariantChecker) or None; when set, each
-        # VC-allocation round's grants are verified before being applied.
+        # Validation hook (an InvariantChecker running ``vc_states``) or
+        # None; when set, each VC-allocation round's grants are verified
+        # before being applied.
         self.validator = None
         # Fault awareness: bitmask of output directions whose link (or
         # downstream router) is currently dead, mirrored into the route
@@ -291,7 +292,7 @@ class Router:
         if requests:
             grants = allocate_vcs(requests, self.output_ports, self.rng)
             if self.validator is not None:
-                verify_grants(grants, self.output_ports)
+                verify_grants(grants, self.output_ports, node=self.node)
             probe = self.probe
             for grant in grants:
                 head = grant.input_vc.front()

@@ -183,3 +183,25 @@ class InputVc:
             f"InputVc({self.direction.name}.{self.index}, {self.state.value}, "
             f"{len(self.fifo)}/{self.depth} flits)"
         )
+
+
+def non_reset_vcs(input_vcs: dict[Direction, list[InputVc]]) -> list[InputVc]:
+    """The VCs of one router that are out of their reset state.
+
+    A VC in the reset state — IDLE, empty FIFO, ``out_direction``,
+    ``out_vc`` and ``committed_dir`` all ``None`` — is legal
+    (:meth:`InputVc.legality_violation` returns ``None`` for it), buffers
+    nothing, claims no downstream VC and routes nothing, so
+    :mod:`repro.validate` examines only the VCs listed here.
+    """
+    idle = VcState.IDLE
+    return [
+        ivc
+        for vcs in input_vcs.values()
+        for ivc in vcs
+        if ivc.state is not idle
+        or ivc.fifo
+        or ivc.out_direction is not None
+        or ivc.out_vc is not None
+        or ivc.committed_dir is not None
+    ]

@@ -342,8 +342,10 @@ class Simulator:
             from repro.validate.checker import InvariantChecker
 
             self.validator = InvariantChecker(validation)
-            for router in self.routers:
-                router.validator = self.validator
+            if validation.vc_states:
+                # In-round grant verification belongs to ``vc_states``.
+                for router in self.routers:
+                    router.validator = self.validator
 
         # Statistics.
         self.latency = LatencyStats()

@@ -13,7 +13,18 @@ an RNG stream, so a validated run is bit-identical to an unvalidated
 one.  Checks run *between* pipeline stages — at the end of each cycle,
 after stage 6 — where the engine's incremental counters, the one-cycle
 link pipelines, and every router's registers must agree with a
-from-scratch recount.  The catalogue:
+from-scratch recount.
+
+One census, four consumers: each sweep walks the input VCs once and
+lists, per router, those out of their *reset state* (IDLE, empty FIFO,
+no output registers, no route commitment — see
+:func:`~repro.router.vcstate.non_reset_vcs`).  A reset VC is legal,
+buffers nothing, claims nothing and routes nothing, so every checker
+recounts from that list alone; output ports and credit loops in their
+own reset state (all credits home, nothing allocated, staged, on a wire
+or fault-held) are likewise verified by one comparison and only the
+rest are recounted per VC.  Every object is still examined every
+checked cycle.  The catalogue:
 
 * **flit_conservation** — every flit ever generated is exactly one of:
   discarded at a dead source, waiting in a source queue, buffered in the
@@ -42,17 +53,25 @@ hook deliberately corrupts one piece of state mid-run (see
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import TYPE_CHECKING
 
 from repro.exceptions import InvariantViolation
-from repro.router.vcstate import VcState
+from repro.router.vcstate import VcState, non_reset_vcs
 from repro.topology.ports import OPPOSITE, Direction
 from repro.validate.config import ValidationConfig
 
 if TYPE_CHECKING:
     from repro.router.flit import Packet
+    from repro.router.router import Router
+    from repro.router.vcstate import InputVc
     from repro.sim.engine import Simulator
+
+    #: Per router, its input VCs that are out of their reset state.
+    Census = list[tuple[Router, list[InputVc]]]
+
+
+#: Positions in a credit-claim index entry (see ``_check_credits``).
+_DOWNSTREAM, _RETURNING, _HELD = range(3)
 
 
 class InvariantChecker:
@@ -154,19 +173,23 @@ class InvariantChecker:
     # The checks
     # ------------------------------------------------------------------
     def run_checks(self, sim: "Simulator", cycle: int) -> None:
-        """One full sweep of every enabled checker."""
+        """One full sweep of every enabled checker over one census."""
         cfg = self.config
+        # Per router, the input VCs out of their reset state.
+        census = [(r, non_reset_vcs(r.input_vcs)) for r in sim.routers]
         if cfg.flit_conservation:
-            self._check_conservation(sim, cycle)
+            self._check_conservation(sim, cycle, census)
         if cfg.credit_accounting:
-            self._check_credits(sim, cycle)
+            self._check_credits(sim, cycle, census)
         if cfg.vc_states:
-            self._check_vc_states(sim, cycle)
+            self._check_vc_states(cycle, census)
         if cfg.routing_conformance:
-            self._check_routing(sim, cycle)
+            self._check_routing(sim, cycle, census)
         self.checks_run += 1
 
-    def _check_conservation(self, sim: "Simulator", cycle: int) -> None:
+    def _check_conservation(
+        self, sim: "Simulator", cycle: int, census: "Census"
+    ) -> None:
         offered = sum(s.offered_flits for s in sim.sources)
         pending = sum(s.pending_flits for s in sim.sources)
         ejected = sum(s.ejected_flits for s in sim.sinks)
@@ -186,7 +209,12 @@ class InvariantChecker:
                 f"recounted pending flits {pending}",
                 cycle=cycle,
             )
-        buffered = sim.total_buffered_flits()
+        buffered = len(sim._flits_next) + len(sim._sink_next)
+        buffered += sum(s.occupancy for s in sim.sinks)
+        buffered += sum(len(ivc.fifo) for _r, live in census for ivc in live)
+        buffered += sum(
+            len(p.fifo) for r, _live in census for p in r.output_ports.values()
+        )
         if sim._flits_in_network != buffered:
             raise InvariantViolation(
                 "flit_conservation",
@@ -204,19 +232,45 @@ class InvariantChecker:
                 cycle=cycle,
             )
 
-    def _check_credits(self, sim: "Simulator", cycle: int) -> None:
-        # Index the one-cycle pipelines once; the sweep below consumes
-        # them keyed exactly as the engine stores them.
-        wire_flits: Counter = Counter()
-        for node, direction, vc, _flit in sim._flits_next:
-            wire_flits[(node, direction, vc)] += 1
-        wire_credits: Counter = Counter()
-        for node, direction, vc in sim._credits_next:
-            wire_credits[(node, direction, vc)] += 1
-        sink_wire: Counter = Counter()
+    def _check_credits(
+        self, sim: "Simulator", cycle: int, census: "Census"
+    ) -> None:
+        # Every claim on a downstream buffer slot other than a staged
+        # flit, indexed by the output port that spent the credit:
+        # (node, direction) -> per-VC (downstream, returning, held) counts.
+        claims: dict[tuple[int, Direction], tuple[list, list, list]] = {}
+        zeros = [0] * sim.config.num_vcs
+        unclaimed = (zeros, zeros, zeros)
+
+        def claim(node: int, direction: Direction, kind: int, vc: int, n=1):
+            entry = claims.get((node, direction))
+            if entry is None:
+                entry = (zeros.copy(), zeros.copy(), zeros.copy())
+                claims[(node, direction)] = entry
+            entry[kind][vc] += n
+
+        mesh = sim.mesh
+        local = Direction.LOCAL
+        for router, live in census:
+            for ivc in live:
+                in_dir = ivc.direction
+                if ivc.fifo and in_dir is not local:
+                    claim(
+                        mesh.neighbor(router.node, in_dir), OPPOSITE[in_dir],
+                        _DOWNSTREAM, ivc.index, len(ivc.fifo),
+                    )
+        for node, in_dir, vc, _flit in sim._flits_next:
+            claim(
+                mesh.neighbor(node, in_dir), OPPOSITE[in_dir], _DOWNSTREAM, vc
+            )
+        for sink in sim.sinks:
+            for vc, buffer in enumerate(sink.buffers):
+                if buffer:
+                    claim(sink.node, local, _DOWNSTREAM, vc, len(buffer))
         for node, vc, _flit in sim._sink_next:
-            sink_wire[(node, vc)] += 1
-        held: Counter = Counter()
+            claim(node, local, _DOWNSTREAM, vc)
+        for node, direction, vc in sim._credits_next:
+            claim(node, direction, _RETURNING, vc)
         fm = sim.faults
         if fm is not None:
             problem = fm.mask_violation()
@@ -225,46 +279,39 @@ class InvariantChecker:
                     "credit_accounting", problem, cycle=cycle
                 )
             for node, direction, vc in fm.held_snapshot():
-                held[(node, direction, vc)] += 1
+                claim(node, direction, _HELD, vc)
 
-        mesh = sim.mesh
-        local = Direction.LOCAL
-        for router in sim.routers:
+        for router, _live in census:
             node = router.node
             for direction, port in router.output_ports.items():
+                entry = claims.get((node, direction), unclaimed)
+                depth = port.downstream_depth
+                if (
+                    entry is unclaimed
+                    and not port.fifo
+                    and port.credits.count(depth) == port.num_vcs
+                ):
+                    # Every credit is home and nothing claims a slot: the
+                    # per-VC sums below are ``depth + 0 + 0 + 0 + 0``.
+                    continue
+                downstream, returning, held = entry
                 staged = [0] * port.num_vcs
                 for _flit, vc in port.fifo:
                     staged[vc] += 1
-                if direction is local:
-                    sink = sim.sinks[node]
-                    downstream = [
-                        len(sink.buffers[vc]) + sink_wire[(node, vc)]
-                        for vc in range(port.num_vcs)
-                    ]
-                else:
-                    nbr = mesh.neighbor(node, direction)
-                    in_dir = OPPOSITE[direction]
-                    fifos = sim.routers[nbr].input_vcs[in_dir]
-                    downstream = [
-                        len(fifos[vc].fifo) + wire_flits[(nbr, in_dir, vc)]
-                        for vc in range(port.num_vcs)
-                    ]
-                depth = port.downstream_depth
                 for vc in range(port.num_vcs):
                     total = (
                         port.credits[vc]
                         + staged[vc]
                         + downstream[vc]
-                        + wire_credits[(node, direction, vc)]
-                        + held[(node, direction, vc)]
+                        + returning[vc]
+                        + held[vc]
                     )
                     if total != depth:
                         raise InvariantViolation(
                             "credit_accounting",
                             f"{port.credits[vc]} credits + {staged[vc]} "
                             f"staged + {downstream[vc]} downstream + "
-                            f"{wire_credits[(node, direction, vc)]} "
-                            f"returning + {held[(node, direction, vc)]} "
+                            f"{returning[vc]} returning + {held[vc]} "
                             f"fault-held = {total}, expected the buffer "
                             f"depth {depth}",
                             cycle=cycle,
@@ -273,46 +320,51 @@ class InvariantChecker:
                             vc=vc,
                         )
 
-    def _check_vc_states(self, sim: "Simulator", cycle: int) -> None:
-        for router in sim.routers:
+    def _check_vc_states(self, cycle: int, census: "Census") -> None:
+        for router, live in census:
             node = router.node
             buffered = 0
+            masks = [0] * len(router._occupied_masks)
             routing_keys = set()
-            claims: Counter = Counter()
-            for direction, vcs in router.input_vcs.items():
-                mask = router._occupied_masks[direction]
-                for ivc in vcs:
-                    problem = ivc.legality_violation()
-                    if problem is not None:
-                        raise InvariantViolation(
-                            "vc_states",
-                            problem,
-                            cycle=cycle,
-                            node=node,
-                            direction=direction,
-                            vc=ivc.index,
-                        )
-                    occ = len(ivc.fifo)
+            # Output direction -> {downstream VC: ACTIVE input VCs on it}.
+            claims: dict[Direction, dict[int, int]] = {}
+            for ivc in live:
+                problem = ivc.legality_violation()
+                if problem is not None:
+                    raise InvariantViolation(
+                        "vc_states",
+                        problem,
+                        cycle=cycle,
+                        node=node,
+                        direction=ivc.direction,
+                        vc=ivc.index,
+                    )
+                occ = len(ivc.fifo)
+                if occ:
                     buffered += occ
-                    if bool((mask >> ivc.index) & 1) != bool(occ):
+                    masks[ivc.direction] |= 1 << ivc.index
+                if ivc.state is VcState.ROUTING:
+                    routing_keys.add((ivc.direction, ivc.index))
+                elif ivc.state is VcState.ACTIVE:
+                    holders = claims.setdefault(ivc.out_direction, {})
+                    holders[ivc.out_vc] = holders.get(ivc.out_vc, 0) + 1
+            if masks != router._occupied_masks:
+                for direction, mask in enumerate(router._occupied_masks):
+                    wrong = mask ^ masks[direction]
+                    if wrong:
                         raise InvariantViolation(
                             "vc_states",
-                            f"occupancy bitmask disagrees with a "
-                            f"{occ}-flit FIFO",
+                            f"occupancy bitmask {mask:#b} disagrees with "
+                            f"the FIFOs, which say {masks[direction]:#b}",
                             cycle=cycle,
                             node=node,
-                            direction=direction,
-                            vc=ivc.index,
+                            direction=Direction(direction),
+                            vc=(wrong & -wrong).bit_length() - 1,
                         )
-                    if ivc.state is VcState.ROUTING:
-                        routing_keys.add((direction, ivc.index))
-                    elif ivc.state is VcState.ACTIVE:
-                        claims[(ivc.out_direction, ivc.out_vc)] += 1
-            pending_keys = set(router._pending)
-            if pending_keys != routing_keys:
+            if router._pending.keys() != routing_keys:
                 raise InvariantViolation(
                     "vc_states",
-                    f"pending-allocation index {sorted(pending_keys)} != "
+                    f"pending-allocation index {sorted(router._pending)} != "
                     f"ROUTING VCs {sorted(routing_keys)}",
                     cycle=cycle,
                     node=node,
@@ -366,24 +418,29 @@ class InvariantChecker:
                         node=node,
                         direction=direction,
                     )
+                holders = claims.get(direction)
+                if holders is None:
+                    if not any(port.allocated):
+                        continue  # nothing allocated, nothing claimed
+                    holders = {}
                 for vc in range(port.num_vcs):
-                    holders = claims[(direction, vc)]
+                    held_by = holders.get(vc, 0)
                     if port.allocated[vc]:
-                        if holders != 1:
+                        if held_by != 1:
                             raise InvariantViolation(
                                 "vc_states",
                                 f"allocated downstream VC held by "
-                                f"{holders} ACTIVE input VCs, expected "
+                                f"{held_by} ACTIVE input VCs, expected "
                                 f"exactly one",
                                 cycle=cycle,
                                 node=node,
                                 direction=direction,
                                 vc=vc,
                             )
-                    elif holders:
+                    elif held_by:
                         raise InvariantViolation(
                             "vc_states",
-                            f"{holders} ACTIVE input VCs hold an "
+                            f"{held_by} ACTIVE input VCs hold an "
                             f"unallocated downstream VC",
                             cycle=cycle,
                             node=node,
@@ -391,96 +448,89 @@ class InvariantChecker:
                             vc=vc,
                         )
 
-    def _check_routing(self, sim: "Simulator", cycle: int) -> None:
+    def _check_routing(
+        self, sim: "Simulator", cycle: int, census: "Census"
+    ) -> None:
         mesh = sim.mesh
         local = Direction.LOCAL
-        for router in sim.routers:
+        for router, live in census:
             node = router.node
-            for direction, vcs in router.input_vcs.items():
-                for ivc in vcs:
-                    head = ivc.front()
-                    state = ivc.state
-                    if state is VcState.ROUTING:
-                        committed = ivc.committed_dir
-                        if committed is not None and head is not None:
-                            self._check_direction(
-                                sim, node, head, committed,
-                                cycle, direction, ivc.index,
-                            )
-                    elif state is VcState.ACTIVE and head is not None:
-                        out_dir = ivc.out_direction
-                        out_vc = ivc.out_vc
+            for ivc in live:
+                direction = ivc.direction
+                head = ivc.front()
+                state = ivc.state
+                if state is VcState.ROUTING:
+                    committed = ivc.committed_dir
+                    if committed is not None and head is not None:
                         self._check_direction(
-                            sim, node, head, out_dir,
+                            sim, node, head, committed,
                             cycle, direction, ivc.index,
                         )
-                        port = router.output_ports[out_dir]
-                        evcs = port.escape_vcs
-                        if out_vc in evcs and out_dir is not local:
-                            if out_dir is not mesh.dor_direction(
-                                node, head.dst
-                            ):
-                                raise InvariantViolation(
-                                    "routing_conformance",
-                                    f"escape VC granted on {out_dir.name},"
-                                    f" but Duato's escape condition "
-                                    f"requires the DOR port "
-                                    f"{mesh.dor_direction(node, head.dst).name}"
-                                    f" towards {head.dst}",
-                                    cycle=cycle,
-                                    node=node,
-                                    direction=direction,
-                                    vc=ivc.index,
-                                )
-                            if len(evcs) > 1:
-                                expected = evcs[
-                                    mesh.wrap_vc_class(
-                                        node, head.dst, out_dir
-                                    )
-                                ]
-                                if out_vc != expected:
-                                    raise InvariantViolation(
-                                        "routing_conformance",
-                                        f"escape VC {out_vc} granted for "
-                                        f"a hop whose dateline class "
-                                        f"requires escape VC {expected}",
-                                        cycle=cycle,
-                                        node=node,
-                                        direction=direction,
-                                        vc=ivc.index,
-                                    )
-                        elif (
-                            mesh.num_vc_classes > 1
-                            and out_dir is not local
-                        ):
-                            cls = sim.routing.vc_class(
-                                port.num_vcs, out_vc
-                            )
-                            if cls is not None and cls != mesh.wrap_vc_class(
-                                node, head.dst, out_dir
-                            ):
-                                raise InvariantViolation(
-                                    "routing_conformance",
-                                    f"VC {out_vc} of dateline class "
-                                    f"{cls} granted for a hop of class "
-                                    f"{mesh.wrap_vc_class(node, head.dst, out_dir)}",
-                                    cycle=cycle,
-                                    node=node,
-                                    direction=direction,
-                                    vc=ivc.index,
-                                )
-                        owner = port.owner_dst[out_vc]
-                        if owner != head.dst:
+                elif state is VcState.ACTIVE and head is not None:
+                    out_dir = ivc.out_direction
+                    out_vc = ivc.out_vc
+                    self._check_direction(
+                        sim, node, head, out_dir,
+                        cycle, direction, ivc.index,
+                    )
+                    port = router.output_ports[out_dir]
+                    evcs = port.escape_vcs
+                    if out_vc in evcs and out_dir is not local:
+                        if out_dir is not mesh.dor_direction(node, head.dst):
                             raise InvariantViolation(
                                 "routing_conformance",
-                                f"VC owned by destination {owner} carries "
-                                f"a packet to {head.dst} (footprint "
-                                f"same-destination property)",
+                                f"escape VC granted on {out_dir.name},"
+                                f" but Duato's escape condition "
+                                f"requires the DOR port "
+                                f"{mesh.dor_direction(node, head.dst).name}"
+                                f" towards {head.dst}",
                                 cycle=cycle,
                                 node=node,
-                                direction=out_dir,
-                                vc=out_vc,
+                                direction=direction,
+                                vc=ivc.index,
                             )
+                        if len(evcs) > 1:
+                            expected = evcs[
+                                mesh.wrap_vc_class(node, head.dst, out_dir)
+                            ]
+                            if out_vc != expected:
+                                raise InvariantViolation(
+                                    "routing_conformance",
+                                    f"escape VC {out_vc} granted for "
+                                    f"a hop whose dateline class "
+                                    f"requires escape VC {expected}",
+                                    cycle=cycle,
+                                    node=node,
+                                    direction=direction,
+                                    vc=ivc.index,
+                                )
+                    elif mesh.num_vc_classes > 1 and out_dir is not local:
+                        cls = sim.routing.vc_class(port.num_vcs, out_vc)
+                        if cls is not None and cls != mesh.wrap_vc_class(
+                            node, head.dst, out_dir
+                        ):
+                            raise InvariantViolation(
+                                "routing_conformance",
+                                f"VC {out_vc} of dateline class "
+                                f"{cls} granted for a hop of class "
+                                f"{mesh.wrap_vc_class(node, head.dst, out_dir)}",
+                                cycle=cycle,
+                                node=node,
+                                direction=direction,
+                                vc=ivc.index,
+                            )
+                    owner = port.owner_dst[out_vc]
+                    if owner != head.dst:
+                        raise InvariantViolation(
+                            "routing_conformance",
+                            f"VC owned by destination {owner} carries "
+                            f"a packet to {head.dst} (footprint "
+                            f"same-destination property)",
+                            cycle=cycle,
+                            node=node,
+                            direction=out_dir,
+                            vc=out_vc,
+                        )
 
     def _check_direction(
         self,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 import tempfile
+import time
 from dataclasses import dataclass, field
 
 from repro.exceptions import InvariantViolation, ReproError
@@ -149,6 +150,11 @@ class DifferentialEntry:
     cache_identical: bool = False
     warm_misses: int = -1
     checks_run: int = 0
+    #: Wall seconds of the ``skip`` run with every checker on, and of the
+    #: same config's cold cache pass (``skip``, checked only as far as
+    #: ``$REPRO_VALIDATE`` says): what the checkers cost on this config.
+    checked_s: float = 0.0
+    unchecked_s: float = 0.0
     error: str | None = None
     #: Why the vector core could not run the config (``None`` when it
     #: did), in which case the entry has no ``vector`` signature.
@@ -224,12 +230,15 @@ def run_differential(
                         # Would run (and warn about running) ``skip``
                         # against itself.
                         continue
+                started = time.perf_counter()
                 sim = Simulator(
                     config,
                     engine_mode=mode,
                     validation=None if mode == "vector" else checks,
                 )
                 entry.signatures[mode] = result_signature(sim.run())
+                if mode == "skip":
+                    entry.checked_s = time.perf_counter() - started
                 if sim.validator is not None:
                     entry.checks_run += sim.validator.checks_run
         except InvariantViolation as exc:
@@ -244,7 +253,9 @@ def run_differential(
         )
         with tempfile.TemporaryDirectory() as tmp:
             cold_cache = ResultCache(tmp)
+            started = time.perf_counter()
             cold = run_tasks([SimTask(config)], jobs=1, cache=cold_cache)
+            entry.unchecked_s = time.perf_counter() - started
             warm_cache = ResultCache(tmp)
             warm = run_tasks([SimTask(config)], jobs=1, cache=warm_cache)
         entry.warm_misses = warm_cache.misses

@@ -1,5 +1,7 @@
 """Additional CLI coverage: argument plumbing into the configuration."""
 
+import re
+
 import pytest
 
 from repro.cli import main as cli_main
@@ -241,3 +243,17 @@ def test_rectangular_mesh(capsys):
     )
     assert code == 0
     assert "4x2" in capsys.readouterr().out
+
+
+def test_validate_reports_what_the_checkers_cost(capsys, monkeypatch):
+    monkeypatch.delenv("REPRO_VALIDATE", raising=False)
+    assert cli_main(["validate", "--runs", "2", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    sweeps = sum(int(n) for n in re.findall(r"\[(\d+) checks\]", out))
+    (footer,) = [l for l in out.splitlines() if l.startswith("checkers:")]
+    assert footer.startswith(f"checkers: {sweeps} sweeps; skip runs ")
+    assert "s checked vs" in footer and "s unchecked" in footer
+    # With the environment checking the cache pass too, it says so.
+    monkeypatch.setenv("REPRO_VALIDATE", "flit_conservation")
+    assert cli_main(["validate", "--runs", "1", "--seed", "3"]) == 0
+    assert "checked too: $REPRO_VALIDATE" in capsys.readouterr().out

@@ -7,6 +7,7 @@ from repro.router.flit import Packet
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
 from repro.traffic.patterns import TrafficGenerator
+from repro.validate import ValidationConfig
 
 
 class OnePacket(TrafficGenerator):
@@ -146,3 +147,19 @@ class TestConstruction:
         assert len(sim.routers) == 16
         assert len(sim.sources) == 16
         assert len(sim.sinks) == 16
+
+    def test_grant_verification_belongs_to_the_vc_states_checker(self):
+        def hooked(validation):
+            sim = Simulator(
+                SimulationConfig(width=4, num_vcs=2), validation=validation
+            )
+            assert sim.validator is not None
+            return [r.validator is sim.validator for r in sim.routers]
+
+        assert all(hooked(ValidationConfig()))
+        assert all(hooked(ValidationConfig.only("vc_states")))
+        # Was: hooked under any active config, so a conservation-only run
+        # paid for (and could die of) a checker nobody enabled.
+        for name in ("flit_conservation", "credit_accounting",
+                     "routing_conformance"):
+            assert not any(hooked(ValidationConfig.only(name)))

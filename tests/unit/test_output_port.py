@@ -197,3 +197,47 @@ class TestSwitchTraversal:
         assert port.pop_link() == (a, 1)
         assert port.pop_link() == (b, 1)
         assert port.pop_link() is None
+
+
+class TestResetStateEarlyOut:
+    """``consistency_violation`` skips the recount for a port in its
+    reset state; a port that violates exactly one clause of that
+    predicate must still reach the recount and its message."""
+
+    def test_reset_port_is_consistent(self):
+        port = make_port()
+        assert port.consistency_violation() is None
+        port._idle_cache = None  # a dropped cache is rebuilt on demand
+        assert port.consistency_violation() is None
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda p: p.credits.__setitem__(1, 5),
+             "VC 1 credit count 5 outside [0, 4]"),
+            (lambda p: p.allocated.__setitem__(1, True),
+             "allocated VC 1 has no owner destination"),
+            (lambda p: p._draining.__setitem__(1, True),
+             "busy count 0 != recounted 1 busy adaptive VCs"),
+            (lambda p: p.fifo.extend([(flit(), 1)] * 9),
+             "staging FIFO above its depth"),
+            (lambda p: setattr(p, "_accepted_this_cycle", 1),
+             "switch accept counter 1 not reset between cycles"),
+            (lambda p: p._fp_index.__setitem__(7, []),
+             "empty footprint-index entry for destination 7"),
+            (lambda p: setattr(p, "busy_count", 1),
+             "busy count 1 != recounted 0 busy adaptive VCs"),
+            (lambda p: setattr(p, "_adaptive_credits", 11),
+             "adaptive credit total 11 != recounted 12"),
+            (lambda p: setattr(p, "_idle_cache", [1, 2]),
+             "idle-VC cache [1, 2] != recounted [1, 2, 3]"),
+        ],
+        ids=[
+            "credits", "allocated", "draining", "fifo", "accept-counter",
+            "fp-index", "busy-count", "adaptive-credits", "idle-cache",
+        ],
+    )
+    def test_each_clause_falls_through_to_the_recount(self, damage, message):
+        port = make_port()
+        damage(port)
+        assert port.consistency_violation() == message

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.exceptions import InvariantViolation
+from repro.router import router as router_module
 from repro.router.flit import Packet
 from repro.router.router import BlockingStats, Router
 from repro.router.vcstate import VcState
@@ -267,3 +269,16 @@ class TestAllocationBookkeeping:
                 port.speedup, port.fifo_depth - len(port.fifo)
             )
             assert port.consistency_violation() is None
+
+    def test_rejected_grant_names_the_router(self, monkeypatch):
+        router = make_router(node=5)
+        router.validator = object()  # any validator turns the check on
+        router.receive_flit(Direction.WEST, 0, head_flit(src=4, dst=6))
+        allocate = router_module.allocate_vcs
+        monkeypatch.setattr(
+            router_module, "allocate_vcs", lambda *args: allocate(*args) * 2
+        )
+        with pytest.raises(InvariantViolation, match="node 5") as excinfo:
+            router.route_and_allocate()
+        assert excinfo.value.checker == "vc_allocation"
+        assert excinfo.value.node == 5

@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import FlowControlError
 from repro.router.flit import Packet
-from repro.router.vcstate import InputVc, VcState
+from repro.router.vcstate import InputVc, VcState, non_reset_vcs
 from repro.topology.ports import Direction
 
 
@@ -94,3 +94,41 @@ def test_repr(vc):
     text = repr(vc)
     assert "WEST" in text
     assert "idle" in text
+
+
+class TestResetState:
+    """``non_reset_vcs`` is the census :mod:`repro.validate` checks
+    from: it may leave out exactly the VCs nothing can be wrong with."""
+
+    def test_reset_vc_is_left_out_and_legal(self, vc):
+        assert non_reset_vcs({Direction.WEST: [vc]}) == []
+        assert vc.legality_violation() is None
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("state", VcState.ROUTING,
+             "ROUTING input VC has no buffered flit"),
+            ("state", VcState.ACTIVE,
+             "ACTIVE input VC missing output registers"),
+            ("fifo", flits_of(), "IDLE input VC holds buffered flits"),
+            ("out_direction", Direction.EAST,
+             "IDLE input VC holds output registers"),
+            ("out_vc", 0, "IDLE input VC holds output registers"),
+            ("committed_dir", Direction.EAST,
+             "IDLE input VC holds a route commitment"),
+        ],
+    )
+    def test_each_clause_lists_the_vc(self, vc, field, value, message):
+        other = InputVc(Direction.WEST, 0, depth=4)
+        setattr(vc, field, value)
+        assert non_reset_vcs({Direction.WEST: [other, vc]}) == [vc]
+        assert vc.legality_violation() == message
+
+    def test_working_vcs_are_listed_in_port_order(self, vc):
+        local = InputVc(Direction.LOCAL, 0, depth=4)
+        for ivc in (vc, local):
+            ivc.push(flits_of(size=1)[0])
+            ivc.refresh_state()
+        ports = {Direction.WEST: [vc], Direction.LOCAL: [local]}
+        assert non_reset_vcs(ports) == [vc, local]
