@@ -57,12 +57,13 @@ class O1TurnLite(RoutingAlgorithm):
             return self.eject_requests(ctx)
         # Split the VC pool by routing order to keep the two orders'
         # channel dependencies disjoint (O1TURN's deadlock-freedom trick).
+        # VC sets are masks (bit v = VC v): the split is one AND.
         view = ctx.outputs[direction]
-        half = ctx.num_vcs // 2
-        use_low_half = self._order_is_xy(ctx)
-        vcs = [v for v in view.idle_vcs() if (v < half) == use_low_half]
+        low_half = (1 << ctx.num_vcs // 2) - 1
+        pool = low_half if self._order_is_xy(ctx) else ~low_half
+        vcs = view.free & view.adaptive & pool
         # One record per priority class; an empty class emits none.
-        return VcRequest.group(direction, vcs, Priority.LOW)
+        return [VcRequest(direction, vcs, Priority.LOW)] if vcs else []
 
     def allowed_directions(
         self, mesh: Mesh2D, current: int, destination: int, source: int

@@ -91,8 +91,9 @@ def extract_congestion_tree(
                 continue
             for vc in range(port.num_vcs):
                 if (
-                    port.allocated[vc] or port._draining[vc]
-                ) and port.owner_dst[vc] == destination:
+                    not port.grantable(vc)
+                    and port.owner_dst[vc] == destination
+                ):
                     mark(router.node, direction, vc)
             for flit, vc in port.fifo:
                 if flit.dst == destination:

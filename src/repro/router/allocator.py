@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from repro.exceptions import InvariantViolation
 from repro.router.output import OutputPort
 from repro.router.vcstate import InputVc, VcState
-from repro.routing.requests import Priority, VcRequest
+from repro.routing.requests import Priority, VcRequest, bits
 from repro.topology.ports import Direction
 
 
@@ -62,20 +62,22 @@ def allocate_vcs(
     """
     # Stage 1: each input VC selects its single best grantable VC.
     # Single pass per input VC: a request record is filtered for
-    # grantability only if it can still tie or beat the best priority
-    # seen so far, and the records tied at the best priority are kept in
-    # request order — the same candidates in the same order (hence the
-    # same rng consumption) as filtering every requested VC up front.
+    # grantability (one AND with the port's free mask) only if it can
+    # still tie or beat the best priority seen so far, and the records
+    # tied at the best priority are kept in request order.  A draw k
+    # then names the k-th set bit, walking pooled records in order —
+    # the same candidates in the same (ascending-VC) order, hence the
+    # same rng consumption, as filtering per-VC request lists.
     selections: dict[
         tuple[Direction, int], list[tuple[Priority, InputVc]]
     ] = {}
     for input_vc, reqs in requests:
         best_priority = -1
-        best: list[tuple[Direction, list[int]]] = []
-        for direction, vcs, priority in reqs:
+        best: list[tuple[Direction, int]] = []
+        for direction, mask, priority in reqs:
             if priority < best_priority:
                 continue
-            live = outputs[direction].grantable_among(vcs)
+            live = mask & outputs[direction].free
             if not live:
                 continue
             if priority > best_priority:
@@ -87,10 +89,11 @@ def allocate_vcs(
             continue
         if len(best) == 1:
             direction, live = best[0]
-            vc = live[0] if len(live) == 1 else live[rng.randrange(len(live))]
+            vcs = bits(live)
+            vc = vcs[0] if len(vcs) == 1 else vcs[rng.randrange(len(vcs))]
         else:
             # Equal-priority records (on any ports) pool their VCs.
-            pooled = [(d, v) for d, live in best for v in live]
+            pooled = [(d, v) for d, live in best for v in bits(live)]
             direction, vc = pooled[rng.randrange(len(pooled))]
         selections.setdefault((direction, vc), []).append(
             (best_priority, input_vc)

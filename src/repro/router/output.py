@@ -19,19 +19,19 @@ returned (*atomic*); DOR and Odd-Even free it as soon as the tail flit has
 been sent (*non-atomic*), which is why they achieve higher buffer
 utilization.
 
-Implementation note: the idle-VC list and the per-destination footprint
-index are maintained incrementally — routing algorithms query them for
-every waiting packet every cycle, which makes them the hottest reads in
-the simulator.
+Implementation note: every VC set here is one integer (bit ``v`` = VC
+``v``), read by the routing algorithms for every waiting packet — the
+hottest reads in the simulator: "idle" is ``free & adaptive``,
+"established idle" is ``idle & ~fresh``, a count is ``int.bit_count()``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
 
 from repro.exceptions import AllocationError, FlowControlError
 from repro.router.flit import Flit
+from repro.routing.requests import bits
 from repro.topology.ports import Direction
 
 
@@ -39,13 +39,15 @@ class RouterVcEvents:
     """What changed at a router's output ports, shared by all of them so
     the router reacts to events instead of polling every port."""
 
-    __slots__ = ("version", "fresh_ports")
+    __slots__ = ("changed", "fresh_ports")
 
     def __init__(self) -> None:
-        #: Bumped whenever VC grantability or ownership changes; routing
-        #: decisions are cached against it (credits do not affect which
-        #: VCs are grantable, so credit flow leaves it unchanged).
-        self.version = 0
+        #: Set by every event that can change what a waiting head requests
+        #: or is granted — a VC allocated or released, a fresh set
+        #: cleared, the fault mask moved, a head newly waiting (credits
+        #: change neither grantability nor ownership) — and cleared by
+        #: the router when it evaluates an allocation round.
+        self.changed = True
         #: Ports that released a VC since the last allocation round (a
         #: port may appear twice; clearing is idempotent).
         self.fresh_ports: list[OutputPort] = []
@@ -82,32 +84,33 @@ class OutputPort:
         self.atomic_realloc = atomic_realloc
 
         self.credits = [downstream_depth] * num_vcs
-        self.allocated = [False] * num_vcs
         self.owner_dst: list[int | None] = [None] * num_vcs
+        #: VCs bound to an in-flight packet.
+        self.allocated = 0
         # Tail has been sent but (atomic mode) not yet fully credited.
-        self._draining = [False] * num_vcs
+        self._draining = 0
+        #: VCs that may be allocated to a new packet: exactly the ones
+        #: neither allocated nor draining.
+        self.free = (1 << num_vcs) - 1
+        #: VCs a non-escape request may target (constant).
+        self.adaptive = self.free & ~sum(
+            1 << vc for vc in {escape_vc, escape_vc2} if vc is not None
+        )
+        #: VCs released since the last VC-allocation round (a subset of
+        #: ``free``).  A freed VC keeps its last owner, and during the
+        #: allocation round right after its release a same-destination
+        #: packet may reclaim it at HIGH priority — emulating the
+        #: persistent ``ADD(P, VC_fp, High)`` request of a hardware
+        #: allocator winning the VC the instant it frees.  The router
+        #: clears this set after every allocation round.
+        self.fresh = 0
+        # Destination -> its busy adaptive VCs (never an empty mask).
+        self._fp: dict[int, int] = {}
         self.fifo: deque[tuple[Flit, int]] = deque()
         self._accepted_this_cycle = 0
-
-        self._adaptive = [
-            v for v in range(num_vcs) if v != escape_vc and v != escape_vc2
-        ]
-        # Incrementally maintained views.
-        self._idle_cache: list[int] | None = list(self._adaptive)
-        #: Busy (allocated or draining) adaptive VCs, maintained
-        #: incrementally; recounted by :meth:`consistency_violation`.
-        self.busy_count = 0
-        self._fp_index: dict[int, list[int]] = {}
-        self._adaptive_credits = downstream_depth * len(self._adaptive)
+        self._adaptive_credits = downstream_depth * self.adaptive.bit_count()
         #: Shared with the router's other ports (private if stand-alone).
         self.events = events if events is not None else RouterVcEvents()
-        #: VCs released since the last VC-allocation round.  A freed VC
-        #: keeps its last owner, and during the allocation round right
-        #: after its release a same-destination packet may reclaim it at
-        #: HIGH priority — emulating the persistent ``ADD(P, VC_fp, High)``
-        #: request of a hardware allocator winning the VC the instant it
-        #: frees.  The router clears this set after every allocation round.
-        self.fresh_released: set[int] = set()
 
     # ------------------------------------------------------------------
     # Routing-algorithm view (OutputPortView protocol)
@@ -123,120 +126,88 @@ class OutputPort:
             return (self.escape_vc,)
         return (self.escape_vc, self.escape_vc2)
 
-    def adaptive_vcs(self) -> list[int]:
-        """VCs a non-escape request may target (do not mutate)."""
-        return self._adaptive
+    def footprint_mask(self, dst: int) -> int:
+        """Busy adaptive VCs owned by packets to ``dst`` (footprint VCs)."""
+        return self._fp.get(dst, 0)
 
-    def idle_vcs(self) -> list[int]:
-        """Adaptive VCs currently free for allocation (do not mutate)."""
-        cache = self._idle_cache
-        if cache is None:
-            cache = self._idle_cache = self.grantable_among(self._adaptive)
-        return cache
-
-    def footprint_vcs(self, dst: int) -> list[int]:
-        """Busy adaptive VCs owned by packets to ``dst`` (footprint VCs).
-
-        The returned list is an internal index; do not mutate.
-        """
-        return self._fp_index.get(dst, _EMPTY)
-
-    def established_idle_vcs(self) -> list[int]:
-        """Idle adaptive VCs that were already idle before this cycle's
-        releases — the idle set a hardware allocator's *held* requests were
-        computed against."""
-        if not self.fresh_released:
-            return self.idle_vcs()
-        fresh = self.fresh_released
-        return [v for v in self.idle_vcs() if v not in fresh]
-
-    def fresh_footprint_vcs(self, dst: int) -> list[int]:
+    def fresh_footprint_mask(self, dst: int) -> int:
         """Freshly freed adaptive VCs whose last owner was ``dst``.
 
         These are the VCs a waiting footprint follower wins at the instant
         they free (its held HIGH-priority request beats the LOW requests
-        other packets held on the then-busy VC).
+        other packets held on the then-busy VC); the rest of
+        ``fresh & adaptive`` was last owned by other destinations.
         """
-        return self._fresh_vcs(dst, True)
-
-    def fresh_other_vcs(self, dst: int) -> list[int]:
-        """Freshly freed adaptive VCs last owned by other destinations."""
-        return self._fresh_vcs(dst, False)
-
-    def _fresh_vcs(self, dst: int, mine: bool) -> list[int]:
-        fresh = self.fresh_released
-        if not fresh:
-            return _EMPTY
+        mine = 0
         owner = self.owner_dst
-        # Ascending VC order, independent of set-iteration internals:
-        # request order feeds the allocator's tie-break draws, so it must
-        # be deterministic and engine-representation-agnostic (the vector
-        # engine reconstructs request lists in ascending-VC order).
-        return [
-            v
-            for v in self.idle_vcs()
-            if v in fresh and (owner[v] == dst) is mine
-        ]
+        fresh = self.fresh & self.adaptive
+        while fresh:
+            low = fresh & -fresh
+            if owner[low.bit_length() - 1] == dst:
+                mine |= low
+            fresh ^= low
+        return mine
 
     def clear_fresh(self) -> None:
         """Forget this round's releases (called after each VA round)."""
-        if self.fresh_released:
-            self.fresh_released.clear()
+        if self.fresh:
+            self.fresh = 0
             # Requests computed against the fresh set are now stale.
-            self.events.version += 1
+            self.events.changed = True
 
     def free_credit_total(self) -> int:
         """Total free downstream slots across adaptive VCs (DBAR signal)."""
         return self._adaptive_credits
+
+    # List views, derived on read (tests, analyses).
+    def idle_vcs(self) -> list[int]:
+        """Adaptive VCs currently free for allocation."""
+        return list(bits(self.free & self.adaptive))
+
+    def footprint_vcs(self, dst: int) -> list[int]:
+        return list(bits(self._fp.get(dst, 0)))
 
     # ------------------------------------------------------------------
     # VC allocation interface
     # ------------------------------------------------------------------
     def grantable(self, vc: int) -> bool:
         """Whether downstream VC ``vc`` may be allocated to a new packet."""
-        return not self.allocated[vc] and not self._draining[vc]
-
-    def grantable_among(self, vcs: Sequence[int]) -> list[int]:
-        """The grantable members of ``vcs``, in order (one allocator
-        request record's candidates)."""
-        allocated = self.allocated
-        draining = self._draining
-        return [v for v in vcs if not (allocated[v] or draining[v])]
+        return bool((self.free >> vc) & 1)
 
     def allocate(self, vc: int, dst: int) -> None:
         """Bind downstream VC ``vc`` to a packet destined to ``dst``."""
-        if not self.grantable(vc):
+        bit = 1 << vc
+        if not self.free & bit:
             raise AllocationError(
                 f"double allocation of {self.direction.name} VC {vc}"
             )
-        self.allocated[vc] = True
+        self.free ^= bit
+        self.fresh &= ~bit
+        self.allocated |= bit
         self.owner_dst[vc] = dst
-        self.events.version += 1
-        self.fresh_released.discard(vc)
-        if vc != self.escape_vc and vc != self.escape_vc2:
-            self._idle_cache = None
-            self.busy_count += 1
-            self._fp_index.setdefault(dst, []).append(vc)
+        self.events.changed = True
+        if self.adaptive & bit:
+            fp = self._fp
+            fp[dst] = fp.get(dst, 0) | bit
 
     def _release(self, vc: int) -> None:
-        dst = self.owner_dst[vc]
-        self.allocated[vc] = False
-        self._draining[vc] = False
+        bit = 1 << vc
+        self.allocated &= ~bit
+        self._draining &= ~bit
+        self.free |= bit
         events = self.events
-        events.version += 1
+        events.changed = True
         # The owner is deliberately left stale until the next allocation
-        # and the VC is marked freshly released; see fresh_footprint_vcs().
-        if not self.fresh_released:
+        # and the VC is marked fresh; see fresh_footprint_mask().
+        if not self.fresh:
             events.fresh_ports.append(self)
-        self.fresh_released.add(vc)
-        if vc != self.escape_vc and vc != self.escape_vc2:
-            self._idle_cache = None
-            self.busy_count -= 1
-            owners = self._fp_index.get(dst)
-            if owners is not None:
-                owners.remove(vc)
-                if not owners:
-                    del self._fp_index[dst]
+        self.fresh |= bit
+        if self.adaptive & bit:
+            fp = self._fp
+            dst = self.owner_dst[vc]
+            left = fp.pop(dst, 0) & ~bit
+            if left:
+                fp[dst] = left
 
     # ------------------------------------------------------------------
     # Switch / link traversal
@@ -269,7 +240,7 @@ class OutputPort:
                 f"output FIFO overflow on {self.direction.name}"
             )
         self.credits[vc] -= 1
-        if vc != self.escape_vc and vc != self.escape_vc2:
+        if (self.adaptive >> vc) & 1:
             self._adaptive_credits -= 1
         self.fifo.append((flit, vc))
         self._accepted_this_cycle += 1
@@ -277,8 +248,8 @@ class OutputPort:
             if self.atomic_realloc:
                 # Keep the VC reserved (and its owner visible as a
                 # footprint) until all credits return.
-                self.allocated[vc] = False
-                self._draining[vc] = True
+                self.allocated &= ~(1 << vc)
+                self._draining |= 1 << vc
                 self._check_drained(vc)
             else:
                 self._release(vc)
@@ -302,9 +273,9 @@ class OutputPort:
             raise FlowControlError(
                 f"credit overflow on {self.direction.name} VC {vc}"
             )
-        if vc != self.escape_vc and vc != self.escape_vc2:
+        if (self.adaptive >> vc) & 1:
             self._adaptive_credits += 1
-        if self._draining[vc]:
+        if (self._draining >> vc) & 1:
             return self._check_drained(vc)
         return False
 
@@ -322,25 +293,24 @@ class OutputPort:
     def consistency_violation(self) -> str | None:
         """First broken internal invariant, or ``None``.
 
-        Recomputes every incrementally-maintained view (idle cache, busy
-        count, footprint index, adaptive credit total) from the ground
+        Recomputes every incrementally-maintained view (free mask, fresh
+        set, footprint index, adaptive credit total) from the ground
         truth.  Used by :mod:`repro.validate` between cycles; mid-cycle
-        the caches may legitimately lag the arrays.
+        the accept counter may legitimately be non-zero.
         """
         depth = self.downstream_depth
+        all_vcs = (1 << self.num_vcs) - 1
+        adaptive = self.adaptive
         if (
             self.credits.count(depth) == self.num_vcs
-            and not any(self.allocated)
-            and not any(self._draining)
+            and not self.allocated
+            and not self._draining
+            and self.free == all_vcs
+            and not self.fresh & ~all_vcs
             and not self.fifo
             and not self._accepted_this_cycle
-            and not self._fp_index
-            and not self.busy_count
-            and self._adaptive_credits == depth * len(self._adaptive)
-            and (
-                self._idle_cache is None
-                or self._idle_cache == self._adaptive
-            )
+            and not self._fp
+            and self._adaptive_credits == depth * adaptive.bit_count()
         ):
             # The reset state: every recount below would reproduce
             # exactly these values.
@@ -348,16 +318,15 @@ class OutputPort:
         credits = self.credits
         allocated = self.allocated
         draining = self._draining
-        adaptive = self._adaptive
         for vc, credit in enumerate(credits):
             if not 0 <= credit <= depth:
                 return f"VC {vc} credit count {credit} outside [0, {depth}]"
-            if allocated[vc]:
-                if draining[vc]:
+            if (allocated >> vc) & 1:
+                if (draining >> vc) & 1:
                     return f"VC {vc} both allocated and draining"
                 if self.owner_dst[vc] is None:
                     return f"allocated VC {vc} has no owner destination"
-            elif draining[vc] and not self.atomic_realloc:
+            elif (draining >> vc) & 1 and not self.atomic_realloc:
                 return f"VC {vc} draining without atomic reallocation"
         if len(self.fifo) > self.fifo_depth:
             return "staging FIFO above its depth"
@@ -366,50 +335,37 @@ class OutputPort:
                 f"switch accept counter {self._accepted_this_cycle} not "
                 f"reset between cycles"
             )
-        busy = [v for v in adaptive if allocated[v] or draining[v]]
-        if self.busy_count != len(busy):
+        free = all_vcs & ~(allocated | draining)
+        if self.free != free:
             return (
-                f"busy count {self.busy_count} != recounted "
-                f"{len(busy)} busy adaptive VCs"
+                f"free-VC mask {self.free:#b} != {free:#b}, the VCs "
+                f"neither allocated nor draining"
             )
-        adaptive_credits = sum(credits[v] for v in adaptive)
+        if self.fresh & ~free:
+            return (
+                f"freshly-released VCs {list(bits(self.fresh & ~free))} are "
+                f"not free"
+            )
+        adaptive_credits = sum(credits[v] for v in bits(adaptive))
         if self._adaptive_credits != adaptive_credits:
             return (
                 f"adaptive credit total {self._adaptive_credits} != "
                 f"recounted {adaptive_credits}"
             )
-        if self._idle_cache is not None:
-            idle = [v for v in adaptive if v not in busy]
-            if self._idle_cache != idle:
-                return f"idle-VC cache {self._idle_cache} != recounted {idle}"
-        indexed = set()
-        for dst, vcs in self._fp_index.items():
-            if not vcs:
-                return f"empty footprint-index entry for destination {dst}"
-            for v in vcs:
-                if v == self.escape_vc or v == self.escape_vc2:
-                    return f"escape VC {v} in the footprint index"
-                if self.owner_dst[v] != dst:
-                    return (
-                        f"footprint index lists VC {v} under destination "
-                        f"{dst} but its owner is {self.owner_dst[v]}"
-                    )
-                if v in indexed:
-                    return f"VC {v} indexed twice in the footprint index"
-                indexed.add(v)
-        if indexed != set(busy):
+        footprints: dict[int, int] = {}
+        for v in bits(adaptive & ~free):
+            dst = self.owner_dst[v]
+            footprints[dst] = footprints.get(dst, 0) | 1 << v
+        if self._fp != footprints:
             return (
-                f"footprint index covers VCs {sorted(indexed)} but the "
-                f"busy adaptive VCs are {sorted(busy)}"
+                f"footprint index {self._fp} != {footprints} recomputed "
+                f"from the owners of the busy adaptive VCs"
             )
         return None
 
     def __repr__(self) -> str:
         return (
-            f"OutputPort({self.direction.name}, busy={sum(self.allocated)}/"
+            f"OutputPort({self.direction.name}, "
+            f"busy={self.allocated.bit_count()}/"
             f"{self.num_vcs}, fifo={len(self.fifo)})"
         )
-
-
-#: Shared empty list returned for destinations with no footprint VCs.
-_EMPTY: list[int] = []

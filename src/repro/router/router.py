@@ -194,6 +194,7 @@ class Router:
             ivc.refresh_state()
             if ivc.state is VcState.ROUTING:
                 self._pending[(direction, vc)] = ivc
+                self._events.changed = True
 
     def receive_credit(self, direction: Direction, vc: int) -> None:
         """Deliver a returning credit for output port ``direction``."""
@@ -218,8 +219,9 @@ class Router:
         if mask == self.fault_blocked:
             return
         self.fault_blocked = mask
-        # Cached VC requests were filtered against the old mask.
-        self._events.version += 1
+        # Requests are filtered against the mask, and a heal changes
+        # nothing else.
+        self._events.changed = True
         self._ctx.dead_ports = mask
         if mask:
             for ivc in self._pending.values():
@@ -259,33 +261,39 @@ class Router:
             self._clear_fresh()
             return
 
-        # Router-wide state version: any change in VC grantability or
-        # ownership at any output port (or in the dead-port mask)
-        # invalidates cached VC requests.
-        state_version = self._events.version
+        # A round evaluates the waiting heads only if something they can
+        # see changed since the last evaluated round: a VC allocated or
+        # released, a fresh set cleared, the dead-port mask, a new head.
+        # Otherwise every head asked for nothing grantable last time (a
+        # grantable request always yields at least one grant, which is
+        # such a change), drew no random number, and would again.
+        events = self._events
+        if not events.changed:
+            if self._sample_blocking:
+                self._sample_blocked()
+            return
+        events.changed = False
 
         requests: list[tuple[InputVc, list[VcRequest]]] = []
+        routing = self.routing
+        blocked = self.fault_blocked
+        ctx = self._ctx
         for ivc in self._pending.values():
-            if ivc.route_cache_key == state_version:
-                reqs = ivc.route_cache
-            else:
-                head = ivc.front()
-                assert head is not None and head.is_head
-                ctx = self._context(ivc, head)
-                if ivc.committed_dir is None:
-                    # Route computation: runs once per packet per router;
-                    # the port choice is a commitment (BookSim RC stage).
-                    ivc.committed_dir = self.routing.select_output(ctx)
-                reqs = self.routing.vc_requests_at(ctx, ivc.committed_dir)
-                blocked = self.fault_blocked
-                if blocked:
-                    # No VC grants toward dead ports — covers escape
-                    # requests whose DOR port happens to be dead, too.
-                    reqs = [
-                        r for r in reqs if not (blocked >> r.direction) & 1
-                    ]
-                ivc.route_cache = reqs
-                ivc.route_cache_key = state_version
+            head = ivc.front()
+            assert head is not None and head.is_head
+            packet = head.packet
+            ctx.destination = packet.dst
+            ctx.source = packet.src
+            ctx.input_direction = ivc.direction
+            if ivc.committed_dir is None:
+                # Route computation: runs once per packet per router;
+                # the port choice is a commitment (BookSim RC stage).
+                ivc.committed_dir = routing.select_output(ctx)
+            reqs = routing.vc_requests_at(ctx, ivc.committed_dir)
+            if blocked:
+                # No VC grants toward dead ports — covers escape
+                # requests whose DOR port happens to be dead, too.
+                reqs = [r for r in reqs if not (blocked >> r.direction) & 1]
             if reqs:
                 requests.append((ivc, reqs))
 
@@ -339,13 +347,6 @@ class Router:
                 port.clear_fresh()
             fresh_ports.clear()
 
-    def _context(self, ivc: InputVc, head: Flit) -> RouteContext:
-        ctx = self._ctx
-        ctx.destination = head.dst
-        ctx.source = head.src
-        ctx.input_direction = ivc.direction
-        return ctx
-
     def _sample_blocked(self) -> None:
         """Sample busy/footprint VC mix for packets that failed allocation.
 
@@ -362,10 +363,12 @@ class Router:
                 continue
             port = self.output_ports[ivc.committed_dir]
             blocking.blocking_events += 1
-            blocking.busy_vc_samples += port.busy_count
-            blocking.footprint_vc_samples += len(
-                port.footprint_vcs(head.dst)
-            )
+            blocking.busy_vc_samples += (
+                port.adaptive & ~port.free
+            ).bit_count()
+            blocking.footprint_vc_samples += port.footprint_mask(
+                head.dst
+            ).bit_count()
 
     def switch_traversal(self) -> list[tuple[Direction, int]]:
         """Forward flits from input buffers into output staging FIFOs.
@@ -413,6 +416,7 @@ class Router:
                 # The tail left and the next packet's head is already
                 # queued behind it.
                 self._pending[(direction, ivc.index)] = ivc
+                self._events.changed = True
             credits.append((direction, ivc.index))
         # The speedup limit is per cycle.
         for out_port in sent_to:

@@ -42,8 +42,6 @@ class InputVc:
         "out_direction",
         "out_vc",
         "committed_dir",
-        "route_cache_key",
-        "route_cache",
     )
 
     def __init__(self, direction: Direction, index: int, depth: int) -> None:
@@ -57,12 +55,6 @@ class InputVc:
         # Output port committed at route computation (RC runs once per
         # packet per router); None until the head packet is routed.
         self.committed_dir: Direction | None = None
-        # VC-request cache: (router state version, requests).  The router
-        # reuses the cached requests while no output-port
-        # grantability/ownership changed; cleared on grant and on packet
-        # boundaries.
-        self.route_cache_key: int = -1
-        self.route_cache: list | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -105,8 +97,6 @@ class InputVc:
         self.out_direction = out_direction
         self.out_vc = out_vc
         self.committed_dir = None
-        self.route_cache = None
-        self.route_cache_key = -1
 
     def pop(self) -> Flit:
         """Remove the front flit (switch traversal); handles tail release."""
@@ -118,8 +108,6 @@ class InputVc:
             self.out_direction = None
             self.out_vc = None
             self.committed_dir = None
-            self.route_cache = None
-            self.route_cache_key = -1
             self.refresh_state()
         return flit
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Protocol
 
 from repro.routing.requests import Priority, VcRequest
 from repro.topology.base import Topology
@@ -39,11 +39,19 @@ class OutputPortView(Protocol):
     """Local state of one output port, as visible to routing algorithms.
 
     Implemented by :class:`repro.router.output.OutputPort`; a lightweight
-    fake is used in unit tests.
+    fake is used in unit tests.  VC sets are masks (bit ``v`` = VC ``v``).
     """
 
     num_vcs: int
     escape_vc: int | None
+    #: VCs that can be allocated to a new packet right now.
+    free: int
+    #: The subset of ``free`` released since the last allocation round;
+    #: ``free & adaptive & ~fresh`` is the *established* idle set.
+    fresh: int
+    #: All VCs a non-escape request may target; ``free & adaptive`` is
+    #: the idle set.
+    adaptive: int
 
     @property
     def escape_vcs(self) -> tuple[int, ...]:
@@ -56,28 +64,12 @@ class OutputPortView(Protocol):
         """
         ...
 
-    def idle_vcs(self) -> Sequence[int]:
-        """Downstream VCs currently free for allocation (adaptive VCs only
-        when an escape VC is reserved)."""
-
-    def established_idle_vcs(self) -> Sequence[int]:
-        """Idle VCs that were idle before this cycle's releases."""
-
-    def footprint_vcs(self, dst: int) -> Sequence[int]:
+    def footprint_mask(self, dst: int) -> int:
         """Busy adaptive VCs whose current owner packet is destined to
         ``dst`` — the paper's footprint channels."""
 
-    def fresh_footprint_vcs(self, dst: int) -> Sequence[int]:
-        """Freshly freed VCs last owned by ``dst`` (reclaimable at HIGH)."""
-
-    def fresh_other_vcs(self, dst: int) -> Sequence[int]:
-        """Freshly freed VCs last owned by other destinations."""
-
-    def adaptive_vcs(self) -> Sequence[int]:
-        """All VCs a non-escape request may target."""
-
-    def grantable(self, vc: int) -> bool:
-        """Whether ``vc`` can be allocated to a new packet right now."""
+    def fresh_footprint_mask(self, dst: int) -> int:
+        """Fresh adaptive VCs last owned by ``dst`` (reclaimable at HIGH)."""
 
     def free_credit_total(self) -> int:
         """Total free downstream buffer slots across adaptive VCs (a finer
@@ -334,9 +326,9 @@ class RoutingAlgorithm(abc.ABC):
     ) -> list[VcRequest]:
         """Every idle (adaptive) VC at ``direction`` at flat LOW priority
         — the oblivious VC selection of DOR, Odd-Even and DBAR."""
-        return VcRequest.group(
-            direction, ctx.outputs[direction].idle_vcs(), Priority.LOW
-        )
+        view = ctx.outputs[direction]
+        idle = view.free & view.adaptive
+        return [VcRequest(direction, idle, Priority.LOW)] if idle else []
 
     def escape_request(self, ctx: RouteContext) -> list[VcRequest]:
         """The always-present lowest-priority escape request (line 45).
@@ -363,9 +355,9 @@ class RoutingAlgorithm(abc.ABC):
             ]
         else:
             vc = view.escape_vc
-        if vc is None or not view.grantable(vc):
+        if vc is None or not (view.free >> vc) & 1:
             return []
-        return [VcRequest(escape_dir, (vc,), Priority.LOWEST)]
+        return [VcRequest(escape_dir, 1 << vc, Priority.LOWEST)]
 
     def vc_class(self, num_vcs: int, vc: int) -> int | None:
         """Dateline class ``vc`` belongs to on a multi-class topology.

@@ -21,7 +21,7 @@ Semantics of each array (all shaped ``[G, V]``):
     ``grantable``.  Includes the escape VC.
 ``fresh``
     VC was released since the last allocation round (the scalar
-    ``fresh_released`` set).  A fresh VC is always grantable.
+    ``fresh`` mask).  A fresh VC is always grantable.
 ``owner``
     Destination of the VC's current (or, while fresh, most recent)
     owner packet; ``-1`` before the first allocation.  Deliberately
@@ -137,8 +137,8 @@ class VcStateArrays:
             for direction, port in ports.items():
                 g = node * NUM_PORTS + int(direction)
                 for v in range(num_vcs):
-                    state.busy[g, v] = port.allocated[v] or port._draining[v]
-                    state.fresh[g, v] = v in port.fresh_released
+                    state.busy[g, v] = not port.grantable(v)
+                    state.fresh[g, v] = (port.fresh >> v) & 1
                     owner = port.owner_dst[v]
                     if owner is not None:
                         state.owner[g, v] = owner

@@ -41,7 +41,8 @@ class DbarRouting(DuatoAdaptiveRouting):
     ) -> Direction:
         scored = []
         for d in candidates:
-            idle = len(ctx.outputs[d].idle_vcs())
+            view = ctx.outputs[d]
+            idle = (view.free & view.adaptive).bit_count()
             uncongested = idle >= ctx.congestion_threshold
             scored.append((uncongested, d))
         best = max(score for score, _ in scored)
@@ -68,7 +69,7 @@ class DbarFineRouting(DbarRouting):
         scored = []
         for d in candidates:
             view = ctx.outputs[d]
-            idle = len(view.idle_vcs())
+            idle = (view.free & view.adaptive).bit_count()
             uncongested = idle >= ctx.congestion_threshold
             scored.append(((uncongested, view.free_credit_total(), idle), d))
         best = max(score for score, _ in scored)

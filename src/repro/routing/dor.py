@@ -45,10 +45,9 @@ class DorRouting(RoutingAlgorithm):
             cls = ctx.mesh.wrap_vc_class(
                 ctx.current, ctx.destination, direction
             )
-            half = ctx.num_vcs // 2
-            lo, hi = (0, half) if cls == 0 else (half, ctx.num_vcs)
-            idle = [v for v in view.idle_vcs() if lo <= v < hi]
-            return VcRequest.group(direction, idle, Priority.LOW)
+            half = (1 << ctx.num_vcs // 2) - 1
+            idle = view.free & view.adaptive & (half if cls == 0 else ~half)
+            return [VcRequest(direction, idle, Priority.LOW)] if idle else []
         # Any free VC at equal priority; busy VCs are re-requested (i.e.
         # become requestable) on the cycle they free.
         return self.idle_requests(ctx, direction)

@@ -31,7 +31,7 @@ reproduced against the *established* VC state — the state a hardware
 allocator's held requests were computed from:
 
 * the congestion regime is classified by the idle VCs that were already
-  idle before this cycle's releases (``established_idle_vcs``);
+  idle before this cycle's releases (``free & adaptive & ~fresh``);
 * a VC freed this cycle keeps its last owner for exactly this allocation
   round; a packet to the same destination re-claims it at HIGH priority
   (its held ``ADD(P, VC_fp, High)`` winning at the freeing instant),
@@ -126,8 +126,9 @@ class FootprintRouting(DuatoAdaptiveRouting):
         if direction is Direction.LOCAL:
             return self.eject_requests(ctx)
         requests = self.vc_requests(ctx, direction)
-        waiting_on_footprint = not requests and bool(
-            ctx.outputs[direction].footprint_vcs(ctx.destination)
+        view = ctx.outputs[direction]
+        waiting_on_footprint = not requests and view.footprint_mask(
+            ctx.destination
         )
         if not waiting_on_footprint:
             requests.extend(self.escape_request(ctx))
@@ -222,7 +223,8 @@ class FootprintRouting(DuatoAdaptiveRouting):
     ) -> Direction:
         outputs = ctx.outputs
         best_idle, tied = _most(
-            candidates, lambda d: len(outputs[d].idle_vcs())
+            candidates,
+            lambda d: (outputs[d].free & outputs[d].adaptive).bit_count(),
         )
         if len(tied) > 1 and best_idle < ctx.congestion_threshold:
             # Tie on idle VCs under congestion: prefer the port with more
@@ -234,7 +236,9 @@ class FootprintRouting(DuatoAdaptiveRouting):
             # flows funnel onto a single port at low load and forfeit port
             # adaptiveness.
             dst = ctx.destination
-            _, tied = _most(tied, lambda d: len(outputs[d].footprint_vcs(dst)))
+            _, tied = _most(
+                tied, lambda d: outputs[d].footprint_mask(dst).bit_count()
+            )
         if len(tied) == 1:
             return tied[0]
         return tied[ctx.rng.randrange(len(tied))]
@@ -247,51 +251,47 @@ class FootprintRouting(DuatoAdaptiveRouting):
     ) -> list[VcRequest]:
         view = ctx.outputs[direction]
         dst = ctx.destination
-        established = view.established_idle_vcs()
-        fresh_mine = view.fresh_footprint_vcs(dst)
+        idle = view.free & view.adaptive
+        fresh = idle & view.fresh
+        established = idle & ~fresh
+        limited = ctx.footprint_vc_limit is not None and (
+            view.footprint_mask(dst).bit_count() >= ctx.footprint_vc_limit
+        )
 
-        if ctx.footprint_vc_limit is not None and (
-            len(view.footprint_vcs(dst)) >= ctx.footprint_vc_limit
+        if not limited and (
+            established.bit_count() >= ctx.congestion_threshold
         ):
-            # §4.2.5 extension: the destination already owns its VC quota
-            # at this port — only re-claim freed footprint VCs, never new
-            # ones.
-            return VcRequest.group(direction, fresh_mine, Priority.HIGH)
-
-        if len(established) >= ctx.congestion_threshold:
             # No congestion: use all adaptive VCs at flat priority;
             # waiting on footprint channels here would only add latency
             # (Algorithm 1 line 31).
-            return self.idle_requests(ctx, direction)
+            return [VcRequest(direction, idle, Priority.LOW)] if idle else []
 
-        reclaim = VcRequest.group(direction, fresh_mine, Priority.HIGH)
-        if not established:
+        # Below the threshold a packet asks for up to three classes:
+        # established idle VCs at HIGHEST, its own freshly freed footprint
+        # VCs at HIGH (the held request winning the instant the VC
+        # frees), other flows' freshly freed VCs at LOW (the held busy-VC
+        # requests) — the intermediate regime, lines 40-42.
+        fresh_mine = view.fresh_footprint_mask(dst) if fresh else 0
+        fresh_other = fresh & ~fresh_mine
+        if limited:
+            # §4.2.5 extension: the destination already owns its VC quota
+            # at this port — only re-claim freed footprint VCs, never new
+            # ones.
+            established = fresh_other = 0
+        elif not established and (fresh_mine or view.footprint_mask(dst)):
             # Saturated regime (line 32: size(VC_idle) == 0 when the held
-            # requests were computed).
-            if fresh_mine:
-                # The packet's footprint VC just freed: re-claim it at
-                # HIGH (line 34's held request winning the instant the VC
-                # frees).
-                return reclaim
-            if view.footprint_vcs(dst):
-                # A footprint exists and is still busy: wait on it and do
-                # NOT grab other flows' freed VCs — this is the regulation
-                # that keeps the congestion-tree branch thin.
-                return []
-            # No footprint anywhere: full adaptivity (line 37) — freed
-            # VCs of other flows are fair game at LOW.
-            return VcRequest.group(
-                direction, view.fresh_other_vcs(dst), Priority.LOW
+            # requests were computed) with a footprint: re-claim it if it
+            # just freed (line 34), else wait on it, and do NOT grab other
+            # flows' freed VCs — this is the regulation that keeps the
+            # congestion-tree branch thin.  (With no footprint anywhere,
+            # line 37: those VCs are fair game.)
+            fresh_other = 0
+        return [
+            VcRequest(direction, mask, priority)
+            for mask, priority in (
+                (established, Priority.HIGHEST),
+                (fresh_mine, Priority.HIGH),
+                (fresh_other, Priority.LOW),
             )
-
-        # Intermediate regime (lines 40-42): established idle VCs at
-        # HIGHEST, the packet's freshly freed footprint VCs at HIGH, and
-        # other flows' freshly freed VCs at LOW (the held busy-VC
-        # requests).
-        return (
-            [VcRequest(direction, established, Priority.HIGHEST)]
-            + reclaim
-            + VcRequest.group(
-                direction, view.fresh_other_vcs(dst), Priority.LOW
-            )
-        )
+            if mask
+        ]

@@ -63,7 +63,11 @@ class OddEvenRouting(RoutingAlgorithm):
         """Pick the candidate with the most idle downstream VCs."""
         if len(candidates) == 1:
             return candidates[0]
-        scored = [(len(ctx.outputs[d].idle_vcs()), d) for d in candidates]
+        outputs = ctx.outputs
+        scored = [
+            ((outputs[d].free & outputs[d].adaptive).bit_count(), d)
+            for d in candidates
+        ]
         best = max(score for score, _ in scored)
         tied = [d for score, d in scored if score == best]
         if len(tied) == 1:

@@ -8,14 +8,28 @@ grants free VCs to the highest-priority requesters.  Requests targeting
 busy VCs are legal — they express willingness to *wait* on that VC (the
 essence of Footprint's "wait on footprint channels") and take effect on
 the cycle the VC frees, because requests are recomputed every cycle.
+
+A set of VCs is one integer everywhere on the RC/VA path, bit ``v``
+standing for VC ``v`` — the bit-vector the paper's router feeds its
+allocator.  :func:`bits` names the members: the allocator's tie-break
+draw indexes it; tests, analyses and messages list it.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple, Sequence
+import functools
+from typing import NamedTuple
 
 from repro.topology.ports import Direction
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def bits(mask: int) -> tuple[int, ...]:
+    """The VCs of ``mask``, ascending — so ``bits(mask)[k]`` is the k-th
+    set bit.  Memoized: a run meets the same few hundred masks at every
+    allocation (bounded, and the tuples are immutable)."""
+    return tuple(v for v in range(mask.bit_length()) if (mask >> v) & 1)
 
 
 class Priority(enum.IntEnum):
@@ -37,26 +51,22 @@ class Priority(enum.IntEnum):
 
 
 class VcRequest(NamedTuple):
-    """A request for any one of ``vcs`` at one output port, all at one
-    priority — the input-first allocator needs one candidate *set* per
-    priority class, not one record per VC.
+    """A request for any one VC of ``mask`` at one output port, all at
+    one priority — the input-first allocator needs one candidate *set*
+    per priority class, not one record per VC.
 
-    ``vcs`` is never empty (an empty class emits no record, so "no
-    requests" stays ``not requests``) and usually *is* a list the output
-    port caches (``idle_vcs()`` ...): read-only.
+    ``mask`` is never zero: an empty class emits no record, so "no
+    requests" stays ``not requests``.
     """
 
     direction: Direction
-    vcs: Sequence[int]
+    mask: int
     priority: Priority
 
-    @classmethod
-    def group(
-        cls, direction: Direction, vcs: Sequence[int], priority: Priority
-    ) -> list["VcRequest"]:
-        """The request list of one priority class: one record, or none
-        when ``vcs`` is empty."""
-        return [cls(direction, vcs, priority)] if vcs else []
+    @property
+    def vcs(self) -> tuple[int, ...]:
+        """The requested VCs in allocator candidate order (ascending)."""
+        return bits(self.mask)
 
     def __repr__(self) -> str:
         return (

@@ -31,7 +31,7 @@ from __future__ import annotations
 from repro.routing.base import RouteContext, RoutingAlgorithm
 from repro.routing.duato import DuatoAdaptiveRouting
 from repro.routing.oddeven import OddEvenRouting
-from repro.routing.requests import Priority, VcRequest
+from repro.routing.requests import Priority, VcRequest, bits
 from repro.topology.base import Topology
 from repro.topology.ports import Direction
 
@@ -83,14 +83,16 @@ class XordetOverlay(RoutingAlgorithm):
         if direction is Direction.LOCAL:
             return self.eject_requests(ctx)
         view = ctx.outputs[direction]
-        usable = view.adaptive_vcs()
-        vc = usable[xordet_vc(ctx.mesh, ctx.destination, len(usable))]
+        usable = bits(view.adaptive)
+        mapped = 1 << usable[
+            xordet_vc(ctx.mesh, ctx.destination, len(usable))
+        ]
         requests: list[VcRequest] = []
         # The static mapping admits exactly one VC per destination; if it
         # is busy the packet waits for it (that is the scheme's
         # HoL-avoidance contract), re-requesting the cycle it frees.
-        if view.grantable(vc):
-            requests.append(VcRequest(direction, (vc,), Priority.LOW))
+        if view.free & mapped:
+            requests.append(VcRequest(direction, mapped, Priority.LOW))
         if self.uses_escape:
             requests.extend(self.escape_request(ctx))
         return requests

@@ -91,7 +91,7 @@ from repro.sim.vector import vector_unsupported_reason
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.hub import TelemetryHub
 from repro.topology.ports import OPPOSITE, Direction
-from repro.traffic.factory import create_traffic
+from repro.traffic.factory import create_traffic, offered_flits_per_cycle
 from repro.traffic.patterns import TrafficGenerator
 
 if TYPE_CHECKING:
@@ -127,20 +127,22 @@ USER_ENGINE_MODES = ("auto", "vector", "skip")
 ENGINE_MODE_ENV = "REPRO_ENGINE_MODE"
 
 #: Offered load — expected injected flits per cycle across the whole
-#: network (``injection_rate * num_nodes``) — at or above which ``auto``
-#: picks the vector engine.  The vector core amortizes numpy batch
-#: overhead over the packets routing concurrently, so it loses to
-#: idle-skipping on (near-)quiescent runs and wins on loaded ones.  The
-#: constant sits at the crossover measured on an 8x8 footprint/uniform
-#: mesh, ten alternating vector/skip pairs per point, construction
-#: included (median vector speed-up; pairs vector won):
-#: 3.2 flits/cycle 0.79x 0/10, 4.0 0.89x 0/10, 4.8 0.97x 4/10,
-#: 5.6 1.13x 9/10, 6.4 1.32x 10/10, 12.8 1.73x 10/10.  At the
-#: break-even point a wrong pick near the boundary costs ~nothing, while
-#: both asymptotes get their winning engine.  ``repro serve`` is the one
-#: entry point that defaults to ``auto`` (the rest default to ``skip``),
-#: so this constant decides the engine of every service task.
-AUTO_ACTIVITY_THRESHOLD = 5.0
+#: network (``injection_rate * num_nodes`` for synthetic patterns) — at
+#: or above which ``auto`` picks the vector engine.  The vector core
+#: amortizes numpy batch overhead over the packets routing concurrently,
+#: so it loses to idle-skipping on (near-)quiescent runs and wins on
+#: loaded ones.  The constant sits at the crossover measured on an 8x8
+#: footprint/uniform mesh, ten alternating vector/skip pairs per point,
+#: construction included (median vector speed-up; pairs vector won),
+#: against the mask-based scalar RC/VA path:
+#: 3.2 flits/cycle 0.65x 0/10, 4.0 0.74x 0/10, 4.8 0.80x 1/10,
+#: 5.6 0.87x 2/10, 6.4 0.91x 1/10, 8.0 1.03x 6/10, 9.6 1.13x 9/10,
+#: 12.8 1.36x 10/10.  At the break-even point a wrong pick near the
+#: boundary costs ~nothing, while both asymptotes get their winning
+#: engine.  ``repro serve`` is the one entry point that defaults to
+#: ``auto`` (the rest default to ``skip``), so this constant decides the
+#: engine of every service task.
+AUTO_ACTIVITY_THRESHOLD = 8.0
 
 
 def resolve_auto_mode(
@@ -149,13 +151,14 @@ def resolve_auto_mode(
 ) -> str:
     """Resolve ``engine_mode="auto"`` to ``"vector"`` or ``"skip"``.
 
-    ``vector`` when the config's offered load, ``injection_rate *
-    num_nodes`` (expected injected flits per cycle), reaches
+    ``vector`` when the config's offered load (expected injected flits
+    per cycle, from the fields its traffic kind reads —
+    :func:`~repro.traffic.factory.offered_flits_per_cycle`) reaches
     :data:`AUTO_ACTIVITY_THRESHOLD` *and* the vector core covers the
     config; ``skip`` otherwise.  Both candidate engines are
     bit-identical, so the pick affects wall-clock only — never results.
     """
-    if config.injection_rate * config.num_nodes < AUTO_ACTIVITY_THRESHOLD:
+    if offered_flits_per_cycle(config) < AUTO_ACTIVITY_THRESHOLD:
         return "skip"
     if vector_unsupported_reason(config, validation) is not None:
         return "skip"

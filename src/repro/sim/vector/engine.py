@@ -200,9 +200,9 @@ class VectorEngine:
         self._accepted_np = np.zeros(size, dtype=np.int64)
         # Reusable all-False scratch for the conflict-fallback filter.
         self._node_scratch = np.zeros(num_nodes, dtype=bool)
-        # Incrementally maintained per-port views, mirroring the scalar
-        # OutputPort's idle cache and footprint index: busy adaptive VC
-        # count and per-destination footprint VC counts.
+        # Incrementally maintained per-port views, the counts the scalar
+        # OutputPort reads off its free mask and footprint index: busy
+        # adaptive VC count and per-destination footprint VC counts.
         self._busy_count = array("q", [0]) * size
         self._busy_count_v = np.frombuffer(self._busy_count, dtype=np.int64)
         self._fp_counts: list[dict[int, int]] = [{} for _ in range(size)]

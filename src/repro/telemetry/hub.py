@@ -305,11 +305,7 @@ class TelemetryHub:
             for mask in router._occupied_masks:
                 occupied += mask.bit_count()
             for port in router.output_ports.values():
-                allocated = port.allocated
-                draining = port._draining
-                for v in range(port.num_vcs):
-                    if allocated[v] or draining[v]:
-                        busy += 1
+                busy += port.num_vcs - port.free.bit_count()
             for direction, vcs in router.input_vcs.items():
                 mask = router._occupied_masks[direction]
                 while mask:

@@ -404,7 +404,7 @@ class InvariantChecker:
                         node=node,
                         direction=direction,
                     )
-                if port.fresh_released and not (
+                if port.fresh and not (
                     router.inflight or router.credit_pending
                 ):
                     # A fresh set must be consumed by the very next
@@ -420,12 +420,12 @@ class InvariantChecker:
                     )
                 holders = claims.get(direction)
                 if holders is None:
-                    if not any(port.allocated):
+                    if not port.allocated:
                         continue  # nothing allocated, nothing claimed
                     holders = {}
                 for vc in range(port.num_vcs):
                     held_by = holders.get(vc, 0)
-                    if port.allocated[vc]:
+                    if (port.allocated >> vc) & 1:
                         if held_by != 1:
                             raise InvariantViolation(
                                 "vc_states",

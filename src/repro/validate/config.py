@@ -36,6 +36,7 @@ MUTATION_CHECKERS = {
     "flit_count": "flit_conservation",
     "credit": "credit_accounting",
     "vc_state": "vc_states",
+    "free_mask": "vc_states",
     "wormhole": "vc_states",
     "routing": "routing_conformance",
 }

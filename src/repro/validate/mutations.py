@@ -96,6 +96,24 @@ class Mutator:
             f"{node} to IDLE"
         )
 
+    def _apply_free_mask(self, sim: "Simulator") -> str | None:
+        """Withhold a free downstream VC without allocating it."""
+        candidates = [
+            (router.node, direction, port)
+            for router in sim.routers
+            for direction, port in router.output_ports.items()
+            if port.free
+        ]
+        if not candidates:
+            return None
+        node, direction, port = self._pick(candidates)
+        low = port.free & -port.free
+        port.free ^= low
+        return (
+            f"cleared free bit of node {node} {direction.name} VC "
+            f"{low.bit_length() - 1} without allocating it"
+        )
+
     def _apply_wormhole(self, sim: "Simulator") -> str | None:
         """Swap two flits of one packet inside a VC FIFO (order break)."""
         candidates = []

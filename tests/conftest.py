@@ -10,6 +10,14 @@ from repro.sim.config import SimulationConfig
 from repro.topology.mesh import Mesh2D
 
 
+def mask_of(vcs) -> int:
+    """The VC set ``vcs`` as a mask (bit v = VC v)."""
+    mask = 0
+    for v in vcs:
+        mask |= 1 << v
+    return mask
+
+
 @pytest.fixture
 def mesh4() -> Mesh2D:
     return Mesh2D(4)
@@ -42,7 +50,10 @@ def small_config() -> SimulationConfig:
 
 
 class FakeOutputView:
-    """A scriptable OutputPortView for routing-algorithm unit tests."""
+    """A scriptable OutputPortView for routing-algorithm unit tests.
+
+    Scripted with VC lists; exposes the mask view the algorithms read.
+    """
 
     def __init__(
         self,
@@ -56,56 +67,33 @@ class FakeOutputView:
     ) -> None:
         self.num_vcs = num_vcs
         self.escape_vc = escape_vc
-        self._adaptive = [v for v in range(num_vcs) if v != escape_vc]
-        self._idle = list(idle) if idle is not None else list(self._adaptive)
-        self._established = (
-            list(established) if established is not None else list(self._idle)
-        )
+        self.adaptive = mask_of(v for v in range(num_vcs) if v != escape_vc)
+        self._idle = self.adaptive if idle is None else mask_of(idle)
+        self.fresh = mask_of(fresh or ()) & self._idle
+        if established is not None:
+            assert mask_of(established) == self._idle & ~self.fresh
         self._owners = dict(owners or {})
-        self._fresh = set(fresh or set())
         self._credits = credits
+        #: Tests flip this to script a busy escape VC.
+        self.escape_free = True
 
-    def adaptive_vcs(self):
-        return self._adaptive
-
-    def idle_vcs(self):
+    @property
+    def free(self):
+        if self.escape_vc is not None and self.escape_free:
+            return self._idle | 1 << self.escape_vc
         return self._idle
 
-    def established_idle_vcs(self):
-        return self._established
+    def _owned_by(self, dst):
+        return mask_of(v for v, owner in self._owners.items() if owner == dst)
 
-    def footprint_vcs(self, dst):
-        return [
-            v
-            for v, owner in sorted(self._owners.items())
-            if owner == dst and v not in self._idle and v != self.escape_vc
-        ]
+    def footprint_mask(self, dst):
+        return self._owned_by(dst) & self.adaptive & ~self._idle
 
-    def fresh_footprint_vcs(self, dst):
-        return [
-            v
-            for v in sorted(self._fresh)
-            if self._owners.get(v) == dst
-            and v in self._idle
-            and v != self.escape_vc
-        ]
-
-    def fresh_other_vcs(self, dst):
-        return [
-            v
-            for v in sorted(self._fresh)
-            if self._owners.get(v) != dst
-            and v in self._idle
-            and v != self.escape_vc
-        ]
+    def fresh_footprint_mask(self, dst):
+        return self._owned_by(dst) & self.adaptive & self.fresh
 
     def grantable(self, vc):
-        return vc in self._idle or (
-            vc == self.escape_vc and self._escape_grantable()
-        )
-
-    def _escape_grantable(self):
-        return getattr(self, "escape_free", True)
+        return bool((self.free >> vc) & 1)
 
     def free_credit_total(self):
         return self._credits
@@ -151,5 +139,5 @@ def per_vc(requests):
     triples, in allocator candidate order — the paper's individual
     ``ADD(P, v, pri)`` calls."""
     for r in requests:
-        assert len(r.vcs) > 0, "empty request groups must not be emitted"
+        assert r.mask, "empty request groups must not be emitted"
     return [(r.direction, v, r.priority) for r in requests for v in r.vcs]

@@ -163,7 +163,7 @@ class TestCliSurface:
         out = capsys.readouterr().out
         assert code == 0, out
         assert "FIRED" in out and "MISSED" not in out
-        assert "5/5 mutations caught" in out
+        assert "6/6 mutations caught" in out
 
     def test_validate_rejects_zero_runs(self, capsys):
         code = cli_main(["validate", "--runs", "0"])

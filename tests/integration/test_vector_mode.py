@@ -167,8 +167,8 @@ class TestAutoMode:
     results."""
 
     def test_loaded_config_resolves_to_vector(self):
-        # 4x4 @ 0.4 offers 6.4 flits/cycle — above the 5.0 threshold.
-        sim = Simulator(_config(injection_rate=0.4), engine_mode="auto")
+        # 4x4 @ 0.6 offers 9.6 flits/cycle — above the 8.0 threshold.
+        sim = Simulator(_config(injection_rate=0.6), engine_mode="auto")
         assert sim.requested_engine_mode == "auto"
         assert sim.auto_resolved == "vector"
         assert sim.engine_mode == "vector"
@@ -179,7 +179,7 @@ class TestAutoMode:
         assert sim.engine_mode == "skip"
 
     def test_auto_matches_skip_either_side_of_threshold(self):
-        for rate in (0.001, 0.4):
+        for rate in (0.001, 0.6):
             assert _sig("auto", injection_rate=rate) == _sig(
                 "skip", injection_rate=rate
             )
@@ -188,14 +188,14 @@ class TestAutoMode:
         """A loaded config the vector core cannot run resolves straight
         to ``skip``: nothing fell back, so nothing is recorded."""
         sim = Simulator(
-            _config(injection_rate=0.4, track_utilization=True),
+            _config(injection_rate=0.6, track_utilization=True),
             engine_mode="auto",
         )
         assert sim.auto_resolved == "skip"
         assert sim.engine_mode == "skip"
         assert sim.vector_fallback is None
         validated = Simulator(
-            _config(injection_rate=0.4),
+            _config(injection_rate=0.6),
             engine_mode="auto",
             validation=ValidationConfig(),
         )
@@ -204,7 +204,7 @@ class TestAutoMode:
     def test_threshold_env_is_ignored(self, monkeypatch):
         """``$REPRO_ENGINE_AUTO_THRESHOLD`` is gone: the threshold is a
         constant, and a leftover value — garbage included — is inert."""
-        config = _config(injection_rate=0.4)
+        config = _config(injection_rate=0.6)
         for leftover in ("100", "fast-please"):
             monkeypatch.setenv("REPRO_ENGINE_AUTO_THRESHOLD", leftover)
             assert resolve_auto_mode(config) == "vector"

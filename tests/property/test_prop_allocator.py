@@ -5,11 +5,13 @@ a *matching*: at most one grant per input VC, at most one grant per
 (port, VC), only grantable VCs granted, and the output-stage winner never
 has lower priority than a losing contender for the same VC.
 
-The grouped request form (one record per priority class) must also be a
-pure re-encoding of Algorithm 1's individual ``ADD(P, v, pri)`` calls: a
-per-VC reference allocator kept in this file, fed the expanded records,
-has to produce the same grants in the same order and leave the tie-break
-stream in the same state.
+The mask request form (one record per priority class, its VCs one
+integer) must also be a pure re-encoding of Algorithm 1's individual
+``ADD(P, v, pri)`` calls: a per-VC reference allocator kept in this file,
+fed the records expanded in ascending-VC order, has to produce the same
+grants in the same order and leave the tie-break stream in the same
+state — including records that name busy VCs (legal, filtered) and
+equal-priority records pooled across ports.
 """
 
 import random
@@ -20,8 +22,10 @@ from repro.router.allocator import allocate_vcs
 from repro.router.flit import Packet
 from repro.router.output import OutputPort
 from repro.router.vcstate import InputVc
-from repro.routing.requests import Priority, VcRequest
+from repro.routing.requests import Priority, VcRequest, bits
 from repro.topology.ports import Direction
+
+from tests.conftest import mask_of
 
 NUM_VCS = 4
 DIRECTIONS = (Direction.EAST, Direction.SOUTH)
@@ -61,12 +65,7 @@ def allocation_round(draw):
                 st.builds(
                     VcRequest,
                     direction=st.sampled_from(DIRECTIONS),
-                    vcs=st.lists(
-                        st.integers(0, NUM_VCS - 1),
-                        min_size=1,
-                        max_size=NUM_VCS,
-                        unique=True,
-                    ),
+                    mask=st.integers(1, (1 << NUM_VCS) - 1),
                     priority=st.sampled_from(list(Priority)),
                 ),
                 max_size=4,
@@ -187,3 +186,38 @@ def test_grouped_requests_match_per_vc_reference(round_):
         (id(g.input_vc), g.direction, g.out_vc, g.priority) for g in grants
     ] == expected
     assert rng.getstate() == reference_rng.getstate()
+
+
+@given(allocation_round())
+def test_pooled_multi_port_draw_matches_reference(round_):
+    """One head, one priority, both ports, busy VCs named: the pooled
+    draw walks the records in order, so it must pick what the reference
+    picks from the flat per-VC list."""
+    outputs, _requests, seed = round_
+    ivc = InputVc(Direction.WEST, 0, depth=4)
+    reqs = [VcRequest(d, (1 << NUM_VCS) - 1, Priority.LOW) for d in DIRECTIONS]
+    flat = [(d, vc, Priority.LOW) for d in DIRECTIONS for vc in range(NUM_VCS)]
+    reference_rng = random.Random(seed)
+    expected = _reference_allocate([(ivc, flat)], outputs, reference_rng)
+    rng = random.Random(seed)
+    grants = allocate_vcs([(ivc, reqs)], outputs, rng)
+    assert [
+        (id(g.input_vc), g.direction, g.out_vc, g.priority) for g in grants
+    ] == expected
+    assert rng.getstate() == reference_rng.getstate()
+
+
+def test_kth_set_bit_is_list_indexing_for_every_small_mask():
+    """The allocator's selection step — ``bits(live)[k]`` is the k-th set
+    bit of ``live``, ascending — exhaustively below 2**12 (twice round,
+    so memoized answers are checked as well as computed ones)."""
+    for _ in range(2):
+        for mask in range(1 << 12):
+            vcs = [v for v in range(12) if mask & (1 << v)]
+            assert list(bits(mask)) == vcs
+            assert mask_of(vcs) == mask
+            # k-th set bit by the textbook route: clear the lowest k.
+            rest = mask
+            for k, vc in enumerate(vcs):
+                assert (rest & -rest).bit_length() - 1 == vc == bits(mask)[k]
+                rest &= rest - 1

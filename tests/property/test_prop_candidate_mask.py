@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.router.output import OutputPort
 from repro.routing.batch import VcStateArrays
 from repro.routing.registry import available_algorithms, create_routing
-from repro.routing.requests import Priority
+from repro.routing.requests import Priority, bits
 from repro.topology.mesh import Mesh2D
 from repro.topology.ports import NUM_PORTS, Direction
 
@@ -50,7 +50,7 @@ def network_case(draw):
                 escape_vc=port_escape,
                 atomic_realloc=algo.atomic_vc_reallocation,
             )
-            adaptive = port.adaptive_vcs()
+            adaptive = bits(port.adaptive)
             states = [
                 draw(st.sampled_from(_VC_STATES)) for _ in adaptive
             ]

@@ -31,21 +31,31 @@ from repro.validate.checker import InvariantChecker
 def parent_consistency_violation(self) -> str | None:
     """First broken internal invariant, or ``None``.
 
-    Recomputes every incrementally-maintained view (idle cache, busy
-    count, footprint index, adaptive credit total) from the ground
-    truth.  Used by :mod:`repro.validate` between cycles; mid-cycle
-    the caches may legitimately lag the arrays.
+    The parent's recount, VC by VC with no early-out; only the way it
+    reads the port changed when the port's VC sets became masks (bit
+    ``v`` of ``allocated`` / ``_draining`` / ``free`` / ``fresh`` where
+    it read element ``v`` of a list or set, ``_fp`` masks where it read
+    ``_fp_index`` lists), and the clauses over state that no longer
+    exists (busy count, idle cache) became the ones over what replaced
+    it (``free``, ``fresh``).
     """
     depth = self.downstream_depth
+    allocated = [bool((self.allocated >> v) & 1) for v in range(self.num_vcs)]
+    draining = [bool((self._draining >> v) & 1) for v in range(self.num_vcs)]
+    adaptive = [
+        v
+        for v in range(self.num_vcs)
+        if v != self.escape_vc and v != self.escape_vc2
+    ]
     for vc in range(self.num_vcs):
         credit = self.credits[vc]
         if not 0 <= credit <= depth:
             return f"VC {vc} credit count {credit} outside [0, {depth}]"
-        if self.allocated[vc] and self._draining[vc]:
+        if allocated[vc] and draining[vc]:
             return f"VC {vc} both allocated and draining"
-        if self._draining[vc] and not self.atomic_realloc:
+        if draining[vc] and not self.atomic_realloc:
             return f"VC {vc} draining without atomic reallocation"
-        if self.allocated[vc] and self.owner_dst[vc] is None:
+        if allocated[vc] and self.owner_dst[vc] is None:
             return f"allocated VC {vc} has no owner destination"
     if len(self.fifo) > self.fifo_depth:
         return "staging FIFO above its depth"
@@ -54,49 +64,38 @@ def parent_consistency_violation(self) -> str | None:
             f"switch accept counter {self._accepted_this_cycle} not "
             f"reset between cycles"
         )
-    busy = [
-        v
-        for v in self._adaptive
-        if self.allocated[v] or self._draining[v]
-    ]
-    if self.busy_count != len(busy):
+    free = sum(
+        1 << v
+        for v in range(self.num_vcs)
+        if not allocated[v] and not draining[v]
+    )
+    if self.free != free:
         return (
-            f"busy count {self.busy_count} != recounted "
-            f"{len(busy)} busy adaptive VCs"
+            f"free-VC mask {self.free:#b} != {free:#b}, the VCs "
+            f"neither allocated nor draining"
         )
-    adaptive_credits = sum(self.credits[v] for v in self._adaptive)
+    stray = [
+        v
+        for v in range(self.fresh.bit_length())
+        if (self.fresh >> v) & 1 and not (free >> v) & 1
+    ]
+    if stray:
+        return f"freshly-released VCs {stray} are not free"
+    adaptive_credits = sum(self.credits[v] for v in adaptive)
     if self._adaptive_credits != adaptive_credits:
         return (
             f"adaptive credit total {self._adaptive_credits} != "
             f"recounted {adaptive_credits}"
         )
-    if self._idle_cache is not None:
-        idle = [
-            v
-            for v in self._adaptive
-            if not self.allocated[v] and not self._draining[v]
-        ]
-        if self._idle_cache != idle:
-            return f"idle-VC cache {self._idle_cache} != recounted {idle}"
-    indexed = set()
-    for dst, vcs in self._fp_index.items():
-        if not vcs:
-            return f"empty footprint-index entry for destination {dst}"
-        for v in vcs:
-            if v == self.escape_vc or v == self.escape_vc2:
-                return f"escape VC {v} in the footprint index"
-            if self.owner_dst[v] != dst:
-                return (
-                    f"footprint index lists VC {v} under destination "
-                    f"{dst} but its owner is {self.owner_dst[v]}"
-                )
-            if v in indexed:
-                return f"VC {v} indexed twice in the footprint index"
-            indexed.add(v)
-    if indexed != set(busy):
+    footprints = {}
+    for v in adaptive:
+        if allocated[v] or draining[v]:
+            dst = self.owner_dst[v]
+            footprints[dst] = footprints.get(dst, 0) | 1 << v
+    if self._fp != footprints:
         return (
-            f"footprint index covers VCs {sorted(indexed)} but the "
-            f"busy adaptive VCs are {sorted(busy)}"
+            f"footprint index {self._fp} != {footprints} recomputed "
+            f"from the owners of the busy adaptive VCs"
         )
     return None
 
@@ -307,7 +306,7 @@ class ReferenceChecker(InvariantChecker):
                         node=node,
                         direction=direction,
                     )
-                if port.fresh_released and not (
+                if port.fresh and not (
                     router.inflight or router.credit_pending
                 ):
                     # A fresh set must be consumed by the very next
@@ -323,7 +322,7 @@ class ReferenceChecker(InvariantChecker):
                     )
                 for vc in range(port.num_vcs):
                     holders = claims[(direction, vc)]
-                    if port.allocated[vc]:
+                    if (port.allocated >> vc) & 1:
                         if holders != 1:
                             raise InvariantViolation(
                                 "vc_states",
@@ -586,8 +585,8 @@ def pick_vc(sim, rnd):
 def is_reset_port(port):
     return (
         port.credits == [port.downstream_depth] * port.num_vcs
-        and not any(port.allocated)
-        and not any(port._draining)
+        and not port.allocated
+        and not port._draining
         and not port.fifo
     )
 
@@ -818,10 +817,11 @@ def credit_moved(sim, rnd):
 
 
 def port_vc_flag(sim, rnd, field):
+    """One bit of one VC mask flipped — on ``free``, a VC withheld
+    without being allocated or offered while busy."""
     _router, _direction, port = pick_port(sim, rnd)
-    flags = getattr(port, field)
     vc = rnd.randrange(port.num_vcs)
-    return set_item(flags, vc, not flags[vc])
+    return set_attr(port, field, getattr(port, field) ^ (1 << vc))
 
 
 def port_owner(sim, rnd):
@@ -835,33 +835,37 @@ def port_counter(sim, rnd, field):
     return nudge(pick_port(sim, rnd)[2], field, rnd)
 
 
-def port_idle_cache(sim, rnd):
-    _router, _direction, port = pick_port(sim, rnd)
-    stale = list(port._adaptive)
-    if rnd.random() < 0.5 and stale:
-        stale.remove(rnd.choice(stale))
-    else:
-        stale.reverse()
-    # None (cache dropped) is legal; the rest usually are not.
-    return set_attr(port, "_idle_cache", rnd.choice((None, [], stale)))
-
-
 def port_fp_index_stale(sim, rnd):
     _router, _direction, port = pick_port(sim, rnd)
     dst = rnd.randrange(sim.mesh.num_nodes)
-    if dst in port._fp_index:
+    if dst in port._fp:
         return None
-    port._fp_index[dst] = rnd.choice(([], [rnd.randrange(port.num_vcs)]))
-    return lambda: port._fp_index.pop(dst)
+    port._fp[dst] = rnd.choice((0, 1 << rnd.randrange(port.num_vcs)))
+    return lambda: port._fp.pop(dst)
 
 
-def port_fresh_released(sim, rnd):
-    _router, _direction, port = pick_port(sim, rnd)
-    vc = rnd.randrange(port.num_vcs)
-    if vc in port.fresh_released:
+def port_fp_index_moved(sim, rnd):
+    """A busy VC filed under another destination's footprint."""
+    indexed = [
+        port
+        for router in sim.routers
+        for port in router.output_ports.values()
+        if port._fp
+    ]
+    if not indexed:
         return None
-    port.fresh_released.add(vc)
-    return lambda: port.fresh_released.discard(vc)
+    port = rnd.choice(indexed)
+    dst = rnd.choice(sorted(port._fp))
+    saved = dict(port._fp)
+    moved = port._fp.pop(dst)
+    wrong = other(rnd, dst, range(sim.mesh.num_nodes))
+    port._fp[wrong] = port._fp.get(wrong, 0) | moved
+
+    def undo():
+        port._fp.clear()
+        port._fp.update(saved)
+
+    return undo
 
 
 def port_fifo_push(sim, rnd):
@@ -908,14 +912,11 @@ CORRUPTIONS = (
     pending_key,
     credit_delta,
     credit_moved,
-    *per_field(port_vc_flag, "allocated", "_draining"),
+    *per_field(port_vc_flag, "allocated", "_draining", "free", "fresh"),
     port_owner,
-    *per_field(
-        port_counter, "busy_count", "_adaptive_credits", "_accepted_this_cycle"
-    ),
-    port_idle_cache,
+    *per_field(port_counter, "_adaptive_credits", "_accepted_this_cycle"),
     port_fp_index_stale,
-    port_fresh_released,
+    port_fp_index_moved,
     port_fifo_push,
     port_fifo_pop,
 )

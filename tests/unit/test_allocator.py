@@ -9,6 +9,8 @@ from repro.router.vcstate import InputVc, VcState
 from repro.routing.requests import Priority, VcRequest
 from repro.topology.ports import Direction
 
+from tests.conftest import mask_of
+
 
 def make_outputs(num_vcs=4):
     return {
@@ -37,7 +39,7 @@ def req(vcs, pri=Priority.LOW, direction=Direction.EAST):
     """One request record; a bare int requests that single VC."""
     if isinstance(vcs, int):
         vcs = (vcs,)
-    return VcRequest(direction, vcs, pri)
+    return VcRequest(direction, mask_of(vcs), pri)
 
 
 def test_single_request_granted():

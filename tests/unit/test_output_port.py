@@ -26,20 +26,20 @@ def flit(size=1, dst=7, idx=0):
 
 class TestViews:
     def test_adaptive_excludes_escape(self):
-        assert make_port().adaptive_vcs() == [1, 2, 3]
-        assert make_port(escape=None).adaptive_vcs() == [0, 1, 2, 3]
+        assert make_port().adaptive == 0b1110
+        assert make_port(escape=None).adaptive == 0b1111
 
     def test_initially_all_idle(self):
         port = make_port()
         assert port.idle_vcs() == [1, 2, 3]
-        assert port.busy_count == 0
+        assert port.free == 0b1111 and port.adaptive == 0b1110
         assert port.footprint_vcs(7) == []
 
     def test_allocation_updates_views(self):
         port = make_port()
         port.allocate(2, dst=7)
         assert 2 not in port.idle_vcs()
-        assert port.busy_count == 1
+        assert port.free == 0b1011 and port.allocated == 0b0100
         assert port.consistency_violation() is None
         assert port.footprint_vcs(7) == [2]
         assert port.footprint_vcs(9) == []
@@ -114,22 +114,25 @@ class TestFreshRelease:
         port.allocate(1, dst=7)
         port.send(flit(), 1)
         port.credit_return(1)
-        assert port.fresh_footprint_vcs(7) == [1]
-        assert port.fresh_other_vcs(7) == []
-        assert port.fresh_other_vcs(9) == [1]
-        assert port.established_idle_vcs() == [2, 3]
-        assert sorted(port.idle_vcs()) == [1, 2, 3]
+        assert port.fresh == 0b0010
+        assert port.fresh_footprint_mask(7) == 0b0010
+        assert port.fresh_footprint_mask(9) == 0
+        assert port.idle_vcs() == [1, 2, 3]
 
     def test_clear_fresh(self):
         port = make_port(atomic=True)
         port.allocate(1, dst=7)
         port.send(flit(), 1)
         port.credit_return(1)
-        version = port.events.version
+        port.events.changed = False
         port.clear_fresh()
-        assert port.fresh_footprint_vcs(7) == []
-        assert port.established_idle_vcs() == [1, 2, 3]
-        assert port.events.version > version
+        assert port.fresh == 0 and port.fresh_footprint_mask(7) == 0
+        assert port.idle_vcs() == [1, 2, 3]
+        assert port.events.changed
+        # Nothing left to forget: clearing again is not an event.
+        port.events.changed = False
+        port.clear_fresh()
+        assert not port.events.changed
 
     def test_reallocation_clears_fresh(self):
         port = make_port(atomic=True)
@@ -137,14 +140,22 @@ class TestFreshRelease:
         port.send(flit(), 1)
         port.credit_return(1)
         port.allocate(1, dst=9)
-        assert port.fresh_footprint_vcs(7) == []
+        assert port.fresh == 0
         assert port.footprint_vcs(9) == [1]
 
     def test_version_bumps_on_state_changes(self):
+        """Allocation and release are events; credits and sends are not."""
         port = make_port()
-        v0 = port.events.version
+        events = port.events
+        events.changed = False
         port.allocate(1, dst=7)
-        assert port.events.version > v0
+        assert events.changed
+        events.changed = False
+        port.send(flit(), 1)  # tail sent: draining, still not grantable
+        port.pop_link()
+        assert not events.changed
+        port.credit_return(1)  # drain complete: released
+        assert events.changed
 
 
 class TestSwitchTraversal:
@@ -207,7 +218,7 @@ class TestResetStateEarlyOut:
     def test_reset_port_is_consistent(self):
         port = make_port()
         assert port.consistency_violation() is None
-        port._idle_cache = None  # a dropped cache is rebuilt on demand
+        port.fresh = 0b0110  # released and not yet consumed: still reset
         assert port.consistency_violation() is None
 
     @pytest.mark.parametrize(
@@ -215,29 +226,92 @@ class TestResetStateEarlyOut:
         [
             (lambda p: p.credits.__setitem__(1, 5),
              "VC 1 credit count 5 outside [0, 4]"),
-            (lambda p: p.allocated.__setitem__(1, True),
+            (lambda p: setattr(p, "allocated", 0b0010),
              "allocated VC 1 has no owner destination"),
-            (lambda p: p._draining.__setitem__(1, True),
-             "busy count 0 != recounted 1 busy adaptive VCs"),
+            (lambda p: setattr(p, "_draining", 0b0010),
+             "free-VC mask 0b1111 != 0b1101, the VCs neither allocated "
+             "nor draining"),
             (lambda p: p.fifo.extend([(flit(), 1)] * 9),
              "staging FIFO above its depth"),
             (lambda p: setattr(p, "_accepted_this_cycle", 1),
              "switch accept counter 1 not reset between cycles"),
-            (lambda p: p._fp_index.__setitem__(7, []),
-             "empty footprint-index entry for destination 7"),
-            (lambda p: setattr(p, "busy_count", 1),
-             "busy count 1 != recounted 0 busy adaptive VCs"),
+            (lambda p: p._fp.__setitem__(7, 0),
+             "footprint index {7: 0} != {} recomputed from the owners of "
+             "the busy adaptive VCs"),
+            # A VC dropped from the free mask reads as busy ...
+            (lambda p: setattr(p, "free", 0b1101),
+             "free-VC mask 0b1101 != 0b1111, the VCs neither allocated "
+             "nor draining"),
             (lambda p: setattr(p, "_adaptive_credits", 11),
              "adaptive credit total 11 != recounted 12"),
-            (lambda p: setattr(p, "_idle_cache", [1, 2]),
-             "idle-VC cache [1, 2] != recounted [1, 2, 3]"),
+            # ... and one the port does not have reads as idle.
+            (lambda p: setattr(p, "free", 0b11111),
+             "free-VC mask 0b11111 != 0b1111, the VCs neither allocated "
+             "nor draining"),
+            (lambda p: setattr(p, "fresh", 0b10000),
+             "freshly-released VCs [4] are not free"),
         ],
         ids=[
             "credits", "allocated", "draining", "fifo", "accept-counter",
             "fp-index", "busy-count", "adaptive-credits", "idle-cache",
+            "fresh",
         ],
     )
     def test_each_clause_falls_through_to_the_recount(self, damage, message):
         port = make_port()
         damage(port)
         assert port.consistency_violation() == message
+
+
+class TestMaskInvariants:
+    """The clauses tying the masks to each other, one per test, on a
+    port that is in use (VC 1 allocated to destination 7, VC 2
+    draining)."""
+
+    @staticmethod
+    def busy_port():
+        port = make_port(atomic=True)
+        port.allocate(1, dst=7)
+        port.allocate(2, dst=9)
+        port.send(flit(dst=9), 2)
+        port.new_cycle()
+        assert port.consistency_violation() is None
+        assert (port.allocated, port._draining, port.free) == (
+            0b0010, 0b0100, 0b1001,
+        )
+        return port
+
+    def test_free_is_exactly_not_allocated_and_not_draining(self):
+        port = self.busy_port()
+        port.free |= 0b0100  # a draining VC offered for allocation
+        assert port.consistency_violation() == (
+            "free-VC mask 0b1101 != 0b1001, the VCs neither allocated "
+            "nor draining"
+        )
+        port = self.busy_port()
+        port.free &= ~0b1000  # an idle VC withheld from it
+        assert port.consistency_violation() == (
+            "free-VC mask 0b1 != 0b1001, the VCs neither allocated "
+            "nor draining"
+        )
+
+    def test_fresh_is_a_subset_of_free(self):
+        port = self.busy_port()
+        port.fresh = 0b1010  # VC 3 is free, VC 1 is allocated
+        assert port.consistency_violation() == (
+            "freshly-released VCs [1] are not free"
+        )
+
+    def test_footprint_index_equals_a_recount_from_the_owners(self):
+        port = self.busy_port()
+        assert port._fp == {7: 0b0010, 9: 0b0100}  # draining VCs count
+        port.owner_dst[2] = 7
+        assert port.consistency_violation() == (
+            "footprint index {7: 2, 9: 4} != {7: 6} recomputed from the "
+            "owners of the busy adaptive VCs"
+        )
+        port = self.busy_port()
+        del port._fp[9]
+        assert "footprint index {7: 2} != {7: 2, 9: 4}" in (
+            port.consistency_violation()
+        )

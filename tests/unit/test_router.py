@@ -160,6 +160,19 @@ class TestBlockingStats:
         assert router.blocking.blocking_events == 0
 
 
+def count_request_calls(router):
+    """Count the router's ``vc_requests_at`` calls in a one-item list."""
+    calls = [0]
+    inner = router.routing.vc_requests_at
+
+    def counting(ctx, direction):
+        calls[0] += 1
+        return inner(ctx, direction)
+
+    router.routing.vc_requests_at = counting
+    return calls
+
+
 class TestAllocationBookkeeping:
     """A freshly-released set is consumed by exactly one allocation round,
     however the release arose, and the router learns about it from the
@@ -184,19 +197,20 @@ class TestAllocationBookkeeping:
 
         router.receive_credit(Direction.EAST, out_vc)
         assert router.credit_pending
-        assert east.fresh_footprint_vcs(6) == [out_vc]
+        assert east.fresh_footprint_mask(6) == 1 << out_vc
         assert self._fresh_ports(router) == [Direction.EAST]
-        version = router._events.version
 
+        router._events.changed = False
         router.clear_fresh_only()
-        assert east.fresh_released == set()
+        assert east.fresh == 0
         assert self._fresh_ports(router) == []
-        assert out_vc in east.established_idle_vcs()
-        assert router._events.version > version
+        assert out_vc in east.idle_vcs()
+        # Requests computed against the fresh set are stale: an event.
+        assert router._events.changed
         # Nothing left to consume: a second round changes nothing.
-        version = router._events.version
+        router._events.changed = False
         router.clear_fresh_only()
-        assert router._events.version == version
+        assert not router._events.changed
 
     def test_non_atomic_release_in_switch_traversal_lasts_one_round(self):
         router = make_router(node=5, routing="dor")
@@ -206,15 +220,14 @@ class TestAllocationBookkeeping:
         router.switch_traversal()
         east = router.output_ports[Direction.EAST]
         # The tail left: DOR frees the VC at once, owner kept for a round.
-        assert east.fresh_released == {out_vc}
+        assert east.fresh == 1 << out_vc
         assert self._fresh_ports(router) == [Direction.EAST]
         assert router.inflight == 1  # staged, so a round runs next cycle
 
-        version = router._events.version
         router.route_and_allocate()
-        assert east.fresh_released == set()
+        assert east.fresh == 0
         assert self._fresh_ports(router) == []
-        assert router._events.version > version
+        assert router._events.changed
 
     def test_atomic_drain_reclaimed_in_the_round_after_the_credit(self):
         router = make_router(node=5, routing="footprint")
@@ -226,36 +239,105 @@ class TestAllocationBookkeeping:
         router.receive_flit(Direction.WEST, 2, head_flit(src=4, dst=6))
         ivc = router.input_vcs[Direction.WEST][2]
 
-        # Saturated with a live footprint: the packet waits on it.
+        # Saturated with a live footprint: the packet waits on it, round
+        # after round, without asking the routing algorithm again.
+        calls = count_request_calls(router)
         router.route_and_allocate()
         assert ivc.state is VcState.ROUTING
-        assert ivc.route_cache == []
+        assert calls == [1]
+        router.route_and_allocate()
+        assert calls == [1]
 
         router.receive_credit(Direction.EAST, 1)
-        assert east.fresh_footprint_vcs(6) == [1]
+        assert east.fresh_footprint_mask(6) == 0b0010
         router.route_and_allocate()
+        assert calls == [2]
         assert ivc.state is VcState.ACTIVE
         assert (ivc.out_direction, ivc.out_vc) == (Direction.EAST, 1)
-        assert east.fresh_released == set()
+        assert east.fresh == 0
         assert self._fresh_ports(router) == []
+
+    def test_fresh_set_is_seen_by_exactly_one_round(self):
+        """Another flow's VC frees while the head waits on its footprint:
+        the round that sees it fresh must not take it, the next round
+        (woken by nothing but the fresh set being cleared) must."""
+        router = make_router(node=5, routing="footprint")
+        east = router.output_ports[Direction.EAST]
+        east.allocate(1, dst=6)  # the head's footprint, stays busy
+        east.allocate(2, dst=7)
+        east.allocate(3, dst=7)
+        east.send(head_flit(src=4, dst=7), 2)  # tail sent: VC 2 drains
+        east.new_cycle()
+        router.receive_flit(Direction.WEST, 2, head_flit(src=4, dst=6))
+        ivc = router.input_vcs[Direction.WEST][2]
+        calls = count_request_calls(router)
+        router.route_and_allocate()
+        assert calls == [1] and ivc.state is VcState.ROUTING
+
+        router.receive_credit(Direction.EAST, 2)
+        assert east.fresh == 0b0100
+        router.route_and_allocate()
+        # Saturated when its held requests were computed: keep waiting.
+        assert calls == [2] and ivc.state is VcState.ROUTING
+        assert east.fresh == 0
+
+        router.route_and_allocate()
+        # VC 2 is established idle now: the intermediate regime takes it.
+        assert calls == [3] and ivc.state is VcState.ACTIVE
+        assert (ivc.out_direction, ivc.out_vc) == (Direction.EAST, 2)
 
     def test_fault_mask_change_invalidates_cached_requests(self):
         router = make_router(node=5, routing="dor")
         router.set_fault_mask(1 << Direction.EAST)
         router.receive_flit(Direction.WEST, 0, head_flit(src=4, dst=6))
         ivc = router.input_vcs[Direction.WEST][0]
+        calls = count_request_calls(router)
         router.route_and_allocate()
         # Committed to the dead port; its requests are filtered to none.
         assert ivc.state is VcState.ROUTING
-        assert ivc.route_cache == []
+        assert ivc.committed_dir is Direction.EAST
         router.route_and_allocate()
         assert ivc.state is VcState.ROUTING
+        assert calls == [1]
 
         # The heal changes no VC state — only the mask — and must still
         # force the requests to be recomputed.
         router.set_fault_mask(0)
         router.route_and_allocate()
+        assert calls == [2]
         assert ivc.state is VcState.ACTIVE
+
+    def test_wedged_router_asks_nothing_until_an_event(self):
+        """Heads stuck behind a dead port: after the round that found
+        them nothing, no round calls ``vc_requests_at`` (or draws a
+        random number) until a VC event, a mask change or a new head."""
+        router = make_router(node=5, routing="footprint")
+        router.enable_blocking_sampling(True)
+        router.set_fault_mask(1 << Direction.EAST)
+        router.receive_flit(Direction.WEST, 1, head_flit(src=4, dst=6))
+        router.receive_flit(Direction.NORTH, 2, head_flit(src=1, dst=7))
+        calls = count_request_calls(router)
+        router.route_and_allocate()
+        assert calls == [2]
+        rng_state = router.rng.getstate()
+        for _ in range(50):
+            router.route_and_allocate()
+        assert calls == [2]
+        assert router.rng.getstate() == rng_state
+        # Unevaluated rounds still sample their blocked heads.
+        assert router.blocking.blocking_events == 2 * 51
+
+        # A new head is an event: everyone is asked again, and the new
+        # packet (bound south, a live port) is granted.
+        router.receive_flit(Direction.WEST, 3, head_flit(src=4, dst=13))
+        router.route_and_allocate()
+        assert calls == [5]
+        assert router.input_vcs[Direction.WEST][3].state is VcState.ACTIVE
+        # That grant is an event too, so one more evaluated round follows.
+        router.route_and_allocate()
+        assert calls == [7]
+        router.route_and_allocate()
+        assert calls == [7]
 
     def test_accept_counters_are_zero_after_switch_traversal(self):
         router = make_router(node=5, routing="dor")
