@@ -20,33 +20,23 @@ Quick start::
     print(result.summary())
 """
 
-from repro.sim.config import SimulationConfig
-from repro.sim.engine import Simulator
-from repro.sim.results import SimulationResult
-from repro.routing.registry import available_algorithms, create_routing
-from repro.topology.base import TOPOLOGIES, Topology, create_topology
-from repro.topology.mesh import Mesh2D
-from repro.topology.ports import Direction
-from repro.topology.torus import Torus2D
-from repro.metrics.sweep import injection_sweep, saturation_throughput
-from repro.core.cost import CostModel
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SimulationConfig",
-    "Simulator",
-    "SimulationResult",
-    "available_algorithms",
-    "create_routing",
-    "Mesh2D",
-    "Torus2D",
-    "Topology",
-    "TOPOLOGIES",
-    "create_topology",
-    "Direction",
-    "injection_sweep",
-    "saturation_throughput",
-    "CostModel",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "sim.config": "SimulationConfig",
+        "sim.engine": "Simulator",
+        "sim.results": "SimulationResult",
+        "routing.registry": "available_algorithms create_routing",
+        "topology.base": "TOPOLOGIES Topology create_topology",
+        "topology.mesh": "Mesh2D",
+        "topology.ports": "Direction",
+        "topology.torus": "Torus2D",
+        "metrics.sweep": "injection_sweep saturation_throughput",
+        "core.cost": "CostModel",
+    },
+)
+__all__.append("__version__")

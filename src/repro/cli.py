@@ -32,13 +32,11 @@ import argparse
 import sys
 
 from repro.exceptions import ReproError
-from repro.harness import experiments as exp
-from repro.harness import reporting
-from repro.harness.runner import run_simulation
-from repro.routing.registry import available_algorithms
-from repro.sim.config import SimulationConfig
-from repro.sim.engine import USER_ENGINE_MODES, user_engine_mode
-from repro.traffic.patterns import PATTERNS
+from repro.sim.constants import USER_ENGINE_MODES
+
+# Everything else is imported by the verb that uses it: building the
+# parser, `list`, a warm `experiment` and the service clients must not
+# pay for loading the simulator.
 
 
 def _jobs_arg(text: str) -> str:
@@ -702,6 +700,9 @@ def _telemetry_from_args(args: argparse.Namespace):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.harness.runner import run_simulation
+    from repro.sim.config import SimulationConfig
+
     faults = None
     if args.faults is not None:
         from repro.faults.schedule import parse_fault_spec
@@ -785,6 +786,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _run_experiment(args: argparse.Namespace, cache) -> None:
+    from repro.harness import experiments as exp
+    from repro.harness import reporting
+
     scale = {"smoke": exp.SMOKE, "bench": exp.BENCH, "paper": exp.PAPER}[
         args.scale
     ]
@@ -1051,6 +1055,7 @@ def _submit_grid(args: argparse.Namespace):
     """Build the (tasks, job name) pair of a `repro submit` invocation."""
     from repro.harness.parallel import SimTask
     from repro.service import ServiceError
+    from repro.sim.config import SimulationConfig
 
     routings = [r.strip() for r in args.routing.split(",") if r.strip()]
     try:
@@ -1205,6 +1210,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         print(render_tune(load_tune(args.file)))
         return 0
 
+    from repro.harness import experiments as exp
     from repro.tuner import TunerError
     from repro.tuner.objectives import make_scenario
     from repro.tuner.report import render_tune, write_tune_artifact
@@ -1262,7 +1268,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
+    from repro.routing.registry import available_algorithms
     from repro.topology.base import TOPOLOGIES
+    from repro.traffic.patterns import PATTERNS
 
     print("topologies:")
     for name in TOPOLOGIES:
@@ -1295,6 +1303,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         if getattr(args, "engine_mode", None) is not None:
+            # Only verbs that simulate take --engine-mode.
+            from repro.sim.engine import user_engine_mode
+
             user_engine_mode(args.engine_mode, "--engine-mode")
         return handlers[args.command](args)
     except ReproError as exc:

@@ -2,24 +2,17 @@
 congestion-tree extraction, blocking purity, and the implementation-cost
 model."""
 
-from repro.core.adaptiveness import (
-    port_adaptiveness,
-    vc_adaptiveness,
-    mean_port_adaptiveness,
-    qualitative_comparison,
-)
-from repro.core.congestion import CongestionTree, extract_congestion_tree
-from repro.core.cost import CostModel
-from repro.core.purity import purity_of_blocking, hol_blocking_degree
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "port_adaptiveness",
-    "vc_adaptiveness",
-    "mean_port_adaptiveness",
-    "qualitative_comparison",
-    "CongestionTree",
-    "extract_congestion_tree",
-    "CostModel",
-    "purity_of_blocking",
-    "hol_blocking_degree",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "adaptiveness": (
+            "port_adaptiveness vc_adaptiveness mean_port_adaptiveness "
+            "qualitative_comparison"
+        ),
+        "congestion": "CongestionTree extract_congestion_tree",
+        "cost": "CostModel",
+        "purity": "purity_of_blocking hol_blocking_degree",
+    },
+)

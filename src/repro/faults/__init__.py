@@ -12,20 +12,15 @@ The fault subsystem has two halves:
   routers, gate faulted links, and hold credits crossing them.
 """
 
-from repro.faults.schedule import (
-    FaultEvent,
-    FaultSchedule,
-    parse_fault_spec,
-    random_link_faults,
-    random_router_faults,
-)
-from repro.faults.manager import FaultManager
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FaultEvent",
-    "FaultSchedule",
-    "FaultManager",
-    "parse_fault_spec",
-    "random_link_faults",
-    "random_router_faults",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "schedule": (
+            "FaultEvent FaultSchedule parse_fault_spec random_link_faults "
+            "random_router_faults"
+        ),
+        "manager": "FaultManager",
+    },
+)

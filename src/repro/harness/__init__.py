@@ -1,37 +1,15 @@
 """Experiment harness: per-figure drivers and textual reporting."""
 
-from repro.harness.experiments import (
-    Scale,
-    SMOKE,
-    BENCH,
-    PAPER,
-    FaultSweepEntry,
-    fault_sweep,
-    fig2_congestion_tree,
-    fig5_latency_throughput,
-    fig6_variable_packet_size,
-    fig7_vc_sweep,
-    fig8_network_size,
-    fig9_hotspot,
-    fig10_parsec,
-    table1_adaptiveness,
-    cost_table,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Scale",
-    "SMOKE",
-    "BENCH",
-    "PAPER",
-    "FaultSweepEntry",
-    "fault_sweep",
-    "fig2_congestion_tree",
-    "fig5_latency_throughput",
-    "fig6_variable_packet_size",
-    "fig7_vc_sweep",
-    "fig8_network_size",
-    "fig9_hotspot",
-    "fig10_parsec",
-    "table1_adaptiveness",
-    "cost_table",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "experiments": (
+            "Scale SMOKE BENCH PAPER FaultSweepEntry fault_sweep "
+            "fig2_congestion_tree fig5_latency_throughput "
+            "fig6_variable_packet_size fig7_vc_sweep fig8_network_size "
+            "fig9_hotspot fig10_parsec table1_adaptiveness cost_table"
+        ),
+    },
+)

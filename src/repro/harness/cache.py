@@ -5,7 +5,7 @@ Every simulation in this repository is a pure function of its
 the traffic spec — including trace events — and every knob the engine
 reads).  That makes results cacheable across processes and sessions: the
 cache key is a SHA-256 over the canonical JSON form of the config plus
-the engine's :data:`~repro.sim.engine.ENGINE_VERSION` stamp, so any
+the engine's :data:`~repro.sim.constants.ENGINE_VERSION` stamp, so any
 change to either yields a different key and stale entries simply stop
 being addressed — no explicit invalidation pass is needed.  The engine
 *mode* (vector/skip/legacy) is deliberately not part of the key:
@@ -28,10 +28,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 
+from repro.sim import constants
 from repro.sim.config import SimulationConfig
 from repro.sim.results import SimulationResult
 
@@ -64,15 +64,10 @@ def config_cache_key(config: SimulationConfig) -> str:
     telemetry address the same simulated result.  Field ordering cannot
     matter because the serializer sorts keys.
     """
-    # Imported lazily: the engine imports repro.sim.config, and the
-    # harness modules keep engine imports out of module scope to avoid
-    # the circular-import sweep (see repro.harness.parallel._run_task).
-    from repro.sim.engine import ENGINE_VERSION
-
     config_dict = config.to_dict()
     config_dict.pop("telemetry", None)
     payload = {
-        "engine_version": ENGINE_VERSION,
+        "engine_version": constants.ENGINE_VERSION,
         "config": config_dict,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -125,6 +120,8 @@ class ResultCache:
         the temp file) vanishes mid-write — a concurrent sweep removed
         it — the store is retried once from ``mkdir`` up.
         """
+        import tempfile  # only a writer needs it; a warm replay never does
+
         key = config_cache_key(result.config)
         payload = result.to_dict()
         payload["telemetry"] = None

@@ -5,8 +5,10 @@ and how many routers do per-cycle work, so ``cycles x nodes`` is a good
 (cheap, deterministic, config-only) proxy for relative task cost.  Three
 consumers share this single definition:
 
-* the local process pool (:func:`repro.harness.parallel.partition_tasks`
-  balances worker batches over it);
+* the local process pool (:func:`repro.harness.parallel.run_tasks`
+  balances worker batches over it, scaled by each task's offered load —
+  the one consumer that wants wall time, which grows with load, and the
+  scaling is its own: the estimate itself stays load-blind);
 * the experiment service's weighted-fair scheduler (stream virtual time
   advances by ``estimate_task_cycles / weight`` per dispatch);
 * the auto-tuner's budget accounting (a tune's budget is spent in

@@ -26,14 +26,9 @@ import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.adaptiveness import qualitative_comparison
 from repro.core.cost import CostModel
 from repro.exceptions import FaultError
-from repro.faults.schedule import random_link_faults, random_router_faults
 from repro.harness.parallel import SimTask, derive_task_seed, run_configs, run_tasks
-
-if TYPE_CHECKING:
-    from repro.harness.cache import ResultCache
 from repro.metrics.curves import LatencyThroughputCurve
 from repro.metrics.resilience import (
     ResiliencePoint,
@@ -41,14 +36,17 @@ from repro.metrics.resilience import (
     resilience_point,
 )
 from repro.metrics.sweep import point_from_result
-from repro.routing.registry import available_algorithms, create_routing
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import Simulator
-from repro.sim.results import SimulationResult
-from repro.telemetry import TelemetryConfig, TelemetryResult
 from repro.topology.base import create_topology
-from repro.topology.mesh import Mesh2D
-from repro.traffic.parsecgen import generate_parsec_trace, merge_traces
+
+# What only one figure needs (the engine and telemetry for Fig. 2, the
+# trace generator for Fig. 10, fault schedules, Table 1's algorithms) is
+# imported inside that figure's driver: a warm `repro experiment` is a
+# cache probe and must not pay for the simulator.
+if TYPE_CHECKING:
+    from repro.harness.cache import ResultCache
+    from repro.sim.results import SimulationResult
+    from repro.telemetry.result import TelemetryResult
 
 
 @dataclass(frozen=True)
@@ -216,8 +214,10 @@ def fig2_congestion_tree(
     lands on the last simulated cycle, making the end-of-run shapes
     identical to a direct end-state extraction.
     """
-    from repro.traffic.patterns import TrafficGenerator
     from repro.router.flit import Packet
+    from repro.sim.engine import Simulator
+    from repro.telemetry.config import TelemetryConfig
+    from repro.traffic.patterns import TrafficGenerator
 
     flows = [(0, FIG2_NETWORK_DST), (1, 15), (4, FIG2_ENDPOINT_DST),
              (12, FIG2_ENDPOINT_DST)]
@@ -542,6 +542,8 @@ def fig10_parsec(
     cache: "ResultCache | None" = None,
 ) -> list[Fig10Entry]:
     """Fig. 10: DBAR vs Footprint on pairs of PARSEC-like traces."""
+    from repro.traffic.parsecgen import generate_parsec_trace, merge_traces
+
     mesh = scale.make_topology()
     algorithms = ("dbar", "footprint")
     configs = []
@@ -593,6 +595,10 @@ def table1_adaptiveness(
     width: int = 4, num_vcs: int = 4, height: int | None = None
 ) -> dict[str, dict[str, float]]:
     """Quantitative adaptiveness behind Table 1's +/o/- entries."""
+    from repro.core.adaptiveness import qualitative_comparison
+    from repro.routing.registry import create_routing
+    from repro.topology.mesh import Mesh2D
+
     mesh = Mesh2D(width, height)
     algorithms = {
         name: create_routing(name)
@@ -657,7 +663,11 @@ def fault_sweep(
     x rate grid is one flat task list through the parallel runner and the
     result cache, like every other sweep driver.
     """
+    from repro.faults.schedule import random_link_faults, random_router_faults
+
     if algorithms is None:
+        from repro.routing.registry import available_algorithms
+
         algorithms = tuple(available_algorithms())
     counts = fault_counts if fault_counts is not None else scale.fault_counts
     if fault_kind == "link":

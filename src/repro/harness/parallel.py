@@ -10,7 +10,11 @@ bit-identical to a serial run:
   on the task, never on which worker ran it or in what order;
 * results are collected **in task order** regardless of completion order;
 * ``jobs=1`` bypasses the pool entirely and runs in-process, which is
-  also the fallback for single-task grids.
+  also the fallback for single-task grids;
+* worker batches are balanced over a config-only weight — estimated
+  cycle-nodes (:mod:`repro.harness.cost`) times offered load, since a
+  sweep's last rate costs several times its first — so the same grid
+  makes the same batches on every machine.
 
 The worker count comes from, in order of precedence: an explicit ``jobs``
 argument (CLI ``--jobs``), the ``REPRO_JOBS`` environment variable, and
@@ -25,7 +29,6 @@ from __future__ import annotations
 import os
 import sys
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -113,7 +116,7 @@ def _wants_telemetry(config: SimulationConfig) -> bool:
 
 
 def partition_tasks(
-    costs: list[int], buckets: int
+    costs: list[float], buckets: int
 ) -> list[list[int]]:
     """Split task indices into ``buckets`` balanced batches (LPT greedy).
 
@@ -137,11 +140,33 @@ def partition_tasks(
     return batches
 
 
+#: Per-cycle fixed cost of a simulated node (clock, sinks, the active
+#: set), in units of the cost of one offered flit per node and cycle;
+#: fitted to measured task seconds (DESIGN.md §2, "Pool batch weights").
+_LOAD_FLOOR = 0.05
+
+
+def _pool_weight(task: SimTask) -> float:
+    """Relative wall time of ``task``, for balancing pool batches.
+
+    :func:`estimate_task_cycles` is load-blind on purpose (it is the
+    service's virtual time and the tuner's budget currency), but wall
+    time is close to linear in offered load: the tasks of a rate sweep
+    cost 1 : 6 from its first rate to its last.  Config-only like the
+    estimate, so the batches are the same on every machine.
+    """
+    from repro.traffic.factory import offered_flits_per_cycle
+
+    config = task.resolved_config()
+    load = offered_flits_per_cycle(config) / config.num_nodes
+    return estimate_task_cycles(task) * (_LOAD_FLOOR + load)
+
+
 def _run_task(
     task: SimTask, engine_mode: str | None = None
 ) -> SimulationResult:
-    # Imported lazily: the engine pulls in repro.metrics, and importing it
-    # at module level would recreate the circularity sweep.py avoids.
+    # Imported lazily: a grid answered from the cache never simulates
+    # (run_tasks imports the engine once it knows a task is pending).
     from repro.sim.engine import Simulator, engine_mode_from_env
     from repro.validate.config import validation_from_env
 
@@ -176,12 +201,13 @@ def run_tasks(
 
     With ``jobs`` resolving to 1 (or a grid of at most one task) the
     tasks run serially in-process; otherwise they are chunked into one
-    cost-balanced batch per worker (:func:`partition_tasks` over
-    :func:`estimate_task_cycles`) and each batch is a single pool
-    submission — per-task round-trips through the executor cost more
-    than a short simulation, so small grids would otherwise run slower
-    pooled than serial.  Both paths produce identical results because
-    each task is an independent, deterministic simulation.
+    batch per worker, balanced over estimated cycle-nodes weighted by
+    offered load (:func:`partition_tasks` over :func:`_pool_weight`),
+    and each batch is a single pool submission — per-task round-trips
+    through the executor cost more than a short simulation, so small
+    grids would otherwise run slower pooled than serial.  Both paths
+    produce identical results because each task is an independent,
+    deterministic simulation.
 
     ``engine_mode`` selects the execution engine for simulated misses
     (``None`` defers to ``$REPRO_ENGINE_MODE``, falling back to
@@ -192,14 +218,18 @@ def run_tasks(
     wins at its offered load.
 
     When a :class:`~repro.harness.cache.ResultCache` is supplied it is
-    consulted per task before simulating; only misses are executed (and
-    stored back), so a warm cache completes the grid with zero
-    simulations.  Cache hits are bit-exact round trips of the original
-    results, so the returned list is identical either way.  Tasks whose
-    config requests active telemetry always simulate: cached entries
-    carry no telemetry (it is stripped on store), so a hit could not
-    deliver the series the caller asked for — they still store their
-    (telemetry-stripped) outcome back for telemetry-free reuse.
+    consulted per task before simulating; only misses are executed, and
+    each is stored back as soon as it finishes (serially per task,
+    pooled per batch) — a task that fails, or an interrupt, leaves
+    every result that already existed in the cache, so a re-run
+    simulates only what is missing.  A warm cache completes the grid
+    with zero simulations.  Cache hits are bit-exact round trips of the
+    original results, so the returned list is identical either way.
+    Tasks whose config requests active telemetry always simulate:
+    cached entries carry no telemetry (it is stripped on store), so a
+    hit could not deliver the series the caller asked for — they still
+    store their (telemetry-stripped) outcome back for telemetry-free
+    reuse.
 
     When ``$REPRO_SERVICE`` names a running experiment service
     (``host:port``), telemetry-free grids are submitted there as one
@@ -244,27 +274,46 @@ def run_tasks(
         pending = [i for i, r in enumerate(results) if r is None]
     pending_tasks = [task_list[i] for i in pending]
     workers = min(resolve_jobs(jobs), len(pending_tasks))
-    if workers <= 1:
-        fresh = [_run_task(task, engine_mode) for task in pending_tasks]
-    else:
-        costs = [estimate_task_cycles(task) for task in pending_tasks]
-        batches = partition_tasks(costs, workers)
-        fresh = [None] * len(pending_tasks)
-        with ProcessPoolExecutor(max_workers=len(batches)) as pool:
-            futures = [
-                pool.submit(
-                    _run_task_batch,
-                    ([pending_tasks[j] for j in batch], engine_mode),
-                )
-                for batch in batches
-            ]
-            for batch, future in zip(batches, futures):
-                for j, result in zip(batch, future.result()):
-                    fresh[j] = result
-    for index, result in zip(pending, fresh):
+    if pending_tasks:
+        # Loaded before any worker is forked: workers share the parent's
+        # pages, and no import lands inside the first simulation.
+        import repro.sim.engine  # noqa: F401
+
+    def finished(j: int, result: SimulationResult) -> None:
+        # Stored as soon as it exists: a later task that fails, or a
+        # Ctrl-C, must not discard the simulations already done.
         if cache is not None:
             cache.put(result)
-        results[index] = result
+        results[pending[j]] = result
+
+    if workers <= 1:
+        for j, task in enumerate(pending_tasks):
+            finished(j, _run_task(task, engine_mode))
+        return results  # type: ignore[return-value]  # every slot is filled
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    batches = partition_tasks(
+        [_pool_weight(task) for task in pending_tasks], workers
+    )
+    failure: Exception | None = None
+    with ProcessPoolExecutor(max_workers=len(batches)) as pool:
+        batch_of = {
+            pool.submit(
+                _run_task_batch,
+                ([pending_tasks[j] for j in batch], engine_mode),
+            ): batch
+            for batch in batches
+        }
+        for future in as_completed(batch_of):
+            try:
+                batch_results = future.result()
+            except Exception as exc:  # re-raised once the others are kept
+                failure = failure or exc
+                continue
+            for j, result in zip(batch_of[future], batch_results):
+                finished(j, result)
+    if failure is not None:
+        raise failure
     return results  # type: ignore[return-value]  # every slot is filled
 
 

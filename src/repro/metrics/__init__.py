@@ -1,21 +1,15 @@
 """Measurement utilities: streaming statistics, sweeps, and curves."""
 
-from repro.metrics.stats import LatencyStats
-from repro.metrics.sweep import SweepPoint, injection_sweep, saturation_throughput
-from repro.metrics.curves import LatencyThroughputCurve
-from repro.metrics.resilience import (
-    ResiliencePoint,
-    degraded_saturation_rate,
-    resilience_point,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LatencyStats",
-    "SweepPoint",
-    "injection_sweep",
-    "saturation_throughput",
-    "LatencyThroughputCurve",
-    "ResiliencePoint",
-    "degraded_saturation_rate",
-    "resilience_point",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "stats": "LatencyStats",
+        "sweep": "SweepPoint injection_sweep saturation_throughput",
+        "curves": "LatencyThroughputCurve",
+        "resilience": (
+            "ResiliencePoint degraded_saturation_rate resilience_point"
+        ),
+    },
+)

@@ -29,8 +29,21 @@ class LatencyStats:
         self._sorted = False
 
     def extend(self, values: Iterable[int]) -> None:
-        for v in values:
-            self.add(v)
+        """Add many samples in bulk (a cache replay rebuilds thousands).
+
+        Raises as :meth:`add` would on the first negative sample — and
+        then adds none of them.
+        """
+        values = list(values)
+        if not values:
+            return
+        if min(values) < 0:
+            raise ValueError(
+                f"negative latency {next(v for v in values if v < 0)}"
+            )
+        self._samples.extend(values)
+        self._sum += sum(values)
+        self._sorted = False
 
     # ------------------------------------------------------------------
     @property

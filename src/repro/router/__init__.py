@@ -1,6 +1,7 @@
 """Router microarchitecture: flits, buffers, allocators, and the VC router."""
 
-from repro.router.flit import Flit, Packet
-from repro.router.router import Router
+from repro._lazy import lazy_exports
 
-__all__ = ["Flit", "Packet", "Router"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__, {"flit": "Flit Packet", "router": "Router"}
+)

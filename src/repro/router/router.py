@@ -31,6 +31,7 @@ import random
 
 from repro.router.allocator import allocate_vcs, verify_grants
 from repro.router.arbiter import RoundRobinArbiter
+from repro.router.blocking import BlockingStats
 from repro.router.flit import Flit
 from repro.router.output import OutputPort, RouterVcEvents
 from repro.router.vcstate import InputVc, VcState
@@ -39,34 +40,6 @@ from repro.routing.requests import VcRequest
 from repro.sim.config import SimulationConfig
 from repro.topology.base import Topology
 from repro.topology.ports import Direction
-
-
-class BlockingStats:
-    """Accumulators for the purity-of-blocking analysis (paper §4.3)."""
-
-    __slots__ = ("blocking_events", "busy_vc_samples", "footprint_vc_samples")
-
-    def __init__(self) -> None:
-        self.blocking_events = 0
-        self.busy_vc_samples = 0
-        self.footprint_vc_samples = 0
-
-    @property
-    def purity(self) -> float:
-        """Ratio of footprint VCs to all busy VCs observed at blockings."""
-        if self.busy_vc_samples == 0:
-            return 0.0
-        return self.footprint_vc_samples / self.busy_vc_samples
-
-    @property
-    def hol_degree(self) -> float:
-        """Impurity times blocking count — the paper's HoL-blocking degree."""
-        return (1.0 - self.purity) * self.blocking_events
-
-    def merge(self, other: "BlockingStats") -> None:
-        self.blocking_events += other.blocking_events
-        self.busy_vc_samples += other.busy_vc_samples
-        self.footprint_vc_samples += other.footprint_vc_samples
 
 
 class Router:

@@ -1,15 +1,12 @@
 """Routing algorithms: DOR, Odd-Even, DBAR, Footprint, and XORDET overlays."""
 
-from repro.routing.base import OutputPortView, RouteContext, RoutingAlgorithm
-from repro.routing.requests import Priority, VcRequest
-from repro.routing.registry import available_algorithms, create_routing
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OutputPortView",
-    "RouteContext",
-    "RoutingAlgorithm",
-    "Priority",
-    "VcRequest",
-    "available_algorithms",
-    "create_routing",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "base": "OutputPortView RouteContext RoutingAlgorithm",
+        "requests": "Priority VcRequest",
+        "registry": "available_algorithms create_routing",
+    },
+)

@@ -52,6 +52,12 @@ from repro.service.jobs import (
 )
 from repro.sim.results import SimulationResult
 
+# The default worker simulates, and imports the engine when it first
+# does.  Loading it here puts that in the server's boot instead of its
+# first job, and ahead of the executor: pool workers are forked with
+# the engine's pages already shared.
+import repro.sim.engine  # noqa: F401
+
 
 @dataclass
 class StreamState:

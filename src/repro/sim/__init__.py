@@ -1,7 +1,12 @@
 """Simulation kernel: configuration, RNG streams, cycle engine, results."""
 
-from repro.sim.config import SimulationConfig
-from repro.sim.engine import Simulator
-from repro.sim.results import SimulationResult
+from repro._lazy import lazy_exports
 
-__all__ = ["SimulationConfig", "Simulator", "SimulationResult"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "config": "SimulationConfig",
+        "engine": "Simulator",
+        "results": "SimulationResult",
+    },
+)

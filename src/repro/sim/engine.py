@@ -84,6 +84,9 @@ from repro.router.flit import Flit, Packet
 from repro.router.router import BlockingStats, Router
 from repro.routing.registry import create_routing
 from repro.sim.config import SimulationConfig
+# Defined in the leaf module so the cache and the CLI can read them
+# without loading the engine; re-exported here, where callers look.
+from repro.sim.constants import ENGINE_VERSION, USER_ENGINE_MODES  # noqa: F401
 from repro.sim.endpoints import Sink, Source
 from repro.sim.results import SimulationResult
 from repro.sim.rng import RngStreams
@@ -103,12 +106,6 @@ _log = logging.getLogger(__name__)
 #: the engine declares a deadlock.
 DEADLOCK_WINDOW = 5000
 
-#: Bumped whenever a change could alter simulation results (new pipeline
-#: stage ordering, RNG consumption, allocation policy, ...).  The result
-#: cache (:mod:`repro.harness.cache`) folds this into every cache key, so
-#: stale on-disk entries invalidate themselves on upgrade.
-ENGINE_VERSION = 4
-
 #: Recognized values for ``Simulator(engine_mode=...)``.  The three
 #: concrete modes are bit-identical on the configs they support;
 #: ``vector`` additionally falls back to ``skip`` (with a logged
@@ -116,11 +113,6 @@ ENGINE_VERSION = 4
 #: ``auto`` resolves to ``vector`` or ``skip`` per config before
 #: construction (see :func:`resolve_auto_mode`).
 ENGINE_MODES = ("auto", "vector", "skip", "legacy")
-
-#: The modes a user can name — ``--engine-mode`` and
-#: ``$REPRO_ENGINE_MODE``.  ``legacy`` is the test oracle and is only
-#: reachable as ``Simulator(engine_mode="legacy")``.
-USER_ENGINE_MODES = ("auto", "vector", "skip")
 
 #: Environment variable consulted for the default engine mode by the CLI
 #: and harness entry points (see :func:`engine_mode_from_env`).

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.metrics.stats import LatencyStats
-from repro.router.router import BlockingStats
+from repro.router.blocking import BlockingStats
 from repro.sim.config import SimulationConfig
 
 

@@ -19,29 +19,14 @@ Probes are zero-overhead when disabled: a run without telemetry has
 ``is not None`` check.
 """
 
-from repro.telemetry.config import (
-    DEFAULT_SAMPLE_EVERY,
-    DEFAULT_TRACE_LIMIT,
-    TelemetryConfig,
-)
-from repro.telemetry.hub import TelemetryHub
-from repro.telemetry.result import EVENT_KINDS, TelemetryResult
-from repro.telemetry.trace import (
-    summarize_trace,
-    write_chrome_trace,
-    write_jsonl,
-    write_trace,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_SAMPLE_EVERY",
-    "DEFAULT_TRACE_LIMIT",
-    "EVENT_KINDS",
-    "TelemetryConfig",
-    "TelemetryHub",
-    "TelemetryResult",
-    "summarize_trace",
-    "write_chrome_trace",
-    "write_jsonl",
-    "write_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "config": "DEFAULT_SAMPLE_EVERY DEFAULT_TRACE_LIMIT TelemetryConfig",
+        "hub": "TelemetryHub",
+        "result": "EVENT_KINDS TelemetryResult",
+        "trace": "summarize_trace write_chrome_trace write_jsonl write_trace",
+    },
+)

@@ -1,16 +1,13 @@
 """Network topology: 2D mesh/torus geometry, ports, and channels."""
 
-from repro.topology.ports import Direction, OPPOSITE
-from repro.topology.base import TOPOLOGIES, Topology, create_topology
-from repro.topology.mesh import Mesh2D
-from repro.topology.torus import Torus2D
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Direction",
-    "OPPOSITE",
-    "TOPOLOGIES",
-    "Topology",
-    "create_topology",
-    "Mesh2D",
-    "Torus2D",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "ports": "Direction OPPOSITE",
+        "base": "TOPOLOGIES Topology create_topology",
+        "mesh": "Mesh2D",
+        "torus": "Torus2D",
+    },
+)

@@ -1,25 +1,16 @@
 """Traffic generation: synthetic patterns, hotspot flows, and traces."""
 
-from repro.traffic.patterns import (
-    PATTERNS,
-    LookaheadTraffic,
-    SyntheticTraffic,
-    TrafficGenerator,
-    pattern_destination,
-)
-from repro.traffic.hotspot import HotspotTraffic, default_hotspot_flows
-from repro.traffic.trace import TraceEvent, TraceTraffic
-from repro.traffic.factory import create_traffic
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PATTERNS",
-    "LookaheadTraffic",
-    "SyntheticTraffic",
-    "TrafficGenerator",
-    "pattern_destination",
-    "HotspotTraffic",
-    "default_hotspot_flows",
-    "TraceEvent",
-    "TraceTraffic",
-    "create_traffic",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "patterns": (
+            "PATTERNS LookaheadTraffic SyntheticTraffic TrafficGenerator "
+            "pattern_destination"
+        ),
+        "hotspot": "HotspotTraffic default_hotspot_flows",
+        "trace": "TraceEvent TraceTraffic",
+        "factory": "create_traffic",
+    },
+)

@@ -35,6 +35,7 @@ search — same rounds, same survivors, same frontier — with zero fresh
 simulations.
 """
 
+from repro._lazy import lazy_exports
 from repro.exceptions import ReproError
 
 
@@ -42,31 +43,16 @@ class TunerError(ReproError):
     """An invalid tuner request (bad space, scenario, budget, strategy)."""
 
 
-from repro.tuner.objectives import (  # noqa: E402
-    OBJECTIVES,
-    CandidateEval,
-    Objective,
-    Rung,
-    Scenario,
-    config_cost_bits,
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "objectives": (
+            "OBJECTIVES CandidateEval Objective Rung Scenario "
+            "config_cost_bits"
+        ),
+        "pareto": "pareto_frontier rank_evals",
+        "runner": "TuneResult run_tune",
+        "space": "Axis Candidate ParamSpace",
+    },
 )
-from repro.tuner.pareto import pareto_frontier, rank_evals  # noqa: E402
-from repro.tuner.runner import TuneResult, run_tune  # noqa: E402
-from repro.tuner.space import Axis, Candidate, ParamSpace  # noqa: E402
-
-__all__ = [
-    "Axis",
-    "Candidate",
-    "CandidateEval",
-    "OBJECTIVES",
-    "Objective",
-    "ParamSpace",
-    "Rung",
-    "Scenario",
-    "TuneResult",
-    "TunerError",
-    "config_cost_bits",
-    "pareto_frontier",
-    "rank_evals",
-    "run_tune",
-]
+__all__.append("TunerError")

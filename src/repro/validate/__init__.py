@@ -8,18 +8,14 @@ invariant catalogue and :mod:`repro.validate.differential` for the
 ``repro validate`` CLI backend.
 """
 
-from repro.validate.config import (
-    CHECKER_NAMES,
-    MUTATION_CHECKERS,
-    VALIDATE_ENV,
-    ValidationConfig,
-    validation_from_env,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CHECKER_NAMES",
-    "MUTATION_CHECKERS",
-    "VALIDATE_ENV",
-    "ValidationConfig",
-    "validation_from_env",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "config": (
+            "CHECKER_NAMES MUTATION_CHECKERS VALIDATE_ENV ValidationConfig "
+            "validation_from_env"
+        ),
+    },
+)

@@ -1,0 +1,177 @@
+"""An import budget for the entry points.
+
+A warm ``repro experiment`` is a cache probe, ``repro list`` prints three
+tables, and the service clients talk to a socket: none of them may load
+the simulator.  Every case runs in a fresh interpreter and asserts on
+its ``sys.modules``; when one fails, CI's ``-X importtime`` step shows
+which import pulled the module in.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
+
+SRC = str(Path(repro.__file__).resolve().parent.parent)
+
+#: What a verb that simulates nothing must not load.  A trailing dot
+#: means "anything below this package".
+SIMULATOR = (
+    "repro.sim.engine",
+    "repro.router.router",
+    "repro.routing.",
+    "repro.traffic.",
+    "repro.telemetry.hub",
+    "repro.faults.manager",
+    "repro.service",
+    "repro.tuner",
+    "multiprocessing",
+    "concurrent.futures",
+    "asyncio",
+    "logging",
+    "numpy",
+)
+
+#: ``repro list`` prints the registered algorithms and the pattern
+#: table, so it loads the registry (and what it registers) and the
+#: pattern module — and still none of the rest.
+LIST_NEEDS = ("repro.routing.", "repro.traffic.patterns", "repro.traffic.injection")
+
+_MARK = "@@modules "
+
+
+def _modules_after(code: str, *argv: str, **env: str) -> tuple[set[str], str]:
+    """Run ``code`` in a fresh interpreter; its modules and its stdout."""
+    script = (
+        "import json, sys\n"
+        + code
+        + f"\nprint({_MARK!r} + json.dumps(sorted(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=dict(os.environ, PYTHONPATH=SRC, **env),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out, _, modules = proc.stdout.rpartition(_MARK)
+    return set(json.loads(modules)), out
+
+
+def _loaded(modules: set[str], budget: tuple[str, ...]) -> list[str]:
+    """The members of ``modules`` that ``budget`` forbids."""
+    return sorted(
+        module
+        for module in modules
+        if any(
+            module.startswith(entry)
+            if entry.endswith(".")
+            else module == entry or module.startswith(entry + ".")
+            for entry in budget
+        )
+    )
+
+
+_CLI = "from repro.cli import main\nassert main(sys.argv[1:]) == 0"
+
+
+def test_building_the_parser_loads_no_simulator():
+    modules, _ = _modules_after(
+        "import repro.cli\nrepro.cli._build_parser()"
+    )
+    assert _loaded(modules, SIMULATOR) == []
+    # The budget is the point, the count is the early warning: 215
+    # modules before the façades went lazy, ~75 after.
+    assert len(modules) < 110
+
+
+def test_warm_experiment_is_a_cache_probe(tmp_path):
+    argv = ("experiment", "fig9", "--scale", "smoke",
+            "--cache-dir", str(tmp_path))
+    cold, out = _modules_after(_CLI, *argv)
+    assert "0 hits, 4 misses" in out
+    # The cold run simulates: the engine is loaded (and was before the
+    # first task ran — see test_run_tasks_loads_the_engine_before...).
+    assert "repro.sim.engine" in cold
+    warm, replay = _modules_after(_CLI, *argv)
+    assert "4 hits, 0 misses" in replay
+    assert replay.replace("4 hits, 0 misses", "") == out.replace(
+        "0 hits, 4 misses", ""
+    )
+    assert _loaded(warm, SIMULATOR) == []
+    assert "tempfile" not in warm  # only ResultCache.put needs it
+
+
+def test_list_loads_the_registry_and_nothing_else():
+    modules, out = _modules_after(_CLI, "list")
+    assert "footprint" in out and "transpose" in out and "torus" in out
+    allowed = set(_loaded(modules, LIST_NEEDS))
+    assert "repro.routing.registry" in allowed
+    assert sorted(set(_loaded(modules, SIMULATOR)) - allowed) == []
+
+
+def test_default_run_loads_neither_numpy_nor_the_vector_core():
+    modules, out = _modules_after(
+        _CLI, "run", "--width", "4", "--vcs", "4", "--warmup", "20",
+        "--measure", "50", "--drain", "100", REPRO_ENGINE_MODE="",
+    )
+    assert "drained       : yes" in out
+    assert "repro.sim.engine" in modules
+    assert _loaded(modules, ("numpy", "repro.sim.vector.engine")) == []
+
+
+def test_a_second_run_imports_nothing_new():
+    """benchmarks/perf reports set-up apart from the timed rounds on the
+    strength of one untimed 4x4 warm-up run finishing every import a
+    default ``run_simulation`` needs.  Lazy imports must not break it."""
+    _, out = _modules_after(
+        "from repro.harness.runner import run_simulation\n"
+        "from repro.sim.config import SimulationConfig\n"
+        "run_simulation(SimulationConfig(width=4, num_vcs=4,\n"
+        "    warmup_cycles=20, measure_cycles=50, drain_cycles=100))\n"
+        "before = set(sys.modules)\n"
+        "result = run_simulation(SimulationConfig(width=8, routing='dbar',\n"
+        "    traffic='transpose', injection_rate=0.3, warmup_cycles=20,\n"
+        "    measure_cycles=60, drain_cycles=300))\n"
+        "result.summary(); result.latency.percentile(99)\n"
+        "result.from_dict(json.loads(json.dumps(result.to_dict())))\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))",
+        REPRO_ENGINE_MODE="", REPRO_VALIDATE="",
+    )
+    assert json.loads(out) == []
+
+
+def test_run_tasks_loads_the_engine_before_its_pool_exists():
+    """Workers are forked from a parent that already holds the engine:
+    they share its pages, and no import lands in a timed task."""
+    _, out = _modules_after(
+        "import concurrent.futures as cf\n"
+        "from repro.harness.parallel import SimTask, run_tasks\n"
+        "from repro.sim.config import SimulationConfig\n"
+        "seen = {'before': 'repro.sim.engine' in sys.modules}\n"
+        "class Pool(cf.ProcessPoolExecutor):\n"
+        "    def __init__(self, *args, **kwargs):\n"
+        "        seen['at_pool'] = 'repro.sim.engine' in sys.modules\n"
+        "        super().__init__(*args, **kwargs)\n"
+        "cf.ProcessPoolExecutor = Pool\n"
+        "config = SimulationConfig(width=4, num_vcs=2, routing='dor',\n"
+        "    warmup_cycles=10, measure_cycles=20, drain_cycles=100)\n"
+        "results = run_tasks([SimTask(config, rate=r) for r in (0.05, 0.2)],\n"
+        "                    jobs=2)\n"
+        "seen['results'] = len(results)\n"
+        "print(json.dumps(seen))",
+        REPRO_SERVICE="",
+    )
+    assert json.loads(out) == {"before": False, "at_pool": True, "results": 2}
+
+
+def test_the_service_loads_the_engine_at_boot():
+    """``repro serve`` builds its executor on the first dispatch; the
+    engine must be in memory before that, not imported by the first
+    job."""
+    modules, _ = _modules_after("import repro.service.server")
+    assert "repro.sim.engine" in modules

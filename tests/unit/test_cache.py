@@ -122,10 +122,14 @@ class TestCacheKey:
         assert config_cache_key(rebuilt) == config_cache_key(config)
 
     def test_engine_version_feeds_the_key(self, monkeypatch):
-        import repro.sim.engine as engine
+        # Patched at the constant's leaf home, which is what the cache
+        # reads: it must not import the engine to stamp a key.
+        from repro.sim import constants
 
         key = config_cache_key(_config())
-        monkeypatch.setattr(engine, "ENGINE_VERSION", engine.ENGINE_VERSION + 1)
+        monkeypatch.setattr(
+            constants, "ENGINE_VERSION", constants.ENGINE_VERSION + 1
+        )
         assert config_cache_key(_config()) != key
 
 

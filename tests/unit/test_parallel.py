@@ -6,7 +6,9 @@ import sys
 import pytest
 
 from repro.harness.parallel import (
+    _LOAD_FLOOR,
     SimTask,
+    _pool_weight,
     derive_task_seed,
     estimate_task_cycles,
     partition_tasks,
@@ -199,6 +201,197 @@ class TestRunTasks:
             assert a.cycles_run == b.cycles_run
             assert a.accepted_flits == b.accepted_flits
             assert tuple(a.latency._samples) == tuple(b.latency._samples)
+
+
+def _bench_grid():
+    """benchmarks/perf's pool grid: {footprint, dbar} x four rates."""
+    tasks = []
+    for routing in ("footprint", "dbar"):
+        base = SimulationConfig(
+            width=8,
+            routing=routing,
+            warmup_cycles=10,
+            measure_cycles=30,
+            drain_cycles=60,
+        )
+        tasks.extend(
+            SimTask(base, rate=rate) for rate in (0.05, 0.1, 0.2, 0.3)
+        )
+    return tasks
+
+
+def _fig9_smoke_grid():
+    from repro.harness.experiments import SMOKE
+
+    return [
+        SimTask(
+            SMOKE.config(
+                routing=routing,
+                traffic="hotspot",
+                hotspot_rate=rate,
+                background_rate=0.3,
+            )
+        )
+        for routing in ("dbar", "footprint")
+        for rate in SMOKE.hotspot_rates
+    ]
+
+
+class TestPoolWeights:
+    """Pool batches are balanced over load-weighted cost; the shared
+    estimate stays load-blind."""
+
+    @pytest.mark.parametrize(
+        "grid, heaviest",
+        [(_bench_grid, (3, 7)), (_fig9_smoke_grid, (1, 3))],
+        ids=["bench_grid", "fig9_smoke"],
+    )
+    def test_two_heaviest_tasks_land_on_different_workers(
+        self, grid, heaviest
+    ):
+        tasks = grid()
+        weights = [_pool_weight(task) for task in tasks]
+        assert tuple(sorted(
+            sorted(range(len(tasks)), key=weights.__getitem__)[-2:]
+        )) == heaviest
+        batches = partition_tasks(weights, 2)
+        first, second = heaviest
+        assert sum(first in b and second in b for b in batches) == 0
+        loads = [sum(weights[i] for i in batch) for batch in batches]
+        assert max(loads) / (sum(loads) / 2) < 1.1
+        # The load-blind estimate cannot tell them apart: it puts both
+        # in one batch, which is the imbalance the weights remove.
+        blind = partition_tasks(
+            [estimate_task_cycles(task) for task in tasks], 2
+        )
+        assert any(first in b and second in b for b in blind)
+
+    def test_weight_grows_with_load_and_never_reaches_zero(self, config):
+        idle = _pool_weight(SimTask(config, rate=0.0))
+        light = _pool_weight(SimTask(config, rate=0.05))
+        heavy = _pool_weight(SimTask(config, rate=0.3))
+        assert 0 < idle < light < heavy
+        assert idle == estimate_task_cycles(SimTask(config)) * _LOAD_FLOOR
+
+    def test_estimate_task_cycles_is_still_load_blind(self, config):
+        assert estimate_task_cycles(
+            SimTask(config, rate=0.4)
+        ) == estimate_task_cycles(SimTask(config, rate=0.01))
+
+
+class _InlinePool:
+    """ProcessPoolExecutor stand-in: runs each submission on the spot,
+    in this process, and remembers what it was handed."""
+
+    batches: list = []
+
+    def __init__(self, max_workers):
+        type(self).batches = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, payload):
+        from concurrent.futures import Future
+
+        type(self).batches.append(list(payload[0]))
+        future = Future()
+        try:
+            future.set_result(fn(payload))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+class TestPutAsYouGo:
+    """A failing task must not discard the results finished before it."""
+
+    @pytest.fixture
+    def flaky(self, monkeypatch):
+        """``_run_task`` that refuses one rate and counts real runs."""
+        from repro.exceptions import SimulationError
+        from repro.harness import parallel
+
+        real = parallel._run_task
+        state = {"fails_at": 0.3, "simulated": []}
+
+        def run(task, engine_mode=None):
+            if task.rate == state["fails_at"]:
+                raise SimulationError(f"rate {task.rate} refused")
+            state["simulated"].append(task.rate)
+            return real(task, engine_mode)
+
+        monkeypatch.setattr(parallel, "_run_task", run)
+        return state
+
+    def test_serial_failure_keeps_every_earlier_result(
+        self, config, flaky, tmp_path
+    ):
+        from repro.exceptions import SimulationError
+        from repro.harness.cache import ResultCache
+
+        tasks = [SimTask(config, rate=r) for r in (0.05, 0.1, 0.3)]
+        cache = ResultCache(tmp_path)
+        with pytest.raises(SimulationError, match="0.3 refused"):
+            run_tasks(tasks, jobs=1, cache=cache)
+        assert len(cache.entry_paths()) == 2
+        # The re-run simulates only the task that failed.
+        flaky["fails_at"], flaky["simulated"] = None, []
+        results = run_tasks(tasks, jobs=1, cache=cache)
+        assert flaky["simulated"] == [0.3]
+        assert [r.config.injection_rate for r in results] == [0.05, 0.1, 0.3]
+        assert len(cache.entry_paths()) == 3
+
+    def test_pooled_failure_keeps_the_batches_that_finished(
+        self, config, flaky, tmp_path, monkeypatch
+    ):
+        import concurrent.futures
+
+        from repro.exceptions import SimulationError
+        from repro.harness.cache import ResultCache
+
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", _InlinePool
+        )
+        rates = (0.05, 0.3, 0.1, 0.2)
+        tasks = [SimTask(config, rate=r) for r in rates]
+        cache = ResultCache(tmp_path)
+        with pytest.raises(SimulationError, match="0.3 refused"):
+            run_tasks(tasks, jobs=2, cache=cache)
+        # LPT over the weights: {0.3, 0.05} and {0.2, 0.1}.  The first
+        # batch is lost with its failing task, the second is kept even
+        # though it resolved after the failure.
+        assert [[t.rate for t in b] for b in _InlinePool.batches] == [
+            [0.05, 0.3],
+            [0.1, 0.2],
+        ]
+        kept = sorted(
+            ResultCache(tmp_path).get(task.resolved_config()) is not None
+            for task in tasks
+        )
+        assert kept == [False, False, True, True]
+        flaky["fails_at"], flaky["simulated"] = None, []
+        results = run_tasks(tasks, jobs=2, cache=cache)
+        assert sorted(flaky["simulated"]) == [0.05, 0.3]
+        assert [r.config.injection_rate for r in results] == list(rates)
+
+    def test_pooled_results_come_back_in_task_order(
+        self, config, monkeypatch
+    ):
+        import concurrent.futures
+
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", _InlinePool
+        )
+        rates = (0.2, 0.05, 0.3, 0.1, 0.15)
+        results = run_tasks(
+            [SimTask(config, rate=r) for r in rates], jobs=3
+        )
+        assert [r.config.injection_rate for r in results] == list(rates)
+        assert len(_InlinePool.batches) == 3
 
 
 class TestServiceFallback:

@@ -30,6 +30,44 @@ class TestBasics:
         with pytest.raises(ValueError):
             LatencyStats().add(-1)
 
+    def test_extend_names_the_first_negative_sample_like_add(self):
+        with pytest.raises(ValueError) as one:
+            LatencyStats().add(-3)
+        stats = filled([4])
+        with pytest.raises(ValueError) as bulk:
+            stats.extend([5, -3, 7, -9])
+        assert str(bulk.value) == str(one.value) == "negative latency -3"
+        # All or nothing: a rejected batch leaves the accumulator alone.
+        assert stats.samples() == [4] and stats.mean == 4
+
+    def test_extend_matches_repeated_add(self):
+        values = [9, 0, 4, 4, 17]
+        one_by_one = LatencyStats()
+        for value in values:
+            one_by_one.add(value)
+        bulk = filled(values)
+        assert bulk.samples() == one_by_one.samples()
+        assert bulk.mean == one_by_one.mean
+        assert bulk.percentile(99) == one_by_one.percentile(99) == 17
+
+    def test_extend_consumes_a_generator_once(self):
+        stats = filled(v * v for v in range(5))
+        assert stats.samples() == [0, 1, 4, 9, 16]
+        assert stats.mean == 6
+        # A percentile query sorts in place; samples added afterwards
+        # must un-sort it again.
+        assert stats.percentile(100) == 16
+        stats.extend(iter([3]))
+        assert stats.percentile(100) == 16 and stats.percentile(0) == 0
+        assert stats.count == 6
+
+    def test_extend_with_nothing_changes_nothing(self):
+        stats = filled([])
+        assert stats.count == 0 and math.isnan(stats.mean)
+        stats = filled([2, 1])
+        stats.extend(iter(()))
+        assert stats.samples() == [2, 1] and stats.mean == 1.5
+
     def test_mean_min_max(self):
         stats = filled([1, 2, 3, 4])
         assert stats.mean == 2.5
