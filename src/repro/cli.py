@@ -22,8 +22,9 @@ simulation or a whole paper experiment::
     footprint-noc list
 
 Validation failures (unknown algorithm or pattern, malformed fault spec,
-inconsistent configuration) print a one-line ``error: ...`` message and
-exit with status 2 instead of dumping a traceback.
+inconsistent configuration, a bad ``$REPRO_JOBS``) print a one-line
+``error: ...`` message and exit with status 2 instead of dumping a
+traceback; Ctrl-C prints ``interrupted`` and exits with status 130.
 """
 
 from __future__ import annotations
@@ -31,12 +32,20 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.exceptions import ReproError
+from repro.exceptions import ConfigurationError, ReproError
 from repro.sim.constants import USER_ENGINE_MODES
 
 # Everything else is imported by the verb that uses it: building the
 # parser, `list`, a warm `experiment` and the service clients must not
 # pay for loading the simulator.
+
+#: What ``--jobs`` falls back to when neither the flag nor $REPRO_JOBS
+#: is given; every other verb (and every library caller) gets 1.  These
+#: two promise identical output for any worker count, so the pool only
+#: ever trades wall clock and they use every usable CPU.  `validate`
+#: stays serial because there 1 *means* "skip the pooled re-run", and
+#: `serve` because sizing a long-lived daemon is the operator's call.
+DEFAULT_JOBS = {"experiment": "auto", "tune": "auto"}
 
 
 def _jobs_arg(text: str) -> str:
@@ -226,8 +235,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N|auto",
         help=(
             "worker processes for the simulation grid (default: "
-            "REPRO_JOBS, else serial; 'auto' = one per CPU); results "
-            "are identical for any value"
+            "$REPRO_JOBS, else 'auto' = one per CPU this process may "
+            "use; 1 = serial, no pool); results are identical for any "
+            "value"
         ),
     )
     experiment.add_argument(
@@ -332,7 +342,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N|auto",
         help=(
             "worker processes for the final pooled re-run (default: "
-            "REPRO_JOBS, else serial, which skips that phase)"
+            "$REPRO_JOBS, else 1, which skips that phase; 'auto' = one "
+            "per usable CPU)"
         ),
     )
     validate.add_argument(
@@ -382,8 +393,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_jobs_arg,
         metavar="N|auto",
         help=(
-            "concurrent simulations (default: REPRO_JOBS, else 1; "
-            "'auto' = one per CPU)"
+            "concurrent simulations (default: $REPRO_JOBS, else 1 — "
+            "size the daemon explicitly; 'auto' = one per usable CPU)"
         ),
     )
     serve.add_argument(
@@ -612,7 +623,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_jobs_arg,
         metavar="N|auto",
         help=(
-            "worker processes (default: REPRO_JOBS, else serial); the "
+            "worker processes (default: $REPRO_JOBS, else 'auto' = one "
+            "per CPU this process may use; 1 = serial, no pool); the "
             "search trajectory is identical for any value"
         ),
     )
@@ -1307,6 +1319,17 @@ def main(argv: list[str] | None = None) -> int:
             from repro.sim.engine import user_engine_mode
 
             user_engine_mode(args.engine_mode, "--engine-mode")
+        if "jobs" in vars(args):
+            # Resolved once, before anything is probed or simulated;
+            # the verb and everything below it see a plain int.
+            from repro.harness.parallel import resolve_jobs
+
+            try:
+                args.jobs = resolve_jobs(
+                    args.jobs, default=DEFAULT_JOBS.get(args.command, 1)
+                )
+            except ValueError as exc:  # $REPRO_JOBS; argparse saw --jobs
+                raise ConfigurationError(str(exc)) from None
         return handlers[args.command](args)
     except ReproError as exc:
         # Validation problems (unknown algorithm/pattern, malformed fault
@@ -1314,6 +1337,11 @@ def main(argv: list[str] | None = None) -> int:
         # line on stderr, nonzero exit, no traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        # Whatever finished before Ctrl-C is already in the result
+        # cache; the re-run simulates only the rest.
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

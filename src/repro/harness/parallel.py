@@ -18,10 +18,12 @@ bit-identical to a serial run:
 
 The worker count comes from, in order of precedence: an explicit ``jobs``
 argument (CLI ``--jobs``), the ``REPRO_JOBS`` environment variable, and
-finally a serial default of 1 — parallelism is opt-in at the library
-level so programmatic callers (and tests that stub out simulation
-internals) never fork workers implicitly.  ``"auto"`` maps to the
-machine's CPU count.
+finally the caller's fallback.  The library's fallback is serial (1):
+programmatic callers (and tests that stub out simulation internals)
+never fork workers implicitly.  ``repro experiment`` and ``repro tune``
+fall back to ``"auto"`` instead (stated once, in :mod:`repro.cli`),
+which is :func:`usable_cpus` — the CPUs this process may run on, not
+the ones the machine has.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
+from repro.exceptions import SimulationError
 from repro.harness.cost import estimate_config_cycles, estimate_task_cycles
 from repro.sim.config import SimulationConfig
 from repro.sim.results import SimulationResult
@@ -50,6 +53,7 @@ __all__ = [
     "run_configs",
     "run_tasks",
     "run_tasks_accounted",
+    "usable_cpus",
 ]
 
 
@@ -85,28 +89,83 @@ def derive_task_seed(base_seed: int, name: str) -> int:
     return (base_seed * 0x9E3779B1 + zlib.crc32(name.encode("utf-8"))) % 2**63
 
 
-def resolve_jobs(jobs: int | str | None = None) -> int:
-    """Resolve a worker count from ``jobs`` / ``REPRO_JOBS`` / serial.
+#: Where the cgroup CPU controller's files are mounted.
+_CGROUP_ROOT = "/sys/fs/cgroup"
+
+
+def _cgroup_cpu_quota() -> int | None:
+    """CPUs the cgroup CPU quota allows, rounded up; ``None`` = no cap.
+
+    cgroup v2 keeps ``"<quota|max> <period>"`` in ``cpu.max``; v1 keeps
+    the quota (-1 = none) and the period in two files.  A file that is
+    missing, unreadable or not two integers means no cap.
+    """
+    for names in (
+        ("cpu.max",),
+        ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us"),
+    ):
+        try:
+            fields: list[str] = []
+            for name in names:
+                with open(os.path.join(_CGROUP_ROOT, name)) as handle:
+                    fields += handle.read().split()
+            quota, period = map(int, fields)  # "max" is a ValueError
+        except (OSError, ValueError):
+            continue
+        if quota > 0 and period > 0:
+            return -(-quota // period)
+    return None
+
+
+def usable_cpus() -> int:
+    """How many CPUs this process may actually use (always >= 1).
+
+    The scheduler affinity set where the platform has one (``taskset``,
+    ``docker --cpuset-cpus``, batch schedulers), else the machine's CPU
+    count, capped by the cgroup CPU quota (``docker --cpus``, CI
+    runners).  ``os.cpu_count()`` alone oversubscribes under all of
+    those.
+    """
+    try:
+        count = len(os.sched_getaffinity(0))
+    except AttributeError:  # macOS, Windows
+        count = os.cpu_count() or 1
+    quota = _cgroup_cpu_quota()
+    if quota is not None:
+        count = min(count, quota)
+    return max(1, count)
+
+
+def resolve_jobs(
+    jobs: int | str | None = None, default: int | str = 1
+) -> int:
+    """Resolve a worker count from ``jobs`` / ``REPRO_JOBS`` / ``default``.
 
     ``None`` defers to the ``REPRO_JOBS`` environment variable; an unset
-    or empty variable means serial (1).  ``"auto"`` maps to the machine's
-    CPU count.  The result is always >= 1.
+    or empty variable means ``default`` — serial for library callers.
+    ``"auto"`` is :func:`usable_cpus`.  The result is always >= 1;
+    anything else is a :class:`ValueError` naming where the value came
+    from.
     """
+    source = "jobs"
     if jobs is None:
-        jobs = os.environ.get("REPRO_JOBS", "").strip() or "1"
-    if isinstance(jobs, str):
-        text = jobs.strip().lower()
-        if text == "auto":
-            return max(1, os.cpu_count() or 1)
-        try:
-            jobs = int(text)
-        except ValueError:
-            raise ValueError(
-                f"jobs must be a positive integer or 'auto', got {jobs!r}"
-            ) from None
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return jobs
+        jobs = os.environ.get("REPRO_JOBS", "").strip()
+        if jobs:
+            source = "$REPRO_JOBS"
+        else:
+            jobs = default
+    if isinstance(jobs, str) and jobs.strip().lower() == "auto":
+        return usable_cpus()
+    try:
+        count = int(jobs)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(
+            f"{source}={jobs!r} is not a valid worker count; expected a "
+            f"positive integer or 'auto'"
+        )
+    return count
 
 
 def _wants_telemetry(config: SimulationConfig) -> bool:
@@ -176,11 +235,20 @@ def _run_task(
     # simulated misses are checked.
     if engine_mode is None:
         engine_mode = engine_mode_from_env()
-    return Simulator(
+    simulator = Simulator(
         task.resolved_config(),
         engine_mode=engine_mode,
         validation=validation_from_env(),
-    ).run()
+    )
+    result = simulator.run()
+    # A finished simulator is cyclic garbage (its sinks call back into
+    # it), ~5 MB for an 8x8 mesh: left to the cycle collector, three or
+    # four pile up in a grid before its next full pass, and when that
+    # comes moves the process's peak by 10 % from seed to seed.
+    # Emptied, it is freed right here.  A run that raises keeps its
+    # state for the post-mortem.
+    vars(simulator).clear()
+    return result
 
 
 def _run_task_batch(
@@ -199,8 +267,9 @@ def run_tasks(
 ) -> list[SimulationResult]:
     """Run every task, returning results in task order.
 
-    With ``jobs`` resolving to 1 (or a grid of at most one task) the
-    tasks run serially in-process; otherwise they are chunked into one
+    With ``jobs`` resolving to 1, or at most one task left to simulate
+    once the cache has answered, the tasks run serially in-process and
+    no pool machinery is imported; otherwise they are chunked into one
     batch per worker, balanced over estimated cycle-nodes weighted by
     offered load (:func:`partition_tasks` over :func:`_pool_weight`),
     and each batch is a single pool submission — per-task round-trips
@@ -220,11 +289,13 @@ def run_tasks(
     When a :class:`~repro.harness.cache.ResultCache` is supplied it is
     consulted per task before simulating; only misses are executed, and
     each is stored back as soon as it finishes (serially per task,
-    pooled per batch) — a task that fails, or an interrupt, leaves
-    every result that already existed in the cache, so a re-run
-    simulates only what is missing.  A warm cache completes the grid
-    with zero simulations.  Cache hits are bit-exact round trips of the
-    original results, so the returned list is identical either way.
+    pooled per batch) — a task that fails, a pool worker that dies
+    (one :class:`~repro.exceptions.SimulationError`, no retry) or an
+    interrupt leaves every result that already existed in the cache,
+    so a re-run simulates only what is missing.  A warm cache completes
+    the grid with zero simulations.  Cache hits are bit-exact round
+    trips of the original results, so the returned list is identical
+    either way.
     Tasks whose config requests active telemetry always simulate:
     cached entries carry no telemetry (it is stripped on store), so a
     hit could not deliver the series the caller asked for — they still
@@ -291,11 +362,13 @@ def run_tasks(
             finished(j, _run_task(task, engine_mode))
         return results  # type: ignore[return-value]  # every slot is filled
     from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
 
     batches = partition_tasks(
         [_pool_weight(task) for task in pending_tasks], workers
     )
     failure: Exception | None = None
+    unfinished = 0
     with ProcessPoolExecutor(max_workers=len(batches)) as pool:
         batch_of = {
             pool.submit(
@@ -307,11 +380,25 @@ def run_tasks(
         for future in as_completed(batch_of):
             try:
                 batch_results = future.result()
+            except BrokenProcessPool:
+                # A worker died; the executor fails every batch still
+                # out, and the ones that came back first are kept.
+                unfinished += len(batch_of[future])
+                continue
             except Exception as exc:  # re-raised once the others are kept
                 failure = failure or exc
                 continue
             for j, result in zip(batch_of[future], batch_results):
                 finished(j, result)
+    if unfinished:
+        raise SimulationError(
+            f"a pool worker was killed (by a signal, or by the kernel "
+            f"when memory ran out) with {unfinished} of "
+            f"{len(pending_tasks)} simulations unfinished; those that "
+            f"finished are kept, so with a result cache a re-run resumes "
+            f"from there, and --jobs 1 (or REPRO_JOBS=1) runs without "
+            f"the pool"
+        )
     if failure is not None:
         raise failure
     return results  # type: ignore[return-value]  # every slot is filled

@@ -119,6 +119,122 @@ def test_invalid_jobs_rejected_by_argparse(capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+_JOBS_VERBS = {
+    "experiment": ["experiment", "fig9"],
+    "tune": ["tune"],
+    "validate": ["validate"],
+    "serve": ["serve"],
+}
+
+
+@pytest.mark.parametrize(
+    "flag, env, expected",
+    [
+        # Nothing said: the verb's own default (auto = 7 CPUs here).
+        (None, None, dict(experiment=7, tune=7, validate=1, serve=1)),
+        (None, "3", dict.fromkeys(_JOBS_VERBS, 3)),
+        (None, "auto", dict.fromkeys(_JOBS_VERBS, 7)),
+        ("2", "3", dict.fromkeys(_JOBS_VERBS, 2)),
+        ("1", None, dict.fromkeys(_JOBS_VERBS, 1)),
+        ("auto", "3", dict.fromkeys(_JOBS_VERBS, 7)),
+        ("2", "many", dict.fromkeys(_JOBS_VERBS, 2)),  # env never read
+    ],
+    ids=["default", "env", "env-auto", "flag-beats-env", "flag-serial",
+         "flag-auto", "flag-hides-bad-env"],
+)
+@pytest.mark.parametrize("verb", _JOBS_VERBS)
+def test_jobs_precedence_flag_env_verb_default(
+    monkeypatch, verb, flag, env, expected
+):
+    """--jobs > $REPRO_JOBS > the verb's default; the handler and
+    everything below it get the resolved int."""
+    import repro.cli
+    from repro.harness import parallel
+
+    seen = []
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 7)
+    monkeypatch.setattr(
+        repro.cli, f"_cmd_{verb}", lambda args: seen.append(args.jobs) or 0
+    )
+    if env is None:
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_JOBS", env)
+    argv = _JOBS_VERBS[verb] + ([] if flag is None else ["--jobs", flag])
+    assert cli_main(argv) == 0
+    assert seen == [expected[verb]]
+
+
+@pytest.mark.parametrize("verb", _JOBS_VERBS)
+@pytest.mark.parametrize("value", ["many", "0"])
+def test_bad_jobs_env_is_one_line_before_anything_runs(
+    monkeypatch, capsys, verb, value
+):
+    import repro.cli
+
+    ran = []
+    monkeypatch.setattr(repro.cli, f"_cmd_{verb}", ran.append)
+    monkeypatch.setenv("REPRO_JOBS", value)
+    assert cli_main(_JOBS_VERBS[verb]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: $REPRO_JOBS={value!r} ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert ran == []
+
+
+def test_ctrl_c_is_one_line_and_exit_130(monkeypatch, capsys):
+    import repro.cli
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(repro.cli, "_cmd_experiment", interrupted)
+    assert cli_main(["experiment", "fig9", "--scale", "smoke"]) == 130
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "interrupted\n")
+
+
+@pytest.mark.parametrize(
+    "verb, promise",
+    [
+        ("experiment", "else 'auto'"),
+        ("tune", "else 'auto'"),
+        ("validate", "else 1, which skips that phase"),
+        ("serve", "else 1"),
+    ],
+)
+def test_each_jobs_help_states_its_own_default(capsys, verb, promise):
+    with pytest.raises(SystemExit):
+        cli_main([verb, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"default: $REPRO_JOBS, {promise}" in text
+
+
+def test_figure_stdout_is_identical_for_any_worker_count(
+    monkeypatch, capsys, tmp_path
+):
+    """Default, --jobs 1 and REPRO_JOBS=1 into fresh cache dirs print
+    the same bytes, cache line included."""
+    outputs = {}
+    for name, flags, env in (
+        ("default", [], ""),
+        ("flag", ["--jobs", "1"], ""),
+        ("env", [], "1"),
+        ("flag-2", ["--jobs", "2"], ""),
+    ):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        monkeypatch.setenv("REPRO_JOBS", env)
+        assert cli_main(
+            ["experiment", "fig9", "--scale", "smoke", "--cache-dir", "c"]
+            + flags
+        ) == 0
+        outputs[name] = capsys.readouterr().out
+        assert len(list((tmp_path / name / "c").glob("*.json"))) == 4
+    assert "cache c: 0 hits, 4 misses" in outputs["default"]
+    assert len(set(outputs.values())) == 1
+
+
 def test_run_with_faults(capsys):
     code = cli_main(
         [

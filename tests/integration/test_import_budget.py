@@ -89,21 +89,73 @@ def test_building_the_parser_loads_no_simulator():
     assert len(modules) < 110
 
 
+#: What a grid that needs no pool must not load.
+POOL = ("concurrent.futures", "multiprocessing")
+
+
+def _fig9(cache_dir) -> tuple[str, ...]:
+    return ("experiment", "fig9", "--scale", "smoke",
+            "--cache-dir", str(cache_dir))
+
+
 def test_warm_experiment_is_a_cache_probe(tmp_path):
-    argv = ("experiment", "fig9", "--scale", "smoke",
-            "--cache-dir", str(tmp_path))
-    cold, out = _modules_after(_CLI, *argv)
+    """Under the verb's default worker count (every usable CPU)."""
+    from repro.harness.parallel import usable_cpus
+
+    argv = _fig9(tmp_path)
+    cold, out = _modules_after(_CLI, *argv, REPRO_JOBS="")
     assert "0 hits, 4 misses" in out
     # The cold run simulates: the engine is loaded (and was before the
-    # first task ran — see test_run_tasks_loads_the_engine_before...).
+    # first task ran — see test_run_tasks_loads_the_engine_before...),
+    # and the pool is, exactly when there is a second CPU to use.
     assert "repro.sim.engine" in cold
-    warm, replay = _modules_after(_CLI, *argv)
+    assert bool(_loaded(cold, POOL)) == (usable_cpus() > 1)
+    warm, replay = _modules_after(_CLI, *argv, REPRO_JOBS="")
     assert "4 hits, 0 misses" in replay
     assert replay.replace("4 hits, 0 misses", "") == out.replace(
         "0 hits, 4 misses", ""
     )
     assert _loaded(warm, SIMULATOR) == []
     assert "tempfile" not in warm  # only ResultCache.put needs it
+
+
+def test_serial_by_request_loads_no_pool(tmp_path):
+    cold, out = _modules_after(_CLI, *_fig9(tmp_path), REPRO_JOBS="1")
+    assert "0 hits, 4 misses" in out
+    assert _loaded(cold, POOL) == []
+
+
+def test_one_usable_cpu_loads_no_pool(tmp_path):
+    """``auto`` on a one-CPU allowance is the serial path, untaxed."""
+    pin = (
+        "import os\n"
+        "if hasattr(os, 'sched_setaffinity'):\n"
+        "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "else:\n"
+        "    os.cpu_count = lambda: 1\n"
+    )
+    cold, out = _modules_after(pin + _CLI, *_fig9(tmp_path), REPRO_JOBS="")
+    assert "0 hits, 4 misses" in out
+    assert _loaded(cold, POOL) == []
+
+
+def test_one_pending_task_loads_no_pool(tmp_path):
+    """The cache answered all but one task: nothing to fan out."""
+    modules, out = _modules_after(
+        "from repro.harness.cache import ResultCache\n"
+        "from repro.harness.parallel import SimTask, run_tasks\n"
+        "from repro.sim.config import SimulationConfig\n"
+        "config = SimulationConfig(width=4, num_vcs=2, routing='dor',\n"
+        "    warmup_cycles=10, measure_cycles=20, drain_cycles=100)\n"
+        "tasks = [SimTask(config, rate=r) for r in (0.05, 0.1, 0.2)]\n"
+        "cache = ResultCache(sys.argv[1])\n"
+        "run_tasks(tasks[:2], jobs=1, cache=cache)\n"
+        "run_tasks(tasks, jobs=4, cache=cache)\n"
+        "print(cache.describe())",
+        str(tmp_path), REPRO_SERVICE="",
+    )
+    assert "2 hits, 3 misses" in out
+    assert _loaded(modules, POOL) == []
 
 
 def test_list_loads_the_registry_and_nothing_else():

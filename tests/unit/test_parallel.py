@@ -1,10 +1,15 @@
 """Unit tests for the parallel execution layer."""
 
+import gc
+import multiprocessing
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+from repro.harness import parallel
 from repro.harness.parallel import (
     _LOAD_FLOOR,
     SimTask,
@@ -14,6 +19,7 @@ from repro.harness.parallel import (
     partition_tasks,
     resolve_jobs,
     run_tasks,
+    usable_cpus,
 )
 from repro.sim.config import SimulationConfig
 
@@ -39,13 +45,28 @@ class TestResolveJobs:
         assert resolve_jobs("2") == 2
 
     def test_auto_is_cpu_count(self):
-        import os
-
-        assert resolve_jobs("auto") == max(1, os.cpu_count() or 1)
+        assert resolve_jobs("auto") == usable_cpus()
 
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         assert resolve_jobs(None) == 1
+
+    def test_callers_fallback_applies_when_nothing_else_speaks(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 7)
+        monkeypatch.setenv("REPRO_JOBS", " ")
+        assert resolve_jobs(None, default="auto") == 7
+        assert resolve_jobs(None, default=3) == 3
+        monkeypatch.setenv("REPRO_JOBS", "6")
+        assert resolve_jobs(None, default="auto") == 6
+        assert resolve_jobs(2, default="auto") == 2
+
+    @pytest.mark.parametrize("value", ["many", "0", "-2", "1.5"])
+    def test_bad_env_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_JOBS", value)
+        with pytest.raises(ValueError, match=r"^\$REPRO_JOBS='"):
+            resolve_jobs(None)
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "6")
@@ -62,6 +83,83 @@ class TestResolveJobs:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             resolve_jobs("many")
+
+
+class TestUsableCpus:
+    """``auto`` counts the CPUs the process may use, not the host's."""
+
+    @pytest.fixture
+    def cgroup(self, monkeypatch, tmp_path):
+        """An empty cgroup mount (no cap) that tests write files into."""
+        monkeypatch.setattr(parallel, "_CGROUP_ROOT", str(tmp_path))
+        (tmp_path / "cpu").mkdir()
+        return tmp_path
+
+    @pytest.fixture
+    def eight_cpus(self, monkeypatch):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(8)), raising=False
+        )
+
+    def test_counts_the_affinity_set_not_the_machine(
+        self, monkeypatch, cgroup
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {2, 3, 5}, raising=False
+        )
+        assert usable_cpus() == 3
+
+    def test_platform_without_affinity_uses_cpu_count(
+        self, monkeypatch, cgroup
+    ):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1
+
+    @pytest.mark.parametrize(
+        "files, expected",
+        [
+            ({"cpu.max": "150000 100000\n"}, 2),  # 1.5 CPUs, rounded up
+            ({"cpu.max": "max 100000\n"}, 8),
+            ({"cpu.max": "50000 100000\n"}, 1),
+            ({"cpu.max": "1600000 100000\n"}, 8),  # quota above affinity
+            ({"cpu.max": "garbage\n"}, 8),
+            ({"cpu/cpu.cfs_quota_us": "-1\n",
+              "cpu/cpu.cfs_period_us": "100000\n"}, 8),
+            ({"cpu/cpu.cfs_quota_us": "250000\n",
+              "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+            ({"cpu/cpu.cfs_quota_us": "250000\n"}, 8),  # no period file
+            ({}, 8),
+        ],
+        ids=["v2-1.5", "v2-max", "v2-half", "v2-loose", "v2-garbage",
+             "v1-none", "v1-2.5", "v1-half-present", "no-files"],
+    )
+    def test_cgroup_quota_caps_the_count(
+        self, cgroup, eight_cpus, files, expected
+    ):
+        for name, text in files.items():
+            (cgroup / name).write_text(text)
+        assert usable_cpus() == expected
+
+    def test_unreadable_cgroup_files_mean_no_cap(
+        self, monkeypatch, cgroup, eight_cpus
+    ):
+        (cgroup / "cpu.max").mkdir()  # open() fails: IsADirectoryError
+        assert usable_cpus() == 8
+        monkeypatch.setattr(parallel, "_CGROUP_ROOT", str(cgroup / "absent"))
+        assert usable_cpus() == 8
+
+    def test_never_below_one(self, monkeypatch, cgroup):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(), raising=False
+        )
+        assert usable_cpus() == 1
+
+    def test_this_host(self):
+        assert 1 <= usable_cpus() <= (os.cpu_count() or 1)
 
 
 class TestSimTask:
@@ -101,7 +199,6 @@ class TestDeriveTaskSeed:
 
     def test_stable_across_process_boundary(self):
         """hash() is salted per process; derive_task_seed must not be."""
-        import os
         from pathlib import Path
 
         import repro
@@ -201,6 +298,46 @@ class TestRunTasks:
             assert a.cycles_run == b.cycles_run
             assert a.accepted_flits == b.accepted_flits
             assert tuple(a.latency._samples) == tuple(b.latency._samples)
+
+    @pytest.mark.parametrize("engine_mode", ["skip", "legacy", "vector"])
+    def test_finished_simulator_is_freed_without_the_collector(
+        self, config, engine_mode
+    ):
+        """A grid's peak memory is one simulator, not however many the
+        cycle collector has yet to find (that moved benchmarks/perf's
+        grid_pool peak between 45 and 50 MB with the seed).  What may
+        still wait for the collector is small change: ports on their
+        router's dirty list and the flits in them."""
+        task = SimTask(config, rate=0.2)
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)  # keep what collect() finds
+        try:
+            result = parallel._run_task(task, engine_mode)
+            gc.collect()
+            left = {type(obj).__name__ for obj in gc.garbage}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert result.accepted_flits > 0
+        assert not left & {"Simulator", "Router", "InputVc", "Sink", "Source"}
+
+    def test_failed_simulation_keeps_its_state(self, config, monkeypatch):
+        """Only a run that returned is emptied; one that raised is what
+        the post-mortem looks at."""
+        from repro.sim import engine
+
+        seen = []
+
+        def run(self):
+            seen.append(self)
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(engine.Simulator, "run", run)
+        with pytest.raises(RuntimeError, match="boom"):
+            parallel._run_task(SimTask(config, rate=0.2))
+        assert seen[0].routers
 
 
 def _bench_grid():
@@ -313,14 +450,13 @@ class TestPutAsYouGo:
     def flaky(self, monkeypatch):
         """``_run_task`` that refuses one rate and counts real runs."""
         from repro.exceptions import SimulationError
-        from repro.harness import parallel
 
         real = parallel._run_task
-        state = {"fails_at": 0.3, "simulated": []}
+        state = {"fails_at": 0.3, "simulated": [], "error": SimulationError}
 
         def run(task, engine_mode=None):
             if task.rate == state["fails_at"]:
-                raise SimulationError(f"rate {task.rate} refused")
+                raise state["error"](f"rate {task.rate} refused")
             state["simulated"].append(task.rate)
             return real(task, engine_mode)
 
@@ -392,6 +528,98 @@ class TestPutAsYouGo:
         )
         assert [r.config.injection_rate for r in results] == list(rates)
         assert len(_InlinePool.batches) == 3
+
+    def test_interrupt_keeps_what_finished_and_the_rerun_does_the_rest(
+        self, config, flaky, tmp_path
+    ):
+        """Ctrl-C mid-grid: the CLI prints ``interrupted``; this is the
+        half of the promise that lives here."""
+        from repro.harness.cache import ResultCache
+
+        flaky["error"] = KeyboardInterrupt
+        rates = (0.05, 0.1, 0.3, 0.2)
+        tasks = [SimTask(config, rate=r) for r in rates]
+        cache = ResultCache(tmp_path)
+        with pytest.raises(KeyboardInterrupt):
+            run_tasks(tasks, jobs=1, cache=cache)
+        assert len(cache.entry_paths()) == 2
+        flaky["fails_at"], flaky["simulated"] = None, []
+        results = run_tasks(tasks, jobs=1, cache=cache)
+        assert flaky["simulated"] == [0.3, 0.2]
+        assert [r.config.injection_rate for r in results] == list(rates)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the stand-in task reaches the workers by being forked",
+)
+class TestWorkerLoss:
+    """A real pool whose worker goes away under one batch."""
+
+    RATES = (0.05, 0.3, 0.1, 0.2)  # batches {0.05, 0.3} and {0.1, 0.2}
+
+    @pytest.fixture
+    def grid(self, config, tmp_path, monkeypatch):
+        """``(tasks, cache, state)``: the task at ``state['at']`` waits
+        (bounded) for the other batch to land in the cache — a batch
+        that finishes before the break is the case to pin — and then
+        calls ``state['how']`` in its worker."""
+        from repro.harness.cache import ResultCache
+
+        real = parallel._run_task
+        state = {"at": 0.05, "how": None}
+
+        def run(task, engine_mode=None):
+            if task.rate == state["at"]:
+                deadline = time.monotonic() + 60
+                while (
+                    len(list(tmp_path.glob("*.json"))) < 2
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.01)
+                state["how"]()
+            return real(task, engine_mode)
+
+        monkeypatch.setattr(parallel, "_run_task", run)
+        tasks = [SimTask(config, rate=r) for r in self.RATES]
+        return tasks, ResultCache(tmp_path), state
+
+    def _rerun_simulates_only(self, tasks, cache, state, expected):
+        state["at"] = None
+        before = cache.misses
+        results = run_tasks(tasks, jobs=2, cache=cache)
+        assert cache.misses - before == expected
+        assert [r.config.injection_rate for r in results] == list(self.RATES)
+        assert len(cache.entry_paths()) == len(tasks)
+
+    def test_killed_worker_is_one_clear_error(self, grid):
+        from repro.exceptions import SimulationError
+
+        tasks, cache, state = grid
+        state["how"] = lambda: os._exit(9)
+        with pytest.raises(SimulationError) as excinfo:
+            run_tasks(tasks, jobs=2, cache=cache)
+        message = str(excinfo.value)
+        assert "worker was killed" in message and "\n" not in message
+        assert "2 of 4 simulations unfinished" in message
+        assert "--jobs 1" in message and "re-run resumes" in message
+        # The batch that came back before the break was kept.
+        assert [
+            cache.get(task.resolved_config()) is not None for task in tasks
+        ] == [False, False, True, True]
+        self._rerun_simulates_only(tasks, cache, state, 2)
+
+    def test_interrupted_worker_keeps_the_finished_batch(self, grid):
+        tasks, cache, state = grid
+
+        def interrupt():
+            raise KeyboardInterrupt
+
+        state["how"] = interrupt
+        with pytest.raises(KeyboardInterrupt):
+            run_tasks(tasks, jobs=2, cache=cache)
+        assert len(cache.entry_paths()) == 2
+        self._rerun_simulates_only(tasks, cache, state, 2)
 
 
 class TestServiceFallback:
