@@ -17,8 +17,9 @@ Entries are one JSON file per key under the cache directory (default
 variable or an explicit path).  Writes go through a temporary file and
 an atomic :func:`os.replace`, so concurrent ``--jobs`` workers, parallel
 experiment runs, and the experiment service's streams can share a
-directory without torn entries; unreadable or corrupt files are treated
-as misses and overwritten.  Writers also tolerate a ``prune``/``clear``
+directory without torn entries; unreadable or corrupt files, and entries
+that turn out to hold another config's result, are treated as misses and
+overwritten.  Writers also tolerate a ``prune``/``clear``
 racing them (the store is retried once if the directory vanishes
 mid-write), and ``prune`` sweeps temp files orphaned by dead writers.
 """
@@ -64,7 +65,11 @@ def config_cache_key(config: SimulationConfig) -> str:
     telemetry address the same simulated result.  Field ordering cannot
     matter because the serializer sorts keys.
     """
-    config_dict = config.to_dict()
+    return _config_dict_key(config.to_dict())
+
+
+def _config_dict_key(config_dict: dict) -> str:
+    """:func:`config_cache_key` of a config in its dict form (consumed)."""
     config_dict.pop("telemetry", None)
     payload = {
         "engine_version": constants.ENGINE_VERSION,
@@ -95,13 +100,21 @@ class ResultCache:
 
     def get(self, config: SimulationConfig) -> SimulationResult | None:
         """The cached result for ``config``, or ``None`` on a miss."""
-        path = self._path(config_cache_key(config))
+        key = config_cache_key(config)
         try:
-            data = json.loads(path.read_text())
+            data = json.loads(self._path(key).read_text())
             result = SimulationResult.from_dict(data)
-        except (OSError, ValueError, KeyError, TypeError):
-            # Missing, unreadable, or corrupt entry: report a miss; a
-            # subsequent put() overwrites the bad file.
+            # A hit is verified: the entry must be the result of the
+            # config asked for (an edited or misfiled one is not), up to
+            # the telemetry the key ignores — its stored config hashes
+            # to the key it is filed under.
+            hit = _config_dict_key(dict(data["config"])) == key
+        except Exception:
+            # Missing, unreadable or corrupt: a file is outside input,
+            # so whatever the rebuild tripped over is a miss.
+            hit = False
+        if not hit:
+            # A subsequent put() overwrites the bad file.
             self.misses += 1
             return None
         self.hits += 1

@@ -235,20 +235,11 @@ def _run_task(
     # simulated misses are checked.
     if engine_mode is None:
         engine_mode = engine_mode_from_env()
-    simulator = Simulator(
+    return Simulator(
         task.resolved_config(),
         engine_mode=engine_mode,
         validation=validation_from_env(),
-    )
-    result = simulator.run()
-    # A finished simulator is cyclic garbage (its sinks call back into
-    # it), ~5 MB for an 8x8 mesh: left to the cycle collector, three or
-    # four pile up in a grid before its next full pass, and when that
-    # comes moves the process's peak by 10 % from seed to seed.
-    # Emptied, it is freed right here.  A run that raises keeps its
-    # state for the post-mortem.
-    vars(simulator).clear()
-    return result
+    ).run()
 
 
 def _run_task_batch(

@@ -27,8 +27,6 @@ hottest reads in the simulator: "idle" is ``free & adaptive``,
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.exceptions import AllocationError, FlowControlError
 from repro.router.flit import Flit
 from repro.routing.requests import bits
@@ -48,9 +46,10 @@ class RouterVcEvents:
         #: change neither grantability nor ownership) — and cleared by
         #: the router when it evaluates an allocation round.
         self.changed = True
-        #: Ports that released a VC since the last allocation round (a
-        #: port may appear twice; clearing is idempotent).
-        self.fresh_ports: list[OutputPort] = []
+        #: Directions of the ports that released a VC since the last
+        #: allocation round (one may appear twice; clearing is
+        #: idempotent).  Directions, not ports: a port holds these events.
+        self.fresh_ports: list[Direction] = []
 
 
 class OutputPort:
@@ -106,7 +105,7 @@ class OutputPort:
         self.fresh = 0
         # Destination -> its busy adaptive VCs (never an empty mask).
         self._fp: dict[int, int] = {}
-        self.fifo: deque[tuple[Flit, int]] = deque()
+        self.fifo: list[tuple[Flit, int]] = []
         self._accepted_this_cycle = 0
         self._adaptive_credits = downstream_depth * self.adaptive.bit_count()
         #: Shared with the router's other ports (private if stand-alone).
@@ -200,7 +199,7 @@ class OutputPort:
         # The owner is deliberately left stale until the next allocation
         # and the VC is marked fresh; see fresh_footprint_mask().
         if not self.fresh:
-            events.fresh_ports.append(self)
+            events.fresh_ports.append(self.direction)
         self.fresh |= bit
         if self.adaptive & bit:
             fp = self._fp
@@ -258,7 +257,7 @@ class OutputPort:
         """Pop one flit onto the link (one per cycle); ``None`` if empty."""
         if not self.fifo:
             return None
-        return self.fifo.popleft()
+        return self.fifo.pop(0)
 
     def credit_return(self, vc: int) -> bool:
         """A downstream buffer slot freed; finish atomic drains if complete.

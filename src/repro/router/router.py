@@ -316,8 +316,9 @@ class Router:
         name must count the engine's calls only.)"""
         fresh_ports = self._events.fresh_ports
         if fresh_ports:
-            for port in fresh_ports:
-                port.clear_fresh()
+            ports = self.output_ports
+            for direction in fresh_ports:
+                ports[direction].clear_fresh()
             fresh_ports.clear()
 
     def _sample_blocked(self) -> None:

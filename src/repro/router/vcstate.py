@@ -17,7 +17,6 @@ currently at its front:
 from __future__ import annotations
 
 import enum
-from collections import deque
 
 from repro.exceptions import FlowControlError
 from repro.router.flit import Flit
@@ -48,7 +47,9 @@ class InputVc:
         self.direction = direction
         self.index = index
         self.depth = depth
-        self.fifo: deque[Flit] = deque()
+        # A list, not a deque: depth is a handful of flits, so pop(0) moves
+        # a few words, and an empty list is 56 bytes where a deque is 760.
+        self.fifo: list[Flit] = []
         self.state = VcState.IDLE
         self.out_direction: Direction | None = None
         self.out_vc: int | None = None
@@ -102,7 +103,7 @@ class InputVc:
         """Remove the front flit (switch traversal); handles tail release."""
         if not self.fifo:
             raise FlowControlError("pop from empty input VC")
-        flit = self.fifo.popleft()
+        flit = self.fifo.pop(0)
         if flit.is_tail:
             self.state = VcState.IDLE
             self.out_direction = None

@@ -28,7 +28,7 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass
-from typing import Mapping, Protocol
+from typing import Mapping, Protocol, Sequence
 
 from repro.routing.requests import Priority, VcRequest
 from repro.topology.base import Topology
@@ -294,8 +294,8 @@ class RoutingAlgorithm(abc.ABC):
     # ------------------------------------------------------------------
     @staticmethod
     def live_candidates(
-        ctx: RouteContext, candidates: list[Direction]
-    ) -> list[Direction]:
+        ctx: RouteContext, candidates: Sequence[Direction]
+    ) -> Sequence[Direction]:
         """Filter faulted output ports out of a candidate set.
 
         Returns ``candidates`` unchanged when every candidate is dead

@@ -24,6 +24,8 @@ what local congestion information can buy a footprint-oblivious router.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.routing.base import RouteContext
 from repro.routing.duato import DuatoAdaptiveRouting
 from repro.routing.requests import VcRequest
@@ -37,7 +39,7 @@ class DbarRouting(DuatoAdaptiveRouting):
     name = "dbar"
 
     def select_port(
-        self, ctx: RouteContext, candidates: list[Direction]
+        self, ctx: RouteContext, candidates: Sequence[Direction]
     ) -> Direction:
         scored = []
         for d in candidates:
@@ -64,7 +66,7 @@ class DbarFineRouting(DbarRouting):
     name = "dbar-fine"
 
     def select_port(
-        self, ctx: RouteContext, candidates: list[Direction]
+        self, ctx: RouteContext, candidates: Sequence[Direction]
     ) -> Direction:
         scored = []
         for d in candidates:

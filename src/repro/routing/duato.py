@@ -20,6 +20,7 @@ the previous packet's tail flit has returned.  Both subclasses inherit
 from __future__ import annotations
 
 import abc
+from collections.abc import Sequence
 
 from repro.routing.base import RouteContext, RoutingAlgorithm
 from repro.routing.requests import VcRequest
@@ -56,7 +57,7 @@ class DuatoAdaptiveRouting(RoutingAlgorithm):
 
     @abc.abstractmethod
     def select_port(
-        self, ctx: RouteContext, candidates: list[Direction]
+        self, ctx: RouteContext, candidates: Sequence[Direction]
     ) -> Direction:
         """Choose among the (two) minimal candidate ports."""
 
@@ -71,4 +72,4 @@ class DuatoAdaptiveRouting(RoutingAlgorithm):
     ) -> list[Direction]:
         if current == destination:
             return [Direction.LOCAL]
-        return mesh.minimal_directions(current, destination)
+        return list(mesh.minimal_directions(current, destination))

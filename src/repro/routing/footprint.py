@@ -51,6 +51,8 @@ footprint, bounding the congestion-tree branch thickness explicitly.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.routing.base import RouteContext
 from repro.routing.duato import DuatoAdaptiveRouting
 from repro.routing.requests import Priority, VcRequest
@@ -219,7 +221,7 @@ class FootprintRouting(DuatoAdaptiveRouting):
     # Step 2: output-port selection
     # ------------------------------------------------------------------
     def select_port(
-        self, ctx: RouteContext, candidates: list[Direction]
+        self, ctx: RouteContext, candidates: Sequence[Direction]
     ) -> Direction:
         outputs = ctx.outputs
         best_idle, tied = _most(

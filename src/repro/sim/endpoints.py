@@ -32,7 +32,7 @@ class Source:
         self.router = router
         self.num_vcs = num_vcs
         self.queue: deque[Packet] = deque()
-        self._current_flits: deque[Flit] | None = None
+        self._current_flits: list[Flit] | None = None
         self._current_packet: Packet | None = None
         self._vc: int | None = None
         self._vc_rr = 0
@@ -69,13 +69,13 @@ class Source:
             packet = self.queue.popleft()
             packet.injection_time = cycle
             self._current_packet = packet
-            self._current_flits = deque(packet.flits())
+            self._current_flits = packet.flits()
             self._vc = vc
         assert self._current_flits is not None and self._vc is not None
         ivc = self.router.input_vcs[Direction.LOCAL][self._vc]
         if not ivc.has_space:
             return None
-        flit = self._current_flits.popleft()
+        flit = self._current_flits.pop(0)
         self.pending_flits -= 1
         self.router.receive_flit(Direction.LOCAL, self._vc, flit)
         if not self._current_flits:
@@ -112,7 +112,7 @@ class Sink:
         self.buffer_depth = buffer_depth
         self.ejection_rate = ejection_rate
         self.on_packet = on_packet
-        self.buffers: list[deque[Flit]] = [deque() for _ in range(num_vcs)]
+        self.buffers: list[list[Flit]] = [[] for _ in range(num_vcs)]
         self._arbiter = RoundRobinArbiter(num_vcs)
         self._budget = 0.0
         #: Flits consumed, total and per cycle-window accounting.
@@ -156,7 +156,7 @@ class Sink:
             vc = self._arbiter.grant(occupied)
             if vc is None:
                 break
-            flit = self.buffers[vc].popleft()
+            flit = self.buffers[vc].pop(0)
             if not self.buffers[vc]:
                 self._occupied &= ~(1 << vc)
             consumed.append(vc)

@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import logging
 import os
+import weakref
 from typing import TYPE_CHECKING
 
 from repro.exceptions import ConfigurationError, SimulationError
@@ -236,13 +237,22 @@ class Simulator:
             )
             for node in range(self.mesh.num_nodes)
         ]
+        # Nothing the simulator owns refers back to it strongly, so the
+        # network is freed with its last outside reference instead of
+        # waiting for the cycle collector: the sinks report deliveries
+        # through a weak reference.
+        this = weakref.ref(self)
+
+        def on_packet(packet: Packet, cycle: int) -> None:
+            this()._on_packet_ejected(packet, cycle)
+
         self.sinks = [
             Sink(
                 node,
                 config.num_vcs,
                 config.vc_buffer_depth,
                 config.ejection_rate,
-                self._on_packet_ejected,
+                on_packet,
             )
             for node in range(self.mesh.num_nodes)
         ]
@@ -350,7 +360,6 @@ class Simulator:
         self.window_accepted_flits = 0
         self.window_offered_flits = 0
 
-        # Who steps a cycle.
         #: The array stepper of a ``vector`` run (built last: it reads
         #: the topology, routing, traffic and RNG streams set up above).
         self._vector = None
@@ -358,11 +367,6 @@ class Simulator:
             from repro.sim.vector.engine import VectorEngine
 
             self._vector = VectorEngine(self)
-            self._step_impl = self._vector.step
-        elif engine_mode == "legacy":
-            self._step_impl = self._step_legacy
-        else:
-            self._step_impl = self._step_fast
 
     # ------------------------------------------------------------------
     # Measurement window helpers
@@ -393,6 +397,16 @@ class Simulator:
     # ------------------------------------------------------------------
     # One simulated cycle
     # ------------------------------------------------------------------
+    @property
+    def _step_impl(self):
+        """Who steps a cycle.  Bound on read: stored, a scalar step
+        function would be the simulator referring to itself."""
+        if self._vector is not None:
+            return self._vector.step
+        if self.engine_mode == "legacy":
+            return self._step_legacy
+        return self._step_fast
+
     def step(self) -> None:
         self._step_impl()
 
@@ -751,12 +765,7 @@ class Simulator:
                 break
         if self._sampling:
             self._set_sampling(False)
-        result = self._result()
-        if self._vector is not None:
-            # The stepper points back at this Simulator: unlink it so its
-            # arrays are freed now, not whenever the cycle collector runs.
-            self._vector = self._step_impl = None
-        return result
+        return self._result()
 
     def _result(self) -> SimulationResult:
         if self.validator is not None:

@@ -17,6 +17,16 @@ from repro.router.blocking import BlockingStats
 from repro.sim.config import SimulationConfig
 
 
+#: The scalar counters of a serialized result.
+_COUNTERS = (
+    "cycles_run",
+    "accepted_flits",
+    "offered_flits",
+    "measured_created",
+    "measured_ejected",
+)
+
+
 def _telemetry_from(data: Any) -> Any:
     """Rebuild an optional TelemetryResult from serialized form."""
     if data is None:
@@ -134,7 +144,14 @@ class SimulationResult:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "SimulationResult":
-        """Rebuild a result from :meth:`to_dict` output (or parsed JSON)."""
+        """Rebuild a result from :meth:`to_dict` output (or parsed JSON).
+
+        The scalar counters must be integers (``TypeError`` otherwise):
+        nothing downstream would notice a string until it is printed.
+        """
+        for name in _COUNTERS:
+            if type(data[name]) is not int:
+                raise TypeError(f"{name} must be an integer: {data[name]!r}")
         blocking = BlockingStats()
         blocking.blocking_events = data["blocking"]["blocking_events"]
         blocking.busy_vc_samples = data["blocking"]["busy_vc_samples"]

@@ -55,6 +55,7 @@ written straight into the :class:`Simulator` so
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from collections import deque
 from typing import TYPE_CHECKING
@@ -103,7 +104,8 @@ class VectorEngine:
     """Runs one :class:`Simulator`'s workload on the flat SoA state."""
 
     def __init__(self, sim: "Simulator") -> None:
-        self.sim = sim
+        #: The owner, held weakly: it holds this stepper.
+        self.sim = weakref.proxy(sim)
         config = sim.config
         mesh = sim.mesh
         self.config = config
@@ -335,7 +337,7 @@ class VectorEngine:
 
         # --- sinks ----------------------------------------------------
         self._sink_bufs = [
-            [deque() for _ in range(num_vcs)] for _ in range(num_nodes)
+            [[] for _ in range(num_vcs)] for _ in range(num_nodes)
         ]
         self._sink_mask = [0] * num_nodes
         self._sink_ptr = [0] * num_nodes
@@ -748,7 +750,7 @@ class VectorEngine:
                         vc = candidate
                         break
                 self._sink_ptr[node] = vc + 1 if vc + 1 < num_vcs else 0
-                token = bufs[vc].popleft()
+                token = bufs[vc].pop(0)
                 if not bufs[vc]:
                     mask &= ~(1 << vc)
                 credits_next.append((credit_g, vc))
@@ -1426,16 +1428,15 @@ class VectorEngine:
             size = packet.size
             head = (pid << 2) | 2
             if size == 1:
-                flits = deque((head | 1,))
+                flits = [head | 1]
             else:
-                flits = deque([head] + [pid << 2] * (size - 2))
-                flits.append((pid << 2) | 1)
+                flits = [head] + [pid << 2] * (size - 2) + [(pid << 2) | 1]
             self._src_flits[node] = flits
             self._src_vc[node] = vc
         vc = self._src_vc[node]
         if self._if_len[g * num_vcs + vc] >= self._vc_depth:
             return False
-        token = flits.popleft()
+        token = flits.pop(0)
         self._src_pending[node] -= 1
         self._receive_flit_local(node, vc, token)
         if not flits:

@@ -34,6 +34,22 @@ from repro.topology.ports import COMPASS, Direction
 #: ``SimulationConfig.topology``, in presentation order.
 TOPOLOGIES: tuple[str, ...] = ("mesh", "torus")
 
+#: The nine answers :meth:`Grid2D.minimal_directions` can give — at most
+#: one direction per dimension, X first — at the one-byte code a geometry
+#: table stores for them; code 0 is "not computed yet".
+_MINIMAL_ANSWERS: tuple[tuple[Direction, ...], ...] = ((),) + tuple(
+    x + y
+    for x in ((), (Direction.EAST,), (Direction.WEST,))
+    for y in ((), (Direction.SOUTH,), (Direction.NORTH,))
+)
+_ANSWER_CODE = {
+    dirs: code for code, dirs in enumerate(_MINIMAL_ANSWERS) if code
+}
+#: :meth:`Grid2D.dor_direction` at the same codes: X is listed first.
+_DOR_ANSWERS = tuple(
+    dirs[0] if dirs else Direction.LOCAL for dirs in _MINIMAL_ANSWERS
+)
+
 
 @runtime_checkable
 class Topology(Protocol):
@@ -83,8 +99,9 @@ class Topology(Protocol):
         """Minimal hop count between two nodes."""
         ...
 
-    def minimal_directions(self, cur: int, dst: int) -> list[Direction]:
-        """Productive (minimal) directions from ``cur`` towards ``dst``."""
+    def minimal_directions(self, cur: int, dst: int) -> tuple[Direction, ...]:
+        """Productive (minimal) directions from ``cur`` towards ``dst``:
+        an interned, immutable tuple, X first."""
         ...
 
     def dor_direction(self, cur: int, dst: int) -> Direction:
@@ -115,7 +132,8 @@ class Grid2D:
     width, n // width)`` with ``x`` growing eastward and ``y`` growing
     southward.  Subclasses set ``name`` / ``num_vc_classes`` and supply
     ``neighbor``, ``router_ports``, ``hop_distance``,
-    ``minimal_directions``, ``num_minimal_paths`` and ``wrap_vc_class``.
+    ``_productive_directions`` (what :meth:`minimal_directions` tabulates),
+    ``num_minimal_paths`` and ``wrap_vc_class``.
     """
 
     name: str
@@ -135,8 +153,9 @@ class Grid2D:
         # Geometry caches: routing queries sit on the simulator's hottest
         # path and are pure functions of (node, node).
         self._coords = [(n % width, n // width) for n in range(self.num_nodes)]
-        self._min_dirs: dict[tuple[int, int], list[Direction]] = {}
-        self._dor: dict[tuple[int, int], Direction] = {}
+        # minimal_directions(cur, dst) at [cur * num_nodes + dst], filled
+        # on first use: one byte per pair, a code into _MINIMAL_ANSWERS.
+        self._min_dirs = bytearray(self.num_nodes * self.num_nodes)
 
     def coords(self, node: int) -> tuple[int, int]:
         """Return ``(x, y)`` coordinates of ``node``."""
@@ -167,27 +186,45 @@ class Grid2D:
                     out.append((node, d, nbr))
         return out
 
+    def minimal_directions(self, cur: int, dst: int) -> tuple[Direction, ...]:
+        """Productive (minimal) directions from ``cur`` towards ``dst``.
+
+        At most one direction per dimension, X first then Y; the empty
+        tuple means ``cur == dst`` (the packet should eject through
+        ``LOCAL``).  The result is interned and immutable: equal answers
+        are the same object, for every pair and every grid.
+        """
+        n = self.num_nodes
+        if 0 <= cur < n and 0 <= dst < n:
+            code = self._min_dirs[cur * n + dst]
+            if code:
+                return _MINIMAL_ANSWERS[code]
+        return _MINIMAL_ANSWERS[self._tabulate(cur, dst)]
+
     def dor_direction(self, cur: int, dst: int) -> Direction:
         """Dimension-order (XY) next direction from ``cur`` to ``dst``.
 
-        X is fully resolved before Y, along the subclass's
-        ``minimal_directions``; ``LOCAL`` is returned at the destination.
+        X is fully resolved before Y: the first of
+        :meth:`minimal_directions`; ``LOCAL`` at the destination.  (Its
+        own read of the table: the escape request asks this for every
+        waiting head.)
         """
-        key = (cur, dst)
-        cached = self._dor.get(key)
-        if cached is not None:
-            return cached
-        dirs = self.minimal_directions(cur, dst)
-        if not dirs:
-            result = Direction.LOCAL
-        else:
-            result = dirs[0]
-            for d in dirs:
-                if d in (Direction.EAST, Direction.WEST):
-                    result = d
-                    break
-        self._dor[key] = result
-        return result
+        n = self.num_nodes
+        if 0 <= cur < n and 0 <= dst < n:
+            code = self._min_dirs[cur * n + dst]
+            if code:
+                return _DOR_ANSWERS[code]
+        return _DOR_ANSWERS[self._tabulate(cur, dst)]
+
+    def _tabulate(self, cur: int, dst: int) -> int:
+        """Compute, store and return the table code of a pair not asked
+        about before.  Out-of-range nodes raise here — unchecked, the
+        flat index would alias them to some other pair."""
+        self._check_node(cur)
+        self._check_node(dst)
+        code = _ANSWER_CODE[self._productive_directions(cur, dst)]
+        self._min_dirs[cur * self.num_nodes + dst] = code
+        return code
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.width}x{self.height})"

@@ -76,19 +76,12 @@ class Mesh2D(Grid2D):
         dx, dy = self.coords(dst)
         return abs(sx - dx) + abs(sy - dy)
 
-    def minimal_directions(self, cur: int, dst: int) -> list[Direction]:
-        """Productive (minimal) directions from ``cur`` towards ``dst``.
-
-        Returns up to two directions, X first then Y; an empty list means
-        ``cur == dst`` (the packet should eject through ``LOCAL``).
-        The result is cached; callers must not mutate it.
-        """
-        key = (cur, dst)
-        cached = self._min_dirs.get(key)
-        if cached is not None:
-            return cached
-        cx, cy = self.coords(cur)
-        dx, dy = self.coords(dst)
+    def _productive_directions(
+        self, cur: int, dst: int
+    ) -> tuple[Direction, ...]:
+        """Towards ``dst`` in each dimension that differs, X first."""
+        cx, cy = self._coords[cur]
+        dx, dy = self._coords[dst]
         dirs: list[Direction] = []
         if dx > cx:
             dirs.append(Direction.EAST)
@@ -98,8 +91,7 @@ class Mesh2D(Grid2D):
             dirs.append(Direction.SOUTH)
         elif dy < cy:
             dirs.append(Direction.NORTH)
-        self._min_dirs[key] = dirs
-        return dirs
+        return tuple(dirs)
 
     def num_minimal_paths(self, src: int, dst: int) -> int:
         """Number of distinct minimal paths between ``src`` and ``dst``.

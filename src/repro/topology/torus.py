@@ -106,33 +106,20 @@ class Torus2D(Grid2D):
         forward = (d - c) % k
         return positive if forward <= k - forward else negative
 
-    def minimal_directions(self, cur: int, dst: int) -> list[Direction]:
-        """Productive (minimal) directions from ``cur`` towards ``dst``.
-
-        At most one direction per dimension (the shorter way around the
-        ring, ties broken to EAST/SOUTH), X first then Y; an empty list
-        means ``cur == dst``.  The result is cached; callers must not
-        mutate it.
-        """
-        key = (cur, dst)
-        cached = self._min_dirs.get(key)
-        if cached is not None:
-            return cached
-        cx, cy = self.coords(cur)
-        dx, dy = self.coords(dst)
-        dirs: list[Direction] = []
+    def _productive_directions(
+        self, cur: int, dst: int
+    ) -> tuple[Direction, ...]:
+        """The shorter way around each ring that has ground to cover
+        (ties broken to EAST/SOUTH), X first."""
+        cx, cy = self._coords[cur]
+        dx, dy = self._coords[dst]
         x_dir = self._ring_direction(
             cx, dx, self.width, Direction.EAST, Direction.WEST
         )
-        if x_dir is not None:
-            dirs.append(x_dir)
         y_dir = self._ring_direction(
             cy, dy, self.height, Direction.SOUTH, Direction.NORTH
         )
-        if y_dir is not None:
-            dirs.append(y_dir)
-        self._min_dirs[key] = dirs
-        return dirs
+        return tuple(d for d in (x_dir, y_dir) if d is not None)
 
     def num_minimal_paths(self, src: int, dst: int) -> int:
         """Number of distinct minimal paths between ``src`` and ``dst``.

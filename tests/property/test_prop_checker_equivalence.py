@@ -744,8 +744,8 @@ def vc_fifo_pop(sim, rnd):
     ]
     fifo = rnd.choice(occupied).fifo
     if rnd.random() < 0.5:
-        flit = fifo.popleft()
-        return lambda: fifo.appendleft(flit)
+        flit = fifo.pop(0)
+        return lambda: fifo.insert(0, flit)
     flit = fifo.pop()
     return lambda: fifo.append(flit)
 
@@ -884,8 +884,8 @@ def port_fifo_pop(sim, rnd):
     if not staged:
         return None
     fifo = rnd.choice(staged).fifo
-    entry = fifo.popleft()
-    return lambda: fifo.appendleft(entry)
+    entry = fifo.pop(0)
+    return lambda: fifo.insert(0, entry)
 
 
 CORRUPTIONS = (

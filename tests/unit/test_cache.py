@@ -177,6 +177,60 @@ class TestResultCache:
         assert "0 hits" in text and "1 misses" in text
 
 
+class TestParseableButWrongEntries:
+    """Valid JSON of the right shape is still outside input: ``get``
+    returns a hit only for the result of the config asked for."""
+
+    EDITS = {
+        "invalid_stored_config": lambda data: data["config"].update(width=-3),
+        "mismatched_stored_config": lambda data: data["config"].update(
+            routing="dor"
+        ),
+        "cycles_run_of_the_wrong_type": lambda data: data.update(
+            cycles_run="many"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EDITS))
+    def test_counted_miss_until_the_next_put_replaces_it(self, tmp_path, case):
+        cache = ResultCache(tmp_path)
+        result = _result()
+        cache.put(result)
+        path = cache._path(config_cache_key(result.config))
+        data = json.loads(path.read_text())
+        self.EDITS[case](data)
+        path.write_text(json.dumps(data))
+        assert cache.get(result.config) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        cache.put(result)
+        cached = cache.get(result.config)
+        assert cached is not None
+        assert _signature(cached) == _signature(result)
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_entry_copied_under_another_key_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        result = _result()
+        cache.put(result)
+        other = _config(seed=99)
+        cache._path(config_cache_key(other)).write_text(
+            cache._path(config_cache_key(result.config)).read_text()
+        )
+        assert cache.get(other) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert cache.get(result.config) is not None
+
+    def test_telemetry_variant_of_the_config_still_hits(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        result = _result()
+        cache.put(result)
+        observed = dataclasses.replace(
+            result.config, telemetry=TelemetryConfig(sample_every=50)
+        )
+        assert cache.get(observed) is not None
+        assert (cache.hits, cache.misses) == (1, 0)
+
+
 class TestConcurrentWriters:
     def test_parallel_puts_with_racing_prune(self, tmp_path):
         """Writer threads racing prune never tear, crash, or leak.

@@ -99,18 +99,18 @@ class TestMinimalRouting:
 
     def test_minimal_directions_quadrant(self, mesh4):
         dirs = mesh4.minimal_directions(0, 10)
-        assert dirs == [Direction.EAST, Direction.SOUTH]
+        assert dirs == (Direction.EAST, Direction.SOUTH)
 
     def test_minimal_directions_same_row(self, mesh4):
-        assert mesh4.minimal_directions(0, 3) == [Direction.EAST]
-        assert mesh4.minimal_directions(3, 0) == [Direction.WEST]
+        assert mesh4.minimal_directions(0, 3) == (Direction.EAST,)
+        assert mesh4.minimal_directions(3, 0) == (Direction.WEST,)
 
     def test_minimal_directions_same_column(self, mesh4):
-        assert mesh4.minimal_directions(0, 12) == [Direction.SOUTH]
-        assert mesh4.minimal_directions(12, 0) == [Direction.NORTH]
+        assert mesh4.minimal_directions(0, 12) == (Direction.SOUTH,)
+        assert mesh4.minimal_directions(12, 0) == (Direction.NORTH,)
 
     def test_minimal_directions_at_destination(self, mesh4):
-        assert mesh4.minimal_directions(7, 7) == []
+        assert mesh4.minimal_directions(7, 7) == ()
 
     def test_dor_is_x_first(self, mesh4):
         # Paper's Fig. 2: f1 = n0 -> n10 goes east through n1, n2 first.

@@ -305,27 +305,67 @@ class TestRunTasks:
     ):
         """A grid's peak memory is one simulator, not however many the
         cycle collector has yet to find (that moved benchmarks/perf's
-        grid_pool peak between 45 and 50 MB with the seed).  What may
-        still wait for the collector is small change: ports on their
-        router's dirty list and the flits in them."""
+        grid_pool peak between 45 and 50 MB with the seed)."""
         task = SimTask(config, rate=0.2)
-        gc.collect()
-        gc.disable()
-        gc.set_debug(gc.DEBUG_SAVEALL)  # keep what collect() finds
-        try:
-            result = parallel._run_task(task, engine_mode)
-            gc.collect()
-            left = {type(obj).__name__ for obj in gc.garbage}
-        finally:
-            gc.set_debug(0)
-            gc.garbage.clear()
-            gc.enable()
-        assert result.accepted_flits > 0
-        assert not left & {"Simulator", "Router", "InputVc", "Sink", "Source"}
+        results = []
+        left = _left_for_the_collector(
+            lambda: results.append(parallel._run_task(task, engine_mode))
+        )
+        assert results[0].accepted_flits > 0
+        assert not left & _NETWORK_TYPES
+
+    @pytest.mark.parametrize("observed", ["plain", "sampling", "validated"])
+    @pytest.mark.parametrize("engine_mode", ["skip", "legacy", "vector"])
+    def test_plain_api_leaves_no_network_for_the_collector(
+        self, config, engine_mode, observed, monkeypatch
+    ):
+        """The same through ``Simulator(...).run()`` and
+        ``run_simulation``: nothing a simulator owns points back at it,
+        so nobody has to empty it.  (``vector`` runs observed configs
+        on ``skip``; the fallback is part of what must be free.)"""
+        from repro.harness.runner import run_simulation
+        from repro.sim.engine import Simulator
+        from repro.telemetry.config import TelemetryConfig
+        from repro.validate.config import validation_from_env
+
+        config = config.with_(injection_rate=0.2)
+        if observed == "sampling":
+            config = config.with_(telemetry=TelemetryConfig())
+        elif observed == "validated":
+            monkeypatch.setenv("REPRO_VALIDATE", "all")
+        results = []
+        left = _left_for_the_collector(
+            lambda: results.extend(
+                (
+                    Simulator(
+                        config,
+                        engine_mode=engine_mode,
+                        validation=validation_from_env(),
+                    ).run(),
+                    run_simulation(config, engine_mode=engine_mode),
+                )
+            )
+        )
+        assert results[0].accepted_flits == results[1].accepted_flits > 0
+        assert not left & _NETWORK_TYPES
+
+    @pytest.mark.parametrize("engine_mode", ["skip", "legacy", "vector"])
+    def test_finished_simulator_can_still_be_stepped(
+        self, config, engine_mode
+    ):
+        from repro.sim.engine import Simulator
+
+        simulator = Simulator(
+            config.with_(injection_rate=0.2), engine_mode=engine_mode
+        )
+        simulator.run()
+        cycle = simulator.cycle
+        simulator.step()
+        assert simulator.cycle == cycle + 1
+        assert simulator.total_buffered_flits() >= 0
 
     def test_failed_simulation_keeps_its_state(self, config, monkeypatch):
-        """Only a run that returned is emptied; one that raised is what
-        the post-mortem looks at."""
+        """A run that raised is what the post-mortem looks at."""
         from repro.sim import engine
 
         seen = []
@@ -338,6 +378,51 @@ class TestRunTasks:
         with pytest.raises(RuntimeError, match="boom"):
             parallel._run_task(SimTask(config, rate=0.2))
         assert seen[0].routers
+
+    def test_simulator_whose_run_raised_is_inspectable(self, config):
+        from repro.sim.engine import Simulator
+
+        simulator = Simulator(config.with_(injection_rate=0.2))
+        router = simulator.routers[5]
+        healthy = router.switch_traversal
+
+        def broken():
+            if simulator.cycle >= 30:
+                raise RuntimeError("boom")
+            return healthy()
+
+        router.switch_traversal = broken
+        with pytest.raises(RuntimeError, match="boom"):
+            simulator.run()
+        assert simulator.cycle >= 30
+        assert simulator.total_buffered_flits() > 0
+        assert router.inflight > 0
+
+
+#: What a network is made of: none of it may wait for the cycle collector.
+_NETWORK_TYPES = {
+    "Simulator",
+    "Router",
+    "InputVc",
+    "OutputPort",
+    "Sink",
+    "Source",
+}
+
+
+def _left_for_the_collector(run):
+    """Type names of the objects ``run()`` leaves to the cycle collector."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)  # keep what collect() finds
+    try:
+        run()
+        gc.collect()
+        return {type(obj).__name__ for obj in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
 
 
 def _bench_grid():

@@ -180,7 +180,7 @@ class TestAllocationBookkeeping:
 
     @staticmethod
     def _fresh_ports(router):
-        return [p.direction for p in router._events.fresh_ports]
+        return list(router._events.fresh_ports)
 
     def test_credit_woken_empty_router_clears_via_clear_fresh_only(self):
         router = make_router(node=5, routing="footprint")

@@ -69,10 +69,10 @@ class TestGeometry:
         # minimal routing is deterministic across engine modes.
         assert torus.minimal_directions(
             torus.node_at(0, 0), torus.node_at(2, 0)
-        ) == [Direction.EAST]
+        ) == (Direction.EAST,)
         assert torus.minimal_directions(
             torus.node_at(0, 0), torus.node_at(0, 2)
-        ) == [Direction.SOUTH]
+        ) == (Direction.SOUTH,)
 
     def test_dor_resolves_x_before_y(self):
         torus = Torus2D(4)
