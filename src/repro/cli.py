@@ -33,7 +33,6 @@ import argparse
 import sys
 
 from repro.exceptions import ConfigurationError, ReproError
-from repro.sim.constants import USER_ENGINE_MODES
 
 # Everything else is imported by the verb that uses it: building the
 # parser, `list`, a warm `experiment` and the service clients must not
@@ -57,23 +56,6 @@ def _jobs_arg(text: str) -> str:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return text
-
-
-def _add_engine_mode_arg(
-    parser: argparse.ArgumentParser, default: str | None, help_text: str
-) -> None:
-    """``--engine-mode``: one definition for every subcommand.
-
-    The value is checked in :func:`main` against the same tuple
-    ``$REPRO_ENGINE_MODE`` is, so a bad one is a one-line ``error:``
-    like every other validation failure, not an argparse usage dump.
-    """
-    parser.add_argument(
-        "--engine-mode",
-        metavar="{" + ",".join(USER_ENGINE_MODES) + "}",
-        default=default,
-        help=help_text,
-    )
 
 
 def _fault_counts_arg(text: str) -> tuple[int, ...]:
@@ -134,16 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--background-rate", type=float, default=0.3)
     run.add_argument("--footprint-vc-limit", type=int, default=None)
     run.add_argument("--seed", type=int, default=1)
-    _add_engine_mode_arg(
-        run,
-        None,
-        "execution engine (default: $REPRO_ENGINE_MODE, else 'skip'); "
-        "all modes are bit-identical — 'vector' runs the "
-        "structure-of-arrays batch core and falls back to 'skip', with "
-        "a warning, for configs needing per-object hooks (torus, "
-        "faults, telemetry); 'auto' picks vector or skip per config "
-        "from the offered load",
-    )
     run.add_argument(
         "--faults",
         default=None,
@@ -323,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "validate",
         help=(
             "run the runtime invariant checkers: randomized differential "
-            "sweep over all engine modes plus warm-cache replay, or the "
+            "sweep over both engine modes plus warm-cache replay, or the "
             "mutation self-test proving each checker fires"
         ),
     )
@@ -405,12 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "result cache backing the service's dedup (default: "
             "<state-dir>/cache)"
         ),
-    )
-    _add_engine_mode_arg(
-        serve,
-        "auto",
-        "engine for simulated misses (default 'auto': re-resolved per "
-        "task from its offered load)",
     )
 
     submit = sub.add_parser(
@@ -646,9 +612,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "./.repro-cache)"
         ),
     )
-    _add_engine_mode_arg(
-        tune, None, "execution engine (default: $REPRO_ENGINE_MODE)"
-    )
     tune.add_argument(
         "--out-dir",
         default=".",
@@ -752,7 +715,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         faults=faults,
         telemetry=telemetry,
     )
-    result = run_simulation(config, verbose=False, engine_mode=args.engine_mode)
+    result = run_simulation(config)
     print(f"configuration : {config.describe()}")
     if faults is not None:
         print(f"faults        : {faults.describe()}")
@@ -944,8 +907,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.validate.config import VALIDATE_ENV, validation_from_env
+    from repro.sim.engine import ENGINE_MODES
     from repro.validate.differential import (
-        ENGINE_MODES,
         random_configs,
         run_differential,
         self_test,
@@ -979,15 +942,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     failures = 0
     for entry in report.entries:
         if entry.ok:
-            note = (
-                f"  [vector fell back: {entry.vector_fallback}]"
-                if entry.vector_fallback
-                else ""
-            )
-            print(
-                f"ok   {entry.description}  [{entry.checks_run} "
-                f"checks]{note}"
-            )
+            print(f"ok   {entry.description}  [{entry.checks_run} checks]")
         else:
             failures += 1
             print(f"FAIL {entry.description}")
@@ -1004,18 +959,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print(f"pooled re-run: {status}")
         if not report.pool_identical:
             failures += 1
-    fallbacks = report.vector_fallbacks
-    if fallbacks:
-        detail = ", ".join(
-            f"{reason} x{count}"
-            for reason, count in sorted(fallbacks.items())
-        )
-        print(
-            f"vector fallbacks: {sum(fallbacks.values())}/"
-            f"{len(report.entries)} configs ({detail})"
-        )
-    else:
-        print("vector fallbacks: none")
     timed = [e for e in report.entries if e.unchecked_s]
     if timed:
         checked = sum(e.checked_s for e in timed)
@@ -1055,7 +998,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 state_dir=args.state_dir,
                 jobs=args.jobs,
                 cache_dir=args.cache_dir,
-                engine_mode=args.engine_mode,
             )
         )
     except KeyboardInterrupt:
@@ -1266,7 +1208,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         seed=args.seed,
         jobs=args.jobs,
         cache=cache,
-        engine_mode=args.engine_mode,
         n0=args.n0,
         eta=args.eta,
         refine_rounds=args.refine_rounds,
@@ -1314,11 +1255,6 @@ def main(argv: list[str] | None = None) -> int:
         "list": _cmd_list,
     }
     try:
-        if getattr(args, "engine_mode", None) is not None:
-            # Only verbs that simulate take --engine-mode.
-            from repro.sim.engine import user_engine_mode
-
-            user_engine_mode(args.engine_mode, "--engine-mode")
         if "jobs" in vars(args):
             # Resolved once, before anything is probed or simulated;
             # the verb and everything below it see a plain int.

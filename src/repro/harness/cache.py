@@ -8,9 +8,9 @@ cache key is a SHA-256 over the canonical JSON form of the config plus
 the engine's :data:`~repro.sim.constants.ENGINE_VERSION` stamp, so any
 change to either yields a different key and stale entries simply stop
 being addressed — no explicit invalidation pass is needed.  The engine
-*mode* (vector/skip/legacy) is deliberately not part of the key:
-all modes are bit-identical (``repro validate`` proves it per sweep), so
-a result cached under one mode is equally valid for every other.
+*mode* (skip, or the legacy reference loop) is deliberately not part of
+the key: the two are bit-identical (``repro validate`` proves it per
+sweep), so a result is the same whichever produced it.
 
 Entries are one JSON file per key under the cache directory (default
 ``.repro-cache/``, overridable with the ``REPRO_CACHE_DIR`` environment

@@ -221,40 +221,30 @@ def _pool_weight(task: SimTask) -> float:
     return estimate_task_cycles(task) * (_LOAD_FLOOR + load)
 
 
-def _run_task(
-    task: SimTask, engine_mode: str | None = None
-) -> SimulationResult:
+def _run_task(task: SimTask) -> SimulationResult:
     # Imported lazily: a grid answered from the cache never simulates
     # (run_tasks imports the engine once it knows a task is pending).
-    from repro.sim.engine import Simulator, engine_mode_from_env
+    from repro.sim.engine import Simulator
     from repro.validate.config import validation_from_env
 
-    # $REPRO_VALIDATE and $REPRO_ENGINE_MODE propagate to pool workers
-    # through the environment, so validated or vector-mode grids need no
-    # per-task plumbing.  Note cache hits skip this path entirely: only
-    # simulated misses are checked.
-    if engine_mode is None:
-        engine_mode = engine_mode_from_env()
+    # $REPRO_VALIDATE propagates to pool workers through the
+    # environment, so validated grids need no per-task plumbing.  Note
+    # cache hits skip this path entirely: only simulated misses are
+    # checked.
     return Simulator(
-        task.resolved_config(),
-        engine_mode=engine_mode,
-        validation=validation_from_env(),
+        task.resolved_config(), validation=validation_from_env()
     ).run()
 
 
-def _run_task_batch(
-    payload: tuple[list[SimTask], str | None],
-) -> list[SimulationResult]:
+def _run_task_batch(tasks: list[SimTask]) -> list[SimulationResult]:
     """Worker entry point: run one pre-balanced batch of tasks."""
-    tasks, engine_mode = payload
-    return [_run_task(task, engine_mode) for task in tasks]
+    return [_run_task(task) for task in tasks]
 
 
 def run_tasks(
     tasks: Iterable[SimTask],
     jobs: int | str | None = None,
     cache: "ResultCache | None" = None,
-    engine_mode: str | None = None,
 ) -> list[SimulationResult]:
     """Run every task, returning results in task order.
 
@@ -268,14 +258,6 @@ def run_tasks(
     grids would otherwise run slower pooled than serial.  Both paths
     produce identical results because each task is an independent,
     deterministic simulation.
-
-    ``engine_mode`` selects the execution engine for simulated misses
-    (``None`` defers to ``$REPRO_ENGINE_MODE``, falling back to
-    ``skip``); every mode is bit-identical, so cached results are
-    equally valid for all of them.  ``"auto"`` re-resolves per task —
-    a sweep's loaded points take the vector core while its zero-load
-    references keep idle-skipping, each task getting the engine that
-    wins at its offered load.
 
     When a :class:`~repro.harness.cache.ResultCache` is supplied it is
     consulted per task before simulating; only misses are executed, and
@@ -303,11 +285,11 @@ def run_tasks(
         _wants_telemetry(task.resolved_config()) for task in task_list
     ):
         # $REPRO_SERVICE routes whole grids through the experiment
-        # service (repro serve), which owns its own cache, worker pool,
-        # and engine-mode policy — the local cache/jobs arguments do not
-        # apply there.  Telemetry-requesting grids stay local: the
-        # service dedupes through the telemetry-blind cache and cannot
-        # serve collected series.  An *unreachable* service degrades to
+        # service (repro serve), which owns its own cache and worker
+        # pool — the local cache/jobs arguments do not apply there.
+        # Telemetry-requesting grids stay local: the service dedupes
+        # through the telemetry-blind cache and cannot serve collected
+        # series.  An *unreachable* service degrades to
         # the local pool with a loud stderr warning instead of failing
         # the sweep: the env var is ambient configuration, and a driver
         # should not die because the shared server restarted.  Imported
@@ -350,7 +332,7 @@ def run_tasks(
 
     if workers <= 1:
         for j, task in enumerate(pending_tasks):
-            finished(j, _run_task(task, engine_mode))
+            finished(j, _run_task(task))
         return results  # type: ignore[return-value]  # every slot is filled
     from concurrent.futures import ProcessPoolExecutor, as_completed
     from concurrent.futures.process import BrokenProcessPool
@@ -363,8 +345,7 @@ def run_tasks(
     with ProcessPoolExecutor(max_workers=len(batches)) as pool:
         batch_of = {
             pool.submit(
-                _run_task_batch,
-                ([pending_tasks[j] for j in batch], engine_mode),
+                _run_task_batch, [pending_tasks[j] for j in batch]
             ): batch
             for batch in batches
         }
@@ -399,14 +380,10 @@ def run_configs(
     configs: Iterable[SimulationConfig],
     jobs: int | str | None = None,
     cache: "ResultCache | None" = None,
-    engine_mode: str | None = None,
 ) -> list[SimulationResult]:
     """Run one simulation per config, results in config order."""
     return run_tasks(
-        (SimTask(config) for config in configs),
-        jobs,
-        cache=cache,
-        engine_mode=engine_mode,
+        (SimTask(config) for config in configs), jobs, cache=cache
     )
 
 
@@ -431,7 +408,6 @@ def run_tasks_accounted(
     tasks: Iterable[SimTask],
     jobs: int | str | None = None,
     cache: "ResultCache | None" = None,
-    engine_mode: str | None = None,
 ) -> tuple[list[SimulationResult], TaskBatchStats]:
     """:func:`run_tasks` plus per-batch cache-hit/cost accounting.
 
@@ -446,9 +422,7 @@ def run_tasks_accounted(
     estimated = sum(estimate_task_cycles(task) for task in task_list)
     hits0 = cache.hits if cache is not None else 0
     misses0 = cache.misses if cache is not None else 0
-    results = run_tasks(
-        task_list, jobs, cache=cache, engine_mode=engine_mode
-    )
+    results = run_tasks(task_list, jobs, cache=cache)
     if cache is not None:
         hits = cache.hits - hits0
         fresh = cache.misses - misses0

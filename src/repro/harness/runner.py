@@ -6,34 +6,22 @@ import sys
 import time
 
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import Simulator, engine_mode_from_env
+from repro.sim.engine import Simulator
 from repro.sim.results import SimulationResult
 from repro.validate.config import validation_from_env
 
 
 def run_simulation(
-    config: SimulationConfig,
-    verbose: bool = False,
-    engine_mode: str | None = None,
+    config: SimulationConfig, verbose: bool = False
 ) -> SimulationResult:
     """Run one simulation, optionally echoing a one-line summary.
 
     Honors ``$REPRO_VALIDATE``: when set, the run executes with the
     selected invariant checkers enabled (checkers observe without
     changing results, so this only affects speed and failure mode).
-
-    ``engine_mode`` selects the execution engine (all modes are
-    bit-identical); ``None`` defers to ``$REPRO_ENGINE_MODE``, falling
-    back to ``skip``.  ``"auto"`` resolves to ``vector`` or ``skip``
-    per config from its offered load (see
-    :func:`repro.sim.engine.resolve_auto_mode`).
     """
-    if engine_mode is None:
-        engine_mode = engine_mode_from_env()
     start = time.perf_counter()
-    result = Simulator(
-        config, engine_mode=engine_mode, validation=validation_from_env()
-    ).run()
+    result = Simulator(config, validation=validation_from_env()).run()
     if verbose:
         elapsed = time.perf_counter() - start
         print(

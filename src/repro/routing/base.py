@@ -183,113 +183,6 @@ class RoutingAlgorithm(abc.ABC):
         return self.vc_requests_at(ctx, self.select_output(ctx))
 
     # ------------------------------------------------------------------
-    # Batched request generation (vector engine)
-    # ------------------------------------------------------------------
-    def candidate_mask(self, state, current, destination, committed):
-        """Batched ``vc_requests_at`` over whole-network arrays.
-
-        Parameters are a :class:`~repro.routing.batch.VcStateArrays` view
-        of every output port's VC state plus three equal-length integer
-        arrays describing the packets being routed: current router,
-        destination, and the committed output direction (``LOCAL`` at the
-        destination).  Returns an ``int8`` priority array shaped
-        ``[batch, NUM_PORTS, num_vcs]`` where entry ``[b, d, v]`` is the
-        :class:`Priority` of packet ``b``'s request for VC ``v`` at port
-        ``d``, or ``-1`` for no request.
-
-        Enumerating a row's requests in (priority descending, VC
-        ascending) order with the escape request last reproduces the
-        scalar request-list order exactly: every scalar implementation
-        emits same-priority requests for a single direction in ascending
-        VC order, and the escape request is always the lone LOWEST entry.
-        The scalar ``vc_requests_at`` is the oracle
-        (``tests/property/test_prop_candidate_mask.py``).
-
-        Assembled generically from :meth:`candidate_pri` — subclasses
-        override that compact form, and the vector engine consumes it
-        directly (all non-escape requests target the committed port, so
-        the full ``[batch, NUM_PORTS, num_vcs]`` cube is only needed by
-        the oracle tests).
-        """
-        import numpy as np
-
-        from repro.topology.ports import NUM_PORTS
-
-        batch = len(current)
-        port_pri, esc_cols = self.candidate_pri(
-            state, current, destination, committed
-        )
-        pri = np.full(
-            (batch, NUM_PORTS, state.num_vcs), -1, dtype=np.int8
-        )
-        rows = np.arange(batch)
-        pri[rows, committed] = port_pri
-        if esc_cols is not None:
-            emit = np.flatnonzero(esc_cols >= 0)
-            pri.reshape(batch, -1)[emit, esc_cols[emit]] = np.int8(
-                Priority.LOWEST
-            )
-        return pri
-
-    def candidate_pri(self, state, current, destination, committed):
-        """Compact batched request generation (vector engine hot path).
-
-        Returns ``(port_pri, esc_cols)``: ``port_pri`` is the ``int8``
-        ``[batch, num_vcs]`` request priority of each VC *at the
-        committed port* (``-1`` for no request), and ``esc_cols`` is the
-        flat ``direction * num_vcs + vc`` column of the LOWEST-priority
-        escape request per row (``-1`` when absent), or ``None`` for
-        algorithms without an escape subnetwork.  Escape columns never
-        collide with ``port_pri`` entries (the escape VC is excluded
-        from the adaptive set at transit ports), and no ``port_pri``
-        value is ever LOWEST — so the max-priority request run either
-        lies entirely inside ``port_pri`` or is the lone escape entry.
-
-        This default implements the oblivious policy shared by DOR,
-        Odd-Even, and DBAR (+ the ejection requests every algorithm
-        uses): all idle adaptive VCs at the committed port at LOW, plus
-        the escape request for Duato-based algorithms.  Algorithms with
-        different VC selection override it (Footprint, XORDET overlays).
-        """
-        import numpy as np
-
-        from repro.topology.ports import NUM_PORTS
-
-        g = current * NUM_PORTS + committed
-        idle = state.adaptive[g] & ~state.busy[g]
-        port_pri = np.where(idle, np.int8(Priority.LOW), np.int8(-1))
-        esc_cols = self._escape_cols(state, current, destination, committed)
-        return port_pri, esc_cols
-
-    def _escape_cols(
-        self, state, current, destination, committed, suppress=None
-    ):
-        """Flat column of each row's LOWEST-priority escape request.
-
-        Mirrors :meth:`escape_request`: one request for the escape VC at
-        the DOR port, emitted only when that VC is currently grantable
-        and the packet is not ejecting.  ``suppress`` masks rows that
-        must not request the escape VC (Footprint's waiting-on-footprint
-        rule).  Returns ``None`` when the algorithm has no escape VC,
-        else an int array with ``-1`` for rows without the request.
-        """
-        import numpy as np
-
-        from repro.topology.ports import NUM_PORTS
-
-        escape = state.escape_vc
-        if not self.uses_escape or escape is None:
-            return None
-        eligible = committed != int(Direction.LOCAL)
-        if suppress is not None:
-            eligible = eligible & ~suppress
-        dor = state.dor_directions(current, destination)
-        grantable = ~state.busy[current * NUM_PORTS + dor, escape]
-        return np.where(
-            eligible & grantable, dor * state.num_vcs + escape, -1
-        )
-
-    # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
     @staticmethod

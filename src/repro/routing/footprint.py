@@ -58,40 +58,6 @@ from repro.routing.duato import DuatoAdaptiveRouting
 from repro.routing.requests import Priority, VcRequest
 from repro.topology.ports import Direction
 
-_FP_PRI_TABLE = None
-
-
-def _fp_pri_table():
-    """``[regime, vc_code] -> priority`` lookup for the batched path.
-
-    Regimes (rows): 0 = eject/uncongested, 1 = footprint-limited or
-    saturated-with-fresh-footprint, 2 = saturated-no-footprint,
-    3 = intermediate, 4 = waiting/no-requests.  VC codes (columns) pack
-    ``idle | grantable_fresh << 1 | owner_is_mine << 2``.  One fancy
-    gather then replaces the per-regime masked writes of Algorithm 1's
-    request rules.
-    """
-    global _FP_PRI_TABLE
-    if _FP_PRI_TABLE is None:
-        import numpy as np
-
-        table = np.full((5, 8), -1, dtype=np.int8)
-        low = np.int8(Priority.LOW)
-        high = np.int8(Priority.HIGH)
-        # Regime 0: every idle VC (codes with bit 0) at LOW.
-        table[0, 1::2] = low
-        # Regime 1: only freshly freed footprint VCs, at HIGH.
-        table[1, 7] = high
-        # Regime 2: only other flows' freshly freed VCs, at LOW.
-        table[2, 3] = low
-        # Regime 3: established idle at HIGHEST, fresh footprint at
-        # HIGH, fresh other at LOW.
-        table[3, [1, 5]] = np.int8(Priority.HIGHEST)
-        table[3, 7] = high
-        table[3, 3] = low
-        _FP_PRI_TABLE = table
-    return _FP_PRI_TABLE
-
 
 def _most(candidates, count):
     """``(best, tied)``: the largest ``count(d)`` and the candidates that
@@ -135,87 +101,6 @@ class FootprintRouting(DuatoAdaptiveRouting):
         if not waiting_on_footprint:
             requests.extend(self.escape_request(ctx))
         return requests
-
-    def candidate_pri(self, state, current, destination, committed):
-        """Batched Algorithm 1 as boolean mask algebra.
-
-        Reproduces :meth:`vc_requests` regime by regime — footprint VCs
-        are ``busy & adaptive & (owner == destination)``, the established
-        idle set is ``idle & ~fresh`` — plus the escape suppression of
-        :meth:`vc_requests_at` (no escape request while the packet waits
-        on a live footprint channel).  Scalar oracle-checked through the
-        :meth:`candidate_mask` assembly by the candidate-mask property
-        tests.
-        """
-        import numpy as np
-
-        from repro.topology.ports import NUM_PORTS
-
-        batch = len(current)
-        g = current * NUM_PORTS + committed
-        adaptive = state.adaptive[g]
-        busy = state.busy[g]
-        fresh = state.fresh[g]
-        idle = adaptive & ~busy
-        est_count = (idle & ~fresh).sum(axis=1)
-        mine = state.owner[g] == destination[:, None]
-        fresh_grantable = fresh & idle
-        fp_count = (busy & adaptive & mine).sum(axis=1)
-
-        eject = committed == int(Direction.LOCAL)
-        transit = ~eject
-        # Classify each row's regime (masks are disjoint, so the
-        # ``copyto`` order below is free), then resolve every VC's
-        # priority with one ``[regime, vc_code]`` table gather —
-        # replacing one masked 2-D write per regime/priority pair.
-        if state.footprint_vc_limit is not None:
-            limited = transit & (fp_count >= state.footprint_vc_limit)
-            unlimited = transit & ~limited
-        else:
-            limited = None
-            unlimited = transit
-        uncongested = unlimited & (est_count >= state.congestion_threshold)
-        congested = unlimited & ~uncongested
-        saturated = congested & (est_count == 0)
-        intermediate = congested ^ saturated
-        if saturated.any():
-            saturated_mine = saturated & (fresh_grantable & mine).any(
-                axis=1
-            )
-            # A live footprint and nothing freshly reclaimable: wait,
-            # request nothing (and suppress the escape request below).
-            not_mine = saturated & ~saturated_mine
-            saturated_free = not_mine & ~(fp_count > 0)
-        else:
-            saturated_mine = saturated_free = saturated
-
-        rid = np.full(batch, 4, dtype=np.int8)
-        np.copyto(rid, np.int8(0), where=eject | uncongested)
-        regime = (
-            saturated_mine if limited is None else limited | saturated_mine
-        )
-        if regime.any():
-            np.copyto(rid, np.int8(1), where=regime)
-        if saturated_free.any():
-            np.copyto(rid, np.int8(2), where=saturated_free)
-        if intermediate.any():
-            np.copyto(rid, np.int8(3), where=intermediate)
-        # vc_code = idle | grantable_fresh << 1 | mine << 2 (bools are
-        # 0/1 bytes, so the int8 views are zero-copy).
-        code = mine.view(np.int8) << np.int8(1)
-        code += fresh_grantable.view(np.int8)
-        code <<= np.int8(1)
-        code += idle.view(np.int8)
-        port_pri = _fp_pri_table()[rid[:, None], code]
-
-        # waiting_on_footprint: the adaptive requests came up empty while
-        # a footprint channel exists (covers both the saturated-wait and
-        # the exhausted footprint_vc_limit regimes).
-        waiting = transit & ~(port_pri >= 0).any(axis=1) & (fp_count > 0)
-        esc_cols = self._escape_cols(
-            state, current, destination, committed, suppress=waiting
-        )
-        return port_pri, esc_cols
 
     # ------------------------------------------------------------------
     # Step 2: output-port selection

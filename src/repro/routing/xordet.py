@@ -97,62 +97,6 @@ class XordetOverlay(RoutingAlgorithm):
             requests.extend(self.escape_request(ctx))
         return requests
 
-    def candidate_pri(self, state, current, destination, committed):
-        """Batched XORDET: each packet requests only its mapped VC.
-
-        The destination→VC map is pure, so it is precomputed per
-        destination once and gathered; grantability and the escape
-        request follow the scalar :meth:`vc_requests_at` exactly.
-        """
-        import numpy as np
-
-        from repro.topology.ports import NUM_PORTS
-
-        batch = len(current)
-        num_vcs = state.num_vcs
-        g = current * NUM_PORTS + committed
-        rows = np.arange(batch)
-        low = np.int8(Priority.LOW)
-        none = np.int8(-1)
-
-        eject = committed == int(Direction.LOCAL)
-        idle = state.adaptive[g] & ~state.busy[g]
-        mapped = self._xordet_table(state)[destination]
-        selected = np.zeros((batch, num_vcs), dtype=bool)
-        selected[rows, mapped] = True
-        port_pri = np.where(
-            eject[:, None],
-            np.where(idle, low, none),
-            np.where(selected & ~state.busy[g], low, none),
-        )
-        esc_cols = self._escape_cols(state, current, destination, committed)
-        return port_pri, esc_cols
-
-    def _xordet_table(self, state):
-        """Per-destination mapped VC (adaptive VC list indexing), cached."""
-        import numpy as np
-
-        key = (state.width, state.height, state.num_vcs, state.escape_vc)
-        cached = getattr(self, "_xordet_cache", None)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        # The state carries the engine's shared topology instance, so a
-        # cache miss reuses its coordinate caches instead of rebuilding
-        # a fresh Mesh2D.
-        mesh = state.mesh()
-        usable = [
-            v for v in range(state.num_vcs) if v != state.escape_vc
-        ]
-        table = np.array(
-            [
-                usable[xordet_vc(mesh, dst, len(usable))]
-                for dst in range(mesh.num_nodes)
-            ],
-            dtype=np.int64,
-        )
-        self._xordet_cache = (key, table)
-        return table
-
     def _select_direction(self, ctx: RouteContext) -> Direction:
         """Delegate output-port selection to the base algorithm."""
         base = self.base

@@ -24,9 +24,7 @@ slot — which keeps the fair share defined over *actual compute*.
 
 The scheduler is single-threaded asyncio: all bookkeeping runs on the
 event loop, simulations run in worker threads (``max_workers == 1``) or
-processes, and no locks are needed.  ``engine_mode`` is forwarded to
-the harness worker per task, so ``"auto"`` re-resolves vector-vs-skip
-from each task's offered load exactly as the pool does.
+processes, and no locks are needed.
 """
 
 from __future__ import annotations
@@ -120,14 +118,11 @@ class ExperimentScheduler:
         self,
         jobs: int | str | None = None,
         cache: ResultCache | None = None,
-        engine_mode: str | None = None,
-        run_task: Callable[[SimTask, str | None], SimulationResult]
-        | None = None,
+        run_task: Callable[[SimTask], SimulationResult] | None = None,
         on_job_done: Callable[[Job], None] | None = None,
     ) -> None:
         self.max_workers = resolve_jobs(jobs)
         self.cache = cache
-        self.engine_mode = engine_mode
         self.on_job_done = on_job_done
         self._run_task = run_task if run_task is not None else _run_task
         self._executor: Executor | None = None
@@ -302,7 +297,7 @@ class ExperimentScheduler:
         self._log(stream, job, index, "simulate")
         loop = asyncio.get_running_loop()
         future = loop.run_in_executor(
-            self._ensure_executor(), self._run_task, task, self.engine_mode
+            self._ensure_executor(), self._run_task, task
         )
         reaper = loop.create_task(self._reap(future, key))
         self._reapers.add(reaper)

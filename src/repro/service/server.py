@@ -256,7 +256,6 @@ async def serve(
     state_dir: str | None = None,
     jobs: int | str | None = None,
     cache_dir: str | None = None,
-    engine_mode: str | None = None,
 ) -> int:
     """Run a server until shutdown; the ``repro serve`` entry point.
 
@@ -267,11 +266,7 @@ async def serve(
     store = LeaderboardStore(state_dir)
     if cache_dir is None:
         cache_dir = str(store.directory / "cache")
-    scheduler = ExperimentScheduler(
-        jobs=jobs,
-        cache=ResultCache(cache_dir),
-        engine_mode=engine_mode,
-    )
+    scheduler = ExperimentScheduler(jobs=jobs, cache=ResultCache(cache_dir))
     server = ExperimentServer(scheduler, store, host=host, port=port)
     bound = await server.start()
     print(

@@ -1,5 +1,4 @@
-"""The cycle-level simulation engine: one loop, two scalar step
-functions, one array stepper.
+"""The cycle-level simulation engine: one loop, two step functions.
 
 The engine owns the mesh of routers, the per-node sources and sinks, and
 the links between them.  Links and credit returns have one cycle of
@@ -15,8 +14,8 @@ latency; within a cycle the stages run in this order:
 6. traffic generation and source injection.
 
 **One loop.**  :meth:`Simulator.run` is the only statement of the run's
-phases for every engine: warm-up, measurement, drain.  Packets created
-during the measurement window are *measured*; the run ends early once
+phases: warm-up, measurement, drain.  Packets created during the
+measurement window are *measured*; the run ends early once
 all of them have been delivered, or at the configured cycle limit (in
 which case the result reports ``drained == False`` — the usual signature
 of a saturated network).  The loop also owns idle-cycle skipping
@@ -27,9 +26,9 @@ stepping), the progress watchdog (:meth:`Simulator._watchdog` raises
 :class:`~repro.exceptions.SimulationError` when no flit moves for
 :data:`DEADLOCK_WINDOW` cycles with packets in flight — the
 deadlock-freedom tests rely on it), the ejection accounting and the
-result assembly.  An engine only supplies ``step()``.
+result assembly.
 
-**Two scalar step functions.**  Stages 0-2 and stage 6 plus the cycle
+**Two step functions.**  Stages 0-2 and stage 6 plus the cycle
 epilogue live once, in :meth:`Simulator._begin_cycle` and
 :meth:`Simulator._end_cycle`; the step functions differ in stages 3-5.
 :meth:`Simulator._step_fast` (``engine_mode="skip"``, the default) only
@@ -40,18 +39,9 @@ must observe and then clear the freshly-released set that cycle) — and
 reads link endpoints from a table precomputed per router.
 :meth:`Simulator._step_legacy` (``engine_mode="legacy"``) visits every
 router, asks the topology for each neighbour, and is never skipped over:
-it is the reference the other engines are compared against (``repro
-validate``, the differential tests) and is deliberately not selectable
-from the CLI or the environment.
-
-**One array stepper.**  ``engine_mode="vector"`` hands ``step()`` to
-:class:`~repro.sim.vector.engine.VectorEngine`, which replays the same
-stages over flat arrays but keeps no clock, counters or statistics of
-its own.  Configurations it does not cover run on ``skip`` (see
-:func:`~repro.sim.vector.vector_unsupported_reason`), and
-``engine_mode="auto"`` picks between the two per config
-(:func:`resolve_auto_mode`).  All engines produce bit-identical results,
-so the pick can never change a result, only its wall-clock.
+it is the reference ``skip`` is compared against (``repro validate``,
+the differential tests), produces bit-identical results, and is
+reachable only as ``Simulator(config, engine_mode="legacy")``.
 
 Fault injection: when the configuration carries a non-empty
 :class:`~repro.faults.schedule.FaultSchedule`, the engine consults a
@@ -66,18 +56,16 @@ flow-control state is never corrupted.  The watchdog downgrades a
 no-progress stall into a graceful ``stalled`` stop (rather than a
 deadlock error) once no scheduled heal can revive progress, so
 unreachable destinations report a delivered fraction instead of
-aborting the run.  Both scalar step functions apply identical gating
-and remain bit-identical under faults.
+aborting the run.  Both step functions apply identical gating and
+remain bit-identical under faults.
 """
 
 from __future__ import annotations
 
-import logging
-import os
 import weakref
 from typing import TYPE_CHECKING
 
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.exceptions import SimulationError
 from repro.faults.manager import FaultManager
 from repro.metrics.stats import LatencyStats
 from repro.metrics.utilization import ChannelUtilization
@@ -85,107 +73,35 @@ from repro.router.flit import Flit, Packet
 from repro.router.router import BlockingStats, Router
 from repro.routing.registry import create_routing
 from repro.sim.config import SimulationConfig
-# Defined in the leaf module so the cache and the CLI can read them
-# without loading the engine; re-exported here, where callers look.
-from repro.sim.constants import ENGINE_VERSION, USER_ENGINE_MODES  # noqa: F401
+# Defined in the leaf module so the cache can read it without loading
+# the engine; re-exported here, where callers look.
+from repro.sim.constants import ENGINE_VERSION  # noqa: F401
 from repro.sim.endpoints import Sink, Source
 from repro.sim.results import SimulationResult
 from repro.sim.rng import RngStreams
-from repro.sim.vector import vector_unsupported_reason
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.hub import TelemetryHub
 from repro.topology.ports import OPPOSITE, Direction
-from repro.traffic.factory import create_traffic, offered_flits_per_cycle
+from repro.traffic.factory import create_traffic
 from repro.traffic.patterns import TrafficGenerator
 
 if TYPE_CHECKING:
     from repro.validate.config import ValidationConfig
 
-_log = logging.getLogger(__name__)
-
 #: Cycles without any flit movement (while flits are in flight) after which
 #: the engine declares a deadlock.
 DEADLOCK_WINDOW = 5000
 
-#: Recognized values for ``Simulator(engine_mode=...)``.  The three
-#: concrete modes are bit-identical on the configs they support;
-#: ``vector`` additionally falls back to ``skip`` (with a logged
-#: warning) on configs that need per-object observability hooks, and
-#: ``auto`` resolves to ``vector`` or ``skip`` per config before
-#: construction (see :func:`resolve_auto_mode`).
-ENGINE_MODES = ("auto", "vector", "skip", "legacy")
-
-#: Environment variable consulted for the default engine mode by the CLI
-#: and harness entry points (see :func:`engine_mode_from_env`).
-ENGINE_MODE_ENV = "REPRO_ENGINE_MODE"
-
-#: Offered load — expected injected flits per cycle across the whole
-#: network (``injection_rate * num_nodes`` for synthetic patterns) — at
-#: or above which ``auto`` picks the vector engine.  The vector core
-#: amortizes numpy batch overhead over the packets routing concurrently,
-#: so it loses to idle-skipping on (near-)quiescent runs and wins on
-#: loaded ones.  The constant sits at the crossover measured on an 8x8
-#: footprint/uniform mesh, ten alternating vector/skip pairs per point,
-#: construction included (median vector speed-up; pairs vector won),
-#: against the mask-based scalar RC/VA path:
-#: 3.2 flits/cycle 0.65x 0/10, 4.0 0.74x 0/10, 4.8 0.80x 1/10,
-#: 5.6 0.87x 2/10, 6.4 0.91x 1/10, 8.0 1.03x 6/10, 9.6 1.13x 9/10,
-#: 12.8 1.36x 10/10.  At the break-even point a wrong pick near the
-#: boundary costs ~nothing, while both asymptotes get their winning
-#: engine.  ``repro serve`` is the one entry point that defaults to
-#: ``auto`` (the rest default to ``skip``), so this constant decides the
-#: engine of every service task.
-AUTO_ACTIVITY_THRESHOLD = 8.0
-
-
-def resolve_auto_mode(
-    config: SimulationConfig,
-    validation: "ValidationConfig | None" = None,
-) -> str:
-    """Resolve ``engine_mode="auto"`` to ``"vector"`` or ``"skip"``.
-
-    ``vector`` when the config's offered load (expected injected flits
-    per cycle, from the fields its traffic kind reads —
-    :func:`~repro.traffic.factory.offered_flits_per_cycle`) reaches
-    :data:`AUTO_ACTIVITY_THRESHOLD` *and* the vector core covers the
-    config; ``skip`` otherwise.  Both candidate engines are
-    bit-identical, so the pick affects wall-clock only — never results.
-    """
-    if offered_flits_per_cycle(config) < AUTO_ACTIVITY_THRESHOLD:
-        return "skip"
-    if vector_unsupported_reason(config, validation) is not None:
-        return "skip"
-    return "vector"
-
-
-def user_engine_mode(value: str, source: str) -> str:
-    """``value`` if a user may select it, else :class:`ConfigurationError`.
-
-    ``source`` names where the value came from (``--engine-mode``,
-    ``$REPRO_ENGINE_MODE``) so typos fail loudly, with the valid
-    choices, instead of silently running a different engine.
-    """
-    if value not in USER_ENGINE_MODES:
-        raise ConfigurationError(
-            f"{source}={value!r} is not a valid engine mode; "
-            f"expected one of {', '.join(USER_ENGINE_MODES)}"
-        )
-    return value
-
-
-def engine_mode_from_env(default: str = "skip") -> str:
-    """The engine mode requested via ``$REPRO_ENGINE_MODE``, validated.
-
-    Returns ``default`` when the variable is unset or empty.
-    """
-    value = os.environ.get(ENGINE_MODE_ENV, "").strip()
-    if not value:
-        return default
-    return user_engine_mode(value, f"${ENGINE_MODE_ENV}")
+#: Recognized values for ``Simulator(engine_mode=...)``: the engine and
+#: its reference loop, bit-identical on every config.
+ENGINE_MODES = ("skip", "legacy")
 
 
 class Simulator:
     """One simulated network plus its workload."""
+
+    # Read by perf/child.py::_probe_engine_modes; ROADMAP item 0 drops it.
+    stage_times = None
 
     def __init__(
         self,
@@ -197,31 +113,6 @@ class Simulator:
     ) -> None:
         if engine_mode not in ENGINE_MODES:
             raise ValueError(f"unknown engine mode {engine_mode!r}")
-        #: The mode the caller asked for, before any fallback.
-        self.requested_engine_mode = engine_mode
-        #: What ``auto`` resolved to for this config (``None`` when the
-        #: caller named a concrete mode).
-        self.auto_resolved: str | None = None
-        #: Why an explicitly requested ``vector`` run degraded to
-        #: ``skip`` (``None`` when it did not).  Logged as a warning and
-        #: surfaced by the differential harness, so the fallback is
-        #: explicit, never silent.  ``auto`` never records one: it
-        #: checks coverage before it picks.
-        self.vector_fallback: str | None = None
-        if engine_mode == "auto":
-            engine_mode = self.auto_resolved = resolve_auto_mode(
-                config, validation
-            )
-        elif engine_mode == "vector":
-            reason = vector_unsupported_reason(config, validation)
-            if reason is not None:
-                self.vector_fallback = reason
-                _log.warning(
-                    "engine: vector mode unsupported (%s); "
-                    "falling back to skip",
-                    reason,
-                )
-                engine_mode = "skip"
         self.engine_mode = engine_mode
         self.config = config
         self.mesh = config.make_topology()
@@ -276,13 +167,6 @@ class Simulator:
         #: gracefully instead of raising a deadlock error.
         self.stalled = False
 
-        #: When set before :meth:`run`, the vector engine accumulates
-        #: per-stage wall time into :attr:`stage_times` (read by
-        #: ``benchmarks/perf``; scalar engines have no per-stage hook
-        #: points and leave it ``None``).
-        self.collect_stage_times = False
-        self.stage_times: "dict[str, float] | None" = None
-
         self.cycle = 0
         self._last_progress_cycle = 0
         self._flits_in_network = 0
@@ -290,7 +174,7 @@ class Simulator:
         #: ``Source.pending_flits``); part of the quiescence check.
         self._source_backlog = 0
         #: Whether routers are sampling blocked packets (on for exactly
-        #: the measurement window; the vector stepper reads it).
+        #: the measurement window).
         self._sampling = False
         self._measure_start = config.warmup_cycles
         self._measure_end = config.warmup_cycles + config.measure_cycles
@@ -360,14 +244,6 @@ class Simulator:
         self.window_accepted_flits = 0
         self.window_offered_flits = 0
 
-        #: The array stepper of a ``vector`` run (built last: it reads
-        #: the topology, routing, traffic and RNG streams set up above).
-        self._vector = None
-        if engine_mode == "vector":
-            from repro.sim.vector.engine import VectorEngine
-
-            self._vector = VectorEngine(self)
-
     # ------------------------------------------------------------------
     # Measurement window helpers
     # ------------------------------------------------------------------
@@ -399,10 +275,8 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def _step_impl(self):
-        """Who steps a cycle.  Bound on read: stored, a scalar step
-        function would be the simulator referring to itself."""
-        if self._vector is not None:
-            return self._vector.step
+        """Who steps a cycle.  Bound on read: stored, a step function
+        would be the simulator referring to itself."""
         if self.engine_mode == "legacy":
             return self._step_legacy
         return self._step_fast
@@ -411,7 +285,7 @@ class Simulator:
         self._step_impl()
 
     def _begin_cycle(self, cycle: int) -> bool:
-        """Stages 0-2, shared by both scalar step functions.
+        """Stages 0-2, shared by both step functions.
 
         Returns whether a sink drained a flit (progress, for the
         watchdog).
@@ -691,10 +565,6 @@ class Simulator:
             or self._sink_next
         ):
             return 0
-        vector = self._vector
-        if vector is not None and vector.links_busy():
-            # The array stepper keeps its own link pipelines.
-            return 0
         cycle = self.cycle
         if cycle < self._measure_start:
             boundary = self._measure_start
@@ -737,12 +607,10 @@ class Simulator:
 
     def run(self) -> SimulationResult:
         """Run warm-up, measurement, and drain; return the result."""
-        if self.collect_stage_times and self._vector is not None:
-            self.stage_times = self._vector.enable_stage_times()
         limit = self.config.max_cycles
         measure_start = self._measure_start
         measure_end = self._measure_end
-        # The oracle steps every cycle; everything else skips idle ones.
+        # The oracle steps every cycle; the engine skips idle ones.
         skip_idle = self.engine_mode != "legacy"
         while self.cycle < limit:
             cycle = self.cycle

@@ -98,7 +98,6 @@ class TuneContext:
         budget_cycles: int | None,
         jobs: int | None,
         cache: ResultCache | None,
-        engine_mode: str | None,
     ) -> None:
         self.space = space
         self.scenario = scenario
@@ -107,7 +106,6 @@ class TuneContext:
         self.budget_cycles = budget_cycles
         self.jobs = jobs
         self.cache = cache
-        self.engine_mode = engine_mode
         self.spent_cycles = 0
         self.rounds: list[RoundStats] = []
         #: Full-fidelity memo: first-evaluation order is preserved and
@@ -177,10 +175,7 @@ class TuneContext:
                     tasks_for(self.scenario, self.space, candidate, rung)
                 )
             results, stats = run_tasks_accounted(
-                tasks,
-                jobs=self.jobs,
-                cache=self.cache,
-                engine_mode=self.engine_mode,
+                tasks, jobs=self.jobs, cache=self.cache
             )
             width = len(self.scenario.rates)
             for index, candidate in enumerate(todo):
@@ -328,7 +323,6 @@ def run_tune(
     seed: int = 1,
     jobs: int | None = None,
     cache: ResultCache | None = None,
-    engine_mode: str | None = None,
     rungs: tuple[Rung, ...] | None = None,
     n0: int = 16,
     eta: int = 2,
@@ -368,7 +362,6 @@ def run_tune(
         budget_cycles=budget_cycles,
         jobs=jobs,
         cache=cache,
-        engine_mode=engine_mode,
     )
     default = space.canonical(space.default_candidate())
     spent_before = ctx.spent_cycles

@@ -1,14 +1,15 @@
 """Differential validation harness (``repro validate``).
 
 Cross-checks the parts of the stack the per-cycle checkers cannot see
-from inside one run: that the three engines (skip/legacy/vector) stay
-bit-identical, that a warm result-cache replay reproduces a live run
-exactly, and that a validated run produces the same result as the
-unvalidated runs the cache and pool execute.  Configurations are drawn
-at random (seeded) from the full surface — every routing algorithm,
-several traffic patterns, multi-flit packets, and fault schedules — and
-every live run executes with all invariant checkers enabled, so one
-``repro validate`` sweep exercises both layers at once.
+from inside one run: that the engine and its reference loop
+(skip/legacy) stay bit-identical, that a warm result-cache replay
+reproduces a live run exactly, and that a validated run produces the
+same result as the unvalidated runs the cache and pool execute.
+Configurations are drawn at random (seeded) from the full surface —
+every routing algorithm, several traffic patterns, multi-flit packets,
+and fault schedules — and every live run executes with all invariant
+checkers enabled, so one ``repro validate`` sweep exercises both layers
+at once.
 
 ``self_test`` is the other half of the trust story: it runs every
 seeded mutation (:mod:`repro.validate.mutations`) with only its paired
@@ -28,19 +29,9 @@ from repro.faults.schedule import random_link_faults, random_router_faults
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import SimTask, resolve_jobs, run_tasks
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import Simulator
+from repro.sim.engine import ENGINE_MODES, Simulator
 from repro.sim.results import SimulationResult
-from repro.sim.vector import vector_unsupported_reason
 from repro.validate.config import MUTATION_CHECKERS, ValidationConfig
-
-#: Engine modes every differential run is executed under.  ``skip`` is
-#: first: its signature is the reference the others must match.  The
-#: ``vector`` run executes without invariant checkers (the vector core
-#: has no per-object hooks for them to observe — with checkers active it
-#: would just fall back to ``skip`` and self-compare); configs it cannot
-#: cover (e.g. fault schedules) are not run under it, and the entry
-#: records the reason so fallbacks are visible in the report.
-ENGINE_MODES = ("skip", "legacy", "vector")
 
 _ALGORITHMS = (
     "dor",
@@ -98,7 +89,7 @@ def random_configs(
         )
         # Every fourth config or so runs on a torus: the wrap links and
         # dateline escape VCs must stay bit-identical across engine
-        # modes too (the entry records why the vector core sat it out).
+        # modes too.
         topology = "torus" if rng.random() < 0.25 else "mesh"
         if topology == "torus":
             routing = rng.choice(_TORUS_ALGORITHMS)
@@ -156,9 +147,6 @@ class DifferentialEntry:
     checked_s: float = 0.0
     unchecked_s: float = 0.0
     error: str | None = None
-    #: Why the vector core could not run the config (``None`` when it
-    #: did), in which case the entry has no ``vector`` signature.
-    vector_fallback: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -185,32 +173,16 @@ class DifferentialReport:
             self.pool_identical is not False
         )
 
-    @property
-    def vector_fallbacks(self) -> dict[str, int]:
-        """Count of vector→skip fallbacks per reason across the sweep.
-
-        Each reason names the config field that forced the fallback;
-        the CLI prints the aggregate so a sweep that never exercised
-        the vector core is visible at a glance.
-        """
-        counts: dict[str, int] = {}
-        for entry in self.entries:
-            if entry.vector_fallback:
-                counts[entry.vector_fallback] = (
-                    counts.get(entry.vector_fallback, 0) + 1
-                )
-        return counts
-
 
 def run_differential(
     configs: list[SimulationConfig],
     jobs: int | str | None = None,
 ) -> DifferentialReport:
-    """Run every config through all engine modes plus warm-cache replay.
+    """Run every config through both engine modes plus warm-cache replay.
 
-    Each config runs with every invariant checker enabled under the skip
-    and legacy engine modes and unchecked under vector (signatures must
-    match), then twice
+    Each config runs with every invariant checker enabled under
+    :data:`~repro.sim.engine.ENGINE_MODES` — ``skip`` first, its
+    signature being the reference ``legacy`` must match — then twice
     through a fresh :class:`ResultCache` (the second pass must be all
     hits and reproduce the live signature — also proving validated and
     unvalidated runs are bit-identical, since cached runs are
@@ -224,23 +196,12 @@ def run_differential(
         entries.append(entry)
         try:
             for mode in ENGINE_MODES:
-                if mode == "vector":
-                    entry.vector_fallback = vector_unsupported_reason(config)
-                    if entry.vector_fallback is not None:
-                        # Would run (and warn about running) ``skip``
-                        # against itself.
-                        continue
                 started = time.perf_counter()
-                sim = Simulator(
-                    config,
-                    engine_mode=mode,
-                    validation=None if mode == "vector" else checks,
-                )
+                sim = Simulator(config, engine_mode=mode, validation=checks)
                 entry.signatures[mode] = result_signature(sim.run())
                 if mode == "skip":
                     entry.checked_s = time.perf_counter() - started
-                if sim.validator is not None:
-                    entry.checks_run += sim.validator.checks_run
+                entry.checks_run += sim.validator.checks_run
         except InvariantViolation as exc:
             entry.error = f"invariant violation: {exc}"
             continue

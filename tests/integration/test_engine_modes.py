@@ -7,6 +7,7 @@ simulation outcome, down to individual latency samples.
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
 
@@ -68,11 +69,40 @@ def test_unknown_mode_rejected():
 
 
 def test_removed_fast_mode_rejected():
-    """``fast`` was ``skip`` without the idle skip; it is gone."""
-    with pytest.raises(ValueError):
-        Simulator(SimulationConfig(width=4, num_vcs=2), engine_mode="fast")
+    """``fast`` was ``skip`` without the idle skip, ``vector`` a numpy
+    core and ``auto`` a pick between it and ``skip``; they are gone."""
+    for mode in ("fast", "vector", "auto"):
+        with pytest.raises(ValueError, match="unknown engine mode"):
+            Simulator(SimulationConfig(width=4, num_vcs=2), engine_mode=mode)
 
 
 def test_default_mode_is_fast():
     sim = Simulator(SimulationConfig(width=4, num_vcs=2))
     assert sim._step_impl == sim._step_fast
+
+
+_TINY_RUN = ["run", "--width", "4", "--vcs", "4", "--warmup", "20",
+             "--measure", "50", "--drain", "200"]
+
+
+def test_engine_mode_option_is_gone(capsys):
+    """There is one engine, so there is nothing to select: the flag is an
+    argparse usage error like any other unknown flag."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main([*_TINY_RUN, "--engine-mode", "skip"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --engine-mode" in capsys.readouterr().err
+
+
+def test_engine_mode_variable_is_ignored(monkeypatch, capsys):
+    """``$REPRO_ENGINE_MODE`` is an unknown variable: no effect, no
+    warning, whatever it holds."""
+    monkeypatch.delenv("REPRO_ENGINE_MODE", raising=False)
+    assert cli_main(_TINY_RUN) == 0
+    unset = capsys.readouterr()
+    for value in ("vector", "garbage"):
+        monkeypatch.setenv("REPRO_ENGINE_MODE", value)
+        assert cli_main(_TINY_RUN) == 0
+        assert capsys.readouterr() == unset
+    assert unset.err == ""
+

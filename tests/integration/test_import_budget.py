@@ -9,6 +9,7 @@ which import pulled the module in.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,7 +33,6 @@ SIMULATOR = (
     "concurrent.futures",
     "asyncio",
     "logging",
-    "numpy",
 )
 
 #: ``repro list`` prints the registered algorithms and the pattern
@@ -166,14 +166,47 @@ def test_list_loads_the_registry_and_nothing_else():
     assert sorted(set(_loaded(modules, SIMULATOR)) - allowed) == []
 
 
-def test_default_run_loads_neither_numpy_nor_the_vector_core():
-    modules, out = _modules_after(
-        _CLI, "run", "--width", "4", "--vcs", "4", "--warmup", "20",
-        "--measure", "50", "--drain", "100", REPRO_ENGINE_MODE="",
+def test_numpy_is_never_imported(tmp_path):
+    """The package depends on the standard library alone: no source
+    file names numpy, and every verb that simulates works where
+    importing it fails (pool workers are forked from the blocked
+    process; the server is a blocked process of its own)."""
+    sources = Path(repro.__file__).parent.rglob("*.py")
+    assert [str(p) for p in sources if "numpy" in p.read_text()] == []
+
+    blocked = "sys.modules['numpy'] = None\n" + _CLI
+
+    def cli(*argv: str) -> str:
+        return _modules_after(blocked, *argv, REPRO_SERVICE="")[1]
+
+    short = ("--warmup", "20", "--measure", "50", "--drain", "100")
+    assert "drained       : yes" in cli(
+        "run", "--width", "4", "--vcs", "4", *short
     )
-    assert "drained       : yes" in out
-    assert "repro.sim.engine" in modules
-    assert _loaded(modules, ("numpy", "repro.sim.vector.engine")) == []
+    assert "0 hits, 4 misses" in cli(*_fig9(tmp_path / "cache"), "--jobs", "2")
+    assert "2/2 configurations clean" in cli("validate", "--runs", "2")
+    server = subprocess.Popen(
+        [sys.executable, "-c", "import sys\n" + blocked, "serve",
+         "--port", "0", "--state-dir", str(tmp_path / "state")],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        listening = re.search(r":(\d+) ", server.stdout.readline())
+        assert listening, "repro serve never listened"
+        address = f"127.0.0.1:{listening.group(1)}"
+        # A loaded 8x8 task, simulated by the server's own worker.
+        out = cli("submit", "--address", address, "--rates", "0.3",
+                  "--timeout", "120", *short)
+        assert "1 simulated" in out
+        from repro.service.client import ServiceClient
+
+        ServiceClient.from_address(address).shutdown()
+        assert server.wait(timeout=30) == 0
+    finally:
+        if server.poll() is None:
+            server.kill()
+        server.stdout.close()
 
 
 def test_a_second_run_imports_nothing_new():
@@ -192,7 +225,7 @@ def test_a_second_run_imports_nothing_new():
         "result.summary(); result.latency.percentile(99)\n"
         "result.from_dict(json.loads(json.dumps(result.to_dict())))\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))",
-        REPRO_ENGINE_MODE="", REPRO_VALIDATE="",
+        REPRO_VALIDATE="",
     )
     assert json.loads(out) == []
 

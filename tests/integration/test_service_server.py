@@ -45,7 +45,6 @@ def _serve(tmp_path, client_fn):
         scheduler = ExperimentScheduler(
             jobs=1,
             cache=ResultCache(tmp_path / "cache"),
-            engine_mode="auto",
         )
         server = ExperimentServer(
             scheduler, LeaderboardStore(tmp_path / "state")

@@ -1,10 +1,9 @@
 """End-to-end simulation on the 2D torus.
 
 The acceptance bar for the topology layer: loaded torus runs drain
-(the dateline VC classes really do break the wrap-link cycle), every
-scalar engine mode produces bit-identical results, the vector core
-refuses the topology with a field-named fallback reason, and the
-mesh-only algorithms are rejected loudly at config time.
+(the dateline VC classes really do break the wrap-link cycle), both
+engine modes produce bit-identical results, and the mesh-only
+algorithms are rejected loudly at config time.
 """
 
 import pytest
@@ -144,19 +143,6 @@ class TestTorusFaults:
         result = Simulator(_torus_config("footprint", faults=schedule)).run()
         assert result.drained
         assert result.accepted_flits > 0
-
-
-class TestVectorFallback:
-    def test_vector_falls_back_with_field_named_reason(self):
-        sim = Simulator(_torus_config("dor"), engine_mode="vector")
-        assert sim.engine_mode != "vector"
-        assert sim.vector_fallback is not None
-        assert "config.topology" in sim.vector_fallback
-        assert sim.run().drained
-
-    def test_auto_mode_runs_torus(self):
-        result = Simulator(_torus_config("dor"), engine_mode="auto").run()
-        assert result.drained
 
 
 class TestTopologyGating:

@@ -156,7 +156,8 @@ class TestCliSurface:
         code = cli_main(["validate", "--runs", "2", "--seed", "3", "--jobs", "1"])
         out = capsys.readouterr().out
         assert code == 0, out
-        assert "2/2 configurations clean" in out
+        assert "2/2 configurations clean (modes skip/legacy + " in out
+        assert "vector" not in out
 
     def test_validate_self_test(self, capsys):
         code = cli_main(["validate", "--self-test"])

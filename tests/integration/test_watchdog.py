@@ -83,12 +83,11 @@ def test_forced_deadlock_fires_identically_across_modes(stuck_routing):
     assert len(messages) == 1
 
 
-def test_shrunk_window_fires_identically_in_the_vector_engine(monkeypatch):
-    """The vector stepper has no watchdog of its own: it reports progress
-    to the shared one, which reads ``DEADLOCK_WINDOW`` when it fires.
-    With the window shrunk to 3 cycles, a flit waiting its turn at a
-    one-in-ten ejection port is 'no movement with flits in flight', at
-    the same cycle in every engine."""
+def test_shrunk_window_fires_identically_across_modes(monkeypatch):
+    """The watchdog reads ``DEADLOCK_WINDOW`` when it fires.  With the
+    window shrunk to 3 cycles, a flit waiting its turn at a one-in-ten
+    ejection port is 'no movement with flits in flight', at the same
+    cycle in both modes."""
     monkeypatch.setattr(engine, "DEADLOCK_WINDOW", 3)
     config = SimulationConfig(
         width=4,
@@ -104,7 +103,7 @@ def test_shrunk_window_fires_identically_in_the_vector_engine(monkeypatch):
         seed=1,
     )
     messages = set()
-    for mode in ("legacy", "skip", "vector"):
+    for mode in ("legacy", "skip"):
         with pytest.raises(SimulationError) as excinfo:
             Simulator(config, engine_mode=mode).run()
         messages.add(str(excinfo.value))

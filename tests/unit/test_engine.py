@@ -5,11 +5,7 @@ import pytest
 from repro.exceptions import SimulationError, TrafficError
 from repro.router.flit import Packet
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import (
-    AUTO_ACTIVITY_THRESHOLD,
-    Simulator,
-    resolve_auto_mode,
-)
+from repro.sim.engine import Simulator
 from repro.traffic.factory import offered_flits_per_cycle
 from repro.traffic.trace import TraceEvent
 from repro.traffic.patterns import TrafficGenerator
@@ -171,20 +167,20 @@ class TestConstruction:
             assert not any(hooked(ValidationConfig.only(name)))
 
 
-class TestAutoModeMeasuresTheOfferedLoad:
-    """``auto`` compares the load the traffic kind actually offers — not
-    ``injection_rate``, which hotspot and trace traffic never read."""
+class TestOfferedLoad:
+    """The pool's batch weights read the load the traffic kind actually
+    offers — not ``injection_rate``, which hotspot and trace traffic
+    never read."""
 
-    def test_idle_hotspot_config_resolves_to_skip(self):
+    def test_idle_hotspot_config(self):
         # 56 background nodes at 0.001: 0.06 flits/cycle, whatever the
         # (unused) injection_rate default says.
         config = SimulationConfig(
             width=8, traffic="hotspot", hotspot_rate=0.0, background_rate=0.001
         )
         assert offered_flits_per_cycle(config) == pytest.approx(0.056)
-        assert resolve_auto_mode(config) == "skip"
 
-    def test_fig9_hotspot_point_resolves_to_vector(self):
+    def test_fig9_hotspot_point(self):
         config = SimulationConfig(
             width=8, traffic="hotspot", hotspot_rate=0.45,
             background_rate=0.3, injection_rate=0.01,
@@ -192,13 +188,10 @@ class TestAutoModeMeasuresTheOfferedLoad:
         assert offered_flits_per_cycle(config) == pytest.approx(
             8 * 0.45 + 56 * 0.3
         )
-        assert resolve_auto_mode(config) == "vector"
 
     def test_synthetic_patterns_still_use_injection_rate(self):
         config = SimulationConfig(width=8, traffic="uniform", injection_rate=0.2)
         assert offered_flits_per_cycle(config) == pytest.approx(12.8)
-        assert resolve_auto_mode(config) == "vector"
-        assert resolve_auto_mode(config.with_(injection_rate=0.01)) == "skip"
 
     def test_trace_load_is_its_flits_over_its_span(self):
         dense = [
@@ -210,12 +203,9 @@ class TestAutoModeMeasuresTheOfferedLoad:
             width=8, traffic="trace", trace=dense, injection_rate=0.0
         )
         assert offered_flits_per_cycle(config) == pytest.approx(12.0)
-        assert 12.0 > AUTO_ACTIVITY_THRESHOLD
-        assert resolve_auto_mode(config) == "vector"
         sparse = config.with_(
             trace=[TraceEvent(cycle=c, src=0, dst=9) for c in (0, 500, 999)],
             injection_rate=0.5,
         )
         assert offered_flits_per_cycle(sparse) == pytest.approx(0.003)
-        assert resolve_auto_mode(sparse) == "skip"
         assert offered_flits_per_cycle(config.with_(trace=[])) == 0.0

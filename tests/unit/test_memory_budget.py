@@ -35,8 +35,7 @@ def _held_by(build):
 @pytest.mark.parametrize("width, budget", [(8, 1.2e6), (16, 5.0e6)])
 def test_constructed_network_fits_its_budget(width, budget, engine_mode):
     """The paper's router — footprint, 10 VCs of 4 flits — on the 8x8 of
-    Figs. 5-7 and the 16x16 of Fig. 8.  The scalar engines share the
-    network; ``vector`` adds its arrays on top and has no budget here."""
+    Figs. 5-7 and the 16x16 of Fig. 8.  Both modes share the network."""
     config = SimulationConfig(width=width)
     assert (config.routing, config.num_vcs, config.vc_buffer_depth) == (
         "footprint",
@@ -72,7 +71,7 @@ def test_geometry_tables_intern_their_answers(grid):
         dirs[0] = None
 
 
-@pytest.mark.parametrize("engine_mode", ["skip", "legacy", "vector"])
+@pytest.mark.parametrize("engine_mode", ["skip", "legacy"])
 def test_serial_runs_do_not_pile_up(engine_mode):
     """A finished network is freed by reference counting: with the cycle
     collector off, run fifteen ends where run five did (a dead 4x4

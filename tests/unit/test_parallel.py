@@ -299,30 +299,39 @@ class TestRunTasks:
             assert a.accepted_flits == b.accepted_flits
             assert tuple(a.latency._samples) == tuple(b.latency._samples)
 
-    @pytest.mark.parametrize("engine_mode", ["skip", "legacy", "vector"])
+    @pytest.mark.parametrize("engine_mode", ["skip", "legacy"])
     def test_finished_simulator_is_freed_without_the_collector(
         self, config, engine_mode
     ):
         """A grid's peak memory is one simulator, not however many the
         cycle collector has yet to find (that moved benchmarks/perf's
         grid_pool peak between 45 and 50 MB with the seed)."""
+        from repro.sim.engine import Simulator
+
         task = SimTask(config, rate=0.2)
+
+        def run():
+            # The pool's worker runs the default engine; the reference
+            # loop is only reachable by constructing it.
+            if engine_mode == "skip":
+                return parallel._run_task(task)
+            return Simulator(
+                task.resolved_config(), engine_mode=engine_mode
+            ).run()
+
         results = []
-        left = _left_for_the_collector(
-            lambda: results.append(parallel._run_task(task, engine_mode))
-        )
+        left = _left_for_the_collector(lambda: results.append(run()))
         assert results[0].accepted_flits > 0
         assert not left & _NETWORK_TYPES
 
     @pytest.mark.parametrize("observed", ["plain", "sampling", "validated"])
-    @pytest.mark.parametrize("engine_mode", ["skip", "legacy", "vector"])
+    @pytest.mark.parametrize("engine_mode", ["skip", "legacy"])
     def test_plain_api_leaves_no_network_for_the_collector(
         self, config, engine_mode, observed, monkeypatch
     ):
         """The same through ``Simulator(...).run()`` and
         ``run_simulation``: nothing a simulator owns points back at it,
-        so nobody has to empty it.  (``vector`` runs observed configs
-        on ``skip``; the fallback is part of what must be free.)"""
+        so nobody has to empty it."""
         from repro.harness.runner import run_simulation
         from repro.sim.engine import Simulator
         from repro.telemetry.config import TelemetryConfig
@@ -342,14 +351,14 @@ class TestRunTasks:
                         engine_mode=engine_mode,
                         validation=validation_from_env(),
                     ).run(),
-                    run_simulation(config, engine_mode=engine_mode),
+                    run_simulation(config),
                 )
             )
         )
         assert results[0].accepted_flits == results[1].accepted_flits > 0
         assert not left & _NETWORK_TYPES
 
-    @pytest.mark.parametrize("engine_mode", ["skip", "legacy", "vector"])
+    @pytest.mark.parametrize("engine_mode", ["skip", "legacy"])
     def test_finished_simulator_can_still_be_stepped(
         self, config, engine_mode
     ):
@@ -516,13 +525,13 @@ class _InlinePool:
     def __exit__(self, *exc_info):
         return False
 
-    def submit(self, fn, payload):
+    def submit(self, fn, batch):
         from concurrent.futures import Future
 
-        type(self).batches.append(list(payload[0]))
+        type(self).batches.append(list(batch))
         future = Future()
         try:
-            future.set_result(fn(payload))
+            future.set_result(fn(batch))
         except Exception as exc:
             future.set_exception(exc)
         return future
@@ -539,11 +548,11 @@ class TestPutAsYouGo:
         real = parallel._run_task
         state = {"fails_at": 0.3, "simulated": [], "error": SimulationError}
 
-        def run(task, engine_mode=None):
+        def run(task):
             if task.rate == state["fails_at"]:
                 raise state["error"](f"rate {task.rate} refused")
             state["simulated"].append(task.rate)
-            return real(task, engine_mode)
+            return real(task)
 
         monkeypatch.setattr(parallel, "_run_task", run)
         return state
@@ -654,7 +663,7 @@ class TestWorkerLoss:
         real = parallel._run_task
         state = {"at": 0.05, "how": None}
 
-        def run(task, engine_mode=None):
+        def run(task):
             if task.rate == state["at"]:
                 deadline = time.monotonic() + 60
                 while (
@@ -663,7 +672,7 @@ class TestWorkerLoss:
                 ):
                     time.sleep(0.01)
                 state["how"]()
-            return real(task, engine_mode)
+            return real(task)
 
         monkeypatch.setattr(parallel, "_run_task", run)
         tasks = [SimTask(config, rate=r) for r in self.RATES]

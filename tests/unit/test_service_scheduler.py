@@ -49,7 +49,7 @@ def canned_result():
 def _stub_runner(result, block_on=None, fail_keys=()):
     """A run_task stub: optionally blocks, optionally fails per seed."""
 
-    def run(task, engine_mode):
+    def run(task):
         if block_on is not None:
             block_on.wait(timeout=30)
         if task.resolved_config().seed in fail_keys:
