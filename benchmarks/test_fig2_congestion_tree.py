@@ -11,11 +11,9 @@ adaptive paths with branches thinner than fully-adaptive routing.
 from repro.harness.experiments import fig2_congestion_tree
 from repro.harness.reporting import report_fig2
 
-ALGOS = ("dor", "dbar", "dor+xordet", "footprint")
-
 
 def test_fig2_congestion_tree(report):
-    results = [fig2_congestion_tree(r) for r in ALGOS]
+    results = fig2_congestion_tree()
     report(report_fig2(results))
 
     by_name = {r.routing: r for r in results}

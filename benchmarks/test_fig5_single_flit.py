@@ -22,7 +22,7 @@ def _saturation(curves, label, zero_load):
 
 def test_fig5_single_flit(report, scale):
     results = fig5_latency_throughput(scale, seed=1)
-    report(report_fig5(results, "Fig. 5 — single-flit packets"))
+    report(report_fig5(results))
 
     for pattern, curves in results.items():
         zero_load = min(

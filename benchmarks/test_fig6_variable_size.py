@@ -8,14 +8,14 @@ algorithms on transpose/shuffle; XORDET degrades the adaptive algorithms.
 """
 
 from repro.harness.experiments import fig6_variable_packet_size
-from repro.harness.reporting import report_fig5
+from repro.harness.reporting import report_fig6
 
 ALGOS = ("dor", "dbar", "footprint", "dbar+xordet")
 
 
 def test_fig6_variable_packet_size(report, scale):
     results = fig6_variable_packet_size(scale, algorithms=ALGOS, seed=1)
-    report(report_fig5(results, "Fig. 6 — {1..6}-flit packets"))
+    report(report_fig6(results))
 
     for pattern, curves in results.items():
         zero_load = min(

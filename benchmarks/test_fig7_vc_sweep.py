@@ -10,10 +10,9 @@ from repro.harness.reporting import report_fig7
 
 
 def test_fig7_vc_sweep(report, scale):
-    for pattern in ("uniform", "transpose"):
-        sweep = fig7_vc_sweep(scale, pattern, seed=1)
-        report(report_fig7(sweep, pattern))
-
+    results = fig7_vc_sweep(scale, ("uniform", "transpose"), seed=1)
+    report(report_fig7(results))
+    for pattern, sweep in results.items():
         saturations = {}
         for vcs, curves in sweep.items():
             zero_load = min(

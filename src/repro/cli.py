@@ -58,22 +58,113 @@ def _jobs_arg(text: str) -> str:
     return text
 
 
-def _fault_counts_arg(text: str) -> tuple[int, ...]:
-    """Parse --fault-counts: comma-separated non-negative ints."""
-    try:
-        counts = tuple(int(item) for item in text.split(",") if item.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
-    if not counts or any(c < 0 for c in counts):
-        raise argparse.ArgumentTypeError(
-            f"fault counts must be non-negative integers, got {text!r}"
-        )
-    return counts
+def _comma_list(convert, what: str):
+    """An argparse type: a non-empty comma-separated list of ``what``.
+
+    ``convert`` turns one item into its value and raises
+    :class:`ValueError` for a bad one.
+    """
+
+    def parse(text: str) -> tuple:
+        try:
+            items = tuple(
+                convert(item) for item in text.split(",") if item.strip()
+            )
+        except ValueError:
+            items = ()
+        if not items:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}"
+            )
+        return items
+
+    return parse
+
+
+_RATES = _comma_list(float, "floats")
+
+#: The network `run` and `submit` describe flag by flag; each lands in
+#: the SimulationConfig field its ``dest`` names (`_config_from_args`).
+_NETWORK_FLAGS = {
+    "--traffic": dict(dest="traffic", default="uniform"),
+    "--width": dict(dest="width", type=int, default=8),
+    "--height": dict(dest="height", type=int),
+    "--topology": dict(
+        dest="topology",
+        choices=["mesh", "torus"],
+        default="mesh",
+        help=(
+            "network topology: 'mesh' (the paper's) or 'torus' (wrap "
+            "links, dateline VC classes; needs >= 2 VCs, >= 3 for "
+            "Duato-based routing)"
+        ),
+    ),
+    "--vcs": dict(dest="num_vcs", type=int, default=10),
+    "--packet-size": dict(dest="packet_size", type=int, default=1),
+    "--warmup": dict(dest="warmup_cycles", type=int, default=1000),
+    "--measure": dict(dest="measure_cycles", type=int, default=2000),
+    "--drain": dict(dest="drain_cycles", type=int, default=5000),
+    "--seed": dict(dest="seed", type=int, default=1),
+}
+
+#: Every flag more than one verb takes, declared once.  `_flags`
+#: attaches them; a verb states only what is its own: a default, a help
+#: sentence.
+_SHARED_FLAGS = {
+    **_NETWORK_FLAGS,
+    "--scale": dict(choices=["smoke", "bench", "paper"], default="bench"),
+    "--jobs": dict(
+        type=_jobs_arg,
+        metavar="N|auto",
+        help=(
+            "worker processes (default: $REPRO_JOBS, else 'auto' = one "
+            "per CPU this process may use; 1 = serial, no pool); the "
+            "output is identical for any value"
+        ),
+    ),
+    "--background-rate": dict(
+        type=float, default=0.3, help="hotspot background load (default 0.3)"
+    ),
+    "--cache": dict(
+        action=argparse.BooleanOptionalAction,
+        help=(
+            "reuse simulation results from the on-disk cache and store "
+            "fresh ones (results are identical either way; a warm cache "
+            "replays the whole verb with zero simulations; default: "
+            "%(default)s)"
+        ),
+    ),
+    "--cache-dir": dict(
+        metavar="DIR",
+        help=(
+            "cache directory (default: $REPRO_CACHE_DIR, else "
+            "./.repro-cache)"
+        ),
+    ),
+    "--address": dict(
+        metavar="HOST:PORT",
+        help="service address (default: $REPRO_SERVICE, else :7455)",
+    ),
+    "--state-dir": dict(
+        metavar="DIR",
+        help=(
+            "service state directory: the leaderboard store and the "
+            "service's default cache (default: $REPRO_SERVICE_DIR, else "
+            "./.repro-service)"
+        ),
+    ),
+}
+
+
+def _flags(parser: argparse.ArgumentParser, *names: str, **own) -> None:
+    """Attach shared flags to a verb, ``own`` overriding the declaration."""
+    for name in names:
+        parser.add_argument(name, **{**_SHARED_FLAGS[name], **own})
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.harness import FIGURES  # the table alone: no driver loads
+
     parser = argparse.ArgumentParser(
         prog="footprint-noc",
         description=(
@@ -85,23 +176,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a single simulation")
     run.add_argument("--routing", default="footprint")
-    run.add_argument("--traffic", default="uniform")
     run.add_argument("--injection-rate", type=float, default=0.1)
-    run.add_argument("--width", type=int, default=8)
-    run.add_argument("--height", type=int, default=None)
-    run.add_argument(
-        "--topology",
-        choices=["mesh", "torus"],
-        default="mesh",
-        help=(
-            "network topology: 'mesh' (the paper's) or 'torus' (wrap "
-            "links, dateline VC classes; needs >= 2 VCs, >= 3 for "
-            "Duato-based routing)"
-        ),
-    )
-    run.add_argument("--vcs", type=int, default=10)
+    _flags(run, *_NETWORK_FLAGS)
     run.add_argument("--buffer-depth", type=int, default=4)
-    run.add_argument("--packet-size", type=int, default=1)
     run.add_argument(
         "--packet-size-range",
         type=int,
@@ -109,13 +186,9 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar=("LO", "HI"),
         default=None,
     )
-    run.add_argument("--warmup", type=int, default=1000)
-    run.add_argument("--measure", type=int, default=2000)
-    run.add_argument("--drain", type=int, default=5000)
     run.add_argument("--hotspot-rate", type=float, default=0.1)
-    run.add_argument("--background-rate", type=float, default=0.3)
+    _flags(run, "--background-rate")
     run.add_argument("--footprint-vc-limit", type=int, default=None)
-    run.add_argument("--seed", type=int, default=1)
     run.add_argument(
         "--faults",
         default=None,
@@ -181,70 +254,16 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser(
         "experiment", help="regenerate one of the paper's figures/tables"
     )
-    experiment.add_argument(
-        "figure",
-        choices=[
-            "fig2",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "table1",
-            "cost",
-            "fault-sweep",
-        ],
-    )
-    experiment.add_argument(
-        "--scale", choices=["smoke", "bench", "paper"], default="bench"
-    )
-    experiment.add_argument("--seed", type=int, default=1)
-    experiment.add_argument(
-        "--jobs",
-        default=None,
-        type=_jobs_arg,
-        metavar="N|auto",
-        help=(
-            "worker processes for the simulation grid (default: "
-            "$REPRO_JOBS, else 'auto' = one per CPU this process may "
-            "use; 1 = serial, no pool); results are identical for any "
-            "value"
-        ),
-    )
-    experiment.add_argument(
-        "--cache",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help=(
-            "reuse simulation results from the on-disk cache and store "
-            "fresh ones (results are identical either way; a warm cache "
-            "re-runs the experiment with zero simulations)"
-        ),
-    )
-    experiment.add_argument(
+    experiment.add_argument("figure", choices=list(FIGURES))
+    _flags(experiment, "--scale", "--seed", "--jobs")
+    _flags(experiment, "--cache", default=False)
+    _flags(
+        experiment,
         "--cache-dir",
-        default=None,
-        metavar="DIR",
         help=(
             "cache directory (default: $REPRO_CACHE_DIR, else "
             "./.repro-cache); implies --cache"
         ),
-    )
-    experiment.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "run the experiment under cProfile, print the top-25 "
-            "cumulative-time entries, and write a .pstats file"
-        ),
-    )
-    experiment.add_argument(
-        "--profile-out",
-        default=None,
-        metavar="FILE",
-        help="where --profile writes its .pstats dump "
-        "(default: profile_<figure>.pstats)",
     )
     experiment.add_argument(
         "--fault-kind",
@@ -254,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     experiment.add_argument(
         "--fault-counts",
-        type=_fault_counts_arg,
+        type=_comma_list(int, "integers"),  # the driver rejects k < 0
         default=None,
         metavar="K,K,...",
         help=(
@@ -273,15 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("prune", "keep only the newest N entries"),
     ):
         cache_cmd = cache_sub.add_parser(name, help=help_text)
-        cache_cmd.add_argument(
-            "--cache-dir",
-            default=None,
-            metavar="DIR",
-            help=(
-                "cache directory (default: $REPRO_CACHE_DIR, else "
-                "./.repro-cache)"
-            ),
-        )
+        _flags(cache_cmd, "--cache-dir")
         if name == "prune":
             cache_cmd.add_argument(
                 "--max-entries",
@@ -306,12 +317,10 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="number of randomized configurations to sweep (default 8)",
     )
-    validate.add_argument("--seed", type=int, default=1)
-    validate.add_argument(
+    _flags(validate, "--seed")
+    _flags(
+        validate,
         "--jobs",
-        default=None,
-        type=_jobs_arg,
-        metavar="N|auto",
         help=(
             "worker processes for the final pooled re-run (default: "
             "$REPRO_JOBS, else 1, which skips that phase; 'auto' = one "
@@ -349,30 +358,18 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="TCP port (default 7455; 0 picks a free port and prints it)",
     )
-    serve.add_argument(
-        "--state-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "service state directory for the leaderboard store and the "
-            "default cache (default: $REPRO_SERVICE_DIR, else "
-            "./.repro-service)"
-        ),
-    )
-    serve.add_argument(
+    _flags(serve, "--state-dir")
+    _flags(
+        serve,
         "--jobs",
-        default=None,
-        type=_jobs_arg,
-        metavar="N|auto",
         help=(
             "concurrent simulations (default: $REPRO_JOBS, else 1 — "
             "size the daemon explicitly; 'auto' = one per usable CPU)"
         ),
     )
-    serve.add_argument(
+    _flags(
+        serve,
         "--cache-dir",
-        default=None,
-        metavar="DIR",
         help=(
             "result cache backing the service's dedup (default: "
             "<state-dir>/cache)"
@@ -383,12 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "submit",
         help="submit a sweep grid to a running experiment service",
     )
-    submit.add_argument(
-        "--address",
-        default=None,
-        metavar="HOST:PORT",
-        help="service address (default: $REPRO_SERVICE, else :7455)",
-    )
+    _flags(submit, "--address")
     submit.add_argument(
         "--name",
         default=None,
@@ -403,26 +395,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--routing",
+        type=_comma_list(str.strip, "routing algorithms"),
         default="footprint",
         help="comma-separated routing algorithms to sweep",
     )
     submit.add_argument(
         "--rates",
+        type=_RATES,
         default="0.02,0.05",
         help="comma-separated injection rates to sweep",
     )
-    submit.add_argument("--traffic", default="uniform")
-    submit.add_argument("--width", type=int, default=8)
-    submit.add_argument("--height", type=int, default=None)
-    submit.add_argument(
-        "--topology", choices=["mesh", "torus"], default="mesh"
-    )
-    submit.add_argument("--vcs", type=int, default=10)
-    submit.add_argument("--packet-size", type=int, default=1)
-    submit.add_argument("--warmup", type=int, default=1000)
-    submit.add_argument("--measure", type=int, default=2000)
-    submit.add_argument("--drain", type=int, default=5000)
-    submit.add_argument("--seed", type=int, default=1)
+    _flags(submit, *_NETWORK_FLAGS)
     submit.add_argument(
         "--wait",
         action=argparse.BooleanOptionalAction,
@@ -440,12 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     jobs_cmd = sub.add_parser(
         "jobs", help="list, inspect, or cancel service jobs"
     )
-    jobs_cmd.add_argument(
-        "--address",
-        default=None,
-        metavar="HOST:PORT",
-        help="service address (default: $REPRO_SERVICE, else :7455)",
-    )
+    _flags(jobs_cmd, "--address")
     jobs_cmd.add_argument(
         "--job", default=None, metavar="ID", help="show one job in detail"
     )
@@ -461,19 +439,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "instead)"
         ),
     )
-    leaderboard.add_argument(
-        "--state-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "service state directory (default: $REPRO_SERVICE_DIR, else "
-            "./.repro-service)"
-        ),
-    )
-    leaderboard.add_argument(
+    _flags(leaderboard, "--state-dir")
+    _flags(
+        leaderboard,
         "--address",
-        default=None,
-        metavar="HOST:PORT",
         help="query a running service instead of reading the state dir",
     )
     leaderboard.add_argument(
@@ -502,17 +471,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default="hotspot",
         help="traffic pattern of the tuning scenario (default hotspot)",
     )
-    tune.add_argument("--width", type=int, default=8)
-    tune.add_argument(
-        "--topology", choices=["mesh", "torus"], default="mesh"
-    )
-    tune.add_argument("--seed", type=int, default=1)
-    tune.add_argument(
-        "--scale",
-        choices=["smoke", "bench", "paper"],
-        default="bench",
-        help="full-fidelity cycle counts (default bench)",
-    )
+    _flags(tune, "--width", "--topology", "--seed")
+    _flags(tune, "--scale", help="full-fidelity cycle counts (default bench)")
     tune.add_argument(
         "--strategy",
         choices=["random", "halving", "refine"],
@@ -534,32 +494,18 @@ def _build_parser() -> argparse.ArgumentParser:
             "default: unlimited)"
         ),
     )
-    tune.add_argument(
-        "--n0",
-        type=int,
-        default=16,
-        help="initial cohort size (default 16)",
-    )
-    tune.add_argument(
-        "--eta",
-        type=int,
-        default=2,
-        help="halving promotion factor: keep ceil(n/eta) (default 2)",
-    )
-    tune.add_argument(
-        "--beam",
-        type=int,
-        default=4,
-        help="refinement beam width (default 4)",
-    )
-    tune.add_argument(
-        "--refine-rounds",
-        type=int,
-        default=2,
-        help="neighbor-refinement rounds (default 2)",
-    )
+    for flag, default, text in (
+        ("--n0", 16, "initial cohort size"),
+        ("--eta", 2, "halving promotion factor: keep ceil(n/eta)"),
+        ("--beam", 4, "refinement beam width"),
+        ("--refine-rounds", 2, "neighbor-refinement rounds"),
+    ):
+        tune.add_argument(
+            flag, type=int, default=default, help=f"{text} (default {default})"
+        )
     tune.add_argument(
         "--rates",
+        type=_RATES,
         default=None,
         metavar="R,R,...",
         help=(
@@ -577,41 +523,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "middle rung)"
         ),
     )
-    tune.add_argument(
-        "--background-rate",
-        type=float,
-        default=0.3,
-        help="hotspot background load (default 0.3)",
-    )
-    tune.add_argument(
-        "--jobs",
-        default=None,
-        type=_jobs_arg,
-        metavar="N|auto",
-        help=(
-            "worker processes (default: $REPRO_JOBS, else 'auto' = one "
-            "per CPU this process may use; 1 = serial, no pool); the "
-            "search trajectory is identical for any value"
-        ),
-    )
-    tune.add_argument(
-        "--cache",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=(
-            "reuse the on-disk result cache (default on — a warm "
-            "cache replays the whole tune with zero simulations)"
-        ),
-    )
-    tune.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "cache directory (default: $REPRO_CACHE_DIR, else "
-            "./.repro-cache)"
-        ),
-    )
+    _flags(tune, "--background-rate", "--jobs")
+    _flags(tune, "--cache", default=True)
+    _flags(tune, "--cache-dir")
     tune.add_argument(
         "--out-dir",
         default=".",
@@ -674,9 +588,17 @@ def _telemetry_from_args(args: argparse.Namespace):
     )
 
 
+def _config_from_args(args: argparse.Namespace, **fields):
+    """The SimulationConfig of the network flags plus ``fields``."""
+    from repro.sim.config import SimulationConfig
+
+    for spec in _NETWORK_FLAGS.values():
+        fields[spec["dest"]] = getattr(args, spec["dest"])
+    return SimulationConfig(**fields)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.harness.runner import run_simulation
-    from repro.sim.config import SimulationConfig
 
     faults = None
     if args.faults is not None:
@@ -689,31 +611,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
             default_seed=args.seed,
             topology=args.topology,
         )
-    telemetry = _telemetry_from_args(args)
-    config = SimulationConfig(
-        width=args.width,
-        height=args.height,
-        topology=args.topology,
-        num_vcs=args.vcs,
-        vc_buffer_depth=args.buffer_depth,
+    config = _config_from_args(
+        args,
         routing=args.routing,
-        traffic=args.traffic,
         injection_rate=args.injection_rate,
-        packet_size=args.packet_size,
+        vc_buffer_depth=args.buffer_depth,
         packet_size_range=(
             tuple(args.packet_size_range)
             if args.packet_size_range is not None
             else None
         ),
-        warmup_cycles=args.warmup,
-        measure_cycles=args.measure,
-        drain_cycles=args.drain,
         hotspot_rate=args.hotspot_rate,
         background_rate=args.background_rate,
         footprint_vc_limit=args.footprint_vc_limit,
-        seed=args.seed,
         faults=faults,
-        telemetry=telemetry,
+        telemetry=_telemetry_from_args(args),
     )
     result = run_simulation(config)
     print(f"configuration : {config.describe()}")
@@ -760,120 +672,26 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_experiment(args: argparse.Namespace, cache) -> None:
-    from repro.harness import experiments as exp
-    from repro.harness import reporting
+def _cache_from_args(args: argparse.Namespace):
+    """The ResultCache that --cache / --cache-dir ask for (None when off)."""
+    if not (args.cache or args.cache_dir is not None):
+        return None
+    from repro.harness.cache import ResultCache
 
-    scale = {"smoke": exp.SMOKE, "bench": exp.BENCH, "paper": exp.PAPER}[
-        args.scale
-    ]
-    figure = args.figure
-    jobs = args.jobs
-    if figure == "fig2":
-        results = [
-            exp.fig2_congestion_tree(r)
-            for r in ("dor", "dbar", "dor+xordet", "footprint")
-        ]
-        print(reporting.report_fig2(results))
-    elif figure == "fig5":
-        print(
-            reporting.report_fig5(
-                exp.fig5_latency_throughput(
-                    scale, seed=args.seed, jobs=jobs, cache=cache
-                ),
-                "Fig. 5 — single-flit packets",
-            )
-        )
-    elif figure == "fig6":
-        print(
-            reporting.report_fig5(
-                exp.fig6_variable_packet_size(
-                    scale, seed=args.seed, jobs=jobs, cache=cache
-                ),
-                "Fig. 6 — {1..6}-flit packets",
-            )
-        )
-    elif figure == "fig7":
-        for pattern in exp.FIG5_PATTERNS:
-            print(
-                reporting.report_fig7(
-                    exp.fig7_vc_sweep(
-                        scale,
-                        pattern,
-                        seed=args.seed,
-                        jobs=jobs,
-                        cache=cache,
-                    ),
-                    pattern,
-                )
-            )
-            print()
-    elif figure == "fig8":
-        print(
-            reporting.report_fig8(
-                exp.fig8_network_size(
-                    scale, seed=args.seed, jobs=jobs, cache=cache
-                )
-            )
-        )
-    elif figure == "fig9":
-        print(
-            reporting.report_fig9(
-                exp.fig9_hotspot(
-                    scale, seed=args.seed, jobs=jobs, cache=cache
-                )
-            )
-        )
-    elif figure == "fig10":
-        print(
-            reporting.report_fig10(
-                exp.fig10_parsec(
-                    scale, seed=args.seed, jobs=jobs, cache=cache
-                )
-            )
-        )
-    elif figure == "table1":
-        print(reporting.report_table1(exp.table1_adaptiveness()))
-    elif figure == "cost":
-        print(reporting.report_cost(exp.cost_table()))
-    elif figure == "fault-sweep":
-        print(
-            reporting.report_fault_sweep(
-                exp.fault_sweep(
-                    scale,
-                    fault_counts=args.fault_counts,
-                    fault_kind=args.fault_kind,
-                    seed=args.seed,
-                    jobs=jobs,
-                    cache=cache,
-                )
-            )
-        )
+    return ResultCache(args.cache_dir)
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    cache = None
-    if args.cache or args.cache_dir is not None:
-        from repro.harness.cache import ResultCache
+    from repro.harness import FIGURES, experiments, reporting
 
-        cache = ResultCache(args.cache_dir)
-    if args.profile:
-        import cProfile
-        import pstats
-
-        out = args.profile_out or f"profile_{args.figure}.pstats"
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            _run_experiment(args, cache)
-        finally:
-            profiler.disable()
-            profiler.dump_stats(out)
-            stats = pstats.Stats(profiler)
-            stats.sort_stats("cumulative").print_stats(25)
-            print(f"profile written to {out}")
-    else:
-        _run_experiment(args, cache)
+    cache = _cache_from_args(args)
+    driver, renderer, takes = FIGURES[args.figure]
+    values = dict(
+        vars(args), scale=experiments.SCALES[args.scale], cache=cache
+    )
+    run = getattr(experiments, driver)
+    render = getattr(reporting, renderer)
+    print(render(run(**{name: values[name] for name in takes})))
     if cache is not None:
         print(cache.describe())
     return 0
@@ -895,8 +713,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"removed {removed} entries from {cache.directory}")
     elif command == "prune":
         if args.max_entries < 0:
-            print("error: --max-entries must be >= 0", file=sys.stderr)
-            return 2
+            raise ConfigurationError("--max-entries must be >= 0")
         removed = cache.prune(args.max_entries)
         print(
             f"removed {removed} entries from {cache.directory} "
@@ -933,8 +750,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         return 0 if failures == 0 else 1
 
     if args.runs < 1:
-        print("error: --runs must be >= 1", file=sys.stderr)
-        return 2
+        raise ConfigurationError("--runs must be >= 1")
     configs = random_configs(
         args.runs, args.seed, include_faults=not args.no_faults
     )
@@ -1005,50 +821,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 130
 
 
-def _submit_grid(args: argparse.Namespace):
-    """Build the (tasks, job name) pair of a `repro submit` invocation."""
-    from repro.harness.parallel import SimTask
-    from repro.service import ServiceError
-    from repro.sim.config import SimulationConfig
-
-    routings = [r.strip() for r in args.routing.split(",") if r.strip()]
-    try:
-        rates = [
-            float(r) for r in args.rates.split(",") if r.strip()
-        ]
-    except ValueError:
-        raise ServiceError(
-            f"--rates expects comma-separated floats, got {args.rates!r}"
-        ) from None
-    if not routings or not rates:
-        raise ServiceError("--routing and --rates must be non-empty")
-    tasks = []
-    for routing in routings:
-        config = SimulationConfig(
-            width=args.width,
-            height=args.height,
-            topology=args.topology,
-            num_vcs=args.vcs,
-            routing=routing,
-            traffic=args.traffic,
-            injection_rate=rates[0],
-            packet_size=args.packet_size,
-            warmup_cycles=args.warmup,
-            measure_cycles=args.measure,
-            drain_cycles=args.drain,
-            seed=args.seed,
-        )
-        tasks.extend(SimTask(config, rate=rate) for rate in rates)
-    name = args.name or (
-        f"{args.traffic}-{'+'.join(routings)}-x{len(rates)}"
-    )
-    return tasks, name
-
-
 def _cmd_submit(args: argparse.Namespace) -> int:
+    from repro.harness.parallel import SimTask
     from repro.service.client import ServiceClient
 
-    tasks, name = _submit_grid(args)
+    tasks = [
+        SimTask(
+            _config_from_args(
+                args, routing=routing, injection_rate=args.rates[0]
+            ),
+            rate=rate,
+        )
+        for routing in args.routing
+        for rate in args.rates
+    ]
+    name = args.name or (
+        f"{args.traffic}-{'+'.join(args.routing)}-x{len(args.rates)}"
+    )
     client = ServiceClient.from_address(args.address)
     response = client.submit_tasks(
         name, tasks, stream=args.stream, weight=args.weight
@@ -1164,26 +953,12 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         print(render_tune(load_tune(args.file)))
         return 0
 
-    from repro.harness import experiments as exp
-    from repro.tuner import TunerError
+    from repro.harness.experiments import SCALES
     from repro.tuner.objectives import make_scenario
     from repro.tuner.report import render_tune, write_tune_artifact
     from repro.tuner.runner import run_tune
 
-    rates = None
-    if args.rates is not None:
-        try:
-            rates = tuple(
-                float(r) for r in args.rates.split(",") if r.strip()
-            )
-        except ValueError:
-            raise TunerError(
-                f"--rates expects comma-separated floats, "
-                f"got {args.rates!r}"
-            ) from None
-    scale = {"smoke": exp.SMOKE, "bench": exp.BENCH, "paper": exp.PAPER}[
-        args.scale
-    ]
+    scale = SCALES[args.scale]
     scenario = make_scenario(
         args.traffic,
         width=args.width,
@@ -1192,22 +967,17 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         measure=scale.measure,
         drain=scale.drain,
         seed=args.seed,
-        rates=rates,
+        rates=args.rates,
         latency_rate=args.latency_rate,
         background_rate=args.background_rate,
     )
-    cache = None
-    if args.cache or args.cache_dir is not None:
-        from repro.harness.cache import ResultCache
-
-        cache = ResultCache(args.cache_dir)
     result = run_tune(
         scenario,
         strategy=args.strategy,
         budget_cycles=args.budget,
         seed=args.seed,
         jobs=args.jobs,
-        cache=cache,
+        cache=_cache_from_args(args),
         n0=args.n0,
         eta=args.eta,
         refine_rounds=args.refine_rounds,

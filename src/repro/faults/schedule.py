@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 from repro.exceptions import FaultError
 from repro.topology.base import create_topology
@@ -403,11 +403,3 @@ def parse_fault_spec(
     schedule = FaultSchedule(tuple(events))
     schedule.validate_for(width, height, topology=topology)
     return schedule
-
-
-def merge_schedules(schedules: Iterable[FaultSchedule]) -> FaultSchedule:
-    """Union of several schedules (events concatenated and re-normalized)."""
-    events: list[FaultEvent] = []
-    for schedule in schedules:
-        events.extend(schedule.events)
-    return FaultSchedule(tuple(events))

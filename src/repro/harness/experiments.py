@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.cost import CostModel
-from repro.exceptions import FaultError
-from repro.harness.parallel import SimTask, derive_task_seed, run_configs, run_tasks
+from repro.exceptions import ConfigurationError, FaultError
+from repro.harness.parallel import SimTask, derive_task_seed, run_tasks
 from repro.metrics.curves import LatencyThroughputCurve
 from repro.metrics.resilience import (
     ResiliencePoint,
@@ -117,13 +117,25 @@ PAPER = Scale(
     fault_counts=(0, 1, 2, 4, 8, 16),
 )
 
-_SCALES = {"smoke": SMOKE, "bench": BENCH, "paper": PAPER}
+SCALES = {scale.name: scale for scale in (SMOKE, BENCH, PAPER)}
 
 
 def scale_from_env(default: Scale = BENCH) -> Scale:
-    """Scale selected by the ``REPRO_SCALE`` environment variable."""
+    """Scale selected by the ``REPRO_SCALE`` environment variable.
+
+    Unset or empty means ``default``; a name that is not a scale is a
+    :class:`~repro.exceptions.ConfigurationError`, so a typo cannot
+    report one scale's numbers as another's.
+    """
     name = os.environ.get("REPRO_SCALE", "").strip().lower()
-    return _SCALES.get(name, default)
+    if not name:
+        return default
+    if name not in SCALES:
+        raise ConfigurationError(
+            f"$REPRO_SCALE={name!r} is not a valid scale; expected one "
+            f"of {', '.join(SCALES)}"
+        )
+    return SCALES[name]
 
 
 #: Algorithms compared in Figs. 5-6 (the paper's full roster).
@@ -140,6 +152,42 @@ FIG5_ALGORITHMS = (
 FIG5_PATTERNS = ("uniform", "transpose", "shuffle")
 
 
+def _run_grid(
+    configs: dict[object, SimulationConfig],
+    rates: tuple[float | None, ...],
+    jobs: int | str | None,
+    cache: "ResultCache | None",
+) -> dict[object, list[SimulationResult]]:
+    """Run every keyed config at every rate as one flat task list.
+
+    Returns ``{key: [one result per rate]}`` in the order of
+    ``configs``, so a driver names its grid once and reads results by
+    key.  The rate ``None`` runs a config as it stands.
+    """
+    tasks = [
+        SimTask(config, rate=rate, key=(key, rate))
+        for key, config in configs.items()
+        for rate in rates
+    ]
+    results = run_tasks(tasks, jobs, cache=cache)
+    return {
+        key: results[i * len(rates) : (i + 1) * len(rates)]
+        for i, key in enumerate(configs)
+    }
+
+
+def _curve(
+    label: str,
+    results: list[SimulationResult],
+    rates: tuple[float, ...],
+) -> LatencyThroughputCurve:
+    """The latency-throughput curve of one config's results over ``rates``."""
+    return LatencyThroughputCurve(
+        label,
+        [point_from_result(result, rate) for result, rate in zip(results, rates)],
+    )
+
+
 # ----------------------------------------------------------------------
 # Fig. 2 — congestion-tree case study
 # ----------------------------------------------------------------------
@@ -148,6 +196,9 @@ FIG2_NETWORK_DST = 10
 
 #: Fig. 2's endpoint-congested destination (flows f3 and f4 converge).
 FIG2_ENDPOINT_DST = 13
+
+#: The algorithms whose congestion trees Fig. 2 contrasts.
+FIG2_ALGORITHMS = ("dor", "dbar", "dor+xordet", "footprint")
 
 
 @dataclass(frozen=True)
@@ -202,8 +253,11 @@ class Fig2Result:
 
 
 def fig2_congestion_tree(
-    routing: str, cycles: int = 400, seed: int = 3, sample_every: int = 50
-) -> Fig2Result:
+    routings: tuple[str, ...] = FIG2_ALGORITHMS,
+    cycles: int = 400,
+    seed: int = 3,
+    sample_every: int = 50,
+) -> list[Fig2Result]:
     """Reproduce the Fig. 2 case study: a 4x4 mesh, 4 VCs, four flows.
 
     Flows f1..f4 (``n0->n10, n1->n15, n4->n13, n12->n13``) create network
@@ -214,8 +268,8 @@ def fig2_congestion_tree(
     lands on the last simulated cycle, making the end-of-run shapes
     identical to a direct end-state extraction.
     """
+    from repro.harness.runner import run_simulation
     from repro.router.flit import Packet
-    from repro.sim.engine import Simulator
     from repro.telemetry.config import TelemetryConfig
     from repro.traffic.patterns import TrafficGenerator
 
@@ -241,35 +295,39 @@ def fig2_congestion_tree(
                     )
             return out
 
-    config = SimulationConfig(
-        width=4,
-        num_vcs=4,
-        routing=routing,
-        traffic="uniform",  # replaced by the custom generator below
-        injection_rate=0.0,
-        warmup_cycles=0,
-        measure_cycles=cycles,
-        drain_cycles=0,
-        seed=seed,
-        telemetry=TelemetryConfig(
-            sample_every=sample_every,
-            tree_nodes=(FIG2_NETWORK_DST, FIG2_ENDPOINT_DST),
-        ),
-    )
-    sim = Simulator(config, traffic=_Fig2Traffic())
-    telemetry = sim.run().telemetry
-    assert telemetry is not None
-    network = telemetry.tree_series(FIG2_NETWORK_DST)
-    endpoint = telemetry.tree_series(FIG2_ENDPOINT_DST)
-    return Fig2Result(
-        routing=routing,
-        network_tree=TreeShape.from_tree_series(network, -1),
-        endpoint_tree=TreeShape.from_tree_series(endpoint, -1),
-        sample_cycles=list(telemetry.sample_cycles),
-        network_branch_series=[int(v) for v in network["branches"]],
-        endpoint_branch_series=[int(v) for v in endpoint["branches"]],
-        telemetry=telemetry,
-    )
+    results = []
+    for routing in routings:
+        config = SimulationConfig(
+            width=4,
+            num_vcs=4,
+            routing=routing,
+            traffic="uniform",  # replaced by the custom generator below
+            injection_rate=0.0,
+            warmup_cycles=0,
+            measure_cycles=cycles,
+            drain_cycles=0,
+            seed=seed,
+            telemetry=TelemetryConfig(
+                sample_every=sample_every,
+                tree_nodes=(FIG2_NETWORK_DST, FIG2_ENDPOINT_DST),
+            ),
+        )
+        telemetry = run_simulation(config, traffic=_Fig2Traffic()).telemetry
+        assert telemetry is not None
+        network = telemetry.tree_series(FIG2_NETWORK_DST)
+        endpoint = telemetry.tree_series(FIG2_ENDPOINT_DST)
+        results.append(
+            Fig2Result(
+                routing=routing,
+                network_tree=TreeShape.from_tree_series(network, -1),
+                endpoint_tree=TreeShape.from_tree_series(endpoint, -1),
+                sample_cycles=list(telemetry.sample_cycles),
+                network_branch_series=[int(v) for v in network["branches"]],
+                endpoint_branch_series=[int(v) for v in endpoint["branches"]],
+                telemetry=telemetry,
+            )
+        )
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -289,28 +347,20 @@ def latency_throughput_curves(
     The full algorithm x rate grid is one flat task list, so with
     ``jobs > 1`` every point of every curve simulates concurrently.
     """
-    tasks = [
-        SimTask(
-            scale.config(
-                routing=algorithm,
-                traffic=pattern,
-                packet_size_range=packet_size_range,
-                seed=seed,
-            ),
-            rate=rate,
-            key=(algorithm, rate),
+    configs = {
+        algorithm: scale.config(
+            routing=algorithm,
+            traffic=pattern,
+            packet_size_range=packet_size_range,
+            seed=seed,
         )
         for algorithm in algorithms
-        for rate in scale.rates
+    }
+    grid = _run_grid(configs, scale.rates, jobs, cache)
+    return [
+        _curve(algorithm, results, scale.rates)
+        for algorithm, results in grid.items()
     ]
-    results = iter(run_tasks(tasks, jobs, cache=cache))
-    curves = []
-    for algorithm in algorithms:
-        curve = LatencyThroughputCurve(label=algorithm)
-        for rate in scale.rates:
-            curve.add(point_from_result(next(results), rate))
-        curves.append(curve)
-    return curves
 
 
 def fig5_latency_throughput(
@@ -358,37 +408,30 @@ def fig6_variable_packet_size(
 # ----------------------------------------------------------------------
 def fig7_vc_sweep(
     scale: Scale,
-    pattern: str,
+    patterns: tuple[str, ...] = FIG5_PATTERNS,
     vc_counts: tuple[int, ...] | None = None,
     seed: int = 1,
     jobs: int | str | None = None,
     cache: "ResultCache | None" = None,
-) -> dict[int, list[LatencyThroughputCurve]]:
+) -> dict[str, dict[int, list[LatencyThroughputCurve]]]:
     """Fig. 7: DBAR vs Footprint as the number of VCs varies."""
     counts = vc_counts if vc_counts is not None else scale.vc_counts
-    algorithms = ("dbar", "footprint")
-    tasks = [
-        SimTask(
-            scale.config(
-                routing=algorithm, traffic=pattern, num_vcs=vcs, seed=seed
-            ),
-            rate=rate,
-            key=(vcs, algorithm, rate),
+    configs = {
+        (pattern, vcs, algorithm): scale.config(
+            routing=algorithm, traffic=pattern, num_vcs=vcs, seed=seed
         )
+        for pattern in patterns
         for vcs in counts
-        for algorithm in algorithms
-        for rate in scale.rates
-    ]
-    results = iter(run_tasks(tasks, jobs, cache=cache))
-    out: dict[int, list[LatencyThroughputCurve]] = {}
-    for vcs in counts:
-        curves = []
-        for algorithm in algorithms:
-            curve = LatencyThroughputCurve(label=f"{algorithm}/{vcs}vc")
-            for rate in scale.rates:
-                curve.add(point_from_result(next(results), rate))
-            curves.append(curve)
-        out[vcs] = curves
+        for algorithm in ("dbar", "footprint")
+    }
+    grid = _run_grid(configs, scale.rates, jobs, cache)
+    out: dict[str, dict[int, list[LatencyThroughputCurve]]] = {
+        pattern: {vcs: [] for vcs in counts} for pattern in patterns
+    }
+    for (pattern, vcs, algorithm), results in grid.items():
+        out[pattern][vcs].append(
+            _curve(f"{algorithm}/{vcs}vc", results, scale.rates)
+        )
     return out
 
 
@@ -411,12 +454,6 @@ class Fig8Result:
         return self.dbar_saturation / self.footprint_saturation
 
 
-def _saturation_from_curve(
-    curve: LatencyThroughputCurve, zero_load: float
-) -> float:
-    return curve.saturation_rate(zero_load)
-
-
 def fig8_network_size(
     scale: Scale,
     widths: tuple[int, ...] = (4, 8, 16),
@@ -426,43 +463,33 @@ def fig8_network_size(
     cache: "ResultCache | None" = None,
 ) -> list[Fig8Result]:
     """Fig. 8: DBAR throughput normalized to Footprint across mesh sizes."""
-    algorithms = ("dbar", "footprint")
-    tasks = [
-        SimTask(
-            scale.config(
-                routing=algorithm, traffic=pattern, width=width, seed=seed
-            ),
-            rate=rate,
-            key=(pattern, width, algorithm, rate),
+    configs = {
+        (pattern, width, algorithm): scale.config(
+            routing=algorithm, traffic=pattern, width=width, seed=seed
         )
         for pattern in patterns
         for width in widths
-        for algorithm in algorithms
-        for rate in scale.rates
-    ]
-    sim_results = iter(run_tasks(tasks, jobs, cache=cache))
+        for algorithm in ("dbar", "footprint")
+    }
+    grid = _run_grid(configs, scale.rates, jobs, cache)
     zero_index = scale.rates.index(min(scale.rates))
-    results = []
-    for pattern in patterns:
-        for width in widths:
-            saturations = {}
-            for algorithm in algorithms:
-                curve = LatencyThroughputCurve(label=algorithm)
-                for rate in scale.rates:
-                    curve.add(point_from_result(next(sim_results), rate))
-                # The lowest sweep rate doubles as the zero-load
-                # reference; no separate simulation needed.
-                zero = curve.points[zero_index].avg_latency
-                saturations[algorithm] = _saturation_from_curve(curve, zero)
-            results.append(
-                Fig8Result(
-                    pattern=pattern,
-                    width=width,
-                    dbar_saturation=saturations["dbar"],
-                    footprint_saturation=saturations["footprint"],
-                )
-            )
-    return results
+
+    def saturation(*key: object) -> float:
+        curve = _curve("", grid[key], scale.rates)
+        # The lowest sweep rate doubles as the zero-load reference; no
+        # separate simulation needed.
+        return curve.saturation_rate(curve.points[zero_index].avg_latency)
+
+    return [
+        Fig8Result(
+            pattern=pattern,
+            width=width,
+            dbar_saturation=saturation(pattern, width, "dbar"),
+            footprint_saturation=saturation(pattern, width, "footprint"),
+        )
+        for pattern in patterns
+        for width in widths
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -482,8 +509,8 @@ def fig9_hotspot(
     drained)`` tuples; the paper's claim is that DBAR's background latency
     collapses at a much lower hotspot rate than Footprint's.
     """
-    configs = [
-        scale.config(
+    configs = {
+        (algorithm, rate): scale.config(
             routing=algorithm,
             traffic="hotspot",
             hotspot_rate=rate,
@@ -492,17 +519,15 @@ def fig9_hotspot(
         )
         for algorithm in algorithms
         for rate in scale.hotspot_rates
-    ]
-    results = iter(run_configs(configs, jobs, cache=cache))
-    out: dict[str, list[tuple[float, float, bool]]] = {}
-    for algorithm in algorithms:
-        series = []
-        for rate in scale.hotspot_rates:
-            result = next(results)
-            series.append(
-                (rate, result.flow_latency("background"), result.drained)
-            )
-        out[algorithm] = series
+    }
+    grid = _run_grid(configs, (None,), jobs, cache)
+    out: dict[str, list[tuple[float, float, bool]]] = {
+        algorithm: [] for algorithm in algorithms
+    }
+    for (algorithm, rate), (result,) in grid.items():
+        out[algorithm].append(
+            (rate, result.flow_latency("background"), result.drained)
+        )
     return out
 
 
@@ -545,8 +570,7 @@ def fig10_parsec(
     from repro.traffic.parsecgen import generate_parsec_trace, merge_traces
 
     mesh = scale.make_topology()
-    algorithms = ("dbar", "footprint")
-    configs = []
+    configs = {}
     for pair in pairs:
         trace = merge_traces(
             generate_parsec_trace(
@@ -556,33 +580,29 @@ def fig10_parsec(
                 pair[1], mesh, scale.trace_cycles, seed=seed + 1
             ),
         )
-        for algorithm in algorithms:
-            configs.append(
-                scale.config(
-                    routing=algorithm,
-                    traffic="trace",
-                    trace=trace,
-                    warmup_cycles=scale.trace_cycles // 10,
-                    measure_cycles=scale.trace_cycles,
-                    drain_cycles=scale.drain,
-                    seed=seed,
-                )
+        for algorithm in ("dbar", "footprint"):
+            configs[pair, algorithm] = scale.config(
+                routing=algorithm,
+                traffic="trace",
+                trace=trace,
+                warmup_cycles=scale.trace_cycles // 10,
+                measure_cycles=scale.trace_cycles,
+                drain_cycles=scale.drain,
+                seed=seed,
             )
-    results = iter(run_configs(configs, jobs, cache=cache))
+    grid = _run_grid(configs, (None,), jobs, cache)
     entries = []
     for pair in pairs:
-        measured: dict[str, SimulationResult] = {
-            algorithm: next(results) for algorithm in algorithms
-        }
+        (dbar,), (footprint,) = grid[pair, "dbar"], grid[pair, "footprint"]
         entries.append(
             Fig10Entry(
                 workloads=pair,
-                dbar_latency=measured["dbar"].avg_latency,
-                footprint_latency=measured["footprint"].avg_latency,
-                dbar_purity=measured["dbar"].blocking.purity,
-                footprint_purity=measured["footprint"].blocking.purity,
-                dbar_hol_degree=measured["dbar"].blocking.hol_degree,
-                footprint_hol_degree=measured["footprint"].blocking.hol_degree,
+                dbar_latency=dbar.avg_latency,
+                footprint_latency=footprint.avg_latency,
+                dbar_purity=dbar.blocking.purity,
+                footprint_purity=footprint.blocking.purity,
+                dbar_hol_degree=dbar.blocking.hol_degree,
+                footprint_hol_degree=footprint.blocking.hol_degree,
             )
         )
     return entries
@@ -670,14 +690,12 @@ def fault_sweep(
 
         algorithms = tuple(available_algorithms())
     counts = fault_counts if fault_counts is not None else scale.fault_counts
-    if fault_kind == "link":
-        generate = random_link_faults
-    elif fault_kind == "router":
-        generate = random_router_faults
-    else:
+    generators = {"link": random_link_faults, "router": random_router_faults}
+    if fault_kind not in generators:
         raise FaultError(
             f"unknown fault kind {fault_kind!r}; expected 'link' or 'router'"
         )
+    generate = generators[fault_kind]
     schedules = {
         k: (
             generate(
@@ -693,37 +711,32 @@ def fault_sweep(
         )
         for k in counts
     }
-    tasks = [
-        SimTask(
-            scale.config(
-                routing=algorithm,
-                traffic=pattern,
-                faults=schedules[k],
-                seed=seed,
-            ),
-            rate=rate,
-            key=(k, algorithm, rate),
+    configs = {
+        (k, algorithm): scale.config(
+            routing=algorithm,
+            traffic=pattern,
+            faults=schedules[k],
+            seed=seed,
         )
         for k in counts
         for algorithm in algorithms
-        for rate in scale.rates
-    ]
-    results = iter(run_tasks(tasks, jobs, cache=cache))
+    }
+    grid = _run_grid(configs, scale.rates, jobs, cache)
     entries = []
-    for k in counts:
-        for algorithm in algorithms:
-            points = [
-                resilience_point(next(results), rate) for rate in scale.rates
-            ]
-            entries.append(
-                FaultSweepEntry(
-                    routing=algorithm,
-                    num_faults=k,
-                    fault_kind=fault_kind,
-                    zero_load_latency=points[0].avg_latency,
-                    degraded_saturation=degraded_saturation_rate(points),
-                    delivered_fraction=points[0].delivered_fraction,
-                    points=points,
-                )
+    for (k, algorithm), results in grid.items():
+        points = [
+            resilience_point(result, rate)
+            for result, rate in zip(results, scale.rates)
+        ]
+        entries.append(
+            FaultSweepEntry(
+                routing=algorithm,
+                num_faults=k,
+                fault_kind=fault_kind,
+                zero_load_latency=points[0].avg_latency,
+                degraded_saturation=degraded_saturation_rate(points),
+                delivered_fraction=points[0].delivered_fraction,
+                points=points,
             )
+        )
     return entries

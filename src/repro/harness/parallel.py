@@ -50,7 +50,6 @@ __all__ = [
     "estimate_task_cycles",
     "partition_tasks",
     "resolve_jobs",
-    "run_configs",
     "run_tasks",
     "run_tasks_accounted",
     "usable_cpus",
@@ -223,17 +222,14 @@ def _pool_weight(task: SimTask) -> float:
 
 def _run_task(task: SimTask) -> SimulationResult:
     # Imported lazily: a grid answered from the cache never simulates
-    # (run_tasks imports the engine once it knows a task is pending).
-    from repro.sim.engine import Simulator
-    from repro.validate.config import validation_from_env
+    # (run_tasks imports the runner once it knows a task is pending).
+    from repro.harness.runner import run_simulation
 
     # $REPRO_VALIDATE propagates to pool workers through the
     # environment, so validated grids need no per-task plumbing.  Note
     # cache hits skip this path entirely: only simulated misses are
     # checked.
-    return Simulator(
-        task.resolved_config(), validation=validation_from_env()
-    ).run()
+    return run_simulation(task.resolved_config())
 
 
 def _run_task_batch(tasks: list[SimTask]) -> list[SimulationResult]:
@@ -305,23 +301,20 @@ def run_tasks(
                 f"({exc}); falling back to the local pool",
                 file=sys.stderr,
             )
-    if cache is None:
-        results: list[SimulationResult | None] = [None] * len(task_list)
-        pending = list(range(len(task_list)))
-    else:
-        results = [
-            None
-            if _wants_telemetry(task.resolved_config())
-            else cache.get(task.resolved_config())
-            for task in task_list
-        ]
-        pending = [i for i, r in enumerate(results) if r is None]
+    results: list[SimulationResult | None] = [
+        None
+        if cache is None or _wants_telemetry(task.resolved_config())
+        else cache.get(task.resolved_config())
+        for task in task_list
+    ]
+    pending = [i for i, r in enumerate(results) if r is None]
     pending_tasks = [task_list[i] for i in pending]
     workers = min(resolve_jobs(jobs), len(pending_tasks))
     if pending_tasks:
-        # Loaded before any worker is forked: workers share the parent's
-        # pages, and no import lands inside the first simulation.
-        import repro.sim.engine  # noqa: F401
+        # Loaded (the engine with it) before any worker is forked:
+        # workers share the parent's pages, and no import lands inside
+        # the first simulation.
+        import repro.harness.runner  # noqa: F401
 
     def finished(j: int, result: SimulationResult) -> None:
         # Stored as soon as it exists: a later task that fails, or a
@@ -374,17 +367,6 @@ def run_tasks(
     if failure is not None:
         raise failure
     return results  # type: ignore[return-value]  # every slot is filled
-
-
-def run_configs(
-    configs: Iterable[SimulationConfig],
-    jobs: int | str | None = None,
-    cache: "ResultCache | None" = None,
-) -> list[SimulationResult]:
-    """Run one simulation per config, results in config order."""
-    return run_tasks(
-        (SimTask(config) for config in configs), jobs, cache=cache
-    )
 
 
 @dataclass(frozen=True)

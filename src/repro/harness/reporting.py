@@ -20,23 +20,31 @@ from repro.metrics.curves import LatencyThroughputCurve, render_curves, render_t
 
 
 def report_fig5(
-    results: dict[str, list[LatencyThroughputCurve]], title: str
+    results: dict[str, list[LatencyThroughputCurve]],
+    title: str = "Fig. 5 — single-flit packets",
 ) -> str:
-    parts = []
-    for pattern, curves in results.items():
-        parts.append(render_curves(f"{title} — {pattern}", curves))
-    return "\n\n".join(parts)
+    return "\n\n".join(
+        render_curves(f"{title} — {pattern}", curves)
+        for pattern, curves in results.items()
+    )
+
+
+def report_fig6(results: dict[str, list[LatencyThroughputCurve]]) -> str:
+    return report_fig5(results, "Fig. 6 — {1..6}-flit packets")
 
 
 def report_fig7(
-    results: dict[int, list[LatencyThroughputCurve]], pattern: str
+    results: dict[str, dict[int, list[LatencyThroughputCurve]]]
 ) -> str:
-    parts = []
-    for vcs, curves in sorted(results.items()):
-        parts.append(
+    """One block of tables per pattern, each closed by a blank line."""
+    return "\n".join(
+        "\n\n".join(
             render_curves(f"Fig. 7 — {pattern}, {vcs} VCs", curves)
+            for vcs, curves in sorted(sweep.items())
         )
-    return "\n\n".join(parts)
+        + "\n"
+        for pattern, sweep in results.items()
+    )
 
 
 def report_fig8(results: list[Fig8Result]) -> str:

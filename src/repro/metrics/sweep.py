@@ -62,9 +62,9 @@ def run_point(config: SimulationConfig, rate: float) -> SweepPoint:
     """Simulate one injection rate and summarize it."""
     # Imported here: the engine itself uses repro.metrics for its
     # statistics, so a module-level import would be circular.
-    from repro.sim.engine import Simulator
+    from repro.harness.runner import run_simulation
 
-    result = Simulator(config.with_(injection_rate=rate)).run()
+    result = run_simulation(config.with_(injection_rate=rate))
     return point_from_result(result, rate)
 
 
@@ -78,12 +78,13 @@ def point_from_result(result: SimulationResult, rate: float) -> SweepPoint:
     )
 
 
-def sweep_points(
+def injection_sweep(
     config: SimulationConfig,
     rates: list[float],
     jobs: int | str | None = None,
 ) -> list[SweepPoint]:
-    """Simulate every rate, distributing across ``jobs`` workers."""
+    """Simulate every rate in ``rates`` (ascending recommended),
+    distributing across ``jobs`` workers."""
     from repro.harness.parallel import SimTask, run_tasks
 
     tasks = [SimTask(config, rate=rate) for rate in rates]
@@ -92,15 +93,6 @@ def sweep_points(
         point_from_result(result, rate)
         for result, rate in zip(results, rates)
     ]
-
-
-def injection_sweep(
-    config: SimulationConfig,
-    rates: list[float],
-    jobs: int | str | None = None,
-) -> list[SweepPoint]:
-    """Simulate every rate in ``rates`` (ascending recommended)."""
-    return sweep_points(config, rates, jobs)
 
 
 def zero_load_latency(config: SimulationConfig, rate: float = 0.005) -> float:
@@ -148,18 +140,14 @@ def saturation_throughput(
     if resolve_jobs(jobs) > 1:
         # Speculative parallel scan: launch every rung, then walk the
         # collected points exactly like the serial scan would.
-        for point in sweep_points(config, ladder, jobs):
-            if point.is_saturated(zero_load):
-                first_saturated = point.injection_rate
-                break
-            last_stable = point.injection_rate
+        points = injection_sweep(config, ladder, jobs)
     else:
-        for rung in ladder:
-            point = run_point(config, rung)
-            if point.is_saturated(zero_load):
-                first_saturated = rung
-                break
-            last_stable = rung
+        points = (run_point(config, rung) for rung in ladder)
+    for point in points:
+        if point.is_saturated(zero_load):
+            first_saturated = point.injection_rate
+            break
+        last_stable = point.injection_rate
     if first_saturated is None:
         return last_stable
 

@@ -52,7 +52,7 @@ def scenario_key(config: SimulationConfig) -> str:
         )
     fault_note = f" faults={len(config.faults)}" if config.faults else ""
     return (
-        f"{config.width}x{config.height} {traffic} "
+        f"{config.width}x{config.height} {config.topology} {traffic} "
         f"@ {config.injection_rate:.4f} {size} vcs={config.num_vcs} "
         f"seed={config.seed}{fault_note}"
     )

@@ -18,18 +18,6 @@ from repro.service import ServiceError
 #: Maximum accepted line length (bytes) on both sides of the socket.
 MAX_LINE = 64 * 1024 * 1024
 
-#: Verbs the server understands.
-VERBS = (
-    "ping",
-    "submit",
-    "status",
-    "result",
-    "cancel",
-    "streams",
-    "leaderboard",
-    "shutdown",
-)
-
 
 def encode(message: dict[str, Any]) -> bytes:
     """One wire line for ``message`` (compact JSON + newline)."""

@@ -32,7 +32,7 @@ from typing import Any
 
 from repro.core.cost import CostModel
 from repro.harness.parallel import SimTask
-from repro.metrics.sweep import SATURATION_LATENCY_FACTOR
+from repro.metrics.sweep import point_from_result
 from repro.sim.config import SimulationConfig
 from repro.sim.results import SimulationResult
 from repro.tuner import TunerError
@@ -420,11 +420,9 @@ def eval_from_results(
 ) -> CandidateEval:
     """Reduce one candidate's ladder of results to a scored evaluation.
 
-    Saturation classification mirrors :class:`repro.metrics.sweep.
-    SweepPoint`: the ladder's lowest rate is the zero-load reference;
-    a point is saturated when it fails to drain, delivers no measured
-    packet, or its latency exceeds ``SATURATION_LATENCY_FACTOR`` times
-    the reference.  A NaN reference (the lowest rung delivered
+    The ladder's lowest rate is the zero-load reference and
+    :meth:`repro.metrics.sweep.SweepPoint.is_saturated` classifies each
+    point against it.  A NaN reference (the lowest rung delivered
     nothing) saturates everything — the candidate scores worst-case on
     both simulated objectives, deterministically, instead of raising.
     """
@@ -436,17 +434,13 @@ def eval_from_results(
     zero_load = results[0].avg_latency
     points = []
     for rate, result in zip(scenario.rates, results):
-        latency = result.avg_latency
-        if math.isnan(zero_load):
-            saturated = True
-        elif not result.drained or math.isnan(latency):
-            saturated = True
-        else:
-            saturated = latency > SATURATION_LATENCY_FACTOR * zero_load
+        saturated = math.isnan(zero_load) or point_from_result(
+            result, rate
+        ).is_saturated(zero_load)
         points.append(
             EvalPoint(
                 rate=rate,
-                avg_latency=latency,
+                avg_latency=result.avg_latency,
                 accepted_rate=result.accepted_rate,
                 offered_rate=result.offered_rate,
                 drained=result.drained,

@@ -250,14 +250,6 @@ class ParamSpace:
         """The all-defaults point — the paper's Table 2 configuration."""
         return self.candidate()
 
-    def candidate_from_items(
-        self, items: dict[str, Any] | list | tuple
-    ) -> Candidate:
-        """Rebuild a candidate from serialized ``items`` (artifact I/O)."""
-        if not isinstance(items, dict):
-            items = dict((name, value) for name, value in items)
-        return self.candidate(**items)
-
     def apply(
         self, base: SimulationConfig, candidate: Candidate
     ) -> SimulationConfig:

@@ -11,24 +11,23 @@ from repro.cli import main as cli_main
 
 class TestFig2:
     def test_dor_endpoint_tree_is_thick(self):
-        result = exp.fig2_congestion_tree("dor")
+        (result,) = exp.fig2_congestion_tree(("dor",))
         assert result.endpoint_tree.max_thickness >= 3
         assert result.endpoint_tree.num_branches >= 2
 
     def test_xordet_tree_is_thin(self):
-        result = exp.fig2_congestion_tree("dor+xordet")
+        (result,) = exp.fig2_congestion_tree(("dor+xordet",))
         assert result.endpoint_tree.max_thickness == 1
 
     def test_footprint_thinner_than_dbar(self):
-        dbar = exp.fig2_congestion_tree("dbar")
-        fp = exp.fig2_congestion_tree("footprint")
+        dbar, fp = exp.fig2_congestion_tree(("dbar", "footprint"))
         assert (
             fp.endpoint_tree.mean_thickness
             <= dbar.endpoint_tree.mean_thickness
         )
 
     def test_report_renders(self):
-        text = reporting.report_fig2([exp.fig2_congestion_tree("dor")])
+        text = reporting.report_fig2(exp.fig2_congestion_tree(("dor",)))
         assert "dor" in text and "endpoint" in text
 
 
@@ -46,10 +45,11 @@ class TestCurveDrivers:
         assert "footprint" in text
 
     def test_fig7_smoke(self):
-        results = exp.fig7_vc_sweep(exp.SMOKE, "uniform", vc_counts=(2,))
-        assert set(results) == {2}
-        assert len(results[2]) == 2
-        assert "2 VCs" in reporting.report_fig7(results, "uniform")
+        results = exp.fig7_vc_sweep(exp.SMOKE, ("uniform",), vc_counts=(2,))
+        assert set(results) == {"uniform"}
+        assert set(results["uniform"]) == {2}
+        assert len(results["uniform"][2]) == 2
+        assert "uniform, 2 VCs" in reporting.report_fig7(results)
 
     def test_fig8_smoke(self):
         results = exp.fig8_network_size(
@@ -158,8 +158,20 @@ class TestStaticTables:
     def test_scale_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "smoke")
         assert exp.scale_from_env() is exp.SMOKE
-        monkeypatch.setenv("REPRO_SCALE", "nonsense")
+        monkeypatch.setenv("REPRO_SCALE", "")
         assert exp.scale_from_env() is exp.BENCH
+        assert exp.scale_from_env(exp.PAPER) is exp.PAPER
+
+    def test_scale_from_env_rejects_a_typo(self, monkeypatch):
+        """`REPRO_SCALE=papr` once ran bench and called it paper."""
+        from repro.exceptions import ConfigurationError
+
+        monkeypatch.setenv("REPRO_SCALE", "papr")
+        with pytest.raises(ConfigurationError) as excinfo:
+            exp.scale_from_env()
+        message = str(excinfo.value)
+        assert "$REPRO_SCALE='papr'" in message
+        assert "smoke, bench, paper" in message
 
 
 class TestCli:

@@ -219,3 +219,63 @@ class TestHarnessHook:
             assert sorted(ours.latency._samples) == sorted(
                 theirs.latency._samples
             )
+
+
+class TestSeams:
+    """Infrastructure faults at the socket (DESIGN §9)."""
+
+    def test_an_oversized_request_drops_that_connection_only(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import server
+
+        monkeypatch.setattr(server, "MAX_LINE", 1024)
+
+        def drive(client):
+            with pytest.raises(ServiceError):
+                client.call("submit", name="x" * 4096, stream="s", tasks=[])
+            # One refused request, one error; the server is still there.
+            assert client.ping()["ok"] is True
+            job = client.submit_tasks("small", [SimTask(_config())])
+            return client.wait(job["job_id"], timeout=60)["state"]
+
+        state, scheduler = _serve(tmp_path, drive)
+        assert state == "done"
+        assert scheduler.totals()["jobs"] == 1
+
+    def test_a_listener_that_is_not_a_service_is_an_error_not_a_fallback(
+        self, monkeypatch, capsys
+    ):
+        """$REPRO_SERVICE pointing at, say, an HTTP port: somebody
+        answered, so this is a misconfiguration to report — only an
+        address nobody listens on falls back to the local pool."""
+        import socket
+        import threading
+
+        from repro.cli import main as cli_main
+
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def answer_once():
+            connection, _ = listener.accept()
+            with connection:
+                connection.recv(65536)
+                connection.sendall(b"HTTP/1.1 400 Bad Request\r\n\r\n")
+
+        thread = threading.Thread(target=answer_once, daemon=True)
+        thread.start()
+        port = listener.getsockname()[1]
+        monkeypatch.setenv("REPRO_SERVICE", f"127.0.0.1:{port}")
+        try:
+            code = cli_main(
+                ["experiment", "fig9", "--scale", "smoke", "--jobs", "1"]
+            )
+        finally:
+            thread.join(timeout=10)
+            listener.close()
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: malformed protocol line")
+        assert captured.err.count("\n") == 1
+        assert "falling back" not in captured.err

@@ -12,8 +12,14 @@ import pytest
 from repro.cli import main as cli_main
 from repro.exceptions import ConfigurationError, InvariantViolation
 from repro.faults.schedule import random_link_faults, random_router_faults
+from repro.harness.experiments import fig2_congestion_tree
 from repro.harness.parallel import SimTask, run_tasks
 from repro.harness.runner import run_simulation
+from repro.metrics.sweep import (
+    run_point,
+    saturation_throughput,
+    zero_load_latency,
+)
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
 from repro.telemetry import TelemetryConfig
@@ -149,6 +155,44 @@ class TestEnvPlumbing:
         assert result_signature(results[0]) == result_signature(
             Simulator(_base_config()).run()
         )
+
+
+    @pytest.mark.parametrize(
+        "single_run",
+        [
+            lambda: run_point(_base_config(), 0.05),
+            lambda: zero_load_latency(_base_config()),
+            lambda: saturation_throughput(
+                _base_config(), zero_load=10.0, jobs=1
+            ),
+            lambda: fig2_congestion_tree(("dor",)),
+        ],
+        ids=["run_point", "zero_load_latency", "serial-saturation", "fig2"],
+    )
+    def test_a_bad_env_reaches_every_single_run_path(
+        self, monkeypatch, single_run
+    ):
+        """These four built their own Simulator and never read the
+        variable: a validated sweep's bisection ran unchecked."""
+        monkeypatch.setenv(VALIDATE_ENV, "bogus")
+        with pytest.raises(ConfigurationError, match="bogus"):
+            single_run()
+
+    def test_the_env_has_one_simulating_reader(self):
+        """Everything that simulates goes through run_simulation."""
+        import pathlib
+        import re
+
+        import repro
+
+        package = pathlib.Path(repro.__file__).parent
+        readers = sorted(
+            str(path.relative_to(package))
+            for path in package.rglob("*.py")
+            if re.search(r"(?<!def )validation_from_env\(\)", path.read_text())
+        )
+        # cli.py reads it for the `validate` report's footer only.
+        assert readers == ["cli.py", "harness/runner.py"]
 
 
 class TestCliSurface:

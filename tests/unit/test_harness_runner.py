@@ -19,21 +19,6 @@ def test_run_simulation_quiet():
     assert result.drained
 
 
-def test_run_simulation_verbose(capsys):
-    config = SimulationConfig(
-        width=4,
-        num_vcs=2,
-        routing="dor",
-        injection_rate=0.05,
-        warmup_cycles=10,
-        measure_cycles=20,
-        drain_cycles=200,
-    )
-    run_simulation(config, verbose=True)
-    err = capsys.readouterr().err
-    assert "cycles" in err
-
-
 class TestScale:
     def test_presets_ordered_by_effort(self):
         assert SMOKE.measure < BENCH.measure < PAPER.measure

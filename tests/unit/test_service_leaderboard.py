@@ -47,6 +47,12 @@ class TestScenarioKey:
         assert scenario_key(_config(injection_rate=0.06)) != base
         assert scenario_key(_config(width=8)) != base
 
+    def test_topology_is_part_of_the_scenario(self):
+        """`repro submit --topology torus` once ranked on the mesh board."""
+        mesh, torus = _config(), _config(topology="torus")
+        assert scenario_key(mesh) != scenario_key(torus)
+        assert "torus" in scenario_key(torus)
+
     def test_hotspot_rates_included(self):
         a = _config(
             traffic="hotspot", hotspot_rate=0.4, background_rate=0.01
@@ -93,6 +99,12 @@ class TestIngest:
 
 
 class TestStandings:
+    def test_a_mesh_and_a_torus_run_land_on_two_boards(self, tmp_path, results):
+        store = LeaderboardStore(tmp_path)
+        torus = Simulator(_config(topology="torus")).run()
+        store.ingest_results([results["footprint"], torus], source="s")
+        assert len(store.standings()) == 2
+
     def test_rank_and_delta(self, tmp_path, results):
         store = LeaderboardStore(tmp_path)
         store.ingest_results(results.values(), source="round1")
