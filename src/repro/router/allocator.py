@@ -20,7 +20,7 @@ The allocator is separable, input-first:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.exceptions import InvariantViolation
 from repro.router.output import OutputPort
@@ -29,9 +29,10 @@ from repro.routing.requests import Priority, VcRequest, bits
 from repro.topology.ports import Direction
 
 
-@dataclass
-class VaGrant:
-    """One VC-allocation grant produced by :func:`allocate_vcs`."""
+class VaGrant(NamedTuple):
+    """One VC-allocation grant.  :func:`allocate_vcs` emits the bare
+    ``(input_vc, direction, out_vc, priority)`` tuple; this is that
+    shape with names (:func:`verify_grants`, tests)."""
 
     input_vc: InputVc
     direction: Direction
@@ -68,6 +69,7 @@ def allocate_vcs(
     # then names the k-th set bit, walking pooled records in order —
     # the same candidates in the same (ascending-VC) order, hence the
     # same rng consumption, as filtering per-VC request lists.
+    alone = len(requests) == 1
     selections: dict[
         tuple[Direction, int], list[tuple[Priority, InputVc]]
     ] = {}
@@ -89,22 +91,31 @@ def allocate_vcs(
             continue
         if len(best) == 1:
             direction, live = best[0]
-            vcs = bits(live)
-            vc = vcs[0] if len(vcs) == 1 else vcs[rng.randrange(len(vcs))]
+            if not live & (live - 1):
+                vc = live.bit_length() - 1  # one candidate: no draw
+            else:
+                vcs = bits(live)
+                vc = vcs[rng.randrange(len(vcs))]
         else:
             # Equal-priority records (on any ports) pool their VCs.
             pooled = [(d, v) for d, live in best for v in bits(live)]
             direction, vc = pooled[rng.randrange(len(pooled))]
-        selections.setdefault((direction, vc), []).append(
-            (best_priority, input_vc)
-        )
+        if alone:
+            # The only waiting head contends with nobody: stage 2 would
+            # hand its pick straight back.
+            return [(input_vc, direction, vc, best_priority)]
+        key = (direction, vc)
+        if key in selections:
+            selections[key].append((best_priority, input_vc))
+        else:
+            selections[key] = [(best_priority, input_vc)]
 
     # Stage 2: each downstream VC grants its best selecting input.
     grants: list[VaGrant] = []
     for (direction, vc), contenders in selections.items():
         if len(contenders) == 1:
             top, winner = contenders[0]
-            grants.append(VaGrant(winner, direction, vc, top))
+            grants.append((winner, direction, vc, top))
             continue
         top = -1
         finalists: list[InputVc] = []
@@ -119,7 +130,7 @@ def allocate_vcs(
             if len(finalists) == 1
             else finalists[rng.randrange(len(finalists))]
         )
-        grants.append(VaGrant(winner, direction, vc, top))
+        grants.append((winner, direction, vc, top))
     return grants
 
 
@@ -137,31 +148,31 @@ def verify_grants(
     :class:`~repro.exceptions.InvariantViolation` otherwise.
     """
     granted: set[tuple[Direction, int]] = set()
-    for grant in grants:
-        key = (grant.direction, grant.out_vc)
+    for input_vc, direction, out_vc, _priority in grants:
+        key = (direction, out_vc)
         if key in granted:
             raise InvariantViolation(
                 "vc_allocation",
                 "downstream VC granted to two input VCs in one round",
                 node=node,
-                direction=grant.direction,
-                vc=grant.out_vc,
+                direction=direction,
+                vc=out_vc,
             )
         granted.add(key)
-        if grant.input_vc.state is not VcState.ROUTING:
+        if input_vc.state is not VcState.ROUTING:
             raise InvariantViolation(
                 "vc_allocation",
                 f"grant to an input VC in the "
-                f"{grant.input_vc.state.value} state, expected routing",
+                f"{input_vc.state.value} state, expected routing",
                 node=node,
-                direction=grant.direction,
-                vc=grant.out_vc,
+                direction=direction,
+                vc=out_vc,
             )
-        if not outputs[grant.direction].grantable(grant.out_vc):
+        if not outputs[direction].grantable(out_vc):
             raise InvariantViolation(
                 "vc_allocation",
                 "grant targets a busy downstream VC",
                 node=node,
-                direction=grant.direction,
-                vc=grant.out_vc,
+                direction=direction,
+                vc=out_vc,
             )

@@ -6,7 +6,7 @@ the same primitive breaks ties in the priority-based VC allocator.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class RoundRobinArbiter:
@@ -27,20 +27,25 @@ class RoundRobinArbiter:
 
         ``requests`` is an iterable of requester indices in ``[0, size)``.
         """
-        active = set(requests)
-        if not active:
+        mask = 0
+        for index in requests:
+            mask |= 1 << index
+        return self.grant_mask(mask)
+
+    def grant_mask(self, mask: int) -> int | None:
+        """:meth:`grant` over a bitmask (bit ``i`` set: ``i`` requests).
+
+        The winner is the first requester at or after the pointer, else
+        the first one before it: ascending set bits from the pointer are
+        the cyclic scan order.
+        """
+        if not mask:
             return None
-        for offset in range(self.size):
-            candidate = (self._pointer + offset) % self.size
-            if candidate in active:
-                self._pointer = (candidate + 1) % self.size
-                return candidate
-        return None
-
-    def rotation(self) -> Sequence[int]:
-        """Current fairness order (pointer first); used to iterate ports."""
-        return [(self._pointer + i) % self.size for i in range(self.size)]
-
-    def advance(self) -> None:
-        """Advance the pointer without granting (used per-cycle rotation)."""
-        self._pointer = (self._pointer + 1) % self.size
+        pointer = self._pointer
+        ahead = mask >> pointer
+        if ahead:
+            winner = pointer + (ahead & -ahead).bit_length() - 1
+        else:
+            winner = (mask & -mask).bit_length() - 1
+        self._pointer = winner + 1 if winner + 1 < self.size else 0
+        return winner

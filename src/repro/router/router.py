@@ -137,7 +137,6 @@ class Router:
         # scanning all num_vcs per port.
         self._occupied_masks = [0] * 5
         self.buffered_input_flits = 0
-        self._vc_mask_all = (1 << config.num_vcs) - 1
         self.blocking = BlockingStats()
         self._sample_blocking = False
         # Telemetry probe sink (a TelemetryHub) or None.  Probe sites are
@@ -248,37 +247,43 @@ class Router:
         events.changed = False
 
         requests: list[tuple[InputVc, list[VcRequest]]] = []
+        # Looked up per round, not stored: instrumentation wraps the
+        # routing methods on their class.
         routing = self.routing
+        vc_requests_at = routing.vc_requests_at
         blocked = self.fault_blocked
         ctx = self._ctx
-        for ivc in self._pending.values():
-            head = ivc.front()
-            assert head is not None and head.is_head
+        pending = self._pending
+        for ivc in pending.values():
+            head = ivc.fifo[0]
+            assert head.is_head
             packet = head.packet
             ctx.destination = packet.dst
             ctx.source = packet.src
             ctx.input_direction = ivc.direction
-            if ivc.committed_dir is None:
+            committed = ivc.committed_dir
+            if committed is None:
                 # Route computation: runs once per packet per router;
                 # the port choice is a commitment (BookSim RC stage).
-                ivc.committed_dir = routing.select_output(ctx)
-            reqs = routing.vc_requests_at(ctx, ivc.committed_dir)
+                committed = ivc.committed_dir = routing.select_output(ctx)
+            reqs = vc_requests_at(ctx, committed)
             if blocked:
                 # No VC grants toward dead ports — covers escape
                 # requests whose DOR port happens to be dead, too.
-                reqs = [r for r in reqs if not (blocked >> r.direction) & 1]
+                reqs = [r for r in reqs if not (blocked >> r[0]) & 1]
             if reqs:
                 requests.append((ivc, reqs))
 
         if requests:
-            grants = allocate_vcs(requests, self.output_ports, self.rng)
+            output_ports = self.output_ports
+            grants = allocate_vcs(requests, output_ports, self.rng)
             if self.validator is not None:
-                verify_grants(grants, self.output_ports, node=self.node)
+                verify_grants(grants, output_ports, node=self.node)
             probe = self.probe
-            for grant in grants:
-                head = grant.input_vc.front()
-                assert head is not None
-                port = self.output_ports[grant.direction]
+            for ivc, direction, out_vc, _priority in grants:
+                head = ivc.fifo[0]
+                dst = head.packet.dst
+                port = output_ports[direction]
                 if probe is not None:
                     # The owner register still holds the VC's previous
                     # owner here (allocate() overwrites it): equality
@@ -286,16 +291,14 @@ class Router:
                     # hit — the reuse event Footprint engineers for.
                     probe.vc_alloc(
                         self.node,
-                        grant.direction,
-                        grant.out_vc,
+                        direction,
+                        out_vc,
                         head,
-                        port.owner_dst[grant.out_vc] == head.dst,
+                        port.owner_dst[out_vc] == dst,
                     )
-                port.allocate(grant.out_vc, head.dst)
-                grant.input_vc.grant(grant.direction, grant.out_vc)
-                del self._pending[
-                    (grant.input_vc.direction, grant.input_vc.index)
-                ]
+                port.allocate(out_vc, dst)
+                ivc.grant(direction, out_vc)
+                del pending[(ivc.direction, ivc.index)]
 
         if self._sample_blocking and self._pending:
             self._sample_blocked()
@@ -401,35 +404,25 @@ class Router:
         """Round-robin among the port's VCs with a sendable flit.
 
         Only VCs with buffered flits (the port's occupancy bitmask) are
-        visited: the mask is rotated so bit 0 lands on the arbiter
-        pointer, making ascending set-bit order identical to the
-        round-robin scan order of the full-range loop it replaces.
+        asked whether they can send; the arbiter picks among those that
+        can.
         """
-        mask = self._occupied_masks[direction]
-        if not mask:
-            return None
+        occupied = self._occupied_masks[direction]
         vcs = self.input_vcs[direction]
-        arbiter = self._vc_arbiters[direction]
-        pointer = arbiter._pointer
-        n = arbiter.size
         outputs = self.output_ports
         active = VcState.ACTIVE
-        rotated = ((mask >> pointer) | (mask << (n - pointer))) & (
-            self._vc_mask_all
-        )
-        while rotated:
-            low = rotated & -rotated
-            v = pointer + low.bit_length() - 1
-            if v >= n:
-                v -= n
-            ivc = vcs[v]
+        sendable = 0
+        while occupied:
+            low = occupied & -occupied
+            ivc = vcs[low.bit_length() - 1]
             if ivc.state is active and outputs[ivc.out_direction].can_send(
                 ivc.out_vc
             ):
-                arbiter._pointer = v + 1 if v + 1 < n else 0
-                return ivc
-            rotated -= low
-        return None
+                sendable |= low
+            occupied -= low
+        if not sendable:
+            return None
+        return vcs[self._vc_arbiters[direction].grant_mask(sendable)]
 
     # ------------------------------------------------------------------
     def occupancy(self) -> int:

@@ -12,7 +12,8 @@ The interface mirrors a BookSim-style router pipeline:
 * :meth:`RoutingAlgorithm.vc_requests_at` is the *VC allocation* request
   generation — re-evaluated **every cycle** until the packet wins a VC,
   because the VC states it prioritizes (idle/footprint/busy) change as the
-  network moves.  It returns :class:`VcRequest` records, the paper's
+  network moves.  It returns ``(direction, mask, priority)`` records
+  (plain tuples of the :class:`VcRequest` shape), the paper's
   ``ADD(P, v, pri)`` calls grouped by ``(P, pri)``.
 
 The context exposes per-output-port state through
@@ -31,8 +32,12 @@ from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
 from repro.routing.requests import Priority, VcRequest
-from repro.topology.base import Topology
+from repro.topology.base import _DOR_ANSWERS, Topology
 from repro.topology.ports import Direction
+
+# Bound once: an enum member read off its class is a descriptor call.
+_LOW = Priority.LOW
+_LOWEST = Priority.LOWEST
 
 
 class OutputPortView(Protocol):
@@ -83,8 +88,9 @@ class RouteContext:
     Attributes
     ----------
     mesh:
-        Network geometry (any :class:`~repro.topology.base.Topology`;
-        the attribute keeps its historical name).
+        Network geometry (a :class:`~repro.topology.base.Grid2D`: the
+        escape request and the Duato port choice read its one-byte
+        pair table directly; the attribute keeps its historical name).
     current, destination, source:
         Current router, packet destination, packet source node ids.
     input_direction:
@@ -221,14 +227,12 @@ class RoutingAlgorithm(abc.ABC):
         — the oblivious VC selection of DOR, Odd-Even and DBAR."""
         view = ctx.outputs[direction]
         idle = view.free & view.adaptive
-        return [VcRequest(direction, idle, Priority.LOW)] if idle else []
+        return [(direction, idle, _LOW)] if idle else []
 
-    def escape_request(self, ctx: RouteContext) -> list[VcRequest]:
-        """The always-present lowest-priority escape request (line 45).
-
-        Emitted only when the escape VC is currently grantable — a busy
-        escape VC cannot be granted this cycle, and the request reappears
-        on the cycle it frees.
+    def escape_request(self, ctx: RouteContext) -> VcRequest | None:
+        """The always-present lowest-priority escape request (line 45),
+        or ``None`` while the escape VC is busy — it cannot be granted
+        this cycle, and the request reappears on the cycle it frees.
 
         On single-class topologies (mesh) the escape subnetwork is
         dimension-order routing on VC0.  On a torus there is one escape
@@ -237,20 +241,26 @@ class RoutingAlgorithm(abc.ABC):
         keeps the escape network's channel dependency graph acyclic
         across the wrap links.
         """
-        escape_dir = ctx.mesh.dor_direction(ctx.current, ctx.destination)
+        mesh = ctx.mesh
+        current = ctx.current
+        dst = ctx.destination
+        # dor_direction(current, dst), read where the grid keeps it: one
+        # byte per pair (every waiting head asks, every evaluation).
+        escape_dir = _DOR_ANSWERS[
+            mesh._min_dirs[current * mesh.num_nodes + dst]
+            or mesh._tabulate(current, dst)
+        ]
         view = ctx.outputs[escape_dir]
-        if ctx.mesh.num_vc_classes > 1:
+        if mesh.num_vc_classes > 1:
             evcs = view.escape_vcs
-            if len(evcs) < ctx.mesh.num_vc_classes:
-                return []
-            vc = evcs[
-                ctx.mesh.wrap_vc_class(ctx.current, ctx.destination, escape_dir)
-            ]
+            if len(evcs) < mesh.num_vc_classes:
+                return None
+            vc = evcs[mesh.wrap_vc_class(current, dst, escape_dir)]
         else:
             vc = view.escape_vc
         if vc is None or not (view.free >> vc) & 1:
-            return []
-        return [VcRequest(escape_dir, 1 << vc, Priority.LOWEST)]
+            return None
+        return (escape_dir, 1 << vc, _LOWEST)
 
     def vc_class(self, num_vcs: int, vc: int) -> int | None:
         """Dateline class ``vc`` belongs to on a multi-class topology.

@@ -41,14 +41,17 @@ class DbarRouting(DuatoAdaptiveRouting):
     def select_port(
         self, ctx: RouteContext, candidates: Sequence[Direction]
     ) -> Direction:
-        scored = []
+        outputs = ctx.outputs
+        threshold = ctx.congestion_threshold
+        # An uncongested port beats a congested one; ties keep order.
+        best, tied = -1, []
         for d in candidates:
-            view = ctx.outputs[d]
-            idle = (view.free & view.adaptive).bit_count()
-            uncongested = idle >= ctx.congestion_threshold
-            scored.append((uncongested, d))
-        best = max(score for score, _ in scored)
-        tied = [d for score, d in scored if score == best]
+            view = outputs[d]
+            uncongested = (view.free & view.adaptive).bit_count() >= threshold
+            if uncongested > best:
+                best, tied = uncongested, [d]
+            elif uncongested == best:
+                tied.append(d)
         if len(tied) == 1:
             return tied[0]
         return tied[ctx.rng.randrange(len(tied))]
@@ -68,14 +71,17 @@ class DbarFineRouting(DbarRouting):
     def select_port(
         self, ctx: RouteContext, candidates: Sequence[Direction]
     ) -> Direction:
-        scored = []
+        outputs = ctx.outputs
+        threshold = ctx.congestion_threshold
+        best, tied = (-1,), []
         for d in candidates:
-            view = ctx.outputs[d]
+            view = outputs[d]
             idle = (view.free & view.adaptive).bit_count()
-            uncongested = idle >= ctx.congestion_threshold
-            scored.append(((uncongested, view.free_credit_total(), idle), d))
-        best = max(score for score, _ in scored)
-        tied = [d for score, d in scored if score == best]
+            score = (idle >= threshold, view.free_credit_total(), idle)
+            if score > best:
+                best, tied = score, [d]
+            elif score == best:
+                tied.append(d)
         if len(tied) == 1:
             return tied[0]
         return tied[ctx.rng.randrange(len(tied))]

@@ -47,7 +47,7 @@ class DorRouting(RoutingAlgorithm):
             )
             half = (1 << ctx.num_vcs // 2) - 1
             idle = view.free & view.adaptive & (half if cls == 0 else ~half)
-            return [VcRequest(direction, idle, Priority.LOW)] if idle else []
+            return [(direction, idle, Priority.LOW)] if idle else []
         # Any free VC at equal priority; busy VCs are re-requested (i.e.
         # become requestable) on the cycle they free.
         return self.idle_requests(ctx, direction)

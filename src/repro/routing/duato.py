@@ -24,8 +24,10 @@ from collections.abc import Sequence
 
 from repro.routing.base import RouteContext, RoutingAlgorithm
 from repro.routing.requests import VcRequest
-from repro.topology.base import Topology
+from repro.topology.base import _MINIMAL_ANSWERS, Topology
 from repro.topology.ports import Direction
+
+_LOCAL = Direction.LOCAL
 
 
 class DuatoAdaptiveRouting(RoutingAlgorithm):
@@ -35,9 +37,17 @@ class DuatoAdaptiveRouting(RoutingAlgorithm):
     atomic_vc_reallocation = True
 
     def select_output(self, ctx: RouteContext) -> Direction:
-        if ctx.current == ctx.destination:
-            return Direction.LOCAL
-        candidates = ctx.mesh.minimal_directions(ctx.current, ctx.destination)
+        current = ctx.current
+        dst = ctx.destination
+        if current == dst:
+            return _LOCAL
+        # minimal_directions(current, dst), read from the grid's
+        # one-byte pair table (see escape_request).
+        mesh = ctx.mesh
+        candidates = _MINIMAL_ANSWERS[
+            mesh._min_dirs[current * mesh.num_nodes + dst]
+            or mesh._tabulate(current, dst)
+        ]
         if ctx.dead_ports:
             candidates = self.live_candidates(ctx, candidates)
         if len(candidates) == 1:
@@ -47,12 +57,14 @@ class DuatoAdaptiveRouting(RoutingAlgorithm):
     def vc_requests_at(
         self, ctx: RouteContext, direction: Direction
     ) -> list[VcRequest]:
-        if direction is Direction.LOCAL:
+        if direction is _LOCAL:
             return self.eject_requests(ctx)
         requests = self.vc_requests(ctx, direction)
         # The escape request is always present (Algorithm 1 line 45), on
         # the DOR port regardless of the committed adaptive port.
-        requests.extend(self.escape_request(ctx))
+        escape = self.escape_request(ctx)
+        if escape is not None:
+            requests.append(escape)
         return requests
 
     @abc.abstractmethod

@@ -58,18 +58,10 @@ from repro.routing.duato import DuatoAdaptiveRouting
 from repro.routing.requests import Priority, VcRequest
 from repro.topology.ports import Direction
 
-
-def _most(candidates, count):
-    """``(best, tied)``: the largest ``count(d)`` and the candidates that
-    reach it, in order."""
-    best, tied = -1, []
-    for d in candidates:
-        n = count(d)
-        if n > best:
-            best, tied = n, [d]
-        elif n == best:
-            tied.append(d)
-    return best, tied
+_LOCAL = Direction.LOCAL
+_LOW = Priority.LOW
+_HIGH = Priority.HIGH
+_HIGHEST = Priority.HIGHEST
 
 
 class FootprintRouting(DuatoAdaptiveRouting):
@@ -91,15 +83,16 @@ class FootprintRouting(DuatoAdaptiveRouting):
         the thick, deterministic congestion tree (Fig. 2(a)) that
         Footprint sets out to avoid.
         """
-        if direction is Direction.LOCAL:
+        if direction is _LOCAL:
             return self.eject_requests(ctx)
         requests = self.vc_requests(ctx, direction)
-        view = ctx.outputs[direction]
-        waiting_on_footprint = not requests and view.footprint_mask(
+        # Nothing to ask for and a footprint to wait on: no escape.
+        if requests or not ctx.outputs[direction].footprint_mask(
             ctx.destination
-        )
-        if not waiting_on_footprint:
-            requests.extend(self.escape_request(ctx))
+        ):
+            escape = self.escape_request(ctx)
+            if escape is not None:
+                requests.append(escape)
         return requests
 
     # ------------------------------------------------------------------
@@ -109,10 +102,15 @@ class FootprintRouting(DuatoAdaptiveRouting):
         self, ctx: RouteContext, candidates: Sequence[Direction]
     ) -> Direction:
         outputs = ctx.outputs
-        best_idle, tied = _most(
-            candidates,
-            lambda d: (outputs[d].free & outputs[d].adaptive).bit_count(),
-        )
+        # More idle VCs wins (lines 10-13); ``tied`` keeps candidate order.
+        best_idle, tied = -1, []
+        for d in candidates:
+            view = outputs[d]
+            idle = (view.free & view.adaptive).bit_count()
+            if idle > best_idle:
+                best_idle, tied = idle, [d]
+            elif idle == best_idle:
+                tied.append(d)
         if len(tied) > 1 and best_idle < ctx.congestion_threshold:
             # Tie on idle VCs under congestion: prefer the port with more
             # footprint VCs (lines 14-17).  Per §3.2, "the footprint
@@ -123,9 +121,13 @@ class FootprintRouting(DuatoAdaptiveRouting):
             # flows funnel onto a single port at low load and forfeit port
             # adaptiveness.
             dst = ctx.destination
-            _, tied = _most(
-                tied, lambda d: outputs[d].footprint_mask(dst).bit_count()
-            )
+            most, contenders, tied = -1, tied, []
+            for d in contenders:
+                footprints = outputs[d].footprint_mask(dst).bit_count()
+                if footprints > most:
+                    most, tied = footprints, [d]
+                elif footprints == most:
+                    tied.append(d)
         if len(tied) == 1:
             return tied[0]
         return tied[ctx.rng.randrange(len(tied))]
@@ -141,8 +143,9 @@ class FootprintRouting(DuatoAdaptiveRouting):
         idle = view.free & view.adaptive
         fresh = idle & view.fresh
         established = idle & ~fresh
-        limited = ctx.footprint_vc_limit is not None and (
-            view.footprint_mask(dst).bit_count() >= ctx.footprint_vc_limit
+        limit = ctx.footprint_vc_limit
+        limited = limit is not None and (
+            view.footprint_mask(dst).bit_count() >= limit
         )
 
         if not limited and (
@@ -151,7 +154,7 @@ class FootprintRouting(DuatoAdaptiveRouting):
             # No congestion: use all adaptive VCs at flat priority;
             # waiting on footprint channels here would only add latency
             # (Algorithm 1 line 31).
-            return [VcRequest(direction, idle, Priority.LOW)] if idle else []
+            return [(direction, idle, _LOW)] if idle else []
 
         # Below the threshold a packet asks for up to three classes:
         # established idle VCs at HIGHEST, its own freshly freed footprint
@@ -173,12 +176,11 @@ class FootprintRouting(DuatoAdaptiveRouting):
             # congestion-tree branch thin.  (With no footprint anywhere,
             # line 37: those VCs are fair game.)
             fresh_other = 0
-        return [
-            VcRequest(direction, mask, priority)
-            for mask, priority in (
-                (established, Priority.HIGHEST),
-                (fresh_mine, Priority.HIGH),
-                (fresh_other, Priority.LOW),
-            )
-            if mask
-        ]
+        requests = []
+        if established:
+            requests.append((direction, established, _HIGHEST))
+        if fresh_mine:
+            requests.append((direction, fresh_mine, _HIGH))
+        if fresh_other:
+            requests.append((direction, fresh_other, _LOW))
+        return requests

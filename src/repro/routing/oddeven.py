@@ -64,12 +64,14 @@ class OddEvenRouting(RoutingAlgorithm):
         if len(candidates) == 1:
             return candidates[0]
         outputs = ctx.outputs
-        scored = [
-            ((outputs[d].free & outputs[d].adaptive).bit_count(), d)
-            for d in candidates
-        ]
-        best = max(score for score, _ in scored)
-        tied = [d for score, d in scored if score == best]
+        best, tied = -1, []
+        for d in candidates:
+            view = outputs[d]
+            idle = (view.free & view.adaptive).bit_count()
+            if idle > best:
+                best, tied = idle, [d]
+            elif idle == best:
+                tied.append(d)
         if len(tied) == 1:
             return tied[0]
         return tied[ctx.rng.randrange(len(tied))]

@@ -2,8 +2,9 @@
 
 Algorithm 1 of the paper expresses routing decisions as
 ``ADD(P, v, priority)`` calls: the packet requests VC ``v`` at output port
-``P`` with a given priority (one :class:`VcRequest` record carries all
-of a packet's calls for one port at one priority).  The VC allocator then
+``P`` with a given priority (one ``(direction, mask, priority)`` record
+— a plain tuple, the shape :class:`VcRequest` names — carries all of a
+packet's calls for one port at one priority).  The VC allocator then
 grants free VCs to the highest-priority requesters.  Requests targeting
 busy VCs are legal — they express willingness to *wait* on that VC (the
 essence of Footprint's "wait on footprint channels") and take effect on
@@ -57,6 +58,10 @@ class VcRequest(NamedTuple):
 
     ``mask`` is never zero: an empty class emits no record, so "no
     requests" stays ``not requests``.
+
+    The routing algorithms emit the bare tuple — the allocator unpacks,
+    and a named constructor is a Python call per record per evaluated
+    head; this class names the shape for tests, analyses and messages.
     """
 
     direction: Direction

@@ -29,8 +29,6 @@ the dateline exists to break.
 from __future__ import annotations
 
 from repro.routing.base import RouteContext, RoutingAlgorithm
-from repro.routing.duato import DuatoAdaptiveRouting
-from repro.routing.oddeven import OddEvenRouting
 from repro.routing.requests import Priority, VcRequest, bits
 from repro.topology.base import Topology
 from repro.topology.ports import Direction
@@ -73,9 +71,8 @@ class XordetOverlay(RoutingAlgorithm):
         self.atomic_vc_reallocation = base.atomic_vc_reallocation
 
     def select_output(self, ctx: RouteContext) -> Direction:
-        if ctx.current == ctx.destination:
-            return Direction.LOCAL
-        return self._select_direction(ctx)
+        """The base algorithm's port selection, unchanged."""
+        return self.base.select_output(ctx)
 
     def vc_requests_at(
         self, ctx: RouteContext, direction: Direction
@@ -92,32 +89,12 @@ class XordetOverlay(RoutingAlgorithm):
         # is busy the packet waits for it (that is the scheme's
         # HoL-avoidance contract), re-requesting the cycle it frees.
         if view.free & mapped:
-            requests.append(VcRequest(direction, mapped, Priority.LOW))
+            requests.append((direction, mapped, Priority.LOW))
         if self.uses_escape:
-            requests.extend(self.escape_request(ctx))
+            escape = self.escape_request(ctx)
+            if escape is not None:
+                requests.append(escape)
         return requests
-
-    def _select_direction(self, ctx: RouteContext) -> Direction:
-        """Delegate output-port selection to the base algorithm."""
-        base = self.base
-        if isinstance(base, DuatoAdaptiveRouting):
-            candidates = ctx.mesh.minimal_directions(
-                ctx.current, ctx.destination
-            )
-            if ctx.dead_ports:
-                candidates = self.live_candidates(ctx, candidates)
-            if len(candidates) == 1:
-                return candidates[0]
-            return base.select_port(ctx, candidates)
-        if isinstance(base, OddEvenRouting):
-            candidates = base.allowed_directions(
-                ctx.mesh, ctx.current, ctx.destination, ctx.source
-            )
-            if ctx.dead_ports:
-                candidates = self.live_candidates(ctx, candidates)
-            return base._select_port(ctx, candidates)
-        # DOR and any other single-path base algorithm.
-        return ctx.mesh.dor_direction(ctx.current, ctx.destination)
 
     def allowed_directions(
         self, mesh: Topology, current: int, destination: int, source: int

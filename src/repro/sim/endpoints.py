@@ -145,15 +145,7 @@ class Sink:
         self._budget = min(self._budget + self.ejection_rate, 4.0)
         consumed: list[int] = []
         while self._budget >= 1.0:
-            # Ascending set-bit enumeration matches the full-range scan
-            # it replaces, so arbitration order is unchanged.
-            occupied = []
-            mask = self._occupied
-            while mask:
-                low = mask & -mask
-                occupied.append(low.bit_length() - 1)
-                mask -= low
-            vc = self._arbiter.grant(occupied)
+            vc = self._arbiter.grant_mask(self._occupied)
             if vc is None:
                 break
             flit = self.buffers[vc].pop(0)

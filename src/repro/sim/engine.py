@@ -265,9 +265,9 @@ class Simulator:
         if packet.measured:
             self.measured_ejected += 1
             self.latency.add(packet.latency)
-            flow_stats = self.latency_by_flow.setdefault(
-                packet.flow, LatencyStats()
-            )
+            flow_stats = self.latency_by_flow.get(packet.flow)
+            if flow_stats is None:
+                flow_stats = self.latency_by_flow[packet.flow] = LatencyStats()
             flow_stats.add(packet.latency)
 
     # ------------------------------------------------------------------

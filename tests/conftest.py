@@ -138,6 +138,12 @@ def per_vc(requests):
     """Expand group-form VC requests into ``(direction, vc, priority)``
     triples, in allocator candidate order — the paper's individual
     ``ADD(P, v, pri)`` calls."""
-    for r in requests:
-        assert r.mask, "empty request groups must not be emitted"
-    return [(r.direction, v, r.priority) for r in requests for v in r.vcs]
+    from repro.routing.requests import bits
+
+    for _direction, mask, _priority in requests:
+        assert mask, "empty request groups must not be emitted"
+    return [
+        (direction, v, priority)
+        for direction, mask, priority in requests
+        for v in bits(mask)
+    ]

@@ -18,7 +18,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.router.allocator import allocate_vcs
+from repro.router.allocator import VaGrant, allocate_vcs as allocate_tuples
 from repro.router.flit import Packet
 from repro.router.output import OutputPort
 from repro.router.vcstate import InputVc
@@ -31,8 +31,17 @@ NUM_VCS = 4
 DIRECTIONS = (Direction.EAST, Direction.SOUTH)
 
 
+def allocate_vcs(requests, outputs, rng):
+    """One round's grants (plain tuples) unpacked into the named shape."""
+    return [VaGrant(*g) for g in allocate_tuples(requests, outputs, rng)]
+
+
 @st.composite
-def allocation_round(draw):
+def allocation_round(
+    draw,
+    inputs=st.integers(1, 6),
+    masks=st.integers(1, (1 << NUM_VCS) - 1),
+):
     outputs = {}
     for d in DIRECTIONS:
         port = OutputPort(
@@ -50,7 +59,7 @@ def allocation_round(draw):
         outputs[d] = port
 
     requests = []
-    n_inputs = draw(st.integers(1, 6))
+    n_inputs = draw(inputs)
     for i in range(n_inputs):
         ivc = InputVc(Direction.WEST, i, depth=4)
         ivc.push(
@@ -65,7 +74,7 @@ def allocation_round(draw):
                 st.builds(
                     VcRequest,
                     direction=st.sampled_from(DIRECTIONS),
-                    mask=st.integers(1, (1 << NUM_VCS) - 1),
+                    mask=masks,
                     priority=st.sampled_from(list(Priority)),
                 ),
                 max_size=4,
@@ -166,9 +175,7 @@ def _reference_allocate(requests, outputs, rng):
     return grants
 
 
-@given(allocation_round())
-@settings(max_examples=300)
-def test_grouped_requests_match_per_vc_reference(round_):
+def _assert_matches_per_vc_reference(round_):
     outputs, requests, seed = round_
     per_vc = [
         (
@@ -186,6 +193,32 @@ def test_grouped_requests_match_per_vc_reference(round_):
         (id(g.input_vc), g.direction, g.out_vc, g.priority) for g in grants
     ] == expected
     assert rng.getstate() == reference_rng.getstate()
+
+
+@given(allocation_round())
+@settings(max_examples=300)
+def test_grouped_requests_match_per_vc_reference(round_):
+    _assert_matches_per_vc_reference(round_)
+
+
+@given(allocation_round(inputs=st.just(1)))
+@settings(max_examples=200)
+def test_one_head_round_matches_per_vc_reference(round_):
+    """A round with one waiting head is answered from its stage-1 pick
+    alone: the same filter, the same draw, the same (at most one) grant."""
+    _assert_matches_per_vc_reference(round_)
+
+
+@given(
+    allocation_round(
+        masks=st.sampled_from([1 << v for v in range(NUM_VCS)])
+    )
+)
+@settings(max_examples=200)
+def test_single_bit_records_match_per_vc_reference(round_):
+    """Records naming one VC each: a best class of one live bit is
+    taken without a draw (and without ``bits``), several pool."""
+    _assert_matches_per_vc_reference(round_)
 
 
 @given(allocation_round())

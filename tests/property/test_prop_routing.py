@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.routing.registry import available_algorithms, create_routing
-from repro.routing.requests import Priority
+from repro.routing.requests import Priority, bits
 from repro.routing.xordet import xordet_vc
 from repro.topology.mesh import Mesh2D
 from repro.topology.ports import Direction
@@ -94,24 +94,25 @@ def test_requests_are_well_formed(case):
         assert direction in algo.allowed_directions(mesh, cur, dst, cur)
     requests = algo.vc_requests_at(ctx, direction)
     escape_dir = mesh.dor_direction(cur, dst)
-    for r in requests:
-        assert r.direction in outputs
-        assert isinstance(r.priority, Priority)
+    for req_direction, mask, priority in requests:
+        vcs = bits(mask)
+        assert req_direction in outputs
+        assert isinstance(priority, Priority)
         # Empty priority classes emit no record, so "nothing to request"
         # is exactly ``not requests``.
-        assert len(r.vcs) > 0
-        assert len(set(r.vcs)) == len(r.vcs)
-        view = outputs[r.direction]
-        for vc in r.vcs:
+        assert len(vcs) > 0
+        assert len(set(vcs)) == len(vcs)
+        view = outputs[req_direction]
+        for vc in vcs:
             assert 0 <= vc < num_vcs
             assert view.grantable(vc)
         # Non-escape requests stay on the committed port; the only other
         # port a request may name is the DOR escape port.
-        if r.direction is not direction:
-            assert r.direction is escape_dir
-            assert tuple(r.vcs) == (view.escape_vc,)
+        if req_direction is not direction:
+            assert req_direction is escape_dir
+            assert vcs == (view.escape_vc,)
     # One record per (port, priority) class.
-    classes = [(r.direction, r.priority) for r in requests]
+    classes = [(d, priority) for d, _mask, priority in requests]
     assert len(set(classes)) == len(classes)
 
 

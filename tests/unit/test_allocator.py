@@ -2,7 +2,7 @@
 
 import random
 
-from repro.router.allocator import allocate_vcs
+from repro.router.allocator import VaGrant, allocate_vcs as allocate_tuples
 from repro.router.flit import Packet
 from repro.router.output import OutputPort
 from repro.router.vcstate import InputVc, VcState
@@ -10,6 +10,14 @@ from repro.routing.requests import Priority, VcRequest
 from repro.topology.ports import Direction
 
 from tests.conftest import mask_of
+
+
+def allocate_vcs(requests, outputs, rng):
+    """One round's grants — plain ``(input_vc, direction, out_vc,
+    priority)`` tuples — unpacked into the shape that names them."""
+    grants = allocate_tuples(requests, outputs, rng)
+    assert all(type(grant) is tuple for grant in grants)
+    return [VaGrant(*grant) for grant in grants]
 
 
 def make_outputs(num_vcs=4):

@@ -42,8 +42,40 @@ def test_strong_fairness_under_persistent_load():
     assert all(c == 20 for c in counts.values())
 
 
-def test_rotation_view():
-    arb = RoundRobinArbiter(3)
-    assert list(arb.rotation()) == [0, 1, 2]
-    arb.advance()
-    assert list(arb.rotation()) == [1, 2, 0]
+def test_mask_grant_is_the_same_scan():
+    """``grant_mask`` over set bits equals ``grant`` over indices, from
+    every pointer position and for every request set of a 5-way arbiter
+    (single requesters and requesters only behind the pointer included)."""
+    for pointer in range(5):
+        for mask in range(1 << 5):
+            by_list, by_mask = RoundRobinArbiter(5), RoundRobinArbiter(5)
+            for _ in range(pointer):
+                by_list.grant(range(5))
+                by_mask.grant_mask(0b11111)
+            requests = [i for i in range(5) if mask >> i & 1]
+            # The cyclic scan, spelled out.
+            expected = next(
+                (
+                    (pointer + k) % 5
+                    for k in range(5)
+                    if (pointer + k) % 5 in requests
+                ),
+                None,
+            )
+            for _ in range(3):
+                winner = by_mask.grant_mask(mask)
+                assert winner == by_list.grant(requests)
+                if expected is not None:
+                    assert winner == expected
+                    expected = next(
+                        (winner + 1 + k) % 5
+                        for k in range(5)
+                        if (winner + 1 + k) % 5 in requests
+                    )
+
+
+def test_empty_mask_no_grant_and_pointer_unmoved():
+    arb = RoundRobinArbiter(4)
+    assert arb.grant_mask(0b0100) == 2
+    assert arb.grant_mask(0) is None
+    assert arb.grant_mask(0b1111) == 3

@@ -4,7 +4,7 @@ import pytest
 
 from repro.routing.dor import DorRouting
 from repro.routing.footprint import FootprintRouting
-from repro.routing.requests import Priority
+from repro.routing.requests import Priority, bits
 from repro.topology.mesh import Mesh2D
 from repro.topology.ports import Direction
 
@@ -25,10 +25,10 @@ class TestEjectRequests:
         }
         outputs[Direction.LOCAL] = FakeOutputView(escape_vc=None, idle=[1, 3])
         ctx = make_context(mesh, 5, 5, outputs)
-        (req,) = algo.eject_requests(ctx)
-        assert req.direction is Direction.LOCAL
-        assert list(req.vcs) == [1, 3]
-        assert req.priority is Priority.LOW
+        ((direction, mask, priority),) = algo.eject_requests(ctx)
+        assert direction is Direction.LOCAL
+        assert list(bits(mask)) == [1, 3]
+        assert priority is Priority.LOW
 
     def test_empty_when_sink_full(self, mesh):
         algo = DorRouting()
@@ -46,17 +46,17 @@ class TestEscapeRequest:
         outputs = {d: FakeOutputView() for d in mesh.router_ports(5)}
         # From 5 to 7: DOR port is EAST.
         ctx = make_context(mesh, 5, 7, outputs)
-        (req,) = algo.escape_request(ctx)
-        assert req.direction is Direction.EAST
-        assert tuple(req.vcs) == (0,)
-        assert req.priority is Priority.LOWEST
+        direction, mask, priority = algo.escape_request(ctx)
+        assert direction is Direction.EAST
+        assert bits(mask) == (0,)
+        assert priority is Priority.LOWEST
 
     def test_absent_when_escape_busy(self, mesh):
         algo = FootprintRouting()
         outputs = {d: FakeOutputView() for d in mesh.router_ports(5)}
         outputs[Direction.EAST].escape_free = False
         ctx = make_context(mesh, 5, 7, outputs)
-        assert algo.escape_request(ctx) == []
+        assert algo.escape_request(ctx) is None
 
     def test_absent_without_escape_vc(self, mesh):
         algo = DorRouting()
@@ -65,7 +65,7 @@ class TestEscapeRequest:
             for d in mesh.router_ports(5)
         }
         ctx = make_context(mesh, 5, 7, outputs)
-        assert algo.escape_request(ctx) == []
+        assert algo.escape_request(ctx) is None
 
 
 class TestRouteComposition:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.routing.dbar import DbarFineRouting, DbarRouting
-from repro.routing.requests import Priority
+from repro.routing.requests import Priority, bits
 from repro.topology.mesh import Mesh2D
 from repro.topology.ports import Direction
 
@@ -67,12 +67,12 @@ def test_oblivious_vc_selection_flat_priority(mesh):
     reqs = [
         r
         for r in algo.vc_requests_at(ctx, Direction.EAST)
-        if r.priority is not Priority.LOWEST
+        if r[2] is not Priority.LOWEST
     ]
     # No footprint awareness: just the free VCs, all LOW — one record.
-    (req,) = reqs
-    assert list(req.vcs) == [1, 3]
-    assert req.priority is Priority.LOW
+    ((_direction, mask, priority),) = reqs
+    assert list(bits(mask)) == [1, 3]
+    assert priority is Priority.LOW
 
 
 def test_escape_request_present(mesh):
@@ -80,11 +80,12 @@ def test_escape_request_present(mesh):
     outputs = outputs_for(mesh, 0)
     ctx = make_context(mesh, 0, DST, outputs)
     reqs = algo.vc_requests_at(ctx, Direction.SOUTH)
-    escape = [r for r in reqs if r.priority is Priority.LOWEST]
+    escape = [r for r in reqs if r[2] is Priority.LOWEST]
     assert len(escape) == 1
     # Escape uses the DOR direction (EAST from 0 to 10) and VC0.
-    assert escape[0].direction is Direction.EAST
-    assert tuple(escape[0].vcs) == (0,)
+    direction, mask, _priority = escape[0]
+    assert direction is Direction.EAST
+    assert bits(mask) == (0,)
 
 
 def test_fine_variant_uses_credit_totals(mesh):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.routing.dor import DorRouting
-from repro.routing.requests import Priority
+from repro.routing.requests import Priority, bits
 from repro.topology.mesh import Mesh2D
 from repro.topology.ports import Direction
 
@@ -41,18 +41,20 @@ def test_requests_every_free_vc_flat(algo, mesh):
     outputs = {d: FakeOutputView(escape_vc=None) for d in mesh.router_ports(0)}
     ctx = make_context(mesh, 0, 10, outputs)
     # One record carries the whole flat-priority class.
-    (req,) = algo.vc_requests_at(ctx, Direction.EAST)
-    assert set(req.vcs) == {0, 1, 2, 3}
-    assert req.priority is Priority.LOW
-    assert req.direction is Direction.EAST
+    ((direction, mask, priority),) = algo.vc_requests_at(ctx, Direction.EAST)
+    assert set(bits(mask)) == {0, 1, 2, 3}
+    assert priority is Priority.LOW
+    assert direction is Direction.EAST
 
 
 def test_busy_vcs_not_requested(algo, mesh):
     outputs = {d: FakeOutputView(escape_vc=None) for d in mesh.router_ports(0)}
     outputs[Direction.EAST] = FakeOutputView(escape_vc=None, idle=[2])
     ctx = make_context(mesh, 0, 10, outputs)
-    (req,) = algo.vc_requests_at(ctx, Direction.EAST)
-    assert list(req.vcs) == [2]
+    ((_direction, mask, _priority),) = algo.vc_requests_at(
+        ctx, Direction.EAST
+    )
+    assert list(bits(mask)) == [2]
 
 
 def test_no_record_when_every_vc_is_busy(algo, mesh):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.routing.footprint import FootprintRouting
-from repro.routing.requests import Priority
+from repro.routing.requests import Priority, bits
 from repro.topology.mesh import Mesh2D
 from repro.topology.ports import Direction
 
@@ -43,7 +43,9 @@ class TestProperties:
         ctx = make_context(mesh, DST, DST, outputs)
         assert algo.select_output(ctx) is Direction.LOCAL
         reqs = algo.vc_requests_at(ctx, Direction.LOCAL)
-        assert all(r.direction is Direction.LOCAL for r in reqs)
+        assert all(
+            direction is Direction.LOCAL for direction, _mask, _pri in reqs
+        )
         assert reqs  # free sink VCs exist
 
 
@@ -97,9 +99,11 @@ class TestVcRequestRegimes:
         outputs = outputs_for(mesh, 0, FakeOutputView)
         outputs[Direction.EAST] = FakeOutputView(idle=[1, 2, 3])
         ctx = make_context(mesh, 0, DST, outputs, congestion_threshold=2)
-        (req,) = algo.vc_requests(ctx, Direction.EAST)
-        assert list(req.vcs) == [1, 2, 3]
-        assert req.priority is Priority.LOW
+        ((_direction, mask, priority),) = algo.vc_requests(
+            ctx, Direction.EAST
+        )
+        assert list(bits(mask)) == [1, 2, 3]
+        assert priority is Priority.LOW
 
     def test_intermediate_established_highest(self, algo, mesh):
         outputs = outputs_for(mesh, 0, FakeOutputView)
@@ -178,11 +182,12 @@ class TestEscapeHandling:
         outputs = outputs_for(mesh, 0, FakeOutputView)
         ctx = make_context(mesh, 0, DST, outputs)
         reqs = algo.vc_requests_at(ctx, Direction.EAST)
-        escape = [r for r in reqs if r.priority is Priority.LOWEST]
+        escape = [r for r in reqs if r[2] is Priority.LOWEST]
         assert len(escape) == 1
-        assert tuple(escape[0].vcs) == (0,)
+        direction, mask, _priority = escape[0]
+        assert bits(mask) == (0,)
         # Escape rides the DOR port (EAST for 0 -> 10).
-        assert escape[0].direction is Direction.EAST
+        assert direction is Direction.EAST
 
     def test_escape_suppressed_while_waiting_on_footprint(self, algo, mesh):
         outputs = outputs_for(mesh, 0, FakeOutputView)
@@ -197,7 +202,7 @@ class TestEscapeHandling:
         outputs[Direction.EAST] = FakeOutputView(idle=[], established=[])
         ctx = make_context(mesh, 0, DST, outputs)
         reqs = algo.vc_requests_at(ctx, Direction.EAST)
-        assert [r.priority for r in reqs] == [Priority.LOWEST]
+        assert [priority for _d, _m, priority in reqs] == [Priority.LOWEST]
 
 
 class TestFootprintVcLimit:

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from repro.routing.oddeven import OddEvenRouting
+from repro.routing.requests import bits
 from repro.topology.mesh import Mesh2D
 from repro.topology.ports import Direction
 
@@ -114,5 +115,7 @@ def test_all_vcs_usable(algo):
     mesh = Mesh2D(4)
     outputs = {d: FakeOutputView(escape_vc=None) for d in mesh.router_ports(0)}
     ctx = make_context(mesh, 0, 3, outputs)
-    (req,) = algo.vc_requests_at(ctx, Direction.EAST)
-    assert set(req.vcs) == {0, 1, 2, 3}
+    ((_direction, mask, _priority),) = algo.vc_requests_at(
+        ctx, Direction.EAST
+    )
+    assert set(bits(mask)) == {0, 1, 2, 3}

@@ -5,7 +5,7 @@ import pytest
 from repro.routing.dbar import DbarRouting
 from repro.routing.dor import DorRouting
 from repro.routing.oddeven import OddEvenRouting
-from repro.routing.requests import Priority
+from repro.routing.requests import Priority, bits
 from repro.routing.xordet import XordetOverlay, xordet_vc
 from repro.topology.mesh import Mesh2D
 from repro.topology.ports import Direction
@@ -60,7 +60,8 @@ class TestOverlay:
         direction = overlay.select_output(ctx)
         reqs = overlay.vc_requests_at(ctx, direction)
         assert len(reqs) == 1
-        assert tuple(reqs[0].vcs) == (xordet_vc(mesh, 9, 4),)
+        _direction, mask, _priority = reqs[0]
+        assert bits(mask) == (xordet_vc(mesh, 9, 4),)
 
     def test_waits_when_mapped_vc_busy(self, mesh):
         overlay = XordetOverlay(DorRouting())
@@ -79,11 +80,12 @@ class TestOverlay:
         ctx = make_context(mesh, 0, 9, outputs)
         direction = overlay.select_output(ctx)
         reqs = overlay.vc_requests_at(ctx, direction)
-        priorities = {r.priority for r in reqs}
+        priorities = {priority for _d, _m, priority in reqs}
         assert Priority.LOWEST in priorities  # escape survives the overlay
-        non_escape = [r for r in reqs if r.priority is not Priority.LOWEST]
+        non_escape = [r for r in reqs if r[2] is not Priority.LOWEST]
         assert len(non_escape) == 1
-        assert len(non_escape[0].vcs) == 1
+        _direction, mask, _priority = non_escape[0]
+        assert len(bits(mask)) == 1
 
     def test_port_selection_delegates(self, mesh):
         overlay = XordetOverlay(OddEvenRouting())
