@@ -18,7 +18,6 @@ simulation or a whole paper experiment::
     footprint-noc jobs
     footprint-noc tune --traffic hotspot --budget 40000000
     footprint-noc tune report TUNE_hotspot-8x8_20260808-120000.json
-    footprint-noc leaderboard --ingest-tune TUNE_hotspot-8x8_*.json
     footprint-noc list
 
 Validation failures (unknown algorithm or pattern, malformed fault spec,
@@ -144,14 +143,6 @@ _SHARED_FLAGS = {
     "--address": dict(
         metavar="HOST:PORT",
         help="service address (default: $REPRO_SERVICE, else :7455)",
-    ),
-    "--state-dir": dict(
-        metavar="DIR",
-        help=(
-            "service state directory: the leaderboard store and the "
-            "service's default cache (default: $REPRO_SERVICE_DIR, else "
-            "./.repro-service)"
-        ),
     ),
 }
 
@@ -347,8 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "run the experiment service: an async job server that "
             "interleaves sweep grids from many client streams, dedupes "
-            "against in-flight work and the result cache, and keeps "
-            "persistent leaderboards"
+            "against in-flight work and the result cache"
         ),
     )
     serve.add_argument("--host", default="127.0.0.1")
@@ -358,7 +348,14 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="TCP port (default 7455; 0 picks a free port and prints it)",
     )
-    _flags(serve, "--state-dir")
+    serve.add_argument(
+        "--state-dir",
+        metavar="DIR",
+        help=(
+            "service state directory, home of the service's default "
+            "cache (default: $REPRO_SERVICE_DIR, else ./.repro-service)"
+        ),
+    )
     _flags(
         serve,
         "--jobs",
@@ -429,32 +426,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     jobs_cmd.add_argument(
         "--cancel", default=None, metavar="ID", help="cancel a job"
-    )
-
-    leaderboard = sub.add_parser(
-        "leaderboard",
-        help=(
-            "render the persistent per-scenario standings (reads the "
-            "state dir directly; --address asks a running service "
-            "instead)"
-        ),
-    )
-    _flags(leaderboard, "--state-dir")
-    _flags(
-        leaderboard,
-        "--address",
-        help="query a running service instead of reading the state dir",
-    )
-    leaderboard.add_argument(
-        "--ingest-tune",
-        default=None,
-        metavar="PATH",
-        help=(
-            "fold a TUNE_*.json artifact (or every one under a "
-            "directory) into the store before rendering — each "
-            "frontier config becomes one result record; idempotent "
-            "per file"
-        ),
     )
 
     tune = sub.add_parser(
@@ -921,31 +892,6 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_leaderboard(args: argparse.Namespace) -> int:
-    from repro.service import ServiceError
-    from repro.service.leaderboard import LeaderboardStore
-
-    if args.address is not None:
-        if args.ingest_tune is not None:
-            raise ServiceError(
-                "--ingest-tune works on the local state dir; drop "
-                "--address (the server ingests its own jobs)"
-            )
-        from repro.service.client import ServiceClient
-
-        print(ServiceClient.from_address(args.address).leaderboard()["text"])
-        return 0
-    store = LeaderboardStore(args.state_dir)
-    if args.ingest_tune is not None:
-        added = store.ingest_tune(args.ingest_tune)
-        print(
-            f"ingested {added} tune frontier records from "
-            f"{args.ingest_tune} into {store.path}"
-        )
-    print(store.render())
-    return 0
-
-
 def _cmd_tune(args: argparse.Namespace) -> int:
     if getattr(args, "tune_command", None) == "report":
         from repro.tuner.report import load_tune, render_tune
@@ -1020,7 +966,6 @@ def main(argv: list[str] | None = None) -> int:
         "serve": _cmd_serve,
         "submit": _cmd_submit,
         "jobs": _cmd_jobs,
-        "leaderboard": _cmd_leaderboard,
         "tune": _cmd_tune,
         "list": _cmd_list,
     }

@@ -5,11 +5,9 @@ turns the simulator into a long-running backend.  A :class:`~repro.
 service.server.ExperimentServer` accepts *jobs* — named grids of
 :class:`~repro.harness.parallel.SimTask`s — from many concurrent client
 *streams* over a JSON-lines socket protocol, interleaves their tasks
-with a weighted-fair scheduler onto a bounded executor, dedupes work
-against both in-flight jobs and the persistent
-:class:`~repro.harness.cache.ResultCache`, and ingests finished jobs
-into an append-only leaderboard store for per-scenario standings and
-regression tracking.
+with a weighted-fair scheduler onto a bounded executor, and dedupes
+work against both in-flight jobs and the persistent
+:class:`~repro.harness.cache.ResultCache`, its only store.
 
 Layout:
 
@@ -22,11 +20,10 @@ Layout:
 * :mod:`repro.service.server` — the asyncio server and verb handlers;
 * :mod:`repro.service.client` — a thin blocking client (also the
   ``$REPRO_SERVICE`` backend for :func:`repro.harness.parallel.
-  run_tasks`);
-* :mod:`repro.service.leaderboard` — the persistent JSONL leaderboard
-  store under the service state directory.
+  run_tasks`).
 
-State lives under ``$REPRO_SERVICE_DIR`` (default ``.repro-service/``).
+The default cache lives under ``$REPRO_SERVICE_DIR`` (default
+``.repro-service/``).
 """
 
 from __future__ import annotations

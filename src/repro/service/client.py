@@ -30,6 +30,7 @@ from repro.service import (
 )
 from repro.service.jobs import JobSpec
 from repro.service.protocol import MAX_LINE, decode, encode
+from repro.sim.constants import ENGINE_VERSION
 from repro.sim.results import SimulationResult
 
 
@@ -123,7 +124,10 @@ class ServiceClient:
         return self.call("ping")
 
     def submit(self, spec: JobSpec) -> dict[str, Any]:
-        return self.call("submit", **spec.to_dict())
+        """Submit ``spec``; a server on another engine version refuses."""
+        return self.call(
+            "submit", engine_version=ENGINE_VERSION, **spec.to_dict()
+        )
 
     def submit_tasks(
         self,
@@ -150,9 +154,6 @@ class ServiceClient:
 
     def streams(self) -> dict[str, Any]:
         return self.call("streams")
-
-    def leaderboard(self) -> dict[str, Any]:
-        return self.call("leaderboard")
 
     def shutdown(self) -> dict[str, Any]:
         return self.call("shutdown")

@@ -29,10 +29,10 @@ import enum
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from repro.harness.cache import config_cache_key
-from repro.harness.parallel import SimTask
+from repro.harness.parallel import SimTask, _wants_telemetry
 from repro.service import ServiceError
 from repro.sim.config import SimulationConfig
 from repro.sim.results import SimulationResult
@@ -96,8 +96,7 @@ class JobSpec:
                 f"stream weight must be > 0, got {self.weight}"
             )
         for task in self.tasks:
-            telemetry = task.resolved_config().telemetry
-            if telemetry is not None and telemetry.active:
+            if _wants_telemetry(task.resolved_config()):
                 raise ServiceError(
                     f"job '{self.name}' requests active telemetry; the "
                     f"service dedupes through the telemetry-blind result "
@@ -173,8 +172,6 @@ class Job:
     results: list[SimulationResult | None] = field(default_factory=list)
     #: Progress events: (wall time, message), oldest first, bounded.
     events: list[tuple[float, str]] = field(default_factory=list)
-    #: Called once when the job reaches a terminal state.
-    on_done: Callable[["Job"], None] | None = None
 
     MAX_EVENTS = 64
 
@@ -184,6 +181,10 @@ class Job:
         self.task_kinds = [None] * count
         self.results = [None] * count
         self._keys = self.spec.task_keys()
+        #: Tasks done, and tasks not yet in a terminal state: what one
+        #: finished task needs to know, without a walk over the grid.
+        self._done = 0
+        self._remaining = count
         self.record(f"queued on stream '{self.spec.stream}' ({count} tasks)")
 
     # ------------------------------------------------------------------
@@ -262,11 +263,11 @@ class Job:
         self.task_kinds[index] = kind
         self.results[index] = result
         self._now_running()
-        counts = self.counts()
+        self._done += 1
         self.record(
-            f"task {index} {kind} ({counts['done']}/{counts['total']})"
+            f"task {index} {kind} ({self._done}/{len(self.task_states)})"
         )
-        self._maybe_finish()
+        self._task_settled()
 
     def fail_task(self, index: int, error: str) -> None:
         if self.state.terminal:
@@ -275,7 +276,7 @@ class Job:
         self.record(f"task {index} failed: {error}")
         if self.error is None:
             self.error = error
-        self._maybe_finish()
+        self._task_settled()
 
     def cancel(self) -> bool:
         """Cancel the job: drop undone tasks, keep finished results.
@@ -289,25 +290,22 @@ class Job:
         for index, state in enumerate(self.task_states):
             if state in (TASK_PENDING, TASK_RUNNING, TASK_SHARED):
                 self.task_states[index] = TASK_CANCELLED
+        self._remaining = 0
         self._finish(JobState.CANCELLED)
         return True
 
-    def _maybe_finish(self) -> None:
-        if any(
-            state in (TASK_PENDING, TASK_RUNNING, TASK_SHARED)
-            for state in self.task_states
-        ):
-            return
-        failed = any(state == TASK_FAILED for state in self.task_states)
-        self._finish(JobState.FAILED if failed else JobState.DONE)
+    def _task_settled(self) -> None:
+        """One live task reached a terminal state; the last ends the job."""
+        self._remaining -= 1
+        if not self._remaining:
+            # `error` is set by, and only by, a failed task.
+            failed = self.error is not None
+            self._finish(JobState.FAILED if failed else JobState.DONE)
 
     def _finish(self, state: JobState) -> None:
         self.state = state
         self.finished_at = time.time()
         self.record(state.value)
-        if self.on_done is not None:
-            callback, self.on_done = self.on_done, None
-            callback(self)
 
     # ------------------------------------------------------------------
     def summary(self) -> dict[str, Any]:

@@ -119,11 +119,9 @@ class ExperimentScheduler:
         jobs: int | str | None = None,
         cache: ResultCache | None = None,
         run_task: Callable[[SimTask], SimulationResult] | None = None,
-        on_job_done: Callable[[Job], None] | None = None,
     ) -> None:
         self.max_workers = resolve_jobs(jobs)
         self.cache = cache
-        self.on_job_done = on_job_done
         self._run_task = run_task if run_task is not None else _run_task
         self._executor: Executor | None = None
         self._streams: dict[str, StreamState] = {}
@@ -158,7 +156,6 @@ class ExperimentScheduler:
         ):
             return existing, True
         job = Job(id=f"j{next(self._ids)}", spec=spec)
-        job.on_done = self._job_done
         self._jobs[job.id] = job
         self._jobs_by_hash[spec_hash] = job
         stream = self._streams.get(spec.stream)
@@ -174,10 +171,6 @@ class ExperimentScheduler:
         stream.jobs.append(job)
         self._pump()
         return job, False
-
-    def _job_done(self, job: Job) -> None:
-        if self.on_job_done is not None:
-            self.on_job_done(job)
 
     # ------------------------------------------------------------------
     # Queries

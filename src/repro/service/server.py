@@ -1,57 +1,50 @@
 """The asyncio experiment server.
 
 One :class:`ExperimentServer` owns a
-:class:`~repro.service.scheduler.ExperimentScheduler` and a
-:class:`~repro.service.leaderboard.LeaderboardStore`, and speaks the
+:class:`~repro.service.scheduler.ExperimentScheduler` and speaks the
 JSON-lines protocol of :mod:`repro.service.protocol` on a localhost TCP
 socket.  Clients may hold a connection open and pipeline requests, or
 reconnect per request — each line is answered independently.
 
 Verbs::
 
-    ping        -> {"ok", "version", "uptime_s", "totals"}
-    submit      -> {"ok", "job_id", "hash", "deduped", "state", "tasks"}
-    status      -> one job's summary, or all jobs + scheduler totals
-    result      -> per-task outcome rows; "full": true adds complete
-                   SimulationResult payloads (cache-format dicts)
-    cancel      -> {"ok", "cancelled", "state"}
-    streams     -> per-stream weight / vtime / queue depth
-    leaderboard -> rendered standings text + structured tables
-    shutdown    -> acks, then stops the server loop
-
-Completed jobs are ingested into the leaderboard store as they finish
-(idempotently — a deduped resubmission ingests nothing).
+    ping     -> {"ok", "version", "uptime_s", "totals"}; "version" is
+                the server's ENGINE_VERSION
+    submit   -> {"ok", "job_id", "hash", "deduped", "state", "tasks"};
+                an "engine_version" other than the server's is an error
+    status   -> one job's summary, or all jobs + scheduler totals
+    result   -> per-task outcome rows; "full": true adds complete
+                SimulationResult payloads (cache-format dicts)
+    cancel   -> {"ok", "cancelled", "state"}
+    streams  -> per-stream weight / vtime / queue depth
+    shutdown -> acks, then stops the server loop
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from pathlib import Path
 from typing import Any
 
 from repro.harness.cache import ResultCache
-from repro.service import ServiceError
+from repro.service import ServiceError, default_state_dir
 from repro.service.jobs import JobSpec, JobState
-from repro.service.leaderboard import LeaderboardStore
 from repro.service.protocol import MAX_LINE, decode, encode, error_response
 from repro.service.scheduler import ExperimentScheduler
-
-#: Protocol/application version reported by ``ping``.
-SERVICE_VERSION = 1
+from repro.sim.constants import ENGINE_VERSION
 
 
 class ExperimentServer:
-    """JSON-lines front end over one scheduler and one leaderboard."""
+    """JSON-lines front end over one scheduler."""
 
     def __init__(
         self,
         scheduler: ExperimentScheduler,
-        store: LeaderboardStore,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
         self.scheduler = scheduler
-        self.store = store
         self.host = host
         self.port = port
         self.started_at = time.time()
@@ -59,17 +52,6 @@ class ExperimentServer:
         self._shutdown = asyncio.Event()
         self._conn_tasks: set[asyncio.Task] = set()
         self._writers: set[asyncio.StreamWriter] = set()
-        scheduler.on_job_done = self._on_job_done
-
-    # ------------------------------------------------------------------
-    def _on_job_done(self, job) -> None:
-        if job.state is not JobState.DONE:
-            return
-        try:
-            self.store.ingest_job(job)
-        except OSError:
-            # A read-only state dir loses history, not results.
-            pass
 
     # ------------------------------------------------------------------
     async def start(self) -> int:
@@ -177,12 +159,23 @@ class ExperimentServer:
     def _verb_ping(self, request: dict[str, Any]) -> dict[str, Any]:
         return {
             "ok": True,
-            "version": SERVICE_VERSION,
+            "version": ENGINE_VERSION,
             "uptime_s": round(time.time() - self.started_at, 3),
             "totals": self.scheduler.totals(),
         }
 
     def _verb_submit(self, request: dict[str, Any]) -> dict[str, Any]:
+        # A server started before a checkout that bumped the engine
+        # would answer with the old semantics; a hand-written client
+        # that sends no version is taken at its word.
+        theirs = request.get("engine_version", ENGINE_VERSION)
+        if theirs != ENGINE_VERSION:
+            raise ServiceError(
+                f"engine version skew: the client simulates with "
+                f"ENGINE_VERSION {theirs}, this server with "
+                f"{ENGINE_VERSION}; restart `repro serve` from the "
+                f"client's checkout"
+            )
         spec = JobSpec.from_dict(request)
         job, deduped = self.scheduler.submit(spec)
         return {
@@ -238,13 +231,6 @@ class ExperimentServer:
             "totals": self.scheduler.totals(),
         }
 
-    def _verb_leaderboard(self, request: dict[str, Any]) -> dict[str, Any]:
-        return {
-            "ok": True,
-            "text": self.store.render(),
-            "standings": self.store.standings(),
-        }
-
     def _verb_shutdown(self, request: dict[str, Any]) -> dict[str, Any]:
         self.request_shutdown()
         return {"ok": True, "stopping": True}
@@ -263,16 +249,17 @@ async def serve(
     dir, so a bare ``repro serve`` gets persistent dedup without
     touching the CLI-facing ``.repro-cache`` store.
     """
-    store = LeaderboardStore(state_dir)
     if cache_dir is None:
-        cache_dir = str(store.directory / "cache")
+        state = (
+            Path(state_dir) if state_dir is not None else default_state_dir()
+        )
+        cache_dir = str(state / "cache")
     scheduler = ExperimentScheduler(jobs=jobs, cache=ResultCache(cache_dir))
-    server = ExperimentServer(scheduler, store, host=host, port=port)
+    server = ExperimentServer(scheduler, host=host, port=port)
     bound = await server.start()
     print(
         f"repro service listening on {host}:{bound} "
-        f"(state {store.directory}, cache {cache_dir}, "
-        f"workers {scheduler.max_workers})",
+        f"(cache {cache_dir}, workers {scheduler.max_workers})",
         flush=True,
     )
     try:

@@ -338,7 +338,7 @@ class CandidateEval:
     cost_bits: float
     points: tuple[EvalPoint, ...] = field(default=(), repr=False)
     #: The candidate's full config at the scenario's latency rate —
-    #: what a leaderboard record or a follow-up run would use.
+    #: what a follow-up run would use.
     config: SimulationConfig | None = field(default=None, repr=False)
 
     def value(self, objective: str) -> float:

@@ -2,9 +2,8 @@
 
 An artifact is one self-describing JSON document (schema
 ``footprint-noc-tune/1``) wrapping :meth:`TuneResult.to_dict` — enough
-to re-render the report, re-ingest the frontier into a leaderboard, or
-rebuild every frontier config via ``SimulationConfig.from_dict``
-without re-running anything.
+to re-render the report or rebuild every frontier config via
+``SimulationConfig.from_dict`` without re-running anything.
 """
 
 from __future__ import annotations

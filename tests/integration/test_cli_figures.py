@@ -98,9 +98,9 @@ def test_a_malformed_list_is_the_same_argparse_error_everywhere(argv, capsys):
     assert repr(argv[-1]) in err
 
 
-# Recorded from the parent commit (298b250) with `_surface`; the only
-# edits are the two flags this change removes, `experiment --profile`
-# and `--profile-out`.
+# Recorded from commit 298b250 with `_surface`; the only edits since are
+# removals: `experiment --profile` / `--profile-out` (PR 22), and the
+# service's standings verb with its three flags (PR 24).
 SURFACE = {
     "": [],
     "cache": [],
@@ -140,11 +140,6 @@ SURFACE = {
         (("--address",), None, None, False),
         (("--cancel",), None, None, False),
         (("--job",), None, None, False),
-    ],
-    "leaderboard": [
-        (("--address",), None, None, False),
-        (("--ingest-tune",), None, None, False),
-        (("--state-dir",), None, None, False),
     ],
     "list": [],
     "run": [

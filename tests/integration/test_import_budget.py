@@ -199,10 +199,15 @@ def test_numpy_is_never_imported(tmp_path):
         out = cli("submit", "--address", address, "--rates", "0.3",
                   "--timeout", "120", *short)
         assert "1 simulated" in out
+        listing = cli("jobs", "--address", address)
+        assert listing.startswith("1 jobs, 1 streams, 0/1 workers busy")
+        assert "j1    done      default      1/1 done" in listing
         from repro.service.client import ServiceClient
 
         ServiceClient.from_address(address).shutdown()
         assert server.wait(timeout=30) == 0
+        # The result cache is the service's only persistent store.
+        assert os.listdir(tmp_path / "state") == ["cache"]
     finally:
         if server.poll() is None:
             server.kill()

@@ -9,6 +9,7 @@ topology as a figure driver talking to ``repro serve``.
 
 import asyncio
 import os
+import socket
 
 import pytest
 
@@ -16,10 +17,12 @@ from repro.harness.cache import ResultCache
 from repro.harness.parallel import SimTask, run_tasks
 from repro.service import ServiceError
 from repro.service.client import ServiceClient, parse_address
-from repro.service.leaderboard import LeaderboardStore
+from repro.service.jobs import JobSpec
+from repro.service.protocol import encode
 from repro.service.scheduler import ExperimentScheduler
 from repro.service.server import ExperimentServer
 from repro.sim.config import SimulationConfig
+from repro.sim.constants import ENGINE_VERSION
 from repro.sim.engine import Simulator
 
 
@@ -46,9 +49,7 @@ def _serve(tmp_path, client_fn):
             jobs=1,
             cache=ResultCache(tmp_path / "cache"),
         )
-        server = ExperimentServer(
-            scheduler, LeaderboardStore(tmp_path / "state")
-        )
+        server = ExperimentServer(scheduler)
         port = await server.start()
         try:
             client = ServiceClient("127.0.0.1", port, timeout=60.0)
@@ -75,7 +76,9 @@ class TestParseAddress:
 class TestServerRoundTrip:
     def test_submit_wait_results_and_dedup(self, tmp_path):
         def drive(client):
-            assert client.ping()["ok"] is True
+            ping = client.ping()
+            assert ping["ok"] is True
+            assert ping["version"] == ENGINE_VERSION
             tasks = [SimTask(_config(seed=1)), SimTask(_config(seed=2))]
             first = client.submit_tasks("grid", tasks, stream="s1")
             assert first["deduped"] is False
@@ -160,33 +163,10 @@ class TestServerRoundTrip:
 
         _serve(tmp_path, drive)
 
-    def test_done_jobs_feed_leaderboard(self, tmp_path):
-        def drive(client):
-            for routing in ("footprint", "dor"):
-                job = client.submit_tasks(
-                    f"grid-{routing}",
-                    [SimTask(_config(seed=1, routing=routing))],
-                    stream="s1",
-                )
-                client.wait(job["job_id"], timeout=60)
-            board = client.leaderboard()
-            assert "scenario:" in board["text"]
-            (rows,) = board["standings"].values()
-            assert {row["routing"] for row in rows} == {"footprint", "dor"}
-            return None
-
-        _serve(tmp_path, drive)
-        # The ingested standings persist in the state dir across server
-        # lifetimes.
-        store = LeaderboardStore(tmp_path / "state")
-        assert len(store.records()) == 2
-
-    def test_shutdown_verb_stops_serve_loop(self, tmp_path):
+    def test_shutdown_verb_stops_serve_loop(self):
         async def main():
             scheduler = ExperimentScheduler(jobs=1)
-            server = ExperimentServer(
-                scheduler, LeaderboardStore(tmp_path / "state")
-            )
+            server = ExperimentServer(scheduler)
             port = await server.start()
             loop_task = asyncio.ensure_future(server.serve_until_shutdown())
             client = ServiceClient("127.0.0.1", port, timeout=30.0)
@@ -243,13 +223,76 @@ class TestSeams:
         assert state == "done"
         assert scheduler.totals()["jobs"] == 1
 
+    def test_a_client_on_another_engine_version_is_refused_unscheduled(
+        self, tmp_path, monkeypatch
+    ):
+        """A server started before a checkout that bumped the engine
+        must not answer the new checkout's grids with the old one."""
+        from repro.service import client as client_module
+
+        def drive(client):
+            monkeypatch.setattr(
+                client_module, "ENGINE_VERSION", ENGINE_VERSION + 1
+            )
+            with pytest.raises(ServiceError) as refused:
+                client.submit_tasks("skewed", [SimTask(_config())])
+            # The error names both sides, and nothing was admitted.
+            assert f"ENGINE_VERSION {ENGINE_VERSION + 1}" in str(refused.value)
+            assert f"server with {ENGINE_VERSION}" in str(refused.value)
+            assert client.ping()["totals"]["jobs"] == 0
+            monkeypatch.undo()
+            job = client.submit_tasks("level", [SimTask(_config())])
+            # A hand-written JSON client names no version: accepted.
+            bare = JobSpec(name="bare", tasks=(SimTask(_config()),))
+            assert client.call("submit", **bare.to_dict())["deduped"] is True
+            return client.wait(job["job_id"], timeout=60)["state"]
+
+        state, scheduler = _serve(tmp_path, drive)
+        assert state == "done"
+        assert scheduler.totals()["jobs"] == 1
+
+    def test_a_client_that_hangs_up_mid_result_costs_nobody_else(
+        self, tmp_path, caplog
+    ):
+        """The response to a `full` result outgrows the socket buffers,
+        so the server is still writing it when the peer goes away —
+        once before reading anything, once a byte into the response."""
+        # One simulation answers forty identical tasks: ~0.8 MB of JSON.
+        big = [
+            SimTask(_config(rate=0.3, measure_cycles=600, drain_cycles=400))
+        ] * 40
+
+        def hang_up(port, request, read):
+            sock = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.connect(("127.0.0.1", port))
+            sock.sendall(request)
+            if read:
+                assert sock.recv(read)
+            sock.close()
+
+        def drive(client):
+            job = client.submit_tasks("big", big)
+            assert client.wait(job["job_id"], timeout=60)["state"] == "done"
+            request = encode(
+                {"verb": "result", "job_id": job["job_id"], "full": True}
+            )
+            for read in (0, 1):
+                hang_up(client.port, request, read)
+                assert client.ping()["ok"] is True
+            return client.results(job["job_id"])
+
+        results, scheduler = _serve(tmp_path, drive)
+        assert len(results) == 40
+        assert scheduler.totals()["simulated"] == 1
+        assert [r for r in caplog.records if r.exc_info] == []
+
     def test_a_listener_that_is_not_a_service_is_an_error_not_a_fallback(
         self, monkeypatch, capsys
     ):
         """$REPRO_SERVICE pointing at, say, an HTTP port: somebody
         answered, so this is a misconfiguration to report — only an
         address nobody listens on falls back to the local pool."""
-        import socket
         import threading
 
         from repro.cli import main as cli_main

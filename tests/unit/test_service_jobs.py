@@ -150,13 +150,28 @@ class TestJobLifecycle:
         assert job.state is JobState.CANCELLED
         assert job.results[0] is None
 
-    def test_on_done_fires_exactly_once(self, tiny_result):
-        seen = []
-        job = Job(id="j1", spec=_spec(seeds=(1,)))
-        job.on_done = seen.append
-        job.finish_task(0, tiny_result, KIND_SIMULATED)
-        assert seen == [job]
-        assert job.on_done is None
+    def test_a_finished_task_costs_no_walk_over_the_grid(
+        self, tiny_result, monkeypatch
+    ):
+        """Progress lines and the last-task check come from counters;
+        `counts()` is for `summary()`."""
+
+        def recount(self):
+            raise AssertionError("counts() called per finished task")
+
+        monkeypatch.setattr(Job, "counts", recount)
+        job = Job(id="j1", spec=_spec(seeds=(1, 2, 3)))
+        job.finish_task(2, tiny_result, KIND_CACHED)
+        job.fail_task(0, "boom")
+        assert job.state is JobState.RUNNING
+        job.finish_task(1, tiny_result, KIND_SIMULATED)
+        assert job.state is JobState.FAILED
+        assert [message for _, message in job.events[-4:]] == [
+            "task 2 cached (1/3)",
+            "task 0 failed: boom",
+            "task 1 simulated (2/3)",
+            "failed",
+        ]
 
     def test_events_are_bounded(self):
         job = Job(id="j1", spec=_spec())
