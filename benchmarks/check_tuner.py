@@ -13,7 +13,10 @@ cache, then re-runs it warm, and asserts the tuner's core contract:
    while reproducing the identical frontier and identical per-round
    survivors (budgets are charged in estimated cycle-nodes, so cache
    temperature cannot steer the search);
-4. the ``TUNE_*.json`` artifact round-trips through the report loader.
+4. the ``TUNE_*.json`` artifact (schema ``footprint-noc-tune/2``:
+   candidates and objectives, no result copies) round-trips through the
+   report loader with the same frontier, survivors and default
+   objectives.
 
 The artifact is written to ``--output-dir`` so CI can upload it.
 
@@ -167,6 +170,12 @@ def main(argv: list[str] | None = None) -> int:
     loaded = load_tune(path)
     if sorted(e.candidate.key() for e in loaded.frontier) != cold_frontier:
         return _fail(f"artifact round-trip lost the frontier ({path})")
+    if [(r.label, r.survivors) for r in loaded.rounds] != [
+        (r.label, r.survivors) for r in cold.rounds
+    ]:
+        return _fail(f"artifact round-trip lost the survivors ({path})")
+    if loaded.default_eval != cold.default_eval:
+        return _fail(f"artifact round-trip changed the default ({path})")
     render_tune(loaded)  # must not raise
     print(f"  artifact: {path}")
 

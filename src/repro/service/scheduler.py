@@ -178,7 +178,11 @@ class ExperimentScheduler:
     def get_job(self, job_id: str) -> Job:
         job = self._jobs.get(job_id)
         if job is None:
-            raise ServiceError(f"unknown job '{job_id}'")
+            raise ServiceError(
+                f"unknown job '{job_id}' (the job table lives in server "
+                f"memory and does not survive a restart; resubmit the "
+                f"grid: its finished tasks are cache hits)"
+            )
         return job
 
     def jobs(self) -> list[Job]:

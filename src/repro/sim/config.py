@@ -167,8 +167,11 @@ class SimulationConfig:
                 )
         if self.vc_buffer_depth < 1:
             raise ConfigurationError("VC buffer depth must be >= 1")
-        if not (0.0 <= self.injection_rate <= 1.0):
-            raise ConfigurationError("injection rate must be in [0, 1]")
+        for name in ("injection_rate", "hotspot_rate", "background_rate"):
+            if not (0.0 <= getattr(self, name) <= 1.0):
+                raise ConfigurationError(
+                    f"{name.replace('_', ' ')} must be in [0, 1]"
+                )
         if self.packet_size < 1:
             raise ConfigurationError("packet size must be >= 1")
         if self.packet_size_range is not None:

@@ -5,15 +5,16 @@ buffer depth, and the routing algorithm itself — interact nonlinearly;
 the ablation benchmarks only grid-scan them one axis at a time.  This
 package searches the joint space:
 
-* :mod:`repro.tuner.space` — a declarative :class:`ParamSpace` of
-  ordered axes over :class:`~repro.sim.config.SimulationConfig`
+* :mod:`repro.tuner.space` — the one space: five ordered
+  :class:`Axis` values over :class:`~repro.sim.config.SimulationConfig`
   fields, with deterministic seeded sampling, neighbor enumeration,
   and canonicalization (knobs a routing algorithm never reads are
   normalized away so equivalent candidates share one evaluation);
 * :mod:`repro.tuner.objectives` — scenarios (base config + evaluation
-  rate ladder), fidelity rungs, and the three objectives scored per
-  candidate: average latency, saturation throughput, and the
-  :mod:`repro.core.cost` storage model;
+  rate ladder), fidelity rungs (each a derived
+  :class:`~repro.harness.experiments.Scale`), and the three objectives
+  scored per candidate: average latency, saturation throughput, and
+  the :mod:`repro.core.cost` storage model;
 * :mod:`repro.tuner.pareto` — exact multi-objective dominance and
   Pareto-frontier extraction plus the deterministic candidate ranking
   the search promotes by;
@@ -39,19 +40,16 @@ from repro.exceptions import ReproError
 
 
 class TunerError(ReproError):
-    """An invalid tuner request or artifact (bad space, scenario, budget)."""
+    """An invalid tuner request or artifact (bad scenario, budget, file)."""
 
 
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "objectives": (
-            "OBJECTIVES CandidateEval Objective Rung Scenario "
-            "config_cost_bits"
-        ),
+        "objectives": "OBJECTIVES CandidateEval Scenario config_cost_bits",
         "pareto": "pareto_frontier rank_evals",
         "runner": "TuneResult run_tune",
-        "space": "Axis Candidate ParamSpace",
+        "space": "AXES Axis Candidate",
     },
 )
 __all__.append("TunerError")

@@ -17,26 +17,28 @@ the ladder and reduces the resulting sweep to three objectives:
   :mod:`repro.core.cost` model: VC flit buffers plus whatever routing
   state the candidate's algorithm actually needs.
 
-A :class:`Rung` is a fidelity level: a multiplier on the base cycle
-counts and optionally a smaller mesh.  Rung configs are ordinary
-configs, so **each rung addresses distinct result-cache keys**; only
-full-fidelity evaluations may enter a Pareto frontier (the runner
+A fidelity *rung* is a :class:`~repro.harness.experiments.Scale` derived
+from the scenario's cycle counts (:func:`rungs`).  Rung configs are
+ordinary configs, so **each rung addresses distinct result-cache keys**;
+only full-fidelity evaluations enter a Pareto frontier (the runner
 enforces this).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from itertools import takewhile
 from typing import Any
 
 from repro.core.cost import CostModel
+from repro.harness.experiments import Scale
 from repro.harness.parallel import SimTask
 from repro.metrics.sweep import point_from_result
 from repro.sim.config import SimulationConfig
 from repro.sim.results import SimulationResult
-from repro.tuner import TunerError
-from repro.tuner.space import Candidate, ParamSpace
+from repro.tuner import TunerError, space
+from repro.tuner.space import Candidate
 
 #: Flit width assumed by the storage-cost objective (the paper's §4.4
 #: example uses 128-bit flit buffers).
@@ -46,31 +48,9 @@ FLIT_BITS = 128
 #: warms up and measures something.
 MIN_WARMUP, MIN_MEASURE, MIN_DRAIN = 10, 20, 50
 
-
-@dataclass(frozen=True)
-class Objective:
-    """One scored dimension: its name and optimization direction."""
-
-    name: str
-    goal: str  # "min" | "max"
-
-    def __post_init__(self) -> None:
-        if self.goal not in ("min", "max"):
-            raise TunerError(
-                f"objective '{self.name}' goal must be 'min' or 'max'"
-            )
-
-    def minimized(self, value: float) -> float:
-        """The value mapped so smaller is always better."""
-        return -value if self.goal == "max" else value
-
-
-#: The tuner's objective set, in artifact/report order.
-OBJECTIVES: tuple[Objective, ...] = (
-    Objective("avg_latency", "min"),
-    Objective("saturation_throughput", "max"),
-    Objective("cost_bits", "min"),
-)
+#: The scored objectives, in artifact/report order.  Saturation
+#: throughput is maximized; the other two are minimized.
+OBJECTIVES = ("avg_latency", "saturation_throughput", "cost_bits")
 
 
 def config_cost_bits(config: SimulationConfig) -> float:
@@ -94,9 +74,6 @@ def config_cost_bits(config: SimulationConfig) -> float:
     return bits
 
 
-# ----------------------------------------------------------------------
-# Scenarios
-# ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Scenario:
     """What the tuner optimizes for: base config + evaluation ladder.
@@ -142,22 +119,15 @@ class Scenario:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "name": self.name,
+            **vars(self),
             "base": self.base.to_dict(),
             "rates": list(self.rates),
-            "rate_field": self.rate_field,
-            "latency_rate": self.latency_rate,
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Scenario":
-        return cls(
-            name=data["name"],
-            base=SimulationConfig.from_dict(data["base"]),
-            rates=tuple(data["rates"]),
-            rate_field=data.get("rate_field", "injection_rate"),
-            latency_rate=data.get("latency_rate"),
-        )
+        base = SimulationConfig.from_dict(data["base"])
+        return cls(**{**data, "base": base, "rates": tuple(data["rates"])})
 
     def describe(self) -> str:
         return (
@@ -218,113 +188,36 @@ def make_scenario(
     )
 
 
-# ----------------------------------------------------------------------
-# Fidelity rungs
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Rung:
-    """One fidelity level of the successive-halving ladder."""
+def rungs(base: SimulationConfig) -> tuple[Scale, Scale, Scale]:
+    """Probe (quarter cycles, half mesh) -> half cycles -> full.
 
-    name: str
-    cycle_scale: float = 1.0
-    width: int | None = None
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.cycle_scale <= 1.0):
-            raise TunerError(
-                f"rung '{self.name}' cycle scale must be in (0, 1], "
-                f"got {self.cycle_scale}"
-            )
-        if self.width is not None and self.width < 2:
-            raise TunerError(f"rung '{self.name}' width must be >= 2")
-
-    @property
-    def full_fidelity(self) -> bool:
-        return self.cycle_scale == 1.0 and self.width is None
-
-    def apply(self, config: SimulationConfig) -> SimulationConfig:
-        """``config`` at this rung's fidelity (distinct cache key)."""
-        if self.full_fidelity:
-            return config
-        overrides: dict[str, Any] = {
-            "warmup_cycles": max(
-                MIN_WARMUP, round(config.warmup_cycles * self.cycle_scale)
-            ),
-            "measure_cycles": max(
-                MIN_MEASURE, round(config.measure_cycles * self.cycle_scale)
-            ),
-            "drain_cycles": max(
-                MIN_DRAIN, round(config.drain_cycles * self.cycle_scale)
-            ),
-        }
-        if self.width is not None:
-            overrides["width"] = self.width
-            overrides["height"] = None
-        return config.with_(**overrides)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "cycle_scale": self.cycle_scale,
-            "width": self.width,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Rung":
-        return cls(data["name"], data["cycle_scale"], data.get("width"))
-
-
-#: The full-fidelity rung every frontier entry must come from.
-FULL_RUNG = Rung("full", 1.0)
-
-
-def default_rungs(base: SimulationConfig) -> tuple[Rung, ...]:
-    """Probe (quarter cycles, half mesh) -> half cycles -> full."""
-    probe_width = base.width // 2 if base.width >= 8 else None
-    return (
-        Rung("probe", 0.25, width=probe_width),
-        Rung("half", 0.5),
-        FULL_RUNG,
+    The last rung is ``base``'s own geometry and cycle counts; the
+    cheaper ones scale those counts (never below the ``MIN_*`` floors),
+    and the probe halves a mesh of width 8 or more.
+    """
+    full = Scale(
+        "full",
+        width=base.width,
+        height=base.height,
+        warmup=base.warmup_cycles,
+        measure=base.measure_cycles,
+        drain=base.drain_cycles,
     )
 
-
-# ----------------------------------------------------------------------
-# Evaluation
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class EvalPoint:
-    """One ladder rung of one candidate evaluation."""
-
-    rate: float
-    avg_latency: float
-    accepted_rate: float
-    offered_rate: float
-    drained: bool
-    saturated: bool
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "rate": self.rate,
-            "avg_latency": None
-            if math.isnan(self.avg_latency)
-            else self.avg_latency,
-            "accepted_rate": self.accepted_rate,
-            "offered_rate": self.offered_rate,
-            "drained": self.drained,
-            "saturated": self.saturated,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "EvalPoint":
-        latency = data["avg_latency"]
-        return cls(
-            rate=data["rate"],
-            avg_latency=math.nan if latency is None else latency,
-            accepted_rate=data["accepted_rate"],
-            offered_rate=data["offered_rate"],
-            drained=data["drained"],
-            saturated=data["saturated"],
+    def scaled(name: str, factor: float, **geometry: Any) -> Scale:
+        return replace(
+            full,
+            name=name,
+            warmup=max(MIN_WARMUP, round(full.warmup * factor)),
+            measure=max(MIN_MEASURE, round(full.measure * factor)),
+            drain=max(MIN_DRAIN, round(full.drain * factor)),
+            **geometry,
         )
+
+    half_mesh = (
+        {"width": base.width // 2, "height": None} if base.width >= 8 else {}
+    )
+    return scaled("probe", 0.25, **half_mesh), scaled("half", 0.5), full
 
 
 @dataclass(frozen=True)
@@ -336,78 +229,31 @@ class CandidateEval:
     avg_latency: float
     saturation_throughput: float
     cost_bits: float
-    points: tuple[EvalPoint, ...] = field(default=(), repr=False)
-    #: The candidate's full config at the scenario's latency rate —
-    #: what a follow-up run would use.
-    config: SimulationConfig | None = field(default=None, repr=False)
 
-    def value(self, objective: str) -> float:
-        try:
-            return getattr(self, objective)
-        except AttributeError:
-            raise TunerError(f"unknown objective '{objective}'") from None
-
-    def vector(
-        self, objectives: tuple[Objective, ...] = OBJECTIVES
-    ) -> tuple[float, ...]:
-        """Objective values mapped so smaller is always better."""
-        return tuple(
-            obj.minimized(self.value(obj.name)) for obj in objectives
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "candidate": [list(item) for item in self.candidate.items],
-            "rung": self.rung,
-            "objectives": {
-                "avg_latency": None
-                if math.isinf(self.avg_latency)
-                else self.avg_latency,
-                "saturation_throughput": self.saturation_throughput,
-                "cost_bits": self.cost_bits,
-            },
-            "points": [point.to_dict() for point in self.points],
-            "config": self.config.to_dict()
-            if self.config is not None
-            else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CandidateEval":
-        objectives = data["objectives"]
-        latency = objectives["avg_latency"]
-        return cls(
-            candidate=Candidate(
-                tuple(
-                    (name, value) for name, value in data["candidate"]
-                )
-            ),
-            rung=data["rung"],
-            avg_latency=math.inf if latency is None else latency,
-            saturation_throughput=objectives["saturation_throughput"],
-            cost_bits=objectives["cost_bits"],
-            points=tuple(
-                EvalPoint.from_dict(point) for point in data["points"]
-            ),
-            config=SimulationConfig.from_dict(data["config"])
-            if data.get("config") is not None
-            else None,
+    def vector(self) -> tuple[float, float, float]:
+        """The :data:`OBJECTIVES` values mapped so smaller is better."""
+        return (
+            self.avg_latency,
+            -self.saturation_throughput,
+            self.cost_bits,
         )
 
 
 def tasks_for(
-    scenario: Scenario,
-    space: ParamSpace,
-    candidate: Candidate,
-    rung: Rung,
+    scenario: Scenario, candidate: Candidate, rung: Scale
 ) -> list[SimTask]:
-    """The simulation grid of one candidate evaluation at one rung."""
-    config = rung.apply(space.apply(scenario.base, candidate))
+    """The simulation grid of one candidate evaluation at one rung: the
+    candidate's config at the rung's geometry and cycle counts, once
+    per ladder rate."""
+    config = space.apply(scenario.base, candidate).with_(
+        width=rung.width,
+        height=rung.height,
+        warmup_cycles=rung.warmup,
+        measure_cycles=rung.measure,
+        drain_cycles=rung.drain,
+    )
     return [
-        SimTask(
-            config.with_(**{scenario.rate_field: rate}),
-            key=(candidate.key(), rung.name, rate),
-        )
+        SimTask(config.with_(**{scenario.rate_field: rate}))
         for rate in scenario.rates
     ]
 
@@ -415,16 +261,18 @@ def tasks_for(
 def eval_from_results(
     scenario: Scenario,
     candidate: Candidate,
-    rung: Rung,
+    rung: Scale,
     results: list[SimulationResult],
 ) -> CandidateEval:
     """Reduce one candidate's ladder of results to a scored evaluation.
 
     The ladder's lowest rate is the zero-load reference and
     :meth:`repro.metrics.sweep.SweepPoint.is_saturated` classifies each
-    point against it.  A NaN reference (the lowest rung delivered
-    nothing) saturates everything — the candidate scores worst-case on
-    both simulated objectives, deterministically, instead of raising.
+    point against it.  Saturation throughput is the best accepted rate
+    over the *stable prefix*: the points below the first saturated one.
+    A NaN reference (the lowest rate delivered nothing) saturates
+    everything — the candidate scores worst-case on both simulated
+    objectives, deterministically, instead of raising.
     """
     if len(results) != len(scenario.rates):
         raise TunerError(
@@ -432,40 +280,18 @@ def eval_from_results(
             f"{candidate.key()}, got {len(results)}"
         )
     zero_load = results[0].avg_latency
-    points = []
-    for rate, result in zip(scenario.rates, results):
-        saturated = math.isnan(zero_load) or point_from_result(
-            result, rate
-        ).is_saturated(zero_load)
-        points.append(
-            EvalPoint(
-                rate=rate,
-                avg_latency=result.avg_latency,
-                accepted_rate=result.accepted_rate,
-                offered_rate=result.offered_rate,
-                drained=result.drained,
-                saturated=saturated,
-            )
-        )
-    stable = []
-    for point in points:
-        if point.saturated:
-            break
-        stable.append(point)
-    throughput = max(
-        (point.accepted_rate for point in stable), default=0.0
+    stable = [] if math.isnan(zero_load) else takewhile(
+        lambda point: not point.is_saturated(zero_load),
+        map(point_from_result, results, scenario.rates),
     )
-    at_latency = points[scenario.rates.index(scenario.latency_rate)]
+    at_latency = results[scenario.rates.index(scenario.latency_rate)]
     latency = at_latency.avg_latency
-    latency_config = results[
-        scenario.rates.index(scenario.latency_rate)
-    ].config
     return CandidateEval(
         candidate=candidate,
         rung=rung.name,
         avg_latency=math.inf if math.isnan(latency) else latency,
-        saturation_throughput=throughput,
-        cost_bits=config_cost_bits(latency_config),
-        points=tuple(points),
-        config=latency_config,
+        saturation_throughput=max(
+            (point.accepted_rate for point in stable), default=0.0
+        ),
+        cost_bits=config_cost_bits(at_latency.config),
     )

@@ -1,21 +1,22 @@
 """Exact multi-objective dominance, frontiers, and candidate ranking.
 
-All comparisons run over *minimized* objective vectors (maximized
-objectives are negated by :meth:`CandidateEval.vector`), so dominance
-is the plain componentwise order.  The frontier routine is sort-based —
-one lexicographic sort, then a single pass checking each point only
-against the frontier accumulated so far.  This is correct because if
-``d`` dominates ``x`` then ``d`` precedes ``x`` lexicographically, and
-dominance is transitive, so any dominator of ``x`` is represented on
-the frontier by the time ``x`` is examined.  The property suite checks
-this implementation against brute-force pairwise dominance filtering.
+All comparisons run over *minimized* objective vectors (the maximized
+saturation throughput is negated by :meth:`CandidateEval.vector`), so
+dominance is the plain componentwise order.  The frontier routine is
+sort-based — one lexicographic sort, then a single pass checking each
+point only against the frontier accumulated so far.  This is correct
+because if ``d`` dominates ``x`` then ``d`` precedes ``x``
+lexicographically, and dominance is transitive, so any dominator of
+``x`` is represented on the frontier by the time ``x`` is examined.
+The property suite checks this implementation against brute-force
+pairwise dominance filtering.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.tuner.objectives import OBJECTIVES, CandidateEval, Objective
+from repro.tuner.objectives import CandidateEval
 
 
 def dominates(
@@ -27,10 +28,6 @@ def dominates(
     strictly better on at least one.  Equal vectors do not dominate
     each other.
     """
-    if len(a) != len(b):
-        raise ValueError(
-            f"vector length mismatch: {len(a)} vs {len(b)}"
-        )
     no_worse = all(x <= y for x, y in zip(a, b))
     return no_worse and any(x < y for x, y in zip(a, b))
 
@@ -50,19 +47,12 @@ def pareto_indices(vectors: Sequence[Sequence[float]]) -> list[int]:
     return sorted(frontier)
 
 
-def pareto_frontier(
-    evals: Sequence[CandidateEval],
-    objectives: tuple[Objective, ...] = OBJECTIVES,
-) -> list[CandidateEval]:
+def pareto_frontier(evals: Sequence[CandidateEval]) -> list[CandidateEval]:
     """The non-dominated subset of ``evals``, in input order."""
-    vectors = [e.vector(objectives) for e in evals]
-    return [evals[i] for i in pareto_indices(vectors)]
+    return [evals[i] for i in pareto_indices([e.vector() for e in evals])]
 
 
-def rank_evals(
-    evals: Sequence[CandidateEval],
-    objectives: tuple[Objective, ...] = OBJECTIVES,
-) -> list[CandidateEval]:
+def rank_evals(evals: Sequence[CandidateEval]) -> list[CandidateEval]:
     """All evals ordered best-first, deterministically.
 
     Non-dominated sorting: peel successive Pareto layers; within a
@@ -74,7 +64,7 @@ def rank_evals(
     count.
     """
     remaining = list(range(len(evals)))
-    vectors = [e.vector(objectives) for e in evals]
+    vectors = [e.vector() for e in evals]
     ordered: list[int] = []
     while remaining:
         layer = [

@@ -1,9 +1,14 @@
 """``TUNE_*.json`` artifacts and the tables ``repro tune`` prints.
 
-An artifact is one self-describing JSON document (schema
-``footprint-noc-tune/1``) wrapping :meth:`TuneResult.to_dict` — enough
-to re-render the report or rebuild every frontier config via
-``SimulationConfig.from_dict`` without re-running anything.
+An artifact (schema ``footprint-noc-tune/2``) holds what a tune cannot
+recompute: the scenario, seed, budget and spend, the rounds, and every
+full-fidelity evaluation (the default's too) as ``{candidate, rung,
+objectives}``; the frontier and dominator keys are written for readers
+of the file and recomputed on load.  Nothing stores a config or a
+result: a candidate's config is :func:`repro.tuner.space.apply` over the
+scenario's base, and its result-cache keys follow from that.
+:func:`load_tune` also reads ``footprint-noc-tune/1`` artifacts, whose
+extra keys (per-rate points, configs, rungs, space, totals) it ignores.
 """
 
 from __future__ import annotations
@@ -11,46 +16,90 @@ from __future__ import annotations
 import json
 import math
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any
 
-from repro.tuner import TunerError
-from repro.tuner.objectives import OBJECTIVES, CandidateEval
+from repro.tuner import TunerError, space
+from repro.tuner.objectives import OBJECTIVES, CandidateEval, Scenario
 from repro.tuner.pareto import rank_evals
-from repro.tuner.runner import TuneResult
+from repro.tuner.runner import RoundStats, TuneResult
+from repro.tuner.space import Candidate
 
-TUNE_SCHEMA = "footprint-noc-tune/1"
+TUNE_SCHEMA = "footprint-noc-tune/2"
+#: Every schema :func:`load_tune` reads.
+READABLE_SCHEMAS = ("footprint-noc-tune/1", TUNE_SCHEMA)
 
 
-def tune_payload(result: TuneResult) -> dict[str, Any]:
-    """The artifact document for one tune."""
+def _eval_to_dict(evaluation: CandidateEval) -> dict[str, Any]:
+    objectives = {name: getattr(evaluation, name) for name in OBJECTIVES}
+    if math.isinf(evaluation.avg_latency):
+        objectives["avg_latency"] = None
     return {
-        "schema": TUNE_SCHEMA,
-        "generated_unix": int(time.time()),
-        "tune": result.to_dict(),
+        "candidate": [list(item) for item in evaluation.candidate.items],
+        "rung": evaluation.rung,
+        "objectives": objectives,
     }
 
 
-def write_tune_artifact(
-    result: TuneResult,
-    out_dir: str | Path,
-    filename: str | None = None,
-) -> Path:
-    """Write ``TUNE_<scenario>_<stamp>.json`` under ``out_dir``."""
+def _eval_from_dict(data: dict[str, Any]) -> CandidateEval:
+    objectives = {name: data["objectives"][name] for name in OBJECTIVES}
+    if objectives["avg_latency"] is None:
+        objectives["avg_latency"] = math.inf
+    return CandidateEval(
+        Candidate(tuple(map(tuple, data["candidate"]))),
+        data["rung"],
+        **objectives,
+    )
+
+
+def write_tune_artifact(result: TuneResult, out_dir: str | Path) -> Path:
+    """Write ``result`` as ``TUNE_<scenario>_<stamp>.json`` under
+    ``out_dir``, in schema :data:`TUNE_SCHEMA`."""
+    tune = {
+        "scenario": result.scenario.to_dict(),
+        "seed": result.seed,
+        "budget_cycles": result.budget_cycles,
+        "spent_cycles": result.spent_cycles,
+        "rounds": [asdict(stats) for stats in result.rounds],
+        "evals": [_eval_to_dict(e) for e in result.evals],
+        "frontier": sorted(e.candidate.key() for e in result.frontier),
+        "dominators": sorted(e.candidate.key() for e in result.dominators),
+        "default": _eval_to_dict(result.default_eval),
+    }
+    payload = {
+        "schema": TUNE_SCHEMA,
+        "generated_unix": int(time.time()),
+        "tune": tune,
+    }
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if filename is None:
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        filename = f"TUNE_{result.scenario.name}_{stamp}.json"
-    path = out / filename
-    path.write_text(
-        json.dumps(tune_payload(result), indent=2, sort_keys=True) + "\n"
-    )
+    stamp = time.strftime("%Y%m%d-%H%M%S")
+    path = out / f"TUNE_{result.scenario.name}_{stamp}.json"
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
 
+def _result_from_dict(data: dict[str, Any]) -> TuneResult:
+    """A :class:`TuneResult` from keys every readable schema has; the
+    frontier and dominators follow from the evaluations."""
+    return TuneResult(
+        scenario=Scenario.from_dict(data["scenario"]),
+        seed=data["seed"],
+        budget_cycles=data["budget_cycles"],
+        spent_cycles=data["spent_cycles"],
+        rounds=[
+            RoundStats(**{**stats, "survivors": tuple(stats["survivors"])})
+            for stats in data["rounds"]
+        ],
+        evals=[_eval_from_dict(e) for e in data["evals"]],
+        default_eval=_eval_from_dict(data["default"]),
+    )
+
+
 def load_tune(path: str | Path) -> TuneResult:
-    """Load an artifact back into a :class:`TuneResult`.
+    """Load an artifact of any :data:`READABLE_SCHEMAS` into a
+    :class:`TuneResult`.
 
     Anything that is not a readable, complete artifact is one
     :class:`TunerError` naming the file.
@@ -67,29 +116,22 @@ def load_tune(path: str | Path) -> TuneResult:
     if not isinstance(payload, dict):
         raise TunerError(f"{path} is not a tune artifact (not a JSON object)")
     schema = payload.get("schema")
-    if schema != TUNE_SCHEMA:
+    if schema not in READABLE_SCHEMAS:
         raise TunerError(
-            f"{path} has schema {schema!r}, expected {TUNE_SCHEMA!r}"
+            f"{path} has schema {schema!r}, expected one of "
+            f"{', '.join(map(repr, READABLE_SCHEMAS))}"
         )
     try:
-        return TuneResult.from_dict(payload["tune"])
+        return _result_from_dict(payload["tune"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise TunerError(
-            f"{path} is not a complete {TUNE_SCHEMA} artifact: {exc!r}"
+            f"{path} is not a complete {schema} artifact: {exc!r}"
         ) from None
 
 
 # ----------------------------------------------------------------------
 # Rendering
 # ----------------------------------------------------------------------
-def _fmt(value: float, digits: int = 2) -> str:
-    if value is None or (isinstance(value, float) and math.isinf(value)):
-        return "inf"
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
-    return f"{value:.{digits}f}"
-
-
 def _table(headers: list[str], rows: list[list[str]]) -> str:
     widths = [
         max(len(headers[i]), *(len(row[i]) for row in rows))
@@ -107,107 +149,93 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(out)
 
 
-def _eval_row(evaluation: CandidateEval, tag: str = "") -> list[str]:
+#: Columns of every evaluation row; an infinite latency prints ``inf``.
+_EVAL_HEADERS = ["candidate", "avg_latency", "sat_throughput", "cost_bits"]
+
+
+def _eval_row(evaluation: CandidateEval) -> list[str]:
     return [
         evaluation.candidate.key(),
-        _fmt(evaluation.avg_latency),
-        _fmt(evaluation.saturation_throughput, 4),
-        _fmt(evaluation.cost_bits, 0),
-        tag,
+        f"{evaluation.avg_latency:.2f}",
+        f"{evaluation.saturation_throughput:.4f}",
+        f"{evaluation.cost_bits:.0f}",
     ]
+
+
+def _best(frontier: list[CandidateEval], objective: str) -> CandidateEval:
+    """The frontier entry best on ``objective``; the other objectives,
+    then the candidate key, break ties."""
+    i = OBJECTIVES.index(objective)
+
+    def priority(e: CandidateEval) -> tuple[Any, ...]:
+        vector = e.vector()
+        return (vector[i], *vector[:i], *vector[i + 1 :], e.candidate.key())
+
+    return min(frontier, key=priority)
 
 
 def render_tune(result: TuneResult) -> str:
     """The human-readable report: frontier, best configs, rounds."""
-    lines: list[str] = []
-    lines.append(f"tune: {result.scenario.describe()}")
-    lines.append(f"seed {result.seed}, space {result.space.describe()}")
+    frontier, dominators = result.frontier, result.dominators
     budget = (
         "unlimited"
         if result.budget_cycles is None
         else f"{result.budget_cycles:,}"
     )
-    lines.append(
+    default_key = result.default_eval.candidate.key()
+    dominator_keys = {e.candidate.key() for e in dominators}
+
+    def notes(evaluation: CandidateEval) -> str:
+        key = evaluation.candidate.key()
+        tags = (("default", key == default_key),
+                ("dominates-default", key in dominator_keys))
+        return ",".join(tag for tag, applies in tags if applies)
+
+    headers = _EVAL_HEADERS + ["notes"]
+    return "\n".join([
+        f"tune: {result.scenario.describe()}",
+        f"seed {result.seed}, space "
+        + ", ".join(f"{a.name}[{len(a.values)}]" for a in space.AXES),
         f"budget {budget} cycle-nodes, spent {result.spent_cycles:,}; "
         f"{result.total_tasks} tasks = "
         f"{result.total_fresh_simulations} simulated + "
-        f"{result.total_cache_hits} cache hits"
-    )
-    lines.append("")
-
-    default_key = result.default_eval.candidate.key()
-    dominator_keys = {e.candidate.key() for e in result.dominators}
-    lines.append(
-        f"Pareto frontier ({len(result.frontier)} of "
-        f"{len(result.evals)} full-fidelity configs):"
-    )
-    rows = []
-    for evaluation in rank_evals(result.frontier):
-        key = evaluation.candidate.key()
-        tags = []
-        if key == default_key:
-            tags.append("default")
-        if key in dominator_keys:
-            tags.append("dominates-default")
-        rows.append(_eval_row(evaluation, ",".join(tags)))
-    headers = [
-        "candidate",
-        "avg_latency",
-        "sat_throughput",
-        "cost_bits",
-        "notes",
-    ]
-    lines.append(_table(headers, rows))
-    lines.append("")
-
-    lines.append("baseline (paper Table 2 default):")
-    lines.append(_table(headers, [_eval_row(result.default_eval)]))
-    if result.dominators:
-        lines.append(
-            f"-> {len(result.dominators)} frontier config(s) dominate "
-            f"the default (better on >=1 objective, worse on none)."
-        )
-    else:
-        lines.append(
-            "-> no searched config dominates the default outright."
-        )
-    lines.append("")
-
-    lines.append("best per objective:")
-    best_rows = []
-    for objective in OBJECTIVES:
-        evaluation = result.best(objective.name)
-        best_rows.append(
-            [objective.name] + _eval_row(evaluation)[:-1]
-        )
-    lines.append(
+        f"{result.total_cache_hits} cache hits",
+        "",
+        f"Pareto frontier ({len(frontier)} of "
+        f"{len(result.evals)} full-fidelity configs):",
         _table(
-            ["objective", "candidate", "avg_latency", "sat_throughput",
-             "cost_bits"],
-            best_rows,
-        )
-    )
-    lines.append("")
-
-    lines.append("rounds:")
-    round_rows = [
-        [
-            stats.label,
-            stats.rung,
-            str(stats.candidates),
-            str(stats.tasks),
-            str(stats.fresh_simulations),
-            str(stats.cache_hits),
-            f"{stats.estimated_cycles:,}",
-            f"{stats.seconds:.2f}s",
-        ]
-        for stats in result.rounds
-    ]
-    lines.append(
+            headers, [_eval_row(e) + [notes(e)] for e in rank_evals(frontier)]
+        ),
+        "",
+        "baseline (paper Table 2 default):",
+        _table(headers, [_eval_row(result.default_eval) + [""]]),
+        f"-> {len(dominators)} frontier config(s) dominate the default "
+        f"(better on >=1 objective, worse on none)."
+        if dominators
+        else "-> no searched config dominates the default outright.",
+        "",
+        "best per objective:",
+        _table(
+            ["objective"] + _EVAL_HEADERS,
+            [[name] + _eval_row(_best(frontier, name)) for name in OBJECTIVES],
+        ),
+        "",
+        "rounds:",
         _table(
             ["round", "rung", "cands", "tasks", "fresh", "hits",
              "est_cycles", "wall"],
-            round_rows,
-        )
-    )
-    return "\n".join(lines)
+            [
+                [
+                    stats.label,
+                    stats.rung,
+                    str(stats.candidates),
+                    str(stats.tasks),
+                    str(stats.fresh_simulations),
+                    str(stats.cache_hits),
+                    f"{stats.estimated_cycles:,}",
+                    f"{stats.seconds:.2f}s",
+                ]
+                for stats in result.rounds
+            ],
+        ),
+    ])

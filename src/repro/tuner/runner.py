@@ -8,12 +8,12 @@ through :func:`~repro.harness.parallel.run_tasks` — so the persistent
 result cache, the LPT process pool, and ``$REPRO_SERVICE`` routing all
 apply without the tuner knowing about any of them.
 
-Determinism: given the same space, scenario, seed, and budget, the
-search requests the same evaluations in the same order at any
-``--jobs`` and cache temperature.  Candidates come only from seeded
-:meth:`ParamSpace.sample` and :meth:`ParamSpace.neighbors`, ranking
-only from :func:`rank_evals` (a total order on values), and the budget
-is charged in *estimated* cycle-nodes
+Determinism: given the same scenario, seed, and budget, the search
+requests the same evaluations in the same order at any ``--jobs`` and
+cache temperature.  Candidates come only from seeded
+:func:`repro.tuner.space.sample` and :func:`repro.tuner.space.neighbors`,
+ranking only from :func:`rank_evals` (a total order on values), and the
+budget is charged in *estimated* cycle-nodes
 (:func:`repro.harness.cost.estimate_task_cycles`, a pure function of
 each task's config) for every task **including cache hits**.  Actual
 simulation counts are recorded per round for reporting, but no search
@@ -22,25 +22,24 @@ decision ever reads them.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.harness.cache import ResultCache
 from repro.harness.cost import estimate_task_cycles
-from repro.harness.parallel import run_tasks
-from repro.tuner import TunerError
+from repro.harness.experiments import Scale
+from repro.harness.parallel import SimTask, run_tasks
+from repro.tuner import TunerError, space
 from repro.tuner.objectives import (
-    OBJECTIVES,
     CandidateEval,
-    Rung,
     Scenario,
-    default_rungs,
     eval_from_results,
+    rungs,
     tasks_for,
 )
 from repro.tuner.pareto import dominates, pareto_frontier, rank_evals
-from repro.tuner.space import Candidate, ParamSpace
+from repro.tuner.space import Candidate
 
 #: Successive halving keeps ``ceil(n / ETA)`` candidates per rung.
 ETA = 2
@@ -65,123 +64,69 @@ class RoundStats:
     #: determinism tests compare these).
     survivors: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "label": self.label,
-            "rung": self.rung,
-            "candidates": self.candidates,
-            "tasks": self.tasks,
-            "fresh_simulations": self.fresh_simulations,
-            "cache_hits": self.cache_hits,
-            "estimated_cycles": self.estimated_cycles,
-            "spent_cycles_after": self.spent_cycles_after,
-            "seconds": self.seconds,
-            "survivors": list(self.survivors),
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "RoundStats":
-        return cls(
-            label=data["label"],
-            rung=data["rung"],
-            candidates=data["candidates"],
-            tasks=data["tasks"],
-            fresh_simulations=data["fresh_simulations"],
-            cache_hits=data["cache_hits"],
-            estimated_cycles=data["estimated_cycles"],
-            spent_cycles_after=data["spent_cycles_after"],
-            seconds=data["seconds"],
-            survivors=tuple(data.get("survivors", ())),
-        )
-
-
+@dataclass
 class TuneContext:
     """The state of one tune: budget, rounds, and the full-fidelity memo."""
 
-    def __init__(
-        self,
-        space: ParamSpace,
-        scenario: Scenario,
-        rungs: tuple[Rung, ...],
-        seed: int,
-        budget_cycles: int | None,
-        jobs: int | None,
-        cache: ResultCache | None,
-    ) -> None:
-        self.space = space
-        self.scenario = scenario
-        self.rungs = rungs
-        self.seed = seed
-        self.budget_cycles = budget_cycles
-        self.jobs = jobs
-        self.cache = cache
-        self.spent_cycles = 0
-        self.rounds: list[RoundStats] = []
-        #: Full-fidelity memo: first-evaluation order is preserved and
-        #: becomes the eval order of the final result.
-        self.full_evals: dict[Candidate, CandidateEval] = {}
+    scenario: Scenario
+    seed: int
+    budget_cycles: int | None
+    jobs: int | None
+    cache: ResultCache | None
+    spent_cycles: int = 0
+    rounds: list[RoundStats] = field(default_factory=list)
+    #: Full-fidelity memo: first-evaluation order is preserved and
+    #: becomes the eval order of the final result.
+    full_evals: dict[Candidate, CandidateEval] = field(default_factory=dict)
 
-    # ------------------------------------------------------------------
-    @property
-    def full_rung(self) -> Rung:
-        return self.rungs[-1]
-
-    def _candidate_cost(self, candidate: Candidate, rung: Rung) -> int:
-        if rung.full_fidelity and candidate in self.full_evals:
-            return 0  # memoized — will not spawn tasks
-        return sum(
-            estimate_task_cycles(task)
-            for task in tasks_for(self.scenario, self.space, candidate, rung)
-        )
-
-    def affordable(
-        self, candidates: list[Candidate], rung: Rung
-    ) -> list[Candidate]:
-        """The prefix of ``candidates`` the remaining budget covers.
-
-        Trimming is by position, so a batch ordered by rank loses the
-        *worst* candidates first.  With no budget set, everything is
-        affordable.
-        """
-        if self.budget_cycles is None:
-            return list(candidates)
-        remaining = self.budget_cycles - self.spent_cycles
-        out: list[Candidate] = []
-        for candidate in candidates:
-            cost = self._candidate_cost(candidate, rung)
-            if cost > remaining:
-                break
-            remaining -= cost
-            out.append(candidate)
-        return out
+    def __post_init__(self) -> None:
+        self.rungs = rungs(self.scenario.base)
+        self.full_rung = self.rungs[-1]
 
     def evaluate(
         self,
         candidates: list[Candidate],
-        rung: Rung,
+        rung: Scale,
         label: str,
+        charged: bool = True,
     ) -> list[CandidateEval]:
-        """Score a batch at ``rung`` through one harness call.
+        """Score the prefix of ``candidates`` the budget covers at ``rung``.
 
-        Full-fidelity candidates already memoized are returned without
-        re-running (and without re-charging the budget); everything
-        else becomes one flat task grid.  Results come back in task
-        order — the harness guarantees that at any worker count — so
-        the per-candidate split below is deterministic.  The round's
-        fresh/hit split is the cache's miss/hit counters across the
-        call; with no cache every task simulates.
+        Trimming is by position, so a batch ordered by rank loses its
+        *worst* candidates first; if none is affordable no round is
+        recorded.  An uncharged batch is neither trimmed nor charged.
+        Memoized full-fidelity candidates cost nothing; the rest become
+        one task grid through one harness call, whose results come back
+        in task order at any worker count.  The round's fresh/hit split
+        is the cache's miss/hit counters across the call.
         """
-        todo = [
-            c
-            for c in candidates
-            if not (rung.full_fidelity and c in self.full_evals)
-        ]
         started = time.perf_counter()
-        tasks = [
-            task
-            for candidate in todo
-            for task in tasks_for(self.scenario, self.space, candidate, rung)
-        ]
+        remaining = (
+            math.inf
+            if self.budget_cycles is None or not charged
+            else self.budget_cycles - self.spent_cycles
+        )
+        full = rung is self.full_rung
+        batch: list[Candidate] = []
+        # The task grid of every batch member that simulates.
+        grids: dict[Candidate, list[SimTask]] = {}
+        for candidate in candidates:
+            grid = (
+                []
+                if full and candidate in self.full_evals
+                else tasks_for(self.scenario, candidate, rung)
+            )
+            cost = sum(estimate_task_cycles(task) for task in grid)
+            if cost > remaining:
+                break
+            remaining -= cost
+            batch.append(candidate)
+            if grid:
+                grids[candidate] = grid
+        if not batch:
+            return []
+        tasks = [task for grid in grids.values() for task in grid]
         cache = self.cache
         hits, misses = (0, 0) if cache is None else (cache.hits, cache.misses)
         results = run_tasks(tasks, self.jobs, cache=cache) if tasks else []
@@ -190,7 +135,8 @@ class TuneContext:
         else:
             fresh, hits = cache.misses - misses, cache.hits - hits
         estimated = sum(estimate_task_cycles(task) for task in tasks)
-        self.spent_cycles += estimated
+        if charged:
+            self.spent_cycles += estimated
         width = len(self.scenario.rates)
         evals = {
             candidate: eval_from_results(
@@ -199,16 +145,16 @@ class TuneContext:
                 rung,
                 results[index * width : (index + 1) * width],
             )
-            for index, candidate in enumerate(todo)
+            for index, candidate in enumerate(grids)
         }
-        if rung.full_fidelity:
+        if full:
             self.full_evals.update(evals)
             evals = self.full_evals  # memoized candidates come from here
         self.rounds.append(
             RoundStats(
                 label=label,
                 rung=rung.name,
-                candidates=len(candidates),
+                candidates=len(batch),
                 tasks=len(tasks),
                 fresh_simulations=fresh,
                 cache_hits=hits,
@@ -217,7 +163,7 @@ class TuneContext:
                 seconds=time.perf_counter() - started,
             )
         )
-        return [evals[c] for c in candidates]
+        return [evals[c] for c in batch]
 
 
 def search(ctx: TuneContext, n0: int, refine_rounds: int) -> None:
@@ -234,34 +180,28 @@ def search(ctx: TuneContext, n0: int, refine_rounds: int) -> None:
     candidates, never a random subset.  Every round records the keys it
     promoted (refinement: the frontier so far) as its survivors.
     """
-    candidates = ctx.space.sample(n0, ctx.seed, ctx.scenario.base)
+    candidates = space.sample(n0, ctx.seed, ctx.scenario.base)
     for rung in ctx.rungs:
-        candidates = ctx.affordable(candidates, rung)
-        if not candidates:
+        evals = ctx.evaluate(candidates, rung, f"halving-{rung.name}")
+        if not evals:
             break
-        ranked = rank_evals(
-            ctx.evaluate(candidates, rung, f"halving-{rung.name}")
-        )
-        if not rung.full_fidelity:
+        ranked = rank_evals(evals)
+        if rung is not ctx.full_rung:
             ranked = ranked[: -(-len(ranked) // ETA)]  # ceil division
         ctx.rounds[-1].survivors = tuple(e.candidate.key() for e in ranked)
-        if rung.full_fidelity:
-            break
         candidates = [e.candidate for e in ranked]
     for index in range(1, refine_rounds + 1):
         incumbents = rank_evals(list(ctx.full_evals.values()))[:BEAM]
         moves = dict.fromkeys(
             neighbor
             for incumbent in incumbents
-            for neighbor in ctx.space.neighbors(
+            for neighbor in space.neighbors(
                 incumbent.candidate, ctx.scenario.base
             )
             if neighbor not in ctx.full_evals
         )
-        affordable = ctx.affordable(list(moves), ctx.full_rung)
-        if not affordable:
+        if not ctx.evaluate(list(moves), ctx.full_rung, f"refine-{index}"):
             break
-        ctx.evaluate(affordable, ctx.full_rung, f"refine-{index}")
         ctx.rounds[-1].survivors = tuple(
             e.candidate.key()
             for e in pareto_frontier(list(ctx.full_evals.values()))
@@ -274,18 +214,23 @@ class TuneResult:
     """Everything a tune produced, artifact- and report-ready."""
 
     scenario: Scenario
-    space: ParamSpace
     seed: int
     budget_cycles: int | None
     spent_cycles: int
-    rungs: tuple[Rung, ...]
     rounds: list[RoundStats]
     #: All full-fidelity evaluations, in first-evaluation order.
     evals: list[CandidateEval]
-    frontier: list[CandidateEval]
     default_eval: CandidateEval
-    #: Frontier entries strictly dominating the default config.
-    dominators: list[CandidateEval] = field(default_factory=list)
+
+    @property
+    def frontier(self) -> list[CandidateEval]:
+        return pareto_frontier(self.evals)
+
+    @property
+    def dominators(self) -> list[CandidateEval]:
+        """Frontier entries strictly dominating the default config."""
+        default = self.default_eval.vector()
+        return [e for e in self.frontier if dominates(e.vector(), default)]
 
     @property
     def total_tasks(self) -> int:
@@ -299,72 +244,13 @@ class TuneResult:
     def total_cache_hits(self) -> int:
         return sum(r.cache_hits for r in self.rounds)
 
-    def best(self, objective: str = "avg_latency") -> CandidateEval:
-        """The frontier entry ranked best (frontier is never empty)."""
-        return rank_evals(
-            self.frontier,
-            tuple(
-                sorted(
-                    OBJECTIVES,
-                    key=lambda o: 0 if o.name == objective else 1,
-                )
-            ),
-        )[0]
-
-    def to_dict(self) -> dict[str, Any]:
-        frontier_keys = {e.candidate.key() for e in self.frontier}
-        dominator_keys = {e.candidate.key() for e in self.dominators}
-        return {
-            "scenario": self.scenario.to_dict(),
-            "space": self.space.to_dict(),
-            "seed": self.seed,
-            "budget_cycles": self.budget_cycles,
-            "spent_cycles": self.spent_cycles,
-            "rungs": [rung.to_dict() for rung in self.rungs],
-            "rounds": [r.to_dict() for r in self.rounds],
-            "evals": [e.to_dict() for e in self.evals],
-            "frontier": sorted(frontier_keys),
-            "dominators": sorted(dominator_keys),
-            "default": self.default_eval.to_dict(),
-            "totals": {
-                "tasks": self.total_tasks,
-                "fresh_simulations": self.total_fresh_simulations,
-                "cache_hits": self.total_cache_hits,
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TuneResult":
-        evals = [CandidateEval.from_dict(e) for e in data["evals"]]
-        frontier_keys = set(data["frontier"])
-        dominator_keys = set(data["dominators"])
-        return cls(
-            scenario=Scenario.from_dict(data["scenario"]),
-            space=ParamSpace.from_dict(data["space"]),
-            seed=data["seed"],
-            budget_cycles=data["budget_cycles"],
-            spent_cycles=data["spent_cycles"],
-            rungs=tuple(Rung.from_dict(r) for r in data["rungs"]),
-            rounds=[RoundStats.from_dict(r) for r in data["rounds"]],
-            evals=evals,
-            frontier=[
-                e for e in evals if e.candidate.key() in frontier_keys
-            ],
-            default_eval=CandidateEval.from_dict(data["default"]),
-            dominators=[
-                e for e in evals if e.candidate.key() in dominator_keys
-            ],
-        )
-
 
 def run_tune(
     scenario: Scenario,
-    space: ParamSpace | None = None,
     budget_cycles: int | None = None,
     seed: int = 1,
     jobs: int | None = None,
     cache: ResultCache | None = None,
-    rungs: tuple[Rung, ...] | None = None,
     n0: int = 16,
     refine_rounds: int = 2,
 ) -> TuneResult:
@@ -385,45 +271,18 @@ def run_tune(
         raise TunerError(f"n0 must be >= 1, got {n0}")
     if refine_rounds < 1:
         raise TunerError(f"refine rounds must be >= 1, got {refine_rounds}")
-    if space is None:
-        space = ParamSpace.default()
-    if rungs is None:
-        rungs = default_rungs(scenario.base)
-    if not rungs or not rungs[-1].full_fidelity:
-        raise TunerError(
-            "the last rung must be full fidelity "
-            "(cycle_scale 1.0, no width override)"
-        )
-    ctx = TuneContext(
-        space=space,
-        scenario=scenario,
-        rungs=tuple(rungs),
-        seed=seed,
-        budget_cycles=budget_cycles,
-        jobs=jobs,
-        cache=cache,
+    ctx = TuneContext(scenario, seed, budget_cycles, jobs, cache)
+    default = space.canonical(space.candidate())
+    [default_eval] = ctx.evaluate(
+        [default], ctx.full_rung, "default", charged=False
     )
-    default = space.canonical(space.default_candidate())
-    [default_eval] = ctx.evaluate([default], ctx.full_rung, "default")
-    # The baseline is budget-exempt: refund whatever it charged.
-    ctx.spent_cycles = ctx.rounds[-1].spent_cycles_after = 0
     search(ctx, n0, refine_rounds)
-    evals = list(ctx.full_evals.values())
-    frontier = pareto_frontier(evals)
-    default_vector = default_eval.vector()
-    dominators = [
-        e for e in frontier if dominates(e.vector(), default_vector)
-    ]
     return TuneResult(
         scenario=scenario,
-        space=space,
         seed=seed,
         budget_cycles=budget_cycles,
         spent_cycles=ctx.spent_cycles,
-        rungs=tuple(rungs),
         rounds=ctx.rounds,
-        evals=evals,
-        frontier=frontier,
+        evals=list(ctx.full_evals.values()),
         default_eval=default_eval,
-        dominators=dominators,
     )

@@ -1,10 +1,10 @@
-"""Declarative parameter space over :class:`SimulationConfig` fields.
+"""The tuner's one parameter space over :class:`SimulationConfig` fields.
 
-An :class:`Axis` names one config field and the ordered values the
-search may assign it; a :class:`ParamSpace` is a tuple of axes plus the
-operations the search needs: deterministic seeded sampling, neighbor
-enumeration (one step along one axis — the move set of the beam
-refinement), candidate -> config application, and *canonicalization*.
+:data:`AXES` names five config fields and the ordered values the search
+may assign each; the functions here are the operations the search
+needs over them: deterministic seeded sampling, neighbor enumeration
+(one step along one axis — the move set of the beam refinement),
+candidate -> config application, and *canonicalization*.
 
 Canonicalization is what keeps the cached farm small: a candidate whose
 routing algorithm never reads the Footprint knobs (``dor`` ignores both
@@ -22,7 +22,6 @@ from typing import Any
 
 from repro.exceptions import ConfigurationError
 from repro.sim.config import SimulationConfig
-from repro.tuner import TunerError
 
 
 @dataclass(frozen=True)
@@ -31,33 +30,29 @@ class Axis:
 
     The values tuple is explicit and ordered, so "one step" along it is
     well defined.  ``default`` is the paper's Table 2 value; it is what
-    canonicalization resets unread knobs to, and it must be a member of
-    ``values``.
+    canonicalization resets unread knobs to.
     """
 
     name: str
     values: tuple[Any, ...]
     default: Any
 
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise TunerError(f"axis '{self.name}' has no values")
-        if len(set(map(repr, self.values))) != len(self.values):
-            raise TunerError(f"axis '{self.name}' has duplicate values")
-        if self.default not in self.values:
-            raise TunerError(
-                f"axis '{self.name}' default {self.default!r} is not "
-                f"among its values"
-            )
 
-    def index_of(self, value: Any) -> int:
-        try:
-            return self.values.index(value)
-        except ValueError:
-            raise TunerError(
-                f"value {value!r} is not on axis '{self.name}' "
-                f"(values: {self.values!r})"
-            ) from None
+#: The paper's knob set: Table 2 plus §4.2.5's footprint VC limit.  Axis
+#: defaults are the Table 2 bold values, so the all-defaults candidate
+#: *is* the paper's default configuration.
+AXES: tuple[Axis, ...] = (
+    Axis("congestion_threshold", (0.25, 0.5, 0.75), default=0.5),
+    Axis("footprint_vc_limit", (None, 1, 2, 4), default=None),
+    Axis("num_vcs", (2, 4, 6, 8, 10, 16), default=10),
+    Axis("vc_buffer_depth", (2, 4, 8), default=4),
+    Axis(
+        "routing",
+        ("dor", "oddeven", "dbar", "footprint"),
+        default="footprint",
+    ),
+)
+_BY_NAME = {axis.name: axis for axis in AXES}
 
 
 @dataclass(frozen=True)
@@ -71,14 +66,7 @@ class Candidate:
     items: tuple[tuple[str, Any], ...]
 
     def __getitem__(self, name: str) -> Any:
-        for key, value in self.items:
-            if key == name:
-                return value
-        raise KeyError(name)
-
-    def overrides(self) -> dict[str, Any]:
-        """The config-field overrides this candidate applies."""
-        return dict(self.items)
+        return dict(self.items)[name]
 
     def key(self) -> str:
         """Stable human-readable identity, e.g. ``num_vcs=4/routing=dor``."""
@@ -93,233 +81,103 @@ class Candidate:
         )
 
 
-#: Base routing algorithms that read the Footprint-family knobs.
-_CONGESTION_AWARE = ("dbar", "footprint")
-_FOOTPRINT_BASED = ("footprint",)
+#: The Footprint-family knobs and the base routing algorithms that
+#: read them.
+_READ_BY = {
+    "congestion_threshold": ("dbar", "footprint"),
+    "footprint_vc_limit": ("footprint",),
+}
 
 
-def _base_routing(routing: str) -> str:
-    return routing.split("+")[0].strip().lower()
+def candidate(**values: Any) -> Candidate:
+    """Build a candidate; unnamed axes take their defaults."""
+    return Candidate(
+        tuple((a.name, values.get(a.name, a.default)) for a in AXES)
+    )
 
 
-class ParamSpace:
-    """An ordered set of axes plus the search operations over them."""
+def apply(base: SimulationConfig, candidate: Candidate) -> SimulationConfig:
+    """``base`` with the candidate's values as overrides (re-validated)."""
+    return base.with_(**dict(candidate.items))
 
-    def __init__(self, axes: tuple[Axis, ...] | list[Axis]) -> None:
-        self.axes = tuple(axes)
-        if not self.axes:
-            raise TunerError("a ParamSpace needs at least one axis")
-        names = [axis.name for axis in self.axes]
-        if len(set(names)) != len(names):
-            raise TunerError(f"duplicate axis names: {names}")
-        valid = set(SimulationConfig.__dataclass_fields__)
-        for name in names:
-            if name not in valid:
-                raise TunerError(
-                    f"axis '{name}' is not a SimulationConfig field"
-                )
-        self._by_name = {axis.name: axis for axis in self.axes}
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def default(cls) -> "ParamSpace":
-        """The paper's knob set (ISSUE: Table 2 plus §4.2.5's limit).
+def is_valid(base: SimulationConfig, candidate: Candidate) -> bool:
+    """Whether the candidate yields a consistent config over ``base``.
 
-        Axis defaults are the Table 2 bold values, so the all-defaults
-        candidate *is* the paper's default configuration.
-        """
-        return cls(
-            (
-                Axis(
-                    "congestion_threshold",
-                    (0.25, 0.5, 0.75),
-                    default=0.5,
-                ),
-                Axis(
-                    "footprint_vc_limit",
-                    (None, 1, 2, 4),
-                    default=None,
-                ),
-                Axis(
-                    "num_vcs",
-                    (2, 4, 6, 8, 10, 16),
-                    default=10,
-                ),
-                Axis("vc_buffer_depth", (2, 4, 8), default=4),
-                Axis(
-                    "routing",
-                    ("dor", "oddeven", "dbar", "footprint"),
-                    default="footprint",
-                ),
+    Invalid combinations (e.g. an escape-channel algorithm with one VC)
+    are skipped by sampling/neighbor enumeration rather than surfaced
+    as errors — not every cross product is simulable.
+    """
+    try:
+        apply(base, candidate)
+    except ConfigurationError:
+        return False
+    return True
+
+
+def canonical(candidate: Candidate) -> Candidate:
+    """Normalize knobs the candidate's routing never reads.
+
+    ``congestion_threshold`` only steers congestion-aware selection
+    (DBAR/Footprint); ``footprint_vc_limit`` only Footprint itself.
+    For other algorithms those fields are dead config: resetting them
+    to the axis defaults makes equivalent candidates identical — one
+    cache key, one simulation — without changing semantics.
+    """
+    routing = str(candidate["routing"]).split("+")[0].strip().lower()
+    for name, readers in _READ_BY.items():
+        if routing not in readers:
+            candidate = candidate.with_value(name, _BY_NAME[name].default)
+    return candidate
+
+
+def sample(n: int, seed: int, base: SimulationConfig) -> list[Candidate]:
+    """``n`` distinct valid canonical candidates, deterministically.
+
+    Seeded :class:`random.Random` draws uniformly per axis; draws that
+    canonicalize onto an already-sampled point or fail config
+    validation are rejected and redrawn.  Returns fewer than ``n`` only
+    when the canonical space is smaller than ``n``.
+    """
+    rng = random.Random(seed)
+    out: dict[Candidate, None] = {}  # an insertion-ordered set
+    # The cap bounds rejection sampling on near-exhausted spaces.
+    for _ in range(max(200, 50 * n)):
+        if len(out) == n:
+            break
+        drawn = canonical(
+            Candidate(
+                tuple((axis.name, rng.choice(axis.values)) for axis in AXES)
             )
         )
+        if drawn not in out and is_valid(base, drawn):
+            out[drawn] = None
+    return list(out)
 
-    # ------------------------------------------------------------------
-    def describe(self) -> str:
-        return ", ".join(
-            f"{axis.name}[{len(axis.values)}]" for axis in self.axes
-        )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "axes": [
-                {
-                    "name": axis.name,
-                    "values": list(axis.values),
-                    "default": axis.default,
-                }
-                for axis in self.axes
-            ]
-        }
+def neighbors(
+    candidate: Candidate, base: SimulationConfig
+) -> list[Candidate]:
+    """All one-axis single-step moves, valid and canonicalized.
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ParamSpace":
-        # Older artifacts also tag each axis with a spacing ``kind``,
-        # which never affected the search; it is not read.
-        return cls(
-            tuple(
-                Axis(entry["name"], tuple(entry["values"]), entry["default"])
-                for entry in data["axes"]
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # Candidates
-    # ------------------------------------------------------------------
-    def candidate(self, **values: Any) -> Candidate:
-        """Build a candidate; unnamed axes take their defaults."""
-        unknown = set(values) - set(self._by_name)
-        if unknown:
-            raise TunerError(f"unknown axes: {sorted(unknown)}")
-        items = []
-        for axis in self.axes:
-            value = values.get(axis.name, axis.default)
-            axis.index_of(value)  # membership check
-            items.append((axis.name, value))
-        return Candidate(tuple(items))
-
-    def default_candidate(self) -> Candidate:
-        """The all-defaults point — the paper's Table 2 configuration."""
-        return self.candidate()
-
-    def apply(
-        self, base: SimulationConfig, candidate: Candidate
-    ) -> SimulationConfig:
-        """``base`` with the candidate's overrides (re-validated)."""
-        return base.with_(**candidate.overrides())
-
-    def is_valid(
-        self, base: SimulationConfig, candidate: Candidate
-    ) -> bool:
-        """Whether the candidate yields a consistent config over ``base``.
-
-        Invalid combinations (e.g. an escape-channel algorithm with one
-        VC) are skipped by sampling/neighbor enumeration rather than
-        surfaced as errors — the space is declarative, not every cross
-        product is simulable.
-        """
-        try:
-            self.apply(base, candidate)
-        except ConfigurationError:
-            return False
-        return True
-
-    def canonical(self, candidate: Candidate) -> Candidate:
-        """Normalize knobs the candidate's routing never reads.
-
-        ``congestion_threshold`` only steers congestion-aware selection
-        (DBAR/Footprint); ``footprint_vc_limit`` only Footprint itself.
-        For other algorithms those fields are dead config: resetting
-        them to the axis defaults makes equivalent candidates identical
-        — one cache key, one simulation — without changing semantics.
-        """
-        routing = None
-        for name, value in candidate.items:
-            if name == "routing":
-                routing = _base_routing(str(value))
-        if routing is None:
-            return candidate
-        out = candidate
-        if routing not in _CONGESTION_AWARE and "congestion_threshold" in (
-            self._by_name
-        ):
-            out = out.with_value(
-                "congestion_threshold",
-                self._by_name["congestion_threshold"].default,
-            )
-        if routing not in _FOOTPRINT_BASED and "footprint_vc_limit" in (
-            self._by_name
-        ):
-            out = out.with_value(
-                "footprint_vc_limit",
-                self._by_name["footprint_vc_limit"].default,
-            )
-        return out
-
-    # ------------------------------------------------------------------
-    # Search moves
-    # ------------------------------------------------------------------
-    def sample(
-        self, n: int, seed: int, base: SimulationConfig
-    ) -> list[Candidate]:
-        """``n`` distinct valid canonical candidates, deterministically.
-
-        Seeded :class:`random.Random` draws uniformly per axis; draws
-        that canonicalize onto an already-sampled point or fail config
-        validation are rejected and redrawn.  Returns fewer than ``n``
-        only when the canonical space is smaller than ``n``.
-        """
-        if n < 1:
-            raise TunerError(f"sample size must be >= 1, got {n}")
-        rng = random.Random(seed)
-        seen: set[Candidate] = set()
-        out: list[Candidate] = []
-        # The cap bounds rejection sampling on near-exhausted spaces.
-        attempts = 0
-        max_attempts = max(200, 50 * n)
-        while len(out) < n and attempts < max_attempts:
-            attempts += 1
-            raw = Candidate(
-                tuple(
-                    (axis.name, rng.choice(axis.values))
-                    for axis in self.axes
-                )
-            )
-            candidate = self.canonical(raw)
-            if candidate in seen:
+    For each axis the value moves one position up and one down the
+    ordered values tuple (endpoints simply have one neighbor, also for
+    categorical axes like ``routing``).  Duplicates after
+    canonicalization collapse; the origin itself is never returned.
+    """
+    origin = canonical(candidate)
+    seen: set[Candidate] = {origin}
+    out: list[Candidate] = []
+    for axis in AXES:
+        index = axis.values.index(origin[axis.name])
+        for step in (-1, 1):
+            other = index + step
+            if not (0 <= other < len(axis.values)):
                 continue
-            if not self.is_valid(base, candidate):
+            moved = canonical(origin.with_value(axis.name, axis.values[other]))
+            if moved in seen:
                 continue
-            seen.add(candidate)
-            out.append(candidate)
-        return out
-
-    def neighbors(
-        self, candidate: Candidate, base: SimulationConfig
-    ) -> list[Candidate]:
-        """All one-axis single-step moves, valid and canonicalized.
-
-        For each axis the value moves one position up and one down the
-        ordered values tuple (categorical axes like ``routing`` treat
-        the tuple as a ring would not — endpoints simply have one
-        neighbor).  Duplicates after canonicalization collapse; the
-        origin itself is never returned.
-        """
-        origin = self.canonical(candidate)
-        seen: set[Candidate] = {origin}
-        out: list[Candidate] = []
-        for axis in self.axes:
-            index = axis.index_of(origin[axis.name])
-            for step in (-1, 1):
-                other = index + step
-                if not (0 <= other < len(axis.values)):
-                    continue
-                moved = self.canonical(
-                    origin.with_value(axis.name, axis.values[other])
-                )
-                if moved in seen:
-                    continue
-                seen.add(moved)
-                if self.is_valid(base, moved):
-                    out.append(moved)
-        return out
+            seen.add(moved)
+            if is_valid(base, moved):
+                out.append(moved)
+    return out

@@ -3,10 +3,14 @@
 A warm ``repro experiment`` is a cache probe, ``repro list`` prints three
 tables, and the service clients talk to a socket: none of them may load
 the simulator.  Every case runs in a fresh interpreter and asserts on
-its ``sys.modules``; when one fails, CI's ``-X importtime`` step shows
-which import pulled the module in.
+what its code added to ``sys.modules`` over a bare interpreter of the
+same executable and environment (a host's ``.pth`` hooks can preload
+``tempfile`` and a hundred more modules before any code runs); when one
+fails, CI's ``-X importtime`` step shows which import pulled the module
+in.
 """
 
+import functools
 import json
 import os
 import re
@@ -43,8 +47,8 @@ LIST_NEEDS = ("repro.routing.", "repro.traffic.patterns", "repro.traffic.injecti
 _MARK = "@@modules "
 
 
-def _modules_after(code: str, *argv: str, **env: str) -> tuple[set[str], str]:
-    """Run ``code`` in a fresh interpreter; its modules and its stdout."""
+def _run(code: str, *argv: str, **env: str) -> tuple[set[str], str]:
+    """Run ``code`` in a fresh interpreter; all its modules and its stdout."""
     script = (
         "import json, sys\n"
         + code
@@ -60,6 +64,20 @@ def _modules_after(code: str, *argv: str, **env: str) -> tuple[set[str], str]:
     assert proc.returncode == 0, proc.stderr
     out, _, modules = proc.stdout.rpartition(_MARK)
     return set(json.loads(modules)), out
+
+
+@functools.lru_cache(maxsize=None)
+def _bare_interpreter() -> frozenset[str]:
+    """The modules a fresh interpreter holds before any case code runs,
+    taken once per session."""
+    return frozenset(_run("")[0])
+
+
+def _modules_after(code: str, *argv: str, **env: str) -> tuple[set[str], str]:
+    """Run ``code`` in a fresh interpreter; the modules it added over a
+    bare one, and its stdout."""
+    modules, out = _run(code, *argv, **env)
+    return modules - _bare_interpreter(), out
 
 
 def _loaded(modules: set[str], budget: tuple[str, ...]) -> list[str]:
@@ -84,9 +102,9 @@ def test_building_the_parser_loads_no_simulator():
         "import repro.cli\nrepro.cli._build_parser()"
     )
     assert _loaded(modules, SIMULATOR) == []
-    # The budget is the point, the count is the early warning: 215
-    # modules before the façades went lazy, ~75 after.
-    assert len(modules) < 110
+    # The budget is the point, the count is the early warning: building
+    # the parser adds ~10 modules to a bare interpreter.
+    assert len(modules) < 40
 
 
 #: What a grid that needs no pool must not load.

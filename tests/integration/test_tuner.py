@@ -2,12 +2,13 @@
 
 The tuner's central contract is that the *search trajectory* — which
 candidates are evaluated, in which rounds, and who survives each
-promotion — is a pure function of (space, scenario, seed, budget).
+promotion — is a pure function of (scenario, seed, budget).
 Worker count and cache temperature may only change wall-clock and the
 fresh/hit accounting, never a decision.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,8 @@ from repro.tuner.report import (
     write_tune_artifact,
 )
 from repro.tuner.runner import run_tune
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def _scenario():
@@ -216,11 +219,17 @@ def test_budget_trims_work(tmp_path):
     assert small.frontier
 
 
+def _objectives(evaluation):
+    return (
+        evaluation.avg_latency,
+        evaluation.saturation_throughput,
+        evaluation.cost_bits,
+    )
+
+
 def test_artifact_roundtrip(tmp_path):
     result = _tune(ResultCache(tmp_path / "c"), jobs=1)
-    path = write_tune_artifact(
-        result, tmp_path, filename="TUNE_test.json"
-    )
+    path = write_tune_artifact(result, tmp_path)
     loaded = load_tune(path)
     assert _frontier_keys(loaded) == _frontier_keys(result)
     assert _trajectory(loaded) == _trajectory(result)
@@ -229,14 +238,32 @@ def test_artifact_roundtrip(tmp_path):
     assert (
         loaded.default_eval.candidate == result.default_eval.candidate
     )
-    # Artifacts of the same schema written by older versions also name
-    # a strategy and tag each axis with a spacing kind.
+    assert _objectives(loaded.default_eval) == _objectives(
+        result.default_eval
+    )
+    assert render_tune(loaded) == render_tune(result)
+    # The artifact stores evaluations, not result copies: no per-rate
+    # points, configs, rungs, space or totals.
     payload = json.loads(path.read_text())
-    payload["tune"]["strategy"] = "halving+refine"
-    for axis in payload["tune"]["space"]["axes"]:
-        axis["kind"] = "discrete"
-    path.write_text(json.dumps(payload))
-    assert render_tune(load_tune(path)) == render_tune(loaded)
+    assert payload["schema"] == TUNE_SCHEMA == "footprint-noc-tune/2"
+    assert sorted(payload["tune"]) == [
+        "budget_cycles", "default", "dominators", "evals", "frontier",
+        "rounds", "scenario", "seed", "spent_cycles",
+    ]
+    for entry in payload["tune"]["evals"] + [payload["tune"]["default"]]:
+        assert sorted(entry) == ["candidate", "objectives", "rung"]
+
+
+def test_schema_1_artifact_renders_as_recorded(capsys):
+    """A ``footprint-noc-tune/1`` artifact (per-rate points, configs,
+    rungs and space included) renders byte for byte as the tuner that
+    wrote it rendered it."""
+    fixture = FIXTURES / "tune_v1.json"
+    expected = (FIXTURES / "tune_v1.report.txt").read_text()
+    assert json.loads(fixture.read_text())["schema"] == "footprint-noc-tune/1"
+    assert render_tune(load_tune(fixture)) + "\n" == expected
+    assert cli_main(["tune", "report", str(fixture)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_seeded_search_is_deterministic(tmp_path):
@@ -292,6 +319,15 @@ def test_tune_rejects_a_zero_search_shape_in_one_line(
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {message}")
     assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def test_tune_rejects_an_out_of_range_ladder_in_one_line(capsys):
+    argv = ["tune", "--no-cache", "--no-artifact", "--jobs", "1",
+            "--rates", "0.1,7"]
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: hotspot rate must be in [0, 1]\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("flag", ["--strategy", "--eta", "--beam"])

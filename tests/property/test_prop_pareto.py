@@ -4,7 +4,7 @@
 single pass; the reference implementation here is the O(n^2) pairwise
 dominance filter straight from the definition.  They must agree on any
 objective set — including duplicates, ties, negative values, and
-mixed-direction objectives mapped through ``Objective.minimized``.
+mixed-direction objectives mapped through ``CandidateEval.vector``.
 """
 
 from hypothesis import given, strategies as st

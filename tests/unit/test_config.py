@@ -50,6 +50,23 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SimulationConfig(injection_rate=1.5)
 
+    def test_hotspot_rate_bounds(self):
+        for rate in (-0.1, 7.0):
+            with pytest.raises(
+                ConfigurationError, match=r"^hotspot rate must be in \[0, 1\]$"
+            ):
+                SimulationConfig(traffic="hotspot", hotspot_rate=rate)
+        SimulationConfig(hotspot_rate=1.0)  # the bounds are inclusive
+
+    def test_background_rate_bounds(self):
+        for rate in (-2.0, 1.5):
+            with pytest.raises(
+                ConfigurationError,
+                match=r"^background rate must be in \[0, 1\]$",
+            ):
+                SimulationConfig(traffic="hotspot", background_rate=rate)
+        SimulationConfig(background_rate=0.0)
+
     def test_packet_size_range(self):
         with pytest.raises(ConfigurationError):
             SimulationConfig(packet_size_range=(0, 6))

@@ -111,12 +111,11 @@ PUBLIC = {
     "repro.tuner": {
         "repro.tuner": "TunerError",
         "repro.tuner.objectives": (
-            "OBJECTIVES CandidateEval Objective Rung Scenario "
-            "config_cost_bits"
+            "OBJECTIVES CandidateEval Scenario config_cost_bits"
         ),
         "repro.tuner.pareto": "pareto_frontier rank_evals",
         "repro.tuner.runner": "TuneResult run_tune",
-        "repro.tuner.space": "Axis Candidate ParamSpace",
+        "repro.tuner.space": "AXES Axis Candidate",
     },
 }
 

@@ -149,8 +149,12 @@ class TestLifecycleAndDedup:
             sched = ExperimentScheduler(
                 jobs=1, run_task=_stub_runner(canned_result)
             )
-            with pytest.raises(ServiceError, match="unknown job"):
+            with pytest.raises(ServiceError, match="unknown job") as excinfo:
                 sched.get_job("j999")
+            message = str(excinfo.value)
+            assert "'j999'" in message
+            assert "does not survive a restart" in message
+            assert "resubmit" in message and "cache hits" in message
             await sched.close()
 
         asyncio.run(main())

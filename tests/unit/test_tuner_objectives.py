@@ -10,19 +10,16 @@ from repro.metrics.stats import LatencyStats
 from repro.router.router import BlockingStats
 from repro.sim.config import SimulationConfig
 from repro.sim.results import SimulationResult
-from repro.tuner import TunerError
+from repro.tuner import TunerError, space
 from repro.tuner.objectives import (
     FLIT_BITS,
-    FULL_RUNG,
-    Rung,
     Scenario,
     config_cost_bits,
-    default_rungs,
     eval_from_results,
     make_scenario,
+    rungs,
     tasks_for,
 )
-from repro.tuner.space import ParamSpace
 
 
 BASE = SimulationConfig(
@@ -113,22 +110,21 @@ def test_scenario_roundtrip():
 # ----------------------------------------------------------------------
 # Rungs
 # ----------------------------------------------------------------------
-def test_rung_scales_cycles_with_floors():
-    rung = Rung("probe", 0.25)
-    scaled = rung.apply(BASE)
-    assert scaled.warmup_cycles == 10
-    assert scaled.measure_cycles == 25
-    assert scaled.drain_cycles == 50
+def test_rungs_scale_cycles_with_floors():
+    probe, half, full = rungs(BASE)
+    assert (probe.warmup, probe.measure, probe.drain) == (10, 25, 50)
+    assert (half.warmup, half.measure, half.drain) == (20, 50, 100)
+    # The last rung is the base's own fidelity.
+    assert (full.warmup, full.measure, full.drain) == (40, 100, 200)
+    assert (full.width, full.height) == (BASE.width, BASE.height)
     # Floors hold for very short bases.
-    tiny = rung.apply(
+    tiny, _, _ = rungs(
         BASE.with_(warmup_cycles=8, measure_cycles=12, drain_cycles=20)
     )
-    assert tiny.warmup_cycles == 10
-    assert tiny.measure_cycles == 20
-    assert tiny.drain_cycles == 50
+    assert (tiny.warmup, tiny.measure, tiny.drain) == (10, 20, 50)
 
 
-def test_rung_width_override_changes_cache_key():
+def test_probe_halves_a_wide_mesh_under_a_distinct_cache_key():
     big = SimulationConfig(
         width=8,
         num_vcs=4,
@@ -138,26 +134,16 @@ def test_rung_width_override_changes_cache_key():
         measure_cycles=100,
         drain_cycles=200,
     )
-    rung = Rung("probe", 0.25, width=4)
-    scaled = rung.apply(big)
-    assert scaled.width == 4
-    assert config_cache_key(scaled) != config_cache_key(big)
-    assert FULL_RUNG.apply(big) is big
-
-
-def test_rung_validation():
-    with pytest.raises(TunerError):
-        Rung("bad", 0.0)
-    with pytest.raises(TunerError):
-        Rung("bad", 1.5)
-    with pytest.raises(TunerError):
-        Rung("bad", 0.5, width=1)
-
-
-def test_default_rungs_end_full_fidelity():
-    rungs = default_rungs(BASE)
-    assert rungs[-1].full_fidelity
-    assert rungs[0].cycle_scale < rungs[-1].cycle_scale
+    scenario = Scenario("s", big, rates=(0.05,))
+    candidate = space.candidate(num_vcs=4, routing="dor")
+    probe, half, full = rungs(big)
+    assert (probe.width, half.width, full.width) == (4, 8, 8)
+    [scaled] = tasks_for(scenario, candidate, probe)
+    assert scaled.config.width == 4
+    [unscaled] = tasks_for(scenario, candidate, full)
+    assert unscaled.config == big
+    assert config_cache_key(scaled.config) != config_cache_key(big)
+    assert rungs(BASE)[0].width == BASE.width  # a 4x4 mesh stays whole
 
 
 # ----------------------------------------------------------------------
@@ -167,105 +153,81 @@ def _scenario():
     return Scenario("s", BASE, rates=(0.05, 0.1, 0.2), latency_rate=0.1)
 
 
+def _configs(scenario, rung):
+    return [
+        t.resolved_config()
+        for t in tasks_for(scenario, space.candidate(), rung)
+    ]
+
+
 def test_tasks_for_covers_ladder_with_distinct_rungs():
     scenario = _scenario()
-    space = ParamSpace.default()
-    candidate = space.default_candidate()
-    full = tasks_for(scenario, space, candidate, FULL_RUNG)
-    probe = tasks_for(scenario, space, candidate, Rung("probe", 0.25))
-    assert len(full) == len(scenario.rates)
-    full_keys = {config_cache_key(t.resolved_config()) for t in full}
-    probe_keys = {config_cache_key(t.resolved_config()) for t in probe}
+    probe, _, full = rungs(BASE)
+    full_keys = {config_cache_key(c) for c in _configs(scenario, full)}
+    probe_keys = {config_cache_key(c) for c in _configs(scenario, probe)}
+    assert len(full_keys) == len(probe_keys) == len(scenario.rates)
     assert not full_keys & probe_keys  # rung configs never collide
 
 
 def test_eval_scores_objectives():
     scenario = _scenario()
-    space = ParamSpace.default()
-    candidate = space.default_candidate()
-    configs = [
-        t.resolved_config()
-        for t in tasks_for(scenario, space, candidate, FULL_RUNG)
-    ]
+    full = rungs(BASE)[-1]
+    configs = _configs(scenario, full)
     window = BASE.measure_cycles * BASE.num_nodes
     results = [
         _result(configs[0], [10, 10], int(0.05 * window)),
         _result(configs[1], [12, 12], int(0.10 * window)),
-        # Saturated: latency > 3x the zero-load reference.
+        # Saturated: latency > 3x the zero-load reference, so its higher
+        # accepted rate does not count.
         _result(configs[2], [50, 50], int(0.12 * window)),
     ]
-    evaluation = eval_from_results(scenario, candidate, FULL_RUNG, results)
+    evaluation = eval_from_results(
+        scenario, space.candidate(), full, results
+    )
+    assert evaluation.rung == "full"
     assert evaluation.avg_latency == 12.0
     # Best accepted rate over the stable (non-saturated) prefix.
     assert evaluation.saturation_throughput == pytest.approx(
         results[1].accepted_rate
     )
-    assert evaluation.points[2].saturated
-    assert not evaluation.points[1].saturated
     assert evaluation.cost_bits == config_cost_bits(configs[1])
-    assert evaluation.config == configs[1]
 
 
 def test_eval_nan_reference_saturates_everything():
     scenario = _scenario()
-    space = ParamSpace.default()
-    candidate = space.default_candidate()
-    configs = [
-        t.resolved_config()
-        for t in tasks_for(scenario, space, candidate, FULL_RUNG)
-    ]
+    full = rungs(BASE)[-1]
     results = [
-        _result(c, [], 0, created=5, ejected=0) for c in configs
+        _result(c, [], 0, created=5, ejected=0)
+        for c in _configs(scenario, full)
     ]
-    evaluation = eval_from_results(scenario, candidate, FULL_RUNG, results)
+    evaluation = eval_from_results(
+        scenario, space.candidate(), full, results
+    )
     assert math.isinf(evaluation.avg_latency)
     assert evaluation.saturation_throughput == 0.0
-    assert all(p.saturated for p in evaluation.points)
 
 
-def test_eval_undrained_point_is_saturated():
+def test_eval_undrained_point_ends_the_stable_prefix():
     scenario = _scenario()
-    space = ParamSpace.default()
-    candidate = space.default_candidate()
-    configs = [
-        t.resolved_config()
-        for t in tasks_for(scenario, space, candidate, FULL_RUNG)
-    ]
+    full = rungs(BASE)[-1]
+    configs = _configs(scenario, full)
     results = [
         _result(configs[0], [10], 5),
         _result(configs[1], [11], 8, created=10, ejected=9),  # undrained
         _result(configs[2], [12], 9),
     ]
-    evaluation = eval_from_results(scenario, candidate, FULL_RUNG, results)
-    assert not evaluation.points[0].saturated
-    assert evaluation.points[1].saturated
-    # Stable prefix stops at the first saturated point.
+    evaluation = eval_from_results(
+        scenario, space.candidate(), full, results
+    )
+    # Stable prefix stops at the first saturated point: the drained,
+    # low-latency third point is past it.
     assert evaluation.saturation_throughput == pytest.approx(
         results[0].accepted_rate
     )
 
 
-def test_eval_roundtrip_dict():
-    scenario = _scenario()
-    space = ParamSpace.default()
-    candidate = space.default_candidate()
-    configs = [
-        t.resolved_config()
-        for t in tasks_for(scenario, space, candidate, FULL_RUNG)
-    ]
-    results = [_result(c, [10, 14], 6) for c in configs]
-    evaluation = eval_from_results(scenario, candidate, FULL_RUNG, results)
-    again = type(evaluation).from_dict(evaluation.to_dict())
-    assert again.candidate == evaluation.candidate
-    assert again.avg_latency == evaluation.avg_latency
-    assert again.cost_bits == evaluation.cost_bits
-    assert again.points == evaluation.points
-    assert again.config == evaluation.config
-
-
 def test_eval_result_count_mismatch_raises():
-    scenario = _scenario()
-    space = ParamSpace.default()
-    candidate = space.default_candidate()
     with pytest.raises(TunerError):
-        eval_from_results(scenario, candidate, FULL_RUNG, [])
+        eval_from_results(
+            _scenario(), space.candidate(), rungs(BASE)[-1], []
+        )
