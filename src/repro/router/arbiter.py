@@ -6,8 +6,6 @@ the same primitive breaks ties in the priority-based VC allocator.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 
 class RoundRobinArbiter:
     """A round-robin arbiter over ``size`` requesters.
@@ -22,18 +20,9 @@ class RoundRobinArbiter:
         self.size = size
         self._pointer = 0
 
-    def grant(self, requests: Iterable[int]) -> int | None:
-        """Grant one of the requesting indices, or ``None`` if none request.
-
-        ``requests`` is an iterable of requester indices in ``[0, size)``.
-        """
-        mask = 0
-        for index in requests:
-            mask |= 1 << index
-        return self.grant_mask(mask)
-
     def grant_mask(self, mask: int) -> int | None:
-        """:meth:`grant` over a bitmask (bit ``i`` set: ``i`` requests).
+        """Grant one requester of ``mask`` (bit ``i`` set: requester
+        ``i`` in ``[0, size)`` requests), or ``None`` if none requests.
 
         The winner is the first requester at or after the pointer, else
         the first one before it: ascending set bits from the pointer are

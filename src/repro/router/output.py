@@ -12,6 +12,10 @@ downstream VC the port records:
 The port also owns the output staging FIFO that models the crossbar's
 internal speedup: the switch may deliver up to ``speedup`` flits per cycle
 into the FIFO, while the link drains exactly one flit per cycle from it.
+The port holds these registers, the VC allocation they feed and the
+recount check; the per-flit updates — a send through the switch, a pop
+onto the link, a returning credit — are made by the router's stage
+methods (:class:`~repro.router.router.Router`).
 
 VC reallocation policy (paper §4.2.1): Duato-based algorithms (DBAR,
 Footprint) free a downstream VC only once the tail flit's credit has
@@ -27,7 +31,7 @@ hottest reads in the simulator: "idle" is ``free & adaptive``,
 
 from __future__ import annotations
 
-from repro.exceptions import AllocationError, FlowControlError
+from repro.exceptions import AllocationError
 from repro.router.flit import Flit
 from repro.routing.requests import bits
 from repro.topology.ports import Direction
@@ -190,6 +194,8 @@ class OutputPort:
             fp[dst] = fp.get(dst, 0) | bit
 
     def _release(self, vc: int) -> None:
+        """Free downstream VC ``vc``: its tail was sent (non-atomic) or
+        its last credit returned (atomic)."""
         bit = 1 << vc
         self.allocated &= ~bit
         self._draining &= ~bit
@@ -207,86 +213,6 @@ class OutputPort:
             left = fp.pop(dst, 0) & ~bit
             if left:
                 fp[dst] = left
-
-    # ------------------------------------------------------------------
-    # Switch / link traversal
-    # ------------------------------------------------------------------
-    def accept_capacity(self) -> int:
-        """Flits the switch may still deliver to this port this cycle."""
-        space = self.fifo_depth - len(self.fifo)
-        remaining = self.speedup - self._accepted_this_cycle
-        return max(0, min(remaining, space))
-
-    def can_send(self, vc: int) -> bool:
-        """Whether a flit on ``vc`` can traverse the switch right now."""
-        return (
-            self.credits[vc] > 0
-            and self._accepted_this_cycle < self.speedup
-            and len(self.fifo) < self.fifo_depth
-        )
-
-    def send(self, flit: Flit, vc: int) -> None:
-        """Commit a flit to the staging FIFO, consuming a downstream credit."""
-        if self.credits[vc] <= 0:
-            raise FlowControlError(
-                f"credit underflow on {self.direction.name} VC {vc}"
-            )
-        if (
-            self._accepted_this_cycle >= self.speedup
-            or len(self.fifo) >= self.fifo_depth
-        ):
-            raise FlowControlError(
-                f"output FIFO overflow on {self.direction.name}"
-            )
-        self.credits[vc] -= 1
-        if (self.adaptive >> vc) & 1:
-            self._adaptive_credits -= 1
-        self.fifo.append((flit, vc))
-        self._accepted_this_cycle += 1
-        if flit.is_tail:
-            if self.atomic_realloc:
-                # Keep the VC reserved (and its owner visible as a
-                # footprint) until all credits return.
-                self.allocated &= ~(1 << vc)
-                self._draining |= 1 << vc
-                self._check_drained(vc)
-            else:
-                self._release(vc)
-
-    def pop_link(self) -> tuple[Flit, int] | None:
-        """Pop one flit onto the link (one per cycle); ``None`` if empty."""
-        if not self.fifo:
-            return None
-        return self.fifo.pop(0)
-
-    def credit_return(self, vc: int) -> bool:
-        """A downstream buffer slot freed; finish atomic drains if complete.
-
-        Returns ``True`` when the credit completed an atomic drain and
-        released the VC — the one credit event that requires an allocation
-        round at the owning router (to consume and clear the
-        freshly-released set); plain counter updates do not.
-        """
-        self.credits[vc] += 1
-        if self.credits[vc] > self.downstream_depth:
-            raise FlowControlError(
-                f"credit overflow on {self.direction.name} VC {vc}"
-            )
-        if (self.adaptive >> vc) & 1:
-            self._adaptive_credits += 1
-        if (self._draining >> vc) & 1:
-            return self._check_drained(vc)
-        return False
-
-    def _check_drained(self, vc: int) -> bool:
-        if self.credits[vc] == self.downstream_depth:
-            self._release(vc)
-            return True
-        return False
-
-    def new_cycle(self) -> None:
-        """Reset the per-cycle switch acceptance counter."""
-        self._accepted_this_cycle = 0
 
     # ------------------------------------------------------------------
     def consistency_violation(self) -> str | None:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import random
 
+from repro.exceptions import FlowControlError
 from repro.router.allocator import allocate_vcs, verify_grants
 from repro.router.arbiter import RoundRobinArbiter
 from repro.router.blocking import BlockingStats
@@ -42,8 +43,24 @@ from repro.topology.base import Topology
 from repro.topology.ports import Direction
 
 
+def _not_a_head(ivc: InputVc, front: Flit) -> FlowControlError:
+    """A packet must start with its head: the error for a VC going from
+    IDLE to ROUTING with anything else at its front."""
+    return FlowControlError(
+        f"non-head flit {front!r} at front of idle VC "
+        f"{ivc.direction.name}.{ivc.index}"
+    )
+
+
 class Router:
-    """One mesh router."""
+    """One mesh router.
+
+    The stage methods the engine calls do each flit's bookkeeping in
+    place — buffer write, switch allocation and traversal, link
+    traversal, credit return — on the registers :class:`InputVc` and
+    :class:`OutputPort` hold: a helper call per flit per stage is what
+    the simulator's time goes to (DESIGN §3a).
+    """
 
     def __init__(
         self,
@@ -156,24 +173,48 @@ class Router:
     # Engine-facing state changes
     # ------------------------------------------------------------------
     def receive_flit(self, direction: Direction, vc: int, flit: Flit) -> None:
-        """Deliver a flit arriving through input port ``direction``."""
+        """Buffer write: a flit arrives through input port ``direction``.
+
+        Upstream sent it against a credit, so the VC has room; a head
+        reaching the front of an idle VC starts waiting for route
+        computation and VC allocation.
+        """
         ivc = self.input_vcs[direction][vc]
-        ivc.push(flit)
+        fifo = ivc.fifo
+        if len(fifo) >= ivc.depth:
+            raise FlowControlError(
+                f"input VC {direction.name}.{vc} overflow: "
+                f"credit protocol violated"
+            )
+        fifo.append(flit)
         self.inflight += 1
         self.buffered_input_flits += 1
         self._occupied_masks[direction] |= 1 << vc
         if ivc.state is VcState.IDLE:
-            ivc.refresh_state()
-            if ivc.state is VcState.ROUTING:
-                self._pending[(direction, vc)] = ivc
-                self._events.changed = True
+            front = fifo[0]
+            if not front.is_head:
+                raise _not_a_head(ivc, front)
+            ivc.state = VcState.ROUTING
+            self._pending[(direction, vc)] = ivc
+            self._events.changed = True
 
     def receive_credit(self, direction: Direction, vc: int) -> None:
-        """Deliver a returning credit for output port ``direction``."""
-        if self.output_ports[direction].credit_return(vc):
-            # The credit completed an atomic drain and released the VC;
-            # an allocation round must run this cycle to observe (and
-            # then clear) the freshly-released set.
+        """Credit return: a slot of downstream VC ``vc`` at output port
+        ``direction`` freed."""
+        port = self.output_ports[direction]
+        count = port.credits[vc] = port.credits[vc] + 1
+        if count > port.downstream_depth:
+            raise FlowControlError(
+                f"credit overflow on {direction.name} VC {vc}"
+            )
+        bit = 1 << vc
+        if port.adaptive & bit:
+            port._adaptive_credits += 1
+        if port._draining & bit and count == port.downstream_depth:
+            # The last credit of an atomic drain releases the VC; an
+            # allocation round must run this cycle to observe (and then
+            # clear) the freshly-released set.
+            port._release(vc)
             self.credit_pending = True
 
     def enable_blocking_sampling(self, enabled: bool) -> None:
@@ -217,14 +258,13 @@ class Router:
             return []
         sent: list[tuple[Direction, int, Flit]] = []
         for direction, port in self.output_ports.items():
-            if blocked_mask and (blocked_mask >> direction) & 1:
+            fifo = port.fifo
+            if not fifo or blocked_mask and (blocked_mask >> direction) & 1:
                 continue
-            popped = port.pop_link()
-            if popped is not None:
-                flit, vc = popped
-                sent.append((direction, vc, flit))
-                self.inflight -= 1
-                self.staged_flits -= 1
+            flit, vc = fifo.pop(0)
+            sent.append((direction, vc, flit))
+        self.inflight -= len(sent)
+        self.staged_flits -= len(sent)
         return sent
 
     def route_and_allocate(self) -> None:
@@ -297,7 +337,14 @@ class Router:
                         port.owner_dst[out_vc] == dst,
                     )
                 port.allocate(out_vc, dst)
-                ivc.grant(direction, out_vc)
+                if ivc.state is not VcState.ROUTING:
+                    raise FlowControlError(
+                        "VC grant to a non-routing input VC"
+                    )
+                ivc.state = VcState.ACTIVE
+                ivc.out_direction = direction
+                ivc.out_vc = out_vc
+                ivc.committed_dir = None
                 del pending[(ivc.direction, ivc.index)]
 
         if self._sample_blocking and self._pending:
@@ -356,73 +403,112 @@ class Router:
         if self.inflight == 0:
             return []
         credits: list[tuple[Direction, int]] = []
-        n_ports = len(self._port_order)
+        port_order = self._port_order
+        n_ports = len(port_order)
         # Rotate the port service order each cycle (round-robin switch
         # arbitration across input ports).  The rotation happens whenever
         # flits are inflight — even if none are in input FIFOs — to stay
         # bit-identical with the scan-everything baseline.
-        self._sa_port_offset = (self._sa_port_offset + 1) % n_ports
+        offset = self._sa_port_offset = (self._sa_port_offset + 1) % n_ports
         if self.buffered_input_flits == 0:
             return []
         occupied_masks = self._occupied_masks
-        probe = self.probe
-        tracing = probe is not None and probe.tracing
-        sent_to: list[OutputPort] = []
-        for i in range(n_ports):
-            direction = self._port_order[(self._sa_port_offset + i) % n_ports]
-            if not occupied_masks[direction]:
-                continue
-            ivc = self._pick_sa_winner(direction)
-            if ivc is None:
-                continue
-            out_port = self.output_ports[ivc.out_direction]
-            out_vc = ivc.out_vc
-            assert out_vc is not None
-            flit = ivc.pop()
-            self.buffered_input_flits -= 1
-            if not ivc.fifo:
-                occupied_masks[direction] &= ~(1 << ivc.index)
-            out_port.send(flit, out_vc)
-            sent_to.append(out_port)
-            self.staged_flits += 1
-            if tracing:
-                probe.switch(
-                    self.node, direction, flit, out_port.direction, out_vc
-                )
-            if ivc.state is VcState.ROUTING:
-                # The tail left and the next packet's head is already
-                # queued behind it.
-                self._pending[(direction, ivc.index)] = ivc
-                self._events.changed = True
-            credits.append((direction, ivc.index))
-        # The speedup limit is per cycle.
-        for out_port in sent_to:
-            out_port.new_cycle()
-        return credits
-
-    def _pick_sa_winner(self, direction: Direction) -> InputVc | None:
-        """Round-robin among the port's VCs with a sendable flit.
-
-        Only VCs with buffered flits (the port's occupancy bitmask) are
-        asked whether they can send; the arbiter picks among those that
-        can.
-        """
-        occupied = self._occupied_masks[direction]
-        vcs = self.input_vcs[direction]
+        input_vcs = self.input_vcs
         outputs = self.output_ports
         active = VcState.ACTIVE
-        sendable = 0
-        while occupied:
-            low = occupied & -occupied
-            ivc = vcs[low.bit_length() - 1]
-            if ivc.state is active and outputs[ivc.out_direction].can_send(
-                ivc.out_vc
-            ):
-                sendable |= low
-            occupied -= low
-        if not sendable:
-            return None
-        return vcs[self._vc_arbiters[direction].grant_mask(sendable)]
+        probe = self.probe
+        tracing = probe is not None and probe.tracing
+        # Ports accepting a flit this cycle, each listed once: the
+        # speedup limit is per cycle.
+        sent_to: list[OutputPort] = []
+        for i in range(n_ports):
+            direction = port_order[(offset + i) % n_ports]
+            occupied = occupied_masks[direction]
+            if not occupied:
+                continue
+            # Switch allocation: round-robin among the occupied VCs whose
+            # flit can cross now — a granted output VC with a downstream
+            # credit, and room in that port's FIFO and speedup.
+            vcs = input_vcs[direction]
+            sendable = 0
+            rest = occupied
+            while rest:
+                low = rest & -rest
+                ivc = vcs[low.bit_length() - 1]
+                if ivc.state is active:
+                    port = outputs[ivc.out_direction]
+                    if (
+                        port.credits[ivc.out_vc] > 0
+                        and port._accepted_this_cycle < port.speedup
+                        and len(port.fifo) < port.fifo_depth
+                    ):
+                        sendable |= low
+                rest ^= low
+            if not sendable:
+                continue
+            ivc = vcs[self._vc_arbiters[direction].grant_mask(sendable)]
+            index = ivc.index
+            out_direction = ivc.out_direction
+            out_vc = ivc.out_vc
+
+            # Input buffer read; the tail hands the input VC back.
+            fifo = ivc.fifo
+            if not fifo:
+                raise FlowControlError("pop from empty input VC")
+            flit = fifo.pop(0)
+            tail = flit.is_tail
+            if tail:
+                ivc.state = VcState.IDLE
+                ivc.out_direction = ivc.out_vc = None
+                if fifo:
+                    # The next packet's head is already queued behind.
+                    front = fifo[0]
+                    if not front.is_head:
+                        raise _not_a_head(ivc, front)
+                    ivc.state = VcState.ROUTING
+                    self._pending[(direction, index)] = ivc
+                    self._events.changed = True
+            self.buffered_input_flits -= 1
+            if not fifo:
+                occupied_masks[direction] = occupied & ~(1 << index)
+
+            # Switch traversal into the output staging FIFO, against a
+            # downstream credit.
+            port = outputs[out_direction]
+            port_credits = port.credits
+            if port_credits[out_vc] <= 0:
+                raise FlowControlError(
+                    f"credit underflow on {out_direction.name} VC {out_vc}"
+                )
+            accepted = port._accepted_this_cycle
+            if accepted >= port.speedup or len(port.fifo) >= port.fifo_depth:
+                raise FlowControlError(
+                    f"output FIFO overflow on {out_direction.name}"
+                )
+            port_credits[out_vc] -= 1
+            bit = 1 << out_vc
+            if port.adaptive & bit:
+                port._adaptive_credits -= 1
+            port.fifo.append((flit, out_vc))
+            port._accepted_this_cycle = accepted + 1
+            if not accepted:
+                sent_to.append(port)
+            if tail:
+                if port.atomic_realloc:
+                    # Keep the VC reserved (and its owner visible as a
+                    # footprint) until all credits return; this flit
+                    # holds one, so the drain cannot complete here.
+                    port.allocated &= ~bit
+                    port._draining |= bit
+                else:
+                    port._release(out_vc)
+            self.staged_flits += 1
+            if tracing:
+                probe.switch(self.node, direction, flit, out_direction, out_vc)
+            credits.append((direction, index))
+        for port in sent_to:
+            port._accepted_this_cycle = 0
+        return credits
 
     # ------------------------------------------------------------------
     def occupancy(self) -> int:

@@ -3,8 +3,8 @@
 Each input VC is a flit FIFO plus the wormhole bookkeeping for the packet
 currently at its front:
 
-* ``IDLE`` — no packet in flight; if the FIFO holds a head flit the VC
-  transitions to ``ROUTING`` at the next router evaluation.
+* ``IDLE`` — no packet in flight; a head flit written into the empty
+  FIFO moves the VC to ``ROUTING``.
 * ``ROUTING`` — the front packet's head flit needs an output VC; routing
   requests are recomputed every cycle (Footprint's congestion view is
   dynamic) until the VC allocator grants one.
@@ -12,13 +12,16 @@ currently at its front:
   allocation until the tail flit leaves, which releases the input VC back
   to ``IDLE`` (or straight to ``ROUTING`` when the next packet's head is
   already queued behind the tail).
+
+The transitions — a flit's arrival, its VC grant, its departure — are
+made by the router's stage methods (:class:`~repro.router.router.Router`);
+the VC holds the registers and the legality check.
 """
 
 from __future__ import annotations
 
 import enum
 
-from repro.exceptions import FlowControlError
 from repro.router.flit import Flit
 from repro.topology.ports import Direction
 
@@ -59,58 +62,11 @@ class InputVc:
 
     # ------------------------------------------------------------------
     @property
-    def occupancy(self) -> int:
-        return len(self.fifo)
-
-    @property
     def has_space(self) -> bool:
         return len(self.fifo) < self.depth
 
     def front(self) -> Flit | None:
         return self.fifo[0] if self.fifo else None
-
-    # ------------------------------------------------------------------
-    def push(self, flit: Flit) -> None:
-        """Accept an arriving flit (upstream guaranteed space via credits)."""
-        if len(self.fifo) >= self.depth:
-            raise FlowControlError(
-                f"input VC {self.direction.name}.{self.index} overflow: "
-                f"credit protocol violated"
-            )
-        self.fifo.append(flit)
-
-    def refresh_state(self) -> None:
-        """Promote IDLE to ROUTING when a head flit reaches the front."""
-        if self.state is VcState.IDLE and self.fifo:
-            front = self.fifo[0]
-            if not front.is_head:
-                raise FlowControlError(
-                    f"non-head flit {front!r} at front of idle VC "
-                    f"{self.direction.name}.{self.index}"
-                )
-            self.state = VcState.ROUTING
-
-    def grant(self, out_direction: Direction, out_vc: int) -> None:
-        """Record a VC-allocation grant."""
-        if self.state is not VcState.ROUTING:
-            raise FlowControlError("VC grant to a non-routing input VC")
-        self.state = VcState.ACTIVE
-        self.out_direction = out_direction
-        self.out_vc = out_vc
-        self.committed_dir = None
-
-    def pop(self) -> Flit:
-        """Remove the front flit (switch traversal); handles tail release."""
-        if not self.fifo:
-            raise FlowControlError("pop from empty input VC")
-        flit = self.fifo.pop(0)
-        if flit.is_tail:
-            self.state = VcState.IDLE
-            self.out_direction = None
-            self.out_vc = None
-            self.committed_dir = None
-            self.refresh_state()
-        return flit
 
     def legality_violation(self) -> str | None:
         """First violated state-machine/wormhole invariant, or ``None``.

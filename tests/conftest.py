@@ -6,8 +6,14 @@ import random
 
 import pytest
 
+from repro.router.flit import Packet
+from repro.router.router import Router
+from repro.router.vcstate import VcState
+from repro.routing.registry import create_routing
 from repro.sim.config import SimulationConfig
+from repro.sim.rng import RngStreams
 from repro.topology.mesh import Mesh2D
+from repro.topology.ports import Direction
 
 
 def mask_of(vcs) -> int:
@@ -16,6 +22,52 @@ def mask_of(vcs) -> int:
     for v in vcs:
         mask |= 1 << v
     return mask
+
+
+def make_router(node=5, routing="footprint", num_vcs=4, **cfg) -> Router:
+    """Router ``node`` of a 4x4 mesh (node 5 is interior: five ports)."""
+    config = SimulationConfig(
+        width=4, num_vcs=num_vcs, routing=routing, traffic="uniform", **cfg
+    )
+    return Router(
+        node,
+        Mesh2D(4),
+        config,
+        create_routing(routing),
+        RngStreams(9).stream(f"router/{node}"),
+    )
+
+
+def waiting_head(dst, index=0, direction=Direction.WEST):
+    """Input VC ``index`` of port ``direction`` with a one-flit packet to
+    ``dst`` waiting for VC allocation, as a router's buffer write leaves
+    it (each call builds its own router)."""
+    router = make_router(num_vcs=max(4, index + 1))
+    head = Packet(src=0, dst=dst, size=1, creation_time=0).flits()[0]
+    router.receive_flit(direction, index, head)
+    return router.input_vcs[direction][index]
+
+
+def hold_grant(router, via, in_vc, direction, out_vc):
+    """Give idle input VC ``in_vc`` of port ``via`` the registers a VC
+    grant of downstream VC ``out_vc`` at ``direction`` leaves, so the
+    flits it receives next cross the switch toward that VC (for tests
+    of the flit path, where VC allocation is not under test)."""
+    ivc = router.input_vcs[via][in_vc]
+    assert ivc.state is VcState.IDLE and not ivc.fifo
+    ivc.state, ivc.out_direction, ivc.out_vc = VcState.ACTIVE, direction, out_vc
+    return ivc
+
+
+def send(router, direction, out_vc, *flits, via=Direction.LOCAL, in_vc=0):
+    """Move ``flits`` through ``router`` toward downstream VC ``out_vc``
+    at ``direction`` with the stage methods: each is written into an
+    input VC holding that grant and gets a switch cycle of its own; the
+    ones that cross wait in the staging FIFO for ``link_traversal``."""
+    hold_grant(router, via, in_vc, direction, out_vc)
+    for flit in flits:
+        router.receive_flit(via, in_vc, flit)
+        router.switch_traversal()
 
 
 @pytest.fixture

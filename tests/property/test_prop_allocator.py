@@ -19,13 +19,12 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.router.allocator import VaGrant, allocate_vcs as allocate_tuples
-from repro.router.flit import Packet
 from repro.router.output import OutputPort
 from repro.router.vcstate import InputVc
 from repro.routing.requests import Priority, VcRequest, bits
 from repro.topology.ports import Direction
 
-from tests.conftest import mask_of
+from tests.conftest import mask_of, waiting_head
 
 NUM_VCS = 4
 DIRECTIONS = (Direction.EAST, Direction.SOUTH)
@@ -61,12 +60,7 @@ def allocation_round(
     requests = []
     n_inputs = draw(inputs)
     for i in range(n_inputs):
-        ivc = InputVc(Direction.WEST, i, depth=4)
-        ivc.push(
-            Packet(src=0, dst=draw(st.integers(0, 15)), size=1,
-                   creation_time=0).flits()[0]
-        )
-        ivc.refresh_state()
+        ivc = waiting_head(draw(st.integers(0, 15)), index=i)
         # Groups may contain busy VCs (so a top-priority group can be
         # empty after filtering) and may share a priority across ports.
         reqs = draw(

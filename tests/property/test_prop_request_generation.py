@@ -8,8 +8,8 @@ The composition it replaced — ``vc_requests`` + a list-returning
 ``escape_request``, ``_most``-based ``select_port``, ``scored`` lists,
 ``VcRequest`` NamedTuple records, topology method calls — is kept here
 verbatim as the ``Parent*`` classes.  For hypothesis-drawn port states
-(free / stale / fresh / busy / draining VCs with drawn owners, through
-the real :class:`OutputPort` operations), ``footprint_vc_limit``,
+(free / stale / fresh / busy / draining VCs with drawn owners, reached
+through a real router's stage methods), ``footprint_vc_limit``,
 congestion threshold and dead-port mask, on every registry algorithm
 including the ``+xordet`` overlays, mesh and torus:
 
@@ -26,7 +26,7 @@ from collections.abc import Sequence
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.router.flit import Packet
-from repro.router.output import OutputPort
+from repro.router.router import Router
 from repro.routing.base import RouteContext, RoutingAlgorithm
 from repro.routing.dbar import DbarFineRouting, DbarRouting
 from repro.routing.dor import DorRouting
@@ -36,8 +36,11 @@ from repro.routing.oddeven import OddEvenRouting
 from repro.routing.registry import available_algorithms, create_routing
 from repro.routing.requests import Priority, VcRequest, bits
 from repro.routing.xordet import XordetOverlay, xordet_vc
+from repro.sim.config import SimulationConfig
 from repro.topology.base import create_topology
 from repro.topology.ports import Direction
+
+from tests.conftest import send
 
 
 # ----------------------------------------------------------------------
@@ -355,40 +358,48 @@ def test_every_registry_algorithm_has_its_parent():
 VC_STATES = ("free", "stale", "fresh", "busy", "draining")
 
 
-def _flush_one(port: OutputPort, vc: int) -> None:
+def _flush_one(router: Router, direction: Direction, vc: int) -> None:
     """Send a one-flit packet's tail on ``vc`` and put it on the link."""
     (flit,) = Packet(src=0, dst=0, size=1, creation_time=0).flits()
-    port.send(flit, vc)
-    port.pop_link()
-    port.new_cycle()
+    send(router, direction, vc, flit)
+    router.link_traversal()
 
 
-def _drive(port: OutputPort, states: dict[int, tuple[str, int]]) -> None:
-    """Bring ``port`` to the drawn per-VC states through its own
-    operations: ``stale`` VCs are released before a ``clear_fresh``
-    (free, last owner remembered, not fresh), the others after."""
+def _drive(
+    router: Router, states: dict[Direction, dict[int, tuple[str, int]]]
+) -> None:
+    """Bring the router's output ports to the drawn per-VC states through
+    its stage methods: ``stale`` VCs are released before an allocation
+    round ends (free, last owner remembered, not fresh), the others
+    after."""
 
-    def release(vc: int, owner: int) -> None:
+    def release(direction: Direction, vc: int, owner: int) -> None:
+        port = router.output_ports[direction]
         port.allocate(vc, owner)
-        _flush_one(port, vc)  # non-atomic: released here
+        _flush_one(router, direction, vc)  # non-atomic: released here
         if port.atomic_realloc:
-            port.credit_return(vc)
+            router.receive_credit(direction, vc)
 
-    for vc, (state, owner) in states.items():
-        if state == "stale":
-            release(vc, owner)
-    port.clear_fresh()
-    for vc, (state, owner) in states.items():
-        if state == "fresh":
-            release(vc, owner)
-        elif state == "busy":
-            port.allocate(vc, owner)
-        elif state == "draining":
-            # Atomic reallocation holds the VC until the credit returns;
-            # without it the tail's departure already freed the VC.
-            port.allocate(vc, owner)
-            _flush_one(port, vc)
-    assert port.consistency_violation() is None
+    for direction, per_vc in states.items():
+        for vc, (state, owner) in per_vc.items():
+            if state == "stale":
+                release(direction, vc, owner)
+    router.clear_fresh_only()
+    for direction, per_vc in states.items():
+        port = router.output_ports[direction]
+        for vc, (state, owner) in per_vc.items():
+            if state == "fresh":
+                release(direction, vc, owner)
+            elif state == "busy":
+                port.allocate(vc, owner)
+            elif state == "draining":
+                # Atomic reallocation holds the VC until the credit
+                # returns; without it the tail's departure already freed
+                # the VC.
+                port.allocate(vc, owner)
+                _flush_one(router, direction, vc)
+    for port in router.output_ports.values():
+        assert port.consistency_violation() is None
 
 
 @st.composite
@@ -406,32 +417,28 @@ def head_evaluation(draw):
     num_vcs = draw(st.integers(4, 6))
     owners = st.one_of(st.just(dst), nodes)  # footprints must be likely
 
-    escape = 0 if live.uses_escape else None
-    escape2 = 1 if live.uses_escape and mesh.num_vc_classes > 1 else None
-
-    def port_pair(direction):
-        states = {
+    states = {
+        d: {
             vc: (draw(st.sampled_from(VC_STATES)), draw(owners))
             for vc in range(num_vcs)
         }
-        pair = []
-        for _ in range(2):
-            local = direction is Direction.LOCAL
-            port = OutputPort(
-                direction=direction,
-                num_vcs=num_vcs,
-                downstream_depth=2,
-                fifo_depth=2,
-                speedup=1,
-                escape_vc=None if local else escape,
-                atomic_realloc=live.atomic_vc_reallocation,
-                escape_vc2=None if local else escape2,
-            )
-            _drive(port, states)
-            pair.append(port)
-        return pair
-
-    ports = {d: port_pair(d) for d in mesh.router_ports(cur)}
+        for d in mesh.router_ports(cur)
+    }
+    config = SimulationConfig(
+        width=mesh.width,
+        height=mesh.height,
+        topology=topology,
+        routing=name,
+        num_vcs=num_vcs,
+        vc_buffer_depth=2,
+        output_buffer_depth=2,
+        internal_speedup=1,
+    )
+    routers = []
+    for _ in range(2):
+        router = Router(cur, mesh, config, live, random.Random(0))
+        _drive(router, states)
+        routers.append(router)
     seed = draw(st.integers(0, 10_000))
     shared = dict(
         mesh=mesh,
@@ -446,11 +453,9 @@ def head_evaluation(draw):
     )
     contexts = [
         RouteContext(
-            outputs={d: pair[side] for d, pair in ports.items()},
-            rng=random.Random(seed),
-            **shared,
+            outputs=router.output_ports, rng=random.Random(seed), **shared
         )
-        for side in range(2)
+        for router in routers
     ]
     return name, live, contexts
 

@@ -68,17 +68,21 @@ def observable(router):
 ROUND = st.tuples(st.just("round"))
 #: Bits 0-3 are the compass ports (EAST is bit 0); LOCAL never dies.
 FAULT = st.tuples(st.just("fault"), st.sampled_from((0, 0b0001, 0b0101)))
+#: A whole packet written into one input VC.
+RECEIVE = st.tuples(
+    st.just("receive"),
+    st.sampled_from(INPUTS),
+    st.integers(0, NUM_VCS - 1),
+    # Few destinations, so heads pile up behind the same VCs.
+    st.sampled_from((6, 7, 13, 5)),
+    st.integers(1, DEPTH),
+)
+#: One of the credits outstanding downstream comes back.
+CREDIT = st.tuples(st.just("credit"), st.integers(0, 63))
 OPS = st.lists(
     st.one_of(
-        st.tuples(
-            st.just("receive"),
-            st.sampled_from(INPUTS),
-            st.integers(0, NUM_VCS - 1),
-            # Few destinations, so heads pile up behind the same VCs.
-            st.sampled_from((6, 7, 13, 5)),
-            st.integers(1, DEPTH),
-        ),
-        st.tuples(st.just("credit"), st.integers(0, 63)),
+        RECEIVE,
+        CREDIT,
         FAULT,
         # Mostly rounds: withheld credits and dead ports wedge the heads.
         ROUND, ROUND, ROUND, ROUND,

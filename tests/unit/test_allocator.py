@@ -3,13 +3,12 @@
 import random
 
 from repro.router.allocator import VaGrant, allocate_vcs as allocate_tuples
-from repro.router.flit import Packet
 from repro.router.output import OutputPort
-from repro.router.vcstate import InputVc, VcState
+from repro.router.vcstate import VcState
 from repro.routing.requests import Priority, VcRequest
 from repro.topology.ports import Direction
 
-from tests.conftest import mask_of
+from tests.conftest import mask_of, waiting_head
 
 
 def allocate_vcs(requests, outputs, rng):
@@ -36,9 +35,7 @@ def make_outputs(num_vcs=4):
 
 
 def make_input(direction=Direction.WEST, index=0, dst=9):
-    ivc = InputVc(direction, index, depth=4)
-    ivc.push(Packet(src=0, dst=dst, size=1, creation_time=0).flits()[0])
-    ivc.refresh_state()
+    ivc = waiting_head(dst, index, direction)
     assert ivc.state is VcState.ROUTING
     return ivc
 

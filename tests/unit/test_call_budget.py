@@ -3,20 +3,26 @@
 On this simulator calls, not opcodes, are the currency (DESIGN §3a): one
 ``sys.setprofile`` pass over a fixed congested 8x8 hotspot run counts
 every call into a ``repro`` frame, and the budgets below sit 5 % over
-what was measured when RC/VA became one pass per waiting head.  They go
+what was measured once RC/VA was one pass per waiting head and the
+router's stage methods did each flit's bookkeeping in place.  They go
 red when a per-candidate helper, a lambda, a NamedTuple constructor or a
-``dor_direction()`` call comes back onto the per-head path (the parent
-of that change reads 12.33 calls per head evaluation and 5 845 per
-cycle).  Counts repeat exactly: the run is seeded and ``setprofile``
-sees every frame.
+``dor_direction()`` call comes back onto the per-head path, or a helper
+call per flit onto a stage (before those changes: 12.33 calls per head
+evaluation, 5 845 per cycle; then 7.42 per evaluation, 4 631 per cycle
+and 21.3 per flit-hop outside ``route_and_allocate``).  A flit-hop is
+one flit written into one router's input buffer.  Counts repeat
+exactly: the run is seeded and ``setprofile`` sees every frame.
 
 ``PYTHONPATH=src python tests/unit/test_call_budget.py`` prints the
-ten most-called functions of the same run (CI prints it for the log).
+ten most-called functions of the same run and the calls per flit-hop
+of each flit stage, so a regression names its stage (CI prints it for
+the log).
 """
 
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -46,37 +52,73 @@ CONFIG = dict(
 #: the package filter): routing emits bare tuples.
 RECORD_CONSTRUCTOR = VcRequest.__new__.__code__
 
-#: Measured + 5 %: 7.42 calls inside ``route_and_allocate`` per head
+#: The router's stage methods, by the name the report gives their stage;
+#: the engine calls them, and none calls another.
+STAGES = {
+    "receive": Router.receive_flit,
+    "link": Router.link_traversal,
+    "route_and_allocate": Router.route_and_allocate,
+    "switch": Router.switch_traversal,
+    "credit": Router.receive_credit,
+}
+
+#: Per-flit helpers whose work the stage methods do in place.
+FOLDED = {
+    "push", "refresh_state", "grant", "pop", "can_send", "send",
+    "pop_link", "credit_return", "_check_drained", "new_cycle",
+    "_pick_sa_winner",
+}
+
+#: Measured + 5 %: 6.73 calls inside ``route_and_allocate`` per head
 #: evaluation (the allocator and the grants' bookkeeping included),
-#: 4 631 calls per stepped cycle.
-CALLS_PER_HEAD_EVALUATION = 7.8
-CALLS_PER_CYCLE = 4863
+#: 2 611 calls per stepped cycle, 8.35 per flit-hop outside
+#: ``route_and_allocate``.
+CALLS_PER_HEAD_EVALUATION = 7.07
+CALLS_PER_CYCLE = 2742
+CALLS_PER_HOP_OUTSIDE_RCVA = 8.77
 
 
-def count_calls():
-    """``(calls by function, calls under route_and_allocate, head
-    evaluations, stepped cycles)`` of one run of :data:`CONFIG`."""
+class Counted(NamedTuple):
+    """One profiled run of :data:`CONFIG`."""
+
+    #: Calls by function (code object).
+    calls: Counter
+    #: Calls made under each stage of :data:`STAGES` (not counting the
+    #: stage method's own call).
+    under: Counter
+    evaluations: int
+    cycles: int
+    #: Flits written into a router's input buffer (``receive_flit``).
+    hops: int
+
+    def per_hop(self, stage: str) -> float:
+        """Calls per flit-hop of ``stage``: its method and everything it
+        calls."""
+        own = self.calls[STAGES[stage].__code__]
+        return (own + self.under[stage]) / self.hops
+
+
+def count_calls() -> Counted:
     simulator = Simulator(SimulationConfig(**CONFIG))
-    rcva = Router.route_and_allocate.__code__
+    stage_of = {method.__code__: name for name, method in STAGES.items()}
     evaluate = type(simulator.routing).vc_requests_at.__code__
-    step = Simulator.step.__code__
     calls = Counter()
-    # [depth inside route_and_allocate, calls made there]
-    inside = [0, 0]
+    under = Counter()
+    current = [None]  # the stage whose method is running
 
     def profiler(frame, event, _arg):
         code = frame.f_code
         if event == "call":
             if code.co_filename.startswith(PACKAGE):
                 calls[code] += 1
-                if inside[0]:
-                    inside[1] += 1
+                if current[0] is not None:
+                    under[current[0]] += 1
             elif code is RECORD_CONSTRUCTOR:
                 calls[code] += 1
-            if code is rcva:
-                inside[0] += 1
-        elif event == "return" and code is rcva:
-            inside[0] -= 1
+            if code in stage_of:
+                current[0] = stage_of[code]
+        elif event == "return" and code in stage_of:
+            current[0] = None
 
     previous = sys.getprofile()
     sys.setprofile(profiler)
@@ -84,7 +126,13 @@ def count_calls():
         simulator.run()
     finally:
         sys.setprofile(previous)
-    return calls, inside[1], calls[evaluate], calls[step]
+    return Counted(
+        calls,
+        under,
+        calls[evaluate],
+        calls[Simulator.step.__code__],
+        calls[Router.receive_flit.__code__],
+    )
 
 
 @pytest.fixture(scope="module")
@@ -93,33 +141,55 @@ def counted():
 
 
 def test_calls_per_head_evaluation_within_budget(counted):
-    _calls, under_rcva, evaluations, _cycles = counted
-    assert evaluations > 10_000  # the run does re-evaluate blocked heads
-    assert under_rcva / evaluations <= CALLS_PER_HEAD_EVALUATION
+    assert counted.evaluations > 10_000  # blocked heads are re-evaluated
+    per_evaluation = counted.under["route_and_allocate"] / counted.evaluations
+    assert per_evaluation <= CALLS_PER_HEAD_EVALUATION
 
 
 def test_calls_per_simulated_cycle_within_budget(counted):
-    calls, _under_rcva, _evaluations, cycles = counted
-    assert cycles > 200
-    assert sum(calls.values()) / cycles <= CALLS_PER_CYCLE
+    assert counted.cycles > 200
+    assert sum(counted.calls.values()) / counted.cycles <= CALLS_PER_CYCLE
+
+
+def test_calls_per_flit_hop_outside_allocation_within_budget(counted):
+    assert counted.hops > 30_000
+    outside = sum(counted.calls.values()) - counted.under["route_and_allocate"]
+    assert outside / counted.hops <= CALLS_PER_HOP_OUTSIDE_RCVA
 
 
 def test_no_lambda_and_no_record_constructor_on_the_head_path(counted):
     """No routing class calls a lambda, a per-candidate helper or a
     topology method, or builds a NamedTuple, per evaluation."""
-    calls, *_ = counted
-    assert not calls[RECORD_CONSTRUCTOR]
-    names = {code.co_name for code in calls}
+    assert not counted.calls[RECORD_CONSTRUCTOR]
+    names = {code.co_name for code in counted.calls}
     assert not names & {"<lambda>", "_most", "dor_direction"}
 
 
+def test_no_per_flit_helper_on_the_flit_path(counted):
+    """The stage methods do each flit's bookkeeping in place: none of the
+    helpers they absorbed is called, under any class."""
+    names = {code.co_name for code in counted.calls}
+    assert not names & FOLDED
+
+
 if __name__ == "__main__":
-    calls, under_rcva, evaluations, cycles = count_calls()
+    counted = count_calls()
+    calls, under, evaluations, cycles, hops = counted
     total = sum(calls.values())
+    outside = total - under["route_and_allocate"]
     print(
         f"{total} calls into repro frames over {cycles} stepped cycles "
         f"({total / cycles:.0f} per cycle); {evaluations} head "
-        f"evaluations, {under_rcva / evaluations:.2f} calls each"
+        f"evaluations, {under['route_and_allocate'] / evaluations:.2f} "
+        f"calls each; {hops} flit-hops, {outside / hops:.1f} calls each "
+        f"outside route_and_allocate"
+    )
+    print(
+        "calls per flit-hop by stage: "
+        + ", ".join(
+            f"{stage} {counted.per_hop(stage):.2f}"
+            for stage in ("receive", "link", "switch", "credit")
+        )
     )
     for code, count in calls.most_common(10):
         where = code.co_filename[len(PACKAGE) + 1 :]

@@ -1,4 +1,9 @@
-"""Unit tests for output-port state: credits, allocation, footprints."""
+"""Unit tests for output-port state: credits, allocation, footprints.
+
+The port holds the registers; a flit reaches them through the router's
+stage methods (switch traversal, link traversal, credit return), so the
+flit-path tests drive the EAST port of a router.
+"""
 
 import pytest
 
@@ -7,10 +12,14 @@ from repro.router.flit import Packet
 from repro.router.output import OutputPort
 from repro.topology.ports import Direction
 
+from tests.conftest import hold_grant, make_router, send
+
+EAST = Direction.EAST
+
 
 def make_port(num_vcs=4, escape=0, atomic=True, depth=4, speedup=2, fifo=8):
     return OutputPort(
-        direction=Direction.EAST,
+        direction=EAST,
         num_vcs=num_vcs,
         downstream_depth=depth,
         fifo_depth=fifo,
@@ -18,6 +27,18 @@ def make_port(num_vcs=4, escape=0, atomic=True, depth=4, speedup=2, fifo=8):
         escape_vc=escape,
         atomic_realloc=atomic,
     )
+
+
+def routed_port(atomic=True, depth=4, speedup=2, fifo=8):
+    """``(router, its EAST port)``: Footprint's port (escape VC 0, atomic
+    reallocation) or DOR's (no escape VC, non-atomic), four VCs."""
+    router = make_router(
+        routing="footprint" if atomic else "dor",
+        vc_buffer_depth=depth,
+        internal_speedup=speedup,
+        output_buffer_depth=fifo,
+    )
+    return router, router.output_ports[EAST]
 
 
 def flit(size=1, dst=7, idx=0):
@@ -45,21 +66,22 @@ class TestViews:
         assert port.footprint_vcs(9) == []
 
     def test_free_credit_total_tracks_sends(self):
-        port = make_port()
+        router, port = routed_port()
         start = port.free_credit_total()
         assert start == 3 * 4
         port.allocate(1, dst=7)
-        port.send(flit(), 1)
+        send(router, EAST, 1, flit())
         assert port.free_credit_total() == start - 1
-        port.pop_link()
-        port.credit_return(1)
+        router.link_traversal()
+        router.receive_credit(EAST, 1)
         assert port.free_credit_total() == start
 
     def test_escape_credits_not_in_adaptive_total(self):
-        port = make_port()
+        router, port = routed_port()
         port.allocate(0, dst=7)
         total = port.free_credit_total()
-        port.send(flit(), 0)
+        send(router, EAST, 0, flit())
+        assert port.credits[0] == 3
         assert port.free_credit_total() == total
 
 
@@ -79,51 +101,58 @@ class TestAllocation:
 
 class TestAtomicReallocation:
     def test_vc_held_until_tail_credit_returns(self):
-        port = make_port(atomic=True)
+        router, port = routed_port(atomic=True)
         port.allocate(1, dst=7)
-        port.send(flit(size=1), 1)  # single flit: head and tail
+        send(router, EAST, 1, flit(size=1))  # single flit: head and tail
         # Tail sent but credit not returned: still not grantable, and the
         # owner remains visible as a footprint.
         assert not port.grantable(1)
         assert port.footprint_vcs(7) == [1]
-        port.credit_return(1)
+        router.link_traversal()
+        router.receive_credit(EAST, 1)
         assert port.grantable(1)
         assert port.footprint_vcs(7) == []
+        # The release is the credit event an allocation round must see.
+        assert router.credit_pending
 
     def test_non_atomic_frees_on_tail_send(self):
-        port = make_port(atomic=False, escape=None)
+        router, port = routed_port(atomic=False)
         port.allocate(1, dst=7)
-        port.send(flit(size=1), 1)
+        send(router, EAST, 1, flit(size=1))
         assert port.grantable(1)
+        router.link_traversal()
+        router.receive_credit(EAST, 1)
+        assert not router.credit_pending  # a plain counter update
 
     def test_multi_flit_drain(self):
-        port = make_port(atomic=True)
+        router, port = routed_port(atomic=True)
         port.allocate(2, dst=7)
         head, tail = Packet(src=0, dst=7, size=2, creation_time=0).flits()
-        port.send(head, 2)
-        port.send(tail, 2)
-        port.credit_return(2)
+        send(router, EAST, 2, head, tail)
+        router.receive_credit(EAST, 2)
         assert not port.grantable(2)  # one credit still outstanding
-        port.credit_return(2)
+        assert not router.credit_pending
+        router.receive_credit(EAST, 2)
         assert port.grantable(2)
+        assert router.credit_pending
 
 
 class TestFreshRelease:
     def test_release_marks_fresh_with_stale_owner(self):
-        port = make_port(atomic=True)
+        router, port = routed_port(atomic=True)
         port.allocate(1, dst=7)
-        port.send(flit(), 1)
-        port.credit_return(1)
+        send(router, EAST, 1, flit())
+        router.receive_credit(EAST, 1)
         assert port.fresh == 0b0010
         assert port.fresh_footprint_mask(7) == 0b0010
         assert port.fresh_footprint_mask(9) == 0
         assert port.idle_vcs() == [1, 2, 3]
 
     def test_clear_fresh(self):
-        port = make_port(atomic=True)
+        router, port = routed_port(atomic=True)
         port.allocate(1, dst=7)
-        port.send(flit(), 1)
-        port.credit_return(1)
+        send(router, EAST, 1, flit())
+        router.receive_credit(EAST, 1)
         port.events.changed = False
         port.clear_fresh()
         assert port.fresh == 0 and port.fresh_footprint_mask(7) == 0
@@ -135,79 +164,127 @@ class TestFreshRelease:
         assert not port.events.changed
 
     def test_reallocation_clears_fresh(self):
-        port = make_port(atomic=True)
+        router, port = routed_port(atomic=True)
         port.allocate(1, dst=7)
-        port.send(flit(), 1)
-        port.credit_return(1)
+        send(router, EAST, 1, flit())
+        router.receive_credit(EAST, 1)
         port.allocate(1, dst=9)
         assert port.fresh == 0
         assert port.footprint_vcs(9) == [1]
 
     def test_version_bumps_on_state_changes(self):
         """Allocation and release are events; credits and sends are not."""
-        port = make_port()
+        router, port = routed_port()
         events = port.events
+        assert events is router._events
         events.changed = False
         port.allocate(1, dst=7)
         assert events.changed
         events.changed = False
-        port.send(flit(), 1)  # tail sent: draining, still not grantable
-        port.pop_link()
+        send(router, EAST, 1, flit())  # tail sent: draining, not grantable
+        router.link_traversal()
         assert not events.changed
-        port.credit_return(1)  # drain complete: released
+        router.receive_credit(EAST, 1)  # drain complete: released
         assert events.changed
 
 
 class TestSwitchTraversal:
     def test_speedup_limits_acceptance(self):
-        port = make_port(speedup=2)
-        port.allocate(1, dst=7)
-        assert port.accept_capacity() == 2
-        port.send(flit(size=3, idx=0), 1)
-        port.send(flit(size=3, idx=1), 1)
-        assert port.accept_capacity() == 0
-        assert not port.can_send(1)
-        port.new_cycle()
-        assert port.accept_capacity() == 2
+        router, port = routed_port(speedup=2)
+        inputs = (Direction.WEST, Direction.NORTH, Direction.SOUTH)
+        for out_vc, via in enumerate(inputs, start=1):
+            port.allocate(out_vc, dst=7)
+            hold_grant(router, via, 0, EAST, out_vc)
+            router.receive_flit(via, 0, flit())
+        # Three inputs hold a flit for the port: two cross, one waits.
+        assert len(router.switch_traversal()) == 2
+        assert len(port.fifo) == 2
+        assert router.buffered_input_flits == 1
+        # The speedup is per cycle: the next cycle takes the third.
+        assert port._accepted_this_cycle == 0
+        assert len(router.switch_traversal()) == 1
+        assert len(port.fifo) == 3
 
     def test_accept_counter_left_set_is_a_consistency_violation(self):
-        port = make_port(speedup=2)
+        router, port = routed_port(speedup=2)
         port.allocate(1, dst=7)
-        port.send(flit(size=3, idx=0), 1)
-        assert "accept counter" in port.consistency_violation()
-        port.new_cycle()
+        send(router, EAST, 1, flit(size=3, idx=0))
         assert port.consistency_violation() is None
+        port._accepted_this_cycle = 1
+        assert "accept counter" in port.consistency_violation()
 
     def test_fifo_capacity_limits_acceptance(self):
-        port = make_port(speedup=2, fifo=2, depth=8)
+        router, port = routed_port(speedup=2, fifo=2, depth=8)
         port.allocate(1, dst=7)
-        for i in range(2):
-            port.send(flit(size=8, idx=i), 1)
-            port.new_cycle()
-        assert port.accept_capacity() == 0
+        send(router, EAST, 1, *(flit(size=8, idx=i) for i in range(3)))
+        # No link traversal: the third flit finds the FIFO full and waits.
+        assert len(port.fifo) == 2
+        assert len(router.input_vcs[Direction.LOCAL][0].fifo) == 1
+        assert router.switch_traversal() == []
+        router.link_traversal()
+        assert len(router.switch_traversal()) == 1
 
-    def test_credit_underflow_rejected(self):
-        port = make_port(depth=1)
+    def test_credit_underflow_rejected(self, monkeypatch):
+        router, port = routed_port(depth=1)
         port.allocate(1, dst=7)
-        port.send(flit(size=2, idx=0), 1)
-        with pytest.raises(FlowControlError):
-            port.send(flit(size=2, idx=1), 1)
+        port.allocate(2, dst=7)
+        head, body = flit(size=2, idx=0), flit(size=2, idx=1)
+        send(router, EAST, 1, head, body)
+        # Without a credit the body is not sendable: it waits.
+        assert port.credits[1] == 0
+        assert [f for f, _vc in port.fifo] == [head]
+        ivc = router.input_vcs[Direction.LOCAL][0]
+        assert ivc.fifo == [body]
+        # A winner the sendable scan did not clear is refused, not sent.
+        hold_grant(router, Direction.LOCAL, 1, EAST, 2)
+        router.receive_flit(Direction.LOCAL, 1, flit(size=2, idx=0))
+        arbiter = router._vc_arbiters[Direction.LOCAL]
+        monkeypatch.setattr(arbiter, "grant_mask", lambda mask: 0)
+        with pytest.raises(FlowControlError, match="credit underflow on "
+                           "EAST VC 1"):
+            router.switch_traversal()
+
+    def test_output_fifo_overflow_rejected(self, monkeypatch):
+        router, port = routed_port(fifo=2, speedup=2)
+        port.allocate(1, dst=7)
+        send(router, EAST, 1, *(flit(size=4, idx=i) for i in range(3)))
+        assert len(port.fifo) == 2  # full: the third flit waits
+        # The scan clears a flit bound elsewhere; the forced winner is not.
+        south = router.output_ports[Direction.SOUTH]
+        south.allocate(1, dst=13)
+        hold_grant(router, Direction.LOCAL, 1, Direction.SOUTH, 1)
+        router.receive_flit(Direction.LOCAL, 1, flit(dst=13))
+        hold_grant(router, Direction.LOCAL, 2, EAST, 1)
+        router.receive_flit(Direction.LOCAL, 2, flit(size=4, idx=3))
+        arbiter = router._vc_arbiters[Direction.LOCAL]
+        monkeypatch.setattr(arbiter, "grant_mask", lambda mask: 2)
+        with pytest.raises(FlowControlError, match="output FIFO overflow "
+                           "on EAST"):
+            router.switch_traversal()
 
     def test_credit_overflow_rejected(self):
-        port = make_port()
-        with pytest.raises(FlowControlError):
-            port.credit_return(1)
+        router, _port = routed_port()
+        with pytest.raises(FlowControlError, match="credit overflow on "
+                           "EAST VC 1"):
+            router.receive_credit(EAST, 1)
 
     def test_link_pops_in_fifo_order(self):
-        port = make_port()
+        router, port = routed_port()
         port.allocate(1, dst=7)
         a = flit(size=2, idx=0)
         b = flit(size=2, idx=1)
-        port.send(a, 1)
-        port.send(b, 1)
-        assert port.pop_link() == (a, 1)
-        assert port.pop_link() == (b, 1)
-        assert port.pop_link() is None
+        send(router, EAST, 1, a, b)
+        assert router.link_traversal() == [(EAST, 1, a)]
+        assert router.link_traversal() == [(EAST, 1, b)]
+        assert router.link_traversal() == []
+
+    def test_blocked_link_launches_nothing(self):
+        router, port = routed_port()
+        port.allocate(1, dst=7)
+        a = flit()
+        send(router, EAST, 1, a)
+        assert router.link_traversal(1 << EAST) == []
+        assert router.link_traversal() == [(EAST, 1, a)]
 
 
 class TestResetStateEarlyOut:
@@ -270,11 +347,10 @@ class TestMaskInvariants:
 
     @staticmethod
     def busy_port():
-        port = make_port(atomic=True)
+        router, port = routed_port(atomic=True)
         port.allocate(1, dst=7)
         port.allocate(2, dst=9)
-        port.send(flit(dst=9), 2)
-        port.new_cycle()
+        send(router, EAST, 2, flit(dst=9))
         assert port.consistency_violation() is None
         assert (port.allocated, port._draining, port.free) == (
             0b0010, 0b0100, 0b1001,

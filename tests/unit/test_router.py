@@ -5,27 +5,11 @@ import pytest
 from repro.exceptions import InvariantViolation
 from repro.router import router as router_module
 from repro.router.flit import Packet
-from repro.router.router import BlockingStats, Router
+from repro.router.router import BlockingStats
 from repro.router.vcstate import VcState
-from repro.routing.registry import create_routing
-from repro.sim.config import SimulationConfig
-from repro.sim.rng import RngStreams
-from repro.topology.mesh import Mesh2D
 from repro.topology.ports import Direction
 
-
-def make_router(node=5, routing="footprint", num_vcs=4, **cfg):
-    config = SimulationConfig(
-        width=4, num_vcs=num_vcs, routing=routing, traffic="uniform", **cfg
-    )
-    mesh = Mesh2D(4)
-    return Router(
-        node,
-        mesh,
-        config,
-        create_routing(routing),
-        RngStreams(9).stream(f"router/{node}"),
-    )
+from tests.conftest import make_router, send
 
 
 def head_flit(src=4, dst=6, size=1):
@@ -234,8 +218,9 @@ class TestAllocationBookkeeping:
         east = router.output_ports[Direction.EAST]
         for v in (1, 2, 3):
             east.allocate(v, dst=6)
-        east.send(head_flit(src=4, dst=6), 1)  # tail sent: VC 1 drains
-        east.new_cycle()
+        # Tail sent: VC 1 drains.
+        send(router, Direction.EAST, 1, head_flit(src=4, dst=6))
+        router.link_traversal()
         router.receive_flit(Direction.WEST, 2, head_flit(src=4, dst=6))
         ivc = router.input_vcs[Direction.WEST][2]
 
@@ -266,8 +251,9 @@ class TestAllocationBookkeeping:
         east.allocate(1, dst=6)  # the head's footprint, stays busy
         east.allocate(2, dst=7)
         east.allocate(3, dst=7)
-        east.send(head_flit(src=4, dst=7), 2)  # tail sent: VC 2 drains
-        east.new_cycle()
+        # Tail sent: VC 2 drains.
+        send(router, Direction.EAST, 2, head_flit(src=4, dst=7))
+        router.link_traversal()
         router.receive_flit(Direction.WEST, 2, head_flit(src=4, dst=6))
         ivc = router.input_vcs[Direction.WEST][2]
         calls = count_request_calls(router)
@@ -347,9 +333,7 @@ class TestAllocationBookkeeping:
         router.route_and_allocate()
         assert len(router.switch_traversal()) == 2
         for port in router.output_ports.values():
-            assert port.accept_capacity() == min(
-                port.speedup, port.fifo_depth - len(port.fifo)
-            )
+            assert port._accepted_this_cycle == 0
             assert port.consistency_violation() is None
 
     def test_rejected_grant_names_the_router(self, monkeypatch):
