@@ -34,20 +34,13 @@ if __name__ == "__main__" and __package__ is None:
         sys.path.insert(0, str(_src))
 
 from repro.telemetry.result import EVENT_KINDS
-from repro.telemetry.trace import load_trace_records
+from repro.telemetry.trace import (
+    DIRECTION_FIELDS,
+    JSONL_FIELDS,
+    load_trace_records,
+)
 from repro.topology.ports import Direction
 
-#: Required record fields per kind (beyond the shared kind/cycle pair).
-REQUIRED_FIELDS = {
-    "gen": ("packet", "src", "dst", "size", "flow"),
-    "inject": ("packet", "flit", "node"),
-    "va": ("packet", "node", "out_dir", "out_vc", "footprint_hit"),
-    "st": ("packet", "flit", "node", "in_dir", "out_dir", "out_vc"),
-    "lt": ("packet", "flit", "node", "dir", "vc"),
-    "ej": ("packet", "node"),
-}
-
-_DIRECTION_FIELDS = {"out_dir", "in_dir", "dir"}
 _DIRECTION_NAMES = {d.name for d in Direction}
 _INT_FIELDS = {"packet", "flit", "node", "src", "dst", "size", "out_vc", "vc"}
 
@@ -65,12 +58,12 @@ def check_record(index: int, record: dict, errors: list[str]) -> None:
     cycle = record.get("cycle")
     if not isinstance(cycle, int) or isinstance(cycle, bool) or cycle < 0:
         err(f"{kind}: bad cycle {cycle!r}")
-    for name in REQUIRED_FIELDS[kind]:
+    for name in JSONL_FIELDS[kind]:
         if name not in record:
             err(f"{kind}: missing field {name!r}")
             continue
         value = record[name]
-        if name in _DIRECTION_FIELDS:
+        if name in DIRECTION_FIELDS:
             if value not in _DIRECTION_NAMES:
                 err(f"{kind}: bad direction {name}={value!r}")
         elif name == "footprint_hit":

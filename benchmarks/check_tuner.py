@@ -39,7 +39,8 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.harness.cache import ResultCache  # noqa: E402
-from repro.tuner.objectives import make_scenario  # noqa: E402
+from repro.sim.config import SimulationConfig  # noqa: E402
+from repro.tuner.objectives import Scenario  # noqa: E402
 from repro.tuner.report import (  # noqa: E402
     load_tune,
     render_tune,
@@ -77,14 +78,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    scenario = make_scenario(
-        "hotspot",
+    base = SimulationConfig(
         width=8,
-        warmup=60,
-        measure=120,
-        drain=350,
-        rates=(0.05, 0.15, 0.3, 0.45),
+        traffic="hotspot",
+        warmup_cycles=60,
+        measure_cycles=120,
+        drain_cycles=350,
     )
+    scenario = Scenario(base, rates=(0.05, 0.15, 0.3, 0.45))
     print(f"  scenario: {scenario.describe()}")
 
     with tempfile.TemporaryDirectory(prefix="check-tuner-") as tmp:

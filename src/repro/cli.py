@@ -400,7 +400,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--rates",
         type=_RATES,
         default="0.02,0.05",
-        help="comma-separated injection rates to sweep",
+        help=(
+            "comma-separated offered loads to sweep (the hotspot rate "
+            "on hotspot traffic, else the injection rate)"
+        ),
     )
     _flags(submit, *_NETWORK_FLAGS)
     submit.add_argument(
@@ -785,12 +788,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceClient
 
     tasks = [
-        SimTask(
-            _config_from_args(
-                args, routing=routing, injection_rate=args.rates[0]
-            ),
-            rate=rate,
-        )
+        SimTask(_config_from_args(args, routing=routing), rate=rate)
         for routing in args.routing
         for rate in args.rates
     ]
@@ -827,7 +825,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         )
         print(
             f"  {point['routing']:>16s} {point['traffic']:>10s} "
-            f"inj={point['injection_rate']:.3f} -> lat={latency_text} "
+            f"rate={point['rate']:.3f} -> lat={latency_text} "
             f"acc={point.get('accepted_rate', float('nan')):.4f} "
             f"[{point['kind'] or point['state']}]"
         )
@@ -888,23 +886,18 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         return 0
 
     from repro.harness.experiments import SCALES
-    from repro.tuner.objectives import make_scenario
+    from repro.tuner.objectives import Scenario
     from repro.tuner.report import render_tune, write_tune_artifact
     from repro.tuner.runner import run_tune
 
-    scale = SCALES[args.scale]
-    scenario = make_scenario(
-        args.traffic,
+    base = SCALES[args.scale].config(
+        traffic=args.traffic,
         width=args.width,
         topology=args.topology,
-        warmup=scale.warmup,
-        measure=scale.measure,
-        drain=scale.drain,
         seed=args.seed,
-        rates=args.rates,
-        latency_rate=args.latency_rate,
         background_rate=args.background_rate,
     )
+    scenario = Scenario(base, args.rates, args.latency_rate)
     result = run_tune(
         scenario,
         budget_cycles=args.budget,

@@ -152,7 +152,7 @@ FIG5_ALGORITHMS = (
 FIG5_PATTERNS = ("uniform", "transpose", "shuffle")
 
 
-def _run_grid(
+def run_grid(
     configs: dict[object, SimulationConfig],
     rates: tuple[float | None, ...],
     jobs: int | str | None,
@@ -160,9 +160,10 @@ def _run_grid(
 ) -> dict[object, list[SimulationResult]]:
     """Run every keyed config at every rate as one flat task list.
 
-    Returns ``{key: [one result per rate]}`` in the order of
-    ``configs``, so a driver names its grid once and reads results by
-    key.  The rate ``None`` runs a config as it stands.
+    A rate is the config's offered load (:meth:`SimulationConfig.at_load`);
+    ``None`` runs a config as it stands.  Returns ``{key: [one result
+    per rate]}`` in the order of ``configs``, so a caller (every figure
+    driver, and the tuner) names its grid once and reads results by key.
     """
     tasks = [
         SimTask(config, rate=rate, key=(key, rate))
@@ -356,7 +357,7 @@ def latency_throughput_curves(
         )
         for algorithm in algorithms
     }
-    grid = _run_grid(configs, scale.rates, jobs, cache)
+    grid = run_grid(configs, scale.rates, jobs, cache)
     return [
         _curve(algorithm, results, scale.rates)
         for algorithm, results in grid.items()
@@ -424,7 +425,7 @@ def fig7_vc_sweep(
         for vcs in counts
         for algorithm in ("dbar", "footprint")
     }
-    grid = _run_grid(configs, scale.rates, jobs, cache)
+    grid = run_grid(configs, scale.rates, jobs, cache)
     out: dict[str, dict[int, list[LatencyThroughputCurve]]] = {
         pattern: {vcs: [] for vcs in counts} for pattern in patterns
     }
@@ -471,7 +472,7 @@ def fig8_network_size(
         for width in widths
         for algorithm in ("dbar", "footprint")
     }
-    grid = _run_grid(configs, scale.rates, jobs, cache)
+    grid = run_grid(configs, scale.rates, jobs, cache)
     zero_index = scale.rates.index(min(scale.rates))
 
     def saturation(*key: object) -> float:
@@ -510,25 +511,22 @@ def fig9_hotspot(
     collapses at a much lower hotspot rate than Footprint's.
     """
     configs = {
-        (algorithm, rate): scale.config(
+        algorithm: scale.config(
             routing=algorithm,
             traffic="hotspot",
-            hotspot_rate=rate,
             background_rate=0.3,
             seed=seed,
         )
         for algorithm in algorithms
-        for rate in scale.hotspot_rates
     }
-    grid = _run_grid(configs, (None,), jobs, cache)
-    out: dict[str, list[tuple[float, float, bool]]] = {
-        algorithm: [] for algorithm in algorithms
-    }
-    for (algorithm, rate), (result,) in grid.items():
-        out[algorithm].append(
+    grid = run_grid(configs, scale.hotspot_rates, jobs, cache)
+    return {
+        algorithm: [
             (rate, result.flow_latency("background"), result.drained)
-        )
-    return out
+            for rate, result in zip(scale.hotspot_rates, results)
+        ]
+        for algorithm, results in grid.items()
+    }
 
 
 # ----------------------------------------------------------------------
@@ -590,7 +588,7 @@ def fig10_parsec(
                 drain_cycles=scale.drain,
                 seed=seed,
             )
-    grid = _run_grid(configs, (None,), jobs, cache)
+    grid = run_grid(configs, (None,), jobs, cache)
     entries = []
     for pair in pairs:
         (dbar,), (footprint,) = grid[pair, "dbar"], grid[pair, "footprint"]
@@ -721,7 +719,7 @@ def fault_sweep(
         for k in counts
         for algorithm in algorithms
     }
-    grid = _run_grid(configs, scale.rates, jobs, cache)
+    grid = run_grid(configs, scale.rates, jobs, cache)
     entries = []
     for (k, algorithm), results in grid.items():
         points = [

@@ -58,10 +58,11 @@ __all__ = [
 class SimTask:
     """One picklable unit of simulation work.
 
-    ``rate`` overrides the config's injection rate (the common sweep
-    case); ``None`` runs the config as-is.  ``key`` is an opaque label
-    carried alongside the task for the caller's bookkeeping — it is not
-    interpreted here.
+    ``rate`` sets the config's offered load (the common sweep case):
+    the field :attr:`SimulationConfig.load_field` names, ``hotspot_rate``
+    on hotspot traffic and ``injection_rate`` otherwise; ``None`` runs
+    the config as-is.  ``key`` is an opaque label carried alongside the
+    task for the caller's bookkeeping — it is not interpreted here.
     """
 
     config: SimulationConfig
@@ -72,7 +73,7 @@ class SimTask:
         """The exact configuration the worker will simulate."""
         if self.rate is None:
             return self.config
-        return self.config.with_(injection_rate=self.rate)
+        return self.config.at_load(self.rate)
 
 
 def derive_task_seed(base_seed: int, name: str) -> int:

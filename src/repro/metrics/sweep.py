@@ -59,12 +59,17 @@ class SweepPoint:
 
 
 def run_point(config: SimulationConfig, rate: float) -> SweepPoint:
-    """Simulate one injection rate and summarize it."""
+    """Simulate ``config`` at offered load ``rate`` and summarize it.
+
+    The rate sets :attr:`SimulationConfig.load_field`, as a
+    :class:`~repro.harness.parallel.SimTask` rate does, so the serial
+    and pooled paths below sweep the same field on every traffic kind.
+    """
     # Imported here: the engine itself uses repro.metrics for its
     # statistics, so a module-level import would be circular.
     from repro.harness.runner import run_simulation
 
-    result = run_simulation(config.with_(injection_rate=rate))
+    result = run_simulation(config.at_load(rate))
     return point_from_result(result, rate)
 
 

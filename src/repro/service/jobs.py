@@ -338,7 +338,7 @@ class Job:
             point: dict[str, Any] = {
                 "routing": config.routing,
                 "traffic": config.traffic,
-                "injection_rate": config.injection_rate,
+                "rate": getattr(config, config.load_field),
                 "state": state,
                 "kind": kind,
             }

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, RoutingError
 from repro.topology.base import TOPOLOGIES
 
 
@@ -43,7 +43,8 @@ class SimulationConfig:
         Traffic pattern name (``"uniform"``, ``"transpose"``, ``"shuffle"``,
         ``"hotspot"``, ``"trace"``, and extras).
     injection_rate:
-        Offered load in flits/node/cycle for synthetic patterns.
+        Offered load in flits/node/cycle for synthetic patterns (the
+        :attr:`load_field` of every traffic kind but hotspot).
     packet_size:
         Fixed packet size in flits; ignored when ``packet_size_range`` set.
     packet_size_range:
@@ -77,7 +78,8 @@ class SimulationConfig:
         (:mod:`repro.metrics.utilization`).  Off by default — it adds a
         counter update per flit-hop.
     hotspot_rate:
-        Injection rate of hotspot flows when ``traffic == "hotspot"``.
+        Injection rate of hotspot flows when ``traffic == "hotspot"``
+        (that traffic's :attr:`load_field`).
     background_rate:
         Injection rate of the uniform-random background traffic for the
         hotspot experiment (paper: 0.3).
@@ -140,7 +142,9 @@ class SimulationConfig:
             raise ConfigurationError(f"{self.topology} must be at least 2x2")
         if self.num_vcs < 1:
             raise ConfigurationError("need at least one VC")
-        if self.routing_needs_escape and self.num_vcs < 2:
+        # VC counts first: a config with enough VCs never loads the
+        # routing registry to ask.
+        if self.num_vcs < 2 and self.routing_needs_escape:
             raise ConfigurationError(
                 f"routing '{self.routing}' uses Duato escape channels and "
                 f"needs >= 2 VCs, got {self.num_vcs}"
@@ -154,7 +158,7 @@ class SimulationConfig:
         if self.topology == "torus":
             # The dateline scheme needs one VC (escape VC, for Duato
             # algorithms) per wrap class — see Torus2D.wrap_vc_class.
-            if self.routing_needs_escape and self.num_vcs < 3:
+            if self.num_vcs < 3 and self.routing_needs_escape:
                 raise ConfigurationError(
                     f"routing '{self.routing}' on a torus needs two "
                     f"dateline escape VCs plus at least one adaptive VC "
@@ -225,9 +229,30 @@ class SimulationConfig:
 
     @property
     def routing_needs_escape(self) -> bool:
-        """Whether the routing algorithm reserves escape VCs (Duato)."""
-        base = self.routing.split("+")[0].strip().lower()
-        return base in ("dbar", "footprint")
+        """Whether the routing algorithm reserves escape VCs (Duato).
+
+        Read from the algorithm itself (``uses_escape``, what the router
+        reserves VC0 by); a name :func:`create_routing` does not know is
+        ``False`` here and reported there.
+        """
+        # Imported lazily, like the torus check in validate().
+        from repro.routing.registry import create_routing
+
+        try:
+            return create_routing(self.routing).uses_escape
+        except RoutingError:
+            return False
+
+    @property
+    def load_field(self) -> str:
+        """The field a swept offered load sets: ``hotspot_rate`` for
+        hotspot traffic (its background load stays put), else
+        ``injection_rate``."""
+        return "hotspot_rate" if self.traffic == "hotspot" else "injection_rate"
+
+    def at_load(self, rate: float) -> "SimulationConfig":
+        """This config at offered load ``rate`` (see :attr:`load_field`)."""
+        return self.with_(**{self.load_field: rate})
 
     def make_topology(self):
         """Instantiate this config's :class:`~repro.topology.base.Topology`."""

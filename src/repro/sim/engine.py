@@ -637,8 +637,8 @@ class Simulator:
 
     def _result(self) -> SimulationResult:
         if self.validator is not None:
-            # Final full sweep (covers cycles a check_every stride missed
-            # and flags a mutation that never found applicable state).
+            # Final full sweep (also flags a mutation that never found
+            # applicable state).
             self.validator.finish(self)
         blocking = BlockingStats()
         for router in self.routers:

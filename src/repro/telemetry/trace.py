@@ -28,7 +28,7 @@ from repro.telemetry.result import TelemetryResult
 from repro.topology.ports import Direction
 
 #: JSONL field layout per event kind (after the shared kind/cycle pair).
-_JSONL_FIELDS = {
+JSONL_FIELDS = {
     "gen": ("packet", "src", "dst", "size", "flow"),
     "inject": ("packet", "flit", "node"),
     "va": ("packet", "node", "out_dir", "out_vc", "footprint_hit"),
@@ -37,16 +37,27 @@ _JSONL_FIELDS = {
     "ej": ("packet", "node"),
 }
 
-#: Event-tuple positions holding Direction ints, per kind.
-_DIRECTION_FIELDS = {"out_dir", "in_dir", "dir"}
+#: The fields that hold Direction ints in an event tuple (names in a
+#: record).
+DIRECTION_FIELDS = {"out_dir", "in_dir", "dir"}
+
+#: Chrome ``trace_event`` category per event kind.
+_CHROME_CATEGORIES = {
+    "gen": "packet",
+    "ej": "packet",
+    "inject": "flit",
+    "va": "vc-alloc",
+    "st": "flit",
+    "lt": "flit",
+}
 
 
 def event_to_record(event: tuple) -> dict[str, Any]:
     """One event tuple as a self-describing JSONL record."""
     kind = event[0]
     record: dict[str, Any] = {"kind": kind, "cycle": event[1]}
-    for name, value in zip(_JSONL_FIELDS[kind], event[2:]):
-        if name in _DIRECTION_FIELDS:
+    for name, value in zip(JSONL_FIELDS[kind], event[2:]):
+        if name in DIRECTION_FIELDS:
             value = Direction(value).name
         elif name == "footprint_hit":
             value = bool(value)
@@ -66,126 +77,50 @@ def write_jsonl(telemetry: TelemetryResult, path: str | Path) -> int:
 # ----------------------------------------------------------------------
 # Chrome trace_event export
 # ----------------------------------------------------------------------
+def _chrome_event(event: tuple) -> dict[str, Any]:
+    """One event tuple as a Chrome ``trace_event`` dict, built from its
+    JSONL record: a packet's ``gen``/``ej`` open and close its async
+    span, every other kind is an instant on its router's track."""
+    record = event_to_record(event)
+    kind, cycle = record.pop("kind"), record.pop("cycle")
+    category = _CHROME_CATEGORIES[kind]
+    if kind in ("gen", "ej"):
+        packet = record.pop("packet")
+        span = {
+            "name": f"pkt {packet}",
+            "cat": category,
+            "ph": "b" if kind == "gen" else "e",
+            "id": packet,
+            "pid": 0,
+            "tid": record["src"] if kind == "gen" else record["node"],
+            "ts": cycle,
+        }
+        if kind == "gen":
+            span["args"] = record
+        return span
+    node = record.pop("node")
+    return {
+        "name": kind,
+        "cat": category,
+        "ph": "i",
+        "s": "t",
+        "pid": 0,
+        "tid": node,
+        "ts": cycle,
+        "args": record,
+    }
+
+
 def chrome_trace_events(telemetry: TelemetryResult) -> list[dict[str, Any]]:
     """The trace as a list of Chrome ``trace_event`` dicts."""
-    out: list[dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": 0,
-            "tid": 0,
-            "args": {"name": "footprint-noc"},
-        }
-    ]
-    for event in telemetry.events:
-        kind = event[0]
-        cycle = event[1]
-        pid = event[2]
-        if kind == "gen":
-            _, _, _, src, dst, size, flow = event
-            out.append(
-                {
-                    "name": f"pkt {pid}",
-                    "cat": "packet",
-                    "ph": "b",
-                    "id": pid,
-                    "pid": 0,
-                    "tid": src,
-                    "ts": cycle,
-                    "args": {
-                        "src": src,
-                        "dst": dst,
-                        "size": size,
-                        "flow": flow,
-                    },
-                }
-            )
-        elif kind == "ej":
-            _, _, _, node = event
-            out.append(
-                {
-                    "name": f"pkt {pid}",
-                    "cat": "packet",
-                    "ph": "e",
-                    "id": pid,
-                    "pid": 0,
-                    "tid": node,
-                    "ts": cycle,
-                }
-            )
-        elif kind == "inject":
-            _, _, _, flit, node = event
-            out.append(
-                {
-                    "name": "inject",
-                    "cat": "flit",
-                    "ph": "i",
-                    "s": "t",
-                    "pid": 0,
-                    "tid": node,
-                    "ts": cycle,
-                    "args": {"packet": pid, "flit": flit},
-                }
-            )
-        elif kind == "va":
-            _, _, _, node, out_dir, out_vc, fp_hit = event
-            out.append(
-                {
-                    "name": "va",
-                    "cat": "vc-alloc",
-                    "ph": "i",
-                    "s": "t",
-                    "pid": 0,
-                    "tid": node,
-                    "ts": cycle,
-                    "args": {
-                        "packet": pid,
-                        "out_dir": Direction(out_dir).name,
-                        "out_vc": out_vc,
-                        "footprint_hit": bool(fp_hit),
-                    },
-                }
-            )
-        elif kind == "st":
-            _, _, _, flit, node, in_dir, out_dir, out_vc = event
-            out.append(
-                {
-                    "name": "st",
-                    "cat": "flit",
-                    "ph": "i",
-                    "s": "t",
-                    "pid": 0,
-                    "tid": node,
-                    "ts": cycle,
-                    "args": {
-                        "packet": pid,
-                        "flit": flit,
-                        "in_dir": Direction(in_dir).name,
-                        "out_dir": Direction(out_dir).name,
-                        "out_vc": out_vc,
-                    },
-                }
-            )
-        elif kind == "lt":
-            _, _, _, flit, node, direction, vc = event
-            out.append(
-                {
-                    "name": "lt",
-                    "cat": "flit",
-                    "ph": "i",
-                    "s": "t",
-                    "pid": 0,
-                    "tid": node,
-                    "ts": cycle,
-                    "args": {
-                        "packet": pid,
-                        "flit": flit,
-                        "dir": Direction(direction).name,
-                        "vc": vc,
-                    },
-                }
-            )
-    return out
+    metadata = {
+        "name": "process_name",
+        "ph": "M",
+        "pid": 0,
+        "tid": 0,
+        "args": {"name": "footprint-noc"},
+    }
+    return [metadata, *map(_chrome_event, telemetry.events)]
 
 
 def write_chrome_trace(telemetry: TelemetryResult, path: str | Path) -> int:
@@ -277,20 +212,14 @@ def summarize_trace(path: str | Path) -> str:
         "events by kind : "
         + ", ".join(f"{kind}={kinds[kind]}" for kind in sorted(kinds))
     )
-    born = {
-        r["packet"]: r["cycle"] for r in records if r["kind"] == "gen"
-    }
-    ejected = {
-        r["packet"]: r["cycle"] for r in records if r["kind"] == "ej"
-    }
-    done = set(born) & set(ejected)
-    if born:
+    lifetimes = iter_packet_lifetimes(records)
+    if kinds["gen"]:
         lines.append(
-            f"packets        : {len(born)} created, "
-            f"{len(ejected)} ejected ({len(done)} complete lifetimes)"
+            f"packets        : {kinds['gen']} created, "
+            f"{kinds['ej']} ejected ({len(lifetimes)} complete lifetimes)"
         )
-    if done:
-        latencies = sorted(ejected[p] - born[p] for p in done)
+    if lifetimes:
+        latencies = sorted(end - start for start, end in lifetimes.values())
         mean = sum(latencies) / len(latencies)
         lines.append(
             f"pkt lifetime   : mean {mean:.1f} cycles, "

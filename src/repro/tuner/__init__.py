@@ -21,15 +21,15 @@ package searches the joint space:
 * :mod:`repro.tuner.runner` — the one seeded, deterministic search
   (successive halving over fidelity rungs, then beam refinement
   around the full-fidelity frontier); candidate batches evaluate
-  exclusively through :func:`repro.harness.parallel.run_tasks`, so
-  the persistent :class:`~repro.harness.cache.ResultCache`, the LPT
-  process pool, and the ``$REPRO_SERVICE`` job routing all apply for
-  free;
+  exclusively through the figure drivers' own
+  :func:`repro.harness.experiments.run_grid`, so the persistent
+  :class:`~repro.harness.cache.ResultCache`, the LPT process pool, and
+  the ``$REPRO_SERVICE`` job routing all apply for free;
 * :mod:`repro.tuner.report` — ``TUNE_*.json`` artifacts and the
   frontier/best-config tables rendered by ``repro tune``.
 
 Budgets are spent in *estimated* cycle-nodes (the shared
-:func:`repro.harness.cost.estimate_task_cycles` model), independent of
+:func:`repro.harness.cost.estimate_config_cycles` model), independent of
 cache hits, so a warm-cache re-run of any tune replays the exact same
 search — same rounds, same survivors, same frontier — with zero fresh
 simulations.

@@ -33,7 +33,6 @@ from typing import Any
 
 from repro.core.cost import CostModel
 from repro.harness.experiments import Scale
-from repro.harness.parallel import SimTask
 from repro.metrics.sweep import point_from_result
 from repro.sim.config import SimulationConfig
 from repro.sim.results import SimulationResult
@@ -74,24 +73,36 @@ def config_cost_bits(config: SimulationConfig) -> float:
     return bits
 
 
+#: Default evaluation ladders per traffic kind.
+_SYNTHETIC_RATES = (0.02, 0.1, 0.2, 0.35)
+_HOTSPOT_RATES = (0.05, 0.15, 0.3, 0.45)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """What the tuner optimizes for: base config + evaluation ladder.
 
-    ``rate_field`` names the config field the ladder sweeps —
-    ``injection_rate`` for synthetic patterns, ``hotspot_rate`` for the
-    hotspot scenario (its background load stays at the base config's
-    value).  ``latency_rate`` must be a ladder member; it defaults to
-    the middle rung.
+    The ladder sweeps the base's own load field
+    (:attr:`SimulationConfig.load_field`: ``hotspot_rate`` on hotspot
+    traffic, whose background load stays at the base's value, else
+    ``injection_rate``), like every figure driver's rate grid.  It
+    defaults by traffic kind; ``latency_rate`` must be a ladder member
+    and defaults to the middle rung.
     """
 
-    name: str
     base: SimulationConfig
-    rates: tuple[float, ...]
-    rate_field: str = "injection_rate"
+    rates: tuple[float, ...] | None = None
     latency_rate: float | None = None
 
     def __post_init__(self) -> None:
+        if self.rates is None:
+            object.__setattr__(
+                self,
+                "rates",
+                _HOTSPOT_RATES
+                if self.base.traffic == "hotspot"
+                else _SYNTHETIC_RATES,
+            )
         if not self.rates:
             raise TunerError(f"scenario '{self.name}' has an empty ladder")
         if list(self.rates) != sorted(self.rates):
@@ -101,11 +112,6 @@ class Scenario:
         if len(set(self.rates)) != len(self.rates):
             raise TunerError(
                 f"scenario '{self.name}' ladder has duplicates: {self.rates}"
-            )
-        if self.rate_field not in ("injection_rate", "hotspot_rate"):
-            raise TunerError(
-                f"scenario '{self.name}' rate_field must be "
-                f"'injection_rate' or 'hotspot_rate'"
             )
         if self.latency_rate is None:
             object.__setattr__(
@@ -117,75 +123,42 @@ class Scenario:
                 f"{self.latency_rate} is not on the ladder {self.rates}"
             )
 
+    @property
+    def name(self) -> str:
+        """``<traffic>-<width>x<height>``, suffixed by a non-mesh
+        topology: the artifact's file name."""
+        base = self.base
+        suffix = "" if base.topology == "mesh" else f"-{base.topology}"
+        return f"{base.traffic}-{base.width}x{base.height}{suffix}"
+
     def to_dict(self) -> dict[str, Any]:
+        """The artifact form; ``name`` and ``rate_field`` are written
+        for readers of the file (schema ``/2`` has always held them)."""
         return {
             **vars(self),
+            "name": self.name,
             "base": self.base.to_dict(),
             "rates": list(self.rates),
+            "rate_field": self.base.load_field,
         }
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Scenario":
-        base = SimulationConfig.from_dict(data["base"])
-        return cls(**{**data, "base": base, "rates": tuple(data["rates"])})
+        """The scenario of an artifact; its ``name`` and ``rate_field``
+        are not read, because both follow from the base."""
+        return cls(
+            SimulationConfig.from_dict(data["base"]),
+            tuple(data["rates"]),
+            data["latency_rate"],
+        )
 
     def describe(self) -> str:
         return (
             f"{self.name}: {self.base.width}x{self.base.height} "
-            f"{self.base.traffic}, {self.rate_field} ladder "
+            f"{self.base.traffic}, {self.base.load_field} ladder "
             f"{'/'.join(f'{r:g}' for r in self.rates)} "
             f"(latency @ {self.latency_rate:g}), seed {self.base.seed}"
         )
-
-
-#: Default evaluation ladders per traffic kind.
-_SYNTHETIC_RATES = (0.02, 0.1, 0.2, 0.35)
-_HOTSPOT_RATES = (0.05, 0.15, 0.3, 0.45)
-
-
-def make_scenario(
-    traffic: str,
-    width: int = 8,
-    warmup: int = 100,
-    measure: int = 200,
-    drain: int = 450,
-    seed: int = 1,
-    rates: tuple[float, ...] | None = None,
-    latency_rate: float | None = None,
-    background_rate: float = 0.3,
-    topology: str = "mesh",
-) -> Scenario:
-    """A standard scenario for one traffic pattern.
-
-    Hotspot scenarios sweep ``hotspot_rate`` with constant background
-    load (the Fig. 9 shape); synthetic patterns sweep the injection
-    rate.  The base config is otherwise the paper's Table 2 default —
-    which is exactly the candidate the tuner's frontier is measured
-    against.
-    """
-    hotspot = traffic == "hotspot"
-    base = SimulationConfig(
-        width=width,
-        topology=topology,
-        traffic=traffic,
-        injection_rate=0.0 if hotspot else 0.02,
-        hotspot_rate=0.05,
-        background_rate=background_rate if hotspot else 0.3,
-        warmup_cycles=warmup,
-        measure_cycles=measure,
-        drain_cycles=drain,
-        seed=seed,
-    )
-    suffix = "" if topology == "mesh" else f"-{topology}"
-    return Scenario(
-        name=f"{traffic}-{width}x{width}{suffix}",
-        base=base,
-        rates=tuple(rates)
-        if rates is not None
-        else (_HOTSPOT_RATES if hotspot else _SYNTHETIC_RATES),
-        rate_field="hotspot_rate" if hotspot else "injection_rate",
-        latency_rate=latency_rate,
-    )
 
 
 def rungs(base: SimulationConfig) -> tuple[Scale, Scale, Scale]:
@@ -239,23 +212,18 @@ class CandidateEval:
         )
 
 
-def tasks_for(
-    scenario: Scenario, candidate: Candidate, rung: Scale
-) -> list[SimTask]:
-    """The simulation grid of one candidate evaluation at one rung: the
-    candidate's config at the rung's geometry and cycle counts, once
-    per ladder rate."""
-    config = space.apply(scenario.base, candidate).with_(
+def rung_config(
+    base: SimulationConfig, candidate: Candidate, rung: Scale
+) -> SimulationConfig:
+    """The candidate's config at the rung's geometry and cycle counts;
+    each ladder rate then sets its load."""
+    return space.apply(base, candidate).with_(
         width=rung.width,
         height=rung.height,
         warmup_cycles=rung.warmup,
         measure_cycles=rung.measure,
         drain_cycles=rung.drain,
     )
-    return [
-        SimTask(config.with_(**{scenario.rate_field: rate}))
-        for rate in scenario.rates
-    ]
 
 
 def eval_from_results(

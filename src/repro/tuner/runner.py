@@ -2,11 +2,11 @@
 
 :func:`run_tune` scores the paper default, then runs :func:`search`:
 successive halving over the fidelity rungs, then beam refinement
-around the full-fidelity frontier.  Candidate batches are flattened
-into :class:`~repro.harness.parallel.SimTask` grids and executed
-through :func:`~repro.harness.parallel.run_tasks` — so the persistent
-result cache, the LPT process pool, and ``$REPRO_SERVICE`` routing all
-apply without the tuner knowing about any of them.
+around the full-fidelity frontier.  Each candidate batch is one
+:func:`~repro.harness.experiments.run_grid` call — the figure drivers'
+own grid, rates and all — so the persistent result cache, the LPT
+process pool, and ``$REPRO_SERVICE`` routing all apply without the
+tuner knowing about any of them.
 
 Determinism: given the same scenario, seed, and budget, the search
 requests the same evaluations in the same order at any ``--jobs`` and
@@ -14,8 +14,8 @@ cache temperature.  Candidates come only from seeded
 :func:`repro.tuner.space.sample` and :func:`repro.tuner.space.neighbors`,
 ranking only from :func:`rank_evals` (a total order on values), and the
 budget is charged in *estimated* cycle-nodes
-(:func:`repro.harness.cost.estimate_task_cycles`, a pure function of
-each task's config) for every task **including cache hits**.  Actual
+(:func:`repro.harness.cost.estimate_config_cycles`, a pure function of
+each config) for every simulation **including cache hits**.  Actual
 simulation counts are recorded per round for reporting, but no search
 decision ever reads them.
 """
@@ -27,16 +27,16 @@ import time
 from dataclasses import dataclass, field
 
 from repro.harness.cache import ResultCache
-from repro.harness.cost import estimate_task_cycles
-from repro.harness.experiments import Scale
-from repro.harness.parallel import SimTask, run_tasks
+from repro.harness.cost import estimate_config_cycles
+from repro.harness.experiments import Scale, run_grid
+from repro.sim.config import SimulationConfig
 from repro.tuner import TunerError, space
 from repro.tuner.objectives import (
     CandidateEval,
     Scenario,
     eval_from_results,
+    rung_config,
     rungs,
-    tasks_for,
 )
 from repro.tuner.pareto import dominates, pareto_frontier, rank_evals
 from repro.tuner.space import Candidate
@@ -49,7 +49,7 @@ BEAM = 4
 
 @dataclass
 class RoundStats:
-    """One evaluation round (one ``run_tasks`` batch) of a tune."""
+    """One evaluation round (one ``run_grid`` batch) of a tune."""
 
     label: str
     rung: str
@@ -66,29 +66,33 @@ class RoundStats:
 
 
 @dataclass
-class TuneContext:
-    """The state of one tune: budget, rounds, and the full-fidelity memo."""
+class TuneResult:
+    """One tune: its scenario, budget, spend, rounds and evaluations.
+
+    :func:`run_tune` starts it empty and fills it through
+    :meth:`evaluate`; :func:`repro.tuner.report.load_tune` rebuilds it
+    from an artifact.
+    """
 
     scenario: Scenario
     seed: int
     budget_cycles: int | None
-    jobs: int | None
-    cache: ResultCache | None
     spent_cycles: int = 0
     rounds: list[RoundStats] = field(default_factory=list)
-    #: Full-fidelity memo: first-evaluation order is preserved and
-    #: becomes the eval order of the final result.
-    full_evals: dict[Candidate, CandidateEval] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.rungs = rungs(self.scenario.base)
-        self.full_rung = self.rungs[-1]
+    #: All full-fidelity evaluations, in first-evaluation order; a
+    #: candidate in here is never simulated at full fidelity again.
+    evals: list[CandidateEval] = field(default_factory=list)
+    #: The paper default's evaluation (the first one :func:`run_tune`
+    #: makes).
+    default_eval: CandidateEval | None = None
 
     def evaluate(
         self,
         candidates: list[Candidate],
         rung: Scale,
         label: str,
+        jobs: int | None,
+        cache: ResultCache | None,
         charged: bool = True,
     ) -> list[CandidateEval]:
         """Score the prefix of ``candidates`` the budget covers at ``rung``.
@@ -96,10 +100,10 @@ class TuneContext:
         Trimming is by position, so a batch ordered by rank loses its
         *worst* candidates first; if none is affordable no round is
         recorded.  An uncharged batch is neither trimmed nor charged.
-        Memoized full-fidelity candidates cost nothing; the rest become
-        one task grid through one harness call, whose results come back
-        in task order at any worker count.  The round's fresh/hit split
-        is the cache's miss/hit counters across the call.
+        A candidate costs one estimate per ladder rate (a rate changes
+        no cycle count), memoized full-fidelity candidates nothing; the
+        rest run as one grid, whose fresh/hit split is the cache's
+        miss/hit counters across the call.
         """
         started = time.perf_counter()
         remaining = (
@@ -107,55 +111,49 @@ class TuneContext:
             if self.budget_cycles is None or not charged
             else self.budget_cycles - self.spent_cycles
         )
-        full = rung is self.full_rung
+        rates = self.scenario.rates
+        full = rung == rungs(self.scenario.base)[-1]
+        known = {e.candidate: e for e in self.evals} if full else {}
         batch: list[Candidate] = []
-        # The task grid of every batch member that simulates.
-        grids: dict[Candidate, list[SimTask]] = {}
+        # The rung config of every batch member that simulates.
+        configs: dict[Candidate, SimulationConfig] = {}
+        estimated = 0
         for candidate in candidates:
-            grid = (
-                []
-                if full and candidate in self.full_evals
-                else tasks_for(self.scenario, candidate, rung)
-            )
-            cost = sum(estimate_task_cycles(task) for task in grid)
-            if cost > remaining:
-                break
-            remaining -= cost
+            if candidate not in known:
+                config = rung_config(self.scenario.base, candidate, rung)
+                cost = len(rates) * estimate_config_cycles(config)
+                if cost > remaining:
+                    break
+                remaining -= cost
+                estimated += cost
+                configs[candidate] = config
             batch.append(candidate)
-            if grid:
-                grids[candidate] = grid
         if not batch:
             return []
-        tasks = [task for grid in grids.values() for task in grid]
-        cache = self.cache
         hits, misses = (0, 0) if cache is None else (cache.hits, cache.misses)
-        results = run_tasks(tasks, self.jobs, cache=cache) if tasks else []
+        grid = run_grid(configs, rates, jobs, cache)
+        tasks = len(configs) * len(rates)
         if cache is None:
-            fresh, hits = len(tasks), 0
+            fresh, hits = tasks, 0
         else:
             fresh, hits = cache.misses - misses, cache.hits - hits
-        estimated = sum(estimate_task_cycles(task) for task in tasks)
         if charged:
             self.spent_cycles += estimated
-        width = len(self.scenario.rates)
         evals = {
             candidate: eval_from_results(
-                self.scenario,
-                candidate,
-                rung,
-                results[index * width : (index + 1) * width],
+                self.scenario, candidate, rung, results
             )
-            for index, candidate in enumerate(grids)
+            for candidate, results in grid.items()
         }
         if full:
-            self.full_evals.update(evals)
-            evals = self.full_evals  # memoized candidates come from here
+            self.evals.extend(evals.values())
+            evals.update(known)
         self.rounds.append(
             RoundStats(
                 label=label,
                 rung=rung.name,
                 candidates=len(batch),
-                tasks=len(tasks),
+                tasks=tasks,
                 fresh_simulations=fresh,
                 cache_hits=hits,
                 estimated_cycles=estimated,
@@ -164,63 +162,6 @@ class TuneContext:
             )
         )
         return [evals[c] for c in batch]
-
-
-def search(ctx: TuneContext, n0: int, refine_rounds: int) -> None:
-    """Successive halving over the rungs, then beam refinement.
-
-    Halving scores ``n0`` seeded samples on the cheapest rung and
-    promotes the best ``ceil(n / ETA)`` (by :func:`rank_evals`) one rung
-    up, ending with the survivors at full fidelity.  Refinement then
-    starts from every full-fidelity eval — the halving survivors plus
-    the budget-exempt default, so the default's neighbourhood is always
-    explored: each round scores the unseen one-step neighbours of the
-    best ``BEAM`` evals, and stops early when none is affordable.  A
-    round the budget cannot cover loses its trailing (worst-ranked)
-    candidates, never a random subset.  Every round records the keys it
-    promoted (refinement: the frontier so far) as its survivors.
-    """
-    candidates = space.sample(n0, ctx.seed, ctx.scenario.base)
-    for rung in ctx.rungs:
-        evals = ctx.evaluate(candidates, rung, f"halving-{rung.name}")
-        if not evals:
-            break
-        ranked = rank_evals(evals)
-        if rung is not ctx.full_rung:
-            ranked = ranked[: -(-len(ranked) // ETA)]  # ceil division
-        ctx.rounds[-1].survivors = tuple(e.candidate.key() for e in ranked)
-        candidates = [e.candidate for e in ranked]
-    for index in range(1, refine_rounds + 1):
-        incumbents = rank_evals(list(ctx.full_evals.values()))[:BEAM]
-        moves = dict.fromkeys(
-            neighbor
-            for incumbent in incumbents
-            for neighbor in space.neighbors(
-                incumbent.candidate, ctx.scenario.base
-            )
-            if neighbor not in ctx.full_evals
-        )
-        if not ctx.evaluate(list(moves), ctx.full_rung, f"refine-{index}"):
-            break
-        ctx.rounds[-1].survivors = tuple(
-            e.candidate.key()
-            for e in pareto_frontier(list(ctx.full_evals.values()))
-        )
-
-
-# ----------------------------------------------------------------------
-@dataclass
-class TuneResult:
-    """Everything a tune produced, artifact- and report-ready."""
-
-    scenario: Scenario
-    seed: int
-    budget_cycles: int | None
-    spent_cycles: int
-    rounds: list[RoundStats]
-    #: All full-fidelity evaluations, in first-evaluation order.
-    evals: list[CandidateEval]
-    default_eval: CandidateEval
 
     @property
     def frontier(self) -> list[CandidateEval]:
@@ -243,6 +184,57 @@ class TuneResult:
     @property
     def total_cache_hits(self) -> int:
         return sum(r.cache_hits for r in self.rounds)
+
+
+def search(
+    tune: TuneResult,
+    n0: int,
+    refine_rounds: int,
+    jobs: int | None,
+    cache: ResultCache | None,
+) -> None:
+    """Successive halving over the rungs, then beam refinement.
+
+    Halving scores ``n0`` seeded samples on the cheapest rung and
+    promotes the best ``ceil(n / ETA)`` (by :func:`rank_evals`) one rung
+    up, ending with the survivors at full fidelity.  Refinement then
+    starts from every full-fidelity eval — the halving survivors plus
+    the budget-exempt default, so the default's neighbourhood is always
+    explored: each round scores the unseen one-step neighbours of the
+    best ``BEAM`` evals, and stops early when none is affordable.  A
+    round the budget cannot cover loses its trailing (worst-ranked)
+    candidates, never a random subset.  Every round records the keys it
+    promoted (refinement: the frontier so far) as its survivors.
+    """
+    base = tune.scenario.base
+    ladder = rungs(base)
+    candidates = space.sample(n0, tune.seed, base)
+    for rung in ladder:
+        evals = tune.evaluate(
+            candidates, rung, f"halving-{rung.name}", jobs, cache
+        )
+        if not evals:
+            break
+        ranked = rank_evals(evals)
+        if rung is not ladder[-1]:
+            ranked = ranked[: -(-len(ranked) // ETA)]  # ceil division
+        tune.rounds[-1].survivors = tuple(e.candidate.key() for e in ranked)
+        candidates = [e.candidate for e in ranked]
+    for index in range(1, refine_rounds + 1):
+        known = {e.candidate for e in tune.evals}
+        moves = dict.fromkeys(
+            neighbor
+            for incumbent in rank_evals(tune.evals)[:BEAM]
+            for neighbor in space.neighbors(incumbent.candidate, base)
+            if neighbor not in known
+        )
+        if not tune.evaluate(
+            list(moves), ladder[-1], f"refine-{index}", jobs, cache
+        ):
+            break
+        tune.rounds[-1].survivors = tuple(
+            e.candidate.key() for e in tune.frontier
+        )
 
 
 def run_tune(
@@ -271,18 +263,14 @@ def run_tune(
         raise TunerError(f"n0 must be >= 1, got {n0}")
     if refine_rounds < 1:
         raise TunerError(f"refine rounds must be >= 1, got {refine_rounds}")
-    ctx = TuneContext(scenario, seed, budget_cycles, jobs, cache)
-    default = space.canonical(space.candidate())
-    [default_eval] = ctx.evaluate(
-        [default], ctx.full_rung, "default", charged=False
+    tune = TuneResult(scenario, seed, budget_cycles)
+    [tune.default_eval] = tune.evaluate(
+        [space.canonical(space.candidate())],
+        rungs(scenario.base)[-1],
+        "default",
+        jobs,
+        cache,
+        charged=False,
     )
-    search(ctx, n0, refine_rounds)
-    return TuneResult(
-        scenario=scenario,
-        seed=seed,
-        budget_cycles=budget_cycles,
-        spent_cycles=ctx.spent_cycles,
-        rounds=ctx.rounds,
-        evals=list(ctx.full_evals.values()),
-        default_eval=default_eval,
-    )
+    search(tune, n0, refine_rounds, jobs, cache)
+    return tune

@@ -85,7 +85,6 @@ class InvariantChecker:
         self.discarded_flits = 0
         #: Completed check sweeps (for reporting/tests).
         self.checks_run = 0
-        self._countdown = config.check_every
         # Allowed-direction memo: routing geometry is static for a run,
         # so (node, dst, src) -> frozenset of legal output directions.
         self._allowed: dict[tuple[int, int, int], frozenset] = {}
@@ -111,10 +110,6 @@ class InvariantChecker:
         mutator = self._mutator
         if mutator is not None and not mutator.applied:
             mutator.maybe_apply(sim, cycle)
-        self._countdown -= 1
-        if self._countdown > 0:
-            return
-        self._countdown = self.config.check_every
         self.run_checks(sim, cycle)
 
     def on_skip(self, sim: "Simulator", cycle: int, target: int) -> None:
@@ -158,7 +153,7 @@ class InvariantChecker:
                 )
 
     def finish(self, sim: "Simulator") -> None:
-        """End-of-run sweep (covers cycles a stride skipped)."""
+        """End-of-run sweep, then the mutation-never-applied check."""
         self.run_checks(sim, sim.cycle)
         mutator = self._mutator
         if mutator is not None and not mutator.applied:

@@ -69,9 +69,6 @@ class ValidationConfig:
         set (minimal quadrant for the adaptive algorithms), escape-VC
         grants sit on the DOR port (Duato's condition), and footprint
         VCs carry only their owner destination's packets.
-    check_every:
-        Run the checkers every this many checked cycles (1 = every
-        cycle).  The checkers also run once at the end of the run.
     mutate:
         Self-test hook: the name of a deliberate state corruption to
         apply (one of :data:`MUTATION_CHECKERS`), proving the matching
@@ -87,14 +84,11 @@ class ValidationConfig:
     credit_accounting: bool = True
     vc_states: bool = True
     routing_conformance: bool = True
-    check_every: int = 1
     mutate: str | None = None
     mutate_cycle: int = 0
     mutate_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.check_every < 1:
-            raise ConfigurationError("check_every must be >= 1")
         if self.mutate is not None and self.mutate not in MUTATION_CHECKERS:
             raise ConfigurationError(
                 f"unknown mutation {self.mutate!r}; expected one of "

@@ -15,7 +15,8 @@ import pytest
 from repro.cli import main as cli_main
 from repro.harness.cache import ResultCache
 from repro.tuner import TunerError
-from repro.tuner.objectives import make_scenario
+from repro.sim.config import SimulationConfig
+from repro.tuner.objectives import Scenario
 from repro.tuner.report import (
     TUNE_SCHEMA,
     load_tune,
@@ -28,14 +29,14 @@ FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def _scenario():
-    return make_scenario(
-        "uniform",
+    base = SimulationConfig(
         width=4,
-        warmup=20,
-        measure=40,
-        drain=120,
-        rates=(0.02, 0.08, 0.15),
+        traffic="uniform",
+        warmup_cycles=20,
+        measure_cycles=40,
+        drain_cycles=120,
     )
+    return Scenario(base, rates=(0.02, 0.08, 0.15))
 
 
 def _tune(cache, jobs):
@@ -298,6 +299,50 @@ def test_tune_without_cache_runs_fresh(tmp_path):
 def test_invalid_search_shape_rejected(kwargs):
     with pytest.raises(TunerError):
         run_tune(_scenario(), **kwargs)
+
+
+class _Captured(Exception):
+    """Raised by a stand-in ``run_grid`` once it has seen its grid."""
+
+
+def _first_grid(monkeypatch, module, call):
+    """The ``(configs, rates)`` of the first ``run_grid`` call ``call``
+    makes through ``module``; nothing is simulated."""
+    seen = []
+
+    def capture(configs, rates, jobs, cache):
+        seen.append((configs, rates))
+        raise _Captured
+
+    monkeypatch.setattr(module, "run_grid", capture)
+    with pytest.raises(_Captured):
+        call()
+    return seen[0]
+
+
+def test_hotspot_tune_shares_cache_keys_with_fig9(monkeypatch):
+    """The default candidate's full-rung grid of a hotspot tune is
+    fig9_hotspot's footprint grid wherever their ladders meet."""
+    from repro.harness import experiments
+    from repro.harness.cache import config_cache_key
+    from repro.tuner import runner
+
+    scale = experiments.BENCH
+    assert scale.num_vcs == 10  # the Table 2 default candidate's count
+    scenario = Scenario(scale.config(traffic="hotspot", background_rate=0.3))
+    tune_configs, tune_rates = _first_grid(
+        monkeypatch, runner, lambda: run_tune(scenario, jobs=1)
+    )
+    fig9_configs, fig9_rates = _first_grid(
+        monkeypatch, experiments, lambda: experiments.fig9_hotspot(scale)
+    )
+    [tuned] = tune_configs.values()
+    shared = sorted(set(tune_rates) & set(fig9_rates))
+    assert shared == [0.15, 0.3, 0.45]
+    for rate in shared:
+        assert config_cache_key(tuned.at_load(rate)) == config_cache_key(
+            fig9_configs["footprint"].at_load(rate)
+        )
 
 
 # ----------------------------------------------------------------------

@@ -41,6 +41,29 @@ class TestValidation:
             SimulationConfig(num_vcs=1, routing=routing)
         SimulationConfig(num_vcs=2, routing=routing)  # must not raise
 
+    def test_dbar_fine_needs_what_dbar_needs(self):
+        """The router reserves VC0 for dbar-fine as for dbar, so 1 VC on
+        a mesh or 2 on a torus leave it no adaptive VC."""
+        with pytest.raises(
+            ConfigurationError,
+            match=r"^routing 'dbar-fine' uses Duato escape channels and "
+            r"needs >= 2 VCs, got 1$",
+        ):
+            SimulationConfig(width=4, num_vcs=1, routing="dbar-fine")
+        with pytest.raises(
+            ConfigurationError,
+            match=r"^routing 'dbar-fine' on a torus needs two dateline "
+            r"escape VCs plus at least one adaptive VC \(>= 3 VCs\), "
+            r"got 2$",
+        ):
+            SimulationConfig(
+                width=4, topology="torus", num_vcs=2, routing="dbar-fine"
+            )
+        SimulationConfig(width=4, num_vcs=2, routing="dbar-fine")
+        SimulationConfig(
+            width=4, topology="torus", num_vcs=3, routing="dbar-fine"
+        )
+
     def test_dor_allows_single_vc(self):
         SimulationConfig(num_vcs=1, routing="dor")
 
@@ -108,8 +131,27 @@ class TestHelpers:
     def test_routing_needs_escape(self):
         assert SimulationConfig(routing="footprint").routing_needs_escape
         assert SimulationConfig(routing="dbar+xordet").routing_needs_escape
+        assert SimulationConfig(routing="dbar-fine").routing_needs_escape
         assert not SimulationConfig(routing="dor").routing_needs_escape
         assert not SimulationConfig(routing="oddeven").routing_needs_escape
+
+    @pytest.mark.parametrize(
+        "traffic, field",
+        [
+            ("hotspot", "hotspot_rate"),
+            ("uniform", "injection_rate"),
+            ("transpose", "injection_rate"),
+            ("trace", "injection_rate"),
+        ],
+    )
+    def test_a_swept_load_sets_the_traffics_own_field(self, traffic, field):
+        config = SimulationConfig(traffic=traffic)
+        assert config.load_field == field
+        loaded = config.at_load(0.42)
+        assert getattr(loaded, field) == 0.42
+        assert loaded == config.with_(**{field: 0.42})
+        with pytest.raises(ConfigurationError, match="must be in"):
+            config.at_load(7.0)
 
     def test_mean_packet_size(self):
         assert SimulationConfig(packet_size=3).mean_packet_size == 3.0

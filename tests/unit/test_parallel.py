@@ -179,6 +179,20 @@ class TestSimTask:
         assert clone.key == task.key
         assert clone.resolved_config().injection_rate == 0.1
 
+    def test_hotspot_grid_sweeps_the_hotspot_rate(self, config):
+        """A rate sets the traffic's own load field: a hotspot grid
+        simulates one load per rate, not the same load once per rate."""
+        from repro.validate.differential import result_signature
+
+        hotspot = config.with_(traffic="hotspot")
+        rates = (0.02, 0.3, 0.6)
+        tasks = [SimTask(hotspot, rate=rate) for rate in rates]
+        configs = [task.resolved_config() for task in tasks]
+        assert [c.hotspot_rate for c in configs] == list(rates)
+        assert {c.injection_rate for c in configs} == {hotspot.injection_rate}
+        signatures = {result_signature(r) for r in run_tasks(tasks)}
+        assert len(signatures) == len(rates)
+
 
 class TestDeriveTaskSeed:
     def test_deterministic(self):

@@ -195,3 +195,14 @@ class TestJobLifecycle:
         assert points[0]["drained"] is True
         assert points[1]["state"] == TASK_PENDING
         assert "avg_latency" not in points[1]
+        assert [p["rate"] for p in points] == [0.05, 0.05]
+
+    def test_result_points_carry_the_swept_load(self):
+        """A hotspot row shows its hotspot rate, not the constant
+        injection rate the grid never swept."""
+        tasks = tuple(
+            SimTask(_config(traffic="hotspot"), rate=rate)
+            for rate in (0.02, 0.3)
+        )
+        job = Job(id="j1", spec=JobSpec(name="hot", tasks=tasks))
+        assert [p["rate"] for p in job.result_points()] == [0.02, 0.3]

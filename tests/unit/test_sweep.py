@@ -69,6 +69,15 @@ class TestRealSweeps:
         points = injection_sweep(config, [0.05, 0.55])
         assert points[0].avg_latency < points[1].avg_latency
 
+    def test_injection_sweep_on_hotspot_sweeps_the_hotspot_flows(self, config):
+        """The serial and pooled paths sweep the same field: on hotspot
+        traffic, the hotspot flows' rate over a constant background."""
+        hotspot = config.with_(traffic="hotspot", background_rate=0.1)
+        points = injection_sweep(hotspot, [0.02, 0.6])
+        assert [p.injection_rate for p in points] == [0.02, 0.6]
+        assert points[0].accepted_rate < points[1].accepted_rate
+        assert run_point(hotspot, 0.6) == points[1]
+
     def test_saturation_search_on_simulator(self, monkeypatch):
         """Bisection against a synthetic latency model (fast, exact)."""
 

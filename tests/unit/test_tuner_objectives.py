@@ -16,9 +16,8 @@ from repro.tuner.objectives import (
     Scenario,
     config_cost_bits,
     eval_from_results,
-    make_scenario,
+    rung_config,
     rungs,
-    tasks_for,
 )
 
 
@@ -77,34 +76,48 @@ def test_cost_bits_scales_with_buffering():
 # ----------------------------------------------------------------------
 def test_scenario_validation():
     with pytest.raises(TunerError):
-        Scenario("s", BASE, rates=())
+        Scenario(BASE, rates=())
     with pytest.raises(TunerError):
-        Scenario("s", BASE, rates=(0.2, 0.1))
+        Scenario(BASE, rates=(0.2, 0.1))
     with pytest.raises(TunerError):
-        Scenario("s", BASE, rates=(0.1, 0.1))
+        Scenario(BASE, rates=(0.1, 0.1))
     with pytest.raises(TunerError):
-        Scenario("s", BASE, rates=(0.1, 0.2), latency_rate=0.15)
-    with pytest.raises(TunerError):
-        Scenario("s", BASE, rates=(0.1,), rate_field="warmup_cycles")
+        Scenario(BASE, rates=(0.1, 0.2), latency_rate=0.15)
 
 
 def test_scenario_latency_rate_defaults_to_middle():
-    scenario = Scenario("s", BASE, rates=(0.1, 0.2, 0.3))
+    scenario = Scenario(BASE, rates=(0.1, 0.2, 0.3))
     assert scenario.latency_rate == 0.2
 
 
-def test_make_scenario_hotspot_sweeps_hotspot_rate():
-    scenario = make_scenario("hotspot", width=4)
-    assert scenario.rate_field == "hotspot_rate"
-    assert scenario.base.traffic == "hotspot"
-    uniform = make_scenario("uniform", width=4)
-    assert uniform.rate_field == "injection_rate"
+def test_scenario_ladder_and_name_follow_the_base():
+    hotspot = Scenario(BASE.with_(traffic="hotspot"))
+    assert hotspot.rates == (0.05, 0.15, 0.3, 0.45)
+    assert hotspot.name == "hotspot-4x4"
+    assert "hotspot_rate ladder" in hotspot.describe()
+    uniform = Scenario(BASE.with_(topology="torus"))
+    assert uniform.rates == (0.02, 0.1, 0.2, 0.35)
+    assert uniform.name == "uniform-4x4-torus"
+    assert "injection_rate ladder" in uniform.describe()
 
 
 def test_scenario_roundtrip():
-    scenario = make_scenario("transpose", width=4, rates=(0.05, 0.1))
+    scenario = Scenario(BASE.with_(traffic="transpose"), rates=(0.05, 0.1))
     again = Scenario.from_dict(scenario.to_dict())
     assert again == scenario
+
+
+def test_scenario_name_and_rate_field_are_written_not_read():
+    """Artifacts keep both keys for their readers; they follow from the
+    base, so a load ignores what is stored."""
+    scenario = Scenario(BASE.with_(traffic="hotspot"), rates=(0.05, 0.1))
+    stored = scenario.to_dict()
+    assert (stored["name"], stored["rate_field"]) == (
+        "hotspot-4x4",
+        "hotspot_rate",
+    )
+    stored.update(name="renamed", rate_field="injection_rate")
+    assert Scenario.from_dict(stored) == scenario
 
 
 # ----------------------------------------------------------------------
@@ -134,15 +147,13 @@ def test_probe_halves_a_wide_mesh_under_a_distinct_cache_key():
         measure_cycles=100,
         drain_cycles=200,
     )
-    scenario = Scenario("s", big, rates=(0.05,))
     candidate = space.candidate(num_vcs=4, routing="dor")
     probe, half, full = rungs(big)
     assert (probe.width, half.width, full.width) == (4, 8, 8)
-    [scaled] = tasks_for(scenario, candidate, probe)
-    assert scaled.config.width == 4
-    [unscaled] = tasks_for(scenario, candidate, full)
-    assert unscaled.config == big
-    assert config_cache_key(scaled.config) != config_cache_key(big)
+    scaled = rung_config(big, candidate, probe)
+    assert scaled.width == 4
+    assert rung_config(big, candidate, full) == big
+    assert config_cache_key(scaled) != config_cache_key(big)
     assert rungs(BASE)[0].width == BASE.width  # a 4x4 mesh stays whole
 
 
@@ -150,17 +161,15 @@ def test_probe_halves_a_wide_mesh_under_a_distinct_cache_key():
 # Evaluation
 # ----------------------------------------------------------------------
 def _scenario():
-    return Scenario("s", BASE, rates=(0.05, 0.1, 0.2), latency_rate=0.1)
+    return Scenario(BASE, rates=(0.05, 0.1, 0.2), latency_rate=0.1)
 
 
 def _configs(scenario, rung):
-    return [
-        t.resolved_config()
-        for t in tasks_for(scenario, space.candidate(), rung)
-    ]
+    config = rung_config(scenario.base, space.candidate(), rung)
+    return [config.at_load(rate) for rate in scenario.rates]
 
 
-def test_tasks_for_covers_ladder_with_distinct_rungs():
+def test_rung_configs_cover_ladder_with_distinct_keys():
     scenario = _scenario()
     probe, _, full = rungs(BASE)
     full_keys = {config_cache_key(c) for c in _configs(scenario, full)}

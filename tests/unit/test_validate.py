@@ -41,10 +41,6 @@ class TestValidationConfig:
         config = ValidationConfig.only("vc_states", mutate="vc_state")
         assert config.active
 
-    def test_check_every_must_be_positive(self):
-        with pytest.raises(ConfigurationError, match="check_every"):
-            ValidationConfig(check_every=0)
-
     def test_unknown_mutation_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown mutation"):
             ValidationConfig(mutate="bogus")
