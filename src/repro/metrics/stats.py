@@ -19,14 +19,12 @@ class LatencyStats:
     def __init__(self) -> None:
         self._samples: list[int] = []
         self._sum = 0
-        self._sorted = True
 
     def add(self, value: int) -> None:
         if value < 0:
             raise ValueError(f"negative latency {value}")
         self._samples.append(value)
         self._sum += value
-        self._sorted = False
 
     def extend(self, values: Iterable[int]) -> None:
         """Add many samples in bulk (a cache replay rebuilds thousands).
@@ -41,9 +39,12 @@ class LatencyStats:
             raise ValueError(
                 f"negative latency {next(v for v in values if v < 0)}"
             )
-        self._samples.extend(values)
+        if self._samples:
+            self._samples.extend(values)
+        else:
+            # ``values`` is already a private copy: adopt it.
+            self._samples = values
         self._sum += sum(values)
-        self._sorted = False
 
     # ------------------------------------------------------------------
     @property
@@ -69,14 +70,13 @@ class LatencyStats:
         return max(self._samples)
 
     def percentile(self, q: float) -> float:
-        """Exact percentile ``q`` in [0, 100] (nearest-rank)."""
+        """Exact percentile ``q`` in [0, 100] (nearest-rank); sorts a copy."""
         if not self._samples:
             raise ValueError("no samples")
         if not (0.0 <= q <= 100.0):
             raise ValueError(f"percentile {q} outside [0, 100]")
-        self._ensure_sorted()
         rank = max(0, math.ceil(q / 100.0 * len(self._samples)) - 1)
-        return float(self._samples[rank])
+        return float(sorted(self._samples)[rank])
 
     @property
     def stddev(self) -> float:
@@ -95,26 +95,21 @@ class LatencyStats:
         var = sum((s - mean) ** 2 for s in self._samples) / (n - 1)
         return math.sqrt(var)
 
-    def _ensure_sorted(self) -> None:
-        if not self._sorted:
-            self._samples.sort()
-            self._sorted = True
-
     def merge(self, other: "LatencyStats") -> None:
         self._samples.extend(other._samples)
         self._sum += other._sum
-        self._sorted = False
 
     # ------------------------------------------------------------------
     def samples(self) -> list[int]:
-        """The retained samples (a copy); every aggregate query is
-        order-insensitive, so round-tripping through this preserves all
-        observable statistics."""
+        """The retained samples in arrival order (a copy); rebuilding
+        from it with :meth:`from_samples` reproduces the accumulator
+        exactly."""
         return list(self._samples)
 
     @classmethod
     def from_samples(cls, values: Iterable[int]) -> "LatencyStats":
-        """Rebuild an accumulator from :meth:`samples` output."""
+        """Rebuild an accumulator from :meth:`samples` output; it keeps
+        its own copy of ``values``."""
         stats = cls()
         stats.extend(values)
         return stats

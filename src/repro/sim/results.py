@@ -115,16 +115,20 @@ class SimulationResult:
 
         Used by the persistent result cache: the full latency sample
         sets are retained so a cache hit answers every percentile query
-        exactly as the original run would.
+        exactly as the original run would.  Each list is stored once: a
+        flow whose samples equal the overall ones (same values, same
+        order — every single-flow run) is written as ``None``.
         """
+        latency = self.latency.samples()
+        by_flow = {}
+        for flow, stats in self.latency_by_flow.items():
+            samples = stats.samples()
+            by_flow[flow] = None if samples == latency else samples
         return {
             "config": self.config.to_dict(),
             "cycles_run": self.cycles_run,
-            "latency": self.latency.samples(),
-            "latency_by_flow": {
-                flow: stats.samples()
-                for flow, stats in self.latency_by_flow.items()
-            },
+            "latency": latency,
+            "latency_by_flow": by_flow,
             "accepted_flits": self.accepted_flits,
             "offered_flits": self.offered_flits,
             "measured_created": self.measured_created,
@@ -147,11 +151,14 @@ class SimulationResult:
         """Rebuild a result from :meth:`to_dict` output (or parsed JSON).
 
         The scalar counters must be integers (``TypeError`` otherwise):
-        nothing downstream would notice a string until it is printed.
+        nothing downstream would notice a string until it is printed.  A
+        ``None`` flow is rebuilt from the overall samples; explicit flow
+        lists (every entry written before they were shared) still load.
         """
         for name in _COUNTERS:
             if type(data[name]) is not int:
                 raise TypeError(f"{name} must be an integer: {data[name]!r}")
+        latency = data["latency"]
         blocking = BlockingStats()
         blocking.blocking_events = data["blocking"]["blocking_events"]
         blocking.busy_vc_samples = data["blocking"]["busy_vc_samples"]
@@ -161,9 +168,11 @@ class SimulationResult:
         return cls(
             config=SimulationConfig.from_dict(data["config"]),
             cycles_run=data["cycles_run"],
-            latency=LatencyStats.from_samples(data["latency"]),
+            latency=LatencyStats.from_samples(latency),
             latency_by_flow={
-                flow: LatencyStats.from_samples(samples)
+                flow: LatencyStats.from_samples(
+                    latency if samples is None else samples
+                )
                 for flow, samples in data["latency_by_flow"].items()
             },
             accepted_flits=data["accepted_flits"],

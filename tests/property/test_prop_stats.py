@@ -16,9 +16,8 @@ maybe_empty = st.lists(st.integers(0, 10_000), max_size=500)
 def aggregates(stats):
     """Every observable aggregate, for whole-object comparison.
 
-    Percentiles are queried first: they sort the retained samples in
-    place, which pins the float summation order inside ``stddev`` so two
-    logically equal accumulators compare bit-identical.
+    ``stddev`` sums floats in sample order, so two accumulators compare
+    bit-identical here only when their samples arrived in the same order.
     """
     if stats.count == 0:
         return (0,)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,10 +15,19 @@ from repro.harness.cache import (
     config_cache_key,
     default_cache_dir,
 )
+from repro.harness.runner import run_simulation
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
+from repro.sim.results import SimulationResult
 from repro.telemetry.config import TelemetryConfig
 from repro.traffic.trace import TraceEvent
+from repro.validate.differential import result_signature
+
+#: A single-flow 4x4 entry written before flow lists were shared: its
+#: ``latency_by_flow`` repeats the overall samples explicitly.
+FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / (
+    "result_entry_v4.json"
+)
 
 
 def _config(**overrides):
@@ -229,6 +239,47 @@ class TestParseableButWrongEntries:
         )
         assert cache.get(observed) is not None
         assert (cache.hits, cache.misses) == (1, 0)
+
+
+class TestEntryFormat:
+    """Each latency sample list is stored once: a flow equal to the
+    overall samples is ``null``; entries written with explicit copies
+    (every earlier tree) still hit."""
+
+    def test_single_flow_is_written_as_null(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        result = _result()
+        cache.put(result)
+        data = json.loads(
+            cache._path(config_cache_key(result.config)).read_text()
+        )
+        assert data["latency_by_flow"] == {"uniform": None}
+        assert data["latency"] == result.latency.samples()
+        cached = cache.get(result.config)
+        assert (
+            cached.latency_by_flow["uniform"].samples()
+            == result.latency_by_flow["uniform"].samples()
+        )
+
+    def test_entry_with_explicit_copies_still_hits(self, tmp_path):
+        data = json.loads(FIXTURE.read_text())
+        assert data["latency_by_flow"]["uniform"] == data["latency"]
+        rebuilt = SimulationResult.from_dict(data)
+        fresh = run_simulation(rebuilt.config)
+        assert result_signature(rebuilt) == result_signature(fresh)
+        assert (
+            rebuilt.latency_by_flow["uniform"].samples()
+            == fresh.latency_by_flow["uniform"].samples()
+        )
+
+        cache = ResultCache(tmp_path)
+        cache._path(config_cache_key(rebuilt.config)).write_text(
+            FIXTURE.read_text()
+        )
+        hit = cache.get(rebuilt.config)
+        assert hit is not None and (cache.hits, cache.misses) == (1, 0)
+        assert result_signature(hit) == result_signature(fresh)
+        assert rebuilt.to_dict()["latency_by_flow"] == {"uniform": None}
 
 
 class TestConcurrentWriters:

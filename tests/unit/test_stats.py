@@ -54,12 +54,27 @@ class TestBasics:
         stats = filled(v * v for v in range(5))
         assert stats.samples() == [0, 1, 4, 9, 16]
         assert stats.mean == 6
-        # A percentile query sorts in place; samples added afterwards
-        # must un-sort it again.
         assert stats.percentile(100) == 16
         stats.extend(iter([3]))
         assert stats.percentile(100) == 16 and stats.percentile(0) == 0
         assert stats.count == 6
+
+    def test_queries_never_reorder_samples(self):
+        # A serialized result is compared and written by its sample
+        # order, so reading a percentile (the CLI's p99, repr) must not
+        # change what samples() returns afterwards.
+        stats = filled([9, 0, 4, 17, 4])
+        assert stats.percentile(50) == 4 and stats.percentile(100) == 17
+        assert "p99=17" in repr(stats)
+        assert stats.samples() == [9, 0, 4, 17, 4]
+
+    def test_from_samples_copies_its_input(self):
+        values = [3, 1, 2]
+        stats = LatencyStats.from_samples(values)
+        values.append(50)
+        stats.add(7)
+        assert values == [3, 1, 2, 50]
+        assert stats.samples() == [3, 1, 2, 7] and stats.mean == 3.25
 
     def test_extend_with_nothing_changes_nothing(self):
         stats = filled([])
