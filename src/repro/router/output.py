@@ -220,39 +220,38 @@ class OutputPort:
 
         Recomputes every incrementally-maintained view (free mask, fresh
         set, footprint index, adaptive credit total) from the ground
-        truth.  Used by :mod:`repro.validate` between cycles; mid-cycle
-        the accept counter may legitimately be non-zero.
+        truth.  Used by :mod:`repro.validate` between cycles, on ports
+        out of their reset state; mid-cycle the accept counter may
+        legitimately be non-zero.  The per-VC clauses are one mask of
+        offending VCs, walked only to name the lowest.
         """
         depth = self.downstream_depth
         all_vcs = (1 << self.num_vcs) - 1
-        adaptive = self.adaptive
-        if (
-            self.credits.count(depth) == self.num_vcs
-            and not self.allocated
-            and not self._draining
-            and self.free == all_vcs
-            and not self.fresh & ~all_vcs
-            and not self.fifo
-            and not self._accepted_this_cycle
-            and not self._fp
-            and self._adaptive_credits == depth * adaptive.bit_count()
-        ):
-            # The reset state: every recount below would reproduce
-            # exactly these values.
-            return None
         credits = self.credits
         allocated = self.allocated
         draining = self._draining
-        for vc, credit in enumerate(credits):
+        owner = self.owner_dst
+        bad = allocated & draining
+        if not self.atomic_realloc:
+            bad |= draining
+        if None in owner:
+            for vc in bits(allocated & ~bad):
+                if owner[vc] is None:
+                    bad |= 1 << vc
+        if min(credits) < 0 or max(credits) > depth:
+            for vc, credit in enumerate(credits):
+                if not 0 <= credit <= depth:
+                    bad |= 1 << vc
+        if bad:
+            vc = (bad & -bad).bit_length() - 1
+            credit = credits[vc]
             if not 0 <= credit <= depth:
                 return f"VC {vc} credit count {credit} outside [0, {depth}]"
-            if (allocated >> vc) & 1:
-                if (draining >> vc) & 1:
-                    return f"VC {vc} both allocated and draining"
-                if self.owner_dst[vc] is None:
-                    return f"allocated VC {vc} has no owner destination"
-            elif (draining >> vc) & 1 and not self.atomic_realloc:
+            if not (allocated >> vc) & 1:
                 return f"VC {vc} draining without atomic reallocation"
+            if (draining >> vc) & 1:
+                return f"VC {vc} both allocated and draining"
+            return f"allocated VC {vc} has no owner destination"
         if len(self.fifo) > self.fifo_depth:
             return "staging FIFO above its depth"
         if self._accepted_this_cycle:
@@ -271,16 +270,19 @@ class OutputPort:
                 f"freshly-released VCs {list(bits(self.fresh & ~free))} are "
                 f"not free"
             )
-        adaptive_credits = sum(credits[v] for v in bits(adaptive))
+        adaptive = self.adaptive
+        adaptive_credits = sum(credits)
+        for vc in bits(all_vcs & ~adaptive):
+            adaptive_credits -= credits[vc]
         if self._adaptive_credits != adaptive_credits:
             return (
                 f"adaptive credit total {self._adaptive_credits} != "
                 f"recounted {adaptive_credits}"
             )
         footprints: dict[int, int] = {}
-        for v in bits(adaptive & ~free):
-            dst = self.owner_dst[v]
-            footprints[dst] = footprints.get(dst, 0) | 1 << v
+        for vc in bits(adaptive & ~free):
+            dst = owner[vc]
+            footprints[dst] = footprints.get(dst, 0) | 1 << vc
         if self._fp != footprints:
             return (
                 f"footprint index {self._fp} != {footprints} recomputed "

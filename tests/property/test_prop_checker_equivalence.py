@@ -1,20 +1,24 @@
-"""The census-based invariant sweep must equal the sweep it replaced.
+"""The one-walk invariant sweep must equal the four walks it replaced.
 
-``InvariantChecker.run_checks`` recounts every invariant from one census
-of the input VCs that are out of their reset state, and verifies output
-ports and credit loops in *their* reset state by one comparison.  The
-previous implementation — four checkers, each walking every VC and every
-port — is kept here verbatim as :class:`ReferenceChecker`.  On mid-run
-simulator snapshots, hypothesis-drawn corruptions (single fields, plus
-the few-field ones that plant a claim on reset state) must make the two
-sweeps raise or pass together, with the same ``checker``, ``node``,
-``direction``, ``vc`` and message — in particular the near-reset
-corruptions each fast path could hide.
+``InvariantChecker.run_checks`` visits every endpoint, input VC and
+output port once: it recounts from the census of the input VCs out of
+their reset state, and passes an output port in *its* reset state by
+one comparison.  The four checkers it replaced — each walking every VC
+and every port, one after another — are kept here as
+:class:`ReferenceChecker`.  On mid-run simulator snapshots,
+hypothesis-drawn corruptions (single fields, the few-field ones that
+plant a claim on reset state, and pairs at two routers) must make the
+two sweeps raise or pass together, under every checker selection, with
+the same ``checker``, ``node``, ``direction``, ``vc`` and message — in
+particular the near-reset corruptions each fast path could hide, and
+every clause of the port reset comparison.
 """
 
 import functools
+import random
 from collections import Counter
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.exceptions import InvariantViolation
@@ -101,10 +105,12 @@ def parent_consistency_violation(self) -> str | None:
 
 
 class ReferenceChecker(InvariantChecker):
-    """The sweep of the parent commit, verbatim but for one call: the
-    port recount is the parent's too (``parent_consistency_violation``
-    above, ``OutputPort.consistency_violation`` before it gained its
-    reset-state early-out).  ``_check_direction`` and the engine hooks
+    """The four-walk sweep, verbatim but for one call and two clauses:
+    the port recount is the one before any fast path
+    (``parent_consistency_violation`` above), and the endpoint caches
+    the one-walk sweep also recounts (a source's pending flits, a sink's
+    occupancy and occupied-VC mask) are checked here the slow way, each
+    marked "Endpoint clause".  ``_check_direction`` and the engine hooks
     are unchanged and inherited."""
 
     def run_checks(self, sim: "Simulator", cycle: int) -> None:
@@ -121,6 +127,18 @@ class ReferenceChecker(InvariantChecker):
         self.checks_run += 1
 
     def _check_conservation(self, sim: "Simulator", cycle: int) -> None:
+        for source in sim.sources:
+            # Endpoint clause: the pending count against the queue.
+            current = source._current_flits or []
+            queued = len(current) + sum(p.size for p in source.queue)
+            if source.pending_flits != queued:
+                raise InvariantViolation(
+                    "flit_conservation",
+                    f"source counts {source.pending_flits} pending flits, "
+                    f"its queue and current packet hold {queued}",
+                    cycle=cycle,
+                    node=source.node,
+                )
         offered = sum(s.offered_flits for s in sim.sources)
         pending = sum(s.pending_flits for s in sim.sources)
         ejected = sum(s.ejected_flits for s in sim.sinks)
@@ -228,6 +246,34 @@ class ReferenceChecker(InvariantChecker):
                         )
 
     def _check_vc_states(self, sim: "Simulator", cycle: int) -> None:
+        for sink in sim.sinks:
+            # Endpoint clauses: the occupancy count and the occupied-VC
+            # mask against the buffers.
+            total = sum(len(buffer) for buffer in sink.buffers)
+            if sink.occupancy != total:
+                raise InvariantViolation(
+                    "vc_states",
+                    f"sink counts {sink.occupancy} buffered flits, its "
+                    f"buffers hold {total}",
+                    cycle=cycle,
+                    node=sink.node,
+                    direction=Direction.LOCAL,
+                )
+            occupied = sum(
+                1 << vc for vc, buffer in enumerate(sink.buffers) if buffer
+            )
+            for vc in range(max(sink._occupied, occupied).bit_length()):
+                if (sink._occupied >> vc) & 1 != (occupied >> vc) & 1:
+                    raise InvariantViolation(
+                        "vc_states",
+                        f"sink occupied-VC mask {sink._occupied:#b} "
+                        f"disagrees with its buffers, which say "
+                        f"{occupied:#b}",
+                        cycle=cycle,
+                        node=sink.node,
+                        direction=Direction.LOCAL,
+                        vc=vc,
+                    )
         for router in sim.routers:
             node = router.node
             buffered = 0
@@ -494,7 +540,7 @@ SELECTIONS = {
 @functools.lru_cache(maxsize=None)
 def snapshot(name):
     """A clean run ``steps`` cycles in, and per checker selection the
-    (census, reference) pair of sweeps that will judge its corruptions."""
+    (one-walk, reference) pair of sweeps that will judge its corruptions."""
     config, steps = SNAPSHOTS[name]
     sim = Simulator(config, validation=ValidationConfig())
     for _ in range(steps):
@@ -630,6 +676,22 @@ def sink_counter(sim, rnd, field):
     return nudge(rnd.choice(sim.sinks), field, rnd)
 
 
+def sink_occupied_bit(sim, rnd):
+    sink = rnd.choice(sim.sinks)
+    return set_attr(
+        sink, "_occupied", sink._occupied ^ 1 << rnd.randrange(sink.num_vcs)
+    )
+
+
+def source_queue_push(sim, rnd):
+    """A packet queued behind the source's back: its pending count and
+    the engine's backlog no longer cover it."""
+    source = rnd.choice(sim.sources)
+    packet = any_flit(sim, rnd).packet
+    source.queue.append(packet)
+    return source.queue.pop
+
+
 def sink_buffer_push(sim, rnd):
     sink = rnd.choice(sim.sinks)
     buffer = sink.buffers[rnd.randrange(sink.num_vcs)]
@@ -721,10 +783,13 @@ def active_claim_on_reset_vc(sim, rnd):
     if not reset:
         return None
     ivc = rnd.choice(reset)
+    # Draw before damaging: a draw may end the example.
+    out_direction = rnd.choice(list(router.output_ports))
+    out_vc = rnd.randrange(sim.config.num_vcs)
     undo = [
         set_attr(ivc, "state", VcState.ACTIVE),
-        set_attr(ivc, "out_direction", rnd.choice(list(router.output_ports))),
-        set_attr(ivc, "out_vc", rnd.randrange(sim.config.num_vcs)),
+        set_attr(ivc, "out_direction", out_direction),
+        set_attr(ivc, "out_vc", out_vc),
     ]
     return lambda: [u() for u in undo]
 
@@ -892,6 +957,8 @@ CORRUPTIONS = (
     *per_field(engine_counter, "_flits_in_network", "_source_backlog"),
     *per_field(source_counter, "offered_flits", "pending_flits"),
     *per_field(sink_counter, "ejected_flits", "occupancy"),
+    sink_occupied_bit,
+    source_queue_push,
     sink_buffer_push,
     wire_flit_added,
     wire_dropped,
@@ -937,23 +1004,28 @@ def test_census_sweep_matches_reference_sweep(name, corrupt, rnd):
     undo = corrupt(sim, rnd)
     assume(undo is not None)
     try:
-        for selection, (census, reference) in sweeps.items():
-            expected = outcome(reference, sim)
-            assert outcome(census, sim) == expected, (
-                corrupt.__name__,
-                selection,
-            )
+        agree(sim, sweeps, corrupt.__name__)
     finally:
         undo()
     assert outcome(sim.validator, sim) is None, "undo left damage behind"
 
 
+def agree(sim, sweeps, label):
+    """Both sweeps' outcome under every checker selection, which must be
+    the same: ``{selection: outcome}``."""
+    seen = {}
+    for selection, (one_walk, reference) in sweeps.items():
+        seen[selection] = outcome(reference, sim)
+        assert outcome(one_walk, sim) == seen[selection], (label, selection)
+    return seen
+
+
 def test_snapshots_are_clean_and_cover_the_fast_paths():
     for name in SNAPSHOTS:
         sim, sweeps = snapshot(name)
-        for census, reference in sweeps.values():
+        for one_walk, reference in sweeps.values():
             assert outcome(reference, sim) is None
-            assert outcome(census, sim) is None
+            assert outcome(one_walk, sim) is None
         vcs = [
             ivc
             for router in sim.routers
@@ -975,3 +1047,217 @@ def test_snapshots_are_clean_and_cover_the_fast_paths():
         assert 0 < len(live) < len(vcs), name
         assert 0 < sum(map(is_reset_port, ports)) < len(ports), name
     assert snapshot("faults_held")[0].faults.held_credits
+
+
+# ----------------------------------------------------------------------
+# Two corruptions at two routers: each checker reports the first it meets
+# in its own scan order, and the sweep raises in catalogue order.
+# ----------------------------------------------------------------------
+def reset_ivc(router, rnd):
+    live = non_reset_vcs(router.input_vcs)
+    reset = [
+        ivc for port in router.input_vcs.values() for ivc in port
+        if ivc not in live
+    ]
+    return rnd.choice(reset) if reset else None
+
+
+def router_credit(sim, router, rnd):
+    port = rnd.choice(list(router.output_ports.values()))
+    vc = rnd.randrange(port.num_vcs)
+    return set_item(port.credits, vc, port.credits[vc] + rnd.choice((-1, 1)))
+
+
+def router_returning_credit(sim, router, rnd):
+    direction = rnd.choice(list(router.output_ports))
+    sim._credits_next.append(
+        (router.node, direction, rnd.randrange(sim.config.num_vcs))
+    )
+    return sim._credits_next.pop
+
+
+def router_pending_key(sim, router, rnd):
+    ivc = reset_ivc(router, rnd)
+    if ivc is None:
+        return None
+    key = (ivc.direction, ivc.index)
+    router._pending[key] = ivc
+    return lambda: router._pending.pop(key)
+
+
+def router_free_bit(sim, router, rnd):
+    port = rnd.choice(list(router.output_ports.values()))
+    return set_attr(port, "free", port.free ^ 1 << rnd.randrange(port.num_vcs))
+
+
+def router_holder(sim, router, rnd):
+    ivc = reset_ivc(router, rnd)
+    if ivc is None:
+        return None
+    # Draw before damaging: a draw may end the example.
+    out_direction = rnd.choice(list(router.output_ports))
+    out_vc = rnd.randrange(sim.config.num_vcs)
+    undo = [
+        set_attr(ivc, "state", VcState.ACTIVE),
+        set_attr(ivc, "out_direction", out_direction),
+        set_attr(ivc, "out_vc", out_vc),
+    ]
+    return lambda: [u() for u in undo]
+
+
+def router_staged_count(sim, router, rnd):
+    return nudge(router, rnd.choice(("staged_flits", "inflight")), rnd)
+
+
+def router_owner(sim, router, rnd):
+    busy = [
+        (port, vc)
+        for port in router.output_ports.values()
+        for vc in range(port.num_vcs)
+        if (port.allocated >> vc) & 1
+    ]
+    if not busy:
+        return None
+    port, vc = rnd.choice(busy)
+    owners = range(sim.mesh.num_nodes)
+    return set_item(port.owner_dst, vc, other(rnd, port.owner_dst[vc], owners))
+
+
+def router_fifo_push(sim, router, rnd):
+    ivc = rnd.choice(
+        [ivc for port in router.input_vcs.values() for ivc in port]
+    )
+    ivc.fifo.append(any_flit(sim, rnd))
+    return ivc.fifo.pop
+
+
+AT_ROUTER = (
+    router_credit,
+    router_returning_credit,
+    router_pending_key,
+    router_free_bit,
+    router_holder,
+    router_staged_count,
+    router_owner,
+    router_fifo_push,
+)
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(
+    st.sampled_from(sorted(SNAPSHOTS)),
+    st.sampled_from(AT_ROUTER),
+    st.sampled_from(AT_ROUTER),
+    st.randoms(use_true_random=False),
+)
+def test_two_corruptions_at_two_routers_match_reference(name, a, b, rnd):
+    sim, sweeps = snapshot(name)
+    undo = []
+    try:
+        for corrupt, router in zip((a, b), rnd.sample(sim.routers, 2)):
+            undo.append(corrupt(sim, router, rnd))
+            assume(undo[-1] is not None)
+        agree(sim, sweeps, (a.__name__, b.__name__))
+    finally:
+        for u in reversed(undo):
+            if u is not None:
+                u()
+    assert outcome(sim.validator, sim) is None, "undo left damage behind"
+
+
+def test_first_per_checker_then_catalogue_order():
+    """vc_states reports its lower router even when that router's fault
+    is a port's (pass 2) and the higher router's a VC's (pass 1), and
+    credit_accounting still comes first."""
+    sim, sweeps = snapshot("mesh8_0.05")
+    rnd = random.Random(5)
+    low, high = sim.routers[3], sim.routers[40]
+    port = next(iter(low.output_ports.values()))
+    undo = [
+        set_attr(port, "free", port.free ^ 1),
+        router_pending_key(sim, high, rnd),
+        router_returning_credit(sim, high, rnd),
+    ]
+    try:
+        seen = agree(sim, sweeps, "ordering")
+    finally:
+        for u in reversed(undo):
+            u()
+    assert seen["vc_states"][:3] == ("vc_states", low.node, port.direction)
+    assert seen["credit_accounting"][:2] == ("credit_accounting", high.node)
+    assert seen["all"] == seen["credit_accounting"]
+
+
+# ----------------------------------------------------------------------
+# Every clause of the port reset comparison is load-bearing: on a reset
+# port of an idle router, damaging that one field must reach a recount.
+# ----------------------------------------------------------------------
+def idle_reset_port():
+    sim, sweeps = snapshot("mesh8_0.05")
+    for router in sim.routers:
+        if router.inflight or router.credit_pending:
+            continue
+        for direction, port in router.output_ports.items():
+            if is_reset_port(port) and not port.fresh and not port._fp:
+                return sim, sweeps, router, direction, port
+    raise AssertionError("no idle router with a reset port")
+
+
+def claim_on_port(sim, router, direction, port):
+    sim._credits_next.append((router.node, direction, 1))
+    return sim._credits_next.pop
+
+
+def holder_of_port(sim, router, direction, port):
+    ivc = next(
+        ivc for vcs in router.input_vcs.values() for ivc in vcs
+        if ivc not in non_reset_vcs(router.input_vcs)
+    )
+    undo = [
+        set_attr(ivc, "state", VcState.ACTIVE),
+        set_attr(ivc, "out_direction", direction),
+        set_attr(ivc, "out_vc", 1),
+    ]
+    return lambda: [u() for u in undo]
+
+
+def staged_flit(sim, router, direction, port):
+    port.fifo.append((any_flit(sim, random.Random(1)), 1))
+    return port.fifo.pop
+
+
+RESET_CLAUSES = {
+    "fifo": staged_flit,
+    "claim": claim_on_port,
+    "holder": holder_of_port,
+    "credits": lambda sim, r, d, p: set_item(p.credits, 1, p.credits[1] - 1),
+    "free": lambda sim, r, d, p: set_attr(p, "free", p.free ^ 0b10),
+    "allocated": lambda sim, r, d, p: set_attr(p, "allocated", 0b10),
+    "draining": lambda sim, r, d, p: set_attr(p, "_draining", 0b10),
+    "fresh": lambda sim, r, d, p: set_attr(p, "fresh", 0b10),
+    "accept_counter": lambda sim, r, d, p: set_attr(
+        p, "_accepted_this_cycle", 1
+    ),
+    "footprint_index": lambda sim, r, d, p: (
+        p._fp.__setitem__(7, 0b10) or (lambda: p._fp.pop(7))
+    ),
+    "adaptive_credits": lambda sim, r, d, p: set_attr(
+        p, "_adaptive_credits", p._adaptive_credits - 1
+    ),
+}
+
+
+@pytest.mark.parametrize("clause", sorted(RESET_CLAUSES))
+def test_each_port_reset_clause_reaches_a_recount(clause):
+    sim, sweeps, router, direction, port = idle_reset_port()
+    undo = RESET_CLAUSES[clause](sim, router, direction, port)
+    try:
+        seen = agree(sim, sweeps, clause)
+    finally:
+        undo()
+    assert seen["all"] is not None, clause
+    assert outcome(sim.validator, sim) is None, "undo left damage behind"

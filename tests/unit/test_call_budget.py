@@ -13,10 +13,19 @@ and 21.3 per flit-hop outside ``route_and_allocate``).  A flit-hop is
 one flit written into one router's input buffer.  Counts repeat
 exactly: the run is seeded and ``setprofile`` sees every frame.
 
+A second, checked pass runs the ``checkers_on`` benchmark config (8x8,
+uniform, 0.05, every checker on) and counts the calls made under each
+invariant sweep (``InvariantChecker.run_checks``): nearly everything is
+in its reset state there, so a helper call per VC or per port, or a
+port recount outside the ports that left their reset state, turns it
+red.  The four-walk sweep the one-walk sweep replaced made
+:data:`PARENT_CALLS_PER_SWEEP` calls per sweep on this run.
+
 ``PYTHONPATH=src python tests/unit/test_call_budget.py`` prints the
 ten most-called functions of the same run and the calls per flit-hop
-of each flit stage, so a regression names its stage (CI prints it for
-the log).
+of each flit stage, so a regression names its stage, then the checked
+pass's calls per sweep and its ten most-called validation and router
+functions (CI prints both for the log).
 """
 
 import sys
@@ -27,10 +36,13 @@ from typing import NamedTuple
 import pytest
 
 import repro
+from repro.router.output import OutputPort
 from repro.router.router import Router
 from repro.routing.requests import VcRequest
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
+from repro.validate import ValidationConfig
+from repro.validate.checker import InvariantChecker
 
 PACKAGE = str(Path(repro.__file__).resolve().parent)
 
@@ -172,6 +184,129 @@ def test_no_per_flit_helper_on_the_flit_path(counted):
     assert not names & FOLDED
 
 
+#: ``benchmarks/perf``'s ``checkers_on`` config (its 30/70/200 cycles),
+#: checked by every checker.
+CHECKED = dict(
+    width=8,
+    routing="footprint",
+    traffic="uniform",
+    injection_rate=0.05,
+    warmup_cycles=30,
+    measure_cycles=70,
+    drain_cycles=200,
+    seed=5,
+)
+
+#: Measured + 5 %: 270.8 calls per checked sweep (121 sweeps), about 52
+#: of them ``consistency_violation`` — one per port out of reset.
+CALLS_PER_SWEEP = 284
+#: The four-walk sweep on the same run: every port recounted, a
+#: generator per sum (informational).
+PARENT_CALLS_PER_SWEEP = 1950.3
+
+
+def out_of_reset(port: OutputPort) -> bool:
+    """Whether ``port`` left its reset state (DESIGN §8)."""
+    depth = port.downstream_depth
+    return bool(
+        port.fifo
+        or port.credits != [depth] * port.num_vcs
+        or port.free != (1 << port.num_vcs) - 1
+        or port.allocated
+        or port._draining
+        or port.fresh
+        or port._accepted_this_cycle
+        or port._fp
+        or port._adaptive_credits != depth * port.adaptive.bit_count()
+    )
+
+
+class Sweeps(NamedTuple):
+    """One profiled checked run of :data:`CHECKED`."""
+
+    #: Calls made under the sweeps, by function (code object).
+    calls: Counter
+    #: Per sweep of the run: [calls under it, ``consistency_violation``
+    #: calls, ports out of their reset state when it began].
+    per_sweep: list
+    #: The same for one sweep once generation stopped and the network
+    #: drained back to its reset state.
+    drained: list
+
+
+def count_checked_calls() -> Sweeps:
+    simulator = Simulator(
+        SimulationConfig(**CHECKED), validation=ValidationConfig()
+    )
+    ports = [
+        port
+        for router in simulator.routers
+        for port in router.output_ports.values()
+    ]
+    sweep = InvariantChecker.run_checks.__code__
+    recount = OutputPort.consistency_violation.__code__
+    calls = Counter()
+    per_sweep = []
+    inside = [False]
+
+    def profiler(frame, event, _arg):
+        code = frame.f_code
+        if code is sweep and event in ("call", "return"):
+            inside[0] = event == "call"
+            if inside[0]:
+                per_sweep.append([0, 0, sum(map(out_of_reset, ports))])
+        elif (
+            event == "call"
+            and inside[0]
+            and code.co_filename.startswith(PACKAGE)
+        ):
+            calls[code] += 1
+            per_sweep[-1][0] += 1
+            per_sweep[-1][1] += code is recount
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        simulator.run()
+    finally:
+        sys.setprofile(previous)
+    run = per_sweep.copy()
+    simulator.traffic.generate = lambda _cycle, _in_window: ()
+    while (
+        simulator._flits_in_network
+        or simulator._source_backlog
+        or any(map(out_of_reset, ports))
+    ):
+        simulator.step()
+    sys.setprofile(profiler)
+    try:
+        simulator.validator.run_checks(simulator, simulator.cycle)
+    finally:
+        sys.setprofile(previous)
+    return Sweeps(calls, run, per_sweep[-1])
+
+
+@pytest.fixture(scope="module")
+def checked():
+    return count_checked_calls()
+
+
+def test_calls_per_checked_sweep_within_budget(checked):
+    assert len(checked.per_sweep) > 100  # idle cycles are skipped
+    total = sum(under for under, _recounts, _ports in checked.per_sweep)
+    assert total / len(checked.per_sweep) <= CALLS_PER_SWEEP
+
+
+def test_port_recount_only_for_ports_out_of_reset(checked):
+    """``consistency_violation`` runs once per port out of its reset
+    state, and never on the drained network of the final sweep."""
+    assert all(
+        recounts == ports for _under, recounts, ports in checked.per_sweep
+    )
+    assert sum(ports for _under, _recounts, ports in checked.per_sweep)
+    assert checked.drained[1:] == [0, 0]
+
+
 if __name__ == "__main__":
     counted = count_calls()
     calls, under, evaluations, cycles, hops = counted
@@ -192,5 +327,22 @@ if __name__ == "__main__":
         )
     )
     for code, count in calls.most_common(10):
+        where = code.co_filename[len(PACKAGE) + 1 :]
+        print(f"{count:9d}  {where}:{code.co_name}")
+
+    checked = count_checked_calls()
+    total = sum(under for under, _recounts, _ports in checked.per_sweep)
+    sweeps = len(checked.per_sweep)
+    print(
+        f"checked pass: {total} calls under {sweeps} invariant sweeps "
+        f"({total / sweeps:.1f} per sweep; the four-walk sweep made "
+        f"{PARENT_CALLS_PER_SWEEP})"
+    )
+    shown = [
+        (code, count)
+        for code, count in checked.calls.most_common()
+        if "/validate/" in code.co_filename or "/router/" in code.co_filename
+    ]
+    for code, count in shown[:10]:
         where = code.co_filename[len(PACKAGE) + 1 :]
         print(f"{count:9d}  {where}:{code.co_name}")

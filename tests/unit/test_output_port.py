@@ -288,9 +288,11 @@ class TestSwitchTraversal:
 
 
 class TestResetStateEarlyOut:
-    """``consistency_violation`` skips the recount for a port in its
-    reset state; a port that violates exactly one clause of that
-    predicate must still reach the recount and its message."""
+    """A port one field away from its reset state: the recount names
+    that field.  (The invariant sweep passes reset ports without calling
+    ``consistency_violation``; that every clause of its reset comparison
+    reaches the recount is pinned in
+    ``tests/property/test_prop_checker_equivalence.py``.)"""
 
     def test_reset_port_is_consistent(self):
         port = make_port()

@@ -161,3 +161,71 @@ class TestVerifyGrants:
             verify_grants(grants, {Direction.EAST: port})
         assert excinfo.value.checker == "vc_allocation"
         assert excinfo.value.vc == 0
+
+
+class TestEndpointCaches:
+    """The sweep recounts the endpoints' incremental caches: a sink's
+    occupancy count and occupied-VC mask (``vc_states``, at the sink's
+    LOCAL port) and a source's pending-flit count (``flit_conservation``)
+    — each corrupted here on a busy and on an idle endpoint."""
+
+    @staticmethod
+    def sweep(checker_name):
+        """A congested mid-run 4x4 (sinks drain below link rate, so
+        some hold flits) and a sweep running only ``checker_name``."""
+        from repro.sim.config import SimulationConfig
+        from repro.sim.engine import Simulator
+        from repro.validate.checker import InvariantChecker
+
+        config = SimulationConfig(
+            width=4, num_vcs=4, injection_rate=0.9, ejection_rate=0.7,
+            warmup_cycles=100, measure_cycles=100, drain_cycles=100, seed=3,
+        )
+        sim = Simulator(config, validation=ValidationConfig())
+        for _ in range(30):
+            sim.step()
+        checker = InvariantChecker(ValidationConfig.only(checker_name))
+        checker.generated_flits = sim.validator.generated_flits
+        checker.run_checks(sim, sim.cycle)  # clean before the damage
+        return sim, checker
+
+    @staticmethod
+    def violation(sim, checker):
+        with pytest.raises(InvariantViolation) as excinfo:
+            checker.run_checks(sim, sim.cycle)
+        return excinfo.value
+
+    @pytest.mark.parametrize("busy", [True, False])
+    def test_sink_occupancy(self, busy):
+        sim, checker = self.sweep("vc_states")
+        sink = next(s for s in sim.sinks if bool(s.occupancy) is busy)
+        sink.occupancy += 1
+        found = self.violation(sim, checker)
+        assert (found.checker, found.node, found.direction) == (
+            "vc_states", sink.node, Direction.LOCAL,
+        )
+        assert "sink counts" in str(found)
+
+    @pytest.mark.parametrize("busy", [True, False])
+    def test_sink_occupied_mask(self, busy):
+        sim, checker = self.sweep("vc_states")
+        sink = next(s for s in sim.sinks if bool(s.occupancy) is busy)
+        vc = next(v for v in range(sink.num_vcs) if not sink.buffers[v])
+        sink._occupied |= 1 << vc  # a drained VC marked occupied
+        found = self.violation(sim, checker)
+        assert (found.checker, found.node, found.direction, found.vc) == (
+            "vc_states", sink.node, Direction.LOCAL, vc,
+        )
+
+    @pytest.mark.parametrize("busy", [True, False])
+    def test_source_pending_flits(self, busy):
+        sim, checker = self.sweep("flit_conservation")
+        source = next(s for s in sim.sources if bool(s.pending_flits) is busy)
+        source.pending_flits += 1
+        # The engine's sum agrees: only the recount from the queue tells.
+        sim._source_backlog += 1
+        found = self.violation(sim, checker)
+        assert (found.checker, found.node) == (
+            "flit_conservation", source.node,
+        )
+        assert "pending flits" in str(found)
