@@ -239,7 +239,9 @@ class RoutingAlgorithm(abc.ABC):
         VC per dateline class and the request targets the class of this
         hop (:meth:`~repro.topology.base.Topology.wrap_vc_class`), which
         keeps the escape network's channel dependency graph acyclic
-        across the wrap links.
+        across the wrap links.  ``Router`` provisions both escape VCs on
+        every torus port; a port without them is a provisioning error
+        and fails the index, loudly.
         """
         mesh = ctx.mesh
         current = ctx.current
@@ -252,10 +254,7 @@ class RoutingAlgorithm(abc.ABC):
         ]
         view = ctx.outputs[escape_dir]
         if mesh.num_vc_classes > 1:
-            evcs = view.escape_vcs
-            if len(evcs) < mesh.num_vc_classes:
-                return None
-            vc = evcs[mesh.wrap_vc_class(current, dst, escape_dir)]
+            vc = view.escape_vcs[mesh.wrap_vc_class(current, dst, escape_dir)]
         else:
             vc = view.escape_vc
         if vc is None or not (view.free >> vc) & 1:

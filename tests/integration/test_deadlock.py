@@ -1,11 +1,12 @@
-"""Deadlock-freedom stress tests.
+"""Saturation runs on the mesh: the engine obeys the proven functions.
 
-The engine's watchdog raises :class:`SimulationError` if no flit moves for
-a long window while packets are in flight — so running every algorithm at
-deep saturation on adversarial patterns and reaching the cycle limit
-without an exception demonstrates the absence of routing deadlock
-(Duato escape channels for DBAR/Footprint; turn restrictions for DOR and
-Odd-Even).
+Deadlock freedom of every routing function (Duato's escape subnetwork
+for DBAR/Footprint, the turn restrictions of DOR and Odd-Even) is
+proven statically in ``tests/property/test_deadlock_freedom.py``.
+These runs check the engine lives up to it: at deep saturation on
+adversarial patterns, the no-progress watchdog (which raises
+:class:`SimulationError` if no flit moves for a long window while
+packets are in flight) must stay silent and flits must keep arriving.
 """
 
 import pytest

@@ -1,9 +1,10 @@
 """End-to-end simulation on the 2D torus.
 
-The acceptance bar for the topology layer: loaded torus runs drain
-(the dateline VC classes really do break the wrap-link cycle), both
-engine modes produce bit-identical results, and the mesh-only
-algorithms are rejected loudly at config time.
+Both engine modes produce bit-identical results on the torus, the
+mesh-only algorithms are rejected loudly at config time, and a short
+saturated run obeys, with routing conformance checked, the routing
+functions whose deadlock freedom ``tests/property/test_deadlock_freedom``
+proves (the dateline VC classes break the wrap-link cycle).
 """
 
 import pytest
@@ -14,6 +15,7 @@ from repro.faults import FaultEvent, FaultSchedule, random_link_faults
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
 from repro.topology.ports import Direction
+from repro.validate.config import ValidationConfig
 
 
 def _signature(result):
@@ -94,25 +96,29 @@ class TestCrossEngineIdentity:
         assert result.accepted_flits > 0
 
 
-class TestSaturationDrain:
+class TestCheckedSmoke:
     @pytest.mark.parametrize("routing", ["dor", "dbar", "footprint"])
     def test_saturated_torus_drains(self, routing):
-        # Saturation load on an 8x8 torus: with wrap links in play, a
-        # deadlock would show up as an undrained network here.
+        # test_deadlock_freedom proves the routing functions deadlock-free;
+        # this saturated wormhole run ties the router's grants to them,
+        # on the fewest VCs validation admits, with every grant checked.
+        num_vcs = 2 if routing == "dor" else 3
         config = _torus_config(
             routing,
-            width=8,
-            num_vcs=4,
-            injection_rate=0.55,
-            warmup_cycles=80,
-            measure_cycles=150,
-            # Saturated backlogs take ~10k cycles to clear (dbar's
-            # escape-first draining is the slowest); a deadlock would
-            # still be pinned because the run is deterministic and
-            # ``drained`` checks the network is actually empty.
-            drain_cycles=15000,
+            num_vcs=num_vcs,
+            packet_size=5,
+            injection_rate=0.9,
+            warmup_cycles=0,
+            measure_cycles=600,
+            drain_cycles=10000,
         )
-        result = Simulator(config).run()
+        validation = ValidationConfig(
+            flit_conservation=False,
+            credit_accounting=False,
+            vc_states=False,
+            routing_conformance=True,
+        )
+        result = Simulator(config, validation=validation).run()
         assert result.drained
         assert result.measured_ejected > 0
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from repro.routing.registry import available_algorithms, create_routing
 from repro.routing.requests import Priority, bits
 from repro.routing.xordet import xordet_vc
+from repro.topology.base import create_topology
 from repro.topology.mesh import Mesh2D
 from repro.topology.ports import Direction
 
@@ -17,16 +18,19 @@ dims = st.integers(min_value=2, max_value=10)
 
 @st.composite
 def routing_case(draw):
-    mesh = Mesh2D(draw(dims), draw(dims))
+    name = draw(st.sampled_from(ALGOS))
+    topology = draw(st.sampled_from(create_routing(name).topologies))
+    mesh = create_topology(topology, draw(dims), draw(dims))
     src = draw(st.integers(0, mesh.num_nodes - 1))
     dst = draw(st.integers(0, mesh.num_nodes - 1))
     cur = draw(st.integers(0, mesh.num_nodes - 1))
-    name = draw(st.sampled_from(ALGOS))
     return mesh, name, cur, dst, src
 
 
 @given(routing_case())
 def test_allowed_directions_are_minimal_and_productive(case):
+    """On every topology the algorithm runs on: the deadlock-freedom
+    proof models route computation as any of these directions."""
     mesh, name, cur, dst, src = case
     algo = create_routing(name)
     dirs = algo.allowed_directions(mesh, cur, dst, src)
