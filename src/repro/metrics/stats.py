@@ -1,16 +1,50 @@
 """Streaming latency statistics.
 
-Latency samples are kept as a compact histogram-backed accumulator: mean,
-min/max, and exact percentiles over the retained samples.  Sample counts in
-this simulator are modest (at most a few hundred thousand packets per run),
-so samples are retained exactly; the class still exposes only aggregate
-queries so the representation can change without touching callers.
+Latency samples are kept exactly, as a plain list in arrival order, with a
+running sum: mean, min/max and exact percentiles are computed from it.
+Sample counts in this simulator are modest (at most a few hundred thousand
+packets per run); the class still exposes only aggregate queries so the
+representation can change without touching callers.
+
+:func:`pack_samples` / :func:`unpack_samples` are the stored form of a
+sample list (result cache entries, the service wire): one ASCII string, an
+unsigned :mod:`array` typecode from ``BHIQ`` (the narrowest that holds the
+largest sample) followed by the base64 of the array's little-endian bytes.
 """
 
 from __future__ import annotations
 
+import base64
 import math
-from typing import Iterable
+import sys
+from array import array
+from typing import Iterable, Sequence
+
+#: Stored widths, narrowest first: (typecode, one past its largest value).
+_WIDTHS = tuple((code, 1 << 8 * array(code).itemsize) for code in "BHIQ")
+
+
+def pack_samples(samples: Sequence[int]) -> str:
+    """``samples`` (non-negative ints) as one ASCII string; an empty list
+    is ``"B"``.  Inverse of :func:`unpack_samples`."""
+    top = max(samples, default=0)
+    code = next((c for c, limit in _WIDTHS if top < limit), "Q")
+    packed = array(code, samples)  # OverflowError past 2**64 - 1
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return code + base64.b64encode(packed.tobytes()).decode("ascii")
+
+
+def unpack_samples(text: str) -> list[int]:
+    """The list :func:`pack_samples` stored in ``text``; ``ValueError`` on
+    an unknown typecode, non-alphabet base64 or a partial item."""
+    code = text[:1]
+    if code not in ("B", "H", "I", "Q"):
+        raise ValueError(f"unknown sample typecode {code!r}")
+    unpacked = array(code, base64.b64decode(text[1:], validate=True))
+    if sys.byteorder == "big":
+        unpacked.byteswap()
+    return unpacked.tolist()
 
 
 class LatencyStats:
@@ -113,6 +147,22 @@ class LatencyStats:
         stats = cls()
         stats.extend(values)
         return stats
+
+    @classmethod
+    def from_packed(cls, text: str) -> "LatencyStats":
+        """Rebuild from :func:`pack_samples` output (unsigned: nothing to
+        check)."""
+        stats = cls()
+        stats._samples = unpack_samples(text)
+        stats._sum = sum(stats._samples)
+        return stats
+
+    def copy(self) -> "LatencyStats":
+        """An independent accumulator with the same samples."""
+        twin = LatencyStats()
+        twin._samples = list(self._samples)
+        twin._sum = self._sum
+        return twin
 
     def __repr__(self) -> str:
         if not self._samples:

@@ -179,17 +179,24 @@ class ServiceClient:
             time.sleep(poll_interval)
 
     def results(self, job_id: str) -> list[SimulationResult]:
-        """Full results of a finished job, in task order."""
+        """Full results of a finished job, in task order; a payload that
+        does not rebuild is a :class:`ServiceError` naming its task."""
         response = self.result(job_id, full=True)
         if not response["ready"]:
             raise ServiceError(
                 f"job {job_id} is not done (state {response['state']}"
                 f"{': ' + response['error'] if response['error'] else ''})"
             )
-        return [
-            SimulationResult.from_dict(data)
-            for data in response["results"]
-        ]
+        results = []
+        for index, data in enumerate(response["results"]):
+            try:
+                results.append(SimulationResult.from_dict(data))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ServiceError(
+                    f"job {job_id} task {index}: malformed result "
+                    f"({type(exc).__name__}: {exc})"
+                ) from None
+        return results
 
 
 def run_tasks_via_service(

@@ -5,7 +5,7 @@ line, UTF-8 encoded.  Requests carry a ``verb`` field; responses carry
 ``ok`` (bool) and, on failure, ``error`` (string).  The line limit is
 generous because ``result`` responses with ``full=true`` embed complete
 :class:`~repro.sim.results.SimulationResult` payloads, latency sample
-sets included.
+sets included (each packed: :func:`~repro.metrics.stats.pack_samples`).
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.metrics.stats import LatencyStats
+from repro.metrics.stats import LatencyStats, pack_samples
 from repro.router.blocking import BlockingStats
 from repro.sim.config import SimulationConfig
 
@@ -25,6 +25,16 @@ _COUNTERS = (
     "measured_created",
     "measured_ejected",
 )
+
+
+def _stats_from(stored: Any) -> LatencyStats:
+    """Rebuild one stored sample list: packed, or a plain list."""
+    if isinstance(stored, str):
+        return LatencyStats.from_packed(stored)
+    for value in stored:
+        if type(value) is not int:
+            raise TypeError(f"latency samples must be integers: {value!r}")
+    return LatencyStats.from_samples(stored)
 
 
 def _telemetry_from(data: Any) -> Any:
@@ -115,19 +125,22 @@ class SimulationResult:
 
         Used by the persistent result cache: the full latency sample
         sets are retained so a cache hit answers every percentile query
-        exactly as the original run would.  Each list is stored once: a
-        flow whose samples equal the overall ones (same values, same
-        order — every single-flow run) is written as ``None``.
+        exactly as the original run would.  Each list is stored once, in
+        packed form (:func:`~repro.metrics.stats.pack_samples`): a flow
+        whose samples equal the overall ones (same values, same order —
+        every single-flow run) is written as ``None``.
         """
         latency = self.latency.samples()
         by_flow = {}
         for flow, stats in self.latency_by_flow.items():
             samples = stats.samples()
-            by_flow[flow] = None if samples == latency else samples
+            by_flow[flow] = (
+                None if samples == latency else pack_samples(samples)
+            )
         return {
             "config": self.config.to_dict(),
             "cycles_run": self.cycles_run,
-            "latency": latency,
+            "latency": pack_samples(latency),
             "latency_by_flow": by_flow,
             "accepted_flits": self.accepted_flits,
             "offered_flits": self.offered_flits,
@@ -152,13 +165,14 @@ class SimulationResult:
 
         The scalar counters must be integers (``TypeError`` otherwise):
         nothing downstream would notice a string until it is printed.  A
-        ``None`` flow is rebuilt from the overall samples; explicit flow
-        lists (every entry written before they were shared) still load.
+        ``None`` flow is a copy of the overall samples.  Sample lists
+        load packed (``ValueError`` if malformed) or as the plain integer
+        lists every earlier tree wrote (``TypeError`` on anything else).
         """
         for name in _COUNTERS:
             if type(data[name]) is not int:
                 raise TypeError(f"{name} must be an integer: {data[name]!r}")
-        latency = data["latency"]
+        latency = _stats_from(data["latency"])
         blocking = BlockingStats()
         blocking.blocking_events = data["blocking"]["blocking_events"]
         blocking.busy_vc_samples = data["blocking"]["busy_vc_samples"]
@@ -168,12 +182,10 @@ class SimulationResult:
         return cls(
             config=SimulationConfig.from_dict(data["config"]),
             cycles_run=data["cycles_run"],
-            latency=LatencyStats.from_samples(latency),
+            latency=latency,
             latency_by_flow={
-                flow: LatencyStats.from_samples(
-                    latency if samples is None else samples
-                )
-                for flow, samples in data["latency_by_flow"].items()
+                flow: latency.copy() if stored is None else _stats_from(stored)
+                for flow, stored in data["latency_by_flow"].items()
             },
             accepted_flits=data["accepted_flits"],
             offered_flits=data["offered_flits"],

@@ -16,6 +16,7 @@ from repro.harness.cache import (
     default_cache_dir,
 )
 from repro.harness.runner import run_simulation
+from repro.metrics.stats import pack_samples, unpack_samples
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
 from repro.sim.results import SimulationResult
@@ -23,11 +24,13 @@ from repro.telemetry.config import TelemetryConfig
 from repro.traffic.trace import TraceEvent
 from repro.validate.differential import result_signature
 
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 #: A single-flow 4x4 entry written before flow lists were shared: its
-#: ``latency_by_flow`` repeats the overall samples explicitly.
-FIXTURE = Path(__file__).resolve().parents[1] / "fixtures" / (
-    "result_entry_v4.json"
-)
+#: ``latency_by_flow`` repeats the overall samples explicitly, as plain
+#: integer lists.
+FIXTURE = FIXTURES / "result_entry_v4.json"
+#: The same config's entry as it is written now: packed, flow ``null``.
+PACKED_FIXTURE = FIXTURES / "result_entry_v4_packed.json"
 
 
 def _config(**overrides):
@@ -199,6 +202,21 @@ class TestParseableButWrongEntries:
         "cycles_run_of_the_wrong_type": lambda data: data.update(
             cycles_run="many"
         ),
+        # Packed sample lists that do not decode (``ValueError``).
+        "unknown_sample_typecode": lambda data: data.update(
+            latency="X" + data["latency"][1:]
+        ),
+        "partial_packed_sample": lambda data: data.update(latency="HAA=="),
+        "non_alphabet_base64": lambda data: data.update(
+            latency=data["latency"][:5] + "!" + data["latency"][6:]
+        ),
+        # A list-form entry holding a non-integer sample (``TypeError``).
+        "float_sample_in_a_list": lambda data: data.update(
+            latency=[7.5] + unpack_samples(data["latency"])
+        ),
+        "bool_sample_in_a_list": lambda data: data.update(
+            latency=unpack_samples(data["latency"]) + [True]
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(EDITS))
@@ -242,9 +260,9 @@ class TestParseableButWrongEntries:
 
 
 class TestEntryFormat:
-    """Each latency sample list is stored once: a flow equal to the
-    overall samples is ``null``; entries written with explicit copies
-    (every earlier tree) still hit."""
+    """Each latency sample list is stored once and packed: a flow equal
+    to the overall samples is ``null``; entries written with explicit
+    integer lists (every earlier tree) still hit."""
 
     def test_single_flow_is_written_as_null(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -254,7 +272,8 @@ class TestEntryFormat:
             cache._path(config_cache_key(result.config)).read_text()
         )
         assert data["latency_by_flow"] == {"uniform": None}
-        assert data["latency"] == result.latency.samples()
+        assert data["latency"] == pack_samples(result.latency.samples())
+        assert unpack_samples(data["latency"]) == result.latency.samples()
         cached = cache.get(result.config)
         assert (
             cached.latency_by_flow["uniform"].samples()
@@ -280,6 +299,22 @@ class TestEntryFormat:
         assert hit is not None and (cache.hits, cache.misses) == (1, 0)
         assert result_signature(hit) == result_signature(fresh)
         assert rebuilt.to_dict()["latency_by_flow"] == {"uniform": None}
+
+    def test_packed_entry_rebuilds_the_list_form_result(self, tmp_path):
+        listed = SimulationResult.from_dict(json.loads(FIXTURE.read_text()))
+        data = json.loads(PACKED_FIXTURE.read_text())
+        assert isinstance(data["latency"], str)
+        assert data["latency_by_flow"] == {"uniform": None}
+        packed = SimulationResult.from_dict(data)
+        assert result_signature(packed) == result_signature(listed)
+        for stats in (packed.latency, packed.latency_by_flow["uniform"]):
+            assert stats.samples() == listed.latency.samples()
+        # What the writer stores today, byte for byte.
+        cache = ResultCache(tmp_path)
+        cache.put(listed)
+        path = cache._path(config_cache_key(listed.config))
+        assert path.read_text() == PACKED_FIXTURE.read_text()
+        assert cache.get(listed.config) is not None
 
 
 class TestConcurrentWriters:

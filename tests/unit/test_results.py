@@ -73,3 +73,44 @@ def test_zero_measure_window_rates_are_nan():
     )
     assert math.isnan(result.accepted_rate)
     assert math.isnan(result.offered_rate)
+
+
+class TestSerializedSamples:
+    def test_lists_are_written_packed(self):
+        data = make_result().to_dict()
+        assert isinstance(data["latency"], str)
+        assert data["latency_by_flow"] == {"uniform": None}
+
+    def test_null_flow_is_an_independent_copy(self):
+        rebuilt = SimulationResult.from_dict(make_result().to_dict())
+        flow = rebuilt.latency_by_flow["uniform"]
+        assert flow is not rebuilt.latency
+        flow.add(100)
+        assert rebuilt.latency.samples() == [10, 20, 30]
+        assert rebuilt.latency.mean == 20 and flow.mean == 40
+
+    @pytest.mark.parametrize("bad", [7.5, True, "9", None])
+    def test_non_integer_list_sample_is_a_type_error(self, bad):
+        data = make_result().to_dict()
+        data["latency"] = [10, bad, 30]
+        with pytest.raises(TypeError, match="must be integers"):
+            SimulationResult.from_dict(data)
+        data["latency"] = [10, 20, 30]
+        data["latency_by_flow"]["uniform"] = [bad]
+        with pytest.raises(TypeError, match="must be integers"):
+            SimulationResult.from_dict(data)
+
+    def test_list_form_still_loads(self):
+        data = make_result().to_dict()
+        data["latency"] = [10, 20, 30]
+        data["latency_by_flow"] = {"uniform": [10, 20, 30], "other": []}
+        rebuilt = SimulationResult.from_dict(data)
+        assert rebuilt.latency.samples() == [10, 20, 30]
+        assert rebuilt.latency_by_flow["uniform"].samples() == [10, 20, 30]
+        assert rebuilt.latency_by_flow["other"].count == 0
+
+    def test_malformed_packed_list_is_a_value_error(self):
+        data = make_result().to_dict()
+        data["latency"] = "HAA=="
+        with pytest.raises(ValueError):
+            SimulationResult.from_dict(data)

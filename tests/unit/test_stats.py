@@ -1,10 +1,11 @@
 """Unit tests for latency statistics."""
 
+import base64
 import math
 
 import pytest
 
-from repro.metrics.stats import LatencyStats
+from repro.metrics.stats import LatencyStats, pack_samples, unpack_samples
 
 
 def filled(values):
@@ -137,3 +138,54 @@ class TestAggregation:
     def test_repr(self):
         assert "empty" in repr(LatencyStats())
         assert "n=3" in repr(filled([1, 2, 3]))
+
+
+class TestPackedForm:
+    def test_empty_list_is_the_bare_typecode(self):
+        assert pack_samples([]) == "B"
+        assert unpack_samples("B") == []
+
+    @pytest.mark.parametrize("top, code", [
+        (0, "B"), (255, "B"), (256, "H"), (65_535, "H"), (65_536, "I"),
+        (2**32 - 1, "I"), (2**32, "Q"), (2**64 - 1, "Q"),
+    ])
+    def test_narrowest_typecode_holds_the_largest_sample(self, top, code):
+        text = pack_samples([3, top, 0])
+        assert text[0] == code
+        assert unpack_samples(text) == [3, top, 0]
+
+    def test_bytes_are_little_endian(self):
+        assert pack_samples([1, 256]) == "H" + base64.b64encode(
+            b"\x01\x00\x00\x01"
+        ).decode()
+
+    @pytest.mark.parametrize("text", [
+        "",  # no typecode
+        "L" + base64.b64encode(bytes(8)).decode(),  # not one of BHIQ
+        "HAA==",  # one byte: half an 'H' item
+        "QAAAAAAAAAA=",  # seven bytes
+        "BAA=!",  # non-alphabet character
+        "B AA=",  # whitespace is not base64 either
+        "BAA",  # missing padding
+        "Bé",  # non-ASCII
+    ])
+    def test_malformed_text_is_a_value_error(self, text):
+        with pytest.raises(ValueError):
+            unpack_samples(text)
+
+    def test_samples_past_64_bits_do_not_pack(self):
+        with pytest.raises(OverflowError):
+            pack_samples([2**64])
+
+    def test_from_packed_rebuilds_the_accumulator(self):
+        stats = filled([9, 0, 4, 17, 4])
+        again = LatencyStats.from_packed(pack_samples(stats.samples()))
+        assert again.samples() == [9, 0, 4, 17, 4]
+        assert again.mean == stats.mean and again.count == 5
+
+    def test_copy_is_independent(self):
+        stats = filled([2, 1])
+        twin = stats.copy()
+        twin.add(9)
+        assert stats.samples() == [2, 1] and stats.mean == 1.5
+        assert twin.samples() == [2, 1, 9] and twin.mean == 4
