@@ -337,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "serve",
         help=(
             "run the experiment service: an async job server that "
-            "interleaves sweep grids from many client streams, dedupes "
+            "runs sweep grids first come, first served, deduped "
             "against in-flight work and the result cache"
         ),
     )
@@ -383,12 +383,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="job name (default: derived from the grid)",
     )
-    submit.add_argument("--stream", default="default")
     submit.add_argument(
-        "--weight",
-        type=float,
-        default=1.0,
-        help="fair-share weight of the stream (default 1.0)",
+        "--stream",
+        default="default",
+        help="label shown by `repro jobs`; it does not change the order",
     )
     submit.add_argument(
         "--routing",
@@ -796,9 +794,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         f"{args.traffic}-{'+'.join(args.routing)}-x{len(args.rates)}"
     )
     client = ServiceClient.from_address(args.address)
-    response = client.submit_tasks(
-        name, tasks, stream=args.stream, weight=args.weight
-    )
+    response = client.submit_tasks(name, tasks, stream=args.stream)
     job_id = response["job_id"]
     dedup_note = " (deduped: identical grid already known)" if (
         response["deduped"]
@@ -863,7 +859,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     status = client.status()
     totals = status["totals"]
     print(
-        f"{totals['jobs']} jobs, {totals['streams']} streams, "
+        f"{totals['jobs']} jobs, "
         f"{totals['active_workers']}/{totals['max_workers']} workers "
         f"busy; {totals['simulated']} simulated, {totals['cached']} "
         f"cached, {totals['shared']} shared"

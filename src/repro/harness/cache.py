@@ -16,7 +16,7 @@ Entries are one JSON file per key under the cache directory (default
 ``.repro-cache/``, overridable with the ``REPRO_CACHE_DIR`` environment
 variable or an explicit path).  Writes go through a temporary file and
 an atomic :func:`os.replace`, so concurrent ``--jobs`` workers, parallel
-experiment runs, and the experiment service's streams can share a
+experiment runs, and the experiment service's workers can share a
 directory without torn entries; unreadable or corrupt files, and entries
 that turn out to hold another config's result, are treated as misses and
 overwritten.  Writers also tolerate a ``prune``/``clear``

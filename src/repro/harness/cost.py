@@ -2,23 +2,20 @@
 
 Wall time per simulation scales with how many cycles the run simulates
 and how many routers do per-cycle work, so ``cycles x nodes`` is a good
-(cheap, deterministic, config-only) proxy for relative task cost.  Three
+(cheap, deterministic, config-only) proxy for relative task cost.  Two
 consumers share this single definition:
 
 * the local process pool (:func:`repro.harness.parallel.run_tasks`
   balances worker batches over it, scaled by each task's offered load —
   the one consumer that wants wall time, which grows with load, and the
   scaling is its own: the estimate itself stays load-blind);
-* the experiment service's weighted-fair scheduler (stream virtual time
-  advances by ``estimate_task_cycles / weight`` per dispatch);
 * the auto-tuner's budget accounting (a tune's budget is spent in
   estimated cycle-nodes, *independent of cache hits*, so budget
   decisions replay identically on a warm cache).
 
-Keeping the estimate config-only (never timing-based) is what makes all
-three deterministic: the same grid produces the same batches, the same
-dispatch order, and the same tuning rounds on every machine and at
-every worker count.
+Keeping the estimate config-only (never timing-based) is what makes
+both deterministic: the same grid produces the same batches and the
+same tuning rounds on every machine and at every worker count.
 """
 
 from __future__ import annotations

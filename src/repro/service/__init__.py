@@ -3,18 +3,18 @@
 The CLI harness runs every sweep as a foreground process; this package
 turns the simulator into a long-running backend.  A :class:`~repro.
 service.server.ExperimentServer` accepts *jobs* — named grids of
-:class:`~repro.harness.parallel.SimTask`s — from many concurrent client
-*streams* over a JSON-lines socket protocol, interleaves their tasks
-with a weighted-fair scheduler onto a bounded executor, and dedupes
-work against both in-flight jobs and the persistent
-:class:`~repro.harness.cache.ResultCache`, its only store.
+:class:`~repro.harness.parallel.SimTask`s — from any number of clients
+over a JSON-lines socket protocol, runs their tasks first come, first
+served on a bounded executor, and dedupes work against both in-flight
+jobs and the persistent :class:`~repro.harness.cache.ResultCache`, its
+only store.
 
 Layout:
 
 * :mod:`repro.service.jobs` — job model (``JobSpec``/``Job``/
   ``JobState``) and content hashing;
-* :mod:`repro.service.scheduler` — the multi-stream weighted-fair
-  scheduler and its dedup tables;
+* :mod:`repro.service.scheduler` — the FIFO scheduler and its dedup
+  tables;
 * :mod:`repro.service.protocol` — JSON-lines framing shared by server
   and client;
 * :mod:`repro.service.server` — the asyncio server and verb handlers;

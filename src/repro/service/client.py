@@ -134,11 +134,8 @@ class ServiceClient:
         name: str,
         tasks: Iterable[SimTask],
         stream: str = "default",
-        weight: float = 1.0,
     ) -> dict[str, Any]:
-        spec = JobSpec(
-            name=name, tasks=tuple(tasks), stream=stream, weight=weight
-        )
+        spec = JobSpec(name=name, tasks=tuple(tasks), stream=stream)
         return self.submit(spec)
 
     def status(self, job_id: str | None = None) -> dict[str, Any]:
@@ -151,9 +148,6 @@ class ServiceClient:
 
     def cancel(self, job_id: str) -> dict[str, Any]:
         return self.call("cancel", job_id=job_id)
-
-    def streams(self) -> dict[str, Any]:
-        return self.call("streams")
 
     def shutdown(self) -> dict[str, Any]:
         return self.call("shutdown")
@@ -208,9 +202,9 @@ def run_tasks_via_service(
 ) -> list[SimulationResult]:
     """Run a task grid through the service; drop-in for ``run_tasks``.
 
-    The grid becomes one job on ``stream`` (default: this process's
-    pid, so concurrent drivers land on distinct streams and get fair
-    interleaving).  Blocks until the job finishes; raises
+    The grid becomes one job labelled ``stream`` (default: this
+    process's pid, so ``repro jobs`` tells concurrent drivers apart).
+    Blocks until the job finishes; raises
     :class:`ServiceError` if the service is unreachable or the job
     fails.
     """

@@ -1,15 +1,15 @@
 """Job model of the experiment service.
 
-A *job* is a named grid of :class:`~repro.harness.parallel.SimTask`s
-submitted on a client *stream*.  Jobs are content-addressed: the job
-hash is a SHA-256 over the sorted multiset of per-task result-cache
-keys (:func:`repro.harness.cache.config_cache_key` of each resolved
-config), so two submissions of the same grid — regardless of task order
-or the submitting stream — hash identically and the scheduler can
-answer the second from the first.  The same per-task keys drive the
-finer dedup levels: a task already in the persistent cache completes
-without simulating, and a task currently simulating for another job is
-*shared* rather than re-run.
+A *job* is a named grid of :class:`~repro.harness.parallel.SimTask`s,
+with a free-text *stream* label naming its submitter.  Jobs are
+content-addressed: the job hash is a SHA-256 over the sorted multiset
+of per-task result-cache keys (:func:`repro.harness.cache.
+config_cache_key` of each resolved config), so two submissions of the
+same grid — regardless of task order, name or stream — hash
+identically and the scheduler can answer the second from the first.
+The same per-task keys drive the finer dedup levels: a task already in
+the persistent cache completes without simulating, and a task currently
+simulating for another job is *shared* rather than re-run.
 
 :class:`Job` is the mutable runtime record.  Its lifecycle is::
 
@@ -31,6 +31,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.exceptions import ConfigurationError
 from repro.harness.cache import config_cache_key
 from repro.harness.parallel import SimTask, _wants_telemetry
 from repro.service import ServiceError
@@ -72,9 +73,8 @@ KIND_SHARED = "shared"
 class JobSpec:
     """Immutable description of a submitted job.
 
-    ``weight`` is the fair-share weight of the job's stream (>0; a
-    stream's weight is set by the first job that names it and later
-    submissions may update it).  Tasks requesting active telemetry are
+    ``stream`` is a label only: it is shown by ``status`` and does not
+    change when the job runs.  Tasks requesting active telemetry are
     rejected: the service dedupes through the telemetry-blind result
     cache, so it could not honor a request for collected series.
     """
@@ -82,19 +82,17 @@ class JobSpec:
     name: str
     tasks: tuple[SimTask, ...]
     stream: str = "default"
-    weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ServiceError("job name must be non-empty")
-        if not self.stream:
-            raise ServiceError("stream name must be non-empty")
+        for field_name in ("name", "stream"):
+            value = getattr(self, field_name)
+            if not isinstance(value, str) or not value:
+                raise ServiceError(
+                    f"job {field_name} must be a non-empty string, "
+                    f"got {value!r}"
+                )
         if not self.tasks:
             raise ServiceError(f"job '{self.name}' has no tasks")
-        if not (self.weight > 0.0):
-            raise ServiceError(
-                f"stream weight must be > 0, got {self.weight}"
-            )
         for task in self.tasks:
             if _wants_telemetry(task.resolved_config()):
                 raise ServiceError(
@@ -122,7 +120,6 @@ class JobSpec:
         return {
             "name": self.name,
             "stream": self.stream,
-            "weight": self.weight,
             "tasks": [
                 {
                     "config": task.config.to_dict(),
@@ -134,7 +131,8 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "JobSpec":
-        """Rebuild a spec from :meth:`to_dict` output (or parsed JSON)."""
+        """Rebuild a spec from :meth:`to_dict` output (or parsed JSON);
+        a ``weight`` field from an older client is ignored."""
         try:
             raw_tasks = data["tasks"]
             tasks = tuple(
@@ -148,11 +146,10 @@ class JobSpec:
                 name=data["name"],
                 tasks=tasks,
                 stream=data.get("stream", "default"),
-                weight=float(data.get("weight", 1.0)),
             )
         except ServiceError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
             raise ServiceError(f"malformed job spec: {exc!r}") from None
 
 
@@ -190,13 +187,6 @@ class Job:
     # ------------------------------------------------------------------
     def task_key(self, index: int) -> str:
         return self._keys[index]
-
-    def next_pending(self) -> int | None:
-        """Index of the first task still awaiting dispatch, if any."""
-        for index, state in enumerate(self.task_states):
-            if state == TASK_PENDING:
-                return index
-        return None
 
     def counts(self) -> dict[str, int]:
         """Task totals by terminal kind plus live-state buckets."""

@@ -1,26 +1,21 @@
-"""Multi-stream weighted-fair scheduler over a bounded executor.
+"""FIFO scheduler over a bounded executor.
 
-Each client *stream* owns a FIFO of jobs; the scheduler interleaves
-tasks from all active streams onto at most ``max_workers`` concurrent
-simulations.  Fairness is start-time fair queueing over the harness's
-deterministic cost model: every stream carries a *virtual time* that
-advances by ``estimate_task_cycles(task) / weight`` whenever one of its
-tasks starts simulating, and the dispatcher always serves the ready
-stream with the smallest virtual time (ties broken by stream name).
-Equal-weight streams therefore alternate in proportion to simulated
-work; a weight-2 stream receives twice the share of a weight-1 stream.
-
-Dedup happens at dispatch time, newest information first:
+Jobs are admitted task by task, and every task is resolved by the
+newest information first:
 
 1. **in-flight** — a task whose cache key is currently simulating for
    any job *subscribes* to that run instead of dispatching again;
 2. **cache** — a task whose key is already in the persistent
    :class:`~repro.harness.cache.ResultCache` completes immediately;
-3. otherwise the task simulates on the executor and its result is
-   stored back, so later submissions hit level 2.
+3. otherwise the task joins one queue of ``(job, task index)`` pairs,
+   in submission order, and simulates on the executor when it reaches
+   the head and a worker is free; its result is stored back, so later
+   submissions hit level 2.
 
-Deduped completions cost no virtual time — they consume no executor
-slot — which keeps the fair share defined over *actual compute*.
+Levels 1 and 2 are tried at admission, so a task that needs no worker
+never waits behind a full executor, and again when the task reaches the
+head, for what finished while it queued.  A job's ``stream`` is a label
+shown by ``status``; it does not change the order.
 
 The scheduler is single-threaded asyncio: all bookkeeping runs on the
 event loop, simulations run in worker threads (``max_workers == 1``) or
@@ -32,12 +27,15 @@ from __future__ import annotations
 import asyncio
 import itertools
 from collections import deque
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from concurrent.futures import (
+    BrokenExecutor,
+    Executor,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
+from typing import Callable
 
 from repro.harness.cache import ResultCache
-from repro.harness.cost import estimate_task_cycles
 from repro.harness.parallel import SimTask, _run_task, resolve_jobs
 from repro.service import ServiceError
 from repro.service.jobs import (
@@ -57,43 +55,6 @@ from repro.sim.results import SimulationResult
 import repro.sim.engine  # noqa: F401
 
 
-@dataclass
-class StreamState:
-    """One client stream: a FIFO of jobs plus its fair-share clock."""
-
-    name: str
-    weight: float = 1.0
-    vtime: float = 0.0
-    jobs: deque[Job] = field(default_factory=deque)
-    dispatched: int = 0
-
-    def next_ready(self) -> tuple[Job, int] | None:
-        """First (job, task index) with a pending task, FIFO order."""
-        for job in self.jobs:
-            if job.state.terminal:
-                continue
-            index = job.next_pending()
-            if index is not None:
-                return job, index
-        return None
-
-    def compact(self) -> None:
-        """Drop terminal jobs from the front of the FIFO."""
-        while self.jobs and self.jobs[0].state.terminal:
-            self.jobs.popleft()
-
-    def info(self) -> dict[str, Any]:
-        return {
-            "stream": self.name,
-            "weight": self.weight,
-            "vtime": round(self.vtime, 1),
-            "queued_jobs": sum(
-                1 for job in self.jobs if not job.state.terminal
-            ),
-            "dispatched_tasks": self.dispatched,
-        }
-
-
 class _Inflight:
     """One running simulation plus the (job, task) pairs awaiting it."""
 
@@ -105,7 +66,7 @@ class _Inflight:
 
 
 class ExperimentScheduler:
-    """Admits jobs, interleaves streams, dedupes, and runs tasks.
+    """Admits jobs, dedupes, and runs their tasks in submission order.
 
     ``run_task`` is the per-task worker callable (defaults to the
     harness's :func:`~repro.harness.parallel._run_task`); tests inject
@@ -124,16 +85,13 @@ class ExperimentScheduler:
         self.cache = cache
         self._run_task = run_task if run_task is not None else _run_task
         self._executor: Executor | None = None
-        self._streams: dict[str, StreamState] = {}
+        self._queue: deque[tuple[Job, int]] = deque()
         self._jobs: dict[str, Job] = {}
         self._jobs_by_hash: dict[str, Job] = {}
         self._inflight: dict[str, _Inflight] = {}
         self._active = 0
         self._reapers: set[asyncio.Task] = set()
         self._ids = itertools.count(1)
-        #: Dispatch decisions, oldest first, for tests and `streams`:
-        #: (stream, job id, task index, "simulate"|"cached"|"shared").
-        self.dispatch_log: list[tuple[str, str, int, str]] = []
         self.total_simulated = 0
         self.total_cached = 0
         self.total_shared = 0
@@ -158,17 +116,9 @@ class ExperimentScheduler:
         job = Job(id=f"j{next(self._ids)}", spec=spec)
         self._jobs[job.id] = job
         self._jobs_by_hash[spec_hash] = job
-        stream = self._streams.get(spec.stream)
-        if stream is None:
-            # A newborn stream starts at the minimum live vtime instead
-            # of zero, so idling never banks unbounded credit.
-            floor = min(
-                (s.vtime for s in self._streams.values()), default=0.0
-            )
-            stream = StreamState(name=spec.stream, vtime=floor)
-            self._streams[spec.stream] = stream
-        stream.weight = spec.weight
-        stream.jobs.append(job)
+        for index in range(len(spec.tasks)):
+            if not self._resolve(job, index):
+                self._queue.append((job, index))
         self._pump()
         return job, False
 
@@ -189,15 +139,9 @@ class ExperimentScheduler:
         """All jobs, oldest first."""
         return list(self._jobs.values())
 
-    def stream_info(self) -> list[dict[str, Any]]:
-        return [
-            self._streams[name].info() for name in sorted(self._streams)
-        ]
-
     def totals(self) -> dict[str, int]:
         return {
             "jobs": len(self._jobs),
-            "streams": len(self._streams),
             "active_workers": self._active,
             "max_workers": self.max_workers,
             KIND_SIMULATED: self.total_simulated,
@@ -211,91 +155,58 @@ class ExperimentScheduler:
     def cancel(self, job_id: str) -> bool:
         """Cancel ``job_id``; True if it was still live.
 
-        Pending and shared tasks are dropped immediately; tasks already
+        Pending and shared tasks are dropped immediately (queued ones
+        leave the queue when they reach its head); tasks already
         simulating run to completion (feeding the cache and any other
         subscribers) but their results no longer count toward the job.
         """
-        job = self.get_job(job_id)
-        # Drop the job from every in-flight waiter list first so a
-        # finishing simulation does not resurrect it.
-        for entry in self._inflight.values():
-            entry.waiters = [
-                (wjob, widx)
-                for wjob, widx in entry.waiters
-                if wjob is not job
-            ]
-        cancelled = job.cancel()
-        if cancelled:
-            # A cancelled grid must not shadow future resubmissions.
-            spec_hash = job.spec.spec_hash()
-            if self._jobs_by_hash.get(spec_hash) is job:
-                del self._jobs_by_hash[spec_hash]
-            self._streams[job.spec.stream].compact()
-            self._pump()
-        return cancelled
+        return self.get_job(job_id).cancel()
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
+    def _resolve(self, job: Job, index: int) -> bool:
+        """Answer a task from a run in flight or the cache, if either
+        has it; False when it has to simulate."""
+        entry = self._inflight.get(job.task_key(index))
+        if entry is not None:
+            job.mark_shared(index)
+            entry.waiters.append((job, index))
+            return True
+        cached = self._cache_get(job.spec.tasks[index])
+        if cached is None:
+            return False
+        self.total_cached += 1
+        job.finish_task(index, cached, KIND_CACHED)
+        return True
+
     def _pump(self) -> None:
-        """Dispatch until no stream can make progress.
-
-        Each round serves the smallest-vtime ready stream; when its head
-        task needs an executor slot and none is free, the scan falls
-        through to later streams so cache- and inflight-resolvable tasks
-        never wait behind a full executor.
-        """
-        while True:
-            progressed = False
-            ready = sorted(
-                (
-                    stream
-                    for stream in self._streams.values()
-                    if stream.next_ready() is not None
-                ),
-                key=lambda stream: (stream.vtime, stream.name),
-            )
-            for stream in ready:
-                picked = stream.next_ready()
-                if picked is None:
+        """Serve the queue head until it needs a worker and none is free."""
+        while self._queue:
+            job, index = self._queue[0]
+            if not job.state.terminal and not self._resolve(job, index):
+                if self._active >= self.max_workers:
+                    return
+                try:
+                    self._start(job, index)
+                except BrokenExecutor:
+                    # A worker died: the tasks that were on its pool
+                    # fail in their reapers, the head starts on a new one.
+                    self._executor.shutdown(wait=False)
+                    self._executor = None
                     continue
-                job, index = picked
-                key = job.task_key(index)
-                entry = self._inflight.get(key)
-                if entry is not None:
-                    job.mark_shared(index)
-                    entry.waiters.append((job, index))
-                    self._log(stream, job, index, KIND_SHARED)
-                    progressed = True
-                    break
-                cached = self._cache_get(job.spec.tasks[index])
-                if cached is not None:
-                    self.total_cached += 1
-                    self._log(stream, job, index, KIND_CACHED)
-                    job.finish_task(index, cached, KIND_CACHED)
-                    progressed = True
-                    break
-                if self._active < self.max_workers:
-                    self._start(stream, job, index, key)
-                    progressed = True
-                    break
-            if not progressed:
-                return
+            self._queue.popleft()
 
-    def _start(
-        self, stream: StreamState, job: Job, index: int, key: str
-    ) -> None:
-        task = job.spec.tasks[index]
+    def _start(self, job: Job, index: int) -> None:
+        # Nothing is recorded until the executor has taken the task.
+        loop = asyncio.get_running_loop()
+        future = loop.run_in_executor(
+            self._ensure_executor(), self._run_task, job.spec.tasks[index]
+        )
+        key = job.task_key(index)
         job.mark_running(index)
         self._inflight[key] = _Inflight(owner=(job, index))
         self._active += 1
-        stream.vtime += estimate_task_cycles(task) / stream.weight
-        stream.dispatched += 1
-        self._log(stream, job, index, "simulate")
-        loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(
-            self._ensure_executor(), self._run_task, task
-        )
         reaper = loop.create_task(self._reap(future, key))
         self._reapers.add(reaper)
         reaper.add_done_callback(self._reapers.discard)
@@ -320,18 +231,13 @@ class ExperimentScheduler:
             self._cache_put(result)
             self.total_simulated += 1
             job.finish_task(index, result, KIND_SIMULATED)
+            # A job that ended while it waited (cancelled, or failed on
+            # another task) takes nothing.
             for wjob, widx in entry.waiters:
-                self.total_shared += 1
-                wjob.finish_task(widx, result, KIND_SHARED)
-        self._streams[job.spec.stream].compact()
+                if not wjob.state.terminal:
+                    self.total_shared += 1
+                    wjob.finish_task(widx, result, KIND_SHARED)
         self._pump()
-
-    def _log(
-        self, stream: StreamState, job: Job, index: int, kind: str
-    ) -> None:
-        self.dispatch_log.append((stream.name, job.id, index, kind))
-        if len(self.dispatch_log) > 4096:
-            del self.dispatch_log[:2048]
 
     # ------------------------------------------------------------------
     # Cache and executor plumbing

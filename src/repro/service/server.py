@@ -16,7 +16,6 @@ Verbs::
     result   -> per-task outcome rows; "full": true adds complete
                 SimulationResult payloads (cache-format dicts)
     cancel   -> {"ok", "cancelled", "state"}
-    streams  -> per-stream weight / vtime / queue depth
     shutdown -> acks, then stops the server loop
 """
 
@@ -222,13 +221,6 @@ class ExperimentServer:
             "job_id": job_id,
             "cancelled": cancelled,
             "state": self.scheduler.get_job(job_id).state.value,
-        }
-
-    def _verb_streams(self, request: dict[str, Any]) -> dict[str, Any]:
-        return {
-            "ok": True,
-            "streams": self.scheduler.stream_info(),
-            "totals": self.scheduler.totals(),
         }
 
     def _verb_shutdown(self, request: dict[str, Any]) -> dict[str, Any]:

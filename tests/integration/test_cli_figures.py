@@ -192,7 +192,6 @@ SURFACE = {
         (("--vcs",), 10, None, False),
         (("--wait", "--no-wait"), True, None, False),
         (("--warmup",), 1000, None, False),
-        (("--weight",), 1.0, None, False),
         (("--width",), 8, None, False),
     ],
     "trace": [],

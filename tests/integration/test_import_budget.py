@@ -218,7 +218,7 @@ def test_numpy_is_never_imported(tmp_path):
                   "--timeout", "120", *short)
         assert "1 simulated" in out
         listing = cli("jobs", "--address", address)
-        assert listing.startswith("1 jobs, 1 streams, 0/1 workers busy")
+        assert listing.startswith("1 jobs, 0/1 workers busy")
         assert "j1    done      default      1/1 done" in listing
         from repro.service.client import ServiceClient
 

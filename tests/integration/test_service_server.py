@@ -120,8 +120,7 @@ class TestServerRoundTrip:
             # Seed 2 overlaps: three distinct simulations, never four.
             assert totals["simulated"] == 3
             assert totals["shared"] + totals["cached"] == 1
-            streams = client.streams()["streams"]
-            assert {s["stream"] for s in streams} == {"s1", "s2"}
+            assert (done_a["stream"], done_b["stream"]) == ("s1", "s2")
             return None
 
         _serve(tmp_path, drive)
@@ -159,6 +158,18 @@ class TestServerRoundTrip:
                 client.status("j999")
             with pytest.raises(ServiceError, match="no tasks"):
                 client.call("submit", name="empty", stream="s", tasks=[])
+            # Bad input is the client's error, not an internal one.
+            config = _config().to_dict()
+            for rate in (-1, 5, float("nan")):
+                task = {"config": config, "rate": rate}
+                with pytest.raises(ServiceError, match="^malformed job spec"):
+                    client.call("submit", name="bad", tasks=[task])
+            for labels in ({"name": 5}, {"name": "g", "stream": 5}):
+                with pytest.raises(ServiceError, match="non-empty string"):
+                    client.call(
+                        "submit", tasks=[{"config": config}], **labels
+                    )
+            assert client.ping()["totals"]["jobs"] == 0
             return None
 
         _serve(tmp_path, drive)
@@ -191,8 +202,8 @@ class TestHarnessHook:
 
         via_service, scheduler = _serve(tmp_path, drive)
         assert scheduler.totals()["simulated"] == 2
-        stream_names = [s["stream"] for s in scheduler.stream_info()]
-        assert f"pid-{os.getpid()}" in stream_names
+        [job] = scheduler.jobs()
+        assert job.summary()["stream"] == f"pid-{os.getpid()}"
         direct = [Simulator(t.resolved_config()).run() for t in tasks]
         for ours, theirs in zip(via_service, direct):
             assert ours.accepted_flits == theirs.accepted_flits

@@ -34,9 +34,9 @@ def _config(seed=1, **overrides):
     return SimulationConfig(**base)
 
 
-def _spec(name="grid", stream="s", seeds=(1, 2), weight=1.0, rate=None):
+def _spec(name="grid", stream="s", seeds=(1, 2), rate=None):
     tasks = tuple(SimTask(_config(seed=seed), rate=rate) for seed in seeds)
-    return JobSpec(name=name, tasks=tasks, stream=stream, weight=weight)
+    return JobSpec(name=name, tasks=tasks, stream=stream)
 
 
 @pytest.fixture(scope="module")
@@ -56,11 +56,6 @@ class TestJobSpec:
     def test_rejects_empty_grid(self):
         with pytest.raises(ServiceError):
             JobSpec(name="g", tasks=())
-
-    def test_rejects_nonpositive_weight(self):
-        for weight in (0.0, -1.0):
-            with pytest.raises(ServiceError):
-                JobSpec(name="g", tasks=(SimTask(_config()),), weight=weight)
 
     def test_rejects_active_telemetry(self):
         config = _config(telemetry=TelemetryConfig(sample_every=10))
@@ -89,16 +84,24 @@ class TestJobSpec:
         assert base.spec_hash() == resolved.spec_hash()
 
     def test_round_trip(self):
-        spec = _spec(name="rt", stream="z", seeds=(3, 4), weight=2.5, rate=0.08)
+        spec = _spec(name="rt", stream="z", seeds=(3, 4), rate=0.08)
         clone = JobSpec.from_dict(spec.to_dict())
         assert clone == spec
         assert clone.spec_hash() == spec.spec_hash()
+        # An older client still sends a stream weight; it is ignored.
+        assert JobSpec.from_dict({**spec.to_dict(), "weight": 2.5}) == spec
 
     def test_from_dict_malformed(self):
         with pytest.raises(ServiceError, match="malformed"):
             JobSpec.from_dict({"name": "g"})
         with pytest.raises(ServiceError, match="malformed"):
             JobSpec.from_dict({"name": "g", "tasks": [{}]})
+        config = _config().to_dict()
+        for rate in (-1, 5, float("nan")):
+            with pytest.raises(ServiceError, match="malformed job spec"):
+                JobSpec.from_dict(
+                    {"name": "g", "tasks": [{"config": config, "rate": rate}]}
+                )
 
 
 class TestJobLifecycle:
@@ -107,7 +110,6 @@ class TestJobLifecycle:
         assert job.state is JobState.QUEUED
         assert not job.state.terminal
         assert job.task_states == [TASK_PENDING, TASK_PENDING]
-        assert job.next_pending() == 0
 
     def test_completes_when_all_tasks_land(self, tiny_result):
         job = Job(id="j1", spec=_spec())

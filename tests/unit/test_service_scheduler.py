@@ -1,13 +1,13 @@
-"""Unit tests for the multi-stream weighted-fair scheduler.
+"""Unit tests for the FIFO scheduler.
 
-The fairness and dedup tests inject a stub ``run_task`` so dispatch
-ordering is driven purely by the scheduler's virtual-time policy (the
-stub returns instantly and the 1-worker executor serializes reaps); the
-cache tests run real — tiny — simulations because the cache keys results
-by their own config.
+The order and dedup tests inject a stub ``run_task`` (it returns a
+canned result, and the 1-worker executor serializes reaps); the cache
+tests run real — tiny — simulations because the cache keys results by
+their own config, and the dead-worker test runs them in a process pool.
 """
 
 import asyncio
+import os
 import threading
 
 import pytest
@@ -36,9 +36,9 @@ def _config(seed=1, **overrides):
     return SimulationConfig(**base)
 
 
-def _spec(name, stream, seeds, weight=1.0):
+def _spec(name, stream, seeds):
     tasks = tuple(SimTask(_config(seed=seed)) for seed in seeds)
-    return JobSpec(name=name, tasks=tasks, stream=stream, weight=weight)
+    return JobSpec(name=name, tasks=tasks, stream=stream)
 
 
 @pytest.fixture(scope="module")
@@ -46,10 +46,13 @@ def canned_result():
     return Simulator(_config(seed=999)).run()
 
 
-def _stub_runner(result, block_on=None, fail_keys=()):
-    """A run_task stub: optionally blocks, optionally fails per seed."""
+def _stub_runner(result, block_on=None, fail_keys=(), started=None):
+    """A run_task stub: optionally records the seeds it starts, blocks,
+    and fails per seed."""
 
     def run(task):
+        if started is not None:
+            started.append(task.resolved_config().seed)
         if block_on is not None:
             block_on.wait(timeout=30)
         if task.resolved_config().seed in fail_keys:
@@ -132,8 +135,8 @@ class TestLifecycleAndDedup:
             counts = job2.counts()
             assert counts["cached"] == 1
             assert counts["simulated"] == 1
-            kinds = [kind for _, _, _, kind in second.dispatch_log]
-            assert kinds.count("cached") == 1
+            assert job2.task_kinds == ["cached", "simulated"]
+            assert second.totals()["cached"] == 1
             # Cache hits are bit-exact round trips of the stored run.
             direct = Simulator(_config(seed=1)).run()
             hit = job2.results[0]
@@ -160,66 +163,75 @@ class TestLifecycleAndDedup:
         asyncio.run(main())
 
 
-class TestFairness:
-    def test_equal_weight_streams_alternate(self, canned_result):
+def _dies_on_seed_13(task):
+    """A pool worker that kills its own process on seed 13."""
+    config = task.resolved_config()
+    if config.seed == 13:
+        os._exit(1)
+    return Simulator(config).run()
+
+
+class TestFifo:
+    def test_tasks_start_in_submission_order_whatever_the_stream(
+        self, canned_result
+    ):
         async def main():
+            started = []
             sched = ExperimentScheduler(
-                jobs=1, run_task=_stub_runner(canned_result)
+                jobs=1, run_task=_stub_runner(canned_result, started=started)
             )
-            sched.submit(_spec("ga", "a", (1, 2, 3, 4)))
-            sched.submit(_spec("gb", "b", (11, 12, 13, 14)))
+            sched.submit(_spec("ga", "b", (1, 2, 3)))
+            sched.submit(_spec("gb", "a", (11, 12)))
+            sched.submit(_spec("gc", "b", (21,)))
             await sched.close()
-            order = [stream for stream, _, _, kind in sched.dispatch_log]
-            # b joins at a's vtime (the newborn floor) after a banked
-            # one dispatch, so the alternation is offset by one at each
-            # edge — but strictly alternating in steady state.
-            assert order == ["a", "a", "b", "a", "b", "a", "b", "b"]
-            assert order.count("a") == order.count("b") == 4
+            assert started == [1, 2, 3, 11, 12, 21]
 
         asyncio.run(main())
 
-    def test_weighted_stream_gets_proportional_share(self, canned_result):
-        async def main():
-            sched = ExperimentScheduler(
-                jobs=1, run_task=_stub_runner(canned_result)
-            )
-            sched.submit(_spec("gw", "w", (1, 2, 3, 4, 5, 6), weight=2.0))
-            sched.submit(_spec("gx", "x", (11, 12, 13), weight=1.0))
-            await sched.close()
-            order = [stream for stream, _, _, _ in sched.dispatch_log]
-            # Weight 2 earns two dispatches per weight-1 dispatch; the
-            # light stream is interleaved, not starved to the end.
-            assert order.count("w") == 6
-            assert order.count("x") == 3
-            first_six = order[:6]
-            assert first_six.count("w") == 4
-            assert first_six.count("x") == 2
+    def test_a_cached_grid_finishes_while_the_executor_is_full(
+        self, canned_result, tmp_path
+    ):
+        cache = ResultCache(tmp_path / "cache")
+        for seed in (11, 12):
+            cache.put(Simulator(_config(seed=seed)).run())
 
-        asyncio.run(main())
-
-    def test_late_stream_joins_at_vtime_floor(self, canned_result):
         async def main():
             gate = threading.Event()
             sched = ExperimentScheduler(
                 jobs=1,
+                cache=cache,
                 run_task=_stub_runner(canned_result, block_on=gate),
             )
-            sched.submit(_spec("ga", "a", (1, 2, 3, 4)))
-            gate.set()
-            await sched.drain()
-            gate.clear()
-            # Stream b arrives after a has banked vtime; it starts at
-            # a's clock, so it cannot monopolize the executor.
-            sched.submit(_spec("gb", "b", (11, 12)))
-            sched.submit(_spec("ga2", "a", (5, 6)))
+            busy, _ = sched.submit(_spec("busy", "s", (1, 2)))
+            warm, _ = sched.submit(_spec("warm", "s", (11, 12)))
+            # The one worker is held by `busy`, which has a task still
+            # queued; `warm` needs no worker, so it is not behind it.
+            assert warm.state is JobState.DONE
+            assert warm.counts()["cached"] == 2
+            assert busy.task_states == ["running", "pending"]
             gate.set()
             await sched.close()
-            tail = [
-                stream for stream, _, _, _ in sched.dispatch_log[4:]
-            ]
-            assert tail.count("a") == 2
-            assert tail.count("b") == 2
-            assert tail != ["b", "b", "a", "a"]
+            assert busy.state is JobState.DONE
+
+        asyncio.run(main())
+
+    def test_a_dead_pool_worker_fails_only_its_own_tasks(self):
+        async def main():
+            sched = ExperimentScheduler(jobs=2, run_task=_dies_on_seed_13)
+            doomed, _ = sched.submit(_spec("doomed", "s", (13,)))
+            await asyncio.wait_for(sched.drain(), timeout=60)
+            assert doomed.state is JobState.FAILED
+            assert doomed.error.startswith("BrokenProcessPool")
+            later, _ = sched.submit(_spec("later", "s", (1, 2)))
+            await asyncio.wait_for(sched.drain(), timeout=60)
+            assert later.state is JobState.DONE
+            assert sched.totals()["active_workers"] == 0
+            # A failed grid is not deduped.
+            retry, deduped = sched.submit(_spec("doomed", "s", (13,)))
+            assert deduped is False and retry is not doomed
+            await asyncio.wait_for(sched.close(), timeout=60)
+            assert retry.state is JobState.FAILED
+            assert sched.totals()["simulated"] == 2
 
         asyncio.run(main())
 
