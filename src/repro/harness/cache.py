@@ -98,9 +98,13 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
-    def get(self, config: SimulationConfig) -> SimulationResult | None:
-        """The cached result for ``config``, or ``None`` on a miss."""
-        key = config_cache_key(config)
+    def get(
+        self, config: SimulationConfig, key: str | None = None
+    ) -> SimulationResult | None:
+        """The cached result for ``config``, or ``None`` on a miss;
+        ``key`` is its :func:`config_cache_key`, if the caller has it."""
+        if key is None:
+            key = config_cache_key(config)
         try:
             data = json.loads(self._path(key).read_text())
             result = SimulationResult.from_dict(data)

@@ -275,10 +275,10 @@ def run_tasks(
     job instead of running locally — see :mod:`repro.service`.
     """
     task_list = list(tasks)
+    # Resolved once, for the telemetry test and the cache probe.
+    configs = [task.resolved_config() for task in task_list]
     service = os.environ.get("REPRO_SERVICE", "").strip()
-    if service and task_list and not any(
-        _wants_telemetry(task.resolved_config()) for task in task_list
-    ):
+    if service and task_list and not any(map(_wants_telemetry, configs)):
         # $REPRO_SERVICE routes whole grids through the experiment
         # service (repro serve), which owns its own cache and worker
         # pool — the local cache/jobs arguments do not apply there.
@@ -302,9 +302,9 @@ def run_tasks(
             )
     results: list[SimulationResult | None] = [
         None
-        if cache is None or _wants_telemetry(task.resolved_config())
-        else cache.get(task.resolved_config())
-        for task in task_list
+        if cache is None or _wants_telemetry(config)
+        else cache.get(config)
+        for config in configs
     ]
     pending = [i for i, r in enumerate(results) if r is None]
     pending_tasks = [task_list[i] for i in pending]

@@ -29,6 +29,7 @@ import enum
 import hashlib
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from repro.exceptions import ConfigurationError
@@ -77,6 +78,9 @@ class JobSpec:
     change when the job runs.  Tasks requesting active telemetry are
     rejected: the service dedupes through the telemetry-blind result
     cache, so it could not honor a request for collected series.
+
+    Tasks are resolved once, on construction; keys and hash once, on
+    first use (a spec built only to be sent derives none).
     """
 
     name: str
@@ -93,8 +97,9 @@ class JobSpec:
                 )
         if not self.tasks:
             raise ServiceError(f"job '{self.name}' has no tasks")
-        for task in self.tasks:
-            if _wants_telemetry(task.resolved_config()):
+        # Resolving checks each task's rate; the configs are kept.
+        for config in self.configs:
+            if _wants_telemetry(config):
                 raise ServiceError(
                     f"job '{self.name}' requests active telemetry; the "
                     f"service dedupes through the telemetry-blind result "
@@ -103,16 +108,24 @@ class JobSpec:
                 )
 
     # ------------------------------------------------------------------
-    def task_keys(self) -> tuple[str, ...]:
+    @cached_property
+    def configs(self) -> tuple[SimulationConfig, ...]:
+        """Per-task resolved configs, in task order."""
+        return tuple(task.resolved_config() for task in self.tasks)
+
+    @cached_property
+    def keys(self) -> tuple[str, ...]:
         """Per-task result-cache keys, in task order."""
-        return tuple(
-            config_cache_key(task.resolved_config()) for task in self.tasks
-        )
+        return tuple(map(config_cache_key, self.configs))
+
+    @cached_property
+    def _hash(self) -> str:
+        blob = "\n".join(sorted(self.keys))
+        return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
     def spec_hash(self) -> str:
         """Content hash of the grid (order- and stream-insensitive)."""
-        blob = "\n".join(sorted(self.task_keys()))
-        return hashlib.sha256(blob.encode("ascii")).hexdigest()
+        return self._hash
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
@@ -177,7 +190,6 @@ class Job:
         self.task_states = [TASK_PENDING] * count
         self.task_kinds = [None] * count
         self.results = [None] * count
-        self._keys = self.spec.task_keys()
         #: Tasks done, and tasks not yet in a terminal state: what one
         #: finished task needs to know, without a walk over the grid.
         self._done = 0
@@ -186,7 +198,7 @@ class Job:
 
     # ------------------------------------------------------------------
     def task_key(self, index: int) -> str:
-        return self._keys[index]
+        return self.spec.keys[index]
 
     def counts(self) -> dict[str, int]:
         """Task totals by terminal kind plus live-state buckets."""
@@ -321,10 +333,9 @@ class Job:
     def result_points(self) -> list[dict[str, Any]]:
         """Compact per-task outcome rows for the ``result`` verb."""
         points = []
-        for task, state, kind, result in zip(
-            self.spec.tasks, self.task_states, self.task_kinds, self.results
+        for config, state, kind, result in zip(
+            self.spec.configs, self.task_states, self.task_kinds, self.results
         ):
-            config = task.resolved_config()
             point: dict[str, Any] = {
                 "routing": config.routing,
                 "traffic": config.traffic,

@@ -173,7 +173,7 @@ class ExperimentScheduler:
             job.mark_shared(index)
             entry.waiters.append((job, index))
             return True
-        cached = self._cache_get(job.spec.tasks[index])
+        cached = self._cache_get(job, index)
         if cached is None:
             return False
         self.total_cached += 1
@@ -242,10 +242,10 @@ class ExperimentScheduler:
     # ------------------------------------------------------------------
     # Cache and executor plumbing
     # ------------------------------------------------------------------
-    def _cache_get(self, task: SimTask) -> SimulationResult | None:
+    def _cache_get(self, job: Job, index: int) -> SimulationResult | None:
         if self.cache is None:
             return None
-        return self.cache.get(task.resolved_config())
+        return self.cache.get(job.spec.configs[index], job.task_key(index))
 
     def _cache_put(self, result: SimulationResult) -> None:
         if self.cache is None:

@@ -9,7 +9,7 @@ internal speedup 2, credit-based wormhole flow control).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any
 
 from repro.exceptions import ConfigurationError, RoutingError
@@ -281,10 +281,17 @@ class SimulationConfig:
 
         Trace events (dataclasses) become plain dicts and the packet-size
         range becomes a list, so the output survives a JSON round trip.
+        Equal to ``asdict(self)`` with that list, built without its deep
+        copy: only the nested dataclass values are converted.
         """
-        data = asdict(self)
-        if data["packet_size_range"] is not None:
-            data["packet_size_range"] = list(data["packet_size_range"])
+        data = {name: getattr(self, name) for name in _FIELD_NAMES}
+        if self.packet_size_range is not None:
+            data["packet_size_range"] = list(self.packet_size_range)
+        if self.trace is not None:
+            data["trace"] = [asdict(event) for event in self.trace]
+        for name in ("faults", "telemetry"):
+            if data[name] is not None:
+                data[name] = asdict(data[name])
         return data
 
     @classmethod
@@ -331,3 +338,7 @@ class SimulationConfig:
             f"@ {self.injection_rate:.3f}, {size} packets, seed {self.seed}"
             f"{fault_note}"
         )
+
+
+#: Field names in declaration order, which a stored result's JSON keeps.
+_FIELD_NAMES = tuple(f.name for f in fields(SimulationConfig))

@@ -29,6 +29,7 @@ difference, purity of blocking, HoL-blocking degree) on these traces.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass
 
 from repro.exceptions import TrafficError
@@ -137,7 +138,9 @@ def generate_parsec_trace(
             f"unknown PARSEC workload '{workload}'; "
             f"available: {sorted(PARSEC_PROFILES)}"
         )
-    rng = random.Random((seed * 0x5DEECE66D + hash(workload)) % 2**63)
+    # CRC-32, not hash(): a str hash is salted per interpreter.
+    salt = zlib.crc32(workload.encode("utf-8"))
+    rng = random.Random((seed * 0x5DEECE66D + salt) % 2**63)
     homes = home_tiles(mesh)
     hot_homes = _hot_homes(mesh, rng)
     cores = [n for n in range(mesh.num_nodes)]

@@ -6,6 +6,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.faults import FaultEvent, FaultSchedule
 from repro.harness.cache import (
@@ -15,12 +16,15 @@ from repro.harness.cache import (
     config_cache_key,
     default_cache_dir,
 )
+from repro.harness.parallel import SimTask
 from repro.harness.runner import run_simulation
 from repro.metrics.stats import pack_samples, unpack_samples
+from repro.service.jobs import JobSpec
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
 from repro.sim.results import SimulationResult
 from repro.telemetry.config import TelemetryConfig
+from repro.topology.ports import Direction
 from repro.traffic.trace import TraceEvent
 from repro.validate.differential import result_signature
 
@@ -144,6 +148,122 @@ class TestCacheKey:
             constants, "ENGINE_VERSION", constants.ENGINE_VERSION + 1
         )
         assert config_cache_key(_config()) != key
+
+
+class TestPinnedKeys:
+    """Keys and a job hash as they were before ``to_dict`` stopped using
+    ``asdict``: every stored entry and every deduplicated job is
+    addressed by these, so none may move without an engine bump."""
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            (
+                SimulationConfig(),
+                "2053237ef5e7cfd13543733f1c35e708f2aefcf3ab19599767cec7b0dfb1b9ac",
+            ),
+            (
+                _config(packet_size_range=(1, 6)),
+                "8240dd5479610eb8149b9038fdabf55f6b5460d70213998c377862f947c3f432",
+            ),
+            (
+                _config(faults=FaultSchedule((
+                    FaultEvent(10, "link", 5, Direction.EAST, duration=40),
+                    FaultEvent(0, "router", 3),
+                ))),
+                "7d05ae2307bbe2e5e7c248e29a16cd0292eb198e2b624e0a1b400bda2274f932",
+            ),
+            (
+                _config(traffic="trace", injection_rate=0.0, trace=[
+                    TraceEvent(3, 1, 9, size=2, flow="app"),
+                    TraceEvent(5, 0, 15),
+                ]),
+                "0f1eb652408c05f057a3aeac58faf38408df5dc9466e924452c76392d00001c6",
+            ),
+            (
+                _config(topology="torus", telemetry=TelemetryConfig(
+                    sample_every=10, tree_nodes=(5,), trace_flits=True
+                )),
+                "12ccda902f9af69f3c35bccd57505ac01abd419b3a7622034aae7bd4020c5eeb",
+            ),
+        ],
+        ids=["default", "packet_size_range", "faults", "trace", "telemetry"],
+    )
+    def test_config_key(self, config, key):
+        assert config_cache_key(config) == key
+
+    def test_spec_hash(self):
+        spec = JobSpec(name="pin", tasks=(
+            SimTask(_config(), rate=0.02),
+            SimTask(_config(routing="dbar"), rate=0.04),
+        ))
+        assert spec.spec_hash() == (
+            "193e51d976a4dd604573639beb47f3754020d1fb55a6cbacd1f349a99f58a29e"
+        )
+
+
+@st.composite
+def configs(draw):
+    """A 4x4 config with drawn scalars and, each maybe, a packet-size
+    range, a fault schedule, telemetry and a trace."""
+    lo = draw(st.integers(1, 4))
+    faults = draw(st.lists(
+        st.builds(
+            FaultEvent,
+            cycle=st.integers(0, 50),
+            kind=st.just("router"),
+            node=st.integers(0, 15),
+            duration=st.one_of(st.none(), st.integers(1, 20)),
+        )
+        | st.builds(
+            FaultEvent,
+            cycle=st.integers(0, 50),
+            kind=st.just("link"),
+            node=st.sampled_from((0, 1, 4, 5)),  # all have EAST links
+            direction=st.just(Direction.EAST),
+        ),
+        max_size=3,
+    ))
+    return _config(
+        seed=draw(st.integers(0, 2**31)),
+        routing=draw(st.sampled_from(("footprint", "dbar", "dor"))),
+        injection_rate=draw(st.floats(0.0, 1.0)),
+        footprint_vc_limit=draw(st.one_of(st.none(), st.integers(1, 4))),
+        packet_size_range=draw(st.one_of(
+            st.none(), st.tuples(st.just(lo), st.integers(lo, 6))
+        )),
+        faults=draw(st.one_of(st.none(), st.just(FaultSchedule(
+            tuple(faults)
+        )))),
+        telemetry=draw(st.one_of(st.none(), st.builds(
+            TelemetryConfig,
+            sample_every=st.integers(0, 20),
+            tree_nodes=st.lists(st.integers(0, 15), max_size=2),
+            trace_flits=st.booleans(),
+        ))),
+        trace=draw(st.one_of(st.none(), st.lists(st.builds(
+            TraceEvent,
+            cycle=st.integers(0, 100),
+            src=st.integers(0, 15),
+            dst=st.integers(0, 15),
+            size=st.integers(1, 4),
+            flow=st.sampled_from(("trace", "app")),
+        ), max_size=4))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(configs())
+def test_to_dict_is_the_asdict_form(config):
+    """``to_dict`` converts only the nested dataclasses, yet equals the
+    recursive ``asdict`` copy with the packet-size list, keys in field
+    order, so neither cache keys nor stored entries can tell them apart."""
+    expected = dataclasses.asdict(config)
+    if expected["packet_size_range"] is not None:
+        expected["packet_size_range"] = list(expected["packet_size_range"])
+    data = config.to_dict()
+    assert data == expected
+    assert json.dumps(data) == json.dumps(expected)
 
 
 class TestResultCache:

@@ -1,7 +1,13 @@
 """Unit tests for the synthetic PARSEC-like trace generator."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.exceptions import TrafficError
 from repro.topology.mesh import Mesh2D
 from repro.traffic.parsecgen import (
@@ -11,6 +17,8 @@ from repro.traffic.parsecgen import (
     home_tiles,
     merge_traces,
 )
+
+SRC = str(Path(repro.__file__).resolve().parent.parent)
 
 
 @pytest.fixture
@@ -62,6 +70,28 @@ class TestGeneration:
         a = generate_parsec_trace("x264", mesh, 200, seed=4)
         b = generate_parsec_trace("x264", mesh, 200, seed=4)
         assert a == b
+
+    def test_same_trace_under_any_hash_seed(self):
+        """A trace is the same in every interpreter: the workload name
+        must not reach the seed through the salted ``hash(str)``."""
+        script = (
+            "from repro.topology.mesh import Mesh2D\n"
+            "from repro.traffic.parsecgen import generate_parsec_trace\n"
+            "print(generate_parsec_trace('x264', Mesh2D(4), 200, seed=4))"
+        )
+        traces = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": SRC,
+                     "PYTHONHASHSEED": hash_seed},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for hash_seed in ("1", "2")
+        ]
+        assert "TraceEvent" in traces[0]
+        assert traces[0] == traces[1]
 
     def test_seed_changes_trace(self, mesh):
         a = generate_parsec_trace("x264", mesh, 200, seed=4)
