@@ -28,7 +28,7 @@ from repro.service import (
     ServiceError,
     ServiceUnreachable,
 )
-from repro.service.jobs import JobSpec
+from repro.service.jobs import JobSpec, JobState
 from repro.service.protocol import MAX_LINE, decode, encode
 from repro.sim.constants import ENGINE_VERSION
 from repro.sim.results import SimulationResult
@@ -123,20 +123,18 @@ class ServiceClient:
     def ping(self) -> dict[str, Any]:
         return self.call("ping")
 
-    def submit(self, spec: JobSpec) -> dict[str, Any]:
-        """Submit ``spec``; a server on another engine version refuses."""
-        return self.call(
-            "submit", engine_version=ENGINE_VERSION, **spec.to_dict()
-        )
-
     def submit_tasks(
         self,
         name: str,
         tasks: Iterable[SimTask],
         stream: str = "default",
     ) -> dict[str, Any]:
+        """Submit a grid as one job; a server on another engine version
+        refuses it."""
         spec = JobSpec(name=name, tasks=tuple(tasks), stream=stream)
-        return self.submit(spec)
+        return self.call(
+            "submit", engine_version=ENGINE_VERSION, **spec.to_dict()
+        )
 
     def status(self, job_id: str | None = None) -> dict[str, Any]:
         if job_id is None:
@@ -163,7 +161,7 @@ class ServiceClient:
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             job = self.status(job_id)["job"]
-            if job["state"] in ("done", "failed", "cancelled"):
+            if JobState(job["state"]).terminal:
                 return job
             if deadline is not None and time.monotonic() >= deadline:
                 raise ServiceError(
@@ -194,30 +192,23 @@ class ServiceClient:
 
 
 def run_tasks_via_service(
-    tasks: Iterable[SimTask],
-    address: str | None = None,
-    stream: str | None = None,
-    name: str | None = None,
-    timeout: float | None = None,
+    tasks: Iterable[SimTask], address: str | None = None
 ) -> list[SimulationResult]:
     """Run a task grid through the service; drop-in for ``run_tasks``.
 
-    The grid becomes one job labelled ``stream`` (default: this
-    process's pid, so ``repro jobs`` tells concurrent drivers apart).
-    Blocks until the job finishes; raises
-    :class:`ServiceError` if the service is unreachable or the job
-    fails.
+    The grid becomes one job on stream ``pid-<this process's pid>``, so
+    ``repro jobs`` tells concurrent drivers apart.  Blocks until the job
+    finishes; raises :class:`ServiceError` if the service is unreachable
+    or the job fails.
     """
     task_list = list(tasks)
     if not task_list:
         return []
     client = ServiceClient.from_address(address)
-    if stream is None:
-        stream = f"pid-{os.getpid()}"
-    if name is None:
-        name = f"grid-{len(task_list)}"
-    submitted = client.submit_tasks(name, task_list, stream=stream)
-    job = client.wait(submitted["job_id"], timeout=timeout)
+    submitted = client.submit_tasks(
+        f"grid-{len(task_list)}", task_list, stream=f"pid-{os.getpid()}"
+    )
+    job = client.wait(submitted["job_id"])
     if job["state"] != "done":
         raise ServiceError(
             f"service job {submitted['job_id']} ended "

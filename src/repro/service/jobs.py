@@ -17,10 +17,14 @@ simulating for another job is *shared* rather than re-run.
                       -> FAILED
     QUEUED/RUNNING ---> CANCELLED
 
-Per-task terminal states carry a *kind* — ``simulated``, ``cached`` or
-``shared`` — so dedup is observable: a resubmitted grid finishes with
-zero ``simulated`` tasks, and the acceptance demo's "overlapping tasks
-run exactly once" claim is checked from these counters.
+Each task has one status in ``Job.tasks``.  A live task is ``pending``,
+``running`` (simulating for this job) or ``shared_waiting`` (subscribed
+to another task's identical run).  A finished task holds the *kind* it
+finished by — ``simulated``, ``cached`` or ``shared`` — so dedup is
+observable: a resubmitted grid finishes with zero ``simulated`` tasks.
+The rest end ``failed`` or ``cancelled``.  On the wire a finished task
+reads ``state: "done"`` with its kind, and a waiting one ``state:
+"shared"`` with none (:meth:`Job.result_points`).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
@@ -54,20 +59,11 @@ class JobState(enum.Enum):
         return self in (JobState.DONE, JobState.FAILED, JobState.CANCELLED)
 
 
-#: Per-task states.  ``pending`` and ``running`` are transient;
-#: ``shared`` means the task is waiting on another job's identical
-#: in-flight simulation; the rest are terminal.
-TASK_PENDING = "pending"
-TASK_RUNNING = "running"
-TASK_SHARED = "shared"
-TASK_DONE = "done"
-TASK_FAILED = "failed"
-TASK_CANCELLED = "cancelled"
-
-#: Task kinds recorded on completion (how the result was obtained).
-KIND_SIMULATED = "simulated"
-KIND_CACHED = "cached"
-KIND_SHARED = "shared"
+#: How a finished task got its result; the statuses a live task holds;
+#: the wire ``(state, kind)`` of each status not sent as itself.
+KINDS = ("simulated", "cached", "shared")
+_LIVE = ("pending", "running", "shared_waiting")
+_WIRE = {"shared_waiting": ("shared", None), **{k: ("done", k) for k in KINDS}}
 
 
 @dataclass(frozen=True)
@@ -176,9 +172,8 @@ class Job:
     submitted_at: float = field(default_factory=time.time)
     finished_at: float | None = None
     error: str | None = None
-    #: Per-task state (TASK_* constants), kind, and result, task-indexed.
-    task_states: list[str] = field(default_factory=list)
-    task_kinds: list[str | None] = field(default_factory=list)
+    #: Per-task status (module docstring) and result, task-indexed.
+    tasks: list[str] = field(default_factory=list)
     results: list[SimulationResult | None] = field(default_factory=list)
     #: Progress events: (wall time, message), oldest first, bounded.
     events: list[tuple[float, str]] = field(default_factory=list)
@@ -187,8 +182,7 @@ class Job:
 
     def __post_init__(self) -> None:
         count = len(self.spec.tasks)
-        self.task_states = [TASK_PENDING] * count
-        self.task_kinds = [None] * count
+        self.tasks = ["pending"] * count
         self.results = [None] * count
         #: Tasks done, and tasks not yet in a terminal state: what one
         #: finished task needs to know, without a walk over the grid.
@@ -197,40 +191,17 @@ class Job:
         self.record(f"queued on stream '{self.spec.stream}' ({count} tasks)")
 
     # ------------------------------------------------------------------
-    def task_key(self, index: int) -> str:
-        return self.spec.keys[index]
-
     def counts(self) -> dict[str, int]:
-        """Task totals by terminal kind plus live-state buckets."""
-        out = {
-            "total": len(self.task_states),
-            "pending": 0,
-            "running": 0,
-            "shared_waiting": 0,
-            "done": 0,
-            "failed": 0,
-            "cancelled": 0,
-            KIND_SIMULATED: 0,
-            KIND_CACHED: 0,
-            KIND_SHARED: 0,
+        """Tasks by status; ``done`` totals the three kinds."""
+        tally = Counter(self.tasks)
+        return {
+            "total": len(self.tasks),
+            **{status: tally[status] for status in _LIVE},
+            "done": self._done,
+            "failed": tally["failed"],
+            "cancelled": tally["cancelled"],
+            **{kind: tally[kind] for kind in KINDS},
         }
-        for state in self.task_states:
-            if state == TASK_PENDING:
-                out["pending"] += 1
-            elif state == TASK_RUNNING:
-                out["running"] += 1
-            elif state == TASK_SHARED:
-                out["shared_waiting"] += 1
-            elif state == TASK_DONE:
-                out["done"] += 1
-            elif state == TASK_FAILED:
-                out["failed"] += 1
-            elif state == TASK_CANCELLED:
-                out["cancelled"] += 1
-        for kind in self.task_kinds:
-            if kind is not None:
-                out[kind] += 1
-        return out
 
     def record(self, message: str) -> None:
         """Append a bounded progress event."""
@@ -241,16 +212,10 @@ class Job:
     # ------------------------------------------------------------------
     # Transitions (driven by the scheduler)
     # ------------------------------------------------------------------
-    def mark_running(self, index: int) -> None:
-        self.task_states[index] = TASK_RUNNING
-        self._now_running()
-
-    def mark_shared(self, index: int) -> None:
-        self.task_states[index] = TASK_SHARED
-        self._now_running()
-
-    def _now_running(self) -> None:
-        if self.state == JobState.QUEUED:
+    def start(self, index: int, status: str) -> None:
+        """Set task ``index``'s status; a queued job starts running."""
+        self.tasks[index] = status
+        if self.state is JobState.QUEUED:
             self.state = JobState.RUNNING
             self.record("running")
 
@@ -261,20 +226,16 @@ class Job:
         dropped (the simulation still fed the cache and any sharers)."""
         if self.state.terminal:
             return
-        self.task_states[index] = TASK_DONE
-        self.task_kinds[index] = kind
+        self.start(index, kind)  # a cache hit starts and ends at once
         self.results[index] = result
-        self._now_running()
         self._done += 1
-        self.record(
-            f"task {index} {kind} ({self._done}/{len(self.task_states)})"
-        )
+        self.record(f"task {index} {kind} ({self._done}/{len(self.tasks)})")
         self._task_settled()
 
     def fail_task(self, index: int, error: str) -> None:
         if self.state.terminal:
             return
-        self.task_states[index] = TASK_FAILED
+        self.tasks[index] = "failed"
         self.record(f"task {index} failed: {error}")
         if self.error is None:
             self.error = error
@@ -289,9 +250,9 @@ class Job:
         """
         if self.state.terminal:
             return False
-        for index, state in enumerate(self.task_states):
-            if state in (TASK_PENDING, TASK_RUNNING, TASK_SHARED):
-                self.task_states[index] = TASK_CANCELLED
+        for index, status in enumerate(self.tasks):
+            if status in _LIVE:
+                self.tasks[index] = "cancelled"
         self._remaining = 0
         self._finish(JobState.CANCELLED)
         return True
@@ -312,10 +273,7 @@ class Job:
     # ------------------------------------------------------------------
     def summary(self) -> dict[str, Any]:
         """Status-verb payload: state, counters, recent events."""
-        counts = self.counts()
-        elapsed = (
-            (self.finished_at or time.time()) - self.submitted_at
-        )
+        elapsed = (self.finished_at or time.time()) - self.submitted_at
         return {
             "job_id": self.id,
             "name": self.spec.name,
@@ -323,7 +281,7 @@ class Job:
             "state": self.state.value,
             "hash": self.spec.spec_hash(),
             "error": self.error,
-            "counts": counts,
+            "counts": self.counts(),
             "elapsed_s": round(elapsed, 3),
             "events": [
                 [round(ts, 3), message] for ts, message in self.events[-8:]
@@ -333,9 +291,10 @@ class Job:
     def result_points(self) -> list[dict[str, Any]]:
         """Compact per-task outcome rows for the ``result`` verb."""
         points = []
-        for config, state, kind, result in zip(
-            self.spec.configs, self.task_states, self.task_kinds, self.results
+        for config, status, result in zip(
+            self.spec.configs, self.tasks, self.results
         ):
+            state, kind = _WIRE.get(status, (status, None))
             point: dict[str, Any] = {
                 "routing": config.routing,
                 "traffic": config.traffic,

@@ -38,14 +38,7 @@ from typing import Callable
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import SimTask, _run_task, resolve_jobs
 from repro.service import ServiceError
-from repro.service.jobs import (
-    KIND_CACHED,
-    KIND_SHARED,
-    KIND_SIMULATED,
-    Job,
-    JobSpec,
-    JobState,
-)
+from repro.service.jobs import KINDS, Job, JobSpec, JobState
 from repro.sim.results import SimulationResult
 
 # The default worker simulates, and imports the engine when it first
@@ -53,16 +46,6 @@ from repro.sim.results import SimulationResult
 # first job, and ahead of the executor: pool workers are forked with
 # the engine's pages already shared.
 import repro.sim.engine  # noqa: F401
-
-
-class _Inflight:
-    """One running simulation plus the (job, task) pairs awaiting it."""
-
-    __slots__ = ("owner", "waiters")
-
-    def __init__(self, owner: tuple[Job, int]) -> None:
-        self.owner = owner
-        self.waiters: list[tuple[Job, int]] = []
 
 
 class ExperimentScheduler:
@@ -88,13 +71,13 @@ class ExperimentScheduler:
         self._queue: deque[tuple[Job, int]] = deque()
         self._jobs: dict[str, Job] = {}
         self._jobs_by_hash: dict[str, Job] = {}
-        self._inflight: dict[str, _Inflight] = {}
+        #: Running simulation's key -> (job, index) pairs, owner first.
+        self._inflight: dict[str, list[tuple[Job, int]]] = {}
         self._active = 0
         self._reapers: set[asyncio.Task] = set()
         self._ids = itertools.count(1)
-        self.total_simulated = 0
-        self.total_cached = 0
-        self.total_shared = 0
+        #: Tasks finished, by kind, over the server's life.
+        self._totals = dict.fromkeys(KINDS, 0)
 
     # ------------------------------------------------------------------
     # Admission
@@ -126,6 +109,8 @@ class ExperimentScheduler:
     # Queries
     # ------------------------------------------------------------------
     def get_job(self, job_id: str) -> Job:
+        if not isinstance(job_id, str):
+            raise ServiceError(f"malformed job_id {job_id!r}: not a string")
         job = self._jobs.get(job_id)
         if job is None:
             raise ServiceError(
@@ -144,23 +129,8 @@ class ExperimentScheduler:
             "jobs": len(self._jobs),
             "active_workers": self._active,
             "max_workers": self.max_workers,
-            KIND_SIMULATED: self.total_simulated,
-            KIND_CACHED: self.total_cached,
-            KIND_SHARED: self.total_shared,
+            **self._totals,
         }
-
-    # ------------------------------------------------------------------
-    # Cancellation
-    # ------------------------------------------------------------------
-    def cancel(self, job_id: str) -> bool:
-        """Cancel ``job_id``; True if it was still live.
-
-        Pending and shared tasks are dropped immediately (queued ones
-        leave the queue when they reach its head); tasks already
-        simulating run to completion (feeding the cache and any other
-        subscribers) but their results no longer count toward the job.
-        """
-        return self.get_job(job_id).cancel()
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -168,17 +138,24 @@ class ExperimentScheduler:
     def _resolve(self, job: Job, index: int) -> bool:
         """Answer a task from a run in flight or the cache, if either
         has it; False when it has to simulate."""
-        entry = self._inflight.get(job.task_key(index))
-        if entry is not None:
-            job.mark_shared(index)
-            entry.waiters.append((job, index))
+        waiters = self._inflight.get(job.spec.keys[index])
+        if waiters is not None:
+            job.start(index, "shared_waiting")
+            waiters.append((job, index))
             return True
-        cached = self._cache_get(job, index)
+        if self.cache is None:
+            return False
+        cached = self.cache.get(job.spec.configs[index], job.spec.keys[index])
         if cached is None:
             return False
-        self.total_cached += 1
-        job.finish_task(index, cached, KIND_CACHED)
+        self._finish(job, index, cached, "cached")
         return True
+
+    def _finish(
+        self, job: Job, index: int, result: SimulationResult, kind: str
+    ) -> None:
+        self._totals[kind] += 1
+        job.finish_task(index, result, kind)
 
     def _pump(self) -> None:
         """Serve the queue head until it needs a worker and none is free."""
@@ -203,9 +180,9 @@ class ExperimentScheduler:
         future = loop.run_in_executor(
             self._ensure_executor(), self._run_task, job.spec.tasks[index]
         )
-        key = job.task_key(index)
-        job.mark_running(index)
-        self._inflight[key] = _Inflight(owner=(job, index))
+        key = job.spec.keys[index]
+        job.start(index, "running")
+        self._inflight[key] = [(job, index)]
         self._active += 1
         reaper = loop.create_task(self._reap(future, key))
         self._reapers.add(reaper)
@@ -220,33 +197,23 @@ class ExperimentScheduler:
         except BaseException as exc:  # worker death included
             result, error = None, f"{type(exc).__name__}: {exc}"
         self._active -= 1
-        entry = self._inflight.pop(key)
-        job, index = entry.owner
+        owner, *waiters = self._inflight.pop(key)
         if error is not None:
-            job.fail_task(index, error)
-            for wjob, widx in entry.waiters:
-                wjob.fail_task(widx, error)
+            for job, index in (owner, *waiters):
+                job.fail_task(index, error)
         else:
-            assert result is not None
             self._cache_put(result)
-            self.total_simulated += 1
-            job.finish_task(index, result, KIND_SIMULATED)
+            self._finish(*owner, result, "simulated")
             # A job that ended while it waited (cancelled, or failed on
             # another task) takes nothing.
-            for wjob, widx in entry.waiters:
-                if not wjob.state.terminal:
-                    self.total_shared += 1
-                    wjob.finish_task(widx, result, KIND_SHARED)
+            for job, index in waiters:
+                if not job.state.terminal:
+                    self._finish(job, index, result, "shared")
         self._pump()
 
     # ------------------------------------------------------------------
     # Cache and executor plumbing
     # ------------------------------------------------------------------
-    def _cache_get(self, job: Job, index: int) -> SimulationResult | None:
-        if self.cache is None:
-            return None
-        return self.cache.get(job.spec.configs[index], job.task_key(index))
-
     def _cache_put(self, result: SimulationResult) -> None:
         if self.cache is None:
             return

@@ -55,9 +55,14 @@ class ExperimentServer:
     # ------------------------------------------------------------------
     async def start(self) -> int:
         """Bind and listen; returns the actual port (for ``port=0``)."""
-        self._server = await asyncio.start_server(
-            self._on_client, self.host, self.port, limit=MAX_LINE
-        )
+        try:
+            self._server = await asyncio.start_server(
+                self._on_client, self.host, self.port, limit=MAX_LINE
+            )
+        except (OSError, OverflowError) as exc:
+            raise ServiceError(
+                f"cannot listen on {self.host}:{self.port}: {exc}"
+            ) from None
         self.port = self._server.sockets[0].getsockname()[1]
         return self.port
 
@@ -105,8 +110,7 @@ class ExperimentServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
+        self._conn_tasks.add(task)
         self._writers.add(writer)
         try:
             while True:
@@ -117,7 +121,10 @@ class ExperimentServer:
                     break
                 if not line:
                     break
-                response = self.dispatch_line(line)
+                try:
+                    response = self.dispatch(decode(line))
+                except ServiceError as exc:  # a malformed line
+                    response = error_response(str(exc))
                 writer.write(encode(response))
                 try:
                     await writer.drain()
@@ -125,22 +132,14 @@ class ExperimentServer:
                     break
         finally:
             self._writers.discard(writer)
-            if task is not None:
-                self._conn_tasks.discard(task)
+            self._conn_tasks.discard(task)
             # No wait_closed(): the transport flushes and closes on its
             # own, and awaiting it here turns loop teardown (e.g. the
             # shutdown verb) into spurious CancelledError noise.
             writer.close()
 
-    def dispatch_line(self, line: bytes) -> dict[str, Any]:
-        """Decode one request line and answer it (never raises)."""
-        try:
-            request = decode(line)
-        except ServiceError as exc:
-            return error_response(str(exc))
-        return self.dispatch(request)
-
     def dispatch(self, request: dict[str, Any]) -> dict[str, Any]:
+        """Answer one decoded request (never raises)."""
         verb = request.get("verb")
         handler = getattr(self, f"_verb_{verb}", None)
         if handler is None:
@@ -214,13 +213,13 @@ class ExperimentServer:
         return response
 
     def _verb_cancel(self, request: dict[str, Any]) -> dict[str, Any]:
-        job_id = request.get("job_id", "")
-        cancelled = self.scheduler.cancel(job_id)
+        job = self.scheduler.get_job(request.get("job_id", ""))
+        cancelled = job.cancel()
         return {
             "ok": True,
-            "job_id": job_id,
+            "job_id": job.id,
             "cancelled": cancelled,
-            "state": self.scheduler.get_job(job_id).state.value,
+            "state": job.state.value,
         }
 
     def _verb_shutdown(self, request: dict[str, Any]) -> dict[str, Any]:

@@ -13,6 +13,7 @@ import socket
 
 import pytest
 
+from repro import cli
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import SimTask, run_tasks
 from repro.service import ServiceError
@@ -169,6 +170,11 @@ class TestServerRoundTrip:
                     client.call(
                         "submit", tasks=[{"config": config}], **labels
                     )
+            # A job id that is not a string is the client's error too.
+            for job_id in (["a"], {"a": 1}):
+                for verb in ("status", "result", "cancel"):
+                    with pytest.raises(ServiceError, match="^malformed"):
+                        client.call(verb, job_id=job_id)
             assert client.ping()["totals"]["jobs"] == 0
             return None
 
@@ -186,6 +192,26 @@ class TestServerRoundTrip:
             await asyncio.wait_for(loop_task, timeout=30)
 
         asyncio.run(main())
+
+
+class TestServeCommand:
+    def test_a_port_it_cannot_listen_on_is_one_error_line(
+        self, tmp_path, capsys
+    ):
+        """In use or out of range: exit 2 and one `error:` line, as
+        every other bad CLI input, not a traceback."""
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            for port in (busy.getsockname()[1], 70000):
+                argv = ["serve", "--port", str(port)]
+                code = cli.main([*argv, "--state-dir", str(tmp_path)])
+                out = capsys.readouterr()
+                assert (code, out.out) == (2, "")
+                assert out.err.startswith(
+                    f"error: cannot listen on 127.0.0.1:{port}: "
+                )
+                assert out.err.count("\n") == 1
 
 
 class TestHarnessHook:

@@ -1,19 +1,15 @@
 """Unit tests for the experiment-service job model."""
 
+import asyncio
+import threading
+
 import pytest
 
 from repro.service import ServiceError
-from repro.service.jobs import (
-    KIND_CACHED,
-    KIND_SIMULATED,
-    TASK_CANCELLED,
-    TASK_DONE,
-    TASK_PENDING,
-    Job,
-    JobSpec,
-    JobState,
-)
+from repro.service.jobs import Job, JobSpec, JobState
+from repro.harness.cache import ResultCache
 from repro.harness.parallel import SimTask
+from repro.service.scheduler import ExperimentScheduler
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
 from repro.telemetry.config import TelemetryConfig
@@ -109,46 +105,44 @@ class TestJobLifecycle:
         job = Job(id="j1", spec=_spec())
         assert job.state is JobState.QUEUED
         assert not job.state.terminal
-        assert job.task_states == [TASK_PENDING, TASK_PENDING]
+        assert job.tasks == ["pending", "pending"]
 
     def test_completes_when_all_tasks_land(self, tiny_result):
         job = Job(id="j1", spec=_spec())
-        job.mark_running(0)
+        job.start(0, "running")
         assert job.state is JobState.RUNNING
-        job.finish_task(0, tiny_result, KIND_SIMULATED)
+        job.finish_task(0, tiny_result, "simulated")
         assert job.state is JobState.RUNNING
-        job.finish_task(1, tiny_result, KIND_CACHED)
+        job.finish_task(1, tiny_result, "cached")
         assert job.state is JobState.DONE
         assert job.state.terminal
         assert job.finished_at is not None
         counts = job.counts()
         assert counts["done"] == 2
-        assert counts[KIND_SIMULATED] == 1
-        assert counts[KIND_CACHED] == 1
+        assert counts["simulated"] == 1
+        assert counts["cached"] == 1
 
     def test_any_failed_task_fails_the_job(self, tiny_result):
         job = Job(id="j1", spec=_spec())
         job.fail_task(0, "boom")
-        job.finish_task(1, tiny_result, KIND_SIMULATED)
+        job.finish_task(1, tiny_result, "simulated")
         assert job.state is JobState.FAILED
         assert job.error == "boom"
 
     def test_cancel_drops_undone_keeps_done(self, tiny_result):
         job = Job(id="j1", spec=_spec(seeds=(1, 2, 3)))
-        job.finish_task(0, tiny_result, KIND_SIMULATED)
-        job.mark_running(1)
+        job.finish_task(0, tiny_result, "simulated")
+        job.start(1, "running")
         assert job.cancel() is True
         assert job.state is JobState.CANCELLED
-        assert job.task_states[0] == TASK_DONE
-        assert job.task_states[1] == TASK_CANCELLED
-        assert job.task_states[2] == TASK_CANCELLED
+        assert job.tasks == ["simulated", "cancelled", "cancelled"]
         # Cancelling twice is a no-op.
         assert job.cancel() is False
 
     def test_late_result_on_terminal_job_is_dropped(self, tiny_result):
         job = Job(id="j1", spec=_spec())
         job.cancel()
-        job.finish_task(0, tiny_result, KIND_SIMULATED)
+        job.finish_task(0, tiny_result, "simulated")
         assert job.state is JobState.CANCELLED
         assert job.results[0] is None
 
@@ -163,10 +157,10 @@ class TestJobLifecycle:
 
         monkeypatch.setattr(Job, "counts", recount)
         job = Job(id="j1", spec=_spec(seeds=(1, 2, 3)))
-        job.finish_task(2, tiny_result, KIND_CACHED)
+        job.finish_task(2, tiny_result, "cached")
         job.fail_task(0, "boom")
         assert job.state is JobState.RUNNING
-        job.finish_task(1, tiny_result, KIND_SIMULATED)
+        job.finish_task(1, tiny_result, "simulated")
         assert job.state is JobState.FAILED
         assert [message for _, message in job.events[-4:]] == [
             "task 2 cached (1/3)",
@@ -184,7 +178,7 @@ class TestJobLifecycle:
 
     def test_summary_and_result_points(self, tiny_result):
         job = Job(id="j1", spec=_spec(seeds=(1, 2)))
-        job.finish_task(0, tiny_result, KIND_SIMULATED)
+        job.finish_task(0, tiny_result, "simulated")
         summary = job.summary()
         assert summary["job_id"] == "j1"
         assert summary["state"] == "running"
@@ -192,10 +186,10 @@ class TestJobLifecycle:
         assert summary["counts"]["done"] == 1
         points = job.result_points()
         assert len(points) == 2
-        assert points[0]["kind"] == KIND_SIMULATED
+        assert points[0]["kind"] == "simulated"
         assert points[0]["avg_latency"] is not None
         assert points[0]["drained"] is True
-        assert points[1]["state"] == TASK_PENDING
+        assert points[1]["state"] == "pending"
         assert "avg_latency" not in points[1]
         assert [p["rate"] for p in points] == [0.05, 0.05]
 
@@ -208,3 +202,89 @@ class TestJobLifecycle:
         )
         job = Job(id="j1", spec=JobSpec(name="hot", tasks=tasks))
         assert [p["rate"] for p in job.result_points()] == [0.02, 0.3]
+
+
+class TestWireFormat:
+    """What `status` and `result` say about a task in every status.
+
+    The literals are the wire format clients read; a change to the job
+    model must reproduce them.  The job is driven through the scheduler
+    (one worker, held by a gate), so the test names no transition
+    method: task 0 runs, task 1 repeats task 0's config and waits on its
+    run, task 2 is in the cache, tasks 3-6 queue; three of those are
+    then finished or failed by hand.
+    """
+
+    def test_counts_and_points_of_every_status(self, tiny_result, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(Simulator(_config(seed=11)).run())
+        gate = threading.Event()
+
+        def run(task):
+            gate.wait(timeout=30)
+            return tiny_result
+
+        def wire(job):
+            rows = [(p["state"], p["kind"]) for p in job.result_points()]
+            return job.summary()["counts"], rows
+
+        async def main():
+            sched = ExperimentScheduler(jobs=1, cache=cache, run_task=run)
+            job, _ = sched.submit(_spec(seeds=(1, 1, 11, 2, 3, 4, 5)))
+            job.finish_task(3, tiny_result, "simulated")
+            job.finish_task(4, tiny_result, "shared")
+            job.fail_task(5, "boom")
+            live = wire(job)
+            job.cancel()
+            cancelled = wire(job)
+            gate.set()
+            await sched.close()
+            return live, cancelled
+
+        live, cancelled = asyncio.run(main())
+        assert live == (
+            {
+                "total": 7,
+                "pending": 1,
+                "running": 1,
+                "shared_waiting": 1,
+                "done": 3,
+                "failed": 1,
+                "cancelled": 0,
+                "simulated": 1,
+                "cached": 1,
+                "shared": 1,
+            },
+            [
+                ("running", None),
+                ("shared", None),
+                ("done", "cached"),
+                ("done", "simulated"),
+                ("done", "shared"),
+                ("failed", None),
+                ("pending", None),
+            ],
+        )
+        assert cancelled == (
+            {
+                "total": 7,
+                "pending": 0,
+                "running": 0,
+                "shared_waiting": 0,
+                "done": 3,
+                "failed": 1,
+                "cancelled": 3,
+                "simulated": 1,
+                "cached": 1,
+                "shared": 1,
+            },
+            [
+                ("cancelled", None),
+                ("cancelled", None),
+                ("done", "cached"),
+                ("done", "simulated"),
+                ("done", "shared"),
+                ("failed", None),
+                ("cancelled", None),
+            ],
+        )

@@ -106,7 +106,7 @@ class TestLifecycleAndDedup:
             # simulation job A already started.
             job_b, deduped = sched.submit(_spec("b", "s2", (1, 2)))
             assert deduped is False
-            assert job_b.task_states[0] == "shared"
+            assert job_b.tasks[0] == "shared_waiting"
             gate.set()
             await sched.close()
             assert job_a.state is JobState.DONE
@@ -135,7 +135,7 @@ class TestLifecycleAndDedup:
             counts = job2.counts()
             assert counts["cached"] == 1
             assert counts["simulated"] == 1
-            assert job2.task_kinds == ["cached", "simulated"]
+            assert job2.tasks == ["cached", "simulated"]
             assert second.totals()["cached"] == 1
             # Cache hits are bit-exact round trips of the stored run.
             direct = Simulator(_config(seed=1)).run()
@@ -208,7 +208,7 @@ class TestFifo:
             # queued; `warm` needs no worker, so it is not behind it.
             assert warm.state is JobState.DONE
             assert warm.counts()["cached"] == 2
-            assert busy.task_states == ["running", "pending"]
+            assert busy.tasks == ["running", "pending"]
             gate.set()
             await sched.close()
             assert busy.state is JobState.DONE
@@ -245,11 +245,10 @@ class TestCancellationAndFailure:
                 run_task=_stub_runner(canned_result, block_on=gate),
             )
             job, _ = sched.submit(_spec("g", "s", (1, 2, 3)))
-            assert job.task_states[0] == "running"
-            assert sched.cancel(job.id) is True
+            assert job.tasks[0] == "running"
+            assert job.cancel() is True
             assert job.state is JobState.CANCELLED
-            assert job.task_states[1] == "cancelled"
-            assert job.task_states[2] == "cancelled"
+            assert job.tasks == ["cancelled"] * 3
             gate.set()
             await sched.close()
             # The in-flight simulation completed but its late result was
@@ -274,8 +273,8 @@ class TestCancellationAndFailure:
             )
             job_a, _ = sched.submit(_spec("a", "s1", (1,)))
             job_b, _ = sched.submit(_spec("b", "s2", (1, 2)))
-            assert job_b.task_states[0] == "shared"
-            assert sched.cancel(job_b.id) is True
+            assert job_b.tasks[0] == "shared_waiting"
+            assert job_b.cancel() is True
             gate.set()
             await sched.close()
             assert job_a.state is JobState.DONE
