@@ -8,16 +8,9 @@ adaptive algorithm; XORDET helps DOR little and hurts the adaptive
 algorithms on the non-uniform patterns.
 """
 
-from repro.harness.experiments import (
-    FIG5_ALGORITHMS,
-    fig5_latency_throughput,
-)
+from repro.harness.experiments import fig5_latency_throughput
 from repro.harness.reporting import report_fig5
-
-
-def _saturation(curves, label, zero_load):
-    curve = next(c for c in curves if c.label == label)
-    return curve.saturation_rate(zero_load)
+from repro.metrics.sweep import saturation
 
 
 def test_fig5_single_flit(report, scale):
@@ -28,10 +21,7 @@ def test_fig5_single_flit(report, scale):
         zero_load = min(
             p.avg_latency for c in curves for p in c.points if p.drained
         )
-        sat = {
-            label: _saturation(curves, label, zero_load)
-            for label in FIG5_ALGORITHMS
-        }
+        sat = {c.label: saturation(c.points, zero_load)[0] for c in curves}
         print(f"\nsaturation throughputs ({pattern}): {sat}")
 
         # Shape assertions; tolerances cover one sweep-grid step at bench

@@ -9,6 +9,7 @@ algorithms on transpose/shuffle; XORDET degrades the adaptive algorithms.
 
 from repro.harness.experiments import fig6_variable_packet_size
 from repro.harness.reporting import report_fig6
+from repro.metrics.sweep import saturation
 
 ALGOS = ("dor", "dbar", "footprint", "dbar+xordet")
 
@@ -21,7 +22,7 @@ def test_fig6_variable_packet_size(report, scale):
         zero_load = min(
             p.avg_latency for c in curves for p in c.points if p.drained
         )
-        sat = {c.label: c.saturation_rate(zero_load) for c in curves}
+        sat = {c.label: saturation(c.points, zero_load)[0] for c in curves}
         print(f"\nsaturation throughputs ({pattern}): {sat}")
         if pattern != "uniform":
             assert sat["footprint"] >= sat["dor"]

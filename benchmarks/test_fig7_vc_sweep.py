@@ -7,6 +7,7 @@ algorithms; Footprint matches or beats DBAR at every VC count.
 
 from repro.harness.experiments import fig7_vc_sweep
 from repro.harness.reporting import report_fig7
+from repro.metrics.sweep import saturation
 
 
 def test_fig7_vc_sweep(report, scale):
@@ -19,7 +20,7 @@ def test_fig7_vc_sweep(report, scale):
                 p.avg_latency for c in curves for p in c.points if p.drained
             )
             saturations[vcs] = {
-                c.label.split("/")[0]: c.saturation_rate(zero_load)
+                c.label.split("/")[0]: saturation(c.points, zero_load)[0]
                 for c in curves
             }
         print(f"\nsaturation by VC count ({pattern}): {saturations}")

@@ -3,9 +3,9 @@
 
 Sweeps the offered load under a non-uniform pattern and prints the
 latency-throughput curve for each algorithm — the raw material of the
-paper's Fig. 5 — followed by the measured saturation throughput (highest
-stable load, where "stable" means latency under 3x the zero-load latency
-and a fully drained measurement window).
+paper's Fig. 5 — followed by the measured saturation throughput (the
+last load of the stable prefix, where "stable" means latency under 3x
+the zero-load latency and a fully drained measurement window).
 
 Run:  python examples/saturation_study.py [pattern]
 """
@@ -14,7 +14,7 @@ import sys
 
 from repro import SimulationConfig
 from repro.metrics.curves import LatencyThroughputCurve, render_curves
-from repro.metrics.sweep import run_point
+from repro.metrics.sweep import run_point, saturation
 
 
 def main() -> None:
@@ -45,7 +45,7 @@ def main() -> None:
     for curve in curves:
         print(
             f"{curve.label:12s} saturation throughput ~ "
-            f"{curve.saturation_rate(zero_load):.3f} flits/node/cycle"
+            f"{saturation(curve.points, zero_load)[0]:.3f} flits/node/cycle"
         )
 
 

@@ -35,7 +35,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "topology.mesh": "Mesh2D",
         "topology.ports": "Direction",
         "topology.torus": "Torus2D",
-        "metrics.sweep": "injection_sweep saturation_throughput",
+        "metrics.sweep": "injection_sweep saturation",
         "core.cost": "CostModel",
     },
 )

@@ -24,18 +24,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.core.cost import CostModel
 from repro.exceptions import ConfigurationError, FaultError
 from repro.harness.parallel import SimTask, derive_task_seed, run_tasks
 from repro.metrics.curves import LatencyThroughputCurve
-from repro.metrics.resilience import (
-    ResiliencePoint,
-    degraded_saturation_rate,
-    resilience_point,
-)
-from repro.metrics.sweep import point_from_result
+from repro.metrics.sweep import SweepPoint, point_from_result, saturation
 from repro.sim.config import SimulationConfig
 from repro.topology.base import create_topology
 
@@ -473,20 +469,19 @@ def fig8_network_size(
         for algorithm in ("dbar", "footprint")
     }
     grid = run_grid(configs, scale.rates, jobs, cache)
-    zero_index = scale.rates.index(min(scale.rates))
 
-    def saturation(*key: object) -> float:
-        curve = _curve("", grid[key], scale.rates)
+    def rate(*key: object) -> float:
+        points = list(map(point_from_result, grid[key], scale.rates))
         # The lowest sweep rate doubles as the zero-load reference; no
         # separate simulation needed.
-        return curve.saturation_rate(curve.points[zero_index].avg_latency)
+        return saturation(points, points[0].avg_latency)[0]
 
     return [
         Fig8Result(
             pattern=pattern,
             width=width,
-            dbar_saturation=saturation(pattern, width, "dbar"),
-            footprint_saturation=saturation(pattern, width, "footprint"),
+            dbar_saturation=rate(pattern, width, "dbar"),
+            footprint_saturation=rate(pattern, width, "footprint"),
         )
         for pattern in patterns
         for width in widths
@@ -652,13 +647,13 @@ class FaultSweepEntry:
     fault_kind: str
     #: Mean latency at the lowest swept rate on the faulted topology.
     zero_load_latency: float
-    #: Highest swept rate that is not degraded (fault analogue of
-    #: saturation throughput; see repro.metrics.resilience).
+    #: Last rate of the sweep's non-degraded prefix (fault analogue of
+    #: saturation throughput; see SweepPoint.is_degraded).
     degraded_saturation: float
     #: Delivered fraction at the lowest swept rate — the structural
     #: reachability loss the faults impose regardless of load.
     delivered_fraction: float
-    points: list[ResiliencePoint] = field(default_factory=list)
+    points: list[SweepPoint] = field(default_factory=list)
 
 
 def fault_sweep(
@@ -722,18 +717,22 @@ def fault_sweep(
     grid = run_grid(configs, scale.rates, jobs, cache)
     entries = []
     for (k, algorithm), results in grid.items():
-        points = [
-            resilience_point(result, rate)
-            for result, rate in zip(results, scale.rates)
-        ]
+        points = list(map(point_from_result, results, scale.rates))
+        baseline = points[0]
+        degraded = partial(
+            SweepPoint.is_degraded,
+            baseline_delivery=baseline.delivered_fraction,
+        )
         entries.append(
             FaultSweepEntry(
                 routing=algorithm,
                 num_faults=k,
                 fault_kind=fault_kind,
-                zero_load_latency=points[0].avg_latency,
-                degraded_saturation=degraded_saturation_rate(points),
-                delivered_fraction=points[0].delivered_fraction,
+                zero_load_latency=baseline.avg_latency,
+                degraded_saturation=saturation(
+                    points, baseline.avg_latency, degraded
+                )[0],
+                delivered_fraction=baseline.delivered_fraction,
                 points=points,
             )
         )

@@ -6,10 +6,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "stats": "LatencyStats",
-        "sweep": "SweepPoint injection_sweep saturation_throughput",
+        "sweep": "SweepPoint injection_sweep saturation",
         "curves": "LatencyThroughputCurve",
-        "resilience": (
-            "ResiliencePoint degraded_saturation_rate resilience_point"
-        ),
     },
 )

@@ -23,19 +23,9 @@ class LatencyThroughputCurve:
     def add(self, point: SweepPoint) -> None:
         self.points.append(point)
 
-    def stable_points(self, zero_load: float) -> list[SweepPoint]:
-        return [p for p in self.points if not p.is_saturated(zero_load)]
 
-    def saturation_rate(self, zero_load: float) -> float:
-        """Highest stable injection rate on this curve (0.0 if none)."""
-        stable = self.stable_points(zero_load)
-        if not stable:
-            return 0.0
-        return max(p.injection_rate for p in stable)
-
-
-#: Decimal places used to group injection rates into table rows.  Rates
-#: refined by bisection can differ from grid rates in the last ulp;
+#: Decimal places used to group injection rates into table rows.  A
+#: computed rate (0.1 + 0.2) can differ from a grid rate in the last ulp;
 #: exact float comparison would scatter them into separate all-dash rows.
 RATE_DECIMALS = 9
 

@@ -1,32 +1,32 @@
-"""Injection-rate sweeps and saturation-throughput measurement.
+"""Injection-rate sweeps and the one saturation walk.
 
 The paper's latency-throughput figures sweep the offered load and plot
 mean packet latency against it; *saturation throughput* is the offered
-load at which latency diverges.  Following common BookSim practice, a
-point counts as saturated when its mean latency exceeds a multiple of the
-zero-load latency (default 3x) or the run fails to drain its measured
-packets; the saturation throughput is then refined by bisection between
-the last stable and the first saturated point.
+load at which latency diverges.  :func:`saturation` walks a sweep's
+stable prefix, classifying each point with :meth:`SweepPoint.is_saturated`
+(or, under faults, :meth:`SweepPoint.is_degraded`); DESIGN.md §4 states
+the definition.
 
 Sweeps accept a ``jobs`` argument (see :mod:`repro.harness.parallel`):
 the rates of a sweep are independent simulations, so with ``jobs > 1``
-they run across worker processes.  ``saturation_throughput`` additionally
-runs its coarse scan *speculatively* in parallel — the whole rate ladder
-is launched at once and the scan result read off the collected points —
-which trades some wasted work above the saturation point for wall-clock
-time.  Results are bit-identical to the serial scan in every case.
+they run across worker processes, bit-identical to a serial sweep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from repro.sim.config import SimulationConfig
 from repro.sim.results import SimulationResult
 
 #: Latency multiple over zero-load latency that defines saturation.
 SATURATION_LATENCY_FACTOR = 3.0
+
+#: A faulted point's delivered fraction may fall to this multiple of the
+#: baseline (lowest-rate) delivery before it counts as degraded.
+DELIVERY_DEGRADATION_FACTOR = 0.9
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,7 @@ class SweepPoint:
     avg_latency: float
     accepted_rate: float
     drained: bool
+    delivered_fraction: float
 
     def is_saturated(self, zero_load: float) -> bool:
         """Whether this point is saturated relative to ``zero_load``.
@@ -56,6 +57,49 @@ class SweepPoint:
         if math.isnan(self.avg_latency):
             return True
         return self.avg_latency > SATURATION_LATENCY_FACTOR * zero_load
+
+    def is_degraded(self, zero_load: float, baseline_delivery: float) -> bool:
+        """Whether this faulted point has lost acceptable service.
+
+        A faulted run never drains the packets its faults strand, so
+        this replaces :meth:`is_saturated`'s drain test with delivery
+        relative to ``baseline_delivery``, which, like ``zero_load``,
+        comes from the sweep's lowest rate: a fixed loss of unreachable
+        destinations does not count against higher rates.
+        """
+        if math.isnan(self.avg_latency):
+            return True
+        if (
+            not math.isnan(baseline_delivery)
+            and self.delivered_fraction
+            < DELIVERY_DEGRADATION_FACTOR * baseline_delivery
+        ):
+            return True
+        return self.avg_latency > SATURATION_LATENCY_FACTOR * zero_load
+
+
+def saturation(
+    points: Sequence[SweepPoint],
+    zero_load: float,
+    saturated: Callable[[SweepPoint, float], bool] = SweepPoint.is_saturated,
+) -> tuple[float, float]:
+    """Walk ``points`` up to the first one ``saturated`` against
+    ``zero_load``: the stable prefix.
+
+    Returns the prefix's last offered rate and its peak accepted rate,
+    ``(0.0, 0.0)`` when the prefix is empty.  A stable point above a
+    saturated one does not count.  Raises :class:`ValueError` unless
+    the offered rates strictly ascend.
+    """
+    rates = [point.injection_rate for point in points]
+    if any(low >= high for low, high in zip(rates, rates[1:])):
+        raise ValueError(f"sweep rates must strictly ascend: {rates}")
+    rate = peak = 0.0
+    for point in points:
+        if saturated(point, zero_load):
+            break
+        rate, peak = point.injection_rate, max(peak, point.accepted_rate)
+    return rate, peak
 
 
 def run_point(config: SimulationConfig, rate: float) -> SweepPoint:
@@ -80,6 +124,7 @@ def point_from_result(result: SimulationResult, rate: float) -> SweepPoint:
         avg_latency=result.avg_latency,
         accepted_rate=result.accepted_rate,
         drained=result.drained,
+        delivered_fraction=result.delivered_fraction,
     )
 
 
@@ -88,7 +133,7 @@ def injection_sweep(
     rates: list[float],
     jobs: int | str | None = None,
 ) -> list[SweepPoint]:
-    """Simulate every rate in ``rates`` (ascending recommended),
+    """Simulate every rate in ``rates`` (ascending, for :func:`saturation`),
     distributing across ``jobs`` workers."""
     from repro.harness.parallel import SimTask, run_tasks
 
@@ -98,70 +143,3 @@ def injection_sweep(
         point_from_result(result, rate)
         for result, rate in zip(results, rates)
     ]
-
-
-def zero_load_latency(config: SimulationConfig, rate: float = 0.005) -> float:
-    """Mean latency at a near-zero offered load."""
-    point = run_point(config, rate)
-    return point.avg_latency
-
-
-def saturation_throughput(
-    config: SimulationConfig,
-    start: float = 0.05,
-    stop: float = 1.0,
-    coarse_step: float = 0.05,
-    refine_steps: int = 3,
-    zero_load: float | None = None,
-    jobs: int | str | None = None,
-) -> float:
-    """Find the saturation throughput by coarse scan plus bisection.
-
-    Returns the highest offered load (flits/node/cycle) that is still
-    stable.  ``zero_load`` may be supplied to avoid re-measuring it.
-
-    With ``jobs > 1`` the coarse scan is speculative: the whole ladder of
-    rates runs at once and the first saturated rung is read off the
-    results.  The serial scan stops at that rung instead, but inspects
-    the same deterministic points, so both return the same value.  The
-    bisection refinement is inherently sequential and always runs
-    serially.
-    """
-    from repro.harness.parallel import resolve_jobs
-
-    if zero_load is None:
-        zero_load = zero_load_latency(config)
-    if math.isnan(zero_load):
-        raise ValueError("zero-load run produced no packets; raise the rate")
-
-    ladder: list[float] = []
-    rate = start
-    while rate <= stop + 1e-9:
-        ladder.append(rate)
-        rate = round(rate + coarse_step, 10)
-
-    last_stable = 0.0
-    first_saturated = None
-    if resolve_jobs(jobs) > 1:
-        # Speculative parallel scan: launch every rung, then walk the
-        # collected points exactly like the serial scan would.
-        points = injection_sweep(config, ladder, jobs)
-    else:
-        points = (run_point(config, rung) for rung in ladder)
-    for point in points:
-        if point.is_saturated(zero_load):
-            first_saturated = point.injection_rate
-            break
-        last_stable = point.injection_rate
-    if first_saturated is None:
-        return last_stable
-
-    lo, hi = last_stable, first_saturated
-    for _ in range(refine_steps):
-        mid = (lo + hi) / 2.0
-        point = run_point(config, mid)
-        if point.is_saturated(zero_load):
-            hi = mid
-        else:
-            lo = mid
-    return lo

@@ -8,11 +8,9 @@ the ladder and reduces the resulting sweep to three objectives:
 
 * ``avg_latency`` (minimize) — mean packet latency at the scenario's
   *latency rate* (a moderate, sub-saturation load);
-* ``saturation_throughput`` (maximize) — the best accepted throughput
-  over the ladder's stable prefix, the sweep-based estimate of where
-  the latency curve diverges (saturated points are classified exactly
-  like :mod:`repro.metrics.sweep` does, against the ladder's lowest
-  rate as the zero-load reference);
+* ``saturation_throughput`` (maximize) — the peak accepted throughput
+  of the ladder's stable prefix (:func:`repro.metrics.sweep.saturation`,
+  the ladder's lowest rate as the zero-load reference);
 * ``cost_bits`` (minimize) — per-port storage from the
   :mod:`repro.core.cost` model: VC flit buffers plus whatever routing
   state the candidate's algorithm actually needs.
@@ -28,12 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import takewhile
 from typing import Any
 
 from repro.core.cost import CostModel
 from repro.harness.experiments import Scale
-from repro.metrics.sweep import point_from_result
+from repro.metrics.sweep import point_from_result, saturation
 from repro.sim.config import SimulationConfig
 from repro.sim.results import SimulationResult
 from repro.tuner import TunerError, space
@@ -234,10 +231,9 @@ def eval_from_results(
 ) -> CandidateEval:
     """Reduce one candidate's ladder of results to a scored evaluation.
 
-    The ladder's lowest rate is the zero-load reference and
-    :meth:`repro.metrics.sweep.SweepPoint.is_saturated` classifies each
-    point against it.  Saturation throughput is the best accepted rate
-    over the *stable prefix*: the points below the first saturated one.
+    The ladder's lowest rate is the zero-load reference, and
+    saturation throughput is the peak accepted rate of
+    :func:`repro.metrics.sweep.saturation`'s stable prefix.
     A NaN reference (the lowest rate delivered nothing) saturates
     everything — the candidate scores worst-case on both simulated
     objectives, deterministically, instead of raising.
@@ -248,18 +244,14 @@ def eval_from_results(
             f"{candidate.key()}, got {len(results)}"
         )
     zero_load = results[0].avg_latency
-    stable = [] if math.isnan(zero_load) else takewhile(
-        lambda point: not point.is_saturated(zero_load),
-        map(point_from_result, results, scenario.rates),
-    )
+    points = list(map(point_from_result, results, scenario.rates))
+    peak = 0.0 if math.isnan(zero_load) else saturation(points, zero_load)[1]
     at_latency = results[scenario.rates.index(scenario.latency_rate)]
     latency = at_latency.avg_latency
     return CandidateEval(
         candidate=candidate,
         rung=rung.name,
         avg_latency=math.inf if math.isnan(latency) else latency,
-        saturation_throughput=max(
-            (point.accepted_rate for point in stable), default=0.0
-        ),
+        saturation_throughput=peak,
         cost_bits=config_cost_bits(at_latency.config),
     )

@@ -1,6 +1,7 @@
 """End-to-end fault-sweep driver: shape, semantics, and cache reuse."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -76,6 +77,14 @@ def test_fault_sweep_router_kind_and_bad_kind():
     assert entries[0].fault_kind == "router"
     with pytest.raises(FaultError):
         exp.fault_sweep(_SCALE, algorithms=_ALGOS, fault_kind="wire")
+
+
+def test_fault_sweep_refuses_rates_that_do_not_ascend():
+    """The first rate is the latency and delivery reference, so a scale
+    whose first rate is not its lowest is an error, not a wrong baseline."""
+    scale = replace(_SCALE, rates=(0.05, 0.02))
+    with pytest.raises(ValueError, match="ascend"):
+        exp.fault_sweep(scale, algorithms=("dor",), fault_counts=(0,))
 
 
 def _entry_signature(entry):

@@ -2,15 +2,15 @@
 
 These tests force the process pool (``jobs=4``) and compare against the
 in-process serial path (``jobs=1``) at the level the harness consumes:
-:class:`SweepPoint` lists, saturation throughputs, and figure-driver
-outputs.  Equality here is exact, not approximate — per-task determinism
-means the worker count can never change a result.
+:class:`SweepPoint` lists and figure-driver outputs.  Equality here is
+exact, not approximate — per-task determinism means the worker count can
+never change a result.
 """
 
 import pytest
 
 from repro.harness import experiments as exp
-from repro.metrics.sweep import injection_sweep, saturation_throughput
+from repro.metrics.sweep import injection_sweep
 from repro.sim.config import SimulationConfig
 
 
@@ -32,12 +32,6 @@ class TestSweepDeterminism:
         rates = [0.05, 0.2, 0.4]
         serial = injection_sweep(config, rates, jobs=1)
         pooled = injection_sweep(config, rates, jobs=4)
-        assert serial == pooled
-
-    def test_saturation_throughput_jobs4_equals_jobs1(self, config):
-        kwargs = dict(start=0.1, stop=0.6, coarse_step=0.1, refine_steps=2)
-        serial = saturation_throughput(config, jobs=1, **kwargs)
-        pooled = saturation_throughput(config, jobs=4, **kwargs)
         assert serial == pooled
 
 

@@ -15,11 +15,7 @@ from repro.faults.schedule import random_link_faults, random_router_faults
 from repro.harness.experiments import fig2_congestion_tree
 from repro.harness.parallel import SimTask, run_tasks
 from repro.harness.runner import run_simulation
-from repro.metrics.sweep import (
-    run_point,
-    saturation_throughput,
-    zero_load_latency,
-)
+from repro.metrics.sweep import run_point
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
 from repro.telemetry import TelemetryConfig
@@ -161,19 +157,15 @@ class TestEnvPlumbing:
         "single_run",
         [
             lambda: run_point(_base_config(), 0.05),
-            lambda: zero_load_latency(_base_config()),
-            lambda: saturation_throughput(
-                _base_config(), zero_load=10.0, jobs=1
-            ),
             lambda: fig2_congestion_tree(("dor",)),
         ],
-        ids=["run_point", "zero_load_latency", "serial-saturation", "fig2"],
+        ids=["run_point", "fig2"],
     )
     def test_a_bad_env_reaches_every_single_run_path(
         self, monkeypatch, single_run
     ):
-        """These four built their own Simulator and never read the
-        variable: a validated sweep's bisection ran unchecked."""
+        """These built their own Simulator and never read the
+        variable: a validated sweep's single runs ran unchecked."""
         monkeypatch.setenv(VALIDATE_ENV, "bogus")
         with pytest.raises(ConfigurationError, match="bogus"):
             single_run()

@@ -5,7 +5,7 @@ from repro.metrics.curves import (
     render_curves,
     render_table,
 )
-from repro.metrics.sweep import SweepPoint
+from repro.metrics.sweep import SweepPoint, saturation
 
 
 def point(rate, latency, drained=True):
@@ -14,6 +14,7 @@ def point(rate, latency, drained=True):
         avg_latency=latency,
         accepted_rate=rate,
         drained=drained,
+        delivered_fraction=1.0,
     )
 
 
@@ -25,22 +26,23 @@ def curve(label, points):
 
 
 class TestCurve:
+    """A curve's points are what the saturation walk reads."""
+
     def test_stable_points(self):
         c = curve("x", [point(0.1, 10), point(0.3, 25), point(0.5, 500)])
-        stable = c.stable_points(zero_load=10)
-        assert [p.injection_rate for p in stable] == [0.1, 0.3]
+        assert saturation(c.points, zero_load=10) == (0.3, 0.3)
 
     def test_undrained_is_saturated(self):
         c = curve("x", [point(0.1, 10), point(0.3, 12, drained=False)])
-        assert [p.injection_rate for p in c.stable_points(10)] == [0.1]
+        assert saturation(c.points, 10) == (0.1, 0.1)
 
     def test_saturation_rate(self):
         c = curve("x", [point(0.1, 10), point(0.3, 20), point(0.5, 900)])
-        assert c.saturation_rate(zero_load=10) == 0.3
+        assert saturation(c.points, zero_load=10)[0] == 0.3
 
     def test_saturation_rate_all_saturated(self):
         c = curve("x", [point(0.1, 999)])
-        assert c.saturation_rate(zero_load=10) == 0.0
+        assert saturation(c.points, zero_load=10)[0] == 0.0
 
 
 class TestRendering:
@@ -65,8 +67,8 @@ class TestRendering:
         assert "sat" in text
 
     def test_last_ulp_rate_shares_row(self):
-        # Regression: bisection-refined rates differing from grid rates
-        # only in the last ulp used to render as separate all-dash rows.
+        # Regression: computed rates differing from grid rates only in
+        # the last ulp used to render as separate all-dash rows.
         grid_rate = 0.3
         refined_rate = 0.1 + 0.2  # 0.30000000000000004
         assert refined_rate != grid_rate

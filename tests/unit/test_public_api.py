@@ -26,7 +26,7 @@ PUBLIC = {
         "repro.topology.mesh": "Mesh2D",
         "repro.topology.ports": "Direction",
         "repro.topology.torus": "Torus2D",
-        "repro.metrics.sweep": "injection_sweep saturation_throughput",
+        "repro.metrics.sweep": "injection_sweep saturation",
         "repro.core.cost": "CostModel",
     },
     "repro.sim": {
@@ -44,13 +44,8 @@ PUBLIC = {
     },
     "repro.metrics": {
         "repro.metrics.stats": "LatencyStats",
-        "repro.metrics.sweep": (
-            "SweepPoint injection_sweep saturation_throughput"
-        ),
+        "repro.metrics.sweep": "SweepPoint injection_sweep saturation",
         "repro.metrics.curves": "LatencyThroughputCurve",
-        "repro.metrics.resilience": (
-            "ResiliencePoint degraded_saturation_rate resilience_point"
-        ),
     },
     "repro.telemetry": {
         "repro.telemetry.config": (

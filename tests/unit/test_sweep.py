@@ -1,15 +1,21 @@
-"""Unit tests for injection sweeps and saturation search."""
+"""Unit tests for injection sweeps and the saturation walk."""
+
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
-from repro.metrics import sweep as sweep_mod
 from repro.metrics.sweep import (
+    DELIVERY_DEGRADATION_FACTOR,
     SweepPoint,
     injection_sweep,
+    point_from_result,
     run_point,
-    saturation_throughput,
+    saturation,
 )
 from repro.sim.config import SimulationConfig
+
+NAN = float("nan")
 
 
 @pytest.fixture
@@ -28,31 +34,29 @@ def config():
 
 class TestSweepPoint:
     def test_saturated_by_latency(self):
-        p = SweepPoint(0.5, avg_latency=100, accepted_rate=0.4, drained=True)
+        p = SweepPoint(0.5, 100, 0.4, drained=True, delivered_fraction=1.0)
         assert p.is_saturated(10.0)
         assert not p.is_saturated(50.0)
 
     def test_saturated_by_drain_failure(self):
-        p = SweepPoint(0.5, avg_latency=12, accepted_rate=0.4, drained=False)
+        p = SweepPoint(0.5, 12, 0.4, drained=False, delivered_fraction=1.0)
         assert p.is_saturated(10.0)
 
     def test_nan_latency_is_saturated(self):
-        p = SweepPoint(
-            0.5, avg_latency=float("nan"), accepted_rate=0.4, drained=True
-        )
+        p = SweepPoint(0.5, NAN, 0.4, drained=True, delivered_fraction=1.0)
         assert p.is_saturated(10.0)
 
     def test_nan_zero_load_raises(self):
         # Regression: NaN zero-load used to make the latency comparison
         # silently False, classifying every drained point as stable.
-        p = SweepPoint(0.5, avg_latency=100, accepted_rate=0.4, drained=True)
+        p = SweepPoint(0.5, 100, 0.4, drained=True, delivered_fraction=1.0)
         with pytest.raises(ValueError, match="zero-load"):
-            p.is_saturated(float("nan"))
+            p.is_saturated(NAN)
 
     def test_nan_zero_load_raises_even_when_undrained(self):
-        p = SweepPoint(0.5, avg_latency=12, accepted_rate=0.4, drained=False)
+        p = SweepPoint(0.5, 12, 0.4, drained=False, delivered_fraction=1.0)
         with pytest.raises(ValueError, match="zero-load"):
-            p.is_saturated(float("nan"))
+            p.is_saturated(NAN)
 
 
 class TestRealSweeps:
@@ -78,39 +82,93 @@ class TestRealSweeps:
         assert points[0].accepted_rate < points[1].accepted_rate
         assert run_point(hotspot, 0.6) == points[1]
 
-    def test_saturation_search_on_simulator(self, monkeypatch):
-        """Bisection against a synthetic latency model (fast, exact)."""
 
-        def fake_run_point(config, rate):
-            saturated = rate > 0.42
-            return SweepPoint(
-                injection_rate=rate,
-                avg_latency=1000.0 if saturated else 10.0,
-                accepted_rate=rate,
-                drained=not saturated,
-            )
+def point(rate, latency, accepted=None, delivered=1.0, drained=True):
+    """A sweep point summarizing a stand-in result, as a sweep reads it."""
+    result = SimpleNamespace(
+        avg_latency=latency,
+        accepted_rate=rate if accepted is None else accepted,
+        delivered_fraction=delivered,
+        drained=drained,
+    )
+    return point_from_result(result, rate)
 
-        monkeypatch.setattr(sweep_mod, "run_point", fake_run_point)
-        sat = saturation_throughput(
-            SimulationConfig(width=4, num_vcs=2, routing="dor"),
-            start=0.1,
-            stop=0.9,
-            coarse_step=0.2,
-            refine_steps=4,
-            zero_load=10.0,
+
+class TestSaturation:
+    """The walk (a saturated first point and an undrained point are
+    test_curves.py::TestCurve's)."""
+
+    def test_empty_sweep(self):
+        assert saturation([], 10.0) == (0.0, 0.0)
+
+    def test_all_stable_reaches_the_last_rate(self):
+        points = [point(0.1, 10), point(0.3, 20), point(0.5, 29)]
+        assert saturation(points, 10.0) == (0.5, 0.5)
+
+    def test_walk_stops_at_the_first_saturated_point(self):
+        # 0.5 is stable again, but above the saturated 0.3: the prefix
+        # ends at 0.1, so neither number reads it.
+        points = [point(0.1, 10), point(0.3, 31), point(0.5, 12)]
+        assert saturation(points, 10.0) == (0.1, 0.1)
+
+    def test_peak_is_the_best_accepted_rate_of_the_prefix(self):
+        points = [
+            point(0.1, 10, accepted=0.1),
+            point(0.3, 15, accepted=0.28),
+            point(0.45, 25, accepted=0.26),
+            point(0.55, 90, accepted=0.4),
+        ]
+        assert saturation(points, 10.0) == (0.45, 0.28)
+
+    @pytest.mark.parametrize(
+        "rates", [(0.3, 0.1), (0.1, 0.1), (0.1, 0.5, 0.3)]
+    )
+    def test_rates_must_strictly_ascend(self, rates):
+        with pytest.raises(ValueError, match="ascend"):
+            saturation([point(rate, 10) for rate in rates], 10.0)
+
+    def test_nan_zero_load_raises(self):
+        with pytest.raises(ValueError, match="zero-load"):
+            saturation([point(0.1, 10)], NAN)
+
+
+class TestDegradedSaturation:
+    """The fault sweep's walk: the lowest rate is the reference for both
+    latency and delivery, and ``is_degraded`` classifies."""
+
+    @staticmethod
+    def rate(points):
+        baseline = points[0]
+        degraded = partial(
+            SweepPoint.is_degraded,
+            baseline_delivery=baseline.delivered_fraction,
         )
-        assert 0.35 <= sat <= 0.42
+        return saturation(points, baseline.avg_latency, degraded)[0]
 
-    def test_saturation_search_never_saturates(self, monkeypatch):
-        def fake_run_point(config, rate):
-            return SweepPoint(rate, 10.0, rate, True)
+    def test_nan_first_point_gives_zero(self):
+        points = [point(0.1, NAN, delivered=NAN), point(0.2, 10)]
+        assert self.rate(points) == 0.0
 
-        monkeypatch.setattr(sweep_mod, "run_point", fake_run_point)
-        sat = saturation_throughput(
-            SimulationConfig(width=4, num_vcs=2, routing="dor"),
-            start=0.2,
-            stop=0.6,
-            coarse_step=0.2,
-            zero_load=10.0,
-        )
-        assert sat == pytest.approx(0.6)
+    def test_delivery_below_the_factor_ends_the_prefix(self):
+        low = 0.8 * DELIVERY_DEGRADATION_FACTOR
+        points = [
+            point(0.1, 10, delivered=0.8),
+            point(0.2, 11, delivered=low - 0.01),
+            point(0.3, 11, delivered=0.8),
+        ]
+        assert self.rate(points) == 0.1
+        points[1] = point(0.2, 11, delivered=low + 0.01)
+        assert self.rate(points) == 0.3
+
+    def test_latency_above_three_times_zero_load_ends_the_prefix(self):
+        points = [point(0.1, 10), point(0.2, 30.5), point(0.3, 12)]
+        assert self.rate(points) == 0.1
+        points[1] = point(0.2, 30)
+        assert self.rate(points) == 0.3
+
+    def test_undrained_point_that_delivers_is_not_degraded(self):
+        points = [
+            point(0.1, 10),
+            point(0.2, 12, delivered=0.95, drained=False),
+        ]
+        assert self.rate(points) == 0.2
