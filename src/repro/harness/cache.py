@@ -177,10 +177,6 @@ class ResultCache:
                 raise
 
     # ------------------------------------------------------------------
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
     def describe(self) -> str:
         """One-line hit/miss summary for experiment reports."""
         return (

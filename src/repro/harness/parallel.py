@@ -271,35 +271,14 @@ def run_tasks(
     reuse.
 
     When ``$REPRO_SERVICE`` names a running experiment service
-    (``host:port``), telemetry-free grids are submitted there as one
-    job instead of running locally — see :mod:`repro.service`.
+    (``host:port``), the misses run there as one job instead (see
+    :mod:`repro.service`) and are stored like any other: a warm grid
+    never contacts the service, and the cache counts the same served
+    or local.
     """
     task_list = list(tasks)
     # Resolved once, for the telemetry test and the cache probe.
     configs = [task.resolved_config() for task in task_list]
-    service = os.environ.get("REPRO_SERVICE", "").strip()
-    if service and task_list and not any(map(_wants_telemetry, configs)):
-        # $REPRO_SERVICE routes whole grids through the experiment
-        # service (repro serve), which owns its own cache and worker
-        # pool — the local cache/jobs arguments do not apply there.
-        # Telemetry-requesting grids stay local: the service dedupes
-        # through the telemetry-blind cache and cannot serve collected
-        # series.  An *unreachable* service degrades to
-        # the local pool with a loud stderr warning instead of failing
-        # the sweep: the env var is ambient configuration, and a driver
-        # should not die because the shared server restarted.  Imported
-        # lazily because the service package imports this module.
-        from repro.service import ServiceUnreachable
-        from repro.service.client import run_tasks_via_service
-
-        try:
-            return run_tasks_via_service(task_list, address=service)
-        except ServiceUnreachable as exc:
-            print(
-                f"warning: $REPRO_SERVICE={service} is unreachable "
-                f"({exc}); falling back to the local pool",
-                file=sys.stderr,
-            )
     results: list[SimulationResult | None] = [
         None
         if cache is None or _wants_telemetry(config)
@@ -308,12 +287,6 @@ def run_tasks(
     ]
     pending = [i for i, r in enumerate(results) if r is None]
     pending_tasks = [task_list[i] for i in pending]
-    workers = min(resolve_jobs(jobs), len(pending_tasks))
-    if pending_tasks:
-        # Loaded (the engine with it) before any worker is forked:
-        # workers share the parent's pages, and no import lands inside
-        # the first simulation.
-        import repro.harness.runner  # noqa: F401
 
     def finished(j: int, result: SimulationResult) -> None:
         # Stored as soon as it exists: a later task that fails, or a
@@ -321,6 +294,38 @@ def run_tasks(
         if cache is not None:
             cache.put(result)
         results[pending[j]] = result
+
+    service = os.environ.get("REPRO_SERVICE", "").strip()
+    if service and pending and not any(map(_wants_telemetry, configs)):
+        # The misses go to the experiment service (repro serve) as one
+        # job.  A telemetry task (never a hit) keeps them local: the
+        # service dedupes through the telemetry-blind cache and cannot
+        # serve collected series.  An *unreachable* service degrades to
+        # the local pool with a loud stderr warning instead of failing
+        # the sweep: the env var is ambient configuration, and a driver
+        # should not die because the shared server restarted.  Imported
+        # lazily because the service package imports this module.
+        from repro.service import ServiceUnreachable
+        from repro.service.client import run_tasks_via_service
+
+        try:
+            served = run_tasks_via_service(pending_tasks, address=service)
+        except ServiceUnreachable as exc:
+            print(
+                f"warning: $REPRO_SERVICE={service} is unreachable "
+                f"({exc}); falling back to the local pool",
+                file=sys.stderr,
+            )
+        else:
+            for j, result in enumerate(served):
+                finished(j, result)
+            return results  # type: ignore[return-value]
+    workers = min(resolve_jobs(jobs), len(pending_tasks))
+    if pending_tasks:
+        # Loaded (the engine with it) before any worker is forked:
+        # workers share the parent's pages, and no import lands inside
+        # the first simulation.
+        import repro.harness.runner  # noqa: F401
 
     if workers <= 1:
         for j, task in enumerate(pending_tasks):

@@ -18,9 +18,9 @@ Layout:
 * :mod:`repro.service.protocol` — JSON-lines framing shared by server
   and client;
 * :mod:`repro.service.server` — the asyncio server and verb handlers;
-* :mod:`repro.service.client` — a thin blocking client (also the
-  ``$REPRO_SERVICE`` backend for :func:`repro.harness.parallel.
-  run_tasks`).
+* :mod:`repro.service.client` — a thin blocking client (also where
+  :func:`repro.harness.parallel.run_tasks` sends its cache misses
+  under ``$REPRO_SERVICE``).
 
 The default cache lives under ``$REPRO_SERVICE_DIR`` (default
 ``.repro-service/``).
@@ -40,8 +40,8 @@ SERVICE_DIR_ENV = "REPRO_SERVICE_DIR"
 DEFAULT_SERVICE_DIR = ".repro-service"
 
 #: Environment variable holding a ``host:port`` service address; when
-#: set, :func:`repro.harness.parallel.run_tasks` routes its grids
-#: through the service instead of the local pool.
+#: set, :func:`repro.harness.parallel.run_tasks` probes its local cache,
+#: then runs the misses on the service and stores what comes back.
 SERVICE_ENV = "REPRO_SERVICE"
 
 #: Default TCP port of ``repro serve``.
@@ -56,10 +56,10 @@ class ServiceUnreachable(ServiceError):
     """No server answered at the address (connect/transport failure).
 
     Distinct from :class:`ServiceError` so ambient users of
-    ``$REPRO_SERVICE`` — the :func:`repro.harness.parallel.run_tasks`
-    hook — can fall back to the local pool when the shared server is
-    down, while real request failures (bad spec, failed job) still
-    propagate.
+    ``$REPRO_SERVICE`` — :func:`repro.harness.parallel.run_tasks`, once
+    its cache has answered — can run the misses on the local pool when
+    the shared server is down, while real request failures (bad spec,
+    failed job) still propagate.
     """
 
 

@@ -5,13 +5,12 @@ JSON line, and reads one JSON line back — the protocol is stateless per
 request, so there is no connection lifecycle to manage and the client
 is safe to share across threads (each call owns its socket).
 
-:func:`run_tasks_via_service` adapts the client to the harness's
-:func:`~repro.harness.parallel.run_tasks` contract: submit the grid as
-one job, wait for it, and return full :class:`~repro.sim.results.
-SimulationResult` objects in task order.  Setting ``$REPRO_SERVICE`` to
-``host:port`` makes ``run_tasks`` itself take this path, which turns
-every existing figure driver into a service client with no code
-changes.
+:func:`run_tasks_via_service` submits tasks as one job, waits for it,
+and returns full :class:`~repro.sim.results.SimulationResult` objects
+in task order.  With ``$REPRO_SERVICE`` set to ``host:port``,
+:func:`~repro.harness.parallel.run_tasks` runs a grid's local-cache
+misses this way, so every figure driver is a service client with no
+code changes.
 """
 
 from __future__ import annotations
@@ -192,21 +191,18 @@ class ServiceClient:
 
 
 def run_tasks_via_service(
-    tasks: Iterable[SimTask], address: str | None = None
+    tasks: list[SimTask], address: str | None = None
 ) -> list[SimulationResult]:
-    """Run a task grid through the service; drop-in for ``run_tasks``.
+    """Run tasks (``run_tasks``' cache misses) through the service.
 
-    The grid becomes one job on stream ``pid-<this process's pid>``, so
+    They become one job on stream ``pid-<this process's pid>``, so
     ``repro jobs`` tells concurrent drivers apart.  Blocks until the job
     finishes; raises :class:`ServiceError` if the service is unreachable
     or the job fails.
     """
-    task_list = list(tasks)
-    if not task_list:
-        return []
     client = ServiceClient.from_address(address)
     submitted = client.submit_tasks(
-        f"grid-{len(task_list)}", task_list, stream=f"pid-{os.getpid()}"
+        f"grid-{len(tasks)}", tasks, stream=f"pid-{os.getpid()}"
     )
     job = client.wait(submitted["job_id"])
     if job["state"] != "done":

@@ -102,8 +102,8 @@ class TuneResult:
         recorded.  An uncharged batch is neither trimmed nor charged.
         A candidate costs one estimate per ladder rate (a rate changes
         no cycle count), memoized full-fidelity candidates nothing; the
-        rest run as one grid, whose fresh/hit split is the cache's
-        miss/hit counters across the call.
+        rest run as one grid, whose hits are the cache's hit counter
+        across the call and whose fresh simulations are the rest.
         """
         started = time.perf_counter()
         remaining = (
@@ -130,13 +130,11 @@ class TuneResult:
             batch.append(candidate)
         if not batch:
             return []
-        hits, misses = (0, 0) if cache is None else (cache.hits, cache.misses)
+        before = cache.hits if cache is not None else 0
         grid = run_grid(configs, rates, jobs, cache)
         tasks = len(configs) * len(rates)
-        if cache is None:
-            fresh, hits = tasks, 0
-        else:
-            fresh, hits = cache.misses - misses, cache.hits - hits
+        hits = cache.hits - before if cache is not None else 0
+        fresh = tasks - hits
         if charged:
             self.spent_cycles += estimated
         evals = {

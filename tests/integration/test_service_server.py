@@ -14,7 +14,7 @@ import socket
 import pytest
 
 from repro import cli
-from repro.harness.cache import ResultCache
+from repro.harness.cache import ResultCache, config_cache_key
 from repro.harness.parallel import SimTask, run_tasks
 from repro.service import ServiceError
 from repro.service.client import ServiceClient, parse_address
@@ -25,6 +25,9 @@ from repro.service.server import ExperimentServer
 from repro.sim.config import SimulationConfig
 from repro.sim.constants import ENGINE_VERSION
 from repro.sim.engine import Simulator
+from repro.tuner import space
+from repro.tuner.objectives import Scenario, rungs
+from repro.tuner.runner import TuneResult
 
 
 def _config(seed=1, rate=0.05, routing="footprint", **overrides):
@@ -216,13 +219,18 @@ class TestServeCommand:
 
 class TestHarnessHook:
     def test_run_tasks_routes_through_service(self, tmp_path, monkeypatch):
-        tasks = [SimTask(_config(seed=1)), SimTask(_config(seed=2))]
+        """The local cache answers first: with half the grid already
+        filed, the one service job holds exactly the other half, and
+        what it returns is filed too."""
+        tasks = [SimTask(_config(seed=seed)) for seed in (1, 2, 3, 4)]
+        run_tasks(tasks[:2], cache=ResultCache(tmp_path / "local"))
+        local = ResultCache(tmp_path / "local")
 
         def drive(client):
             monkeypatch.setenv(
                 "REPRO_SERVICE", f"127.0.0.1:{client.port}"
             )
-            via_service = run_tasks(tasks)
+            via_service = run_tasks(tasks, cache=local)
             monkeypatch.delenv("REPRO_SERVICE")
             return via_service
 
@@ -230,12 +238,74 @@ class TestHarnessHook:
         assert scheduler.totals()["simulated"] == 2
         [job] = scheduler.jobs()
         assert job.summary()["stream"] == f"pid-{os.getpid()}"
+        assert job.spec.keys == tuple(
+            config_cache_key(t.resolved_config()) for t in tasks[2:]
+        )
+        assert (local.hits, local.misses) == (2, 2)
+        assert len(local.entry_paths()) == 4
         direct = [Simulator(t.resolved_config()).run() for t in tasks]
         for ours, theirs in zip(via_service, direct):
             assert ours.accepted_flits == theirs.accepted_flits
             assert sorted(ours.latency._samples) == sorted(
                 theirs.latency._samples
             )
+
+    def test_served_figure_reports_the_local_cache(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """`repro experiment --cache-dir` under $REPRO_SERVICE prints
+        the local cache's own count: every task a miss into an empty
+        directory (and filed there), every task a hit on the re-run,
+        under the table a local run prints."""
+        cache_dir = tmp_path / "local"
+        argv = ["experiment", "fig9", "--scale", "smoke", "--jobs", "1"]
+        argv += ["--cache-dir", str(cache_dir)]
+
+        def drive(client):
+            monkeypatch.setenv(
+                "REPRO_SERVICE", f"127.0.0.1:{client.port}"
+            )
+            outs = []
+            for _ in range(2):
+                assert cli.main(argv) == 0
+                outs.append(capsys.readouterr().out.splitlines())
+            monkeypatch.delenv("REPRO_SERVICE")
+            return outs
+
+        (cold, warm), scheduler = _serve(tmp_path, drive)
+        assert cold[-1] == f"cache {cache_dir}: 0 hits, 4 misses"
+        assert warm[-1] == f"cache {cache_dir}: 4 hits, 0 misses"
+        assert len(ResultCache(cache_dir).entry_paths()) == 4
+        assert len(scheduler.jobs()) == 1
+        assert cli.main([*argv[:-1], str(tmp_path / "plain")]) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert cold[:-1] == warm[:-1] == plain[:-1]
+
+    def test_tune_round_through_service_counts_every_task(
+        self, tmp_path, monkeypatch
+    ):
+        """A tune round's fresh + hits is its task count when the
+        service runs the misses: all fresh cold, all hits warm."""
+        scenario = Scenario(_config(), rates=(0.02, 0.08, 0.15))
+        full = rungs(scenario.base)[-1]
+        default = [space.canonical(space.candidate())]
+        cache = ResultCache(tmp_path / "local")
+
+        def drive(client):
+            monkeypatch.setenv(
+                "REPRO_SERVICE", f"127.0.0.1:{client.port}"
+            )
+            tune = TuneResult(scenario, seed=1, budget_cycles=None)
+            for label in ("cold", "warm"):
+                tune.evaluate(default, full, label, 1, cache)
+            monkeypatch.delenv("REPRO_SERVICE")
+            return tune.rounds
+
+        (cold, warm), _ = _serve(tmp_path, drive)
+        for stats in (cold, warm):
+            assert stats.fresh_simulations + stats.cache_hits == stats.tasks
+        assert cold.fresh_simulations == cold.tasks == 3
+        assert warm.cache_hits == warm.tasks
 
 
 class TestSeams:

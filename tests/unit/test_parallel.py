@@ -748,6 +748,22 @@ class TestServiceFallback:
         assert results[0].accepted_flits == local[0].accepted_flits
         assert results[0].cycles_run == local[0].cycles_run
 
+    def test_warm_grid_never_contacts_the_service(
+        self, config, monkeypatch, capsys, tmp_path
+    ):
+        """The cache answers before the service is asked, so a warm
+        grid gives the same results and no fallback warning while the
+        service is down."""
+        from repro.harness.cache import ResultCache
+
+        tasks = [SimTask(config, rate=0.05), SimTask(config, rate=0.1)]
+        monkeypatch.delenv("REPRO_SERVICE", raising=False)
+        local = run_tasks(tasks, jobs=1, cache=ResultCache(tmp_path))
+        monkeypatch.setenv("REPRO_SERVICE", "127.0.0.1:1")
+        warm = run_tasks(tasks, jobs=1, cache=ResultCache(tmp_path))
+        assert capsys.readouterr().err == ""
+        assert [r.to_dict() for r in warm] == [r.to_dict() for r in local]
+
     def test_unset_service_stays_silent(self, config, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_SERVICE", raising=False)
         run_tasks([SimTask(config, rate=0.05)], jobs=1)
