@@ -793,85 +793,85 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     name = args.name or (
         f"{args.traffic}-{'+'.join(args.routing)}-x{len(args.rates)}"
     )
-    client = ServiceClient.from_address(args.address)
-    response = client.submit_tasks(name, tasks, stream=args.stream)
-    job_id = response["job_id"]
-    dedup_note = " (deduped: identical grid already known)" if (
-        response["deduped"]
-    ) else ""
-    print(
-        f"job {job_id} [{name}] on stream '{args.stream}': "
-        f"{response['tasks']} tasks, hash {response['hash'][:12]}"
-        f"{dedup_note}"
-    )
-    if not args.wait:
-        return 0
-    job = client.wait(job_id, timeout=args.timeout)
-    counts = job["counts"]
-    print(
-        f"job {job_id} {job['state']} in {job['elapsed_s']}s: "
-        f"{counts['simulated']} simulated, {counts['cached']} cached, "
-        f"{counts['shared']} shared"
-    )
-    result = client.result(job_id)
-    for point in result["points"]:
-        latency = point.get("avg_latency")
-        latency_text = (
-            f"{latency:8.2f}" if latency is not None else "     n/a"
-        )
+    with ServiceClient.from_address(args.address) as client:
+        response = client.submit_tasks(name, tasks, stream=args.stream)
+        job_id = response["job_id"]
+        dedup_note = " (deduped: identical grid already known)" if (
+            response["deduped"]
+        ) else ""
         print(
-            f"  {point['routing']:>16s} {point['traffic']:>10s} "
-            f"rate={point['rate']:.3f} -> lat={latency_text} "
-            f"acc={point.get('accepted_rate', float('nan')):.4f} "
-            f"[{point['kind'] or point['state']}]"
+            f"job {job_id} [{name}] on stream '{args.stream}': "
+            f"{response['tasks']} tasks, hash {response['hash'][:12]}"
+            f"{dedup_note}"
         )
-    return 0 if job["state"] == "done" else 1
+        if not args.wait:
+            return 0
+        job = client.wait(job_id, timeout=args.timeout)
+        counts = job["counts"]
+        print(
+            f"job {job_id} {job['state']} in {job['elapsed_s']}s: "
+            f"{counts['simulated']} simulated, {counts['cached']} cached, "
+            f"{counts['shared']} shared"
+        )
+        result = client.result(job_id)
+        for point in result["points"]:
+            latency = point.get("avg_latency")
+            latency_text = (
+                f"{latency:8.2f}" if latency is not None else "     n/a"
+            )
+            print(
+                f"  {point['routing']:>16s} {point['traffic']:>10s} "
+                f"rate={point['rate']:.3f} -> lat={latency_text} "
+                f"acc={point.get('accepted_rate', float('nan')):.4f} "
+                f"[{point['kind'] or point['state']}]"
+            )
+        return 0 if job["state"] == "done" else 1
 
 
 def _cmd_jobs(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceClient
 
-    client = ServiceClient.from_address(args.address)
-    if args.cancel is not None:
-        response = client.cancel(args.cancel)
-        verdict = (
-            "cancelled" if response["cancelled"] else "already terminal"
-        )
-        print(f"job {args.cancel}: {verdict} (state {response['state']})")
-        return 0
-    if args.job is not None:
-        job = client.status(args.job)["job"]
-        counts = job["counts"]
-        print(f"job {job['job_id']} [{job['name']}]")
-        print(f"  stream : {job['stream']}")
-        print(f"  state  : {job['state']}")
-        print(f"  hash   : {job['hash'][:12]}")
+    with ServiceClient.from_address(args.address) as client:
+        if args.cancel is not None:
+            response = client.cancel(args.cancel)
+            verdict = (
+                "cancelled" if response["cancelled"] else "already terminal"
+            )
+            print(f"job {args.cancel}: {verdict} (state {response['state']})")
+            return 0
+        if args.job is not None:
+            job = client.status(args.job)["job"]
+            counts = job["counts"]
+            print(f"job {job['job_id']} [{job['name']}]")
+            print(f"  stream : {job['stream']}")
+            print(f"  state  : {job['state']}")
+            print(f"  hash   : {job['hash'][:12]}")
+            print(
+                f"  tasks  : {counts['done']}/{counts['total']} done "
+                f"({counts['simulated']} simulated, {counts['cached']} "
+                f"cached, {counts['shared']} shared)"
+            )
+            if job["error"]:
+                print(f"  error  : {job['error']}")
+            for timestamp, message in job["events"]:
+                print(f"  event  : {message}")
+            return 0
+        status = client.status()
+        totals = status["totals"]
         print(
-            f"  tasks  : {counts['done']}/{counts['total']} done "
-            f"({counts['simulated']} simulated, {counts['cached']} "
-            f"cached, {counts['shared']} shared)"
+            f"{totals['jobs']} jobs, "
+            f"{totals['active_workers']}/{totals['max_workers']} workers "
+            f"busy; {totals['simulated']} simulated, {totals['cached']} "
+            f"cached, {totals['shared']} shared"
         )
-        if job["error"]:
-            print(f"  error  : {job['error']}")
-        for timestamp, message in job["events"]:
-            print(f"  event  : {message}")
+        for job in status["jobs"]:
+            counts = job["counts"]
+            print(
+                f"  {job['job_id']:<5s} {job['state']:<9s} "
+                f"{job['stream']:<12s} {counts['done']}/{counts['total']} "
+                f"done  [{job['name']}]"
+            )
         return 0
-    status = client.status()
-    totals = status["totals"]
-    print(
-        f"{totals['jobs']} jobs, "
-        f"{totals['active_workers']}/{totals['max_workers']} workers "
-        f"busy; {totals['simulated']} simulated, {totals['cached']} "
-        f"cached, {totals['shared']} shared"
-    )
-    for job in status["jobs"]:
-        counts = job["counts"]
-        print(
-            f"  {job['job_id']:<5s} {job['state']:<9s} "
-            f"{job['stream']:<12s} {counts['done']}/{counts['total']} "
-            f"done  [{job['name']}]"
-        )
-    return 0
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:

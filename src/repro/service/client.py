@@ -1,9 +1,15 @@
 """Blocking client for the experiment service.
 
-:class:`ServiceClient` opens one TCP connection per call, writes one
-JSON line, and reads one JSON line back — the protocol is stateless per
-request, so there is no connection lifecycle to manage and the client
-is safe to share across threads (each call owns its socket).
+:class:`ServiceClient` keeps one TCP connection and sends each call as
+one JSON line on it, reading one JSON line back; the server answers
+any number of lines per connection.  A *reused* connection that is
+closed or reset before the first byte of its reply (the server
+restarted, or dropped it) is replaced and the request resent, once:
+``submit`` is deduplicated by content and the other verbs are reads or
+idempotent, so a resend is safe.  A failure after a reply byte, or on
+a fresh connection, is never resent.  A lock serializes calls, so one
+client is safe to share across threads.  ``close()`` (or a ``with``
+block) hangs up; the next call would reconnect.
 
 :func:`run_tasks_via_service` submits tasks as one job, waits for it,
 and returns full :class:`~repro.sim.results.SimulationResult` objects
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import os
 import socket
+import threading
 import time
 from typing import Any, Iterable
 
@@ -55,7 +62,7 @@ def parse_address(address: str | None) -> tuple[str, int]:
 
 
 class ServiceClient:
-    """One experiment-service endpoint."""
+    """One experiment-service endpoint, over one kept connection."""
 
     def __init__(
         self,
@@ -66,6 +73,8 @@ class ServiceClient:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._sock: socket.socket | None = None
+        self._lock = threading.Lock()
 
     @classmethod
     def from_address(
@@ -77,44 +86,79 @@ class ServiceClient:
         host, port = parse_address(address)
         return cls(host, port, timeout=timeout)
 
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Hang up the kept connection, if there is one."""
+        with self._lock:
+            self._hang_up()
+
+    def _hang_up(self) -> None:
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
+
     # ------------------------------------------------------------------
     def call(self, verb: str, **payload: Any) -> dict[str, Any]:
         """One request/response round trip; raises on ``ok: false``."""
-        request = {"verb": verb, **payload}
-        try:
-            with socket.create_connection(
-                (self.host, self.port), timeout=self.timeout
-            ) as sock:
-                sock.sendall(encode(request))
-                line = self._read_line(sock)
-        except OSError as exc:
-            raise ServiceUnreachable(
-                f"cannot reach service at {self.host}:{self.port}: {exc}"
-            ) from None
-        response = decode(line)
+        request = encode({"verb": verb, **payload})
+        with self._lock:
+            try:
+                response = decode(self._exchange(request))
+            except BaseException:
+                # Whatever is left on the socket belongs to no request.
+                self._hang_up()
+                raise
         if not response.get("ok"):
             raise ServiceError(
                 response.get("error", "service returned an error")
             )
         return response
 
-    @staticmethod
-    def _read_line(sock: socket.socket) -> bytes:
+    def _exchange(self, request: bytes) -> bytes:
+        """Send one line and read the reply on the kept connection,
+        replacing a stale one once (module docstring)."""
+        try:
+            if self._sock is not None:
+                line = self._send(request, reused=True)
+                if line is not None:
+                    return line
+                self._hang_up()
+            self._sock = socket.create_connection(
+                (self.host, self.port), timeout=self.timeout
+            )
+            return self._send(request, reused=False)
+        except OSError as exc:
+            raise ServiceUnreachable(
+                f"cannot reach service at {self.host}:{self.port}: {exc}"
+            ) from None
+
+    def _send(self, request: bytes, reused: bool) -> bytes | None:
+        """The reply line to ``request``; ``None`` when a reused socket
+        hung up before the reply's first byte."""
         chunks = []
         total = 0
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            chunks.append(chunk)
-            total += len(chunk)
-            if chunk.endswith(b"\n"):
-                break
-            if total > MAX_LINE:
-                raise ServiceError("service response exceeds line limit")
-        if not chunks:
-            raise ServiceError("service closed the connection mid-request")
-        return b"".join(chunks)
+        try:
+            self._sock.sendall(request)
+            while chunk := self._sock.recv(65536):
+                chunks.append(chunk)
+                total += len(chunk)
+                if chunk.endswith(b"\n"):
+                    break
+                if total > MAX_LINE:
+                    raise ServiceError("service response exceeds line limit")
+        except ConnectionError:
+            if chunks or not reused:
+                raise
+        if chunks:
+            return b"".join(chunks)
+        if reused:
+            return None
+        raise ServiceError("service closed the connection mid-request")
 
     # ------------------------------------------------------------------
     # Verb wrappers
@@ -200,14 +244,14 @@ def run_tasks_via_service(
     finishes; raises :class:`ServiceError` if the service is unreachable
     or the job fails.
     """
-    client = ServiceClient.from_address(address)
-    submitted = client.submit_tasks(
-        f"grid-{len(tasks)}", tasks, stream=f"pid-{os.getpid()}"
-    )
-    job = client.wait(submitted["job_id"])
-    if job["state"] != "done":
-        raise ServiceError(
-            f"service job {submitted['job_id']} ended "
-            f"{job['state']}: {job.get('error')}"
+    with ServiceClient.from_address(address) as client:
+        submitted = client.submit_tasks(
+            f"grid-{len(tasks)}", tasks, stream=f"pid-{os.getpid()}"
         )
-    return client.results(submitted["job_id"])
+        job = client.wait(submitted["job_id"])
+        if job["state"] != "done":
+            raise ServiceError(
+                f"service job {submitted['job_id']} ended "
+                f"{job['state']}: {job.get('error')}"
+            )
+        return client.results(submitted["job_id"])

@@ -24,7 +24,9 @@ finished by — ``simulated``, ``cached`` or ``shared`` — so dedup is
 observable: a resubmitted grid finishes with zero ``simulated`` tasks.
 The rest end ``failed`` or ``cancelled``.  On the wire a finished task
 reads ``state: "done"`` with its kind, and a waiting one ``state:
-"shared"`` with none (:meth:`Job.result_points`).
+"shared"`` with none (:meth:`Job.result_points`).  A finished task's
+result is held :class:`Served`: serialized when it lands, so a repeated
+``result`` re-encodes nothing.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.exceptions import ConfigurationError
 from repro.harness.cache import config_cache_key
@@ -64,6 +66,28 @@ class JobState(enum.Enum):
 KINDS = ("simulated", "cached", "shared")
 _LIVE = ("pending", "running", "shared_waiting")
 _WIRE = {"shared_waiting": ("shared", None), **{k: ("done", k) for k in KINDS}}
+
+
+class Served(NamedTuple):
+    """A finished task's result as the job table holds it: its wire
+    dict (what ``result full`` sends) and its ``result_points`` fields,
+    both taken once, when it lands."""
+
+    wire: dict[str, Any]
+    point: dict[str, Any]
+
+    @classmethod
+    def of(cls, result: SimulationResult) -> "Served":
+        avg = result.avg_latency
+        return cls(
+            result.to_dict(),
+            {
+                "avg_latency": None if avg != avg else round(avg, 4),
+                "accepted_rate": round(result.accepted_rate, 6),
+                "offered_rate": round(result.offered_rate, 6),
+                "drained": result.drained,
+            },
+        )
 
 
 @dataclass(frozen=True)
@@ -174,7 +198,7 @@ class Job:
     error: str | None = None
     #: Per-task status (module docstring) and result, task-indexed.
     tasks: list[str] = field(default_factory=list)
-    results: list[SimulationResult | None] = field(default_factory=list)
+    results: list[Served | None] = field(default_factory=list)
     #: Progress events: (wall time, message), oldest first, bounded.
     events: list[tuple[float, str]] = field(default_factory=list)
 
@@ -219,15 +243,13 @@ class Job:
             self.state = JobState.RUNNING
             self.record("running")
 
-    def finish_task(
-        self, index: int, result: SimulationResult, kind: str
-    ) -> None:
+    def finish_task(self, index: int, served: Served, kind: str) -> None:
         """Record one task's result; late results on a dead job are
         dropped (the simulation still fed the cache and any sharers)."""
         if self.state.terminal:
             return
         self.start(index, kind)  # a cache hit starts and ends at once
-        self.results[index] = result
+        self.results[index] = served
         self._done += 1
         self.record(f"task {index} {kind} ({self._done}/{len(self.tasks)})")
         self._task_settled()
@@ -291,7 +313,7 @@ class Job:
     def result_points(self) -> list[dict[str, Any]]:
         """Compact per-task outcome rows for the ``result`` verb."""
         points = []
-        for config, status, result in zip(
+        for config, status, held in zip(
             self.spec.configs, self.tasks, self.results
         ):
             state, kind = _WIRE.get(status, (status, None))
@@ -302,13 +324,7 @@ class Job:
                 "state": state,
                 "kind": kind,
             }
-            if result is not None:
-                avg = result.avg_latency
-                point.update(
-                    avg_latency=None if avg != avg else round(avg, 4),
-                    accepted_rate=round(result.accepted_rate, 6),
-                    offered_rate=round(result.offered_rate, 6),
-                    drained=result.drained,
-                )
+            if held is not None:
+                point.update(held.point)
             points.append(point)
         return points

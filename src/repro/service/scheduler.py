@@ -38,7 +38,7 @@ from typing import Callable
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import SimTask, _run_task, resolve_jobs
 from repro.service import ServiceError
-from repro.service.jobs import KINDS, Job, JobSpec, JobState
+from repro.service.jobs import KINDS, Job, JobSpec, JobState, Served
 from repro.sim.results import SimulationResult
 
 # The default worker simulates, and imports the engine when it first
@@ -148,14 +148,12 @@ class ExperimentScheduler:
         cached = self.cache.get(job.spec.configs[index], job.spec.keys[index])
         if cached is None:
             return False
-        self._finish(job, index, cached, "cached")
+        self._finish(job, index, Served.of(cached), "cached")
         return True
 
-    def _finish(
-        self, job: Job, index: int, result: SimulationResult, kind: str
-    ) -> None:
+    def _finish(self, job: Job, index: int, served: Served, kind: str) -> None:
         self._totals[kind] += 1
-        job.finish_task(index, result, kind)
+        job.finish_task(index, served, kind)
 
     def _pump(self) -> None:
         """Serve the queue head until it needs a worker and none is free."""
@@ -203,12 +201,15 @@ class ExperimentScheduler:
                 job.fail_task(index, error)
         else:
             self._cache_put(result)
-            self._finish(*owner, result, "simulated")
+            # One wire form, however many jobs it finishes (the cache
+            # entry is encoded by the cache).
+            served = Served.of(result)
+            self._finish(*owner, served, "simulated")
             # A job that ended while it waited (cancelled, or failed on
             # another task) takes nothing.
             for job, index in waiters:
                 if not job.state.terminal:
-                    self._finish(job, index, result, "shared")
+                    self._finish(job, index, served, "shared")
         self._pump()
 
     # ------------------------------------------------------------------

@@ -3,8 +3,9 @@
 One :class:`ExperimentServer` owns a
 :class:`~repro.service.scheduler.ExperimentScheduler` and speaks the
 JSON-lines protocol of :mod:`repro.service.protocol` on a localhost TCP
-socket.  Clients may hold a connection open and pipeline requests, or
-reconnect per request — each line is answered independently.
+socket.  A connection carries any number of request lines, each
+answered independently; :class:`~repro.service.client.ServiceClient`
+keeps one open between calls.
 
 Verbs::
 
@@ -69,9 +70,8 @@ class ExperimentServer:
     async def serve_until_shutdown(self) -> None:
         """Serve until a ``shutdown`` verb (or :meth:`request_shutdown`)."""
         assert self._server is not None, "call start() first"
-        async with self._server:
-            await self._shutdown.wait()
-        await self._close_connections()
+        await self._shutdown.wait()
+        await self._stop_listening()
         await self.scheduler.close()
 
     def request_shutdown(self) -> None:
@@ -81,27 +81,31 @@ class ExperimentServer:
         """Immediate stop for tests: close the socket, drain the pool."""
         self.request_shutdown()
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        await self._close_connections()
+            await self._stop_listening()
         await self.scheduler.close()
 
-    async def _close_connections(self) -> None:
-        """End open client handlers *normally* before the loop dies.
+    async def _stop_listening(self) -> None:
+        """Stop accepting, then end open client handlers *normally*.
 
-        Closing a connection's transport feeds EOF to its handler's
-        ``readline()``, so the handler task finishes instead of being
+        Clients keep their connection between calls, so handlers are
+        parked in ``readline()``.  Closing a connection's transport
+        feeds EOF to it, so the handler task finishes instead of being
         cancelled at loop teardown — where asyncio's stream machinery
         would log a spurious ``CancelledError`` for every parked
         connection (its done-callback calls ``task.exception()``
-        unconditionally).
+        unconditionally).  The handlers end before ``wait_closed()``,
+        which on Python >= 3.12 waits for every open connection; one
+        accepted too late to be closed here ends itself, as its handler
+        starts after the shutdown was requested (:meth:`_on_client`).
         """
+        self._server.close()
         for writer in list(self._writers):
             writer.close()
         current = asyncio.current_task()
         tasks = [t for t in list(self._conn_tasks) if t is not current]
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
+        await self._server.wait_closed()
 
     # ------------------------------------------------------------------
     async def _on_client(
@@ -113,7 +117,9 @@ class ExperimentServer:
         self._conn_tasks.add(task)
         self._writers.add(writer)
         try:
-            while True:
+            # Once shutdown is requested a connection is answered no
+            # further, so none outlives _stop_listening().
+            while not self._shutdown.is_set():
                 try:
                     line = await reader.readline()
                 except (ValueError, ConnectionError):
@@ -206,9 +212,9 @@ class ExperimentServer:
             "points": job.result_points(),
         }
         if request.get("full"):
+            # Held in wire form since each landed: nothing to re-encode.
             response["results"] = [
-                result.to_dict() if result is not None else None
-                for result in job.results
+                None if held is None else held.wire for held in job.results
             ]
         return response
 

@@ -10,13 +10,14 @@ topology as a figure driver talking to ``repro serve``.
 import asyncio
 import os
 import socket
+import threading
 
 import pytest
 
 from repro import cli
 from repro.harness.cache import ResultCache, config_cache_key
 from repro.harness.parallel import SimTask, run_tasks
-from repro.service import ServiceError
+from repro.service import ServiceError, ServiceUnreachable
 from repro.service.client import ServiceClient, parse_address
 from repro.service.jobs import JobSpec
 from repro.service.protocol import encode
@@ -28,6 +29,13 @@ from repro.sim.engine import Simulator
 from repro.tuner import space
 from repro.tuner.objectives import Scenario, rungs
 from repro.tuner.runner import TuneResult
+
+# A service client keeps its socket between calls: one left open (or a
+# handler left running) fails the test instead of warning at collection.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning",
+    "error::pytest.PytestUnraisableExceptionWarning",
+)
 
 
 def _config(seed=1, rate=0.05, routing="footprint", **overrides):
@@ -56,8 +64,8 @@ def _serve(tmp_path, client_fn):
         server = ExperimentServer(scheduler)
         port = await server.start()
         try:
-            client = ServiceClient("127.0.0.1", port, timeout=60.0)
-            return await asyncio.to_thread(client_fn, client), scheduler
+            with ServiceClient("127.0.0.1", port, timeout=60.0) as client:
+                return await asyncio.to_thread(client_fn, client), scheduler
         finally:
             await server.close()
 
@@ -189,12 +197,34 @@ class TestServerRoundTrip:
             server = ExperimentServer(scheduler)
             port = await server.start()
             loop_task = asyncio.ensure_future(server.serve_until_shutdown())
-            client = ServiceClient("127.0.0.1", port, timeout=30.0)
-            ack = await asyncio.to_thread(client.shutdown)
+            with ServiceClient("127.0.0.1", port, timeout=30.0) as client:
+                ack = await asyncio.to_thread(client.shutdown)
             assert ack["stopping"] is True
             await asyncio.wait_for(loop_task, timeout=30)
 
         asyncio.run(main())
+
+    def test_a_connection_after_shutdown_is_closed_unanswered(self):
+        """A handler that starts once shutdown is requested (accepted
+        too late for the server to close it) hangs up by itself, so no
+        kept client can hold the server open."""
+
+        async def main():
+            server = ExperimentServer(ExperimentScheduler(jobs=1))
+            port = await server.start()
+            server.request_shutdown()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(encode({"verb": "ping"}))
+            try:
+                reply = await asyncio.wait_for(reader.read(), timeout=30)
+            except ConnectionResetError:  # hung up with the ping unread
+                reply = b""
+            finally:
+                writer.close()
+            await asyncio.wait_for(server.close(), timeout=30)
+            return reply
+
+        assert asyncio.run(main()) == b""
 
 
 class TestServeCommand:
@@ -429,3 +459,213 @@ class TestSeams:
         assert captured.err.startswith("error: malformed protocol line")
         assert captured.err.count("\n") == 1
         assert "falling back" not in captured.err
+
+
+def _connections(server):
+    """Count the connections ``server`` accepts (patch before start)."""
+    accepted = []
+    on_client = server._on_client
+
+    async def counting(reader, writer):
+        accepted.append(writer)
+        await on_client(reader, writer)
+
+    server._on_client = counting
+    return accepted
+
+
+def _scripted(listener, replies, requests):
+    """Serve one connection on ``listener``: read a request line, send
+    the next reply, and hang up after the last."""
+    connection, _ = listener.accept()
+    with connection, connection.makefile("rb") as lines:
+        for reply in replies:
+            requests.append(lines.readline())
+            connection.sendall(reply)
+
+
+def _nothing_pending(listener):
+    """True when nobody is waiting to be accepted on ``listener``."""
+    listener.setblocking(False)
+    try:
+        listener.accept()[0].close()
+    except BlockingIOError:
+        return True
+    return False
+
+
+class TestKeptConnection:
+    """One socket per client across calls; a stale one is replaced and
+    the request resent once, and only before any reply byte."""
+
+    def test_calls_on_one_client_share_one_connection(self, tmp_path):
+        async def main():
+            server = ExperimentServer(ExperimentScheduler(jobs=1))
+            accepted = _connections(server)
+            port = await server.start()
+
+            def drive():
+                with ServiceClient("127.0.0.1", port) as client:
+                    job = client.submit_tasks("g", [SimTask(_config())])
+                    client.wait(job["job_id"], poll_interval=0.01)
+                    client.results(job["job_id"])
+                    for _ in range(5):
+                        client.ping()
+
+            try:
+                await asyncio.to_thread(drive)
+            finally:
+                await server.close()
+            return len(accepted)
+
+        assert asyncio.run(main()) == 1
+
+    def test_a_restarted_server_is_reached_by_the_next_call(self):
+        async def serve_one(port, client):
+            server = ExperimentServer(ExperimentScheduler(jobs=1), port=port)
+            accepted = _connections(server)
+            port = await server.start()
+            try:
+                client.port = port
+                ping = await asyncio.to_thread(client.ping)
+            finally:
+                await server.close()
+            return port, ping, len(accepted)
+
+        with ServiceClient("127.0.0.1", 1) as client:
+            port, first, _ = asyncio.run(serve_one(0, client))
+            # The kept socket is now closed by the old server.
+            again, second, accepted = asyncio.run(serve_one(port, client))
+        assert again == port
+        assert first["ok"] and second["ok"]
+        assert second["totals"]["jobs"] == 0
+        assert accepted == 1
+
+    def test_a_down_server_is_unreachable(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+
+        async def ping_then_stop():
+            server = ExperimentServer(ExperimentScheduler(jobs=1), port=port)
+            await server.start()
+            try:
+                await asyncio.to_thread(client.ping)
+            finally:
+                await server.close()
+
+        with ServiceClient("127.0.0.1", port, timeout=5.0) as client:
+            # Fresh: nothing listens.
+            with pytest.raises(ServiceUnreachable):
+                client.ping()
+            # Reused: the kept socket is dead and the resend finds no one.
+            asyncio.run(ping_then_stop())
+            with pytest.raises(ServiceUnreachable):
+                client.ping()
+
+    def test_a_port_speaking_http_is_one_service_error(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        requests = []
+        answer = threading.Thread(target=_scripted, args=(
+            listener, [b"HTTP/1.1 400 Bad Request\r\n\r\n"], requests))
+        answer.start()
+        try:
+            with ServiceClient(*listener.getsockname()) as client:
+                with pytest.raises(ServiceError) as refused:
+                    client.ping()
+            answer.join(timeout=10)
+            assert type(refused.value) is ServiceError
+            assert str(refused.value).startswith("malformed protocol line")
+            assert len(requests) == 1
+            assert _nothing_pending(listener)
+        finally:
+            listener.close()
+
+    def test_a_failure_after_a_reply_byte_is_never_resent(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        requests = []
+        replies = [encode({"ok": True, "n": 1}), b'{"ok":']
+        answer = threading.Thread(
+            target=_scripted, args=(listener, replies, requests))
+        answer.start()
+        try:
+            with ServiceClient(*listener.getsockname()) as client:
+                assert client.ping()["n"] == 1
+                with pytest.raises(ServiceError, match="malformed protocol"):
+                    client.ping()
+            answer.join(timeout=10)
+            assert len(requests) == 2
+            assert _nothing_pending(listener)
+        finally:
+            listener.close()
+
+    def test_a_fresh_socket_closed_before_a_reply_is_not_resent(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        requests = []
+        answer = threading.Thread(
+            target=_scripted, args=(listener, [b""], requests))
+        answer.start()
+        try:
+            with ServiceClient(*listener.getsockname()) as client:
+                with pytest.raises(ServiceError, match="mid-request"):
+                    client.ping()
+            answer.join(timeout=10)
+            assert len(requests) == 1
+            assert _nothing_pending(listener)
+        finally:
+            listener.close()
+
+    def test_threads_sharing_a_client_each_get_their_own_reply(
+        self, tmp_path
+    ):
+        def drive(client):
+            ids = [
+                client.submit_tasks(f"g{seed}", [SimTask(_config(seed=seed))])[
+                    "job_id"
+                ]
+                for seed in (1, 2)
+            ]
+            barrier = threading.Barrier(2)
+            mixed = []
+
+            def poll(job_id):
+                barrier.wait()
+                for _ in range(200):
+                    got = client.status(job_id)["job"]["job_id"]
+                    if got != job_id:
+                        mixed.append((job_id, got))
+
+            threads = [
+                threading.Thread(target=poll, args=(i,)) for i in ids
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            return mixed
+
+        mixed, _ = _serve(tmp_path, drive)
+        assert mixed == []
+
+    def test_run_tasks_via_service_leaves_no_connection_open(self, tmp_path):
+        from repro.service.client import run_tasks_via_service
+
+        async def main():
+            server = ExperimentServer(ExperimentScheduler(jobs=1))
+            accepted = _connections(server)
+            port = await server.start()
+            try:
+                results = await asyncio.to_thread(
+                    run_tasks_via_service,
+                    [SimTask(_config())],
+                    f"127.0.0.1:{port}",
+                )
+                for _ in range(200):
+                    if not server._conn_tasks:
+                        break
+                    await asyncio.sleep(0.01)
+                return len(results), len(accepted), len(server._conn_tasks)
+            finally:
+                await server.close()
+
+        assert asyncio.run(main()) == (1, 1, 0)

@@ -8,6 +8,13 @@ from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
 from repro.validate.differential import result_signature
 
+# A service client keeps its socket between calls: one left open (or a
+# handler left running) fails the test instead of warning at collection.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning",
+    "error::pytest.PytestUnraisableExceptionWarning",
+)
+
 
 @pytest.fixture(scope="module")
 def payload():

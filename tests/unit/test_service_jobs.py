@@ -6,13 +6,20 @@ import threading
 import pytest
 
 from repro.service import ServiceError
-from repro.service.jobs import Job, JobSpec, JobState
+from repro.service.jobs import Job, JobSpec, JobState, Served
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import SimTask
 from repro.service.scheduler import ExperimentScheduler
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
 from repro.telemetry.config import TelemetryConfig
+
+# A service client keeps its socket between calls: one left open (or a
+# handler left running) fails the test instead of warning at collection.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning",
+    "error::pytest.PytestUnraisableExceptionWarning",
+)
 
 
 def _config(seed=1, **overrides):
@@ -38,6 +45,11 @@ def _spec(name="grid", stream="s", seeds=(1, 2), rate=None):
 @pytest.fixture(scope="module")
 def tiny_result():
     return Simulator(_config()).run()
+
+
+@pytest.fixture(scope="module")
+def tiny_served(tiny_result):
+    return Served.of(tiny_result)
 
 
 class TestJobSpec:
@@ -107,13 +119,13 @@ class TestJobLifecycle:
         assert not job.state.terminal
         assert job.tasks == ["pending", "pending"]
 
-    def test_completes_when_all_tasks_land(self, tiny_result):
+    def test_completes_when_all_tasks_land(self, tiny_served):
         job = Job(id="j1", spec=_spec())
         job.start(0, "running")
         assert job.state is JobState.RUNNING
-        job.finish_task(0, tiny_result, "simulated")
+        job.finish_task(0, tiny_served, "simulated")
         assert job.state is JobState.RUNNING
-        job.finish_task(1, tiny_result, "cached")
+        job.finish_task(1, tiny_served, "cached")
         assert job.state is JobState.DONE
         assert job.state.terminal
         assert job.finished_at is not None
@@ -122,16 +134,16 @@ class TestJobLifecycle:
         assert counts["simulated"] == 1
         assert counts["cached"] == 1
 
-    def test_any_failed_task_fails_the_job(self, tiny_result):
+    def test_any_failed_task_fails_the_job(self, tiny_served):
         job = Job(id="j1", spec=_spec())
         job.fail_task(0, "boom")
-        job.finish_task(1, tiny_result, "simulated")
+        job.finish_task(1, tiny_served, "simulated")
         assert job.state is JobState.FAILED
         assert job.error == "boom"
 
-    def test_cancel_drops_undone_keeps_done(self, tiny_result):
+    def test_cancel_drops_undone_keeps_done(self, tiny_served):
         job = Job(id="j1", spec=_spec(seeds=(1, 2, 3)))
-        job.finish_task(0, tiny_result, "simulated")
+        job.finish_task(0, tiny_served, "simulated")
         job.start(1, "running")
         assert job.cancel() is True
         assert job.state is JobState.CANCELLED
@@ -139,15 +151,15 @@ class TestJobLifecycle:
         # Cancelling twice is a no-op.
         assert job.cancel() is False
 
-    def test_late_result_on_terminal_job_is_dropped(self, tiny_result):
+    def test_late_result_on_terminal_job_is_dropped(self, tiny_served):
         job = Job(id="j1", spec=_spec())
         job.cancel()
-        job.finish_task(0, tiny_result, "simulated")
+        job.finish_task(0, tiny_served, "simulated")
         assert job.state is JobState.CANCELLED
         assert job.results[0] is None
 
     def test_a_finished_task_costs_no_walk_over_the_grid(
-        self, tiny_result, monkeypatch
+        self, tiny_served, monkeypatch
     ):
         """Progress lines and the last-task check come from counters;
         `counts()` is for `summary()`."""
@@ -157,10 +169,10 @@ class TestJobLifecycle:
 
         monkeypatch.setattr(Job, "counts", recount)
         job = Job(id="j1", spec=_spec(seeds=(1, 2, 3)))
-        job.finish_task(2, tiny_result, "cached")
+        job.finish_task(2, tiny_served, "cached")
         job.fail_task(0, "boom")
         assert job.state is JobState.RUNNING
-        job.finish_task(1, tiny_result, "simulated")
+        job.finish_task(1, tiny_served, "simulated")
         assert job.state is JobState.FAILED
         assert [message for _, message in job.events[-4:]] == [
             "task 2 cached (1/3)",
@@ -176,9 +188,9 @@ class TestJobLifecycle:
         assert len(job.events) == Job.MAX_EVENTS
         assert job.events[-1][1] == f"event {Job.MAX_EVENTS * 3 - 1}"
 
-    def test_summary_and_result_points(self, tiny_result):
+    def test_summary_and_result_points(self, tiny_served):
         job = Job(id="j1", spec=_spec(seeds=(1, 2)))
-        job.finish_task(0, tiny_result, "simulated")
+        job.finish_task(0, tiny_served, "simulated")
         summary = job.summary()
         assert summary["job_id"] == "j1"
         assert summary["state"] == "running"
@@ -215,7 +227,9 @@ class TestWireFormat:
     then finished or failed by hand.
     """
 
-    def test_counts_and_points_of_every_status(self, tiny_result, tmp_path):
+    def test_counts_and_points_of_every_status(
+        self, tiny_result, tiny_served, tmp_path
+    ):
         cache = ResultCache(tmp_path / "cache")
         cache.put(Simulator(_config(seed=11)).run())
         gate = threading.Event()
@@ -231,8 +245,8 @@ class TestWireFormat:
         async def main():
             sched = ExperimentScheduler(jobs=1, cache=cache, run_task=run)
             job, _ = sched.submit(_spec(seeds=(1, 1, 11, 2, 3, 4, 5)))
-            job.finish_task(3, tiny_result, "simulated")
-            job.finish_task(4, tiny_result, "shared")
+            job.finish_task(3, tiny_served, "simulated")
+            job.finish_task(4, tiny_served, "shared")
             job.fail_task(5, "boom")
             live = wire(job)
             job.cancel()

@@ -17,8 +17,17 @@ from repro.harness.parallel import SimTask
 from repro.service import ServiceError
 from repro.service.jobs import JobSpec, JobState
 from repro.service.scheduler import ExperimentScheduler
+from repro.service.server import ExperimentServer
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
+from repro.sim.results import SimulationResult
+
+# A service client keeps its socket between calls: one left open (or a
+# handler left running) fails the test instead of warning at collection.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning",
+    "error::pytest.PytestUnraisableExceptionWarning",
+)
 
 
 def _config(seed=1, **overrides):
@@ -139,7 +148,7 @@ class TestLifecycleAndDedup:
             assert second.totals()["cached"] == 1
             # Cache hits are bit-exact round trips of the stored run.
             direct = Simulator(_config(seed=1)).run()
-            hit = job2.results[0]
+            hit = SimulationResult.from_dict(job2.results[0].wire)
             assert hit.accepted_flits == direct.accepted_flits
             assert sorted(hit.latency._samples) == sorted(
                 direct.latency._samples
@@ -301,3 +310,96 @@ class TestCancellationAndFailure:
             assert retry.state is JobState.DONE
 
         asyncio.run(main())
+
+
+class TestServedOnce:
+    """A finished result is held in wire form, serialized when it lands."""
+
+    @pytest.fixture
+    def to_dict_calls(self, monkeypatch):
+        calls = []
+        to_dict = SimulationResult.to_dict
+
+        def counting(result):
+            calls.append(result)
+            return to_dict(result)
+
+        monkeypatch.setattr(SimulationResult, "to_dict", counting)
+        return calls
+
+    def test_a_shared_run_is_serialized_once(
+        self, canned_result, to_dict_calls
+    ):
+        async def main():
+            gate = threading.Event()
+            sched = ExperimentScheduler(
+                jobs=1, run_task=_stub_runner(canned_result, block_on=gate)
+            )
+            job_a, _ = sched.submit(_spec("a", "s1", (1,)))
+            # A different grid (two copies of the task) shares A's run
+            # twice over.
+            job_b, _ = sched.submit(_spec("b", "s2", (1, 1)))
+            assert job_b.tasks == ["shared_waiting"] * 2
+            gate.set()
+            await sched.close()
+            return job_a, job_b
+
+        job_a, job_b = asyncio.run(main())
+        assert job_b.tasks == ["shared", "shared"]
+        assert to_dict_calls == [canned_result]
+        assert job_a.results[0].wire == canned_result.to_dict()
+        assert all(held is job_a.results[0] for held in job_b.results)
+
+    def test_with_a_cache_each_run_or_hit_is_served_once(
+        self, canned_result, to_dict_calls, tmp_path
+    ):
+        """The cache encodes its own copy of a run (its entry drops the
+        telemetry), and a hit is decoded from disk: so one wire form per
+        run and one per hit, on top of one entry per run."""
+
+        async def main():
+            gate = threading.Event()
+            sched = ExperimentScheduler(
+                jobs=1, cache=ResultCache(tmp_path),
+                run_task=_stub_runner(canned_result, block_on=gate),
+            )
+            job_a, _ = sched.submit(_spec("a", "s1", (999,)))
+            job_b, _ = sched.submit(_spec("b", "s2", (999, 999)))
+            gate.set()
+            await sched.close()
+            ran = len(to_dict_calls)
+            later = ExperimentScheduler(jobs=1, cache=ResultCache(tmp_path))
+            job_c, _ = later.submit(_spec("c", "s3", (999,)))
+            await later.close()
+            return ran, job_a, job_b, job_c
+
+        ran, job_a, job_b, job_c = asyncio.run(main())
+        assert ran == 2  # the cache entry, the wire form
+        assert len(to_dict_calls) == 3  # + the hit's wire form
+        assert job_c.tasks == ["cached"]
+        assert all(held is job_a.results[0] for held in job_b.results)
+        assert job_c.results[0] == job_a.results[0]
+
+    def test_a_job_fetched_twice_returns_identical_results(
+        self, canned_result, to_dict_calls
+    ):
+        async def main():
+            server = ExperimentServer(ExperimentScheduler(
+                jobs=1, run_task=_stub_runner(canned_result)
+            ))
+            job, _ = server.scheduler.submit(_spec("g", "s", (1, 2)))
+            await server.scheduler.drain()
+            served = len(to_dict_calls)
+            request = {"verb": "result", "job_id": job.id, "full": True}
+            first = server.dispatch(request)
+            second = server.dispatch(request)
+            await server.close()
+            return served, first, second
+
+        served, first, second = asyncio.run(main())
+        assert served == len(to_dict_calls) == 2
+        assert first == second
+        assert first["results"] == [canned_result.to_dict()] * 2
+        assert all(
+            a is b for a, b in zip(first["results"], second["results"])
+        )

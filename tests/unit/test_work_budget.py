@@ -22,6 +22,13 @@ from repro.service.scheduler import ExperimentScheduler
 from repro.service.server import ExperimentServer
 from repro.sim.config import SimulationConfig
 
+# A service client keeps its socket between calls: one left open (or a
+# handler left running) fails the test instead of warning at collection.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning",
+    "error::pytest.PytestUnraisableExceptionWarning",
+)
+
 GRID = tuple(
     SimTask(
         SimulationConfig(
