@@ -2,8 +2,8 @@
 
 Every benchmark regenerates one table or figure of the paper and prints
 the same rows/series the paper reports.  The simulated scale is
-controlled by the ``REPRO_SCALE`` environment variable
-(``smoke``/``bench``/``paper``); the default ``bench`` scale keeps each
+controlled by ``$REPRO_SCALE`` (``smoke``/``bench``/``paper``, read
+through :mod:`repro.settings`); the default ``bench`` scale keeps each
 figure within a few minutes while preserving the qualitative shape.
 
 Run with::
@@ -18,7 +18,8 @@ import sys
 
 import pytest
 
-from repro.harness.experiments import BENCH, Scale, scale_from_env
+from repro import settings
+from repro.harness.experiments import SCALES, Scale
 
 #: Rendered figure tables are appended here (pytest captures stdout of
 #: passing tests, so the tables would otherwise be invisible).
@@ -27,7 +28,7 @@ RESULTS_FILE = pathlib.Path(__file__).resolve().parent.parent / "bench_results.t
 
 @pytest.fixture(scope="session")
 def scale() -> Scale:
-    return scale_from_env(BENCH)
+    return SCALES[settings.read("REPRO_SCALE")]
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ simulation or a whole paper experiment::
     footprint-noc list
 
 Validation failures (unknown algorithm or pattern, malformed fault spec,
-inconsistent configuration, a bad ``$REPRO_JOBS``) print a one-line
+inconsistent configuration, a bad ``$REPRO_*`` value) print a one-line
 ``error: ...`` message and exit with status 2 instead of dumping a
 traceback; Ctrl-C prints ``interrupted`` and exits with status 130.
 """
@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro import settings
 from repro.exceptions import ConfigurationError, ReproError
 
 # Everything else is imported by the verb that uses it: building the
@@ -46,15 +47,22 @@ from repro.exceptions import ConfigurationError, ReproError
 DEFAULT_JOBS = {"experiment": "auto", "tune": "auto"}
 
 
-def _jobs_arg(text: str) -> str:
-    """Validate --jobs at parse time so errors are argparse-clean."""
-    from repro.harness.parallel import resolve_jobs
+#: The $REPRO_* variables each verb reads besides $REPRO_JOBS (resolved
+#: with --jobs); `main` parses them before the verb runs, so a bad value
+#: is an error even where a warm cache would never have come to read it.
+_READS = dict(
+    experiment="CACHE_DIR SERVICE VALIDATE", tune="CACHE_DIR SERVICE VALIDATE",
+    validate="SERVICE VALIDATE", cache="CACHE_DIR", submit="SERVICE",
+    jobs="SERVICE", run="VALIDATE", serve="VALIDATE",
+)
 
+
+def _jobs_arg(text: str) -> int | str:
+    """Validate --jobs at parse time so errors are argparse-clean."""
     try:
-        resolve_jobs(text)
-    except ValueError as exc:
+        return settings.parse("REPRO_JOBS", text, source="--jobs")
+    except ConfigurationError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return text
 
 
 def _comma_list(convert, what: str):
@@ -106,6 +114,11 @@ _NETWORK_FLAGS = {
     "--seed": dict(dest="seed", type=int, default=1),
 }
 
+_CACHE_DIR = (
+    f"default: $REPRO_CACHE_DIR, else "
+    f"./{settings.SETTINGS['REPRO_CACHE_DIR'].default}"
+)
+
 #: Every flag more than one verb takes, declared once.  `_flags`
 #: attaches them; a verb states only what is its own: a default, a help
 #: sentence.
@@ -133,13 +146,7 @@ _SHARED_FLAGS = {
             "%(default)s)"
         ),
     ),
-    "--cache-dir": dict(
-        metavar="DIR",
-        help=(
-            "cache directory (default: $REPRO_CACHE_DIR, else "
-            "./.repro-cache)"
-        ),
-    ),
+    "--cache-dir": dict(metavar="DIR", help=f"cache directory ({_CACHE_DIR})"),
     "--address": dict(
         metavar="HOST:PORT",
         help="service address (default: $REPRO_SERVICE, else :7455)",
@@ -251,10 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _flags(
         experiment,
         "--cache-dir",
-        help=(
-            "cache directory (default: $REPRO_CACHE_DIR, else "
-            "./.repro-cache); implies --cache"
-        ),
+        help=f"cache directory ({_CACHE_DIR}); implies --cache",
     )
     experiment.add_argument(
         "--fault-kind",
@@ -353,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "service state directory, home of the service's default "
-            "cache (default: $REPRO_SERVICE_DIR, else ./.repro-service)"
+            "cache (default: ./.repro-service)"
         ),
     )
     _flags(
@@ -513,7 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     summarize.add_argument("file", help="trace file written by run --trace-out")
 
-    sub.add_parser("list", help="list routing algorithms and traffic patterns")
+    sub.add_parser("list", help="list algorithms, patterns, $REPRO_* values")
     return parser
 
 
@@ -683,7 +687,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from repro.validate.config import VALIDATE_ENV, validation_from_env
+    from repro.validate.config import validation_from_env
     from repro.sim.engine import ENGINE_MODES
     from repro.validate.differential import (
         random_configs,
@@ -744,7 +748,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         how = (
             "unchecked (the cold cache pass)"
             if validation_from_env() is None
-            else f"in the cold cache pass (checked too: ${VALIDATE_ENV})"
+            else "in the cold cache pass (checked too: $REPRO_VALIDATE)"
         )
         print(
             f"checkers: {sum(e.checks_run for e in report.entries)} sweeps; "
@@ -762,10 +766,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.service import DEFAULT_PORT
     from repro.service.server import serve
 
-    port = args.port if args.port is not None else DEFAULT_PORT
+    port = args.port if args.port is not None else settings.DEFAULT_PORT
     try:
         return asyncio.run(
             serve(
@@ -926,6 +929,12 @@ def _cmd_list(_args: argparse.Namespace) -> int:
         print(f"  {name}")
     print("  hotspot")
     print("  trace")
+    print("environment (current value; empty = unset):")
+    for name, setting in settings.SETTINGS.items():
+        meaning = setting.meaning
+        if setting.default is not None:
+            meaning += f" (unset: {setting.default})"
+        print(f"  {name:<15s} {settings.raw(name) or '-':<8s} {meaning}")
     return 0
 
 
@@ -949,12 +958,11 @@ def main(argv: list[str] | None = None) -> int:
             # the verb and everything below it see a plain int.
             from repro.harness.parallel import resolve_jobs
 
-            try:
-                args.jobs = resolve_jobs(
-                    args.jobs, default=DEFAULT_JOBS.get(args.command, 1)
-                )
-            except ValueError as exc:  # $REPRO_JOBS; argparse saw --jobs
-                raise ConfigurationError(str(exc)) from None
+            args.jobs = resolve_jobs(
+                args.jobs, default=DEFAULT_JOBS.get(args.command, 1)
+            )
+        for name in _READS.get(args.command, "").split():
+            settings.read(f"REPRO_{name}")
         return handlers[args.command](args)
     except ReproError as exc:
         # Validation problems (unknown algorithm/pattern, malformed fault

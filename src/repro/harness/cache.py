@@ -12,16 +12,16 @@ being addressed — no explicit invalidation pass is needed.  The engine
 the key: the two are bit-identical (``repro validate`` proves it per
 sweep), so a result is the same whichever produced it.
 
-Entries are one JSON file per key under the cache directory (default
-``.repro-cache/``, overridable with the ``REPRO_CACHE_DIR`` environment
-variable or an explicit path).  Writes go through a temporary file and
-an atomic :func:`os.replace`, so concurrent ``--jobs`` workers, parallel
-experiment runs, and the experiment service's workers can share a
-directory without torn entries; unreadable or corrupt files, and entries
-that turn out to hold another config's result, are treated as misses and
-overwritten.  Writers also tolerate a ``prune``/``clear``
-racing them (the store is retried once if the directory vanishes
-mid-write), and ``prune`` sweeps temp files orphaned by dead writers.
+Entries are one JSON file per key under the cache directory (an
+explicit path, else ``$REPRO_CACHE_DIR``, else ``.repro-cache/``).
+Writes go through a temporary file and an atomic :func:`os.replace`, so
+concurrent ``--jobs`` workers, parallel experiment runs, and the
+experiment service's workers can share a directory without torn entries;
+unreadable or corrupt files, and entries that turn out to hold another
+config's result, are treated as misses and overwritten.  Writers also
+tolerate a ``prune``/``clear`` racing them (the store is retried once if
+the directory vanishes mid-write), and ``prune`` sweeps temp files
+orphaned by dead writers.
 """
 
 from __future__ import annotations
@@ -32,25 +32,15 @@ import os
 import time
 from pathlib import Path
 
+from repro import settings
 from repro.sim import constants
 from repro.sim.config import SimulationConfig
 from repro.sim.results import SimulationResult
-
-#: Environment variable naming the cache directory.
-CACHE_ENV = "REPRO_CACHE_DIR"
-
-#: Directory used when neither an explicit path nor the env var is set.
-DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: Age beyond which an orphaned ``.*.tmp`` file is fair game for
 #: ``prune``: far longer than any single simulation's store, so a live
 #: concurrent writer can never lose its in-progress temp file.
 STALE_TMP_SECONDS = 3600.0
-
-
-def default_cache_dir() -> Path:
-    """The cache directory: ``$REPRO_CACHE_DIR`` or ``.repro-cache``."""
-    return Path(os.environ.get(CACHE_ENV, "").strip() or DEFAULT_CACHE_DIR)
 
 
 def config_cache_key(config: SimulationConfig) -> str:
@@ -88,9 +78,9 @@ class ResultCache:
     """
 
     def __init__(self, directory: str | os.PathLike | None = None) -> None:
-        self.directory = (
-            Path(directory) if directory is not None else default_cache_dir()
-        )
+        if directory is None:
+            directory = settings.read("REPRO_CACHE_DIR")
+        self.directory = Path(directory)
         self.hits = 0
         self.misses = 0
 

@@ -8,9 +8,6 @@ and sweep density, so the same code serves three purposes:
 * ``BENCH`` — the benchmark suite (minutes per figure), the default;
 * ``PAPER`` — full-scale runs approximating the paper's own settings.
 
-The environment variable ``REPRO_SCALE`` (``smoke``/``bench``/``paper``)
-overrides the scale used by the benchmark suite.
-
 Each sweep driver flattens its simulation grid into independent tasks and
 runs them through :mod:`repro.harness.parallel`; pass ``jobs`` (or set
 ``REPRO_JOBS``) to distribute them over worker processes.  Results are
@@ -22,13 +19,12 @@ zero simulations.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.core.cost import CostModel
-from repro.exceptions import ConfigurationError, FaultError
+from repro.exceptions import FaultError
 from repro.harness.parallel import SimTask, derive_task_seed, run_tasks
 from repro.metrics.curves import LatencyThroughputCurve
 from repro.metrics.sweep import SweepPoint, point_from_result, saturation
@@ -114,24 +110,6 @@ PAPER = Scale(
 )
 
 SCALES = {scale.name: scale for scale in (SMOKE, BENCH, PAPER)}
-
-
-def scale_from_env(default: Scale = BENCH) -> Scale:
-    """Scale selected by the ``REPRO_SCALE`` environment variable.
-
-    Unset or empty means ``default``; a name that is not a scale is a
-    :class:`~repro.exceptions.ConfigurationError`, so a typo cannot
-    report one scale's numbers as another's.
-    """
-    name = os.environ.get("REPRO_SCALE", "").strip().lower()
-    if not name:
-        return default
-    if name not in SCALES:
-        raise ConfigurationError(
-            f"$REPRO_SCALE={name!r} is not a valid scale; expected one "
-            f"of {', '.join(SCALES)}"
-        )
-    return SCALES[name]
 
 
 #: Algorithms compared in Figs. 5-6 (the paper's full roster).

@@ -16,14 +16,11 @@ bit-identical to a serial run:
   sweep's last rate costs several times its first — so the same grid
   makes the same batches on every machine.
 
-The worker count comes from, in order of precedence: an explicit ``jobs``
-argument (CLI ``--jobs``), the ``REPRO_JOBS`` environment variable, and
-finally the caller's fallback.  The library's fallback is serial (1):
-programmatic callers (and tests that stub out simulation internals)
-never fork workers implicitly.  ``repro experiment`` and ``repro tune``
-fall back to ``"auto"`` instead (stated once, in :mod:`repro.cli`),
-which is :func:`usable_cpus` — the CPUs this process may run on, not
-the ones the machine has.
+The worker count is ``jobs`` (CLI ``--jobs``), else ``$REPRO_JOBS``,
+else the caller's fallback (:func:`resolve_jobs`): serial for the
+library, so programmatic callers never fork implicitly, and ``"auto"``
+for ``repro experiment`` and ``repro tune`` (:mod:`repro.cli`), which is
+:func:`usable_cpus` — the CPUs this process may run on.
 """
 
 from __future__ import annotations
@@ -34,6 +31,7 @@ import zlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
+from repro import settings
 from repro.exceptions import SimulationError
 from repro.harness.cost import estimate_config_cycles, estimate_task_cycles
 from repro.sim.config import SimulationConfig
@@ -137,33 +135,18 @@ def usable_cpus() -> int:
 def resolve_jobs(
     jobs: int | str | None = None, default: int | str = 1
 ) -> int:
-    """Resolve a worker count from ``jobs`` / ``REPRO_JOBS`` / ``default``.
+    """Resolve a worker count from ``jobs`` / ``$REPRO_JOBS`` / ``default``.
 
-    ``None`` defers to the ``REPRO_JOBS`` environment variable; an unset
+    ``None`` defers to ``$REPRO_JOBS`` (:mod:`repro.settings`); an unset
     or empty variable means ``default`` — serial for library callers.
     ``"auto"`` is :func:`usable_cpus`.  The result is always >= 1;
-    anything else is a :class:`ValueError` naming where the value came
-    from.
+    anything else is a :class:`~repro.exceptions.ConfigurationError`
+    naming where the value came from.
     """
-    source = "jobs"
     if jobs is None:
-        jobs = os.environ.get("REPRO_JOBS", "").strip()
-        if jobs:
-            source = "$REPRO_JOBS"
-        else:
-            jobs = default
-    if isinstance(jobs, str) and jobs.strip().lower() == "auto":
-        return usable_cpus()
-    try:
-        count = int(jobs)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(
-            f"{source}={jobs!r} is not a valid worker count; expected a "
-            f"positive integer or 'auto'"
-        )
-    return count
+        jobs = settings.read("REPRO_JOBS") or default
+    jobs = settings.parse("REPRO_JOBS", str(jobs), source="jobs")
+    return usable_cpus() if jobs == "auto" else jobs
 
 
 def _wants_telemetry(config: SimulationConfig) -> bool:
@@ -224,10 +207,9 @@ def _run_task(task: SimTask) -> SimulationResult:
     # (run_tasks imports the runner once it knows a task is pending).
     from repro.harness.runner import run_simulation
 
-    # $REPRO_VALIDATE propagates to pool workers through the
-    # environment, so validated grids need no per-task plumbing.  Note
-    # cache hits skip this path entirely: only simulated misses are
-    # checked.
+    # $REPRO_VALIDATE reaches pool workers through the environment, so
+    # validated grids need no per-task plumbing.  Cache hits skip this
+    # path: only simulated misses are checked.
     return run_simulation(task.resolved_config())
 
 
@@ -274,7 +256,8 @@ def run_tasks(
     (``host:port``), the misses run there as one job instead (see
     :mod:`repro.service`) and are stored like any other: a warm grid
     never contacts the service, and the cache counts the same served
-    or local.
+    or local.  Under ``$REPRO_VALIDATE`` they stay local, like
+    telemetry tasks: the service would run them unchecked.
     """
     task_list = list(tasks)
     # Resolved once, for the telemetry test and the cache probe.
@@ -295,24 +278,30 @@ def run_tasks(
             cache.put(result)
         results[pending[j]] = result
 
-    service = os.environ.get("REPRO_SERVICE", "").strip()
-    if service and pending and not any(map(_wants_telemetry, configs)):
+    service = settings.read("REPRO_SERVICE")
+    local = settings.read("REPRO_VALIDATE") or any(
+        map(_wants_telemetry, configs)
+    )
+    if service and pending and not local:
         # The misses go to the experiment service (repro serve) as one
-        # job.  A telemetry task (never a hit) keeps them local: the
-        # service dedupes through the telemetry-blind cache and cannot
-        # serve collected series.  An *unreachable* service degrades to
-        # the local pool with a loud stderr warning instead of failing
-        # the sweep: the env var is ambient configuration, and a driver
-        # should not die because the shared server restarted.  Imported
-        # lazily because the service package imports this module.
+        # job.  $REPRO_VALIDATE or a telemetry task (never a hit) keeps
+        # them local: the server runs with its own environment, so it
+        # would run them unchecked, and it dedupes through the
+        # telemetry-blind cache, so it cannot serve collected series.
+        # An *unreachable* service degrades to the local pool with a
+        # loud stderr warning instead of failing the sweep: the env var
+        # is ambient configuration, and a driver should not die because
+        # the shared server restarted.  Imported lazily because the
+        # service package imports this module.
         from repro.service import ServiceUnreachable
         from repro.service.client import run_tasks_via_service
 
+        address = "{}:{}".format(*service)
         try:
-            served = run_tasks_via_service(pending_tasks, address=service)
+            served = run_tasks_via_service(pending_tasks, address=address)
         except ServiceUnreachable as exc:
             print(
-                f"warning: $REPRO_SERVICE={service} is unreachable "
+                f"warning: $REPRO_SERVICE={address} is unreachable "
                 f"({exc}); falling back to the local pool",
                 file=sys.stderr,
             )

@@ -21,7 +21,6 @@ from repro.routing.xordet import XordetOverlay
 _BASE_FACTORIES: dict[str, Callable[[], RoutingAlgorithm]] = {
     "dor": DorRouting,
     "oddeven": OddEvenRouting,
-    "odd-even": OddEvenRouting,
     "dbar": DbarRouting,
     "dbar-fine": DbarFineRouting,
     "footprint": FootprintRouting,

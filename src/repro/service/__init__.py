@@ -21,31 +21,11 @@ Layout:
 * :mod:`repro.service.client` — a thin blocking client (also where
   :func:`repro.harness.parallel.run_tasks` sends its cache misses
   under ``$REPRO_SERVICE``).
-
-The default cache lives under ``$REPRO_SERVICE_DIR`` (default
-``.repro-service/``).
 """
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-
 from repro.exceptions import ReproError
-
-#: Environment variable naming the service state directory.
-SERVICE_DIR_ENV = "REPRO_SERVICE_DIR"
-
-#: Directory used when neither an explicit path nor the env var is set.
-DEFAULT_SERVICE_DIR = ".repro-service"
-
-#: Environment variable holding a ``host:port`` service address; when
-#: set, :func:`repro.harness.parallel.run_tasks` probes its local cache,
-#: then runs the misses on the service and stores what comes back.
-SERVICE_ENV = "REPRO_SERVICE"
-
-#: Default TCP port of ``repro serve``.
-DEFAULT_PORT = 7455
 
 
 class ServiceError(ReproError):
@@ -63,19 +43,7 @@ class ServiceUnreachable(ServiceError):
     """
 
 
-def default_state_dir() -> Path:
-    """The state directory: ``$REPRO_SERVICE_DIR`` or ``.repro-service``."""
-    return Path(
-        os.environ.get(SERVICE_DIR_ENV, "").strip() or DEFAULT_SERVICE_DIR
-    )
-
-
 __all__ = [
-    "DEFAULT_PORT",
-    "DEFAULT_SERVICE_DIR",
-    "SERVICE_DIR_ENV",
-    "SERVICE_ENV",
     "ServiceError",
     "ServiceUnreachable",
-    "default_state_dir",
 ]

@@ -27,38 +27,13 @@ import threading
 import time
 from typing import Any, Iterable
 
+from repro import settings
 from repro.harness.parallel import SimTask
-from repro.service import (
-    DEFAULT_PORT,
-    SERVICE_ENV,
-    ServiceError,
-    ServiceUnreachable,
-)
+from repro.service import ServiceError, ServiceUnreachable
 from repro.service.jobs import JobSpec, JobState
 from repro.service.protocol import MAX_LINE, decode, encode
 from repro.sim.constants import ENGINE_VERSION
 from repro.sim.results import SimulationResult
-
-
-def parse_address(address: str | None) -> tuple[str, int]:
-    """Parse ``host:port`` / ``:port`` / ``port`` (default localhost)."""
-    text = (address or "").strip()
-    if not text:
-        return "127.0.0.1", DEFAULT_PORT
-    host, sep, port_text = text.rpartition(":")
-    if not sep:
-        host, port_text = "", text
-    host = host or "127.0.0.1"
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ServiceError(
-            f"malformed service address {address!r} "
-            f"(expected host:port)"
-        ) from None
-    if not (0 < port < 65536):
-        raise ServiceError(f"service port out of range: {port}")
-    return host, port
 
 
 class ServiceClient:
@@ -67,7 +42,7 @@ class ServiceClient:
     def __init__(
         self,
         host: str = "127.0.0.1",
-        port: int = DEFAULT_PORT,
+        port: int = settings.DEFAULT_PORT,
         timeout: float = 60.0,
     ) -> None:
         self.host = host
@@ -80,10 +55,13 @@ class ServiceClient:
     def from_address(
         cls, address: str | None = None, timeout: float = 60.0
     ) -> "ServiceClient":
-        """Build a client from ``host:port`` (or ``$REPRO_SERVICE``)."""
+        """Build a client from ``host:port``, else ``$REPRO_SERVICE``,
+        else ``:7455``."""
         if address is None:
-            address = os.environ.get(SERVICE_ENV, "")
-        host, port = parse_address(address)
+            service = settings.read("REPRO_SERVICE")
+        else:
+            service = settings.parse("REPRO_SERVICE", address, "address")
+        host, port = service or ("127.0.0.1", settings.DEFAULT_PORT)
         return cls(host, port, timeout=timeout)
 
     def __enter__(self) -> "ServiceClient":

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.harness.cache import ResultCache
-from repro.service import ServiceError, default_state_dir
+from repro.service import ServiceError
 from repro.service.jobs import JobSpec, JobState
 from repro.service.protocol import MAX_LINE, decode, encode, error_response
 from repro.service.scheduler import ExperimentScheduler
@@ -247,10 +247,7 @@ async def serve(
     touching the CLI-facing ``.repro-cache`` store.
     """
     if cache_dir is None:
-        state = (
-            Path(state_dir) if state_dir is not None else default_state_dir()
-        )
-        cache_dir = str(state / "cache")
+        cache_dir = str(Path(state_dir or ".repro-service") / "cache")
     scheduler = ExperimentScheduler(jobs=jobs, cache=ResultCache(cache_dir))
     server = ExperimentServer(scheduler, host=host, port=port)
     bound = await server.start()

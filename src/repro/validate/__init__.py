@@ -14,7 +14,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "config": (
-            "CHECKER_NAMES MUTATION_CHECKERS VALIDATE_ENV ValidationConfig "
+            "CHECKER_NAMES MUTATION_CHECKERS ValidationConfig "
             "validation_from_env"
         ),
     },

@@ -5,30 +5,18 @@ simulation runs (see :mod:`repro.validate.checker` for the catalogue).
 Validation is an *engine argument*, not a :class:`SimulationConfig`
 field: checkers observe a run without changing it, so a validated run
 must hash to the same result-cache key and produce the same serialized
-config as an unvalidated one.  The ``REPRO_VALIDATE`` environment
-variable turns validation on for harness-driven runs (including pool
-workers) without plumbing a flag through every call site.
+config as an unvalidated one.  ``$REPRO_VALIDATE`` (:mod:`repro.settings`)
+turns validation on for harness-driven runs (including pool workers)
+without plumbing a flag through every call site.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
+from repro import settings
 from repro.exceptions import ConfigurationError
-
-#: Environment variable enabling validation in harness/pool runs.
-#: ``"1"``/``"all"`` enables every checker; a comma-separated subset of
-#: checker names (e.g. ``"flit_conservation,vc_states"``) enables those.
-VALIDATE_ENV = "REPRO_VALIDATE"
-
-#: The per-cycle checkers, in the order the checker runs them.
-CHECKER_NAMES = (
-    "flit_conservation",
-    "credit_accounting",
-    "vc_states",
-    "routing_conformance",
-)
+from repro.settings import CHECKER_NAMES
 
 #: Self-test mutation kinds (see :mod:`repro.validate.mutations`), each
 #: mapped to the checker that must flag it.
@@ -127,23 +115,6 @@ class ValidationConfig:
 
 
 def validation_from_env() -> ValidationConfig | None:
-    """Build a :class:`ValidationConfig` from ``$REPRO_VALIDATE``.
-
-    Returns ``None`` when the variable is unset, empty, or ``"0"``/
-    ``"off"``; a full config for ``"1"``/``"on"``/``"all"``; and a
-    subset config for a comma-separated list of checker names.
-    """
-    raw = os.environ.get(VALIDATE_ENV, "").strip()
-    if not raw or raw.lower() in ("0", "off", "false", "no"):
-        return None
-    if raw.lower() in ("1", "on", "true", "yes", "all"):
-        return ValidationConfig()
-    names = [item.strip() for item in raw.split(",") if item.strip()]
-    valid = {f.name for f in fields(ValidationConfig)} & set(CHECKER_NAMES)
-    unknown = [n for n in names if n not in valid]
-    if unknown:
-        raise ConfigurationError(
-            f"{VALIDATE_ENV} names unknown checkers {unknown}; "
-            f"expected a subset of {list(CHECKER_NAMES)}"
-        )
-    return ValidationConfig.only(*names)
+    """The checkers ``$REPRO_VALIDATE`` turns on; ``None`` when off."""
+    names = settings.read("REPRO_VALIDATE")
+    return None if names is None else ValidationConfig.only(*names)

@@ -95,14 +95,17 @@ def test_engine_mode_option_is_gone(capsys):
 
 
 def test_engine_mode_variable_is_ignored(monkeypatch, capsys):
-    """``$REPRO_ENGINE_MODE`` is an unknown variable: no effect, no
-    warning, whatever it holds."""
+    """``$REPRO_ENGINE_MODE`` and ``$REPRO_SERVICE_DIR`` are unknown
+    variables: no effect, no warning, whatever they hold."""
     monkeypatch.delenv("REPRO_ENGINE_MODE", raising=False)
+    monkeypatch.delenv("REPRO_SERVICE_DIR", raising=False)
     assert cli_main(_TINY_RUN) == 0
     unset = capsys.readouterr()
-    for value in ("vector", "garbage"):
-        monkeypatch.setenv("REPRO_ENGINE_MODE", value)
-        assert cli_main(_TINY_RUN) == 0
-        assert capsys.readouterr() == unset
+    for name in ("REPRO_ENGINE_MODE", "REPRO_SERVICE_DIR"):
+        for value in ("vector", "garbage"):
+            monkeypatch.setenv(name, value)
+            assert cli_main(_TINY_RUN) == 0
+            assert capsys.readouterr() == unset
+        monkeypatch.delenv(name)
     assert unset.err == ""
 

@@ -155,24 +155,6 @@ class TestStaticTables:
         assert any(m.total_bits_per_port == 132 for m in models)
         assert "132" in reporting.report_cost(models)
 
-    def test_scale_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "smoke")
-        assert exp.scale_from_env() is exp.SMOKE
-        monkeypatch.setenv("REPRO_SCALE", "")
-        assert exp.scale_from_env() is exp.BENCH
-        assert exp.scale_from_env(exp.PAPER) is exp.PAPER
-
-    def test_scale_from_env_rejects_a_typo(self, monkeypatch):
-        """`REPRO_SCALE=papr` once ran bench and called it paper."""
-        from repro.exceptions import ConfigurationError
-
-        monkeypatch.setenv("REPRO_SCALE", "papr")
-        with pytest.raises(ConfigurationError) as excinfo:
-            exp.scale_from_env()
-        message = str(excinfo.value)
-        assert "$REPRO_SCALE='papr'" in message
-        assert "smoke, bench, paper" in message
-
 
 class TestCli:
     def test_list(self, capsys):

@@ -18,11 +18,12 @@ from repro import cli
 from repro.harness.cache import ResultCache, config_cache_key
 from repro.harness.parallel import SimTask, run_tasks
 from repro.service import ServiceError, ServiceUnreachable
-from repro.service.client import ServiceClient, parse_address
+from repro.service.client import ServiceClient
 from repro.service.jobs import JobSpec
 from repro.service.protocol import encode
 from repro.service.scheduler import ExperimentScheduler
 from repro.service.server import ExperimentServer
+from repro.settings import parse_address
 from repro.sim.config import SimulationConfig
 from repro.sim.constants import ENGINE_VERSION
 from repro.sim.engine import Simulator
@@ -79,9 +80,9 @@ class TestParseAddress:
         assert parse_address("7000") == ("127.0.0.1", 7000)
 
     def test_rejects_garbage(self):
-        with pytest.raises(ServiceError):
+        with pytest.raises(ValueError):
             parse_address("host:notaport")
-        with pytest.raises(ServiceError):
+        with pytest.raises(ValueError):
             parse_address("host:70000")
 
 
@@ -279,6 +280,33 @@ class TestHarnessHook:
             assert sorted(ours.latency._samples) == sorted(
                 theirs.latency._samples
             )
+
+    def test_validated_grid_keeps_its_misses_local(
+        self, tmp_path, monkeypatch
+    ):
+        """The server runs with its own environment, so it cannot run
+        the client's $REPRO_VALIDATE checkers: a validated grid
+        simulates here, checked, and never submits."""
+        tasks = [SimTask(_config(seed=seed)) for seed in (1, 2)]
+        local = ResultCache(tmp_path / "local")
+
+        def drive(client):
+            monkeypatch.setenv(
+                "REPRO_SERVICE", f"127.0.0.1:{client.port}"
+            )
+            monkeypatch.setenv("REPRO_VALIDATE", "all")
+            results = run_tasks(tasks, jobs=1, cache=local)
+            monkeypatch.delenv("REPRO_SERVICE")
+            monkeypatch.delenv("REPRO_VALIDATE")
+            return results
+
+        results, scheduler = _serve(tmp_path, drive)
+        assert scheduler.totals()["simulated"] == 0
+        assert scheduler.jobs() == []
+        assert (local.hits, local.misses) == (0, 2)
+        for ours, task in zip(results, tasks):
+            theirs = Simulator(task.resolved_config()).run()
+            assert ours.latency._samples == theirs.latency._samples
 
     def test_served_figure_reports_the_local_cache(
         self, tmp_path, monkeypatch, capsys

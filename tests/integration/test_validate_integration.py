@@ -19,7 +19,7 @@ from repro.metrics.sweep import run_point
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
 from repro.telemetry import TelemetryConfig
-from repro.validate import MUTATION_CHECKERS, VALIDATE_ENV, ValidationConfig
+from repro.validate import MUTATION_CHECKERS, ValidationConfig
 from repro.validate.differential import (
     random_configs,
     result_signature,
@@ -133,20 +133,20 @@ class TestDifferential:
 
 class TestEnvPlumbing:
     def test_run_simulation_validates_under_env(self, monkeypatch):
-        monkeypatch.setenv(VALIDATE_ENV, "1")
+        monkeypatch.setenv("REPRO_VALIDATE", "1")
         plain_result = Simulator(_base_config()).run()
         result = run_simulation(_base_config())
         assert result_signature(result) == result_signature(plain_result)
 
     def test_run_simulation_rejects_bad_env(self, monkeypatch):
-        monkeypatch.setenv(VALIDATE_ENV, "not_a_checker")
+        monkeypatch.setenv("REPRO_VALIDATE", "not_a_checker")
         with pytest.raises(ConfigurationError):
             run_simulation(_base_config())
 
     def test_env_mutation_kills_harness_tasks(self, monkeypatch):
         # Proof the env reaches pool workers' engines: a checker subset
         # is honored by run_tasks-driven runs exactly like direct runs.
-        monkeypatch.setenv(VALIDATE_ENV, "flit_conservation,vc_states")
+        monkeypatch.setenv("REPRO_VALIDATE", "flit_conservation,vc_states")
         results = run_tasks([SimTask(_base_config())], jobs=1)
         assert result_signature(results[0]) == result_signature(
             Simulator(_base_config()).run()
@@ -166,7 +166,7 @@ class TestEnvPlumbing:
     ):
         """These built their own Simulator and never read the
         variable: a validated sweep's single runs ran unchecked."""
-        monkeypatch.setenv(VALIDATE_ENV, "bogus")
+        monkeypatch.setenv("REPRO_VALIDATE", "bogus")
         with pytest.raises(ConfigurationError, match="bogus"):
             single_run()
 

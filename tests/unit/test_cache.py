@@ -9,13 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults import FaultEvent, FaultSchedule
-from repro.harness.cache import (
-    CACHE_ENV,
-    DEFAULT_CACHE_DIR,
-    ResultCache,
-    config_cache_key,
-    default_cache_dir,
-)
+from repro.harness.cache import ResultCache, config_cache_key
 from repro.harness.parallel import SimTask
 from repro.harness.runner import run_simulation
 from repro.metrics.stats import pack_samples, unpack_samples
@@ -527,17 +521,17 @@ class TestConcurrentWriters:
 
 class TestDefaultDirectory:
     def test_env_var_overrides(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(CACHE_ENV, str(tmp_path / "envcache"))
-        assert default_cache_dir() == tmp_path / "envcache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
         assert ResultCache().directory == tmp_path / "envcache"
+        assert ResultCache(tmp_path / "own").directory == tmp_path / "own"
 
     def test_fallback_without_env(self, monkeypatch):
-        monkeypatch.delenv(CACHE_ENV, raising=False)
-        assert str(default_cache_dir()) == DEFAULT_CACHE_DIR
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        assert str(ResultCache().directory) == ".repro-cache"
 
     def test_blank_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV, "   ")
-        assert str(default_cache_dir()) == DEFAULT_CACHE_DIR
+        monkeypatch.setenv("REPRO_CACHE_DIR", "   ")
+        assert str(ResultCache().directory) == ".repro-cache"
 
 
 class TestConfigRoundTrip:

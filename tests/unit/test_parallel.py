@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.harness import parallel
 from repro.harness.parallel import (
     _LOAD_FLOOR,
@@ -65,7 +66,7 @@ class TestResolveJobs:
     @pytest.mark.parametrize("value", ["many", "0", "-2", "1.5"])
     def test_bad_env_names_the_variable(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_JOBS", value)
-        with pytest.raises(ValueError, match=r"^\$REPRO_JOBS='"):
+        with pytest.raises(ConfigurationError, match=r"^\$REPRO_JOBS='"):
             resolve_jobs(None)
 
     def test_env_override(self, monkeypatch):
@@ -77,11 +78,11 @@ class TestResolveJobs:
         assert resolve_jobs(2) == 2
 
     def test_rejects_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match=r"^jobs='0'"):
             resolve_jobs(0)
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             resolve_jobs("many")
 
 

@@ -99,7 +99,7 @@ PUBLIC = {
     },
     "repro.validate": {
         "repro.validate.config": (
-            "CHECKER_NAMES MUTATION_CHECKERS VALIDATE_ENV ValidationConfig "
+            "CHECKER_NAMES MUTATION_CHECKERS ValidationConfig "
             "validation_from_env"
         ),
     },

@@ -16,7 +16,6 @@ from repro.routing.xordet import XordetOverlay
     [
         ("dor", DorRouting),
         ("oddeven", OddEvenRouting),
-        ("odd-even", OddEvenRouting),
         ("dbar", DbarRouting),
         ("dbar-fine", DbarFineRouting),
         ("footprint", FootprintRouting),
