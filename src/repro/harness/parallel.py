@@ -190,10 +190,10 @@ def _pool_weight(task: SimTask) -> float:
     """Relative wall time of ``task``, for balancing pool batches.
 
     :func:`estimate_task_cycles` is load-blind on purpose (it is the
-    service's virtual time and the tuner's budget currency), but wall
-    time is close to linear in offered load: the tasks of a rate sweep
-    cost 1 : 6 from its first rate to its last.  Config-only like the
-    estimate, so the batches are the same on every machine.
+    tuner's budget currency), but wall time is close to linear in
+    offered load: the tasks of a rate sweep cost 1 : 6 from its first
+    rate to its last.  Config-only like the estimate, so the batches
+    are the same on every machine.
     """
     from repro.traffic.factory import offered_flits_per_cycle
 

@@ -3,30 +3,13 @@
 Footprint's knobs — congestion threshold, footprint VC limit, VC count,
 buffer depth, and the routing algorithm itself — interact nonlinearly;
 the ablation benchmarks only grid-scan them one axis at a time.  This
-package searches the joint space:
-
-* :mod:`repro.tuner.space` — the one space: five ordered
-  :class:`Axis` values over :class:`~repro.sim.config.SimulationConfig`
-  fields, with deterministic seeded sampling, neighbor enumeration,
-  and canonicalization (knobs a routing algorithm never reads are
-  normalized away so equivalent candidates share one evaluation);
-* :mod:`repro.tuner.objectives` — scenarios (base config + evaluation
-  rate ladder), fidelity rungs (each a derived
-  :class:`~repro.harness.experiments.Scale`), and the three objectives
-  scored per candidate: average latency, saturation throughput, and
-  the :mod:`repro.core.cost` storage model;
-* :mod:`repro.tuner.pareto` — exact multi-objective dominance and
-  Pareto-frontier extraction plus the deterministic candidate ranking
-  the search promotes by;
-* :mod:`repro.tuner.runner` — the one seeded, deterministic search
-  (successive halving over fidelity rungs, then beam refinement
-  around the full-fidelity frontier); candidate batches evaluate
-  exclusively through the figure drivers' own
-  :func:`repro.harness.experiments.run_grid`, so the persistent
-  :class:`~repro.harness.cache.ResultCache`, the LPT process pool, and
-  the ``$REPRO_SERVICE`` job routing all apply for free;
-* :mod:`repro.tuner.report` — ``TUNE_*.json`` artifacts and the
-  frontier/best-config tables rendered by ``repro tune``.
+package searches the joint space (:mod:`~repro.tuner.space`) for the
+Pareto frontier (:mod:`~repro.tuner.pareto`) of three objectives
+(:mod:`~repro.tuner.objectives`).  :mod:`~repro.tuner.runner` evaluates
+every batch through the figure drivers' own
+:func:`~repro.harness.experiments.run_grid`, so the result cache, the
+process pool and ``$REPRO_SERVICE`` apply for free, and
+:mod:`~repro.tuner.report` writes and renders ``TUNE_*.json``.
 
 Budgets are spent in *estimated* cycle-nodes (the shared
 :func:`repro.harness.cost.estimate_config_cycles` model), independent of

@@ -3,7 +3,7 @@
 A :class:`Scenario` fixes everything the search does *not* touch: the
 base :class:`~repro.sim.config.SimulationConfig` (topology, traffic,
 seed, full-fidelity cycle counts) and the evaluation rate ladder.  One
-candidate evaluation simulates the candidate's config at every rung of
+candidate evaluation simulates the candidate's config at every rate of
 the ladder and reduces the resulting sweep to three objectives:
 
 * ``avg_latency`` (minimize) — mean packet latency at the scenario's
@@ -15,21 +15,19 @@ the ladder and reduces the resulting sweep to three objectives:
   :mod:`repro.core.cost` model: VC flit buffers plus whatever routing
   state the candidate's algorithm actually needs.
 
-A fidelity *rung* is a :class:`~repro.harness.experiments.Scale` derived
-from the scenario's cycle counts (:func:`rungs`).  Rung configs are
-ordinary configs, so **each rung addresses distinct result-cache keys**;
-only full-fidelity evaluations enter a Pareto frontier (the runner
-enforces this).
+A fidelity *rung* is the base config at cheaper cycle counts
+(:func:`rungs`).  Rung configs are ordinary configs, so **each rung
+addresses distinct result-cache keys**; only full-fidelity evaluations
+enter a Pareto frontier (the runner enforces this).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.cost import CostModel
-from repro.harness.experiments import Scale
 from repro.metrics.sweep import point_from_result, saturation
 from repro.sim.config import SimulationConfig
 from repro.sim.results import SimulationResult
@@ -42,7 +40,7 @@ FLIT_BITS = 128
 
 #: Floors applied to rung-scaled cycle counts so a probe rung still
 #: warms up and measures something.
-MIN_WARMUP, MIN_MEASURE, MIN_DRAIN = 10, 20, 50
+MIN_CYCLES = {"warmup_cycles": 10, "measure_cycles": 20, "drain_cycles": 50}
 
 #: The scored objectives, in artifact/report order.  Saturation
 #: throughput is maximized; the other two are minimized.
@@ -58,14 +56,11 @@ def config_cost_bits(config: SimulationConfig) -> float:
     table plus its qualifying state bits — exactly the paper's §4.4
     inventory, taken from :class:`repro.core.cost.CostModel`.
     """
-    bits = float(
-        config.num_vcs * config.vc_buffer_depth * FLIT_BITS
-    )
-    base = config.routing.split("+")[0].strip().lower()
+    bits = float(config.num_vcs * config.vc_buffer_depth * FLIT_BITS)
     model = CostModel(config.num_nodes, config.num_vcs)
-    if base in ("dbar", "footprint"):
+    if space.reads(config.routing, "congestion_threshold"):
         bits += model.idle_counter_bits
-    if base == "footprint":
+    if space.reads(config.routing, "footprint_vc_limit"):
         bits += model.owner_table_bits + model.state_bits
     return bits
 
@@ -84,7 +79,7 @@ class Scenario:
     traffic, whose background load stays at the base's value, else
     ``injection_rate``), like every figure driver's rate grid.  It
     defaults by traffic kind; ``latency_rate`` must be a ladder member
-    and defaults to the middle rung.
+    and defaults to the middle rate.
     """
 
     base: SimulationConfig
@@ -92,33 +87,24 @@ class Scenario:
     latency_rate: float | None = None
 
     def __post_init__(self) -> None:
-        if self.rates is None:
-            object.__setattr__(
-                self,
-                "rates",
-                _HOTSPOT_RATES
-                if self.base.traffic == "hotspot"
-                else _SYNTHETIC_RATES,
-            )
-        if not self.rates:
-            raise TunerError(f"scenario '{self.name}' has an empty ladder")
-        if list(self.rates) != sorted(self.rates):
+        hotspot = self.base.traffic == "hotspot"
+        rates = self.rates
+        if rates is None:
+            rates = _HOTSPOT_RATES if hotspot else _SYNTHETIC_RATES
+        if not rates or any(a >= b for a, b in zip(rates, rates[1:])):
             raise TunerError(
-                f"scenario '{self.name}' ladder must ascend: {self.rates}"
+                f"scenario '{self.name}' ladder must strictly ascend: {rates}"
             )
-        if len(set(self.rates)) != len(self.rates):
+        latency = self.latency_rate
+        if latency is None:
+            latency = rates[len(rates) // 2]
+        elif latency not in rates:
             raise TunerError(
-                f"scenario '{self.name}' ladder has duplicates: {self.rates}"
+                f"scenario '{self.name}' latency rate {latency} is not on "
+                f"the ladder {rates}"
             )
-        if self.latency_rate is None:
-            object.__setattr__(
-                self, "latency_rate", self.rates[len(self.rates) // 2]
-            )
-        elif self.latency_rate not in self.rates:
-            raise TunerError(
-                f"scenario '{self.name}' latency rate "
-                f"{self.latency_rate} is not on the ladder {self.rates}"
-            )
+        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "latency_rate", latency)
 
     @property
     def name(self) -> str:
@@ -158,36 +144,26 @@ class Scenario:
         )
 
 
-def rungs(base: SimulationConfig) -> tuple[Scale, Scale, Scale]:
-    """Probe (quarter cycles, half mesh) -> half cycles -> full.
+def rungs(base: SimulationConfig) -> dict[str, SimulationConfig]:
+    """``base`` at each fidelity rung, cheapest first: ``probe``
+    (quarter cycles, half a mesh of width 8 or more), ``half`` (half
+    cycles), ``full`` (``base`` itself).
 
-    The last rung is ``base``'s own geometry and cycle counts; the
-    cheaper ones scale those counts (never below the ``MIN_*`` floors),
-    and the probe halves a mesh of width 8 or more.
+    Scaled cycle counts never drop below the :data:`MIN_CYCLES`
+    floors.  A candidate's config at a rung is
+    :func:`repro.tuner.space.apply` over that rung's value.
     """
-    full = Scale(
-        "full",
-        width=base.width,
-        height=base.height,
-        warmup=base.warmup_cycles,
-        measure=base.measure_cycles,
-        drain=base.drain_cycles,
-    )
 
-    def scaled(name: str, factor: float, **geometry: Any) -> Scale:
-        return replace(
-            full,
-            name=name,
-            warmup=max(MIN_WARMUP, round(full.warmup * factor)),
-            measure=max(MIN_MEASURE, round(full.measure * factor)),
-            drain=max(MIN_DRAIN, round(full.drain * factor)),
-            **geometry,
-        )
+    def scaled(factor: float) -> SimulationConfig:
+        return base.with_(**{
+            name: max(floor, round(getattr(base, name) * factor))
+            for name, floor in MIN_CYCLES.items()
+        })
 
-    half_mesh = (
-        {"width": base.width // 2, "height": None} if base.width >= 8 else {}
-    )
-    return scaled("probe", 0.25, **half_mesh), scaled("half", 0.5), full
+    probe = scaled(0.25)
+    if base.width >= 8:
+        probe = probe.with_(width=base.width // 2, height=None)
+    return {"probe": probe, "half": scaled(0.5), "full": base}
 
 
 @dataclass(frozen=True)
@@ -202,31 +178,13 @@ class CandidateEval:
 
     def vector(self) -> tuple[float, float, float]:
         """The :data:`OBJECTIVES` values mapped so smaller is better."""
-        return (
-            self.avg_latency,
-            -self.saturation_throughput,
-            self.cost_bits,
-        )
-
-
-def rung_config(
-    base: SimulationConfig, candidate: Candidate, rung: Scale
-) -> SimulationConfig:
-    """The candidate's config at the rung's geometry and cycle counts;
-    each ladder rate then sets its load."""
-    return space.apply(base, candidate).with_(
-        width=rung.width,
-        height=rung.height,
-        warmup_cycles=rung.warmup,
-        measure_cycles=rung.measure,
-        drain_cycles=rung.drain,
-    )
+        return self.avg_latency, -self.saturation_throughput, self.cost_bits
 
 
 def eval_from_results(
     scenario: Scenario,
     candidate: Candidate,
-    rung: Scale,
+    rung: str,
     results: list[SimulationResult],
 ) -> CandidateEval:
     """Reduce one candidate's ladder of results to a scored evaluation.
@@ -250,7 +208,7 @@ def eval_from_results(
     latency = at_latency.avg_latency
     return CandidateEval(
         candidate=candidate,
-        rung=rung.name,
+        rung=rung,
         avg_latency=math.inf if math.isnan(latency) else latency,
         saturation_throughput=peak,
         cost_bits=config_cost_bits(at_latency.config),

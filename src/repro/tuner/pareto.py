@@ -19,9 +19,7 @@ from typing import Sequence
 from repro.tuner.objectives import CandidateEval
 
 
-def dominates(
-    a: Sequence[float], b: Sequence[float]
-) -> bool:
+def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     """Whether minimized vector ``a`` Pareto-dominates ``b``.
 
     ``a`` dominates ``b`` when it is no worse on every objective and

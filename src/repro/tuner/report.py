@@ -49,13 +49,18 @@ def _eval_from_dict(data: dict[str, Any]) -> CandidateEval:
     return CandidateEval(
         Candidate(tuple(map(tuple, data["candidate"]))),
         data["rung"],
-        **objectives,
+        **{name: float(value) for name, value in objectives.items()},
     )
 
 
 def write_tune_artifact(result: TuneResult, out_dir: str | Path) -> Path:
     """Write ``result`` as ``TUNE_<scenario>_<stamp>.json`` under
-    ``out_dir``, in schema :data:`TUNE_SCHEMA`."""
+    ``out_dir``, in schema :data:`TUNE_SCHEMA`.
+
+    The file is created exclusively: a second tune of the scenario in
+    the same second gets ``-2`` (then ``-3``, ...) after its stamp
+    instead of replacing the first.
+    """
     tune = {
         "scenario": result.scenario.to_dict(),
         "seed": result.seed,
@@ -74,35 +79,27 @@ def write_tune_artifact(result: TuneResult, out_dir: str | Path) -> Path:
     }
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    path = out / f"TUNE_{result.scenario.name}_{stamp}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _result_from_dict(data: dict[str, Any]) -> TuneResult:
-    """A :class:`TuneResult` from keys every readable schema has; the
-    frontier and dominators follow from the evaluations."""
-    return TuneResult(
-        scenario=Scenario.from_dict(data["scenario"]),
-        seed=data["seed"],
-        budget_cycles=data["budget_cycles"],
-        spent_cycles=data["spent_cycles"],
-        rounds=[
-            RoundStats(**{**stats, "survivors": tuple(stats["survivors"])})
-            for stats in data["rounds"]
-        ],
-        evals=[_eval_from_dict(e) for e in data["evals"]],
-        default_eval=_eval_from_dict(data["default"]),
-    )
+    stem = f"TUNE_{result.scenario.name}_{time.strftime('%Y%m%d-%H%M%S')}"
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    path, attempt = out / f"{stem}.json", 1
+    while True:
+        try:
+            with path.open("x") as handle:
+                handle.write(text)
+            return path
+        except FileExistsError:
+            attempt += 1
+            path = out / f"{stem}-{attempt}.json"
 
 
 def load_tune(path: str | Path) -> TuneResult:
     """Load an artifact of any :data:`READABLE_SCHEMAS` into a
     :class:`TuneResult`.
 
-    Anything that is not a readable, complete artifact is one
-    :class:`TunerError` naming the file.
+    Only keys every readable schema has are read; the frontier and
+    dominators follow from the evaluations, of which a tune always has
+    at least the default's.  Anything that is not a readable, complete
+    artifact is one :class:`TunerError` naming the file.
     """
     path = Path(path)
     try:
@@ -122,7 +119,21 @@ def load_tune(path: str | Path) -> TuneResult:
             f"{', '.join(map(repr, READABLE_SCHEMAS))}"
         )
     try:
-        return _result_from_dict(payload["tune"])
+        data = payload["tune"]
+        if not data["evals"]:
+            raise ValueError("no evaluations")
+        return TuneResult(
+            scenario=Scenario.from_dict(data["scenario"]),
+            seed=data["seed"],
+            budget_cycles=data["budget_cycles"],
+            spent_cycles=data["spent_cycles"],
+            rounds=[
+                RoundStats(**{**stats, "survivors": tuple(stats["survivors"])})
+                for stats in data["rounds"]
+            ],
+            evals=[_eval_from_dict(e) for e in data["evals"]],
+            default_eval=_eval_from_dict(data["default"]),
+        )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise TunerError(
             f"{path} is not a complete {schema} artifact: {exc!r}"
@@ -133,20 +144,13 @@ def load_tune(path: str | Path) -> TuneResult:
 # Rendering
 # ----------------------------------------------------------------------
 def _table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in rows))
-        if rows
-        else len(headers[i])
-        for i in range(len(headers))
-    ]
-    def line(cells: list[str]) -> str:
-        return "  ".join(
-            cell.ljust(widths[i]) for i, cell in enumerate(cells)
-        ).rstrip()
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
 
-    out = [line(headers), line(["-" * w for w in widths])]
-    out.extend(line(row) for row in rows)
-    return "\n".join(out)
+    def line(cells: list[str]) -> str:
+        return "  ".join(map(str.ljust, cells, widths)).rstrip()
+
+    dashes = ["-" * width for width in widths]
+    return "\n".join(map(line, [headers, dashes, *rows]))
 
 
 #: Columns of every evaluation row; an infinite latency prints ``inf``.
@@ -182,14 +186,12 @@ def render_tune(result: TuneResult) -> str:
         if result.budget_cycles is None
         else f"{result.budget_cycles:,}"
     )
-    default_key = result.default_eval.candidate.key()
-    dominator_keys = {e.candidate.key() for e in dominators}
 
     def notes(evaluation: CandidateEval) -> str:
-        key = evaluation.candidate.key()
-        tags = (("default", key == default_key),
-                ("dominates-default", key in dominator_keys))
-        return ",".join(tag for tag, applies in tags if applies)
+        # No eval dominates itself, so at most one tag applies.
+        if evaluation.candidate == result.default_eval.candidate:
+            return "default"
+        return "dominates-default" if evaluation in dominators else ""
 
     headers = _EVAL_HEADERS + ["notes"]
     return "\n".join([

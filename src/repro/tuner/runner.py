@@ -1,8 +1,8 @@
 """The tune search and its budgeted batch evaluation.
 
-:func:`run_tune` scores the paper default, then runs :func:`search`:
-successive halving over the fidelity rungs, then beam refinement
-around the full-fidelity frontier.  Each candidate batch is one
+:func:`run_tune` scores the paper default, then runs successive
+halving over the fidelity rungs and beam refinement around the
+full-fidelity frontier.  Each candidate batch is one
 :func:`~repro.harness.experiments.run_grid` call — the figure drivers'
 own grid, rates and all — so the persistent result cache, the LPT
 process pool, and ``$REPRO_SERVICE`` routing all apply without the
@@ -28,14 +28,13 @@ from dataclasses import dataclass, field
 
 from repro.harness.cache import ResultCache
 from repro.harness.cost import estimate_config_cycles
-from repro.harness.experiments import Scale, run_grid
+from repro.harness.experiments import run_grid
 from repro.sim.config import SimulationConfig
 from repro.tuner import TunerError, space
 from repro.tuner.objectives import (
     CandidateEval,
     Scenario,
     eval_from_results,
-    rung_config,
     rungs,
 )
 from repro.tuner.pareto import dominates, pareto_frontier, rank_evals
@@ -60,7 +59,7 @@ class RoundStats:
     estimated_cycles: int
     spent_cycles_after: int
     seconds: float
-    #: Candidate keys :func:`search` promoted out of this round (the
+    #: Candidate keys :func:`run_tune` promoted out of this round (the
     #: determinism tests compare these).
     survivors: tuple[str, ...] = ()
 
@@ -89,13 +88,14 @@ class TuneResult:
     def evaluate(
         self,
         candidates: list[Candidate],
-        rung: Scale,
+        rung: str,
         label: str,
         jobs: int | None,
         cache: ResultCache | None,
         charged: bool = True,
     ) -> list[CandidateEval]:
-        """Score the prefix of ``candidates`` the budget covers at ``rung``.
+        """Score the prefix of ``candidates`` the budget covers at the
+        rung named ``rung``.
 
         Trimming is by position, so a batch ordered by rank loses its
         *worst* candidates first; if none is affordable no round is
@@ -106,13 +106,12 @@ class TuneResult:
         across the call and whose fresh simulations are the rest.
         """
         started = time.perf_counter()
-        remaining = (
-            math.inf
-            if self.budget_cycles is None or not charged
-            else self.budget_cycles - self.spent_cycles
-        )
+        remaining = math.inf
+        if charged and self.budget_cycles is not None:
+            remaining = self.budget_cycles - self.spent_cycles
         rates = self.scenario.rates
-        full = rung == rungs(self.scenario.base)[-1]
+        rung_base = rungs(self.scenario.base)[rung]
+        full = rung == "full"
         known = {e.candidate: e for e in self.evals} if full else {}
         batch: list[Candidate] = []
         # The rung config of every batch member that simulates.
@@ -120,7 +119,7 @@ class TuneResult:
         estimated = 0
         for candidate in candidates:
             if candidate not in known:
-                config = rung_config(self.scenario.base, candidate, rung)
+                config = space.apply(rung_base, candidate)
                 cost = len(rates) * estimate_config_cycles(config)
                 if cost > remaining:
                     break
@@ -134,14 +133,11 @@ class TuneResult:
         grid = run_grid(configs, rates, jobs, cache)
         tasks = len(configs) * len(rates)
         hits = cache.hits - before if cache is not None else 0
-        fresh = tasks - hits
         if charged:
             self.spent_cycles += estimated
         evals = {
-            candidate: eval_from_results(
-                self.scenario, candidate, rung, results
-            )
-            for candidate, results in grid.items()
+            c: eval_from_results(self.scenario, c, rung, results)
+            for c, results in grid.items()
         }
         if full:
             self.evals.extend(evals.values())
@@ -149,10 +145,10 @@ class TuneResult:
         self.rounds.append(
             RoundStats(
                 label=label,
-                rung=rung.name,
+                rung=rung,
                 candidates=len(batch),
                 tasks=tasks,
-                fresh_simulations=fresh,
+                fresh_simulations=tasks - hits,
                 cache_hits=hits,
                 estimated_cycles=estimated,
                 spent_cycles_after=self.spent_cycles,
@@ -184,57 +180,6 @@ class TuneResult:
         return sum(r.cache_hits for r in self.rounds)
 
 
-def search(
-    tune: TuneResult,
-    n0: int,
-    refine_rounds: int,
-    jobs: int | None,
-    cache: ResultCache | None,
-) -> None:
-    """Successive halving over the rungs, then beam refinement.
-
-    Halving scores ``n0`` seeded samples on the cheapest rung and
-    promotes the best ``ceil(n / ETA)`` (by :func:`rank_evals`) one rung
-    up, ending with the survivors at full fidelity.  Refinement then
-    starts from every full-fidelity eval — the halving survivors plus
-    the budget-exempt default, so the default's neighbourhood is always
-    explored: each round scores the unseen one-step neighbours of the
-    best ``BEAM`` evals, and stops early when none is affordable.  A
-    round the budget cannot cover loses its trailing (worst-ranked)
-    candidates, never a random subset.  Every round records the keys it
-    promoted (refinement: the frontier so far) as its survivors.
-    """
-    base = tune.scenario.base
-    ladder = rungs(base)
-    candidates = space.sample(n0, tune.seed, base)
-    for rung in ladder:
-        evals = tune.evaluate(
-            candidates, rung, f"halving-{rung.name}", jobs, cache
-        )
-        if not evals:
-            break
-        ranked = rank_evals(evals)
-        if rung is not ladder[-1]:
-            ranked = ranked[: -(-len(ranked) // ETA)]  # ceil division
-        tune.rounds[-1].survivors = tuple(e.candidate.key() for e in ranked)
-        candidates = [e.candidate for e in ranked]
-    for index in range(1, refine_rounds + 1):
-        known = {e.candidate for e in tune.evals}
-        moves = dict.fromkeys(
-            neighbor
-            for incumbent in rank_evals(tune.evals)[:BEAM]
-            for neighbor in space.neighbors(incumbent.candidate, base)
-            if neighbor not in known
-        )
-        if not tune.evaluate(
-            list(moves), ladder[-1], f"refine-{index}", jobs, cache
-        ):
-            break
-        tune.rounds[-1].survivors = tuple(
-            e.candidate.key() for e in tune.frontier
-        )
-
-
 def run_tune(
     scenario: Scenario,
     budget_cycles: int | None = None,
@@ -248,9 +193,19 @@ def run_tune(
 
     The paper-default candidate is always evaluated at full fidelity
     first — budget-exempt — because it is the baseline every frontier
-    claim is measured against; :func:`search` runs after it.  Only
-    full-fidelity evaluations enter the frontier; rung-scaled scores
-    exist solely to rank promotions.
+    claim is measured against.  Only full-fidelity evaluations enter
+    the frontier; rung-scaled scores exist solely to rank promotions.
+
+    Halving then scores ``n0`` seeded samples on the cheapest rung and
+    promotes the best ``ceil(n / ETA)`` (by :func:`rank_evals`) one rung
+    up, ending with the survivors at full fidelity.  Refinement starts
+    from every full-fidelity eval — the halving survivors plus the
+    default, so the default's neighbourhood is always explored: each
+    round scores the unseen one-step neighbours of the best ``BEAM``
+    evals, and stops early when none is affordable.  A round the budget
+    cannot cover loses its trailing (worst-ranked) candidates, never a
+    random subset.  Every round records the keys it promoted
+    (refinement: the frontier so far) as its survivors.
     """
     if budget_cycles is not None and budget_cycles <= 0:
         raise TunerError(
@@ -263,12 +218,31 @@ def run_tune(
         raise TunerError(f"refine rounds must be >= 1, got {refine_rounds}")
     tune = TuneResult(scenario, seed, budget_cycles)
     [tune.default_eval] = tune.evaluate(
-        [space.canonical(space.candidate())],
-        rungs(scenario.base)[-1],
-        "default",
-        jobs,
-        cache,
-        charged=False,
+        [space.candidate()], "full", "default", jobs, cache, charged=False
     )
-    search(tune, n0, refine_rounds, jobs, cache)
+    base = scenario.base
+    candidates = space.sample(n0, seed, base)
+    for rung in rungs(base):
+        evals = tune.evaluate(candidates, rung, f"halving-{rung}", jobs, cache)
+        if not evals:
+            break
+        ranked = rank_evals(evals)
+        if rung != "full":
+            ranked = ranked[: -(-len(ranked) // ETA)]  # ceil division
+        tune.rounds[-1].survivors = tuple(e.candidate.key() for e in ranked)
+        candidates = [e.candidate for e in ranked]
+    for index in range(1, refine_rounds + 1):
+        known = {e.candidate for e in tune.evals}
+        moves = dict.fromkeys(
+            neighbor
+            for incumbent in rank_evals(tune.evals)[:BEAM]
+            for neighbor in space.neighbors(incumbent.candidate, base)
+            if neighbor not in known
+        )
+        label = f"refine-{index}"
+        if not tune.evaluate(list(moves), "full", label, jobs, cache):
+            break
+        tune.rounds[-1].survivors = tuple(
+            e.candidate.key() for e in tune.frontier
+        )
     return tune

@@ -73,12 +73,7 @@ class Candidate:
         return "/".join(f"{name}={value}" for name, value in self.items)
 
     def with_value(self, name: str, value: Any) -> "Candidate":
-        return Candidate(
-            tuple(
-                (key, value if key == name else old)
-                for key, old in self.items
-            )
-        )
+        return Candidate(tuple({**dict(self.items), name: value}.items()))
 
 
 #: The Footprint-family knobs and the base routing algorithms that
@@ -87,6 +82,12 @@ _READ_BY = {
     "congestion_threshold": ("dbar", "footprint"),
     "footprint_vc_limit": ("footprint",),
 }
+
+
+def reads(routing: str, knob: str) -> bool:
+    """Whether ``routing`` (a ``+xordet`` suffix included) reads the
+    Footprint-family ``knob``."""
+    return routing.split("+")[0].strip().lower() in _READ_BY[knob]
 
 
 def candidate(**values: Any) -> Candidate:
@@ -124,9 +125,8 @@ def canonical(candidate: Candidate) -> Candidate:
     to the axis defaults makes equivalent candidates identical — one
     cache key, one simulation — without changing semantics.
     """
-    routing = str(candidate["routing"]).split("+")[0].strip().lower()
-    for name, readers in _READ_BY.items():
-        if routing not in readers:
+    for name in _READ_BY:
+        if not reads(candidate["routing"], name):
             candidate = candidate.with_value(name, _BY_NAME[name].default)
     return candidate
 
@@ -146,18 +146,14 @@ def sample(n: int, seed: int, base: SimulationConfig) -> list[Candidate]:
         if len(out) == n:
             break
         drawn = canonical(
-            Candidate(
-                tuple((axis.name, rng.choice(axis.values)) for axis in AXES)
-            )
+            candidate(**{a.name: rng.choice(a.values) for a in AXES})
         )
         if drawn not in out and is_valid(base, drawn):
             out[drawn] = None
     return list(out)
 
 
-def neighbors(
-    candidate: Candidate, base: SimulationConfig
-) -> list[Candidate]:
+def neighbors(candidate: Candidate, base: SimulationConfig) -> list[Candidate]:
     """All one-axis single-step moves, valid and canonicalized.
 
     For each axis the value moves one position up and one down the
@@ -170,14 +166,11 @@ def neighbors(
     out: list[Candidate] = []
     for axis in AXES:
         index = axis.values.index(origin[axis.name])
-        for step in (-1, 1):
-            other = index + step
-            if not (0 <= other < len(axis.values)):
-                continue
-            moved = canonical(origin.with_value(axis.name, axis.values[other]))
-            if moved in seen:
-                continue
-            seen.add(moved)
-            if is_valid(base, moved):
-                out.append(moved)
+        # The slice holds the origin's own value: that move is seen.
+        for value in axis.values[max(index - 1, 0) : index + 2]:
+            moved = canonical(origin.with_value(axis.name, value))
+            if moved not in seen:
+                seen.add(moved)
+                if is_valid(base, moved):
+                    out.append(moved)
     return out

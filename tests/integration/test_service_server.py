@@ -28,7 +28,7 @@ from repro.sim.config import SimulationConfig
 from repro.sim.constants import ENGINE_VERSION
 from repro.sim.engine import Simulator
 from repro.tuner import space
-from repro.tuner.objectives import Scenario, rungs
+from repro.tuner.objectives import Scenario
 from repro.tuner.runner import TuneResult
 
 # A service client keeps its socket between calls: one left open (or a
@@ -345,8 +345,7 @@ class TestHarnessHook:
         """A tune round's fresh + hits is its task count when the
         service runs the misses: all fresh cold, all hits warm."""
         scenario = Scenario(_config(), rates=(0.02, 0.08, 0.15))
-        full = rungs(scenario.base)[-1]
-        default = [space.canonical(space.candidate())]
+        default = [space.candidate()]
         cache = ResultCache(tmp_path / "local")
 
         def drive(client):
@@ -355,7 +354,7 @@ class TestHarnessHook:
             )
             tune = TuneResult(scenario, seed=1, budget_cycles=None)
             for label in ("cold", "warm"):
-                tune.evaluate(default, full, label, 1, cache)
+                tune.evaluate(default, "full", label, 1, cache)
             monkeypatch.delenv("REPRO_SERVICE")
             return tune.rounds
 

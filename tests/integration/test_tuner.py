@@ -145,6 +145,16 @@ def test_default_search_is_pinned():
     ) == PINNED_DEFAULT_OBJECTIVES
 
 
+def test_live_report_is_pinned():
+    """The report ``repro tune`` prints for ``_tune``'s search, byte
+    for byte; only the wall column, masked here, varies by run."""
+    result = _tune(None, jobs=1)
+    for stats in result.rounds:
+        stats.seconds = 0.0
+    expected = (FIXTURES / "tune_pinned.report.txt").read_text()
+    assert render_tune(result) + "\n" == expected
+
+
 def test_search_identical_across_worker_counts(tmp_path):
     serial = _tune(ResultCache(tmp_path / "serial"), jobs=1)
     pooled = _tune(ResultCache(tmp_path / "pooled"), jobs=4)
@@ -253,6 +263,21 @@ def test_artifact_roundtrip(tmp_path):
     ]
     for entry in payload["tune"]["evals"] + [payload["tune"]["default"]]:
         assert sorted(entry) == ["candidate", "objectives", "rung"]
+
+
+def test_same_second_artifacts_do_not_replace_each_other(
+    tmp_path, monkeypatch
+):
+    from repro.tuner import report
+
+    monkeypatch.setattr(report.time, "strftime", lambda _: "20260101-000000")
+    result = load_tune(FIXTURES / "tune_v1.json")
+    first = write_tune_artifact(result, tmp_path)
+    second = write_tune_artifact(result, tmp_path)
+    assert first != second
+    assert set(tmp_path.glob("TUNE_*.json")) == {first, second}
+    for path in (first, second):
+        assert render_tune(load_tune(path)) == render_tune(result)
 
 
 def test_schema_1_artifact_renders_as_recorded(capsys):
@@ -399,14 +424,40 @@ def _missing_keys(tmp_path):
     return path
 
 
+def _edited(tmp_path, edit):
+    """A schema-/2 artifact of the recorded tune, with ``edit`` applied
+    to its ``tune`` object."""
+    path = write_tune_artifact(load_tune(FIXTURES / "tune_v1.json"), tmp_path)
+    payload = json.loads(path.read_text())
+    edit(payload["tune"])
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def _empty_evals(tmp_path):
+    return _edited(tmp_path, lambda tune: tune.update(evals=[]))
+
+
+def _null_throughput(tmp_path):
+    def edit(tune):
+        tune["default"]["objectives"]["saturation_throughput"] = None
+
+    return _edited(tmp_path, edit)
+
+
 @pytest.mark.parametrize(
     "make, message",
     [
         (_directory, "cannot read"),
         (_json_list, "not a JSON object"),
         (_missing_keys, f"not a complete {TUNE_SCHEMA} artifact"),
+        (_empty_evals, f"not a complete {TUNE_SCHEMA} artifact"),
+        (_null_throughput, f"not a complete {TUNE_SCHEMA} artifact"),
     ],
-    ids=["directory", "not-an-object", "missing-keys"],
+    ids=[
+        "directory", "not-an-object", "missing-keys", "empty-evals",
+        "null-throughput",
+    ],
 )
 def test_tune_report_on_bad_input_is_one_error_line(
     capsys, tmp_path, make, message

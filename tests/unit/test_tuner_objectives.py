@@ -16,7 +16,6 @@ from repro.tuner.objectives import (
     Scenario,
     config_cost_bits,
     eval_from_results,
-    rung_config,
     rungs,
 )
 
@@ -123,18 +122,23 @@ def test_scenario_name_and_rate_field_are_written_not_read():
 # ----------------------------------------------------------------------
 # Rungs
 # ----------------------------------------------------------------------
+def _cycles(config):
+    return config.warmup_cycles, config.measure_cycles, config.drain_cycles
+
+
 def test_rungs_scale_cycles_with_floors():
-    probe, half, full = rungs(BASE)
-    assert (probe.warmup, probe.measure, probe.drain) == (10, 25, 50)
-    assert (half.warmup, half.measure, half.drain) == (20, 50, 100)
-    # The last rung is the base's own fidelity.
-    assert (full.warmup, full.measure, full.drain) == (40, 100, 200)
-    assert (full.width, full.height) == (BASE.width, BASE.height)
+    ladder = rungs(BASE)
+    assert list(ladder) == ["probe", "half", "full"]
+    assert _cycles(ladder["probe"]) == (10, 25, 50)
+    assert _cycles(ladder["half"]) == (20, 50, 100)
+    # The last rung is the base itself.
+    assert ladder["full"] == BASE
+    assert _cycles(ladder["full"]) == (40, 100, 200)
     # Floors hold for very short bases.
-    tiny, _, _ = rungs(
+    tiny = rungs(
         BASE.with_(warmup_cycles=8, measure_cycles=12, drain_cycles=20)
-    )
-    assert (tiny.warmup, tiny.measure, tiny.drain) == (10, 20, 50)
+    )["probe"]
+    assert _cycles(tiny) == (10, 20, 50)
 
 
 def test_probe_halves_a_wide_mesh_under_a_distinct_cache_key():
@@ -148,13 +152,13 @@ def test_probe_halves_a_wide_mesh_under_a_distinct_cache_key():
         drain_cycles=200,
     )
     candidate = space.candidate(num_vcs=4, routing="dor")
-    probe, half, full = rungs(big)
-    assert (probe.width, half.width, full.width) == (4, 8, 8)
-    scaled = rung_config(big, candidate, probe)
-    assert scaled.width == 4
-    assert rung_config(big, candidate, full) == big
+    ladder = rungs(big)
+    assert [c.width for c in ladder.values()] == [4, 8, 8]
+    scaled = space.apply(ladder["probe"], candidate)
+    assert (scaled.width, scaled.height) == (4, 4)
+    assert space.apply(ladder["full"], candidate) == big
     assert config_cache_key(scaled) != config_cache_key(big)
-    assert rungs(BASE)[0].width == BASE.width  # a 4x4 mesh stays whole
+    assert rungs(BASE)["probe"].width == BASE.width  # a 4x4 mesh stays whole
 
 
 # ----------------------------------------------------------------------
@@ -165,23 +169,21 @@ def _scenario():
 
 
 def _configs(scenario, rung):
-    config = rung_config(scenario.base, space.candidate(), rung)
+    config = space.apply(rungs(scenario.base)[rung], space.candidate())
     return [config.at_load(rate) for rate in scenario.rates]
 
 
 def test_rung_configs_cover_ladder_with_distinct_keys():
     scenario = _scenario()
-    probe, _, full = rungs(BASE)
-    full_keys = {config_cache_key(c) for c in _configs(scenario, full)}
-    probe_keys = {config_cache_key(c) for c in _configs(scenario, probe)}
+    full_keys = {config_cache_key(c) for c in _configs(scenario, "full")}
+    probe_keys = {config_cache_key(c) for c in _configs(scenario, "probe")}
     assert len(full_keys) == len(probe_keys) == len(scenario.rates)
     assert not full_keys & probe_keys  # rung configs never collide
 
 
 def test_eval_scores_objectives():
     scenario = _scenario()
-    full = rungs(BASE)[-1]
-    configs = _configs(scenario, full)
+    configs = _configs(scenario, "full")
     window = BASE.measure_cycles * BASE.num_nodes
     results = [
         _result(configs[0], [10, 10], int(0.05 * window)),
@@ -191,7 +193,7 @@ def test_eval_scores_objectives():
         _result(configs[2], [50, 50], int(0.12 * window)),
     ]
     evaluation = eval_from_results(
-        scenario, space.candidate(), full, results
+        scenario, space.candidate(), "full", results
     )
     assert evaluation.rung == "full"
     assert evaluation.avg_latency == 12.0
@@ -204,13 +206,12 @@ def test_eval_scores_objectives():
 
 def test_eval_nan_reference_saturates_everything():
     scenario = _scenario()
-    full = rungs(BASE)[-1]
     results = [
         _result(c, [], 0, created=5, ejected=0)
-        for c in _configs(scenario, full)
+        for c in _configs(scenario, "full")
     ]
     evaluation = eval_from_results(
-        scenario, space.candidate(), full, results
+        scenario, space.candidate(), "full", results
     )
     assert math.isinf(evaluation.avg_latency)
     assert evaluation.saturation_throughput == 0.0
@@ -218,15 +219,14 @@ def test_eval_nan_reference_saturates_everything():
 
 def test_eval_undrained_point_ends_the_stable_prefix():
     scenario = _scenario()
-    full = rungs(BASE)[-1]
-    configs = _configs(scenario, full)
+    configs = _configs(scenario, "full")
     results = [
         _result(configs[0], [10], 5),
         _result(configs[1], [11], 8, created=10, ejected=9),  # undrained
         _result(configs[2], [12], 9),
     ]
     evaluation = eval_from_results(
-        scenario, space.candidate(), full, results
+        scenario, space.candidate(), "full", results
     )
     # Stable prefix stops at the first saturated point: the drained,
     # low-latency third point is past it.
@@ -237,6 +237,4 @@ def test_eval_undrained_point_ends_the_stable_prefix():
 
 def test_eval_result_count_mismatch_raises():
     with pytest.raises(TunerError):
-        eval_from_results(
-            _scenario(), space.candidate(), rungs(BASE)[-1], []
-        )
+        eval_from_results(_scenario(), space.candidate(), "full", [])

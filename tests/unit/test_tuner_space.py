@@ -72,6 +72,18 @@ def test_canonical_keeps_read_knobs():
     assert space.canonical(raw) == raw
 
 
+def test_the_default_candidate_is_canonical():
+    # run_tune evaluates the all-defaults candidate as built.
+    assert space.canonical(space.candidate()) == space.candidate()
+
+
+def test_reads_names_the_base_algorithm_of_a_suffixed_routing():
+    assert space.reads("footprint+xordet", "footprint_vc_limit")
+    assert space.reads("DBAR", "congestion_threshold")
+    assert not space.reads("dbar+xordet", "footprint_vc_limit")
+    assert not space.reads("dor", "congestion_threshold")
+
+
 def test_canonical_collapses_equivalent_candidates():
     variants = {
         space.canonical(
