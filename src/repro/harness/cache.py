@@ -18,7 +18,10 @@ Writes go through a temporary file and an atomic :func:`os.replace`, so
 concurrent ``--jobs`` workers, parallel experiment runs, and the
 experiment service's workers can share a directory without torn entries;
 unreadable or corrupt files, and entries that turn out to hold another
-config's result, are treated as misses and overwritten.  Writers also
+config's result, are treated as misses and overwritten.  A hit's stored
+config must be the asking config's dict form, JSON value for JSON value
+(telemetry aside): exactly the entries whose stored config hashes to the
+key.  The result is rebuilt around the asking config.  Writers also
 tolerate a ``prune``/``clear`` racing them (the store is retried once if
 the directory vanishes mid-write), and ``prune`` sweeps temp files
 orphaned by dead writers.
@@ -59,7 +62,8 @@ def config_cache_key(config: SimulationConfig) -> str:
 
 
 def _config_dict_key(config_dict: dict) -> str:
-    """:func:`config_cache_key` of a config in its dict form (consumed)."""
+    """:func:`config_cache_key` of a config in its dict form (its
+    ``telemetry`` entry is removed, nothing else is touched)."""
     config_dict.pop("telemetry", None)
     payload = {
         "engine_version": constants.ENGINE_VERSION,
@@ -67,6 +71,38 @@ def _config_dict_key(config_dict: dict) -> str:
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _same_json(a: object, b: object) -> bool:
+    """Whether parsed-JSON values ``a`` and ``b`` have the same canonical
+    JSON text, as their hashes would: ``==``, except that int, float and
+    bool differ, ``0.0`` is not ``-0.0``, and NaN equals NaN."""
+    kind = type(a)
+    if kind is not type(b):
+        return False
+    if kind is dict:
+        if a.keys() != b.keys():
+            return False
+        pairs = zip(a.values(), map(b.__getitem__, a))
+    elif kind is list:
+        if len(a) != len(b):
+            return False
+        pairs = zip(a, b)
+    elif kind is float:
+        return str(a) == str(b)
+    else:
+        return a == b
+    for x, y in pairs:
+        kind = type(x)
+        if kind is not type(y):
+            return False
+        # An equal scalar of one type is the same JSON, but for the sign
+        # of a float zero; containers and unequal values are looked into.
+        if (
+            kind is dict or kind is list or x != y or kind is float and not x
+        ) and not _same_json(x, y):
+            return False
+    return True
 
 
 class ResultCache:
@@ -92,20 +128,35 @@ class ResultCache:
         self, config: SimulationConfig, key: str | None = None
     ) -> SimulationResult | None:
         """The cached result for ``config``, or ``None`` on a miss;
-        ``key`` is its :func:`config_cache_key`, if the caller has it."""
+        ``key`` is its :func:`config_cache_key`, if the caller has it.
+
+        An edited or misfiled entry is a miss: the stored config must
+        be ``config.to_dict()`` (:func:`_same_json`, telemetry aside).
+        A hit is rebuilt around ``config`` (telemetry off, as stored),
+        so no second config is built and nothing is hashed twice.
+        """
+        asking = config.to_dict()
+        del asking["telemetry"]
         if key is None:
-            key = config_cache_key(config)
+            key = _config_dict_key(asking)
         try:
-            data = json.loads(self._path(key).read_text())
-            result = SimulationResult.from_dict(data)
-            # A hit is verified: the entry must be the result of the
-            # config asked for (an edited or misfiled one is not), up to
-            # the telemetry the key ignores — its stored config hashes
-            # to the key it is filed under.
-            hit = _config_dict_key(dict(data["config"])) == key
+            with open(self._path(key), "rb") as handle:
+                data = json.loads(handle.read())
+            stored = data["config"]
+            stored.pop("telemetry", None)
+            hit = _same_json(stored, asking)
+            if hit:
+                result = SimulationResult.from_dict(
+                    data,
+                    config=(
+                        config
+                        if config.telemetry is None
+                        else config.with_(telemetry=None)
+                    ),
+                )
         except Exception:
             # Missing, unreadable or corrupt: a file is outside input,
-            # so whatever the rebuild tripped over is a miss.
+            # so whatever the check or the rebuild tripped over is a miss.
             hit = False
         if not hit:
             # A subsequent put() overwrites the bad file.

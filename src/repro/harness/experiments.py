@@ -415,12 +415,15 @@ def fig7_vc_sweep(
 # ----------------------------------------------------------------------
 @dataclass
 class Fig8Result:
-    """Saturation throughput of DBAR normalized to Footprint per size."""
+    """Saturation throughput of DBAR normalized to Footprint per size,
+    beside each algorithm's peak accepted rate over every swept rate."""
 
     pattern: str
     width: int
     dbar_saturation: float
     footprint_saturation: float
+    dbar_peak: float
+    footprint_peak: float
 
     @property
     def dbar_normalized(self) -> float:
@@ -454,12 +457,17 @@ def fig8_network_size(
         # separate simulation needed.
         return saturation(points, points[0].avg_latency)[0]
 
+    def peak(*key: object) -> float:
+        return max(result.accepted_rate for result in grid[key])
+
     return [
         Fig8Result(
             pattern=pattern,
             width=width,
             dbar_saturation=rate(pattern, width, "dbar"),
             footprint_saturation=rate(pattern, width, "footprint"),
+            dbar_peak=peak(pattern, width, "dbar"),
+            footprint_peak=peak(pattern, width, "footprint"),
         )
         for pattern in patterns
         for width in widths

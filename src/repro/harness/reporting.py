@@ -55,12 +55,18 @@ def report_fig8(results: list[Fig8Result]) -> str:
             f"{r.dbar_saturation:.3f}",
             f"{r.footprint_saturation:.3f}",
             f"{r.dbar_normalized:.3f}",
+            f"{r.dbar_peak:.3f}",
+            f"{r.footprint_peak:.3f}",
         ]
         for r in results
     ]
     return render_table(
-        "Fig. 8 — saturation throughput, DBAR normalized to Footprint",
-        ["pattern", "mesh", "dbar", "footprint", "dbar/footprint"],
+        "Fig. 8 — saturation throughput, DBAR normalized to Footprint, "
+        "and peak accepted throughput",
+        [
+            "pattern", "mesh", "dbar", "footprint", "dbar/footprint",
+            "dbar peak", "footprint peak",
+        ],
         rows,
     )
 

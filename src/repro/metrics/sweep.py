@@ -24,6 +24,11 @@ from repro.sim.results import SimulationResult
 #: Latency multiple over zero-load latency that defines saturation.
 SATURATION_LATENCY_FACTOR = 3.0
 
+#: Share of its offered load a stable point must accept: one that
+#: accepts less is saturated whatever its latency, since short windows
+#: keep a point's latency low while its backlog grows.
+SATURATION_ACCEPTANCE_FACTOR = 0.95
+
 #: A faulted point's delivered fraction may fall to this multiple of the
 #: baseline (lowest-rate) delivery before it counts as degraded.
 DELIVERY_DEGRADATION_FACTOR = 0.9
@@ -38,9 +43,16 @@ class SweepPoint:
     accepted_rate: float
     drained: bool
     delivered_fraction: float
+    #: Offered load measured over the window (flits/node/cycle), which
+    #: ``accepted_rate`` is held to.
+    offered_rate: float
 
     def is_saturated(self, zero_load: float) -> bool:
-        """Whether this point is saturated relative to ``zero_load``.
+        """Whether this point is saturated relative to ``zero_load``:
+        undrained, without a latency, above
+        :data:`SATURATION_LATENCY_FACTOR` times ``zero_load``, or
+        accepting less than :data:`SATURATION_ACCEPTANCE_FACTOR` of its
+        offered load.
 
         Raises :class:`ValueError` on a NaN ``zero_load``: a NaN
         reference makes the latency comparison silently False, which
@@ -55,6 +67,9 @@ class SweepPoint:
         if not self.drained:
             return True
         if math.isnan(self.avg_latency):
+            return True
+        accepted_share = SATURATION_ACCEPTANCE_FACTOR * self.offered_rate
+        if self.accepted_rate < accepted_share:
             return True
         return self.avg_latency > SATURATION_LATENCY_FACTOR * zero_load
 
@@ -125,6 +140,7 @@ def point_from_result(result: SimulationResult, rate: float) -> SweepPoint:
         accepted_rate=result.accepted_rate,
         drained=result.drained,
         delivered_fraction=result.delivered_fraction,
+        offered_rate=result.offered_rate,
     )
 
 

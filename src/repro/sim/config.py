@@ -277,12 +277,14 @@ class SimulationConfig:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable form; inverse of :meth:`from_dict`.
+        """JSON form; inverse of :meth:`from_dict`.
 
-        Trace events (dataclasses) become plain dicts and the packet-size
-        range becomes a list, so the output survives a JSON round trip.
-        Equal to ``asdict(self)`` with that list, built without its deep
-        copy: only the nested dataclass values are converted.
+        Equal to its own JSON round trip, type for type: trace events,
+        faults and telemetry become plain dicts, each tuple in them (and
+        the packet-size range) a list and fault directions plain ints,
+        so the result cache compares a parsed stored config with it.  It
+        serializes like ``asdict(self)`` without that deep copy: only
+        the nested values are converted.
         """
         data = {name: getattr(self, name) for name in _FIELD_NAMES}
         if self.packet_size_range is not None:
@@ -291,7 +293,7 @@ class SimulationConfig:
             data["trace"] = [asdict(event) for event in self.trace]
         for name in ("faults", "telemetry"):
             if data[name] is not None:
-                data[name] = asdict(data[name])
+                data[name] = data[name].to_dict()
         return data
 
     @classmethod

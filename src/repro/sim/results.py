@@ -160,8 +160,14 @@ class SimulationResult:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SimulationResult":
+    def from_dict(
+        cls, data: dict[str, Any], config: SimulationConfig | None = None
+    ) -> "SimulationResult":
         """Rebuild a result from :meth:`to_dict` output (or parsed JSON).
+
+        ``config``, when given, is the result's config, and
+        ``data["config"]`` is not read: the result cache passes the
+        config a hit was checked against instead of building it again.
 
         The scalar counters must be integers (``TypeError`` otherwise):
         nothing downstream would notice a string until it is printed.  A
@@ -180,7 +186,11 @@ class SimulationResult:
             "footprint_vc_samples"
         ]
         return cls(
-            config=SimulationConfig.from_dict(data["config"]),
+            config=(
+                SimulationConfig.from_dict(data["config"])
+                if config is None
+                else config
+            ),
             cycles_run=data["cycles_run"],
             latency=latency,
             latency_by_flow={

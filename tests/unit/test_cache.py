@@ -1,14 +1,17 @@
 """Unit tests for the persistent result cache."""
 
 import dataclasses
+import functools
 import json
 import random
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from repro.faults import FaultEvent, FaultSchedule
+from repro.harness import cache as cache_module
 from repro.harness.cache import ResultCache, config_cache_key
 from repro.harness.parallel import SimTask
 from repro.harness.runner import run_simulation
@@ -249,15 +252,27 @@ def configs(draw):
 @settings(max_examples=60, deadline=None)
 @given(configs())
 def test_to_dict_is_the_asdict_form(config):
-    """``to_dict`` converts only the nested dataclasses, yet equals the
-    recursive ``asdict`` copy with the packet-size list, keys in field
-    order, so neither cache keys nor stored entries can tell them apart."""
+    """``to_dict`` converts only the nested values, yet serializes like
+    the recursive ``asdict`` copy with the packet-size list, keys in
+    field order, so neither cache keys nor stored entries can tell them
+    apart; and it is that copy's JSON round trip, type for type (lists,
+    plain ints), which the cache's hit check compares stored configs to."""
     expected = dataclasses.asdict(config)
     if expected["packet_size_range"] is not None:
         expected["packet_size_range"] = list(expected["packet_size_range"])
     data = config.to_dict()
-    assert data == expected
+    assert _tagged(data) == _tagged(json.loads(json.dumps(expected)))
     assert json.dumps(data) == json.dumps(expected)
+
+
+def _tagged(value):
+    """``value`` with every leaf as its ``(type, repr)``: equal only if
+    equal type for type (``1`` is not ``1.0``, a tuple is not a list)."""
+    if type(value) is dict:
+        return {key: _tagged(item) for key, item in value.items()}
+    if type(value) is list:
+        return [_tagged(item) for item in value]
+    return (type(value), repr(value))
 
 
 class TestResultCache:
@@ -371,6 +386,180 @@ class TestParseableButWrongEntries:
         )
         assert cache.get(observed) is not None
         assert (cache.hits, cache.misses) == (1, 0)
+
+
+def _parent_hit(text, key):
+    """Whether the previous ``get`` hit on entry ``text`` filed under
+    ``key`` (kept verbatim as the oracle): the whole entry rebuilt, then
+    its stored config re-serialized and hashed to ``key``."""
+    try:
+        data = json.loads(text)
+        SimulationResult.from_dict(data)
+        return cache_module._config_dict_key(dict(data["config"])) == key
+    except Exception:
+        return False
+
+
+@functools.cache
+def _simulated():
+    """One simulated result, filed under each drawn config in turn."""
+    return _result()
+
+
+@st.composite
+def hit_configs(draw):
+    """:func:`configs`, sometimes on hotspot traffic, and with a signed
+    zero, an integral float or a bool where the JSON types can clash."""
+    config = draw(configs())
+    if draw(st.booleans()):
+        config = config.with_(
+            traffic="hotspot",
+            hotspot_rate=draw(st.sampled_from((0.0, 0.25, 1.0))),
+            background_rate=draw(st.sampled_from((0.0, -0.0, 0.3))),
+        )
+    return config.with_(
+        injection_rate=draw(st.sampled_from((0.0, -0.0, 1.0, 0.05))),
+        track_utilization=draw(st.booleans()),
+    )
+
+
+def _leaves(value, path=()):
+    """Paths to every scalar in a parsed JSON value."""
+    if type(value) is dict:
+        items = value.items()
+    elif type(value) is list:
+        items = enumerate(value)
+    else:
+        return [path]
+    return [leaf for k, v in items for leaf in _leaves(v, path + (k,))]
+
+
+def _edited(value, kind):
+    """``value`` under edit ``kind``; ``None`` when the kind does not
+    apply to it."""
+    if kind == "change":
+        if type(value) is bool:
+            return not value
+        if type(value) in (int, float):
+            return value + 1
+        return "changed" if type(value) is str else 1
+    if kind == "int_float":
+        if type(value) is int:
+            return float(value)
+        if type(value) is float and value.is_integer():
+            return int(value)
+    if kind == "bool_int":
+        if type(value) is bool:
+            return int(value)
+        if type(value) is int and value in (0, 1):
+            return bool(value)
+    if kind == "zero_sign" and type(value) is float and value == 0:
+        return -value
+    return None
+
+
+def _at(value, path):
+    for step in path:
+        value = value[step]
+    return value
+
+
+LEAF_EDITS = ("change", "int_float", "bool_int", "zero_sign")
+EDITS = LEAF_EDITS + (
+    "none", "reorder", "missing", "extra", "telemetry", "copied"
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hit_configs(), st.sampled_from(EDITS), st.data())
+def test_hit_check_accepts_what_the_rehash_accepts(config, edit, data):
+    """``get`` hits iff the previous rule (stored config hashes to the
+    key) hits, over edited entries; a hit carries the stored config and
+    the stored result's signature."""
+    stored_result = dataclasses.replace(_simulated(), config=config)
+    asked = config
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = ResultCache(tmp)
+        cache.put(stored_result)
+        entry = json.loads(
+            cache._path(config_cache_key(config)).read_text()
+        )
+        stored = entry["config"]
+        if edit in LEAF_EDITS:
+            applicable = [
+                (path, new)
+                for path in _leaves(stored)
+                if (new := _edited(_at(stored, path), edit)) is not None
+            ]
+            if applicable:
+                path, new = data.draw(st.sampled_from(applicable))
+                _at(stored, path[:-1])[path[-1]] = new
+        elif edit == "reorder":
+            entry["config"] = dict(reversed(list(stored.items())))
+        elif edit == "missing":
+            del stored[data.draw(st.sampled_from(sorted(stored)))]
+        elif edit == "extra":
+            stored["extra"] = 0
+        elif edit == "telemetry":
+            stored["telemetry"] = TelemetryConfig(sample_every=5).to_dict()
+        elif edit == "copied":
+            asked = config.with_(seed=config.seed + 1)
+        text = json.dumps(entry)
+        key = config_cache_key(asked)
+        cache._path(key).write_text(text)
+
+        hit = cache.get(asked)
+
+    event(f"{edit}: {'hit' if hit is not None else 'miss'}")
+    assert (hit is not None) == _parent_hit(text, key), (edit, entry)
+    if hit is not None:
+        parsed = json.loads(text)
+        want = SimulationConfig.from_dict(
+            {**parsed["config"], "telemetry": None}
+        )
+        assert hit.config == want
+        assert result_signature(hit) == result_signature(
+            SimulationResult.from_dict(parsed)
+        )
+
+
+@pytest.mark.parametrize(
+    "field, stored",
+    [
+        ("seed", 2.0),  # int 2 asked
+        ("injection_rate", -0.0),  # 0.0 asked
+        ("track_utilization", 0),  # False asked
+        ("packet_size", True),  # 1 asked
+    ],
+)
+def test_a_stored_value_equal_only_under_plain_equality_misses(
+    tmp_path, field, stored
+):
+    """The stored config equals the asking one under ``==`` but is not
+    the same JSON, so it hashes to another key: a miss, as before."""
+    config = _config(injection_rate=0.0)
+    cache = ResultCache(tmp_path)
+    cache.put(dataclasses.replace(_simulated(), config=config))
+    path = cache._path(config_cache_key(config))
+    entry = json.loads(path.read_text())
+    entry["config"][field] = stored
+    assert entry["config"] == {**config.to_dict(), "telemetry": None}
+    path.write_text(json.dumps(entry))
+    assert not _parent_hit(path.read_text(), config_cache_key(config))
+    assert cache.get(config) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+
+
+def test_nan_is_stored_and_hit_as_nan(tmp_path):
+    """NaN is not ``==`` to itself, but serializes (and hashes) alike."""
+    config = _config(seed=float("nan"))
+    cache = ResultCache(tmp_path)
+    cache.put(dataclasses.replace(_simulated(), config=config))
+    assert _parent_hit(
+        cache._path(config_cache_key(config)).read_text(),
+        config_cache_key(config),
+    )
+    assert cache.get(config) is not None
 
 
 class TestEntryFormat:

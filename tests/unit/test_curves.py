@@ -15,6 +15,7 @@ def point(rate, latency, drained=True):
         accepted_rate=rate,
         drained=drained,
         delivered_fraction=1.0,
+        offered_rate=rate,
     )
 
 

@@ -32,17 +32,21 @@ def test_report_fig8():
         width=8,
         dbar_saturation=0.40,
         footprint_saturation=0.50,
+        dbar_peak=0.43,
+        footprint_peak=0.52,
     )
     text = report_fig8([entry])
     assert "shuffle" in text
     assert "8x8" in text
     assert "0.800" in text  # 0.40 / 0.50
+    assert "peak" in text and "0.430" in text and "0.520" in text
 
 
 def test_fig8_normalization_handles_zero():
     import math
 
-    entry = Fig8Result("u", 4, dbar_saturation=0.3, footprint_saturation=0.0)
+    entry = Fig8Result("u", 4, dbar_saturation=0.3, footprint_saturation=0.0,
+                       dbar_peak=0.3, footprint_peak=0.1)
     assert math.isnan(entry.dbar_normalized)
 
 

@@ -1,5 +1,6 @@
 """Unit tests for injection sweeps and the saturation walk."""
 
+from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro.metrics.sweep import (
     DELIVERY_DEGRADATION_FACTOR,
+    SATURATION_ACCEPTANCE_FACTOR,
     SweepPoint,
     injection_sweep,
     point_from_result,
@@ -34,27 +36,41 @@ def config():
 
 class TestSweepPoint:
     def test_saturated_by_latency(self):
-        p = SweepPoint(0.5, 100, 0.4, drained=True, delivered_fraction=1.0)
+        p = SweepPoint(0.5, 100, 0.4, drained=True, delivered_fraction=1.0,
+                       offered_rate=0.4)
         assert p.is_saturated(10.0)
         assert not p.is_saturated(50.0)
 
     def test_saturated_by_drain_failure(self):
-        p = SweepPoint(0.5, 12, 0.4, drained=False, delivered_fraction=1.0)
+        p = SweepPoint(0.5, 12, 0.4, drained=False, delivered_fraction=1.0,
+                       offered_rate=0.4)
         assert p.is_saturated(10.0)
 
+    def test_saturated_by_throughput(self):
+        # Drained and at zero-load latency, yet accepting under 95 % of
+        # what was offered: the backlog grows, the point is saturated.
+        p = SweepPoint(0.5, 12, 0.45, drained=True, delivered_fraction=1.0,
+                       offered_rate=0.5)
+        assert SATURATION_ACCEPTANCE_FACTOR == 0.95
+        assert p.is_saturated(10.0)
+        assert not replace(p, accepted_rate=0.475).is_saturated(10.0)
+
     def test_nan_latency_is_saturated(self):
-        p = SweepPoint(0.5, NAN, 0.4, drained=True, delivered_fraction=1.0)
+        p = SweepPoint(0.5, NAN, 0.4, drained=True, delivered_fraction=1.0,
+                       offered_rate=0.4)
         assert p.is_saturated(10.0)
 
     def test_nan_zero_load_raises(self):
         # Regression: NaN zero-load used to make the latency comparison
         # silently False, classifying every drained point as stable.
-        p = SweepPoint(0.5, 100, 0.4, drained=True, delivered_fraction=1.0)
+        p = SweepPoint(0.5, 100, 0.4, drained=True, delivered_fraction=1.0,
+                       offered_rate=0.4)
         with pytest.raises(ValueError, match="zero-load"):
             p.is_saturated(NAN)
 
     def test_nan_zero_load_raises_even_when_undrained(self):
-        p = SweepPoint(0.5, 12, 0.4, drained=False, delivered_fraction=1.0)
+        p = SweepPoint(0.5, 12, 0.4, drained=False, delivered_fraction=1.0,
+                       offered_rate=0.4)
         with pytest.raises(ValueError, match="zero-load"):
             p.is_saturated(NAN)
 
@@ -83,13 +99,17 @@ class TestRealSweeps:
         assert run_point(hotspot, 0.6) == points[1]
 
 
-def point(rate, latency, accepted=None, delivered=1.0, drained=True):
-    """A sweep point summarizing a stand-in result, as a sweep reads it."""
+def point(rate, latency, accepted=None, delivered=1.0, drained=True,
+          offered=None):
+    """A sweep point summarizing a stand-in result, as a sweep reads it
+    (offering what it accepts unless ``offered`` says otherwise)."""
+    accepted = rate if accepted is None else accepted
     result = SimpleNamespace(
         avg_latency=latency,
-        accepted_rate=rate if accepted is None else accepted,
+        accepted_rate=accepted,
         delivered_fraction=delivered,
         drained=drained,
+        offered_rate=accepted if offered is None else offered,
     )
     return point_from_result(result, rate)
 
@@ -119,6 +139,16 @@ class TestSaturation:
             point(0.55, 90, accepted=0.4),
         ]
         assert saturation(points, 10.0) == (0.45, 0.28)
+
+    def test_walk_stops_where_acceptance_falls_short_of_the_offer(self):
+        # Low latency and drained, but 0.45 accepts only 0.4 of the
+        # 0.45 offered (< 95 %): the prefix ends at 0.3.
+        points = [
+            point(0.1, 10),
+            point(0.3, 12, accepted=0.29, offered=0.3),
+            point(0.45, 14, accepted=0.4, offered=0.45),
+        ]
+        assert saturation(points, 10.0) == (0.3, 0.29)
 
     @pytest.mark.parametrize(
         "rates", [(0.3, 0.1), (0.1, 0.1), (0.1, 0.5, 0.3)]

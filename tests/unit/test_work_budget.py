@@ -4,8 +4,9 @@ A grid's tasks are resolved and keyed once where they enter — a
 service ``submit``, or a ``run_tasks`` call — and read from there on:
 ``status`` and ``result`` derive nothing, a deduplicated resubmission
 derives only its own spec's keys, and the cache probes reuse the keys
-already in hand.  Counted by wrapping :func:`config_cache_key` where
-it is looked up and :meth:`SimTask.resolved_config` on the class.
+already in hand.  Counted by wrapping the cache's ``_config_dict_key``
+(the one place a key is hashed, by :func:`config_cache_key` or by a
+probe without a key) and :meth:`SimTask.resolved_config` on the class.
 """
 
 import asyncio
@@ -16,7 +17,6 @@ from repro.harness import cache as cache_module
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import SimTask, run_tasks
 from repro.harness.runner import run_simulation
-from repro.service import jobs as jobs_module
 from repro.service.jobs import JobSpec
 from repro.service.scheduler import ExperimentScheduler
 from repro.service.server import ExperimentServer
@@ -56,19 +56,18 @@ def results():
 @pytest.fixture
 def counts(monkeypatch):
     counts = dict(NOTHING)
-    key = cache_module.config_cache_key
+    key = cache_module._config_dict_key
     resolve = SimTask.resolved_config
 
-    def counting_key(config):
+    def counting_key(config_dict):
         counts["keys"] += 1
-        return key(config)
+        return key(config_dict)
 
     def counting_resolve(task):
         counts["resolves"] += 1
         return resolve(task)
 
-    for module in (cache_module, jobs_module):
-        monkeypatch.setattr(module, "config_cache_key", counting_key)
+    monkeypatch.setattr(cache_module, "_config_dict_key", counting_key)
     monkeypatch.setattr(SimTask, "resolved_config", counting_resolve)
     return counts
 
