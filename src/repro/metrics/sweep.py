@@ -4,8 +4,8 @@ The paper's latency-throughput figures sweep the offered load and plot
 mean packet latency against it; *saturation throughput* is the offered
 load at which latency diverges.  :func:`saturation` walks a sweep's
 stable prefix, classifying each point with :meth:`SweepPoint.is_saturated`
-(or, under faults, :meth:`SweepPoint.is_degraded`); DESIGN.md §4 states
-the definition.
+(or, under faults, :meth:`SweepPoint.is_degraded`); DESIGN.md §4 says
+which figure reads which of the walk's two values.
 
 Sweeps accept a ``jobs`` argument (see :mod:`repro.harness.parallel`):
 the rates of a sweep are independent simulations, so with ``jobs > 1``

@@ -66,10 +66,10 @@ class SimulationConfig:
         unlimited as in the paper.
     warmup_cycles, measure_cycles, drain_cycles:
         Phases of the run.  Statistics cover packets created during the
-        measurement window.
-    sim_cycles:
-        Hard upper bound on total simulated cycles (warmup + measure +
-        drain allowance).
+        measurement window.  Their sum, :attr:`max_cycles`, is the hard
+        upper bound on simulated cycles that :meth:`Simulator.run
+        <repro.sim.engine.Simulator.run>` enforces; a run that reaches it
+        with measured packets undelivered reports ``drained == False``.
     seed:
         Master seed for all RNG streams.
     track_utilization:

@@ -52,11 +52,11 @@ class TelemetryHub:
     """Collects everything one simulation's probes report.
 
     Also hosts the per-channel flit counters behind
-    :class:`~repro.metrics.utilization.ChannelUtilization` — the
-    pre-telemetry ``track_utilization`` feature is now just the link
-    sampler of this hub, and a hub constructed from a config whose
-    telemetry is inactive (``config.active`` false) degrades to exactly
-    that: link counting with no sampling, tracing, or progress.
+    :class:`~repro.metrics.utilization.ChannelUtilization`.  A hub built
+    from a config whose telemetry is inactive (``config.active`` false;
+    the engine builds one for ``SimulationConfig.track_utilization``)
+    counts flits per link and does nothing else: no sampling, tracing or
+    progress, no router probes, and :meth:`result` is ``None``.
     """
 
     def __init__(self, config: TelemetryConfig, mesh: Topology) -> None:
