@@ -36,9 +36,9 @@ class SimulationConfig:
         Flit slots per VC (paper: 4).
     routing:
         Routing algorithm name, resolved through
-        :func:`repro.routing.registry.create_routing`.  One of ``"dor"``,
-        ``"oddeven"``, ``"dbar"``, ``"footprint"``, optionally with an
-        ``"+xordet"`` suffix.
+        :func:`repro.routing.registry.create_routing`: one of
+        :func:`repro.routing.registry.available_algorithms` (``repro
+        list`` prints them).
     traffic:
         Traffic pattern name (``"uniform"``, ``"transpose"``, ``"shuffle"``,
         ``"hotspot"``, ``"trace"``, and extras).

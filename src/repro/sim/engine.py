@@ -204,11 +204,10 @@ class Simulator:
         self._sink_next: list[tuple[int, int, Flit]] = []
 
         # Telemetry.  The hub exists when anything wants per-run
-        # observation: an active TelemetryConfig, or the legacy
-        # track_utilization flag (served by a hub with an inactive
-        # config, which degrades to pure link counting).  Router probes
-        # attach only for an active config, so utilization-only runs
-        # keep the pre-telemetry router hot path.
+        # observation: an active TelemetryConfig, or track_utilization
+        # alone, which builds a hub with an inactive config that only
+        # counts link traversals.  Router probes attach only for an
+        # active config; a utilization-only run's routers have none.
         tcfg = config.telemetry
         active_telemetry = tcfg is not None and tcfg.active
         if tcfg is None and config.track_utilization:

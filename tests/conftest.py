@@ -166,6 +166,7 @@ def make_context(
     congestion_threshold: int = 2,
     footprint_vc_limit: int | None = None,
     seed: int = 99,
+    dead_ports: int = 0,
 ):
     """Build a RouteContext for routing-algorithm unit tests."""
     from repro.routing.base import RouteContext
@@ -182,6 +183,7 @@ def make_context(
         congestion_threshold=congestion_threshold,
         footprint_vc_limit=footprint_vc_limit,
         rng=random.Random(seed),
+        dead_ports=dead_ports,
     )
 
 

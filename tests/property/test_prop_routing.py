@@ -1,5 +1,7 @@
 """Property-based tests for routing algorithms."""
 
+import itertools
+
 from hypothesis import given, settings, strategies as st
 
 from repro.routing.registry import available_algorithms, create_routing
@@ -118,6 +120,29 @@ def test_requests_are_well_formed(case):
     # One record per (port, priority) class.
     classes = [(d, priority) for d, _mask, priority in requests]
     assert len(set(classes)) == len(classes)
+
+
+def test_a_dead_port_is_avoided_while_an_allowed_port_lives():
+    """Route computation steers around a faulted output port
+    (``RouteContext.dead_ports``) whenever another allowed port is live:
+    every algorithm, every (current, destination, source) of a 4x4 mesh,
+    each allowed port dead in turn."""
+    mesh = Mesh2D(4)
+    nodes = range(mesh.num_nodes)
+    for name in ALGOS:
+        algo = create_routing(name)
+        for cur, dst, src in itertools.product(nodes, nodes, nodes):
+            allowed = algo.allowed_directions(mesh, cur, dst, src)
+            if len(allowed) < 2:
+                continue
+            outputs = {d: FakeOutputView() for d in mesh.router_ports(cur)}
+            for dead in allowed:
+                ctx = make_context(
+                    mesh, cur, dst, outputs, source=src, dead_ports=1 << dead
+                )
+                assert algo.select_output(ctx) is not dead, (
+                    name, cur, dst, src, dead,
+                )
 
 
 @given(
