@@ -120,9 +120,9 @@ def candidates(area: str) -> list[tuple]:
 
 def sample() -> list[Mutant]:
     """The fixed sample: ``PER_KIND`` mutants of each kind in each area."""
-    rng = random.Random(SEED)
     drawn = []
-    for area in AREAS:
+    for area in AREAS:  # a seed per area: an edit re-draws only its own area
+        rng = random.Random(f"{SEED}:{area}")
         found = candidates(area)
         picked = [c for kind in KINDS for c in rng.sample(
             [c for c in found if c[2] == kind], PER_KIND)]

@@ -603,7 +603,7 @@ def test_the_table_names_every_corruption():
 
 
 @settings(
-    max_examples=600,
+    max_examples=1000,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
@@ -634,6 +634,23 @@ def test_each_corruption_trips_its_checker(name, corrupt, rnd):
         undo()
     assert tripped(seen["all"]) in TRIPS[corrupt.__name__], seen
     assert outcome(sim.validator, sim) is None, "undo left damage behind"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SNAPSHOTS)), st.randoms(use_true_random=False))
+def test_a_flipped_occupancy_bit_is_reported_at_its_vc(name, rnd):
+    """vc_states names the router, port and VC whose occupancy bit
+    disagrees with the FIFO, set or cleared."""
+    sim, sweeps = snapshot(name)
+    router, ivc = pick_vc(sim, rnd)
+    masks = router._occupied_masks
+    flipped = masks[ivc.direction] ^ (1 << ivc.index)
+    undo = set_item(masks, ivc.direction, flipped)
+    try:
+        found = outcome(sweeps["vc_states"], sim)
+    finally:
+        undo()
+    assert found[:4] == ("vc_states", router.node, ivc.direction, ivc.index)
 
 
 def tripped(found):

@@ -36,3 +36,11 @@ def test_every_mutant_compiles_and_changes_its_node_only():
         # Spliced, not unparsed: the lines before the mutated one stay.
         kept = text.splitlines()[: m.line - 1]
         assert m.source.splitlines()[: m.line - 1] == kept, m
+
+
+def test_each_area_is_drawn_apart_from_the_others(monkeypatch):
+    # An edit to one area re-draws that area's mutants only.
+    drawn = mutants.sample()
+    for area, target in list(mutants.AREAS.items()):
+        monkeypatch.setattr(mutants, "AREAS", {area: target})
+        assert mutants.sample() == [m for m in drawn if m.area == area]

@@ -95,3 +95,14 @@ def test_fine_variant_uses_credit_totals(mesh):
     outputs[Direction.SOUTH] = FakeOutputView(idle=[1, 2], credits=9)
     ctx = make_context(mesh, 0, DST, outputs, congestion_threshold=2)
     assert algo.select_output(ctx) is Direction.SOUTH
+
+
+def test_fine_variant_counts_only_free_adaptive_vcs(mesh):
+    # EAST has more credits, but only one idle adaptive VC: congested.
+    # Its free escape VC and its busy adaptive VCs do not count.
+    algo = DbarFineRouting()
+    outputs = outputs_for(mesh, 0)
+    outputs[Direction.EAST] = FakeOutputView(idle=[1], credits=9)
+    outputs[Direction.SOUTH] = FakeOutputView(idle=[1, 2, 3], credits=4)
+    ctx = make_context(mesh, 0, DST, outputs, congestion_threshold=2)
+    assert algo.select_output(ctx) is Direction.SOUTH
