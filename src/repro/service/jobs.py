@@ -10,6 +10,9 @@ identically and the scheduler can answer the second from the first.
 The same per-task keys drive the finer dedup levels: a task already in
 the persistent cache completes without simulating, and a task currently
 simulating for another job is *shared* rather than re-run.
+:func:`wire_grid` reads the keys off a ``submit`` payload without
+building a config, so a resubmitted grid is found before any is built,
+and a new grid's spec keeps them.
 
 :class:`Job` is the mutable runtime record.  Its lifecycle is::
 
@@ -25,7 +28,7 @@ observable: a resubmitted grid finishes with zero ``simulated`` tasks.
 The rest end ``failed`` or ``cancelled``.  On the wire a finished task
 reads ``state: "done"`` with its kind, and a waiting one ``state:
 "shared"`` with none (:meth:`Job.result_points`).  A finished task's
-result is held :class:`Served`: serialized when it lands, so a repeated
+result is held :class:`Served`: encoded when it lands, so a repeated
 ``result`` re-encodes nothing.
 """
 
@@ -33,17 +36,18 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 from repro.exceptions import ConfigurationError
-from repro.harness.cache import config_cache_key
+from repro.harness import cache
 from repro.harness.parallel import SimTask, _wants_telemetry
 from repro.service import ServiceError
-from repro.sim.config import SimulationConfig
+from repro.sim.config import SimulationConfig, check_rate, load_field_of
 from repro.sim.results import SimulationResult
 
 
@@ -70,17 +74,18 @@ _WIRE = {"shared_waiting": ("shared", None), **{k: ("done", k) for k in KINDS}}
 
 class Served(NamedTuple):
     """A finished task's result as the job table holds it: its wire
-    dict (what ``result full`` sends) and its ``result_points`` fields,
+    JSON (``SimulationResult.to_dict()`` encoded, the bytes a ``result
+    full`` line is put together from) and its ``result_points`` fields,
     both taken once, when it lands."""
 
-    wire: dict[str, Any]
+    wire: bytes
     point: dict[str, Any]
 
     @classmethod
     def of(cls, result: SimulationResult) -> "Served":
         avg = result.avg_latency
         return cls(
-            result.to_dict(),
+            json.dumps(result.to_dict(), separators=(",", ":")).encode(),
             {
                 "avg_latency": None if avg != avg else round(avg, 4),
                 "accepted_rate": round(result.accepted_rate, 6),
@@ -110,7 +115,7 @@ class JobSpec:
     def __post_init__(self) -> None:
         for field_name in ("name", "stream"):
             value = getattr(self, field_name)
-            if not isinstance(value, str) or not value:
+            if not _label_ok(value):
                 raise ServiceError(
                     f"job {field_name} must be a non-empty string, "
                     f"got {value!r}"
@@ -136,12 +141,11 @@ class JobSpec:
     @cached_property
     def keys(self) -> tuple[str, ...]:
         """Per-task result-cache keys, in task order."""
-        return tuple(map(config_cache_key, self.configs))
+        return tuple(map(cache.config_cache_key, self.configs))
 
     @cached_property
     def _hash(self) -> str:
-        blob = "\n".join(sorted(self.keys))
-        return hashlib.sha256(blob.encode("ascii")).hexdigest()
+        return _grid_hash(self.keys)
 
     def spec_hash(self) -> str:
         """Content hash of the grid (order- and stream-insensitive)."""
@@ -163,9 +167,16 @@ class JobSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "JobSpec":
+    def from_dict(
+        cls, data: dict[str, Any], wire: "WireGrid | None" = None
+    ) -> "JobSpec":
         """Rebuild a spec from :meth:`to_dict` output (or parsed JSON);
-        a ``weight`` field from an older client is ignored."""
+        a ``weight`` field from an older client is ignored.
+
+        ``wire`` is :func:`wire_grid` of ``data``: a task whose resolved
+        config writes out as the dict its wire key was taken from keeps
+        that key, so the grid's keys are derived once; any other task's
+        key is derived from its config."""
         try:
             raw_tasks = data["tasks"]
             tasks = tuple(
@@ -175,7 +186,7 @@ class JobSpec:
                 )
                 for item in raw_tasks
             )
-            return cls(
+            spec = cls(
                 name=data["name"],
                 tasks=tasks,
                 stream=data.get("stream", "default"),
@@ -184,6 +195,80 @@ class JobSpec:
             raise
         except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
             raise ServiceError(f"malformed job spec: {exc!r}") from None
+        if wire is not None:
+            # Fills the ``keys`` cache, as its first read would.
+            spec.__dict__["keys"] = tuple(
+                map(_key_of, spec.configs, wire.dicts, wire.keys)
+            )
+        return spec
+
+
+def _label_ok(value: object) -> bool:
+    """Whether ``value`` is a valid job name or stream label."""
+    return isinstance(value, str) and bool(value)
+
+
+def _grid_hash(keys: Iterable[str]) -> str:
+    """The job hash of a grid's per-task keys (any order)."""
+    blob = "\n".join(sorted(keys))
+    return hashlib.sha256(blob.encode("ascii")).hexdigest()
+
+
+def _key_of(config: SimulationConfig, seen: dict[str, Any], key: str) -> str:
+    """``config``'s cache key: ``key`` if ``config`` writes out as
+    ``seen``, the dict ``key`` was taken from (telemetry aside)."""
+    asking = config.to_dict()
+    del asking["telemetry"]
+    if cache._same_json(asking, seen):
+        return key
+    return cache._config_dict_key(asking)
+
+
+class WireGrid(NamedTuple):
+    """A ``submit`` payload's tasks read off the wire (:func:`wire_grid`):
+    each task's config dict with its rate written in and telemetry
+    dropped, and that dict's cache key."""
+
+    dicts: tuple[dict[str, Any], ...]
+    keys: tuple[str, ...]
+
+    def spec_hash(self) -> str:
+        return _grid_hash(self.keys)
+
+
+def wire_grid(data: dict[str, Any]) -> WireGrid | None:
+    """``submit`` payload ``data`` read off its wire form without
+    building a config; ``None`` where only a built :class:`JobSpec` can
+    tell.
+
+    A task's key is :func:`~repro.harness.cache._config_dict_key` of its
+    config dict with the rate written into the :func:`load_field_of`
+    field: its resolved config's key wherever the dict is a
+    :meth:`SimulationConfig.to_dict` form, as :meth:`JobSpec.to_dict`
+    sends.  Any other dict (a default left out, ``height: null``) hashes
+    to no known grid, and the caller builds the spec.  What a spec
+    checks is checked here too, or answered ``None``: name and stream,
+    telemetry (any is left to the spec), and the value the rate replaces.
+    """
+    try:
+        if not (_label_ok(data["name"])
+                and _label_ok(data.get("stream", "default"))):
+            return None
+        dicts, keys = [], []
+        for item in data["tasks"]:
+            config = dict(item["config"])
+            if config.get("telemetry") is not None:
+                return None
+            rate = item.get("rate")
+            if rate is not None:
+                load = load_field_of(config["traffic"])
+                check_rate(load, config[load])
+                config[load] = rate
+            keys.append(cache._config_dict_key(config))
+            dicts.append(config)
+    except (KeyError, TypeError, ValueError, ConfigurationError):
+        return None
+    return WireGrid(tuple(dicts), tuple(keys)) if keys else None
 
 
 @dataclass

@@ -19,9 +19,21 @@ from repro.service import ServiceError
 MAX_LINE = 64 * 1024 * 1024
 
 
+class Encoded(bytes):
+    """A JSON value already encoded, which :func:`encode` writes as is."""
+
+
 def encode(message: dict[str, Any]) -> bytes:
-    """One wire line for ``message`` (compact JSON + newline)."""
-    return json.dumps(message, separators=(",", ":")).encode("utf-8") + b"\n"
+    """One wire line for ``message`` (compact JSON + newline); an
+    :class:`Encoded` field is written as its bytes, after the others."""
+    plain = {k: v for k, v in message.items() if type(v) is not Encoded}
+    line = json.dumps(plain, separators=(",", ":")).encode("utf-8")
+    for name, value in message.items():
+        if type(value) is Encoded:
+            comma = b"," if len(line) > 2 else b""
+            name = json.dumps(name).encode("utf-8")
+            line = b"%s%s%s:%s}" % (line[:-1], comma, name, value)
+    return line + b"\n"
 
 
 def decode(line: bytes) -> dict[str, Any]:

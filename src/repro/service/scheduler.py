@@ -85,16 +85,12 @@ class ExperimentScheduler:
     def submit(self, spec: JobSpec) -> tuple[Job, bool]:
         """Admit ``spec``; returns ``(job, deduped)``.
 
-        A grid whose content hash matches a live or completed job is
-        answered by that job (``deduped=True``) — nothing is scheduled.
-        Failed or cancelled jobs do not block resubmission.
+        A grid whose content hash is :meth:`known` is answered by that
+        job (``deduped=True``) — nothing is scheduled.
         """
         spec_hash = spec.spec_hash()
-        existing = self._jobs_by_hash.get(spec_hash)
-        if existing is not None and existing.state not in (
-            JobState.FAILED,
-            JobState.CANCELLED,
-        ):
+        existing = self.known(spec_hash)
+        if existing is not None:
             return existing, True
         job = Job(id=f"j{next(self._ids)}", spec=spec)
         self._jobs[job.id] = job
@@ -108,6 +104,15 @@ class ExperimentScheduler:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def known(self, spec_hash: str) -> Job | None:
+        """The live or completed job of the grid hashing to
+        ``spec_hash``; failed or cancelled jobs do not block
+        resubmission."""
+        job = self._jobs_by_hash.get(spec_hash)
+        if job is None or job.state in (JobState.FAILED, JobState.CANCELLED):
+            return None
+        return job
+
     def get_job(self, job_id: str) -> Job:
         if not isinstance(job_id, str):
             raise ServiceError(f"malformed job_id {job_id!r}: not a string")

@@ -29,8 +29,14 @@ from typing import Any
 
 from repro.harness.cache import ResultCache
 from repro.service import ServiceError
-from repro.service.jobs import JobSpec, JobState
-from repro.service.protocol import MAX_LINE, decode, encode, error_response
+from repro.service.jobs import JobSpec, JobState, wire_grid
+from repro.service.protocol import (
+    MAX_LINE,
+    Encoded,
+    decode,
+    encode,
+    error_response,
+)
 from repro.service.scheduler import ExperimentScheduler
 from repro.sim.constants import ENGINE_VERSION
 
@@ -180,15 +186,24 @@ class ExperimentServer:
                 f"{ENGINE_VERSION}; restart `repro serve` from the "
                 f"client's checkout"
             )
-        spec = JobSpec.from_dict(request)
-        job, deduped = self.scheduler.submit(spec)
+        # A known grid is found by its wire form, before any config is
+        # built; everything else is admitted through a full spec, which
+        # keeps the keys read off the wire.
+        wire = wire_grid(request)
+        spec_hash = None if wire is None else wire.spec_hash()
+        job = None if spec_hash is None else self.scheduler.known(spec_hash)
+        deduped = job is not None
+        if not deduped:
+            spec = JobSpec.from_dict(request, wire)
+            job, deduped = self.scheduler.submit(spec)
+            spec_hash = spec.spec_hash()
         return {
             "ok": True,
             "job_id": job.id,
-            "hash": spec.spec_hash(),
+            "hash": spec_hash,
             "deduped": deduped,
             "state": job.state.value,
-            "tasks": len(spec.tasks),
+            "tasks": len(job.tasks),
         }
 
     def _verb_status(self, request: dict[str, Any]) -> dict[str, Any]:
@@ -212,10 +227,14 @@ class ExperimentServer:
             "points": job.result_points(),
         }
         if request.get("full"):
-            # Held in wire form since each landed: nothing to re-encode.
-            response["results"] = [
-                None if held is None else held.wire for held in job.results
-            ]
+            # Encoded since each landed: the line is put together from
+            # the bytes held.
+            response["results"] = Encoded(
+                b"[%s]" % b",".join(
+                    b"null" if held is None else held.wire
+                    for held in job.results
+                )
+            )
         return response
 
     def _verb_cancel(self, request: dict[str, Any]) -> dict[str, Any]:

@@ -9,7 +9,7 @@ internal speedup 2, credit-based wormhole flow control).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Any
 
 from repro.exceptions import ConfigurationError, RoutingError
@@ -172,10 +172,7 @@ class SimulationConfig:
         if self.vc_buffer_depth < 1:
             raise ConfigurationError("VC buffer depth must be >= 1")
         for name in ("injection_rate", "hotspot_rate", "background_rate"):
-            if not (0.0 <= getattr(self, name) <= 1.0):
-                raise ConfigurationError(
-                    f"{name.replace('_', ' ')} must be in [0, 1]"
-                )
+            check_rate(name, getattr(self, name))
         if self.packet_size < 1:
             raise ConfigurationError("packet size must be >= 1")
         if self.packet_size_range is not None:
@@ -245,10 +242,9 @@ class SimulationConfig:
 
     @property
     def load_field(self) -> str:
-        """The field a swept offered load sets: ``hotspot_rate`` for
-        hotspot traffic (its background load stays put), else
-        ``injection_rate``."""
-        return "hotspot_rate" if self.traffic == "hotspot" else "injection_rate"
+        """The field a swept offered load sets (:func:`load_field_of`
+        this config's traffic)."""
+        return load_field_of(self.traffic)
 
     def at_load(self, rate: float) -> "SimulationConfig":
         """This config at offered load ``rate`` (see :attr:`load_field`)."""
@@ -272,8 +268,22 @@ class SimulationConfig:
         return float(self.packet_size)
 
     def with_(self, **overrides: Any) -> "SimulationConfig":
-        """Return a copy with ``overrides`` applied (and re-validated)."""
-        return replace(self, **overrides)
+        """Return a copy with ``overrides`` applied (and re-validated).
+
+        The copy takes this instance's fields, then the overrides, and
+        runs ``__post_init__`` on them: what ``dataclasses.replace``
+        does, without passing every field through ``__init__`` again.
+        A name that is not a field is a ``TypeError``, as there.
+        """
+        unknown = overrides.keys() - _FIELD_NAMES
+        if unknown:
+            raise TypeError(
+                f"SimulationConfig has no field {min(unknown)!r}"
+            )
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__, **overrides)
+        copy.__post_init__()
+        return copy
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
@@ -344,3 +354,18 @@ class SimulationConfig:
 
 #: Field names in declaration order, which a stored result's JSON keeps.
 _FIELD_NAMES = tuple(f.name for f in fields(SimulationConfig))
+
+
+def load_field_of(traffic: str) -> str:
+    """The field a swept offered load sets on ``traffic``:
+    ``hotspot_rate`` for hotspot traffic (its background load stays
+    put), else ``injection_rate``."""
+    return "hotspot_rate" if traffic == "hotspot" else "injection_rate"
+
+
+def check_rate(name: str, value: float) -> None:
+    """Raise :class:`ConfigurationError` unless rate field ``name``'s
+    ``value`` is in [0, 1] (a value that does not compare is a
+    ``TypeError``)."""
+    if not (0.0 <= value <= 1.0):
+        raise ConfigurationError(f"{name.replace('_', ' ')} must be in [0, 1]")

@@ -61,6 +61,21 @@ class TestObservationOnly:
         assert observed.telemetry is not None
         assert _signature(plain) == _signature(observed)
 
+    def test_utilization_keeps_the_callers_active_config(self):
+        """``track_utilization`` builds its link-only config only when
+        the caller gave none: an active one keeps its probes and its
+        sampled series."""
+        telemetry = TelemetryConfig(sample_every=50)
+        sim = Simulator(
+            _base_config(telemetry=telemetry, track_utilization=True)
+        )
+        assert sim.telemetry.config is telemetry
+        assert all(router.probe is sim.telemetry for router in sim.routers)
+        result = sim.run()
+        assert result.telemetry.sample_every == 50
+        assert result.telemetry.sample_cycles
+        assert result.telemetry.counters["link_flits"] > 0
+
     def test_inactive_telemetry_yields_none(self):
         config = _base_config(
             telemetry=TelemetryConfig(sample_every=0)

@@ -1,9 +1,13 @@
 """Unit tests for SimulationConfig validation and helpers."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.sim.config import SimulationConfig
+from repro.telemetry.config import TelemetryConfig
 
 
 class TestDefaults:
@@ -127,6 +131,46 @@ class TestHelpers:
         assert config.injection_rate != 0.5  # original untouched
         with pytest.raises(ConfigurationError):
             config.with_(injection_rate=2.0)
+
+    def test_with_rejects_a_name_that_is_not_a_field(self):
+        with pytest.raises(TypeError, match="mesh_width"):
+            SimulationConfig().with_(mesh_width=4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.fixed_dictionaries({}, optional={
+            "width": st.integers(1, 6),
+            "height": st.one_of(st.none(), st.integers(1, 6)),
+            "num_vcs": st.integers(0, 4),
+            "routing": st.sampled_from(("footprint", "dbar", "dor", "xy?")),
+            "topology": st.sampled_from(("mesh", "torus")),
+            "injection_rate": st.floats(-0.5, 1.5),
+            "packet_size_range": st.one_of(
+                st.none(), st.tuples(st.integers(0, 3), st.integers(0, 3))
+            ),
+            "telemetry": st.sampled_from((None, "on")),
+        })
+    )
+    def test_with_is_replace(self, overrides):
+        """``with_`` copies the fields instead of rebuilding them through
+        ``__init__``: the same config, or the same error, as
+        ``dataclasses.replace``."""
+        base = SimulationConfig(width=4, num_vcs=4)
+        if overrides.get("telemetry") == "on":
+            overrides["telemetry"] = TelemetryConfig(sample_every=10)
+
+        def outcome(make):
+            try:
+                return make(base, **overrides)
+            except (ConfigurationError, TypeError, ValueError) as exc:
+                return type(exc), str(exc)
+
+        got = outcome(SimulationConfig.with_)
+        assert got == outcome(dataclasses.replace)
+        if isinstance(got, SimulationConfig):
+            assert got.to_dict() == dataclasses.replace(
+                base, **overrides
+            ).to_dict()
 
     def test_routing_needs_escape(self):
         assert SimulationConfig(routing="footprint").routing_needs_escape

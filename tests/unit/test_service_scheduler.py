@@ -7,6 +7,7 @@ their own config, and the dead-worker test runs them in a process pool.
 """
 
 import asyncio
+import json
 import os
 import threading
 
@@ -16,6 +17,7 @@ from repro.harness.cache import ResultCache
 from repro.harness.parallel import SimTask
 from repro.service import ServiceError
 from repro.service.jobs import JobSpec, JobState
+from repro.service.protocol import Encoded, decode, encode
 from repro.service.scheduler import ExperimentScheduler
 from repro.service.server import ExperimentServer
 from repro.sim.config import SimulationConfig
@@ -148,7 +150,7 @@ class TestLifecycleAndDedup:
             assert second.totals()["cached"] == 1
             # Cache hits are bit-exact round trips of the stored run.
             direct = Simulator(_config(seed=1)).run()
-            hit = SimulationResult.from_dict(job2.results[0].wire)
+            hit = SimulationResult.from_dict(json.loads(job2.results[0].wire))
             assert hit.accepted_flits == direct.accepted_flits
             assert sorted(hit.latency._samples) == sorted(
                 direct.latency._samples
@@ -347,7 +349,7 @@ class TestServedOnce:
         job_a, job_b = asyncio.run(main())
         assert job_b.tasks == ["shared", "shared"]
         assert to_dict_calls == [canned_result]
-        assert job_a.results[0].wire == canned_result.to_dict()
+        assert json.loads(job_a.results[0].wire) == canned_result.to_dict()
         assert all(held is job_a.results[0] for held in job_b.results)
 
     def test_with_a_cache_each_run_or_hit_is_served_once(
@@ -380,6 +382,11 @@ class TestServedOnce:
         assert all(held is job_a.results[0] for held in job_b.results)
         assert job_c.results[0] == job_a.results[0]
 
+    def test_an_encoded_field_is_written_as_is_after_the_others(self):
+        line = encode({"ok": True, "results": Encoded(b"[{},null]"), "n": 2})
+        assert line == b'{"ok":true,"n":2,"results":[{},null]}\n'
+        assert encode({"results": Encoded(b"[]")}) == b'{"results":[]}\n'
+
     def test_a_job_fetched_twice_returns_identical_results(
         self, canned_result, to_dict_calls
     ):
@@ -391,15 +398,12 @@ class TestServedOnce:
             await server.scheduler.drain()
             served = len(to_dict_calls)
             request = {"verb": "result", "job_id": job.id, "full": True}
-            first = server.dispatch(request)
-            second = server.dispatch(request)
+            first = encode(server.dispatch(request))
+            second = encode(server.dispatch(request))
             await server.close()
             return served, first, second
 
         served, first, second = asyncio.run(main())
         assert served == len(to_dict_calls) == 2
         assert first == second
-        assert first["results"] == [canned_result.to_dict()] * 2
-        assert all(
-            a is b for a, b in zip(first["results"], second["results"])
-        )
+        assert decode(first)["results"] == [canned_result.to_dict()] * 2

@@ -222,3 +222,73 @@ class TestEndpointCaches:
             "flit_conservation", source.node,
         )
         assert "pending flits" in str(found)
+
+
+class TestSkipAndFaultSeams:
+    """The idle-skip check's sink clause, and a fault manager whose
+    cached masks disagree with its schedule."""
+
+    def test_an_idle_jump_over_a_sink_holding_a_flit_is_refused(self):
+        from repro.router.flit import Packet
+        from repro.sim.config import SimulationConfig
+        from repro.sim.engine import Simulator
+
+        config = SimulationConfig(
+            width=4, num_vcs=4, injection_rate=0.0, warmup_cycles=10,
+            measure_cycles=10, drain_cycles=10,
+        )
+        sim = Simulator(config, validation=ValidationConfig())
+        for _ in range(3):
+            sim.step()
+        sink = sim.sinks[6]
+        [flit] = Packet(src=1, dst=sink.node, size=1, creation_time=0).flits()
+        sink.receive(2, flit)
+        # Only the sink holds it: the engine's counters and every router
+        # say the network is quiet.
+        assert not (sim._flits_in_network or sim._source_backlog)
+        assert not any(r.inflight or r.staged_flits for r in sim.routers)
+        with pytest.raises(InvariantViolation) as excinfo:
+            sim.validator.on_skip(sim, sim.cycle, sim.cycle + 5)
+        found = excinfo.value
+        assert (found.checker, found.node) == ("idle_skip", sink.node)
+        assert "sink with buffered flits" in str(found)
+
+    def test_a_fault_mask_off_its_schedule_is_the_violation_reported(self):
+        """A mask that disagrees with the fault schedule is reported as
+        such, not as the credit discrepancy found after it: once the
+        masks are wrong the credit recount stops."""
+        from repro.faults.schedule import random_link_faults
+        from repro.sim.config import SimulationConfig
+        from repro.sim.engine import Simulator
+        from repro.validate.checker import InvariantChecker
+
+        config = SimulationConfig(
+            width=4, num_vcs=4, routing="dbar", injection_rate=0.3,
+            warmup_cycles=100, measure_cycles=100, drain_cycles=100, seed=11,
+            faults=random_link_faults(4, k=6, cycle=20, duration=400, seed=5),
+        )
+        sim = Simulator(
+            config, validation=ValidationConfig.only("credit_accounting")
+        )
+        for _ in range(40):
+            sim.step()
+        fm = sim.faults
+        assert any(fm.blocked_out) and fm.mask_violation() is None
+        checker = InvariantChecker(ValidationConfig.only("credit_accounting"))
+        checker.run_checks(sim, sim.cycle)  # clean before the damage
+        port = next(
+            port for router in sim.routers
+            for port in router.output_ports.values() if port.fifo
+        )
+        port.credits[port.fifo[0][1]] += 1
+        with pytest.raises(InvariantViolation) as excinfo:
+            checker.run_checks(sim, sim.cycle)
+        assert "blocked-port mask" not in str(excinfo.value)
+        node = next(n for n, mask in enumerate(fm.blocked_out) if mask)
+        fm.blocked_out[node] = 0
+        with pytest.raises(InvariantViolation) as excinfo:
+            checker.run_checks(sim, sim.cycle)
+        found = excinfo.value
+        assert found.checker == "credit_accounting"
+        assert fm.mask_violation() in str(found)
+        assert f"node {node} blocked-port mask" in str(found)

@@ -3,10 +3,12 @@
 A grid's tasks are resolved and keyed once where they enter — a
 service ``submit``, or a ``run_tasks`` call — and read from there on:
 ``status`` and ``result`` derive nothing, a deduplicated resubmission
-derives only its own spec's keys, and the cache probes reuse the keys
-already in hand.  Counted by wrapping the cache's ``_config_dict_key``
-(the one place a key is hashed, by :func:`config_cache_key` or by a
-probe without a key) and :meth:`SimTask.resolved_config` on the class.
+derives its keys from the wire and resolves no config, a new grid's
+spec keeps the keys read off the wire, and the cache probes reuse the
+keys already in hand.  Counted by wrapping the cache's
+``_config_dict_key`` (the one place a key is hashed, by
+:func:`config_cache_key`, by the wire read or by a probe without a
+key) and :meth:`SimTask.resolved_config` on the class.
 """
 
 import asyncio
@@ -42,6 +44,7 @@ GRID = tuple(
 N = len(GRID)
 NOTHING = {"keys": 0, "resolves": 0}
 ONCE = {"keys": N, "resolves": N}
+DEDUP = {"keys": N, "resolves": 0}
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +110,7 @@ def test_service_verbs_derive_each_key_once(counts, results, tmp_path):
             server, "submit", {**wire, "name": "again", "stream": "b"}
         )
         assert again["deduped"] and again["job_id"] == job_id
-        assert spent == ONCE
+        assert spent == DEDUP
         await server.close()
 
         # A restarted server answers the same grid from the cache at
