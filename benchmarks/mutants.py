@@ -5,8 +5,9 @@
 
 The arguments are the pytest selection, fast tests first.  It runs it
 with ``pytest -x`` against each mutant of a fixed sample (``SEED``) in
-``router/``, ``routing/``, ``validate/checker.py`` and ``sim/engine.py``
--- a flipped comparison, operator or ``and``/``or``, an integer nudged
+``router/``, ``routing/``, ``validate/checker.py`` and ``sim/engine.py``,
+and in the code that turns runs into the paper's claims: ``core/``,
+``metrics/`` and ``traffic/`` -- a flipped comparison, operator or ``and``/``or``, an integer nudged
 by one or a boolean negated, a statement replaced by ``pass``, in a
 function body -- and prints the first test that failed on each, then
 killed / survived / timed-out (a kill) per area.  Every run happens in
@@ -34,7 +35,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 AREAS = {"router": "src/repro/router", "routing": "src/repro/routing",
          "checker": "src/repro/validate/checker.py",
-         "engine": "src/repro/sim/engine.py"}
+         "engine": "src/repro/sim/engine.py", "core": "src/repro/core",
+         "metrics": "src/repro/metrics", "traffic": "src/repro/traffic"}
 SEED = 44
 KINDS = ("cmp", "op", "const", "del")
 PER_KIND = 3  # per area: 12 mutants

@@ -18,7 +18,6 @@ Run:  python examples/cmp_trace_replay.py
 """
 
 from repro import Mesh2D, SimulationConfig, Simulator
-from repro.core.purity import hol_blocking_degree, purity_of_blocking
 from repro.traffic.parsecgen import generate_parsec_trace, merge_traces
 
 
@@ -46,8 +45,8 @@ def main() -> None:
         result = Simulator(config).run()
         print(f"--- {routing} ---")
         print(f"  avg packet latency : {result.avg_latency:.2f} cycles")
-        print(f"  purity of blocking : {100 * purity_of_blocking(result):.1f}%")
-        print(f"  HoL degree         : {hol_blocking_degree(result):.0f}")
+        print(f"  purity of blocking : {100 * result.blocking.purity:.1f}%")
+        print(f"  HoL degree         : {result.blocking.hol_degree:.0f}")
         print(f"  blocking events    : {result.blocking.blocking_events}")
         print()
 

@@ -1,6 +1,6 @@
 """Analyses of the paper's contribution: two-level adaptiveness metrics,
-congestion-tree extraction, blocking purity, and the implementation-cost
-model."""
+congestion-tree extraction and the implementation-cost model.  Blocking
+purity is read off ``SimulationResult.blocking``."""
 
 from repro._lazy import lazy_exports
 
@@ -13,6 +13,5 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         "congestion": "CongestionTree extract_congestion_tree",
         "cost": "CostModel",
-        "purity": "purity_of_blocking hol_blocking_degree",
     },
 )

@@ -43,7 +43,6 @@ class FaultManager:
     def __init__(self, schedule: FaultSchedule, mesh: Topology) -> None:
         schedule.validate_for(mesh.width, mesh.height, topology=mesh.name)
         self.mesh = mesh
-        self.schedule = schedule
 
         # (cycle, phase, seq, delta, event); phase orders heals before
         # activations at the same cycle so a zero-gap re-fault stays down.

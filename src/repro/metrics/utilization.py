@@ -74,17 +74,6 @@ class ChannelUtilization:
         )
         return ranked[:top]
 
-    def mean_utilization(self, include_local: bool = False) -> float:
-        """Mean utilization over all inter-router channels."""
-        channels = self.mesh.channels()
-        total = sum(self.utilization(n, d) for n, d, _ in channels)
-        count = len(channels)
-        if include_local:
-            for node in range(self.mesh.num_nodes):
-                total += self.utilization(node, Direction.LOCAL)
-            count += self.mesh.num_nodes
-        return total / count if count else 0.0
-
     # ------------------------------------------------------------------
     def heatmap(self, direction: Direction = Direction.EAST) -> str:
         """Render a per-node utilization grid for one channel direction.

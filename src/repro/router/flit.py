@@ -33,9 +33,6 @@ class Packet:
         Packet length in flits (``>= 1``).
     creation_time:
         Cycle at which the packet was created at the source queue.
-    injection_time:
-        Cycle at which the head flit entered the network (left the source
-        queue), filled in by the engine.
     ejection_time:
         Cycle at which the tail flit was consumed at the destination.
     flow:
@@ -53,7 +50,6 @@ class Packet:
     flow: str = "default"
     measured: bool = True
     packet_id: int = field(default_factory=_next_packet_id)
-    injection_time: int | None = None
     ejection_time: int | None = None
 
     def __post_init__(self) -> None:
@@ -66,13 +62,6 @@ class Packet:
         if self.ejection_time is None:
             raise ValueError("packet has not been ejected yet")
         return self.ejection_time - self.creation_time
-
-    @property
-    def network_latency(self) -> int:
-        """Latency excluding source-queue time (injection to ejection)."""
-        if self.ejection_time is None or self.injection_time is None:
-            raise ValueError("packet has not traversed the network yet")
-        return self.ejection_time - self.injection_time
 
     def flits(self) -> list["Flit"]:
         """Serialize the packet into its flits, head first."""
@@ -89,17 +78,12 @@ class Packet:
 
 @dataclass(slots=True)
 class Flit:
-    """A flow-control digit of a packet.
-
-    ``hops`` is incremented each time the flit crosses an inter-router link
-    and is used by path-length assertions in tests.
-    """
+    """A flow-control digit of a packet."""
 
     packet: Packet
     index: int
     is_head: bool
     is_tail: bool
-    hops: int = 0
 
     @property
     def dst(self) -> int:

@@ -125,7 +125,6 @@ class Router:
             current=node,
             destination=node,
             source=node,
-            input_direction=Direction.LOCAL,
             outputs=self.output_ports,
             num_vcs=config.num_vcs,
             congestion_threshold=self._congestion_threshold,
@@ -300,7 +299,6 @@ class Router:
             packet = head.packet
             ctx.destination = packet.dst
             ctx.source = packet.src
-            ctx.input_direction = ivc.direction
             committed = ivc.committed_dir
             if committed is None:
                 # Route computation: runs once per packet per router;

@@ -93,9 +93,6 @@ class RouteContext:
         pair table directly; the attribute keeps its historical name).
     current, destination, source:
         Current router, packet destination, packet source node ids.
-    input_direction:
-        Port through which the packet entered this router (``LOCAL`` for
-        freshly injected packets).
     outputs:
         View of each candidate output port, keyed by direction.  The engine
         provides views for every port of the router; algorithms index only
@@ -120,7 +117,6 @@ class RouteContext:
     current: int
     destination: int
     source: int
-    input_direction: Direction
     outputs: Mapping[Direction, OutputPortView]
     num_vcs: int
     congestion_threshold: int

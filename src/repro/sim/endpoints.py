@@ -67,7 +67,6 @@ class Source:
             if vc is None:
                 return None
             packet = self.queue.popleft()
-            packet.injection_time = cycle
             self._current_packet = packet
             self._current_flits = packet.flits()
             self._vc = vc

@@ -321,7 +321,6 @@ class Simulator:
                 else:
                     routers[node].receive_credit(direction, vc)
         for node, direction, vc, flit in flits_now:
-            flit.hops += 1
             routers[node].receive_flit(direction, vc, flit)
         for node, vc, flit in sink_now:
             self.sinks[node].receive(vc, flit)

@@ -25,11 +25,6 @@ class Direction(enum.IntEnum):
     LOCAL = 4
 
     @property
-    def is_local(self) -> bool:
-        """Whether this is the endpoint (injection/ejection) port."""
-        return self is Direction.LOCAL
-
-    @property
     def dimension(self) -> int:
         """Dimension index: 0 for X (east/west), 1 for Y (north/south).
 

@@ -2,9 +2,9 @@
 
 A trace is an ordered list of :class:`TraceEvent` records — the Netrace
 interface boiled down to what the paper's network-only evaluation uses:
-injection cycle, source, destination, and packet size.  Traces can be
-loaded from a simple whitespace-separated text format or generated
-synthetically (:mod:`repro.traffic.parsecgen`).
+injection cycle, source, destination, and packet size.  They come from
+``SimulationConfig.trace``, generated synthetically by
+:mod:`repro.traffic.parsecgen`.
 
 The injector replays events by cycle.  Events whose cycle has passed are
 injected immediately (the trace clock never stalls the simulation clock,
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.exceptions import TrafficError
 from repro.router.flit import Packet
@@ -38,35 +37,6 @@ class TraceEvent:
     def __post_init__(self) -> None:
         if self.cycle < 0 or self.size < 1:
             raise TrafficError(f"invalid trace event {self}")
-
-
-def load_trace(path: str | Path) -> list[TraceEvent]:
-    """Load a trace from text: ``cycle src dst [size [flow]]`` per line.
-
-    Blank lines and ``#`` comments are skipped.
-    """
-    events: list[TraceEvent] = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        fields = stripped.split()
-        if len(fields) < 3:
-            raise TrafficError(f"{path}:{lineno}: need 'cycle src dst'")
-        cycle, src, dst = (int(f) for f in fields[:3])
-        size = int(fields[3]) if len(fields) > 3 else 1
-        flow = fields[4] if len(fields) > 4 else "trace"
-        events.append(TraceEvent(cycle, src, dst, size, flow))
-    events.sort(key=lambda e: e.cycle)
-    return events
-
-
-def save_trace(events: list[TraceEvent], path: str | Path) -> None:
-    """Write a trace in the text format read by :func:`load_trace`."""
-    lines = [
-        f"{e.cycle} {e.src} {e.dst} {e.size} {e.flow}" for e in events
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 class TraceTraffic(TrafficGenerator):

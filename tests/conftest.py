@@ -170,14 +170,12 @@ def make_context(
 ):
     """Build a RouteContext for routing-algorithm unit tests."""
     from repro.routing.base import RouteContext
-    from repro.topology.ports import Direction
 
     return RouteContext(
         mesh=mesh,
         current=current,
         destination=destination,
         source=source if source is not None else current,
-        input_direction=Direction.LOCAL,
         outputs=outputs,
         num_vcs=num_vcs,
         congestion_threshold=congestion_threshold,

@@ -79,6 +79,15 @@ class TestExtraction:
         assert (0, Direction.EAST) in tree.branches
         assert 3 in tree.branches[(0, Direction.EAST)]
 
+    def test_flit_staged_in_output_fifo_contributes(self):
+        from repro.router.flit import Packet
+
+        sim = self.make_sim()
+        flit = Packet(src=0, dst=5, size=1, creation_time=0).flits()[0]
+        sim.routers[0].output_ports[Direction.EAST].fifo.append((flit, 2))
+        tree = extract_congestion_tree(sim, 5)
+        assert tree.branches == {(0, Direction.EAST): {2}}
+
     def test_other_destination_ignored(self):
         sim = self.make_sim()
         sim.routers[0].output_ports[Direction.EAST].allocate(2, dst=9)

@@ -36,14 +36,6 @@ class TestSource:
         assert injected == 3
         assert source.backlog == 0
 
-    def test_injection_time_recorded(self):
-        router = make_router()
-        source = Source(5, router, num_vcs=2)
-        p = packet(size=1)
-        source.enqueue(p)
-        source.inject(cycle=17)
-        assert p.injection_time == 17
-
     def test_nothing_to_inject(self):
         source = Source(5, make_router(), num_vcs=2)
         assert not source.inject(0)

@@ -26,19 +26,6 @@ class TestPacket:
         p.ejection_time = 42
         assert p.latency == 32
 
-    def test_network_latency(self):
-        p = make_packet()
-        p.injection_time = 15
-        p.ejection_time = 40
-        assert p.network_latency == 25
-        assert p.latency == 30
-
-    def test_network_latency_requires_injection(self):
-        p = make_packet()
-        p.ejection_time = 42
-        with pytest.raises(ValueError):
-            p.network_latency
-
     def test_default_flow_and_measured(self):
         p = make_packet()
         assert p.flow == "default"
@@ -67,7 +54,6 @@ class TestFlitSerialization:
         flit = make_packet(src=3, dst=9, size=1).flits()[0]
         assert flit.src == 3
         assert flit.dst == 9
-        assert flit.hops == 0
 
     def test_repr_marks_kinds(self):
         p = make_packet(size=3)

@@ -1,6 +1,7 @@
 """The mutant runner's sample (``benchmarks/mutants.py``), without running
 pytest on any mutant: the sample is fixed, every mutant is real code that
-differs from the original where it says, and all four areas are in it."""
+differs from the original where it says, and every area is in it: the
+simulator's core and the code that turns runs into the paper's claims."""
 
 import ast
 from collections import Counter
@@ -20,6 +21,12 @@ def test_the_sample_covers_every_area_and_kind():
     assert len(drawn) >= 40
     assert {m.kind for m in drawn} == set(mutants.KINDS)
     assert len(set(drawn)) == len(drawn)
+
+
+def test_the_claims_code_is_sampled_twelve_times_an_area():
+    per_area = Counter(m.area for m in mutants.sample())
+    assert {"core", "metrics", "traffic"} <= set(per_area)
+    assert set(per_area.values()) == {len(mutants.KINDS) * mutants.PER_KIND}
 
 
 def test_every_mutant_compiles_and_changes_its_node_only():

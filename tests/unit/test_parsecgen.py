@@ -71,6 +71,12 @@ class TestGeneration:
         b = generate_parsec_trace("x264", mesh, 200, seed=4)
         assert a == b
 
+    def test_trace_is_pinned(self, mesh):
+        trace = generate_parsec_trace("x264", mesh, 200, seed=4)
+        assert len(trace) == 3438
+        assert [(e.cycle, e.src, e.dst, e.size) for e in trace[:3]] == [
+            (0, 7, 56, 1), (0, 14, 7, 1), (0, 16, 31, 1)]
+
     def test_same_trace_under_any_hash_seed(self):
         """A trace is the same in every interpreter: the workload name
         must not reach the seed through the salted ``hash(str)``."""

@@ -38,11 +38,6 @@ def test_local_has_no_dimension():
         Direction.LOCAL.dimension
 
 
-def test_is_local():
-    assert Direction.LOCAL.is_local
-    assert not Direction.EAST.is_local
-
-
 def test_stable_integer_values():
     # These values are used as array indices; they must not change.
     assert [d.value for d in COMPASS] == [0, 1, 2, 3]

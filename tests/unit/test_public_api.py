@@ -71,7 +71,6 @@ PUBLIC = {
         ),
         "repro.core.congestion": "CongestionTree extract_congestion_tree",
         "repro.core.cost": "CostModel",
-        "repro.core.purity": "purity_of_blocking hol_blocking_degree",
     },
     "repro.traffic": {
         "repro.traffic.patterns": (

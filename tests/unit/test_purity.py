@@ -1,10 +1,6 @@
-"""Unit tests for the purity-of-blocking helpers (paper §4.3)."""
+"""Purity of blocking and the HoL-blocking degree (paper §4.3), as a
+finished run reports them on ``SimulationResult.blocking``."""
 
-from repro.core.purity import (
-    blocking_rate,
-    hol_blocking_degree,
-    purity_of_blocking,
-)
 from repro.metrics.stats import LatencyStats
 from repro.router.router import BlockingStats
 from repro.sim.config import SimulationConfig
@@ -30,23 +26,15 @@ def make_result(events=10, busy=40, footprint=10, cycles=100):
 
 
 def test_purity():
-    assert purity_of_blocking(make_result()) == 0.25
+    assert make_result().blocking.purity == 0.25
 
 
 def test_hol_degree_is_impurity_times_events():
     # (1 - 0.25) * 10
-    assert hol_blocking_degree(make_result()) == 7.5
-
-
-def test_blocking_rate():
-    assert blocking_rate(make_result()) == 0.1
-
-
-def test_zero_cycles_rate():
-    assert blocking_rate(make_result(cycles=0)) == 0.0
+    assert make_result().blocking.hol_degree == 7.5
 
 
 def test_fully_pure_blocking_has_zero_hol():
-    result = make_result(events=5, busy=20, footprint=20)
-    assert purity_of_blocking(result) == 1.0
-    assert hol_blocking_degree(result) == 0.0
+    blocking = make_result(events=5, busy=20, footprint=20).blocking
+    assert blocking.purity == 1.0
+    assert blocking.hol_degree == 0.0

@@ -45,6 +45,8 @@ def test_unknown_algorithm():
 def test_unknown_overlay():
     with pytest.raises(RoutingError):
         create_routing("dor+banana")
+    with pytest.raises(RoutingError):
+        create_routing("dor+xordet+xordet")
 
 
 def test_available_names_all_resolve():

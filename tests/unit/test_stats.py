@@ -165,6 +165,7 @@ class TestPackedForm:
         "HAA==",  # one byte: half an 'H' item
         "QAAAAAAAAAA=",  # seven bytes
         "BAA=!",  # non-alphabet character
+        "BAA==!",  # the same after a whole item
         "B AA=",  # whitespace is not base64 either
         "BAA",  # missing padding
         "Bé",  # non-ASCII

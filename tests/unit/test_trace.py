@@ -7,12 +7,7 @@ import pytest
 from repro.exceptions import TrafficError
 from repro.sim.config import SimulationConfig
 from repro.topology.mesh import Mesh2D
-from repro.traffic.trace import (
-    TraceEvent,
-    TraceTraffic,
-    load_trace,
-    save_trace,
-)
+from repro.traffic.trace import TraceEvent, TraceTraffic
 
 
 @pytest.fixture
@@ -81,35 +76,3 @@ class TestReplay:
     def test_self_addressed_rejected(self, mesh):
         with pytest.raises(TrafficError):
             make_traffic(mesh, [TraceEvent(0, 3, 3)])
-
-
-class TestFileFormat:
-    def test_roundtrip(self, tmp_path):
-        events = [
-            TraceEvent(0, 1, 2, 1, "a"),
-            TraceEvent(5, 3, 4, 6, "b"),
-        ]
-        path = tmp_path / "trace.txt"
-        save_trace(events, path)
-        assert load_trace(path) == events
-
-    def test_comments_and_defaults(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        path.write_text("# header\n3 1 2\n\n7 0 5 4  # inline\n")
-        events = load_trace(path)
-        assert events == [
-            TraceEvent(3, 1, 2, 1, "trace"),
-            TraceEvent(7, 0, 5, 4, "trace"),
-        ]
-
-    def test_short_line_rejected(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        path.write_text("3 1\n")
-        with pytest.raises(TrafficError):
-            load_trace(path)
-
-    def test_loaded_events_sorted(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        path.write_text("9 0 1\n2 1 0\n")
-        events = load_trace(path)
-        assert [e.cycle for e in events] == [2, 9]

@@ -174,6 +174,13 @@ class TestResetState:
         assert non_reset_vcs({Direction.WEST: [other, vc]}) == [vc]
         assert vc.legality_violation() == message
 
+    def test_an_active_vc_keeping_its_route_commitment_is_reported(self, vc):
+        vc.state, vc.out_direction, vc.out_vc = VcState.ACTIVE, WEST, 0
+        assert vc.legality_violation() is None
+        vc.committed_dir = WEST
+        assert vc.legality_violation() == (
+            "ACTIVE input VC still holds a route commitment")
+
     def test_working_vcs_are_listed_in_port_order(self, router, vc):
         local = router.input_vcs[Direction.LOCAL][0]
         receive(router, flits_of(size=1)[0])
