@@ -12,7 +12,6 @@ simulation or a whole paper experiment::
     footprint-noc run --faults 'link:5:east,router:10@200+500'
     footprint-noc cache stats
     footprint-noc validate --runs 8 --seed 1
-    footprint-noc validate --self-test
     footprint-noc serve --port 7455
     footprint-noc submit --routing footprint,dor --rates 0.02,0.05 --wait
     footprint-noc jobs
@@ -301,8 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "validate",
         help=(
             "run the runtime invariant checkers: randomized differential "
-            "sweep over both engine modes plus warm-cache replay, or the "
-            "mutation self-test proving each checker fires"
+            "sweep over both engine modes plus warm-cache replay"
         ),
     )
     validate.add_argument(
@@ -326,15 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-faults",
         action="store_true",
         help="draw only fault-free configurations",
-    )
-    validate.add_argument(
-        "--self-test",
-        action="store_true",
-        help=(
-            "instead of the differential sweep, corrupt one piece of "
-            "simulator state per checker (seeded mutations) and verify "
-            "every checker catches its corruption"
-        ),
     )
 
     serve = sub.add_parser(
@@ -689,29 +678,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.validate.config import validation_from_env
     from repro.sim.engine import ENGINE_MODES
-    from repro.validate.differential import (
-        random_configs,
-        run_differential,
-        self_test,
-    )
-
-    if args.self_test:
-        outcomes = self_test(seed=args.seed)
-        failures = 0
-        for outcome in outcomes:
-            status = "FIRED" if outcome.ok else "MISSED"
-            print(
-                f"mutation {outcome.mutation:<10s} -> checker "
-                f"{outcome.expected_checker:<20s} {status}"
-            )
-            if not outcome.ok:
-                failures += 1
-                print(f"  {outcome.detail}")
-        print(
-            f"self-test: {len(outcomes) - failures}/{len(outcomes)} "
-            f"mutations caught"
-        )
-        return 0 if failures == 0 else 1
+    from repro.validate.differential import random_configs, run_differential
 
     if args.runs < 1:
         raise ConfigurationError("--runs must be >= 1")

@@ -382,7 +382,7 @@ class Simulator:
         if tel is not None:
             tel.end_cycle(self, cycle)
         if val is not None:
-            val.end_cycle(self, cycle)
+            val.run_checks(self, cycle)
         self.cycle = cycle + 1
 
     def _step_fast(self) -> None:
@@ -635,9 +635,7 @@ class Simulator:
 
     def _result(self) -> SimulationResult:
         if self.validator is not None:
-            # Final full sweep (also flags a mutation that never found
-            # applicable state).
-            self.validator.finish(self)
+            self.validator.run_checks(self, self.cycle)  # a final sweep
         blocking = BlockingStats()
         for router in self.routers:
             blocking.merge(router.blocking)

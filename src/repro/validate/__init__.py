@@ -13,9 +13,6 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "config": (
-            "CHECKER_NAMES MUTATION_CHECKERS ValidationConfig "
-            "validation_from_env"
-        ),
+        "config": "CHECKER_NAMES ValidationConfig validation_from_env",
     },
 )

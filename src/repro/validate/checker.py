@@ -53,9 +53,7 @@ Each checker's first violation is kept in the order that checker scans
 its ports, each in index order), and the sweep raises the first of them
 in catalogue order, as if the checkers had run one after another.
 Violations raise :class:`~repro.exceptions.InvariantViolation` with
-cycle/router/port/VC context.  A :class:`ValidationConfig` ``mutate``
-hook deliberately corrupts one piece of state mid-run (see
-:mod:`repro.validate.mutations`) so tests can prove each checker fires.
+cycle/router/port/VC context.
 """
 
 from __future__ import annotations
@@ -95,13 +93,6 @@ class InvariantChecker:
         # Allowed-direction memo: routing geometry is static for a run,
         # so (node, dst, src) -> frozenset of legal output directions.
         self._allowed: dict[tuple[int, int, int], frozenset] = {}
-        self._mutator = None
-        if config.mutate is not None:
-            from repro.validate.mutations import Mutator
-
-            self._mutator = Mutator(
-                config.mutate, config.mutate_cycle, config.mutate_seed
-            )
 
     # ------------------------------------------------------------------
     # Engine hooks
@@ -111,13 +102,6 @@ class InvariantChecker:
         self.generated_flits += packet.size
         if discarded:
             self.discarded_flits += packet.size
-
-    def end_cycle(self, sim: "Simulator", cycle: int) -> None:
-        """Run the enabled checks at the end of a simulated cycle."""
-        mutator = self._mutator
-        if mutator is not None and not mutator.applied:
-            mutator.maybe_apply(sim, cycle)
-        self.run_checks(sim, cycle)
 
     def on_skip(self, sim: "Simulator", cycle: int, target: int) -> None:
         """Verify the network really is quiescent before an idle jump."""
@@ -158,19 +142,6 @@ class InvariantChecker:
                     cycle=cycle,
                     node=source.node,
                 )
-
-    def finish(self, sim: "Simulator") -> None:
-        """End-of-run sweep, then the mutation-never-applied check."""
-        self.run_checks(sim, sim.cycle)
-        mutator = self._mutator
-        if mutator is not None and not mutator.applied:
-            raise InvariantViolation(
-                "self_test",
-                f"mutation {self.config.mutate!r} found no corruptible "
-                f"state before the run ended",
-                cycle=sim.cycle,
-            )
-
 
     # ------------------------------------------------------------------
     # The sweep

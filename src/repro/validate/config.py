@@ -18,17 +18,6 @@ from repro import settings
 from repro.exceptions import ConfigurationError
 from repro.settings import CHECKER_NAMES
 
-#: Self-test mutation kinds (see :mod:`repro.validate.mutations`), each
-#: mapped to the checker that must flag it.
-MUTATION_CHECKERS = {
-    "flit_count": "flit_conservation",
-    "credit": "credit_accounting",
-    "vc_state": "vc_states",
-    "free_mask": "vc_states",
-    "wormhole": "vc_states",
-    "routing": "routing_conformance",
-}
-
 
 @dataclass(frozen=True)
 class ValidationConfig:
@@ -57,43 +46,21 @@ class ValidationConfig:
         set (minimal quadrant for the adaptive algorithms), escape-VC
         grants sit on the DOR port (Duato's condition), and footprint
         VCs carry only their owner destination's packets.
-    mutate:
-        Self-test hook: the name of a deliberate state corruption to
-        apply (one of :data:`MUTATION_CHECKERS`), proving the matching
-        checker fires.  ``None`` (the default) disables mutation.
-    mutate_cycle:
-        Earliest cycle the mutation may be applied; it retries each
-        cycle until a corruptible state exists.
-    mutate_seed:
-        Seed for the mutation's deterministic target choice.
     """
 
     flit_conservation: bool = True
     credit_accounting: bool = True
     vc_states: bool = True
     routing_conformance: bool = True
-    mutate: str | None = None
-    mutate_cycle: int = 0
-    mutate_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.mutate is not None and self.mutate not in MUTATION_CHECKERS:
-            raise ConfigurationError(
-                f"unknown mutation {self.mutate!r}; expected one of "
-                f"{sorted(MUTATION_CHECKERS)}"
-            )
-        if self.mutate_cycle < 0:
-            raise ConfigurationError("mutate_cycle must be >= 0")
 
     @property
     def active(self) -> bool:
-        """Whether any checker (or the mutation hook) is enabled."""
+        """Whether any checker is enabled."""
         return bool(
             self.flit_conservation
             or self.credit_accounting
             or self.vc_states
             or self.routing_conformance
-            or self.mutate
         )
 
     def enabled_checkers(self) -> tuple[str, ...]:
@@ -101,17 +68,15 @@ class ValidationConfig:
         return tuple(n for n in CHECKER_NAMES if getattr(self, n))
 
     @classmethod
-    def only(cls, *names: str, **overrides) -> "ValidationConfig":
-        """A config with exactly ``names`` enabled (self-test helper)."""
+    def only(cls, *names: str) -> "ValidationConfig":
+        """A config with exactly ``names`` enabled."""
         unknown = set(names) - set(CHECKER_NAMES)
         if unknown:
             raise ConfigurationError(
                 f"unknown checkers {sorted(unknown)}; "
                 f"expected a subset of {list(CHECKER_NAMES)}"
             )
-        flags = {n: (n in names) for n in CHECKER_NAMES}
-        flags.update(overrides)
-        return cls(**flags)
+        return cls(**{n: (n in names) for n in CHECKER_NAMES})
 
 
 def validation_from_env() -> ValidationConfig | None:

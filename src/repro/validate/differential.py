@@ -10,11 +10,6 @@ every routing algorithm, several traffic patterns, multi-flit packets,
 and fault schedules — and every live run executes with all invariant
 checkers enabled, so one ``repro validate`` sweep exercises both layers
 at once.
-
-``self_test`` is the other half of the trust story: it runs every
-seeded mutation (:mod:`repro.validate.mutations`) with only its paired
-checker enabled and confirms the run dies with an
-:class:`~repro.exceptions.InvariantViolation` naming that checker.
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ from repro.harness.parallel import SimTask, resolve_jobs, run_tasks
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import ENGINE_MODES, Simulator
 from repro.sim.results import SimulationResult
-from repro.validate.config import MUTATION_CHECKERS, ValidationConfig
+from repro.validate.config import ValidationConfig
 
 _ALGORITHMS = (
     "dor",
@@ -238,70 +233,3 @@ def run_differential(
             for result, (_, entry) in zip(pooled, clean)
         )
     return DifferentialReport(entries=entries, pool_identical=pool_identical)
-
-
-@dataclass
-class SelfTestResult:
-    """Outcome of one mutation self-test."""
-
-    mutation: str
-    expected_checker: str
-    fired: bool
-    detail: str
-
-    @property
-    def ok(self) -> bool:
-        return self.fired
-
-
-def _self_test_config(seed: int) -> SimulationConfig:
-    # Small but congested, with multi-flit packets so every mutation
-    # (including the wormhole swap) finds corruptible state quickly, on
-    # the paper's algorithm so escape/footprint invariants are live.
-    return SimulationConfig(
-        width=4,
-        num_vcs=4,
-        vc_buffer_depth=4,
-        routing="footprint",
-        traffic="transpose",
-        injection_rate=0.5,
-        packet_size=4,
-        warmup_cycles=20,
-        measure_cycles=60,
-        drain_cycles=400,
-        seed=seed,
-    )
-
-
-def self_test(seed: int = 0) -> list[SelfTestResult]:
-    """Prove every checker fires: run each seeded mutation, expect a kill.
-
-    Each mutation runs with *only* its paired checker enabled, so the
-    raised violation's checker attribution is unambiguous.
-    """
-    outcomes = []
-    for mutation, checker in sorted(MUTATION_CHECKERS.items()):
-        config = _self_test_config(seed + 1)
-        validation = ValidationConfig.only(
-            checker,
-            mutate=mutation,
-            mutate_cycle=30,
-            mutate_seed=seed,
-        )
-        try:
-            Simulator(config, validation=validation).run()
-        except InvariantViolation as exc:
-            fired = exc.checker == checker
-            detail = str(exc)
-        else:
-            fired = False
-            detail = "run completed without a violation"
-        outcomes.append(
-            SelfTestResult(
-                mutation=mutation,
-                expected_checker=checker,
-                fired=fired,
-                detail=detail,
-            )
-        )
-    return outcomes

@@ -100,8 +100,8 @@ def test_a_malformed_list_is_the_same_argparse_error_everywhere(argv, capsys):
 
 # Recorded from commit 298b250 with `_surface`; the only edits since are
 # removals: `experiment --profile` / `--profile-out`, the service's
-# standings verb with its three flags, and `tune --strategy` / `--eta` /
-# `--beam`.
+# standings verb with its three flags, `tune --strategy` / `--eta` /
+# `--beam`, and `validate --self-test`.
 SURFACE = {
     "": [],
     "cache": [],
@@ -220,7 +220,6 @@ SURFACE = {
         (("--no-faults",), False, None, False),
         (("--runs",), 8, None, False),
         (("--seed",), 1, None, False),
-        (("--self-test",), False, None, False),
     ],
 }
 

@@ -2,9 +2,10 @@
 
 Pins the observation-only contract (validated runs are bit-identical to
 unvalidated ones in every engine mode, including fault-laden and
-telemetry-instrumented runs), the mutation self-test (every checker
-provably fires), the differential harness, the ``$REPRO_VALIDATE``
-plumbing through the harness and the pool, and the CLI surface.
+telemetry-instrumented runs), a live run dying of a corrupted counter,
+the differential harness, the ``$REPRO_VALIDATE`` plumbing through the
+harness and the pool, and the CLI surface.  That each checker fires on
+the state it guards is ``tests/property/test_prop_checker_equivalence.py``'s.
 """
 
 import pytest
@@ -19,12 +20,11 @@ from repro.metrics.sweep import run_point
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
 from repro.telemetry import TelemetryConfig
-from repro.validate import MUTATION_CHECKERS, ValidationConfig
+from repro.validate import ValidationConfig
 from repro.validate.differential import (
     random_configs,
     result_signature,
     run_differential,
-    self_test,
 )
 
 MODES = ("skip", "legacy")
@@ -97,25 +97,35 @@ class TestObservationOnly:
         inactive = ValidationConfig.only()
         assert Simulator(_base_config(), validation=inactive).validator is None
 
-
-class TestMutationSelfTest:
-    def test_every_mutation_is_caught(self):
-        outcomes = self_test(seed=0)
-        assert sorted(o.mutation for o in outcomes) == sorted(
-            MUTATION_CHECKERS
+    @pytest.mark.parametrize("mode, sweeps", [("legacy", 124), ("skip", 119)])
+    def test_a_checked_run_sweeps_each_stepped_cycle_and_the_end(
+        self, mode, sweeps
+    ):
+        """One sweep per simulated cycle plus the final one; ``skip``
+        jumps the idle cycles and sweeps none of them."""
+        sim = Simulator(
+            _base_config(injection_rate=0.02),
+            engine_mode=mode,
+            validation=ValidationConfig(),
         )
-        missed = [o.mutation for o in outcomes if not o.ok]
-        assert not missed, f"mutations not caught: {missed}"
+        result = sim.run()
+        assert result.cycles_run == 123
+        assert sim.validator.checks_run == sweeps
 
-    def test_direct_mutation_kill_carries_context(self):
-        validation = ValidationConfig.only(
-            "flit_conservation", mutate="flit_count", mutate_cycle=30
-        )
+
+class TestLiveViolation:
+    def test_a_corrupted_counter_kills_the_run_at_that_cycle(self):
+        """The in-network counter skewed after cycle 29: the sweep closing
+        cycle 30 names flit conservation, and the run ends there."""
+        validation = ValidationConfig.only("flit_conservation")
+        sim = Simulator(_base_config(), validation=validation)
+        for _ in range(30):
+            sim.step()
+        sim._flits_in_network += 1
         with pytest.raises(InvariantViolation) as excinfo:
-            Simulator(_base_config(), validation=validation).run()
+            sim.run()
         assert excinfo.value.checker == "flit_conservation"
-        assert excinfo.value.cycle is not None
-        assert excinfo.value.cycle >= 30
+        assert excinfo.value.cycle == 30
 
 
 class TestDifferential:
@@ -194,13 +204,6 @@ class TestCliSurface:
         assert code == 0, out
         assert "2/2 configurations clean (modes skip/legacy + " in out
         assert "vector" not in out
-
-    def test_validate_self_test(self, capsys):
-        code = cli_main(["validate", "--self-test"])
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "FIRED" in out and "MISSED" not in out
-        assert "6/6 mutations caught" in out
 
     def test_validate_rejects_zero_runs(self, capsys):
         code = cli_main(["validate", "--runs", "0"])

@@ -112,6 +112,29 @@ def test_shrunk_window_fires_identically_across_modes(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["legacy", "skip"])
+def test_a_draining_sink_alone_is_progress(mode):
+    """One 3-flit packet sits in a sink that ejects a flit every 3 000
+    cycles: for longer than ``DEADLOCK_WINDOW`` nothing moves but the
+    sink, and that is progress, not a deadlock."""
+    config = SimulationConfig(
+        width=2,
+        num_vcs=2,
+        routing="dor",
+        traffic="trace",
+        trace=[TraceEvent(0, 0, 1, size=3)],
+        injection_rate=0.0,
+        ejection_rate=1 / 3000,
+        warmup_cycles=0,
+        measure_cycles=10,
+        drain_cycles=20_000,
+        seed=1,
+    )
+    result = Simulator(config, engine_mode=mode).run()  # must not raise
+    assert result.drained
+    assert result.cycles_run == 9006
+
+
+@pytest.mark.parametrize("mode", ["legacy", "skip"])
 def test_unreachable_destination_stalls_gracefully(mode):
     """A packet routed toward a permanently dead router freezes in the
     network.  That is not a deadlock: the run stops with ``stalled`` set

@@ -6,7 +6,8 @@ their reset state, and passes an output port in *its* reset state by
 one comparison.  On mid-run simulator snapshots, hypothesis-drawn
 corruptions (single fields, the few-field ones that plant a claim on
 reset state, and pairs at two routers) must each trip the checker that
-:data:`TRIPS` names for their kind with all four checkers on.  The
+:data:`TRIPS` names for their kind with all four checkers on, and a
+route off the allowed set trips routing conformance run alone.  The
 sweep raises what the checkers run one by one find first, in catalogue
 order; a VC whose registers are illegal is reported as that VC, and a
 credit equation as one that adds up.  Every clause of the port reset
@@ -377,6 +378,30 @@ def vc_fifo_swap(sim, rnd):
     return undo
 
 
+def route_off_the_allowed_set(sim, rnd):
+    """An ACTIVE VC's output register re-pointed at a port its routing
+    algorithm does not allow for the head's packet (nor LOCAL)."""
+    routes = []
+    for router in sim.routers:
+        for ivc in non_reset_vcs(router.input_vcs):
+            if ivc.state is not VcState.ACTIVE or not ivc.fifo:
+                continue
+            head = ivc.fifo[0]
+            allowed = {
+                Direction.LOCAL,
+                *sim.routing.allowed_directions(
+                    sim.mesh, router.node, head.dst, head.src
+                ),
+            }
+            illegal = [d for d in router.output_ports if d not in allowed]
+            if illegal:
+                routes.append((ivc, illegal))
+    if not routes:
+        return None
+    ivc, illegal = rnd.choice(routes)
+    return set_attr(ivc, "out_direction", rnd.choice(illegal))
+
+
 def router_counter(sim, rnd, field):
     return nudge(rnd.choice(sim.routers), field, rnd)
 
@@ -516,6 +541,7 @@ CORRUPTIONS = (
     vc_fifo_push,
     vc_fifo_pop,
     vc_fifo_swap,
+    route_off_the_allowed_set,
     *per_field(
         router_counter, "buffered_input_flits", "staged_flits", "inflight"
     ),
@@ -576,6 +602,8 @@ TRIPS = {
             "vc_register[out_vc]",
             "active_claim_on_reset_vc",
             "vc_fifo_swap",
+            # Added after the four-walk sweep: what the one-walk sweep says.
+            "route_off_the_allowed_set",
             "router_counter[buffered_input_flits]",
             "router_counter[staged_flits]",
             "router_counter[inflight]",
@@ -651,6 +679,26 @@ def test_a_flipped_occupancy_bit_is_reported_at_its_vc(name, rnd):
     finally:
         undo()
     assert found[:4] == ("vc_states", router.node, ivc.direction, ivc.index)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(st.sampled_from(sorted(SNAPSHOTS)), st.randoms(use_true_random=False))
+def test_a_route_off_the_allowed_set_trips_routing_conformance(name, rnd):
+    """With all four checkers on vc_states objects first (the VC holds a
+    port it was not granted), so routing conformance is checked alone:
+    the committed route leaves the algorithm's allowed set."""
+    sim, sweeps = snapshot(name)
+    undo = route_off_the_allowed_set(sim, rnd)
+    assume(undo is not None)
+    try:
+        found = outcome(sweeps["routing_conformance"], sim)
+    finally:
+        undo()
+    assert tripped(found) == "routing_conformance", found
 
 
 def tripped(found):

@@ -15,6 +15,9 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 # Written in src/ and read only outside it: each entry names its reader.
 READ_ELSEWHERE = {
+    "checker": "InvariantViolation context; tests/property/"
+    "test_prop_checker_equivalence.py and tests/integration/"
+    "test_validate_integration.py",
     "survivors": "tuner/report.py writes RoundStats through dataclasses.asdict",
     "vc": "InvariantViolation context; tests/property/"
     "test_prop_checker_equivalence.py and tests/unit/test_validate.py",

@@ -98,8 +98,7 @@ PUBLIC = {
     },
     "repro.validate": {
         "repro.validate.config": (
-            "CHECKER_NAMES MUTATION_CHECKERS ValidationConfig "
-            "validation_from_env"
+            "CHECKER_NAMES ValidationConfig validation_from_env"
         ),
     },
     "repro.tuner": {

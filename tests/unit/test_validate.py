@@ -10,7 +10,6 @@ from repro.routing.requests import Priority
 from repro.topology.ports import Direction
 from repro.validate import (
     CHECKER_NAMES,
-    MUTATION_CHECKERS,
     ValidationConfig,
     validation_from_env,
 )
@@ -35,21 +34,6 @@ class TestValidationConfig:
         config = ValidationConfig.only()
         assert not config.active
         assert config.enabled_checkers() == ()
-
-    def test_mutation_alone_is_active(self):
-        config = ValidationConfig.only("vc_states", mutate="vc_state")
-        assert config.active
-
-    def test_unknown_mutation_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown mutation"):
-            ValidationConfig(mutate="bogus")
-
-    def test_negative_mutate_cycle_rejected(self):
-        with pytest.raises(ConfigurationError, match="mutate_cycle"):
-            ValidationConfig(mutate_cycle=-1)
-
-    def test_every_mutation_maps_to_a_checker(self):
-        assert set(MUTATION_CHECKERS.values()) <= set(CHECKER_NAMES)
 
 
 class TestValidationFromEnv:
