@@ -6,16 +6,16 @@ and how many routers do per-cycle work, so ``cycles x nodes`` is a good
 consumers share this single definition:
 
 * the local process pool (:func:`repro.harness.parallel.run_tasks`
-  balances worker batches over it, scaled by each task's offered load —
-  the one consumer that wants wall time, which grows with load, and the
-  scaling is its own: the estimate itself stays load-blind);
+  starts the heaviest tasks first by it, scaled by each task's offered
+  load — the one consumer that wants wall time, which grows with load,
+  and the scaling is its own: the estimate itself stays load-blind);
 * the auto-tuner's budget accounting (a tune's budget is spent in
   estimated cycle-nodes, *independent of cache hits*, so budget
   decisions replay identically on a warm cache).
 
 Keeping the estimate config-only (never timing-based) is what makes
-both deterministic: the same grid produces the same batches and the
-same tuning rounds on every machine and at every worker count.
+both deterministic: the same grid starts in the same order and makes
+the same tuning rounds on every machine and at every worker count.
 """
 
 from __future__ import annotations
@@ -51,4 +51,5 @@ def estimate_config_cycles(config: SimulationConfig) -> int:
 
 def estimate_task_cycles(task: "SimTask") -> int:
     """Relative cost estimate of one :class:`SimTask` (resolved config)."""
+    # No caller in src/: perf/child.py reads it; ROADMAP item 0 drops it.
     return estimate_config_cycles(task.resolved_config())

@@ -11,10 +11,9 @@ bit-identical to a serial run:
 * results are collected **in task order** regardless of completion order;
 * ``jobs=1`` bypasses the pool entirely and runs in-process, which is
   also the fallback for single-task grids;
-* worker batches are balanced over a config-only weight — estimated
-  cycle-nodes (:mod:`repro.harness.cost`) times offered load, since a
-  sweep's last rate costs several times its first — so the same grid
-  makes the same batches on every machine.
+* the pool runs one task per worker at a time, heaviest first by a
+  config-only weight (:func:`_pool_weight`), and hands each result back
+  the moment it exists.
 
 The worker count is ``jobs`` (CLI ``--jobs``), else ``$REPRO_JOBS``,
 else the caller's fallback (:func:`resolve_jobs`): serial for the
@@ -29,7 +28,7 @@ import os
 import sys
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro import settings
 from repro.exceptions import SimulationError
@@ -158,14 +157,10 @@ def _wants_telemetry(config: SimulationConfig) -> bool:
 def partition_tasks(
     costs: list[float], buckets: int
 ) -> list[list[int]]:
-    """Split task indices into ``buckets`` balanced batches (LPT greedy).
-
-    Returns index batches ordered by first task index; every index
-    appears exactly once.  Longest-processing-time-first assignment onto
-    the least-loaded bucket keeps the makespan near-optimal, which is
-    what makes one-submission-per-worker cheaper than per-task
-    round-trips for grids of many small simulations.
-    """
+    """Split task indices into ``buckets`` batches balanced by ``costs``
+    (LPT greedy), each sorted, ordered by their first index."""
+    # No caller in src/: perf/child.py reads it for
+    # harness.parallel.batch_imbalance; ROADMAP item 0 drops that import.
     buckets = min(buckets, len(costs))
     order = sorted(range(len(costs)), key=lambda i: (-costs[i], i))
     loads = [0] * buckets
@@ -180,26 +175,15 @@ def partition_tasks(
     return batches
 
 
-#: Per-cycle fixed cost of a simulated node (clock, sinks, the active
-#: set), in units of the cost of one offered flit per node and cycle;
-#: fitted to measured task seconds (DESIGN.md §2, "Pool batch weights").
-_LOAD_FLOOR = 0.05
-
-
-def _pool_weight(task: SimTask) -> float:
-    """Relative wall time of ``task``, for balancing pool batches.
-
-    :func:`estimate_task_cycles` is load-blind on purpose (it is the
-    tuner's budget currency), but wall time is close to linear in
-    offered load: the tasks of a rate sweep cost 1 : 6 from its first
-    rate to its last.  Config-only like the estimate, so the batches
-    are the same on every machine.
+def _pool_weight(config: SimulationConfig) -> float:
+    """Relative wall time of simulating ``config``: estimated cycle-nodes
+    (load-blind, the tuner's budget currency) times offered flits per
+    node and cycle, since a rate sweep's tasks cost 1 : 6 first to last.
     """
     from repro.traffic.factory import offered_flits_per_cycle
 
-    config = task.resolved_config()
     load = offered_flits_per_cycle(config) / config.num_nodes
-    return estimate_task_cycles(task) * (_LOAD_FLOOR + load)
+    return estimate_config_cycles(config) * load
 
 
 def _run_task(task: SimTask) -> SimulationResult:
@@ -213,9 +197,75 @@ def _run_task(task: SimTask) -> SimulationResult:
     return run_simulation(task.resolved_config())
 
 
-def _run_task_batch(tasks: list[SimTask]) -> list[SimulationResult]:
-    """Worker entry point: run one pre-balanced batch of tasks."""
-    return [_run_task(task) for task in tasks]
+def _run_local(
+    tasks: list[SimTask],
+    configs: list[SimulationConfig],
+    jobs: int | str | None,
+    finished: Callable[[int, SimulationResult], None],
+) -> None:
+    """Run ``tasks`` here, serially or over a local pool, calling
+    ``finished(j, result)`` the moment task ``j`` has its result
+    (``configs`` are the tasks' resolved configs); :func:`run_tasks`
+    says what a failure, a dead worker or an interrupt leaves."""
+    workers = min(resolve_jobs(jobs), len(tasks))
+    if tasks:
+        # Loaded (the engine with it) before any worker is forked:
+        # workers share the parent's pages, and no import lands inside
+        # the first simulation.
+        import repro.harness.runner  # noqa: F401
+    if workers <= 1:
+        for j, task in enumerate(tasks):
+            finished(j, _run_task(task))
+        return
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    # pop() takes the heaviest first, ties in task order, so a grid
+    # does not end on one worker's long task.
+    queue = sorted(
+        range(len(tasks)), key=lambda j: (_pool_weight(configs[j]), -j)
+    )
+    running = {}
+    left = len(tasks)  # neither finished nor failed
+    failure: Exception | None = None
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            while queue or running:
+                # One task per idle worker: the executor starts every
+                # call it holds, even after shutdown(cancel_futures=True),
+                # so an interrupt can stop only what is not yet submitted.
+                while queue and len(running) < workers:
+                    j = queue.pop()
+                    running[pool.submit(_run_task, tasks[j])] = j
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    j = running.pop(future)
+                    try:
+                        finished(j, future.result())
+                    except BrokenProcessPool:
+                        raise
+                    except Exception as exc:  # raised once the rest are done
+                        failure = failure or exc
+                    left -= 1
+    except BrokenProcessPool:
+        pass  # a worker died: ``left`` counts what it took with it
+    finally:
+        # Whatever an interrupt or a dead worker left running and
+        # finished is kept: the pool has waited for it.
+        for future, j in running.items():
+            if future.done() and future.exception() is None:
+                finished(j, future.result())
+                left -= 1
+    if left:
+        raise SimulationError(
+            f"a pool worker was killed (by a signal, or by the kernel "
+            f"when memory ran out) with {left} of {len(tasks)} "
+            f"simulations unfinished; those that finished are kept, so "
+            f"with a result cache a re-run resumes from there, and "
+            f"--jobs 1 (or REPRO_JOBS=1) runs without the pool"
+        )
+    if failure is not None:
+        raise failure
 
 
 def run_tasks(
@@ -227,25 +277,20 @@ def run_tasks(
 
     With ``jobs`` resolving to 1, or at most one task left to simulate
     once the cache has answered, the tasks run serially in-process and
-    no pool machinery is imported; otherwise they are chunked into one
-    batch per worker, balanced over estimated cycle-nodes weighted by
-    offered load (:func:`partition_tasks` over :func:`_pool_weight`),
-    and each batch is a single pool submission — per-task round-trips
-    through the executor cost more than a short simulation, so small
-    grids would otherwise run slower pooled than serial.  Both paths
-    produce identical results because each task is an independent,
-    deterministic simulation.
+    no pool machinery is imported; otherwise each worker takes one task
+    at a time, heaviest first by estimated cycle-nodes weighted by
+    offered load (:func:`_pool_weight`).
 
     When a :class:`~repro.harness.cache.ResultCache` is supplied it is
     consulted per task before simulating; only misses are executed, and
-    each is stored back as soon as it finishes (serially per task,
-    pooled per batch) — a task that fails, a pool worker that dies
-    (one :class:`~repro.exceptions.SimulationError`, no retry) or an
-    interrupt leaves every result that already existed in the cache,
-    so a re-run simulates only what is missing.  A warm cache completes
-    the grid with zero simulations.  Cache hits are bit-exact round
-    trips of the original results, so the returned list is identical
-    either way.
+    each is stored back the moment it finishes, serial or pooled — a
+    task that fails, a pool worker that dies (one
+    :class:`~repro.exceptions.SimulationError`, no retry) or an
+    interrupt (which starts no queued task) leaves every result that
+    already existed in the cache, so a re-run simulates only what is
+    missing.  A warm cache completes the grid with zero simulations.
+    Cache hits are bit-exact round trips of the original results, so the
+    returned list is identical either way.
     Tasks whose config requests active telemetry always simulate:
     cached entries carry no telemetry (it is stripped on store), so a
     hit could not deliver the series the caller asked for — they still
@@ -309,54 +354,5 @@ def run_tasks(
             for j, result in enumerate(served):
                 finished(j, result)
             return results  # type: ignore[return-value]
-    workers = min(resolve_jobs(jobs), len(pending_tasks))
-    if pending_tasks:
-        # Loaded (the engine with it) before any worker is forked:
-        # workers share the parent's pages, and no import lands inside
-        # the first simulation.
-        import repro.harness.runner  # noqa: F401
-
-    if workers <= 1:
-        for j, task in enumerate(pending_tasks):
-            finished(j, _run_task(task))
-        return results  # type: ignore[return-value]  # every slot is filled
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-    from concurrent.futures.process import BrokenProcessPool
-
-    batches = partition_tasks(
-        [_pool_weight(task) for task in pending_tasks], workers
-    )
-    failure: Exception | None = None
-    unfinished = 0
-    with ProcessPoolExecutor(max_workers=len(batches)) as pool:
-        batch_of = {
-            pool.submit(
-                _run_task_batch, [pending_tasks[j] for j in batch]
-            ): batch
-            for batch in batches
-        }
-        for future in as_completed(batch_of):
-            try:
-                batch_results = future.result()
-            except BrokenProcessPool:
-                # A worker died; the executor fails every batch still
-                # out, and the ones that came back first are kept.
-                unfinished += len(batch_of[future])
-                continue
-            except Exception as exc:  # re-raised once the others are kept
-                failure = failure or exc
-                continue
-            for j, result in zip(batch_of[future], batch_results):
-                finished(j, result)
-    if unfinished:
-        raise SimulationError(
-            f"a pool worker was killed (by a signal, or by the kernel "
-            f"when memory ran out) with {unfinished} of "
-            f"{len(pending_tasks)} simulations unfinished; those that "
-            f"finished are kept, so with a result cache a re-run resumes "
-            f"from there, and --jobs 1 (or REPRO_JOBS=1) runs without "
-            f"the pool"
-        )
-    if failure is not None:
-        raise failure
+    _run_local(pending_tasks, [configs[i] for i in pending], jobs, finished)
     return results  # type: ignore[return-value]  # every slot is filled

@@ -63,10 +63,6 @@ class ValidationConfig:
             or self.routing_conformance
         )
 
-    def enabled_checkers(self) -> tuple[str, ...]:
-        """Names of the enabled checkers, in execution order."""
-        return tuple(n for n in CHECKER_NAMES if getattr(self, n))
-
     @classmethod
     def only(cls, *names: str) -> "ValidationConfig":
         """A config with exactly ``names`` enabled."""

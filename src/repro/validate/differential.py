@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from repro.exceptions import InvariantViolation, ReproError
 from repro.faults.schedule import random_link_faults, random_router_faults
 from repro.harness.cache import ResultCache
-from repro.harness.parallel import SimTask, resolve_jobs, run_tasks
+from repro.harness.parallel import SimTask, _run_local, resolve_jobs
+from repro.harness.runner import run_simulation
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import ENGINE_MODES, Simulator
 from repro.sim.results import SimulationResult
@@ -207,17 +208,20 @@ def run_differential(
         entry.modes_identical = all(
             signature == reference for signature in entry.signatures.values()
         )
+        # The cache passes and the pooled re-run below run here even
+        # under $REPRO_SERVICE: they describe this process's stack.
         with tempfile.TemporaryDirectory() as tmp:
-            cold_cache = ResultCache(tmp)
             started = time.perf_counter()
-            cold = run_tasks([SimTask(config)], jobs=1, cache=cold_cache)
+            cold = run_simulation(config)
+            ResultCache(tmp).put(cold)
             entry.unchecked_s = time.perf_counter() - started
             warm_cache = ResultCache(tmp)
-            warm = run_tasks([SimTask(config)], jobs=1, cache=warm_cache)
+            warm = warm_cache.get(config)
         entry.warm_misses = warm_cache.misses
         entry.cache_identical = (
-            result_signature(cold[0]) == reference
-            and result_signature(warm[0]) == reference
+            warm is not None
+            and result_signature(cold) == reference
+            and result_signature(warm) == reference
         )
 
     pool_identical = None
@@ -227,7 +231,9 @@ def run_differential(
         if entry.error is None
     ]
     if resolve_jobs(jobs) > 1 and len(clean) > 1:
-        pooled = run_tasks([SimTask(c) for c, _ in clean], jobs=jobs)
+        kept = [config for config, _ in clean]
+        pooled: list = [None] * len(kept)
+        _run_local([SimTask(c) for c in kept], kept, jobs, pooled.__setitem__)
         pool_identical = all(
             result_signature(result) == entry.signatures[ENGINE_MODES[0]]
             for result, (_, entry) in zip(pooled, clean)

@@ -308,6 +308,27 @@ class TestHarnessHook:
             theirs = Simulator(task.resolved_config()).run()
             assert ours.latency._samples == theirs.latency._samples
 
+    def test_validate_stays_local(self, tmp_path, monkeypatch):
+        """`repro validate` describes this process's stack: its cache
+        passes and its pooled re-run never reach the service."""
+        from repro.validate.differential import (
+            random_configs,
+            run_differential,
+        )
+
+        def drive(client):
+            monkeypatch.setenv(
+                "REPRO_SERVICE", f"127.0.0.1:{client.port}"
+            )
+            report = run_differential(random_configs(2, seed=1), jobs=2)
+            monkeypatch.delenv("REPRO_SERVICE")
+            return report
+
+        report, scheduler = _serve(tmp_path, drive)
+        assert report.pool_identical is True and report.ok
+        assert all(e.warm_misses == 0 for e in report.entries)
+        assert scheduler.totals()["jobs"] == 0
+
     def test_served_figure_reports_the_local_cache(
         self, tmp_path, monkeypatch, capsys
     ):

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from repro.router.flit import Packet
 from repro.sim.config import SimulationConfig
 from repro.topology.mesh import Mesh2D
@@ -143,3 +145,43 @@ class TestHotspotLookahead:
         assert [
             (p.src, p.dst, p.size, p.measured) for p in got
         ] == [(p.src, p.dst, p.size, p.measured) for p in expected]
+
+
+def _hotspot(seed=1):
+    config = SimulationConfig(
+        width=4,
+        traffic="hotspot",
+        hotspot_rate=0.05,
+        background_rate=0.05,
+        seed=seed,
+    )
+    return HotspotTraffic(config, Mesh2D(4), random.Random(seed))
+
+
+class TestLookaheadContract:
+    """A cycle ``generate`` has drawn is never drawn again, whether by a
+    repeated ``generate(c)`` or by ``next_event_cycle(c, h)``, so the
+    packet stream is that of plain per-cycle generation."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: _synthetic(0.05, seed=3), _hotspot],
+        ids=["synthetic", "hotspot"],
+    )
+    def test_a_drawn_cycle_is_never_drawn_again(self, make):
+        probed, plain = make(), make()
+
+        def shape(packets):
+            return [
+                (p.src, p.dst, p.size, p.creation_time, p.measured)
+                for p in packets
+            ]
+
+        for cycle in range(600):
+            if cycle % 7 == 0:  # a scan ahead, as an idle engine makes
+                probed.next_event_cycle(cycle, cycle + 20)
+            packets = probed.generate(cycle, True)
+            assert probed.generate(cycle, True) == []
+            event = probed.next_event_cycle(cycle, cycle + 1)
+            assert event is None or event > cycle
+            assert shape(packets) == shape(plain.generate(cycle, True))

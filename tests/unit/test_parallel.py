@@ -12,7 +12,6 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.harness import parallel
 from repro.harness.parallel import (
-    _LOAD_FLOOR,
     SimTask,
     _pool_weight,
     derive_task_seed,
@@ -484,8 +483,8 @@ def _fig9_smoke_grid():
 
 
 class TestPoolWeights:
-    """Pool batches are balanced over load-weighted cost; the shared
-    estimate stays load-blind."""
+    """The pool starts the heaviest tasks first, by load-weighted cost;
+    the shared estimate stays load-blind."""
 
     @pytest.mark.parametrize(
         "grid, heaviest",
@@ -493,31 +492,23 @@ class TestPoolWeights:
         ids=["bench_grid", "fig9_smoke"],
     )
     def test_two_heaviest_tasks_land_on_different_workers(
-        self, grid, heaviest
+        self, grid, heaviest, inline_pool, monkeypatch
     ):
+        """They are the first two submissions, one per worker."""
         tasks = grid()
-        weights = [_pool_weight(task) for task in tasks]
-        assert tuple(sorted(
-            sorted(range(len(tasks)), key=weights.__getitem__)[-2:]
-        )) == heaviest
-        batches = partition_tasks(weights, 2)
-        first, second = heaviest
-        assert sum(first in b and second in b for b in batches) == 0
-        loads = [sum(weights[i] for i in batch) for batch in batches]
-        assert max(loads) / (sum(loads) / 2) < 1.1
-        # The load-blind estimate cannot tell them apart: it puts both
-        # in one batch, which is the imbalance the weights remove.
-        blind = partition_tasks(
-            [estimate_task_cycles(task) for task in tasks], 2
-        )
-        assert any(first in b and second in b for b in blind)
+        monkeypatch.setattr(parallel, "_run_task", lambda task: None)
+        run_tasks(tasks, jobs=2)
+        index = {id(task): i for i, task in enumerate(tasks)}
+        first_two = [index[id(task)] for task in _InlinePool.submitted[:2]]
+        assert tuple(sorted(first_two)) == heaviest
+        # The load-blind estimate cannot tell them from the rest.
+        assert len({estimate_task_cycles(task) for task in tasks}) == 1
 
-    def test_weight_grows_with_load_and_never_reaches_zero(self, config):
-        idle = _pool_weight(SimTask(config, rate=0.0))
-        light = _pool_weight(SimTask(config, rate=0.05))
-        heavy = _pool_weight(SimTask(config, rate=0.3))
-        assert 0 < idle < light < heavy
-        assert idle == estimate_task_cycles(SimTask(config)) * _LOAD_FLOOR
+    def test_weight_grows_with_load(self, config):
+        idle, light, heavy = (
+            _pool_weight(config.at_load(rate)) for rate in (0.0, 0.05, 0.3)
+        )
+        assert idle == 0 < light < heavy
 
     def test_estimate_task_cycles_is_still_load_blind(self, config):
         assert estimate_task_cycles(
@@ -527,12 +518,12 @@ class TestPoolWeights:
 
 class _InlinePool:
     """ProcessPoolExecutor stand-in: runs each submission on the spot,
-    in this process, and remembers what it was handed."""
+    in this process, and remembers the tasks it was handed."""
 
-    batches: list = []
+    submitted: list = []
 
     def __init__(self, max_workers):
-        type(self).batches = []
+        type(self).submitted = []
 
     def __enter__(self):
         return self
@@ -540,16 +531,23 @@ class _InlinePool:
     def __exit__(self, *exc_info):
         return False
 
-    def submit(self, fn, batch):
+    def submit(self, fn, task):
         from concurrent.futures import Future
 
-        type(self).batches.append(list(batch))
+        type(self).submitted.append(task)
         future = Future()
         try:
-            future.set_result(fn(batch))
+            future.set_result(fn(task))
         except Exception as exc:
             future.set_exception(exc)
         return future
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
 
 
 class TestPutAsYouGo:
@@ -590,53 +588,51 @@ class TestPutAsYouGo:
         assert [r.config.injection_rate for r in results] == [0.05, 0.1, 0.3]
         assert len(cache.entry_paths()) == 3
 
-    def test_pooled_failure_keeps_the_batches_that_finished(
-        self, config, flaky, tmp_path, monkeypatch
+    def test_pooled_failure_keeps_every_other_task(
+        self, config, flaky, tmp_path, inline_pool
     ):
-        import concurrent.futures
-
         from repro.exceptions import SimulationError
         from repro.harness.cache import ResultCache
 
-        monkeypatch.setattr(
-            concurrent.futures, "ProcessPoolExecutor", _InlinePool
-        )
         rates = (0.05, 0.3, 0.1, 0.2)
         tasks = [SimTask(config, rate=r) for r in rates]
         cache = ResultCache(tmp_path)
         with pytest.raises(SimulationError, match="0.3 refused"):
             run_tasks(tasks, jobs=2, cache=cache)
-        # LPT over the weights: {0.3, 0.05} and {0.2, 0.1}.  The first
-        # batch is lost with its failing task, the second is kept even
-        # though it resolved after the failure.
-        assert [[t.rate for t in b] for b in _InlinePool.batches] == [
-            [0.05, 0.3],
-            [0.1, 0.2],
-        ]
-        kept = sorted(
+        kept = [
             ResultCache(tmp_path).get(task.resolved_config()) is not None
             for task in tasks
-        )
-        assert kept == [False, False, True, True]
+        ]
+        assert kept == [True, False, True, True]
+        # One task per submission, heaviest first: the failing task went
+        # first, and the three after it still ran.
+        assert [t.rate for t in _InlinePool.submitted] == [0.3, 0.2, 0.1, 0.05]
         flaky["fails_at"], flaky["simulated"] = None, []
         results = run_tasks(tasks, jobs=2, cache=cache)
-        assert sorted(flaky["simulated"]) == [0.05, 0.3]
+        assert flaky["simulated"] == [0.3]
         assert [r.config.injection_rate for r in results] == list(rates)
 
     def test_pooled_results_come_back_in_task_order(
-        self, config, monkeypatch
+        self, config, inline_pool
     ):
-        import concurrent.futures
-
-        monkeypatch.setattr(
-            concurrent.futures, "ProcessPoolExecutor", _InlinePool
-        )
         rates = (0.2, 0.05, 0.3, 0.1, 0.15)
         results = run_tasks(
             [SimTask(config, rate=r) for r in rates], jobs=3
         )
         assert [r.config.injection_rate for r in results] == list(rates)
-        assert len(_InlinePool.batches) == 3
+        assert len(_InlinePool.submitted) == len(rates)
+
+    def test_equal_weights_start_in_task_order(self, config, inline_pool):
+        tasks = [
+            SimTask(config.with_(routing=routing), rate=rate)
+            for routing in ("dor", "oddeven")
+            for rate in (0.05, 0.2)
+        ]
+        run_tasks(tasks, jobs=2)
+        assert [
+            (t.config.routing, t.rate) for t in _InlinePool.submitted
+        ] == [("dor", 0.2), ("oddeven", 0.2), ("dor", 0.05),
+              ("oddeven", 0.05)]
 
     def test_interrupt_keeps_what_finished_and_the_rerun_does_the_rest(
         self, config, flaky, tmp_path
@@ -658,77 +654,114 @@ class TestPutAsYouGo:
         assert [r.config.injection_rate for r in results] == list(rates)
 
 
+def _await(condition, seconds=20.0):
+    """Poll ``condition()`` until it holds or ``seconds`` pass."""
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
-    reason="the stand-in task reaches the workers by being forked",
+    reason="the stand-in simulation reaches the workers by being forked",
 )
 class TestWorkerLoss:
-    """A real pool whose worker goes away under one batch."""
-
-    RATES = (0.05, 0.3, 0.1, 0.2)  # batches {0.05, 0.3} and {0.1, 0.2}
+    """A real 2-worker pool whose grid is cut short: each result is in
+    the cache the moment it exists, whatever happens to the rest."""
 
     @pytest.fixture
     def grid(self, config, tmp_path, monkeypatch):
-        """``(tasks, cache, state)``: the task at ``state['at']`` waits
-        (bounded) for the other batch to land in the cache — a batch
-        that finishes before the break is the case to pin — and then
-        calls ``state['how']`` in its worker."""
+        """``(make, cache, started, hooks)``: ``make(rates)`` is a grid
+        of ``config`` at those rates; in a worker, each simulation
+        leaves its rate in ``started`` and first calls ``hooks[rate]``,
+        if there is one."""
+        from repro.harness import runner
         from repro.harness.cache import ResultCache
 
-        real = parallel._run_task
-        state = {"at": 0.05, "how": None}
+        real = runner.run_simulation
+        started = tmp_path / "started"
+        started.mkdir()
+        hooks = {}
 
-        def run(task):
-            if task.rate == state["at"]:
-                deadline = time.monotonic() + 60
-                while (
-                    len(list(tmp_path.glob("*.json"))) < 2
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.01)
-                state["how"]()
-            return real(task)
+        def run(resolved):
+            rate = resolved.injection_rate
+            (started / str(rate)).touch()
+            if rate in hooks:
+                hooks[rate]()
+            return real(resolved)
 
-        monkeypatch.setattr(parallel, "_run_task", run)
-        tasks = [SimTask(config, rate=r) for r in self.RATES]
-        return tasks, ResultCache(tmp_path), state
+        monkeypatch.setattr(runner, "run_simulation", run)
 
-    def _rerun_simulates_only(self, tasks, cache, state, expected):
-        state["at"] = None
-        before = cache.misses
-        results = run_tasks(tasks, jobs=2, cache=cache)
-        assert cache.misses - before == expected
-        assert [r.config.injection_rate for r in results] == list(self.RATES)
-        assert len(cache.entry_paths()) == len(tasks)
+        def make(rates):
+            return [SimTask(config, rate=r) for r in rates]
+
+        return make, ResultCache(tmp_path / "cache"), started, hooks
+
+    @staticmethod
+    def _stored(cache):
+        return len(cache.entry_paths())
 
     def test_killed_worker_is_one_clear_error(self, grid):
         from repro.exceptions import SimulationError
 
-        tasks, cache, state = grid
-        state["how"] = lambda: os._exit(9)
+        make, cache, _, hooks = grid
+        tasks = make((0.05, 0.3, 0.1, 0.2))
+
+        def die():  # the lightest task goes last: the others are done
+            _await(lambda: self._stored(cache) == 3)
+            os._exit(9)
+
+        hooks[0.05] = die
         with pytest.raises(SimulationError) as excinfo:
             run_tasks(tasks, jobs=2, cache=cache)
         message = str(excinfo.value)
         assert "worker was killed" in message and "\n" not in message
-        assert "2 of 4 simulations unfinished" in message
+        assert "1 of 4 simulations unfinished" in message
         assert "--jobs 1" in message and "re-run resumes" in message
-        # The batch that came back before the break was kept.
         assert [
             cache.get(task.resolved_config()) is not None for task in tasks
-        ] == [False, False, True, True]
-        self._rerun_simulates_only(tasks, cache, state, 2)
+        ] == [False, True, True, True]
+        hooks.clear()
+        before = cache.misses
+        results = run_tasks(tasks, jobs=2, cache=cache)
+        assert cache.misses - before == 1
+        assert [r.config.injection_rate for r in results] == [
+            0.05, 0.3, 0.1, 0.2
+        ]
 
-    def test_interrupted_worker_keeps_the_finished_batch(self, grid):
-        tasks, cache, state = grid
+    def test_interrupt_starts_nothing_queued(self, grid):
+        make, cache, started, hooks = grid
+        rates = (0.3, 0.25, 0.2, 0.15, 0.1, 0.05)
+        tasks = make(rates)
 
         def interrupt():
+            # Once 0.3 is in the cache and the task after it runs.
+            _await(
+                lambda: self._stored(cache) == 1
+                and (started / "0.2").exists()
+            )
             raise KeyboardInterrupt
 
-        state["how"] = interrupt
+        hooks[0.25] = interrupt
+        # Long enough for the pool to see the interrupt first.
+        hooks[0.2] = lambda: time.sleep(0.5)
         with pytest.raises(KeyboardInterrupt):
             run_tasks(tasks, jobs=2, cache=cache)
-        assert len(cache.entry_paths()) == 2
-        self._rerun_simulates_only(tasks, cache, state, 2)
+        ran = {float(path.name) for path in started.iterdir()}
+        stored = {
+            rate
+            for rate, task in zip(rates, tasks)
+            if cache.get(task.resolved_config()) is not None
+        }
+        # Every task that started finished into the cache, but the one
+        # interrupted; the three still queued never started.
+        assert ran == stored | {0.25}
+        assert stored == {0.3, 0.2}
+        hooks.clear()
+        before = cache.misses
+        results = run_tasks(tasks, jobs=2, cache=cache)
+        assert cache.misses - before == 4
+        assert [r.config.injection_rate for r in results] == list(rates)
 
 
 class TestServiceFallback:

@@ -1,5 +1,7 @@
 """Unit tests for the runtime invariant validation subsystem."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.exceptions import ConfigurationError, InvariantViolation
@@ -15,15 +17,20 @@ from repro.validate import (
 )
 
 
+def _on(*names):
+    """The four checker fields with exactly ``names`` switched on."""
+    return {name: name in names for name in CHECKER_NAMES}
+
+
 class TestValidationConfig:
     def test_default_enables_everything(self):
         config = ValidationConfig()
         assert config.active
-        assert config.enabled_checkers() == CHECKER_NAMES
+        assert asdict(config) == _on(*CHECKER_NAMES)
 
     def test_only_selects_a_subset(self):
         config = ValidationConfig.only("vc_states")
-        assert config.enabled_checkers() == ("vc_states",)
+        assert asdict(config) == _on("vc_states")
         assert config.active
 
     def test_only_rejects_unknown_checker(self):
@@ -33,7 +40,7 @@ class TestValidationConfig:
     def test_nothing_enabled_is_inactive(self):
         config = ValidationConfig.only()
         assert not config.active
-        assert config.enabled_checkers() == ()
+        assert asdict(config) == _on()
 
 
 class TestValidationFromEnv:
@@ -50,12 +57,12 @@ class TestValidationFromEnv:
         monkeypatch.setenv("REPRO_VALIDATE", value)
         config = validation_from_env()
         assert config is not None
-        assert config.enabled_checkers() == CHECKER_NAMES
+        assert asdict(config) == _on(*CHECKER_NAMES)
 
     def test_subset_list(self, monkeypatch):
         monkeypatch.setenv("REPRO_VALIDATE", "flit_conservation, vc_states")
         config = validation_from_env()
-        assert config.enabled_checkers() == ("flit_conservation", "vc_states")
+        assert asdict(config) == _on("flit_conservation", "vc_states")
 
 
 class TestInvariantViolation:
