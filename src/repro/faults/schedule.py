@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 from repro.exceptions import FaultError
@@ -131,6 +131,7 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "FaultEvent":
+        _check_fields(data, _EVENT_FIELDS, "fault event")
         direction = data.get("direction")
         return cls(
             cycle=data["cycle"],
@@ -152,6 +153,19 @@ class FaultEvent:
             else f"for {self.duration} cycles"
         )
         return f"{where} down at cycle {self.cycle} ({span})"
+
+
+_EVENT_FIELDS = tuple(f.name for f in fields(FaultEvent))
+
+
+def _check_fields(data: Any, known: tuple[str, ...], what: str) -> None:
+    """Raise :class:`FaultError` unless ``data`` is a dict whose keys
+    are all in ``known`` (the JSON form is read by name)."""
+    if not isinstance(data, dict):
+        raise FaultError(f"{what} must be a dict, got {type(data).__name__}")
+    unknown = data.keys() - known
+    if unknown:
+        raise FaultError(f"unknown {what} field {min(unknown)!r}")
 
 
 def _event_sort_key(event: FaultEvent) -> tuple:
@@ -219,6 +233,7 @@ class FaultSchedule:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "FaultSchedule":
+        _check_fields(data, ("events",), "fault schedule")
         return cls(
             events=tuple(
                 e if isinstance(e, FaultEvent) else FaultEvent.from_dict(e)

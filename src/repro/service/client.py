@@ -30,7 +30,7 @@ from typing import Any, Iterable
 from repro import settings
 from repro.harness.parallel import SimTask
 from repro.service import ServiceError, ServiceUnreachable
-from repro.service.jobs import JobSpec, JobState
+from repro.service.jobs import JobState, payload
 from repro.service.protocol import MAX_LINE, decode, encode
 from repro.sim.constants import ENGINE_VERSION
 from repro.sim.results import SimulationResult
@@ -150,11 +150,12 @@ class ServiceClient:
         tasks: Iterable[SimTask],
         stream: str = "default",
     ) -> dict[str, Any]:
-        """Submit a grid as one job; a server on another engine version
-        refuses it."""
-        spec = JobSpec(name=name, tasks=tuple(tasks), stream=stream)
+        """Submit a grid as one job; the server checks it, and a server
+        on another engine version refuses it."""
         return self.call(
-            "submit", engine_version=ENGINE_VERSION, **spec.to_dict()
+            "submit",
+            engine_version=ENGINE_VERSION,
+            **payload(name, tasks, stream),
         )
 
     def status(self, job_id: str | None = None) -> dict[str, Any]:

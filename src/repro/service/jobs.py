@@ -10,9 +10,10 @@ identically and the scheduler can answer the second from the first.
 The same per-task keys drive the finer dedup levels: a task already in
 the persistent cache completes without simulating, and a task currently
 simulating for another job is *shared* rather than re-run.
-:func:`wire_grid` reads the keys off a ``submit`` payload without
-building a config, so a resubmitted grid is found before any is built,
-and a new grid's spec keeps them.
+:func:`payload` writes a ``submit`` payload and :meth:`JobSpec.from_dict`
+reads it, once: its keys are read off the wire dicts, so a resubmitted
+grid is found before any config is built, and a new grid builds each
+config once and keeps those keys.
 
 :class:`Job` is the mutable runtime record.  Its lifecycle is::
 
@@ -43,9 +44,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterable, NamedTuple
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, FaultError
 from repro.harness import cache
-from repro.harness.parallel import SimTask, _wants_telemetry
+from repro.harness.parallel import SimTask
 from repro.service import ServiceError
 from repro.sim.config import SimulationConfig, check_rate, load_field_of
 from repro.sim.results import SimulationResult
@@ -97,51 +98,83 @@ class Served(NamedTuple):
 
 @dataclass(frozen=True)
 class JobSpec:
-    """Immutable description of a submitted job.
+    """A submitted grid as read off the wire (:meth:`from_dict`): each
+    task's config dict, its rate written into the :func:`load_field_of`
+    field and telemetry dropped, and that dict's cache key.  The wire
+    keys find a resubmitted grid before any config is built
+    (:meth:`wire_hash`); a new grid builds each config once.
 
     ``stream`` is a label only: it is shown by ``status`` and does not
     change when the job runs.  Tasks requesting active telemetry are
     rejected: the service dedupes through the telemetry-blind result
     cache, so it could not honor a request for collected series.
-
-    Tasks are resolved once, on construction; keys and hash once, on
-    first use (a spec built only to be sent derives none).
     """
 
     name: str
-    tasks: tuple[SimTask, ...]
-    stream: str = "default"
+    stream: str
+    dicts: tuple[dict[str, Any], ...]
+    wire_keys: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        for field_name in ("name", "stream"):
-            value = getattr(self, field_name)
-            if not _label_ok(value):
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "JobSpec":
+        """Read a ``submit`` payload (:func:`payload`, parsed); a
+        ``weight`` field from an older client is ignored.  A malformed
+        payload is a :class:`ServiceError`."""
+        name, stream = data.get("name"), data.get("stream", "default")
+        for field_name, value in (("name", name), ("stream", stream)):
+            if not (isinstance(value, str) and value):
                 raise ServiceError(
                     f"job {field_name} must be a non-empty string, "
                     f"got {value!r}"
                 )
-        if not self.tasks:
-            raise ServiceError(f"job '{self.name}' has no tasks")
-        # Resolving checks each task's rate; the configs are kept.
-        for config in self.configs:
-            if _wants_telemetry(config):
-                raise ServiceError(
-                    f"job '{self.name}' requests active telemetry; the "
-                    f"service dedupes through the telemetry-blind result "
-                    f"cache and cannot serve collected series — run "
-                    f"telemetry configs through the local harness instead"
-                )
+        try:
+            dicts = []
+            for item in data["tasks"]:
+                config = dict(item["config"])
+                telemetry = config.pop("telemetry", None)
+                if telemetry is not None and _active(telemetry):
+                    raise ServiceError(
+                        f"job '{name}' requests active telemetry, which the "
+                        f"telemetry-blind result cache cannot serve; run "
+                        f"it through the local harness"
+                    )
+                rate = item.get("rate")
+                if rate is not None:
+                    # The base value it replaces must still be valid.
+                    load = load_field_of(
+                        config.get("traffic", SimulationConfig.traffic)
+                    )
+                    if load in config:
+                        check_rate(load, config[load])
+                    check_rate(load, rate)
+                    config[load] = rate
+                dicts.append(config)
+            keys = tuple(map(cache._config_dict_key, dicts))
+        except _MALFORMED as exc:
+            raise ServiceError(f"malformed job spec: {exc!r}") from None
+        if not dicts:
+            raise ServiceError(f"job '{name}' has no tasks")
+        return cls(name, stream, tuple(dicts), keys)
 
     # ------------------------------------------------------------------
     @cached_property
     def configs(self) -> tuple[SimulationConfig, ...]:
-        """Per-task resolved configs, in task order."""
-        return tuple(task.resolved_config() for task in self.tasks)
+        """Per-task configs, each built once, in task order."""
+        try:
+            return tuple(map(SimulationConfig.from_dict, self.dicts))
+        except _MALFORMED as exc:
+            raise ServiceError(f"malformed job spec: {exc!r}") from None
 
     @cached_property
     def keys(self) -> tuple[str, ...]:
-        """Per-task result-cache keys, in task order."""
-        return tuple(map(cache.config_cache_key, self.configs))
+        """Per-task result-cache keys, in task order: the wire key where
+        a config writes out as its dict, else derived from the config."""
+        return tuple(map(_key_of, self.configs, self.dicts, self.wire_keys))
+
+    def wire_hash(self) -> str:
+        """The grid's hash by its wire keys: :meth:`spec_hash` wherever
+        the dicts are :meth:`SimulationConfig.to_dict` forms."""
+        return _grid_hash(self.wire_keys)
 
     @cached_property
     def _hash(self) -> str:
@@ -151,61 +184,26 @@ class JobSpec:
         """Content hash of the grid (order- and stream-insensitive)."""
         return self._hash
 
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        """Wire form; inverse of :meth:`from_dict`."""
-        return {
-            "name": self.name,
-            "stream": self.stream,
-            "tasks": [
-                {
-                    "config": task.config.to_dict(),
-                    "rate": task.rate,
-                }
-                for task in self.tasks
-            ],
-        }
 
-    @classmethod
-    def from_dict(
-        cls, data: dict[str, Any], wire: "WireGrid | None" = None
-    ) -> "JobSpec":
-        """Rebuild a spec from :meth:`to_dict` output (or parsed JSON);
-        a ``weight`` field from an older client is ignored.
-
-        ``wire`` is :func:`wire_grid` of ``data``: a task whose resolved
-        config writes out as the dict its wire key was taken from keeps
-        that key, so the grid's keys are derived once; any other task's
-        key is derived from its config."""
-        try:
-            raw_tasks = data["tasks"]
-            tasks = tuple(
-                SimTask(
-                    config=SimulationConfig.from_dict(item["config"]),
-                    rate=item.get("rate"),
-                )
-                for item in raw_tasks
-            )
-            spec = cls(
-                name=data["name"],
-                tasks=tasks,
-                stream=data.get("stream", "default"),
-            )
-        except ServiceError:
-            raise
-        except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
-            raise ServiceError(f"malformed job spec: {exc!r}") from None
-        if wire is not None:
-            # Fills the ``keys`` cache, as its first read would.
-            spec.__dict__["keys"] = tuple(
-                map(_key_of, spec.configs, wire.dicts, wire.keys)
-            )
-        return spec
+#: What reading or building a malformed task raises.
+_MALFORMED = (KeyError, TypeError, ValueError, ConfigurationError, FaultError)
 
 
-def _label_ok(value: object) -> bool:
-    """Whether ``value`` is a valid job name or stream label."""
-    return isinstance(value, str) and bool(value)
+def payload(
+    name: str, tasks: Iterable[SimTask], stream: str = "default"
+) -> dict[str, Any]:
+    """The ``submit`` fields of a grid, which :meth:`JobSpec.from_dict`
+    reads; no config is built or checked here."""
+    tasks = [{"config": t.config.to_dict(), "rate": t.rate} for t in tasks]
+    return {"name": name, "stream": stream, "tasks": tasks}
+
+
+def _active(telemetry: dict[str, Any]) -> bool:
+    """Whether a config's telemetry dict asks for collected series."""
+    # Imported lazily, as SimulationConfig.from_dict does.
+    from repro.telemetry.config import TelemetryConfig
+
+    return TelemetryConfig.from_dict(telemetry).active
 
 
 def _grid_hash(keys: Iterable[str]) -> str:
@@ -222,53 +220,6 @@ def _key_of(config: SimulationConfig, seen: dict[str, Any], key: str) -> str:
     if cache._same_json(asking, seen):
         return key
     return cache._config_dict_key(asking)
-
-
-class WireGrid(NamedTuple):
-    """A ``submit`` payload's tasks read off the wire (:func:`wire_grid`):
-    each task's config dict with its rate written in and telemetry
-    dropped, and that dict's cache key."""
-
-    dicts: tuple[dict[str, Any], ...]
-    keys: tuple[str, ...]
-
-    def spec_hash(self) -> str:
-        return _grid_hash(self.keys)
-
-
-def wire_grid(data: dict[str, Any]) -> WireGrid | None:
-    """``submit`` payload ``data`` read off its wire form without
-    building a config; ``None`` where only a built :class:`JobSpec` can
-    tell.
-
-    A task's key is :func:`~repro.harness.cache._config_dict_key` of its
-    config dict with the rate written into the :func:`load_field_of`
-    field: its resolved config's key wherever the dict is a
-    :meth:`SimulationConfig.to_dict` form, as :meth:`JobSpec.to_dict`
-    sends.  Any other dict (a default left out, ``height: null``) hashes
-    to no known grid, and the caller builds the spec.  What a spec
-    checks is checked here too, or answered ``None``: name and stream,
-    telemetry (any is left to the spec), and the value the rate replaces.
-    """
-    try:
-        if not (_label_ok(data["name"])
-                and _label_ok(data.get("stream", "default"))):
-            return None
-        dicts, keys = [], []
-        for item in data["tasks"]:
-            config = dict(item["config"])
-            if config.get("telemetry") is not None:
-                return None
-            rate = item.get("rate")
-            if rate is not None:
-                load = load_field_of(config["traffic"])
-                check_rate(load, config[load])
-                config[load] = rate
-            keys.append(cache._config_dict_key(config))
-            dicts.append(config)
-    except (KeyError, TypeError, ValueError, ConfigurationError):
-        return None
-    return WireGrid(tuple(dicts), tuple(keys)) if keys else None
 
 
 @dataclass
@@ -290,7 +241,7 @@ class Job:
     MAX_EVENTS = 64
 
     def __post_init__(self) -> None:
-        count = len(self.spec.tasks)
+        count = len(self.spec.dicts)
         self.tasks = ["pending"] * count
         self.results = [None] * count
         #: Tasks done, and tasks not yet in a terminal state: what one

@@ -86,7 +86,8 @@ class ExperimentScheduler:
         """Admit ``spec``; returns ``(job, deduped)``.
 
         A grid whose content hash is :meth:`known` is answered by that
-        job (``deduped=True``) — nothing is scheduled.
+        job (``deduped=True``) — nothing is scheduled.  The hash builds
+        each config, so a malformed one is refused here.
         """
         spec_hash = spec.spec_hash()
         existing = self.known(spec_hash)
@@ -95,7 +96,7 @@ class ExperimentScheduler:
         job = Job(id=f"j{next(self._ids)}", spec=spec)
         self._jobs[job.id] = job
         self._jobs_by_hash[spec_hash] = job
-        for index in range(len(spec.tasks)):
+        for index in range(len(spec.dicts)):
             if not self._resolve(job, index):
                 self._queue.append((job, index))
         self._pump()
@@ -181,7 +182,9 @@ class ExperimentScheduler:
         # Nothing is recorded until the executor has taken the task.
         loop = asyncio.get_running_loop()
         future = loop.run_in_executor(
-            self._ensure_executor(), self._run_task, job.spec.tasks[index]
+            self._ensure_executor(),
+            self._run_task,
+            SimTask(job.spec.configs[index]),
         )
         key = job.spec.keys[index]
         job.start(index, "running")

@@ -29,7 +29,7 @@ from typing import Any
 
 from repro.harness.cache import ResultCache
 from repro.service import ServiceError
-from repro.service.jobs import JobSpec, JobState, wire_grid
+from repro.service.jobs import JobSpec, JobState
 from repro.service.protocol import (
     MAX_LINE,
     Encoded,
@@ -182,25 +182,22 @@ class ExperimentServer:
         if theirs != ENGINE_VERSION:
             raise ServiceError(
                 f"engine version skew: the client simulates with "
-                f"ENGINE_VERSION {theirs}, this server with "
+                f"ENGINE_VERSION {theirs!r}, this server with "
                 f"{ENGINE_VERSION}; restart `repro serve` from the "
                 f"client's checkout"
             )
-        # A known grid is found by its wire form, before any config is
-        # built; everything else is admitted through a full spec, which
-        # keeps the keys read off the wire.
-        wire = wire_grid(request)
-        spec_hash = None if wire is None else wire.spec_hash()
-        job = None if spec_hash is None else self.scheduler.known(spec_hash)
+        # A known grid is found by its wire keys, before any config is
+        # built; admission builds the rest (a hand-written dict's
+        # canonical keys may still find a known job there).
+        spec = JobSpec.from_dict(request)
+        job = self.scheduler.known(spec.wire_hash())
         deduped = job is not None
         if not deduped:
-            spec = JobSpec.from_dict(request, wire)
             job, deduped = self.scheduler.submit(spec)
-            spec_hash = spec.spec_hash()
         return {
             "ok": True,
             "job_id": job.id,
-            "hash": spec_hash,
+            "hash": job.spec.spec_hash(),
             "deduped": deduped,
             "state": job.state.value,
             "tasks": len(job.tasks),

@@ -308,10 +308,17 @@ class SimulationConfig:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "SimulationConfig":
-        """Rebuild a config from :meth:`to_dict` output (or parsed JSON)."""
+        """Rebuild a config from :meth:`to_dict` output (or parsed JSON);
+        an int or str field of another type (``4.0``, ``true``) is a
+        :class:`ConfigurationError` here, and only here."""
         data = dict(data)
+        for name, kind, optional in _TYPED_FIELDS:
+            if name in data:
+                _check_type(name, data[name], kind, optional)
         if data.get("packet_size_range") is not None:
             data["packet_size_range"] = tuple(data["packet_size_range"])
+            for bound in data["packet_size_range"]:
+                _check_type("packet_size_range bound", bound, int, False)
         if data.get("trace") is not None:
             # Imported lazily: trace.py imports this module.
             from repro.traffic.trace import TraceEvent
@@ -354,6 +361,24 @@ class SimulationConfig:
 
 #: Field names in declaration order, which a stored result's JSON keeps.
 _FIELD_NAMES = tuple(f.name for f in fields(SimulationConfig))
+
+#: The fields :meth:`SimulationConfig.from_dict` holds to their type:
+#: name, type, and whether ``None`` (their default) is allowed.
+_TYPED_FIELDS = tuple(
+    (f.name, str if f.type == "str" else int, f.type.endswith("None"))
+    for f in fields(SimulationConfig)
+    if f.type in ("int", "int | None", "str")
+)
+
+
+def _check_type(name: str, value: Any, kind: type, optional: bool) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is a ``kind``
+    (exactly: a bool is no int), or ``None`` where ``optional``."""
+    if type(value) is not kind and not (optional and value is None):
+        raise ConfigurationError(
+            f"{name} must be {kind.__name__}"
+            f"{' or null' if optional else ''}, got {value!r}"
+        )
 
 
 def load_field_of(traffic: str) -> str:

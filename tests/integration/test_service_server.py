@@ -19,7 +19,7 @@ from repro.harness.cache import ResultCache, config_cache_key
 from repro.harness.parallel import SimTask, run_tasks
 from repro.service import ServiceError, ServiceUnreachable
 from repro.service.client import ServiceClient
-from repro.service.jobs import JobSpec
+from repro.service.jobs import payload
 from repro.service.protocol import encode
 from repro.service.scheduler import ExperimentScheduler
 from repro.service.server import ExperimentServer
@@ -428,8 +428,8 @@ class TestSeams:
             monkeypatch.undo()
             job = client.submit_tasks("level", [SimTask(_config())])
             # A hand-written JSON client names no version: accepted.
-            bare = JobSpec(name="bare", tasks=(SimTask(_config()),))
-            assert client.call("submit", **bare.to_dict())["deduped"] is True
+            bare = payload("bare", [SimTask(_config())])
+            assert client.call("submit", **bare)["deduped"] is True
             return client.wait(job["job_id"], timeout=60)["state"]
 
         state, scheduler = _serve(tmp_path, drive)

@@ -16,7 +16,7 @@ from repro.harness.cache import ResultCache, config_cache_key
 from repro.harness.parallel import SimTask
 from repro.harness.runner import run_simulation
 from repro.metrics.stats import pack_samples, unpack_samples
-from repro.service.jobs import JobSpec
+from repro.service.jobs import JobSpec, payload
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
 from repro.sim.results import SimulationResult
@@ -190,10 +190,10 @@ class TestPinnedKeys:
         assert config_cache_key(config) == key
 
     def test_spec_hash(self):
-        spec = JobSpec(name="pin", tasks=(
+        spec = JobSpec.from_dict(payload("pin", [
             SimTask(_config(), rate=0.02),
             SimTask(_config(routing="dbar"), rate=0.04),
-        ))
+        ]))
         assert spec.spec_hash() == (
             "193e51d976a4dd604573639beb47f3754020d1fb55a6cbacd1f349a99f58a29e"
         )
@@ -551,8 +551,12 @@ def test_a_stored_value_equal_only_under_plain_equality_misses(
 
 
 def test_nan_is_stored_and_hit_as_nan(tmp_path):
-    """NaN is not ``==`` to itself, but serializes (and hashes) alike."""
-    config = _config(seed=float("nan"))
+    """NaN is not ``==`` to itself, but serializes (and hashes) alike.
+
+    It rides in a fault's duration: ``from_dict``, which the oracle
+    rebuilds the entry with, refuses a float in a config's int field."""
+    nan_fault = FaultEvent(0, "router", 1, duration=float("nan"))
+    config = _config(faults=FaultSchedule((nan_fault,)))
     cache = ResultCache(tmp_path)
     cache.put(dataclasses.replace(_simulated(), config=config))
     assert _parent_hit(

@@ -121,6 +121,31 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SimulationConfig(warmup_cycles=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("width", 4.0),
+        ("seed", True),
+        ("warmup_cycles", 10.5),
+        ("height", "4"),
+        ("footprint_vc_limit", 2.0),
+        ("packet_size_range", [1, 2.5]),
+        ("packet_size_range", [False, 3]),
+        ("traffic", 3),
+        ("routing", None),
+        ("topology", ["mesh"]),
+    ])
+    def test_from_dict_rejects_a_field_of_another_type(self, field, value):
+        data = {**SimulationConfig().to_dict(), field: value}
+        with pytest.raises(ConfigurationError, match=f"^{field}"):
+            SimulationConfig.from_dict(data)
+
+    def test_from_dict_allows_null_where_the_default_is(self):
+        data = {
+            **SimulationConfig(width=4).to_dict(),
+            "height": None,
+            "footprint_vc_limit": None,
+        }
+        assert SimulationConfig.from_dict(data) == SimulationConfig(width=4)
+
 
 class TestHelpers:
     def test_with_overrides_and_revalidates(self):

@@ -97,6 +97,25 @@ def test_schedule_round_trip():
     assert FaultSchedule.from_dict(json.loads(blob)) == schedule
 
 
+@pytest.mark.parametrize("data", ["abc", ["events"], None])
+def test_schedule_from_dict_rejects_a_non_dict(data):
+    with pytest.raises(FaultError, match="fault schedule must be a dict"):
+        FaultSchedule.from_dict(data)
+
+
+def test_schedule_from_dict_rejects_an_unknown_key():
+    with pytest.raises(FaultError, match="unknown fault schedule field 'x'"):
+        FaultSchedule.from_dict({"x": 1})
+
+
+def test_event_from_dict_rejects_a_non_dict_or_an_unknown_key():
+    with pytest.raises(FaultError, match="fault event must be a dict"):
+        FaultSchedule.from_dict({"events": "abc"})
+    event = {**FaultEvent(0, "router", 1).to_dict(), "nodes": 2}
+    with pytest.raises(FaultError, match="unknown fault event field 'nodes'"):
+        FaultEvent.from_dict(event)
+
+
 # ----------------------------------------------------------------------
 # Config integration and cache keys
 # ----------------------------------------------------------------------

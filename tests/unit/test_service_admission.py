@@ -1,11 +1,11 @@
 """Admission of a ``submit``: a known grid is found by its wire form.
 
-The server hashes a submission from its wire dicts first
-(:func:`repro.service.jobs.wire_grid`) and answers a grid it already
-holds without building a config; anything else is admitted through a
-full :class:`JobSpec`, which keeps the keys read off the wire where
+The server reads a submission once (:meth:`JobSpec.from_dict`), hashes
+its wire dicts (:meth:`JobSpec.wire_hash`) and answers a grid it
+already holds without building a config; anything else is admitted by
+building each config once, keeping the keys read off the wire where
 its configs write out as the wire dicts.  These tests hold the two
-paths to one answer: the same hash and keys, the same job, and the
+outcomes to one answer: the same hash and keys, the same job, and the
 same error for a bad request whether or not its grid is known.
 """
 
@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.faults.schedule import random_link_faults
 from repro.harness.parallel import SimTask
-from repro.service.jobs import JobSpec, wire_grid
+from repro.harness.cache import config_cache_key
+from repro.service.jobs import JobSpec, payload
 from repro.service.protocol import decode, encode
 from repro.service.scheduler import ExperimentScheduler
 from repro.service.server import ExperimentServer
@@ -39,12 +40,14 @@ def _config(seed=1, **overrides):
     })
 
 
-SPEC = JobSpec(
-    name="grid",
-    tasks=tuple(SimTask(_config(seed), rate=0.05) for seed in (1, 2, 3)),
-    stream="a",
-)
-SUBMIT = {"verb": "submit", "engine_version": ENGINE_VERSION, **SPEC.to_dict()}
+SUBMIT = {
+    "verb": "submit",
+    "engine_version": ENGINE_VERSION,
+    **payload(
+        "grid", [SimTask(_config(seed), rate=0.05) for seed in (1, 2, 3)], "a"
+    ),
+}
+SPEC = JobSpec.from_dict(SUBMIT)
 
 
 @pytest.fixture(scope="module")
@@ -81,8 +84,9 @@ def _base_load_out_of_range(request):
     request["tasks"][0]["config"]["injection_rate"] = 5.0
 
 
-def _unknown_field(request):
-    request["tasks"][0]["config"]["bogus"] = 1
+def _config_edit(**fields):
+    """Set ``fields`` in the first task's config dict."""
+    return lambda request: request["tasks"][0]["config"].update(fields)
 
 
 BAD = {
@@ -92,9 +96,19 @@ BAD = {
     "active_telemetry": _active_telemetry,
     "engine_version_skew": lambda r: r.update(engine_version=-1),
     "base_load_out_of_range": _base_load_out_of_range,
-    "unknown_config_field": _unknown_field,
+    "unknown_config_field": _config_edit(bogus=1),
     "no_tasks": lambda r: r.update(tasks=[]),
     "task_not_a_dict": lambda r: r["tasks"].append(3),
+    "int_field_a_float": _config_edit(width=4.0),
+    "int_field_a_bool": _config_edit(seed=True),
+    "fractional_cycles": _config_edit(warmup_cycles=10.5),
+    "size_bound_a_float": _config_edit(packet_size_range=[1, 2.5]),
+    "str_field_an_int": _config_edit(traffic=3),
+    "faults_not_a_dict": _config_edit(faults="abc"),
+    "faults_unknown_key": _config_edit(faults={"x": 1}),
+    "engine_version_a_string": lambda r: r.update(
+        engine_version=str(ENGINE_VERSION)
+    ),
 }
 
 
@@ -106,12 +120,19 @@ def test_a_known_grid_gets_the_error_a_new_grid_gets(edit, canned):
     known, again = _admit([SUBMIT, bad], lambda task: canned)
     assert known["ok"] and not fresh["ok"]
     assert again == fresh
+    assert not fresh["error"].startswith("internal error"), fresh
+
+
+def test_a_version_skew_names_the_clients_value_as_sent(canned):
+    bad = {**SUBMIT, "engine_version": str(ENGINE_VERSION)}
+    [reply] = _admit([bad], lambda task: canned)
+    assert f"ENGINE_VERSION '{ENGINE_VERSION}'," in reply["error"]
 
 
 def test_a_known_grid_is_answered_by_its_job(canned):
     resubmit = {**SUBMIT, "name": "again", "stream": "b"}
     first, again = _admit([SUBMIT, resubmit], lambda task: canned)
-    assert wire_grid(resubmit).spec_hash() == SPEC.spec_hash()
+    assert JobSpec.from_dict(resubmit).wire_hash() == SPEC.spec_hash()
     assert first["hash"] == SPEC.spec_hash()
     assert (first["deduped"], again["deduped"]) == (False, True)
     assert again == {**first, "deduped": True, "state": "done"}
@@ -120,7 +141,7 @@ def test_a_known_grid_is_answered_by_its_job(canned):
 def test_an_older_clients_dict_is_found_by_its_wire_form(canned):
     """A stream ``weight`` from an older client is ignored both ways."""
     weighted = {**SUBMIT, "weight": 2.5}
-    assert wire_grid(weighted).spec_hash() == SPEC.spec_hash()
+    assert JobSpec.from_dict(weighted).wire_hash() == SPEC.spec_hash()
     _, again = _admit([SUBMIT, weighted], lambda task: canned)
     assert again["deduped"] and again["job_id"] == "j1"
 
@@ -139,14 +160,14 @@ def test_a_hand_written_dict_reaches_the_known_job_the_full_way(
     form, canned
 ):
     """A dict that is no config's ``to_dict`` form hashes to no known
-    grid from the wire; the spec built from it finds the job."""
+    grid from the wire; its built configs' keys find the job."""
     hand = copy.deepcopy(SUBMIT)
     for task in hand["tasks"]:
         task["config"] = HAND_WRITTEN[form](task["config"])
-    wire = wire_grid(hand)
-    assert wire is None or wire.spec_hash() != SPEC.spec_hash()
+    spec = JobSpec.from_dict(hand)
+    assert spec.wire_hash() != SPEC.spec_hash()
     # The spec derives its own keys where the wire's are not its configs'.
-    assert JobSpec.from_dict(hand, wire).keys == SPEC.keys
+    assert spec.keys == SPEC.keys
     _, again = _admit([SUBMIT, hand], lambda task: canned)
     assert again["deduped"] and again["job_id"] == "j1"
     assert again["hash"] == SPEC.spec_hash()
@@ -208,14 +229,13 @@ def grids(draw):
             ))),
         )
         tasks.append(SimTask(config, rate=draw(st.one_of(st.none(), RATES))))
-    return JobSpec(name="g", tasks=tuple(tasks))
+    return tasks
 
 
 @settings(max_examples=80, deadline=None)
 @given(grids())
-def test_the_wire_keys_are_the_spec_keys(spec):
-    data = decode(encode(spec.to_dict()))
-    wire = wire_grid(data)
-    assert wire.keys == JobSpec.from_dict(data).keys == spec.keys
-    assert wire.spec_hash() == spec.spec_hash()
-    assert JobSpec.from_dict(data, wire).keys == spec.keys
+def test_the_wire_keys_are_the_spec_keys(tasks):
+    spec = JobSpec.from_dict(decode(encode(payload("g", tasks))))
+    resolved = tuple(config_cache_key(t.resolved_config()) for t in tasks)
+    assert spec.wire_keys == spec.keys == resolved
+    assert spec.wire_hash() == spec.spec_hash()

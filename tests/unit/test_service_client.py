@@ -1,7 +1,9 @@
-"""Unit tests for the service client's handling of ``result`` payloads."""
+"""Unit tests for the service client: the ``submit`` line it writes and
+its handling of ``result`` payloads."""
 
 import pytest
 
+from repro.harness.parallel import SimTask
 from repro.service import ServiceError
 from repro.service.client import ServiceClient
 from repro.sim.config import SimulationConfig
@@ -66,3 +68,50 @@ class TestResults:
     def test_missing_result_is_a_service_error(self, monkeypatch, payload):
         with pytest.raises(ServiceError, match=r"job j1 task 0"):
             _client(monkeypatch, [None, payload]).results("j1")
+
+
+#: The ``submit`` line a client wrote for this grid before
+#: :func:`repro.service.jobs.payload` wrote it: clients and servers on
+#: either side of that change read each other only while it holds.
+SUBMIT_LINE = (
+    b'{"verb":"submit","engine_version":4,"name":"pin","stream":"s",'
+    b'"tasks":[{"config":{"width":4,"height":4,"num_vcs":4,'
+    b'"vc_buffer_depth":4,"routing":"footprint","traffic":"hotspot",'
+    b'"injection_rate":0.1,"packet_size":1,"packet_size_range":null,'
+    b'"internal_speedup":2,"output_buffer_depth":8,'
+    b'"ejection_rate":1.0,"congestion_threshold":0.5,'
+    b'"footprint_vc_limit":null,"warmup_cycles":1000,'
+    b'"measure_cycles":2000,"drain_cycles":10000,"seed":2,'
+    b'"hotspot_rate":0.1,"background_rate":0.3,"trace":null,'
+    b'"track_utilization":false,"faults":null,"telemetry":null,'
+    b'"topology":"mesh"},"rate":0.25},{"config":{"width":4,"height":4,'
+    b'"num_vcs":4,"vc_buffer_depth":4,"routing":"footprint",'
+    b'"traffic":"uniform","injection_rate":0.1,"packet_size":1,'
+    b'"packet_size_range":[1,3],"internal_speedup":2,'
+    b'"output_buffer_depth":8,"ejection_rate":1.0,'
+    b'"congestion_threshold":0.5,"footprint_vc_limit":null,'
+    b'"warmup_cycles":1000,"measure_cycles":2000,"drain_cycles":10000,'
+    b'"seed":1,"hotspot_rate":0.1,"background_rate":0.3,"trace":null,'
+    b'"track_utilization":false,"faults":null,"telemetry":null,'
+    b'"topology":"mesh"},"rate":null}]}\n'
+)
+
+
+def test_the_submit_line_is_the_one_clients_have_always_sent(monkeypatch):
+    """A hotspot task with a rate and a uniform one without."""
+    client = ServiceClient("127.0.0.1", 1)
+    sent = []
+
+    def exchange(line):
+        sent.append(line)
+        return b'{"ok":true}\n'
+
+    monkeypatch.setattr(client, "_exchange", exchange)
+    client.submit_tasks("pin", [
+        SimTask(
+            SimulationConfig(width=4, num_vcs=4, traffic="hotspot", seed=2),
+            rate=0.25,
+        ),
+        SimTask(SimulationConfig(width=4, num_vcs=4, packet_size_range=(1, 3))),
+    ], stream="s")
+    assert sent == [SUBMIT_LINE]

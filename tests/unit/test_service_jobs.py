@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.service import ServiceError
-from repro.service.jobs import Job, JobSpec, JobState, Served
+from repro.service.jobs import Job, JobSpec, JobState, Served, payload
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import SimTask
 from repro.service.scheduler import ExperimentScheduler
@@ -37,9 +37,14 @@ def _config(seed=1, **overrides):
     return SimulationConfig(**base)
 
 
+def _read(tasks, name="g", stream="default"):
+    """The spec a server reads off the wire for ``tasks``."""
+    return JobSpec.from_dict(payload(name, tasks, stream))
+
+
 def _spec(name="grid", stream="s", seeds=(1, 2), rate=None):
-    tasks = tuple(SimTask(_config(seed=seed), rate=rate) for seed in seeds)
-    return JobSpec(name=name, tasks=tasks, stream=stream)
+    tasks = [SimTask(_config(seed=seed), rate=rate) for seed in seeds]
+    return _read(tasks, name, stream)
 
 
 @pytest.fixture(scope="module")
@@ -55,25 +60,25 @@ def tiny_served(tiny_result):
 class TestJobSpec:
     def test_rejects_empty_name(self):
         with pytest.raises(ServiceError):
-            JobSpec(name="", tasks=(SimTask(_config()),))
+            _read([SimTask(_config())], name="")
 
     def test_rejects_empty_stream(self):
         with pytest.raises(ServiceError):
-            JobSpec(name="g", tasks=(SimTask(_config()),), stream="")
+            _read([SimTask(_config())], stream="")
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ServiceError):
-            JobSpec(name="g", tasks=())
+            _read([])
 
     def test_rejects_active_telemetry(self):
         config = _config(telemetry=TelemetryConfig(sample_every=10))
         with pytest.raises(ServiceError, match="telemetry"):
-            JobSpec(name="g", tasks=(SimTask(config),))
+            _read([SimTask(config)])
 
     def test_inactive_telemetry_accepted(self):
         config = _config(telemetry=TelemetryConfig(sample_every=0))
         assert not config.telemetry.active
-        JobSpec(name="g", tasks=(SimTask(config),))
+        _read([SimTask(config)])
 
     def test_hash_ignores_task_order_name_and_stream(self):
         a = _spec(name="a", stream="x", seeds=(1, 2))
@@ -86,18 +91,19 @@ class TestJobSpec:
     def test_hash_uses_resolved_rates(self):
         # A task's rate override participates via the resolved config.
         base = _spec(seeds=(1,), rate=0.07)
-        resolved = JobSpec(
-            name="g", tasks=(SimTask(_config(seed=1, injection_rate=0.07)),)
-        )
+        resolved = _read([SimTask(_config(seed=1, injection_rate=0.07))])
         assert base.spec_hash() == resolved.spec_hash()
 
     def test_round_trip(self):
-        spec = _spec(name="rt", stream="z", seeds=(3, 4), rate=0.08)
-        clone = JobSpec.from_dict(spec.to_dict())
-        assert clone == spec
-        assert clone.spec_hash() == spec.spec_hash()
+        tasks = [SimTask(_config(seed=seed), rate=0.08) for seed in (3, 4)]
+        sent = payload("rt", tasks, "z")
+        spec = JobSpec.from_dict(sent)
+        assert (spec.name, spec.stream) == ("rt", "z")
+        assert spec.configs == tuple(t.resolved_config() for t in tasks)
+        assert spec.wire_keys == spec.keys
+        assert spec.wire_hash() == spec.spec_hash()
         # An older client still sends a stream weight; it is ignored.
-        assert JobSpec.from_dict({**spec.to_dict(), "weight": 2.5}) == spec
+        assert JobSpec.from_dict({**sent, "weight": 2.5}) == spec
 
     def test_from_dict_malformed(self):
         with pytest.raises(ServiceError, match="malformed"):
@@ -110,6 +116,13 @@ class TestJobSpec:
                 JobSpec.from_dict(
                     {"name": "g", "tasks": [{"config": config, "rate": rate}]}
                 )
+        # A config that only its build refuses is refused when built:
+        # the scheduler builds every config at admission.
+        spec = JobSpec.from_dict(
+            {"name": "g", "tasks": [{"config": {**config, "width": 4.0}}]}
+        )
+        with pytest.raises(ServiceError, match="malformed job spec"):
+            spec.configs
 
 
 class TestJobLifecycle:
@@ -212,7 +225,7 @@ class TestJobLifecycle:
             SimTask(_config(traffic="hotspot"), rate=rate)
             for rate in (0.02, 0.3)
         )
-        job = Job(id="j1", spec=JobSpec(name="hot", tasks=tasks))
+        job = Job(id="j1", spec=_read(tasks, name="hot"))
         assert [p["rate"] for p in job.result_points()] == [0.02, 0.3]
 
 

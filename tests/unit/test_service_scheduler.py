@@ -16,7 +16,7 @@ import pytest
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import SimTask
 from repro.service import ServiceError
-from repro.service.jobs import JobSpec, JobState
+from repro.service.jobs import JobSpec, JobState, payload
 from repro.service.protocol import Encoded, decode, encode
 from repro.service.scheduler import ExperimentScheduler
 from repro.service.server import ExperimentServer
@@ -48,8 +48,8 @@ def _config(seed=1, **overrides):
 
 
 def _spec(name, stream, seeds):
-    tasks = tuple(SimTask(_config(seed=seed)) for seed in seeds)
-    return JobSpec(name=name, tasks=tasks, stream=stream)
+    tasks = [SimTask(_config(seed=seed)) for seed in seeds]
+    return JobSpec.from_dict(payload(name, tasks, stream))
 
 
 @pytest.fixture(scope="module")

@@ -1,14 +1,15 @@
-"""Work budget of the dedup path: configs resolved and keys derived.
+"""Work budget of the dedup path: configs built and keys derived.
 
-A grid's tasks are resolved and keyed once where they enter — a
+A grid's configs are built and keyed once where they enter — a
 service ``submit``, or a ``run_tasks`` call — and read from there on:
-``status`` and ``result`` derive nothing, a deduplicated resubmission
-derives its keys from the wire and resolves no config, a new grid's
-spec keeps the keys read off the wire, and the cache probes reuse the
-keys already in hand.  Counted by wrapping the cache's
-``_config_dict_key`` (the one place a key is hashed, by
-:func:`config_cache_key`, by the wire read or by a probe without a
-key) and :meth:`SimTask.resolved_config` on the class.
+the client builds none to send a grid, ``status`` and ``result`` derive
+nothing, a deduplicated resubmission derives its keys from the wire and
+builds no config, a new grid builds each config once and keeps the keys
+read off the wire, and the cache probes reuse the keys already in hand.
+Counted by wrapping the cache's ``_config_dict_key`` (the one place a
+key is hashed, by :func:`config_cache_key`, by the wire read or by a
+probe without a key) and :meth:`SimulationConfig.__post_init__` (every
+build: construction, ``from_dict``, ``with_``) on the class.
 """
 
 import asyncio
@@ -19,7 +20,8 @@ from repro.harness import cache as cache_module
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import SimTask, run_tasks
 from repro.harness.runner import run_simulation
-from repro.service.jobs import JobSpec
+from repro.service.client import ServiceClient
+from repro.service.jobs import payload
 from repro.service.scheduler import ExperimentScheduler
 from repro.service.server import ExperimentServer
 from repro.sim.config import SimulationConfig
@@ -42,14 +44,14 @@ GRID = tuple(
     for seed in (1, 2, 3, 4)
 )
 N = len(GRID)
-NOTHING = {"keys": 0, "resolves": 0}
-ONCE = {"keys": N, "resolves": N}
-DEDUP = {"keys": N, "resolves": 0}
+NOTHING = {"keys": 0, "builds": 0}
+ONCE = {"keys": N, "builds": N}
+DEDUP = {"keys": N, "builds": 0}
 
 
 @pytest.fixture(scope="module")
 def results():
-    """Each grid task's result, by seed (read without resolving)."""
+    """Each grid task's result, by seed (read without building)."""
     return {
         task.config.seed: run_simulation(task.resolved_config())
         for task in GRID
@@ -60,23 +62,35 @@ def results():
 def counts(monkeypatch):
     counts = dict(NOTHING)
     key = cache_module._config_dict_key
-    resolve = SimTask.resolved_config
+    build = SimulationConfig.__post_init__
 
     def counting_key(config_dict):
         counts["keys"] += 1
         return key(config_dict)
 
-    def counting_resolve(task):
-        counts["resolves"] += 1
-        return resolve(task)
+    def counting_build(config):
+        counts["builds"] += 1
+        build(config)
 
     monkeypatch.setattr(cache_module, "_config_dict_key", counting_key)
-    monkeypatch.setattr(SimTask, "resolved_config", counting_resolve)
+    monkeypatch.setattr(SimulationConfig, "__post_init__", counting_build)
     return counts
 
 
+def test_the_client_builds_no_config_to_submit(counts, monkeypatch):
+    sent = []
+    client = ServiceClient("127.0.0.1", 1)
+    monkeypatch.setattr(
+        client, "call", lambda verb, **fields: sent.append(fields)
+    )
+    counts.update(NOTHING)
+    client.submit_tasks("grid", GRID)
+    assert counts == NOTHING
+    assert [t["rate"] for t in sent[0]["tasks"]] == [0.03] * N
+
+
 def test_service_verbs_derive_each_key_once(counts, results, tmp_path):
-    wire = JobSpec(name="grid", tasks=GRID).to_dict()
+    wire = payload("grid", GRID)
 
     async def main():
         def serve(run_task):
@@ -90,7 +104,7 @@ def test_service_verbs_derive_each_key_once(counts, results, tmp_path):
             assert reply["ok"], reply
             return reply, dict(counts)
 
-        # Simulated: the stub reads the seed without resolving, so the
+        # Simulated: the stub reads the seed without building, so the
         # worker thread counts nothing while a verb is being counted.
         server = serve(lambda task: results[task.config.seed])
         reply, spent = verb(server, "submit", wire)
