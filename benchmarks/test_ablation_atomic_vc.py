@@ -27,9 +27,9 @@ class DbarNonAtomic(DbarRouting):
 
 @pytest.fixture
 def register_variant():
-    registry._BASE_FACTORIES["dbar-nonatomic"] = DbarNonAtomic
+    registry.ROUTING["dbar-nonatomic"] = DbarNonAtomic
     yield
-    registry._BASE_FACTORIES.pop("dbar-nonatomic", None)
+    registry.ROUTING.pop("dbar-nonatomic", None)
 
 
 def run_algo(scale, routing, rate=0.35):

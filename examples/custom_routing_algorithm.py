@@ -75,7 +75,7 @@ class O1TurnLite(RoutingAlgorithm):
 
 def main() -> None:
     # Register the custom algorithm so SimulationConfig can name it.
-    registry._BASE_FACTORIES["o1turn-lite"] = O1TurnLite
+    registry.ROUTING["o1turn-lite"] = O1TurnLite
 
     for routing in ("dor", "o1turn-lite", "footprint"):
         config = SimulationConfig(

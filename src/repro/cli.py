@@ -882,8 +882,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 def _cmd_list(_args: argparse.Namespace) -> int:
     from repro.routing.registry import available_algorithms
+    from repro.sim.config import TRAFFIC
     from repro.topology.base import TOPOLOGIES
-    from repro.traffic.patterns import PATTERNS
 
     print("topologies:")
     for name in TOPOLOGIES:
@@ -892,10 +892,8 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     for name in available_algorithms():
         print(f"  {name}")
     print("traffic patterns:")
-    for name in sorted(PATTERNS):
+    for name in TRAFFIC:
         print(f"  {name}")
-    print("  hotspot")
-    print("  trace")
     print("environment (current value; empty = unset):")
     for name, setting in settings.SETTINGS.items():
         meaning = setting.meaning

@@ -19,10 +19,6 @@ class TopologyError(ReproError):
     """A topology query was invalid (unknown node, port, or channel)."""
 
 
-class RoutingError(ReproError):
-    """A routing algorithm produced or received an illegal routing state."""
-
-
 class FlowControlError(ReproError):
     """A flow-control invariant was violated (credit under/overflow, buffer overflow)."""
 

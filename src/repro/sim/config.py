@@ -10,10 +10,82 @@ internal speedup 2, credit-based wormhole flow control).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import Any
+from functools import lru_cache
+from importlib import import_module
+from typing import Any, Callable
 
-from repro.exceptions import ConfigurationError, RoutingError
+from repro.exceptions import ConfigurationError
 from repro.topology.base import TOPOLOGIES
+
+
+def _routing(module: str, cls: str, xordet: bool = False) -> Callable[[], Any]:
+    """A factory for ``repro.routing.<module>.<cls>``, XORDET-wrapped when
+    ``xordet``; it imports the routing package when first called, so a
+    config names an algorithm without loading it."""
+
+    def factory() -> Any:
+        algorithm = getattr(import_module(f"repro.routing.{module}"), cls)()
+        if xordet:
+            from repro.routing.xordet import XordetOverlay
+
+            algorithm = XordetOverlay(algorithm)
+        return algorithm
+
+    return factory
+
+
+#: Every ``routing`` name, in ``repro list`` order, and the factory
+#: :func:`repro.routing.registry.create_routing` calls for it.  A custom
+#: algorithm registers with one assignment here (``ROUTING["mine"] =
+#: MyRouting``).
+ROUTING: dict[str, Callable[[], Any]] = {
+    "dor": _routing("dor", "DorRouting"),
+    "oddeven": _routing("oddeven", "OddEvenRouting"),
+    "dbar": _routing("dbar", "DbarRouting"),
+    "footprint": _routing("footprint", "FootprintRouting"),
+    "dbar-fine": _routing("dbar", "DbarFineRouting"),
+    "dor+xordet": _routing("dor", "DorRouting", xordet=True),
+    "oddeven+xordet": _routing("oddeven", "OddEvenRouting", xordet=True),
+    "dbar+xordet": _routing("dbar", "DbarRouting", xordet=True),
+    "footprint+xordet": _routing("footprint", "FootprintRouting", xordet=True),
+}
+
+#: The geometry rules of :data:`TRAFFIC`: a predicate on ``(width,
+#: height)`` and what it asks for.
+GEOMETRY: dict[str, tuple[Callable[[int, int], bool], str]] = {
+    "square": (lambda w, h: w == h, "a square grid"),
+    "pow2": (lambda w, h: w * h & (w * h - 1) == 0, "a power-of-two node count"),
+}
+
+#: Every ``traffic`` name, in ``repro list`` order (the patterns of
+#: :data:`repro.traffic.patterns.PATTERNS`, then hotspot and trace),
+#: each with the :data:`GEOMETRY` rule its pattern needs (``None``: any
+#: grid).
+TRAFFIC: dict[str, str | None] = {
+    "bitcomp": "pow2",
+    "bitrev": "pow2",
+    "neighbor": None,
+    "shuffle": "pow2",
+    "tornado": None,
+    "transpose": "square",
+    "uniform": None,
+    "hotspot": None,
+    "trace": None,
+}
+
+
+@lru_cache(maxsize=None)
+def _routing_traits(factory: Callable[[], Any]) -> tuple[bool, tuple[str, ...]]:
+    """``uses_escape`` and ``topologies`` of what ``factory`` builds,
+    built once per factory."""
+    algorithm = factory()
+    return algorithm.uses_escape, algorithm.topologies
+
+
+def _unknown(kind: str, name: Any, table: Any) -> ConfigurationError:
+    return ConfigurationError(
+        f"unknown {kind} {name!r}; available: {', '.join(table)}"
+    )
 
 
 @dataclass(frozen=True)
@@ -29,19 +101,19 @@ class SimulationConfig:
     topology:
         Network topology name (``"mesh"`` or ``"torus"``, see
         :data:`repro.topology.base.TOPOLOGIES`).  The default mesh is
-        what the paper evaluates.
+        what the paper evaluates.  Every name field is spelled exactly
+        as its table lists it; :meth:`validate` refuses anything else.
     num_vcs:
         Virtual channels per physical channel (paper default 10).
     vc_buffer_depth:
         Flit slots per VC (paper: 4).
     routing:
-        Routing algorithm name, resolved through
-        :func:`repro.routing.registry.create_routing`: one of
-        :func:`repro.routing.registry.available_algorithms` (``repro
-        list`` prints them).
+        Routing algorithm name, a key of :data:`ROUTING` (``repro list``
+        prints them).
     traffic:
-        Traffic pattern name (``"uniform"``, ``"transpose"``, ``"shuffle"``,
-        ``"hotspot"``, ``"trace"``, and extras).
+        Traffic name, a key of :data:`TRAFFIC`: a synthetic pattern the
+        grid can run, ``"hotspot"``, or ``"trace"`` with :attr:`trace`
+        events.
     injection_rate:
         Offered load in flits/node/cycle for synthetic patterns (the
         :attr:`load_field` of every traffic kind but hotspot).
@@ -134,27 +206,38 @@ class SimulationConfig:
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on any inconsistent setting."""
         if self.topology not in TOPOLOGIES:
-            raise ConfigurationError(
-                f"unknown topology '{self.topology}'; "
-                f"available: {', '.join(TOPOLOGIES)}"
-            )
+            raise _unknown("topology", self.topology, TOPOLOGIES)
+        if self.routing not in ROUTING:
+            raise _unknown("routing", self.routing, ROUTING)
+        if self.traffic not in TRAFFIC:
+            raise _unknown("traffic", self.traffic, TRAFFIC)
         if self.width < 2 or (self.height or 0) < 2:
             raise ConfigurationError(f"{self.topology} must be at least 2x2")
+        rule = TRAFFIC[self.traffic]
+        if rule is not None and not GEOMETRY[rule][0](self.width, self.height):
+            raise ConfigurationError(
+                f"traffic {self.traffic!r} needs {GEOMETRY[rule][1]}, "
+                f"got {self.width}x{self.height}"
+            )
+        if self.traffic == "trace" and self.trace is None:
+            raise ConfigurationError("traffic 'trace' needs trace events")
         if self.num_vcs < 1:
             raise ConfigurationError("need at least one VC")
-        # VC counts first: a config with enough VCs never loads the
-        # routing registry to ask.
+        # VC counts first: a config with enough VCs on a mesh never
+        # builds its routing algorithm to ask.
         if self.num_vcs < 2 and self.routing_needs_escape:
             raise ConfigurationError(
                 f"routing '{self.routing}' uses Duato escape channels and "
                 f"needs >= 2 VCs, got {self.num_vcs}"
             )
         if self.topology != "mesh":
-            # Imported lazily: the registry imports the routing modules,
-            # which must stay importable without config.
-            from repro.routing.registry import check_topology_support
-
-            check_topology_support(self.routing, self.topology)
+            topologies = _routing_traits(ROUTING[self.routing])[1]
+            if self.topology not in topologies:
+                raise ConfigurationError(
+                    f"routing '{self.routing}' is {'/'.join(topologies)}-only "
+                    f"and cannot run on a {self.topology}: its deadlock-freedom "
+                    f"argument does not survive wrap-around links"
+                )
         if self.topology == "torus":
             # The dateline scheme needs one VC (escape VC, for Duato
             # algorithms) per wrap class — see Torus2D.wrap_vc_class.
@@ -226,19 +309,10 @@ class SimulationConfig:
 
     @property
     def routing_needs_escape(self) -> bool:
-        """Whether the routing algorithm reserves escape VCs (Duato).
-
-        Read from the algorithm itself (``uses_escape``, what the router
-        reserves VC0 by); a name :func:`create_routing` does not know is
-        ``False`` here and reported there.
-        """
-        # Imported lazily, like the torus check in validate().
-        from repro.routing.registry import create_routing
-
-        try:
-            return create_routing(self.routing).uses_escape
-        except RoutingError:
-            return False
+        """Whether the routing algorithm reserves escape VCs (Duato):
+        the algorithm's own ``uses_escape``, what the router reserves
+        VC0 by, read once per algorithm."""
+        return _routing_traits(ROUTING[self.routing])[0]
 
     @property
     def load_field(self) -> str:

@@ -243,19 +243,19 @@ class Grid2D:
 def create_topology(
     name: str, width: int, height: int | None = None
 ) -> Topology:
-    """Instantiate the topology registered under ``name``.
+    """Instantiate the topology registered under ``name`` (exactly).
 
-    Raises :class:`TopologyError` on an unknown name so config typos
-    fail loudly with the list of valid choices.
+    A config checks its name when built; fault-schedule helpers call
+    this without one, so an unknown name is a :class:`TopologyError`
+    listing the valid choices.
     """
     # Imported here: mesh.py and torus.py import Grid2D from this module.
     from repro.topology.mesh import Mesh2D
     from repro.topology.torus import Torus2D
 
-    key = name.strip().lower()
-    if key == "mesh":
+    if name == "mesh":
         return Mesh2D(width, height)
-    if key == "torus":
+    if name == "torus":
         return Torus2D(width, height)
     raise TopologyError(
         f"unknown topology {name!r}; available: {', '.join(TOPOLOGIES)}"

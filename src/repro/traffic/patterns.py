@@ -25,7 +25,6 @@ import abc
 import random
 from typing import Callable
 
-from repro.exceptions import TrafficError
 from repro.router.flit import Packet
 from repro.sim.config import SimulationConfig
 from repro.topology.base import Topology
@@ -131,10 +130,7 @@ class LookaheadTraffic(TrafficGenerator):
 # Destination functions
 # ----------------------------------------------------------------------
 def _num_bits(n: int) -> int:
-    bits = (n - 1).bit_length()
-    if 1 << bits != n:
-        raise TrafficError(f"pattern requires power-of-two node count, got {n}")
-    return bits
+    return (n - 1).bit_length()
 
 
 def _uniform(mesh: Topology, src: int, rng: random.Random) -> int | None:
@@ -143,8 +139,6 @@ def _uniform(mesh: Topology, src: int, rng: random.Random) -> int | None:
 
 
 def _transpose(mesh: Topology, src: int, rng: random.Random) -> int | None:
-    if mesh.width != mesh.height:
-        raise TrafficError("transpose requires a square mesh")
     x, y = mesh.coords(src)
     dst = mesh.node_at(y, x)
     return None if dst == src else dst
@@ -157,7 +151,6 @@ def _shuffle(mesh: Topology, src: int, rng: random.Random) -> int | None:
 
 
 def _bitcomp(mesh: Topology, src: int, rng: random.Random) -> int | None:
-    _num_bits(mesh.num_nodes)
     dst = ~src & (mesh.num_nodes - 1)
     return None if dst == src else dst
 
@@ -201,35 +194,13 @@ PATTERNS: dict[str, DestinationFn] = {
 def pattern_destination(
     name: str, mesh: Topology, src: int, rng: random.Random
 ) -> int | None:
-    """Destination of ``src`` under pattern ``name`` (``None`` = silent)."""
-    fn = PATTERNS.get(name)
-    if fn is None:
-        raise TrafficError(
-            f"unknown traffic pattern '{name}'; available: {sorted(PATTERNS)}"
-        )
-    return fn(mesh, src, rng)
+    """Destination of ``src`` under pattern ``name`` (``None`` = silent).
 
-
-def pattern_compatibility(name: str, mesh: Topology) -> None:
-    """Raise :class:`TrafficError` if ``name`` cannot run on ``mesh``.
-
-    A pure geometry check — consumes no RNG — so the factory can fail
-    fast at construction with a one-line error instead of mid-setup (or,
-    for a custom generator that skipped the up-front sweep, mid-run).
-    Unknown names are reported by the callers' own name lookups.
+    ``mesh`` must satisfy the pattern's geometry rule in
+    :data:`repro.sim.config.TRAFFIC`, which a config checks when built;
+    off it, the answer is undefined.
     """
-    if name == "transpose" and mesh.width != mesh.height:
-        raise TrafficError(
-            f"transpose requires a square mesh, got "
-            f"{mesh.width}x{mesh.height}"
-        )
-    if name in ("shuffle", "bitcomp", "bitrev"):
-        n = mesh.num_nodes
-        if 1 << (n - 1).bit_length() != n:
-            raise TrafficError(
-                f"pattern '{name}' requires power-of-two node count, "
-                f"got {n}"
-            )
+    return PATTERNS[name](mesh, src, rng)
 
 
 # ----------------------------------------------------------------------
@@ -244,18 +215,14 @@ class SyntheticTraffic(LookaheadTraffic):
         rng: random.Random,
     ) -> None:
         super().__init__()
-        if pattern not in PATTERNS:
-            raise TrafficError(
-                f"unknown traffic pattern '{pattern}'; "
-                f"available: {sorted(PATTERNS)}"
-            )
-        # Fail fast on geometry mismatches before touching the RNG.
-        pattern_compatibility(pattern, mesh)
         self.pattern = pattern
         self.config = config
         self.mesh = mesh
         self.rng = rng
-        # Validate the pattern against the mesh once, up front.
+        # One destination per source before the first cycle.  The config
+        # has checked the pattern against the grid; uniform traffic draws
+        # from ``rng`` here, and every recorded result follows on from
+        # those draws.
         for src in range(mesh.num_nodes):
             pattern_destination(pattern, mesh, src, rng)
 

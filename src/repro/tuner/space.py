@@ -87,7 +87,7 @@ _READ_BY = {
 def reads(routing: str, knob: str) -> bool:
     """Whether ``routing`` (a ``+xordet`` suffix included) reads the
     Footprint-family ``knob``."""
-    return routing.split("+")[0].strip().lower() in _READ_BY[knob]
+    return routing.split("+")[0] in _READ_BY[knob]
 
 
 def candidate(**values: Any) -> Candidate:

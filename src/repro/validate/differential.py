@@ -24,22 +24,12 @@ from repro.faults.schedule import random_link_faults, random_router_faults
 from repro.harness.cache import ResultCache
 from repro.harness.parallel import SimTask, _run_local, resolve_jobs
 from repro.harness.runner import run_simulation
-from repro.sim.config import SimulationConfig
+from repro.sim.config import ROUTING, TRAFFIC, SimulationConfig
 from repro.sim.engine import ENGINE_MODES, Simulator
 from repro.sim.results import SimulationResult
 from repro.validate.config import ValidationConfig
 
-_ALGORITHMS = (
-    "dor",
-    "oddeven",
-    "dbar",
-    "footprint",
-    "dbar-fine",
-    "dor+xordet",
-    "oddeven+xordet",
-    "dbar+xordet",
-    "footprint+xordet",
-)
+_ALGORITHMS = tuple(ROUTING)
 _PATTERNS = (
     "uniform",
     "transpose",
@@ -47,11 +37,12 @@ _PATTERNS = (
     "neighbor",
 )
 #: Bit-permutation patterns require a power-of-two node count.
-_POW2_PATTERNS = ("bitcomp", "bitrev", "shuffle")
+_POW2_PATTERNS = tuple(name for name, rule in TRAFFIC.items() if rule == "pow2")
 
 #: Algorithms whose deadlock-freedom argument survives wrap-around links
-#: (Odd-Even and the XORDET overlays are mesh-structural; see
-#: :func:`repro.routing.registry.check_topology_support`).
+#: (Odd-Even and the XORDET overlays are mesh-structural).  A literal,
+#: not read off :data:`ROUTING`: its order seeds the draw in
+#: :func:`random_configs`; a test holds it to the torus-capable names.
 _TORUS_ALGORITHMS = ("dor", "dbar", "dbar-fine", "footprint")
 
 

@@ -19,7 +19,7 @@ def test_custom_routing_example_drains_a_4x4_mesh(monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)  # main() is guarded: nothing runs yet
     monkeypatch.setitem(
-        registry._BASE_FACTORIES, "o1turn-lite", module.O1TurnLite
+        registry.ROUTING, "o1turn-lite", module.O1TurnLite
     )
     config = SimulationConfig(
         width=4,

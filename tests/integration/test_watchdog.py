@@ -44,7 +44,7 @@ class _StuckRouting(RoutingAlgorithm):
 
 @pytest.fixture
 def stuck_routing(monkeypatch):
-    monkeypatch.setitem(registry._BASE_FACTORIES, "stuck", _StuckRouting)
+    monkeypatch.setitem(registry.ROUTING, "stuck", _StuckRouting)
 
 
 def _deadlock_config(**overrides):

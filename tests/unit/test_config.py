@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ConfigurationError
-from repro.sim.config import SimulationConfig
+from repro.sim.config import ROUTING, TRAFFIC, SimulationConfig
 from repro.telemetry.config import TelemetryConfig
 
 
@@ -214,7 +214,8 @@ class TestHelpers:
         ],
     )
     def test_a_swept_load_sets_the_traffics_own_field(self, traffic, field):
-        config = SimulationConfig(traffic=traffic)
+        trace = [] if traffic == "trace" else None
+        config = SimulationConfig(traffic=traffic, trace=trace)
         assert config.load_field == field
         loaded = config.at_load(0.42)
         assert getattr(loaded, field) == 0.42
@@ -239,6 +240,68 @@ class TestHelpers:
         assert "dbar" in text
         assert "shuffle" in text
         assert "8x8" in text
+
+
+#: Configs refused when built: the fields (one config per dict) and the
+#: message.  The first eight ids are the tests these checks left behind
+#: when they moved from the registry, the traffic factory and the
+#: patterns to construction, with the same inputs.
+REFUSED = {
+    "unknown_algorithm": ([dict(routing="warp-speed")], "unknown routing"),
+    "unknown_overlay": (
+        [dict(routing="dor+banana"), dict(routing="dor+xordet+xordet")],
+        "unknown routing",
+    ),
+    "transpose_requires_square": (
+        [dict(width=4, height=2, traffic="transpose")], "a square grid"
+    ),
+    "power_of_two_required_for_bit_patterns": (
+        [dict(width=6, traffic=name) for name in ("shuffle", "bitcomp", "bitrev")],
+        "a power-of-two node count",
+    ),
+    "unknown_pattern": ([dict(traffic="zigzag")], "unknown traffic"),
+    "rejects_unknown_pattern": ([dict(width=8, traffic="nope")], "unknown traffic"),
+    "validates_pattern_against_mesh_up_front": (
+        [dict(width=4, height=2, traffic="transpose")], "got 4x2"
+    ),
+    "trace_traffic_requires_trace": (
+        [dict(width=4, num_vcs=2, traffic="trace")], "needs trace events"
+    ),
+    "bogus_names": (
+        [dict(routing="bogus"), dict(traffic="bogus"), dict(topology="bogus")],
+        "unknown (routing|traffic|topology) 'bogus'; available: ",
+    ),
+    "unlisted_overlay": ([dict(routing="dbar-fine+xordet")], "unknown routing"),
+    "names_are_exact": (
+        [dict(routing="FOOTPRINT"), dict(routing=" dor "),
+         dict(traffic="Hotspot"), dict(topology="Torus")],
+        "unknown",
+    ),
+}
+
+
+class TestNames:
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_refused_when_built(self, case):
+        configs, message = REFUSED[case]
+        for fields in configs:
+            with pytest.raises(ConfigurationError, match=message):
+                SimulationConfig(**fields)
+
+    def test_the_message_lists_the_table(self):
+        with pytest.raises(ConfigurationError) as info:
+            SimulationConfig(traffic="Hotspot")
+        assert str(info.value) == (
+            "unknown traffic 'Hotspot'; available: bitcomp, bitrev, "
+            "neighbor, shuffle, tornado, transpose, uniform, hotspot, trace"
+        )
+
+    def test_every_listed_name_builds(self):
+        for routing in ROUTING:
+            SimulationConfig(width=4, routing=routing)
+        for traffic in TRAFFIC:
+            trace = [] if traffic == "trace" else None
+            SimulationConfig(width=4, traffic=traffic, trace=trace)
 
 
 class TestTopology:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.exceptions import SimulationError, TrafficError
+from repro.exceptions import SimulationError
 from repro.router.flit import Packet
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import Simulator
@@ -138,12 +138,6 @@ class TestWatchdog:
 
 
 class TestConstruction:
-    def test_trace_traffic_requires_trace(self):
-        with pytest.raises(TrafficError):
-            Simulator(
-                SimulationConfig(width=4, num_vcs=2, traffic="trace")
-            )
-
     def test_component_counts(self):
         sim = make_sim()
         assert len(sim.routers) == 16

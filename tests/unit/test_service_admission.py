@@ -109,6 +109,12 @@ BAD = {
     "engine_version_a_string": lambda r: r.update(
         engine_version=str(ENGINE_VERSION)
     ),
+    "unknown_routing": _config_edit(routing="bogus"),
+    "unknown_traffic": _config_edit(traffic="bogus"),
+    "overlay_twice": _config_edit(routing="dor+xordet+xordet"),
+    "routing_wrong_case": _config_edit(routing="FOOTPRINT"),
+    "trace_without_events": _config_edit(traffic="trace"),
+    "pattern_off_its_grid": _config_edit(width=6, traffic="shuffle"),
 }
 
 

@@ -159,8 +159,9 @@ class TestRegistry:
         assert isinstance(create_topology("torus", 4, 8), Torus2D)
         assert create_topology("torus", 4, 8).height == 8
 
-    def test_name_is_normalized(self):
-        assert isinstance(create_topology(" Torus ", 4), Torus2D)
+    def test_name_is_exact(self):
+        with pytest.raises(TopologyError, match="' Torus '"):
+            create_topology(" Torus ", 4)
 
     def test_unknown_name_lists_choices(self):
         with pytest.raises(TopologyError, match="mesh, torus"):

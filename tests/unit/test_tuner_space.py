@@ -79,7 +79,7 @@ def test_the_default_candidate_is_canonical():
 
 def test_reads_names_the_base_algorithm_of_a_suffixed_routing():
     assert space.reads("footprint+xordet", "footprint_vc_limit")
-    assert space.reads("DBAR", "congestion_threshold")
+    assert space.reads("dbar", "congestion_threshold")
     assert not space.reads("dbar+xordet", "footprint_vc_limit")
     assert not space.reads("dor", "congestion_threshold")
 

@@ -283,3 +283,16 @@ class TestSkipAndFaultSeams:
         assert found.checker == "credit_accounting"
         assert fm.mask_violation() in str(found)
         assert f"node {node} blocked-port mask" in str(found)
+
+
+class TestDifferentialDraw:
+    def test_the_drawn_names_are_the_tables(self):
+        from repro.routing.registry import create_routing
+        from repro.sim.config import ROUTING
+        from repro.validate import differential
+
+        assert differential._ALGORITHMS == tuple(ROUTING)
+        assert differential._POW2_PATTERNS == ("bitcomp", "bitrev", "shuffle")
+        # A literal, for the draw's order; it must name the same set.
+        torus = {n for n in ROUTING if "torus" in create_routing(n).topologies}
+        assert set(differential._TORUS_ALGORITHMS) == torus
